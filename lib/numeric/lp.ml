@@ -429,33 +429,53 @@ let g_lp_nnz = Obs.gauge "lp.nnz"
 
 (* ------------------------------------------- canonical printing & caching *)
 
-(* Lossless canonical print of the full model (direction, bounds, objective
-   in insertion order, rows with CSR-order terms).  Two models with equal
-   canonical strings lower to bitwise-identical standard forms and therefore
-   solve to bitwise-identical answers, which is what makes exact-key result
-   caching transparent to every artifact.  Variable/row names are excluded —
-   they never reach the solver. *)
+(* Lossless canonical key of the full model (direction, bounds, objective
+   in insertion order, rows with CSR-order terms), in binary.  Every float
+   is its raw IEEE bits, so a 1-ulp or signed-zero difference changes the
+   key, and the name, the tag, the nonzero lower bounds, the objective and
+   every row carry their lengths, so no two models' terms can run
+   together.  Two
+   models with equal keys lower to bitwise-identical standard forms and
+   therefore solve to bitwise-identical answers, which is what makes
+   exact-key result caching transparent to every artifact.  Variable/row
+   names are excluded — they never reach the solver.  A one-shot process
+   builds the key and never reuses it, so it must be cheap: raw bits, not
+   a printf and parse round trip per term. *)
 let canonical ?(tag = "") t =
-  let buf = Buffer.create (256 + (t.nterms * 16)) in
-  let f = Solve_cache.float_repr in
-  Printf.bprintf buf "lp1 %s %s vars %d rows %d"
-    (match t.dir with Minimize -> "min" | Maximize -> "max")
-    t.lp_name t.vars t.nrows;
-  if tag <> "" then Printf.bprintf buf " tag %s" tag;
-  Buffer.add_char buf '\n';
-  for v = 0 to t.vars - 1 do
-    let lb = t.lower_bounds.(v) in
-    if lb <> 0. then Printf.bprintf buf "lb %d %s\n" v (f lb)
-  done;
-  Buffer.add_string buf "obj";
-  List.iter (fun (c, v) -> Printf.bprintf buf " %d:%s" v (f c)) t.objective;
-  Buffer.add_char buf '\n';
+  let names = String.length t.lp_name + String.length tag in
+  let buf = Buffer.create (32 + names + (t.nrows * 13) + (t.nterms * 12)) in
+  let int i = Buffer.add_int32_le buf (Int32.of_int i) in
+  let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let string s =
+    int (String.length s);
+    Buffer.add_string buf s
+  in
+  Buffer.add_string buf "lp2";
+  Buffer.add_char buf (match t.dir with Minimize -> '-' | Maximize -> '+');
+  string t.lp_name;
+  string tag;
+  int t.vars;
+  int t.nrows;
+  let terms l =
+    int (List.length l);
+    List.iter
+      (fun (c, v) ->
+        int v;
+        float c)
+      l
+  in
+  let bounded v = Int64.bits_of_float t.lower_bounds.(v) <> 0L in
+  let bounds = List.filter bounded (List.init t.vars Fun.id) in
+  terms (List.map (fun v -> (t.lower_bounds.(v), v)) bounds);
+  terms t.objective;
   for r = 0 to t.nrows - 1 do
-    Buffer.add_string buf
-      (match t.row_sense.(r) with Le -> "le " | Eq -> "eq " | Ge -> "ge ");
-    Buffer.add_string buf (f t.row_rhs.(r));
-    iter_row_terms t r (fun coef v -> Printf.bprintf buf " %d:%s" v (f coef));
-    Buffer.add_char buf '\n'
+    Buffer.add_char buf (match t.row_sense.(r) with Le -> '<' | Eq -> '=' | Ge -> '>');
+    float t.row_rhs.(r);
+    int (t.row_start.(r + 1) - t.row_start.(r));
+    for k = t.row_start.(r) to t.row_start.(r + 1) - 1 do
+      int t.term_var.(k);
+      float t.term_coef.(k)
+    done
   done;
   Buffer.contents buf
 

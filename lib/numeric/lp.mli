@@ -149,11 +149,13 @@ val solve_diag :
       switch. *)
 
 val canonical : ?tag:string -> t -> string
-(** Lossless canonical print of the model (direction, nonzero lower
-    bounds, objective, rows; names excluded).  Equal canonical strings
-    imply bitwise-identical standard forms, hence bitwise-identical
-    solver behaviour — the exact-key cache in {!solve_diag} relies on
-    this.  [tag] folds solver parameters into the key. *)
+(** Lossless binary key of the model (direction, nonzero lower bounds,
+    objective, rows; names excluded).  Floats are their raw IEEE bits and
+    every section is length-prefixed, so models differing by one ulp or a
+    zero's sign get distinct keys.  Equal keys imply bitwise-identical
+    standard forms, hence bitwise-identical solver behaviour — the
+    exact-key cache in {!solve_diag} relies on this.  [tag] folds solver
+    parameters into the key. *)
 
 val signature : t -> string
 (** Structure-only key: dimensions, senses, sparsity pattern, free-variable

@@ -9,15 +9,22 @@ exception Singular of int
 (* In-place Doolittle elimination with partial pivoting over [lu]/[perm];
    returns the permutation sign.  Both [factorize] and [refactorize] run
    exactly this loop, so a factorization rebuilt into reused storage is
-   bitwise-identical to a fresh one. *)
+   bitwise-identical to a fresh one.  No closures: it runs on every simplex
+   refactorization. *)
 let eliminate ~pivot_tol lu perm =
-  let n = lu.Mat.rows in
+  let n = lu.Mat.rows and a = lu.Mat.data in
   let sign = ref 1. in
   for k = 0 to n - 1 do
+    let kbase = k * n in
     (* partial pivoting: pick the largest |entry| in column k at/below row k *)
     let pivot_row = ref k in
+    let best = ref (Float.abs (Array.unsafe_get a (kbase + k))) in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot_row k) then pivot_row := i
+      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
+      if v > !best then begin
+        pivot_row := i;
+        best := v
+      end
     done;
     if !pivot_row <> k then begin
       Mat.swap_rows lu k !pivot_row;
@@ -26,14 +33,16 @@ let eliminate ~pivot_tol lu perm =
       perm.(!pivot_row) <- tmp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = Array.unsafe_get a (kbase + k) in
     if Float.abs pivot < pivot_tol then raise (Singular k);
     for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
+      let ibase = i * n in
+      let factor = Array.unsafe_get a (ibase + k) /. pivot in
+      Array.unsafe_set a (ibase + k) factor;
       if factor <> 0. then
         for j = k + 1 to n - 1 do
-          Mat.update lu i j (fun x -> x -. (factor *. Mat.get lu k j))
+          Array.unsafe_set a (ibase + j)
+            (Array.unsafe_get a (ibase + j) -. (factor *. Array.unsafe_get a (kbase + j)))
         done
     done
   done;
@@ -70,32 +79,56 @@ let refactorize ?(pivot_tol = 1e-12) f m =
   | exception Singular k -> Stdlib.Error k
 
 (* The triangular solves are the hot loop of the simplex refactorization
-   (thousands of right-hand sides per refactor), hence the unsafe flat-array
-   accesses. *)
-let solve_factorized { lu; perm; _ } b =
+   (one right-hand side per tableau column), hence the unsafe flat-array
+   accesses.  Both substitutions sum only over the entries already found
+   to be nonzero, whose indices [idx] collects as they appear: a term whose
+   multiplier is exactly zero contributes nothing, and the tableau columns
+   are sparse.  The kept terms are summed in the same ascending order as
+   the dense loops, so every nonzero result is bitwise the dense one; only
+   the sign of an exact zero may differ. *)
+let solve_into { lu; perm; _ } ~idx b x =
   let n = lu.Mat.rows in
-  if Array.length b <> n then invalid_arg "Lu.solve_factorized: dimension mismatch";
+  if Array.length b <> n || Array.length x <> n || Array.length idx < n || (n > 0 && b == x) then
+    invalid_arg "Lu.solve_into: dimension mismatch or b == x";
   let data = lu.Mat.data in
-  let y = Array.init n (fun i -> b.(perm.(i))) in
-  (* forward substitution: L y = P b *)
+  (* forward substitution: L y = P b, y held in x; idx ascending *)
+  let nnz = ref 0 in
   for i = 0 to n - 1 do
     let base = i * n in
-    let acc = ref (Array.unsafe_get y i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (Array.unsafe_get data (base + j) *. Array.unsafe_get y j)
+    let acc = ref (Array.unsafe_get b (Array.unsafe_get perm i)) in
+    for k = 0 to !nnz - 1 do
+      let j = Array.unsafe_get idx k in
+      acc := !acc -. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
     done;
-    Array.unsafe_set y i !acc
+    Array.unsafe_set x i !acc;
+    if !acc <> 0. then begin
+      Array.unsafe_set idx !nnz i;
+      incr nnz
+    end
   done;
-  (* back substitution: U x = y *)
+  (* back substitution: U x = y; idx descending, so read it backwards *)
+  nnz := 0;
   for i = n - 1 downto 0 do
     let base = i * n in
-    let acc = ref (Array.unsafe_get y i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (Array.unsafe_get data (base + j) *. Array.unsafe_get y j)
+    let acc = ref (Array.unsafe_get x i) in
+    for k = !nnz - 1 downto 0 do
+      let j = Array.unsafe_get idx k in
+      acc := !acc -. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
     done;
-    Array.unsafe_set y i (!acc /. Array.unsafe_get data (base + i))
-  done;
-  y
+    let v = !acc /. Array.unsafe_get data (base + i) in
+    Array.unsafe_set x i v;
+    if v <> 0. then begin
+      Array.unsafe_set idx !nnz i;
+      incr nnz
+    end
+  done
+
+let solve_factorized f b =
+  let n = dim f in
+  if Array.length b <> n then invalid_arg "Lu.solve_factorized: dimension mismatch";
+  let x = Array.make n 0. in
+  solve_into f ~idx:(Array.make n 0) b x;
+  x
 
 (* Exception-free entry point: [Error k] names the elimination column whose
    pivot vanished, so callers can report the defect instead of unwinding. *)

@@ -31,8 +31,19 @@ val refactorize : ?pivot_tol:float -> factorization -> Mat.t -> (unit, int) resu
 val dim : factorization -> int
 (** Order of the factorized matrix. *)
 
+val solve_into : factorization -> idx:int array -> Vec.t -> Vec.t -> unit
+(** [solve_into f ~idx b x] solves [A x = b] into the caller's [x], using
+    [idx] (length at least [dim f]) as scratch.  Both triangular solves
+    skip the terms whose multiplier is exactly zero and sum the rest in
+    ascending index order, so every nonzero entry of [x] is bitwise equal
+    to the dense substitution's; an exact zero may differ in sign.  Cost
+    is proportional to the nonzeros met, not to [n^2], on sparse
+    right-hand sides.
+    @raise Invalid_argument on a length mismatch or if [b == x]. *)
+
 val solve_factorized : factorization -> Vec.t -> Vec.t
-(** Solves [A x = b] given the factorization of [A]. *)
+(** Solves [A x = b] given the factorization of [A]; an allocating
+    {!solve_into}. *)
 
 val try_factorize :
   ?pivot_tol:float -> Mat.t -> (factorization, int) result

@@ -1,10 +1,11 @@
 module Obs = Bufsize_obs.Obs
 
 (* Pivot-level telemetry: one guarded atomic add per pivot (a pivot is
-   already O(width) work) and per tableau refactorization.  Disabled:
-   one atomic load and branch. *)
+   already O(width) work), per tableau refactorization and per retry run
+   (unperturbed or drift).  Disabled: one atomic load and branch. *)
 let m_pivots = Obs.counter "simplex.pivots"
 let m_refactorizations = Obs.counter "simplex.refactorizations"
+let m_retries = Obs.counter "simplex.retries"
 
 type standard = {
   nrows : int;
@@ -102,139 +103,38 @@ let pivot tab row col =
   tab.basis.(row) <- col
 
 (* Entering column.  Bland mode scans for the first negative reduced cost
-   from column 0 (the anti-cycling rule needs that fixed order).  The
-   normal mode has two pricing strategies:
-
-   - [Dantzig] (default): full scan over all n + m reduced costs, enter on
-     the most negative.
-   - [Partial]: rotating-window partial pricing.  A refill scans columns
-     from a rotating cursor, wrapping, and collects up to
-     [max_candidates] columns with negative reduced cost, stopping early
-     once the window is full; the iterations in between price only that
-     list (re-reading each candidate's CURRENT reduced cost from the
-     tableau) and enter on the most negative among them.  When the list
-     yields nothing, the refill resumes at the cursor — and only a refill
-     that wraps the entire column range without finding a negative
-     reduced cost declares optimality, so termination rests on a full
-     scan exactly as with Dantzig.
-
-   Partial pricing is the textbook remedy when pricing dominates, but
-   measurement on this repo's occupation-measure LPs shows the opposite
-   regime: once [pivot] exploits row sparsity, the full scan is cheap,
-   and lower-quality entering picks inflate the pivot count — and the
-   pivots are the expensive step.  A keep-the-K-most-negative variant
-   already doubled the pivots (1870 -> 3614 across the Table 1 sizing
-   workload, ~2x wall clock); the rotating first-found window is several
-   times slower again, even on the widest joint LP we build (2176
-   columns).  Dantzig is therefore the default at every width; set
-   BUFSIZE_SIMPLEX_PRICING=partial to force the rotating window (for
-   problem classes wide enough that scanning dominates again), or
-   =dantzig to pin the default explicitly. *)
-type pricing_mode = Dantzig | Partial
-
-let pricing_mode_of_env () =
-  match Sys.getenv_opt "BUFSIZE_SIMPLEX_PRICING" with
-  | Some "partial" -> Partial
-  | Some "dantzig" | None -> Dantzig
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "BUFSIZE_SIMPLEX_PRICING: expected \"dantzig\" or \"partial\", got %S" other)
-
-type pricing = {
-  mode : pricing_mode;
-  cand : int array;
-  mutable ncand : int;
-  mutable cursor : int;  (* column the next rotating refill starts from *)
-}
-
-let max_candidates = 24
-
-let new_pricing () =
-  { mode = pricing_mode_of_env (); cand = Array.make max_candidates 0; ncand = 0; cursor = 0 }
-
-(* Rotating refill: scan from the cursor, wrapping once around all n + m
-   columns, collecting allowed columns with reduced cost < -eps; stop as
-   soon as the window is full.  Leaves [pr.ncand = 0] only after a
-   complete wrap found nothing — a full-scan certificate of optimality. *)
-let refill_candidates tab ~eps ~allow pr =
+   from column 0 (the anti-cycling rule needs that fixed order); the
+   normal mode is Dantzig's full scan for the most negative one.  Once
+   [pivot] exploits row sparsity the full scan is cheap, and on these
+   degenerate LPs partial pricing's weaker picks were measured to inflate
+   the pivot count (DESIGN.md §3.1). *)
+let entering tab ~eps ~bland ~allow =
   let cost_row = tab.m in
   let total = tab.n + tab.m in
-  pr.ncand <- 0;
-  let scanned = ref 0 in
-  let j = ref (if pr.cursor < total then pr.cursor else 0) in
-  while !scanned < total && pr.ncand < max_candidates do
-    (if allow !j && tget tab cost_row !j < -.eps then begin
-       pr.cand.(pr.ncand) <- !j;
-       pr.ncand <- pr.ncand + 1
-     end);
-    incr scanned;
-    j := !j + 1;
-    if !j >= total then j := 0
-  done;
-  pr.cursor <- !j
-
-let entering tab ~eps ~bland ~allow ~pricing:pr =
-  let cost_row = tab.m in
-  let total = tab.n + tab.m in
+  let best = ref (-1) in
   if bland then begin
-    let best = ref (-1) in
-    (try
-       for j = 0 to total - 1 do
-         if allow j && tget tab cost_row j < -.eps then begin
-           best := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !best
-  end
-  else
-    match pr.mode with
-    | Dantzig ->
-        let best = ref (-1) in
-        let best_val = ref (-.eps) in
-        for j = 0 to total - 1 do
-          if allow j then begin
-            let r = tget tab cost_row j in
-            if r < !best_val then begin
-              best := j;
-              best_val := r
-            end
-          end
-        done;
-        !best
-    | Partial ->
-        let pick () =
-          (* Most negative CURRENT reduced cost among the candidates;
-             stale entries (risen above -eps since the refill) are
-             skipped. *)
-          let best = ref (-1) and best_k = ref (-1) in
-          let best_val = ref (-.eps) in
-          for k = 0 to pr.ncand - 1 do
-            let r = tget tab cost_row pr.cand.(k) in
-            if r < !best_val then begin
-              best := pr.cand.(k);
-              best_val := r;
-              best_k := k
-            end
-          done;
-          (!best, !best_k)
-        in
-        let best, best_k =
-          match pick () with
-          | -1, _ ->
-              refill_candidates tab ~eps ~allow pr;
-              pick ()
-          | found -> found
-        in
-        if best >= 0 then begin
-          (* The chosen column becomes basic (reduced cost 0) — drop it. *)
-          pr.cand.(best_k) <- pr.cand.(pr.ncand - 1);
-          pr.ncand <- pr.ncand - 1;
-          best
+    try
+      for j = 0 to total - 1 do
+        if allow j && tget tab cost_row j < -.eps then begin
+          best := j;
+          raise Exit
         end
-        else -1
+      done
+    with Exit -> ()
+  end
+  else begin
+    let best_val = ref (-.eps) in
+    for j = 0 to total - 1 do
+      if allow j then begin
+        let r = tget tab cost_row j in
+        if r < !best_val then begin
+          best := j;
+          best_val := r
+        end
+      end
+    done
+  end;
+  !best
 
 (* Ratio test: row minimizing b_i / a_ij over a_ij > eps; ties broken on the
    smallest basic-variable index (part of Bland's anti-cycling guarantee).
@@ -283,7 +183,6 @@ let leaving tab ~eps col =
 type phase_outcome = Phase_optimal | Phase_unbounded | Phase_iterations
 
 let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow iterations =
-  let pricing = new_pricing () in
   let rec loop iters since_refactor =
     if iters >= max_iter then (Phase_iterations, iters)
     else begin
@@ -295,7 +194,7 @@ let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow i
         else since_refactor
       in
       let bland = iters >= bland_after in
-      let col = entering tab ~eps ~bland ~allow ~pricing in
+      let col = entering tab ~eps ~bland ~allow in
       if col < 0 then (Phase_optimal, iters)
       else begin
         let row = leaving tab ~eps col in
@@ -371,24 +270,40 @@ let tableau_solution std tab iterations =
   in
   { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
 
+(* Row signs of the tableau: rows with a negative right-hand side were
+   flipped by [build_tableau]. *)
+let flips std = Array.map (fun bi -> if bi < 0. then -1. else 1.) std.b
+
+(* The basis matrix B of the current basis in the flipped row space,
+   written straight into its storage, and its LU; None if B is singular. *)
+let factored_basis std tab flip =
+  let m = tab.m in
+  let bmat = Mat.zeros m m in
+  let d = bmat.Mat.data in
+  for j = 0 to m - 1 do
+    let col = tab.basis.(j) in
+    if col < tab.n then
+      for i = 0 to m - 1 do
+        d.((i * m) + j) <- flip.(i) *. std.a.((i * std.ncols) + col)
+      done
+    else d.(((col - tab.n) * m) + j) <- 1.
+  done;
+  match Lu.factorize bmat with f -> Some (bmat, f) | exception Lu.Singular _ -> None
+
 (* Recompute the basic solution and duals exactly from the original data
    given the final basis: solve B x_B = b and B' y = c_B by LU.  This wipes
-   out tableau drift.  Returns None when the recomputed point is infeasible
-   (the pivot path went numerically astray) so the caller can fall back. *)
-let refined_solution std tab iterations =
+   out tableau drift.  [factors] is B and its LU when the caller already
+   holds them for this very basis and data.  Returns None when the
+   recomputed point is infeasible (the pivot path went numerically astray)
+   so the caller can fall back. *)
+let refined_solution ?factors std tab iterations =
   let m = tab.m in
-  let flip i = if std.b.(i) < 0. then -1. else 1. in
-  let bmat =
-    Mat.init m m (fun i j ->
-        let col = tab.basis.(j) in
-        if col < tab.n then flip i *. std.a.((i * std.ncols) + col)
-        else if col - tab.n = i then 1.
-        else 0.)
-  in
-  match Lu.factorize bmat with
-  | exception Lu.Singular _ -> None
-  | f ->
-      let b_flipped = Array.init m (fun i -> flip i *. std.b.(i)) in
+  let flip = flips std in
+  let factors = if Option.is_none factors then factored_basis std tab flip else factors in
+  match factors with
+  | None -> None
+  | Some (bmat, f) ->
+      let b_flipped = Array.mapi (fun i bi -> flip.(i) *. bi) std.b in
       let xb = Lu.solve_factorized f b_flipped in
       (* The pivot path ran on a perturbed right-hand side (amplitude up to
          ~1e-7, see [perturb]), so the final basis may be infeasible for the
@@ -425,7 +340,7 @@ let refined_solution std tab iterations =
         match Lu.try_solve bt cb with
         | Stdlib.Error _ -> None
         | Stdlib.Ok y ->
-            let duals = Array.init m (fun i -> flip i *. y.(i)) in
+            let duals = Array.init m (fun i -> flip.(i) *. y.(i)) in
             Some { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
       end
 
@@ -433,44 +348,53 @@ let refined_solution std tab iterations =
    (solve B z = col for every column by LU), then re-install the phase's
    cost row.  This is the textbook defence against floating-point drift in
    long pivot runs; without it the heavily degenerate CTMDP occupation LPs
-   corrupt their right-hand sides after a few thousand pivots. *)
+   corrupt their right-hand sides after a few thousand pivots.  Every
+   column goes through the sparse-aware [Lu.solve_into] with one set of
+   scratch buffers; entries below 1e-12, both signs of zero among them,
+   are stored as 0, so the tableau is bitwise the dense solve's.  Returns
+   B and its LU, or None when B is singular (the tableau is then left as
+   it was). *)
 let refactorize std tab ~art_cost ~costs =
   Obs.incr m_refactorizations;
+  Obs.span ~name:"simplex.refactorize" @@ fun () ->
   let m = tab.m in
-  let flip i = if std.b.(i) < 0. then -1. else 1. in
-  let bmat =
-    Mat.init m m (fun i j ->
-        let col = tab.basis.(j) in
-        if col < tab.n then flip i *. std.a.((i * std.ncols) + col)
-        else if col - tab.n = i then 1.
-        else 0.)
-  in
-  match Lu.factorize bmat with
-  | exception Lu.Singular _ -> ()
-  | f ->
-      let col_buf = Array.make m 0. in
+  let flip = flips std in
+  match factored_basis std tab flip with
+  | None -> None
+  | Some (_, f) as factors ->
+      let col = Array.make m 0. and z = Array.make m 0. and idx = Array.make m 0 in
       for j = 0 to tab.width - 1 do
+        if j < tab.n then
+          for i = 0 to m - 1 do
+            col.(i) <- flip.(i) *. std.a.((i * std.ncols) + j)
+          done
+        else if j < tab.n + m then begin
+          Array.fill col 0 m 0.;
+          col.(j - tab.n) <- 1.
+        end
+        else
+          for i = 0 to m - 1 do
+            col.(i) <- flip.(i) *. std.b.(i)
+          done;
+        Lu.solve_into f ~idx col z;
         for i = 0 to m - 1 do
-          col_buf.(i) <-
-            (if j < tab.n then flip i *. std.a.((i * std.ncols) + j)
-             else if j < tab.n + tab.m then if j - tab.n = i then 1. else 0.
-             else flip i *. std.b.(i))
-        done;
-        let z = Lu.solve_factorized f col_buf in
-        for i = 0 to m - 1 do
-          tset tab i j (if Float.abs z.(i) < 1e-12 then 0. else z.(i))
+          let v = Array.unsafe_get z i in
+          tset tab i j (if Float.abs v < 1e-12 then 0. else v)
         done
       done;
-      install_costs tab ~art_cost costs
+      install_costs tab ~art_cost costs;
+      factors
 
 (* Dual-simplex cleanup: after the pivot path ran on perturbed data, the
    final basis can be slightly primal-infeasible for the true right-hand
    side while remaining dual-feasible (reduced costs >= 0).  Standard dual
    pivots restore primal feasibility in a handful of steps: leave on the
-   most negative basic value, enter on the dual ratio test. *)
+   most negative basic value, enter on the dual ratio test.  Returns the
+   number of pivots made. *)
 let dual_cleanup tab ~allow ~max_pivots =
   let rec loop k =
-    if k < max_pivots then begin
+    if k >= max_pivots then k
+    else begin
       let r = ref (-1) in
       let worst = ref (-1e-9) in
       for i = 0 to tab.m - 1 do
@@ -496,11 +420,13 @@ let dual_cleanup tab ~allow ~max_pivots =
             end
           end
         done;
-        if !best >= 0 then begin
+        if !best < 0 then k
+        else begin
           pivot tab !r !best;
           loop (k + 1)
         end
       end
+      else k
     end
   in
   loop 0
@@ -560,7 +486,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
     install_costs tab ~art_cost:1. (Array.make tab.n 0.);
     let allow_all j = j < tab.n + tab.m in
     let zero_costs = Array.make tab.n 0. in
-    let refactor1 () = refactorize work tab ~art_cost:1. ~costs:zero_costs in
+    let refactor1 () = ignore (refactorize work tab ~art_cost:1. ~costs:zero_costs) in
     let outcome1, iters1 =
       Obs.span ~name:"simplex.phase1"
         ~attrs:(fun () -> [ ("rows", string_of_int tab.m); ("cols", string_of_int tab.n) ])
@@ -578,7 +504,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
         drive_out_artificials tab ~eps;
         install_costs tab ~art_cost:0. work.c;
         let structural j = j < tab.n in
-        let refactor2 () = refactorize work tab ~art_cost:0. ~costs:work.c in
+        let refactor2 () = ignore (refactorize work tab ~art_cost:0. ~costs:work.c) in
         let outcome2, iters2 =
           Obs.span ~name:"simplex.phase2"
             ~attrs:(fun () -> [ ("rows", string_of_int tab.m); ("cols", string_of_int tab.n) ])
@@ -590,10 +516,16 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
         | Phase_unbounded -> `Unbounded
         | Phase_iterations | Phase_optimal -> (
             (* Swap the true data back in (removing the perturbation) and
-               restore primal feasibility with a few dual pivots. *)
-            refactorize std tab ~art_cost:0. ~costs:std.c;
-            dual_cleanup tab ~allow:structural ~max_pivots:(tab.m + 16);
-            match refined_solution std tab iters2 with
+               restore primal feasibility with a few dual pivots.  Without
+               a dual pivot the basis, hence B, is the one just factorized,
+               and the exact finish reuses its LU. *)
+            Obs.span ~name:"simplex.finish" @@ fun () ->
+            let factors = refactorize std tab ~art_cost:0. ~costs:std.c in
+            let factors =
+              if dual_cleanup tab ~allow:structural ~max_pivots:(tab.m + 16) = 0 then factors
+              else None
+            in
+            match refined_solution ?factors std tab iters2 with
             | Some sol -> `Optimal sol
             | None -> `Drifted (tableau_solution std tab iters2)))
   in
@@ -617,6 +549,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
        systems like balanced transportation problems) into inconsistent
        ones; a perturbed "infeasible" verdict must be confirmed on the true
        data before being believed. *)
+    Obs.incr m_retries;
     match timed "unperturbed retry" (fun () -> run ~work:std ~bland_after ~refactor_every:200)
     with
     | `Optimal sol -> Optimal sol
@@ -634,6 +567,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
       (* The pivot path drifted numerically despite refactorization; retry
          with much tighter refactorization (still Dantzig — Bland is far
          too slow on these LPs and no more accurate). *)
+      Obs.incr m_retries;
       match timed "drift retry" (fun () -> run ~work ~bland_after ~refactor_every:100) with
       | `Optimal sol -> Optimal sol
       | `Infeasible -> Infeasible

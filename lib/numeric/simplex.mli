@@ -8,11 +8,9 @@
     Pivoting uses Dantzig's rule and falls back to Bland's rule (which is
     provably cycle-free) after [bland_after] iterations, so the solver
     terminates on degenerate problems such as CTMDP occupation-measure LPs.
-    Setting [BUFSIZE_SIMPLEX_PRICING=partial] switches the pre-Bland
-    iterations to rotating-window partial pricing (optimality is still
-    certified by a full scan); the Dantzig default is the measured winner
-    on this repo's LPs — see DESIGN.md §3.1.  Pivot elimination skips the
-    pivot row's zero columns, the dominant saving on sparse tableaus.
+    Pivot elimination skips the pivot row's zero columns, the dominant
+    saving on sparse tableaus; periodic refactorizations refresh the
+    tableau through sparse-aware LU solves (see DESIGN.md §3.1).
 
     Dual values are read off the artificial columns of the final tableau and
     exposed in {!solution}; the buffer-budget row's dual is the "price of

@@ -22,12 +22,14 @@ let set_enabled b = Atomic.set global_enabled b
 let default_capacity =
   match env_setting with `Capacity n -> n | `Default | `Disabled -> 64
 
+(* A plain loop, not [String.iter]: the closure would box the running
+   hash on every byte, and LP keys run to tens of kilobytes. *)
 let fnv1a s =
-  let offset = 0xcbf29ce484222325L and prime = 0x100000001b3L in
-  let h = ref offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   !h
 
 let float_repr x =

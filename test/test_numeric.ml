@@ -113,6 +113,88 @@ let test_lu_random_roundtrip () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:200 ~name:"lu roundtrip (diagonally dominated)" gen prop)
 
+(* Reference for the sparse-aware solve: Doolittle elimination through
+   [Mat.get]/[Mat.set] and dense substitution loops summing every term.
+   Same pivoting and arithmetic as [Lu], so the factors are bitwise equal
+   and every nonzero entry of the solution must match bit for bit. *)
+let dense_reference_solve a b =
+  let n = a.Mat.rows in
+  let lu = Mat.copy a in
+  let perm = Array.init n Fun.id in
+  for k = 0 to n - 1 do
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !p k) then p := i
+    done;
+    Mat.swap_rows lu k !p;
+    let t = perm.(k) in
+    perm.(k) <- perm.(!p);
+    perm.(!p) <- t;
+    if Float.abs (Mat.get lu k k) < 1e-12 then raise (Lu.Singular k);
+    for i = k + 1 to n - 1 do
+      let factor = Mat.get lu i k /. Mat.get lu k k in
+      Mat.set lu i k factor;
+      if factor <> 0. then
+        for j = k + 1 to n - 1 do
+          Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
+        done
+    done
+  done;
+  let y = Array.init n (fun i -> b.(perm.(i))) in
+  for i = 0 to n - 1 do
+    for j = 0 to i - 1 do
+      y.(i) <- y.(i) -. (Mat.get lu i j *. y.(j))
+    done
+  done;
+  for i = n - 1 downto 0 do
+    for j = i + 1 to n - 1 do
+      y.(i) <- y.(i) -. (Mat.get lu i j *. y.(j))
+    done;
+    y.(i) <- y.(i) /. Mat.get lu i i
+  done;
+  y
+
+let test_lu_sparse_solve_matches_dense () =
+  (* Random sparse matrices (about half the entries exactly zero, so the
+     factors and the intermediate vectors carry exact zeros) against four
+     right-hand-side shapes: a unit vector, a few nonzeros, dense, zero. *)
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        let* n = int_range 1 12 in
+        let entry = frequency [ (1, return 0.); (1, float_range (-1.) 1.) ] in
+        let* entries = array_size (return (n * n)) entry in
+        let* shape = int_range 0 3 in
+        let* k = int_range 0 (n - 1) in
+        let* dense = array_size (return n) (float_range (-5.) 5.) in
+        let* keep = array_size (return n) (int_range 0 3) in
+        let b =
+          match shape with
+          | 0 -> Array.init n (fun i -> if i = k then 1. else 0.)
+          | 1 -> Array.mapi (fun i v -> if keep.(i) = 0 || i = k then v else 0.) dense
+          | 2 -> dense
+          | _ -> Array.make n 0.
+        in
+        return (n, entries, b))
+  in
+  let prop (n, entries, b) =
+    let a = Mat.init n n (fun i j -> entries.((i * n) + j)) in
+    match (Lu.factorize a, dense_reference_solve a b) with
+    | exception Lu.Singular _ -> QCheck.assume_fail ()
+    | f, reference ->
+        let x = Array.make n nan and idx = Array.make n (-1) in
+        Lu.solve_into f ~idx b x;
+        let agree i r =
+          if r = 0. then x.(i) = 0.
+          else Int64.equal (Int64.bits_of_float x.(i)) (Int64.bits_of_float r)
+        in
+        Array.for_all Fun.id (Array.mapi agree reference)
+        && Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+             x (Lu.solve_factorized f b)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:500 ~name:"sparse-aware solve = dense loops" gen prop)
+
 (* -------------------------------------------------------------- Simplex *)
 
 let std ~nrows ~ncols a b c = { Simplex.nrows; ncols; a; b; c }
@@ -631,6 +713,8 @@ let () =
           Alcotest.test_case "determinant" `Quick test_lu_det;
           Alcotest.test_case "inverse" `Quick test_lu_inverse;
           Alcotest.test_case "random roundtrip (property)" `Quick test_lu_random_roundtrip;
+          Alcotest.test_case "sparse-aware solve = dense loops (property)" `Quick
+            test_lu_sparse_solve_matches_dense;
         ] );
       ( "simplex",
         [

@@ -1,10 +1,9 @@
-(* Tests for the multicore layer: the domain pool, parallel replication
-   determinism, mergeable statistics, derived replication seeds, and the
-   simplex pricing modes. *)
+(* Tests for the multicore layer: the domain pool and its size override,
+   parallel replication determinism, mergeable statistics and derived
+   replication seeds. *)
 
 module Pool = Bufsize_pool.Pool
 module Stats = Bufsize_numeric.Stats
-module Simplex = Bufsize_numeric.Simplex
 module Rng = Bufsize_prob.Rng
 module Topology = Bufsize_soc.Topology
 module Traffic = Bufsize_soc.Traffic
@@ -17,6 +16,46 @@ module Replicate = Bufsize_sim.Replicate
 let with_pool k f =
   let pool = Pool.create ~oversubscribe:true k in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+(* ------------------------------------------------------- pool size env *)
+
+(* Run [f] with BUFSIZE_NUM_DOMAINS set to [v].  The environment cannot be
+   unset portably, so an originally absent variable is restored to the
+   value [default_size] would have picked anyway. *)
+let with_domains_env v f =
+  let var = "BUFSIZE_NUM_DOMAINS" in
+  let restore =
+    match Sys.getenv_opt var with
+    | Some old -> old
+    | None -> string_of_int (Domain.recommended_domain_count ())
+  in
+  Unix.putenv var v;
+  Fun.protect ~finally:(fun () -> Unix.putenv var restore) f
+
+let test_domains_env_accepted () =
+  List.iter
+    (fun (v, expected) ->
+      with_domains_env v (fun () ->
+          Alcotest.(check int) (Printf.sprintf "%S" v) expected (Pool.default_size ())))
+    [ ("1", 1); ("3", 3); (" 2 ", 2); ("16", 16) ]
+
+let test_domains_env_rejected () =
+  let contains s sub =
+    let n = String.length s and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun v ->
+      with_domains_env v (fun () ->
+          match Pool.default_size () with
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S: message names the variable" v)
+                true
+                (contains msg "BUFSIZE_NUM_DOMAINS")
+          | n -> Alcotest.failf "%S: expected Invalid_argument, got %d" v n))
+    [ "0"; "-2"; "four"; ""; "1.5" ]
 
 (* ------------------------------------------------------------------ pool *)
 
@@ -205,63 +244,6 @@ let test_merge_single_samples () =
   check_stats_identical "single + empty" a (Stats.merge a (Stats.create ()));
   check_stats_identical "empty + single" a (Stats.merge (Stats.create ()) a)
 
-(* -------------------------------------------------------- simplex pricing *)
-
-(* Random standard-form LPs with a known feasible point (b = A x0 for a
-   nonnegative x0).  Partial pricing must reach the same optimum as the
-   default Dantzig pricing — only the pivot path may differ. *)
-let random_standard rng ~m ~n =
-  let a = Array.init (m * n) (fun _ -> Rng.float_range rng (-1.) 1.) in
-  let x0 = Array.init n (fun _ -> Rng.float_range rng 0. 2.) in
-  let b =
-    Array.init m (fun i ->
-        let acc = ref 0. in
-        for j = 0 to n - 1 do
-          acc := !acc +. (a.((i * n) + j) *. x0.(j))
-        done;
-        !acc)
-  in
-  (* Bounded feasible region: costs bounded below by adding the simplex of
-     total mass; keep costs positive so minimization is bounded. *)
-  let c = Array.init n (fun _ -> Rng.float_range rng 0.1 2.) in
-  { Simplex.nrows = m; ncols = n; a; b; c }
-
-let test_partial_pricing_agrees_with_dantzig () =
-  let rng = Rng.create 20260807 in
-  let solve_with mode std =
-    Unix.putenv "BUFSIZE_SIMPLEX_PRICING" mode;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "dantzig")
-      (fun () -> Simplex.solve std)
-  in
-  for case = 1 to 20 do
-    let std = random_standard rng ~m:6 ~n:14 in
-    let d = solve_with "dantzig" std and p = solve_with "partial" std in
-    match (d, p) with
-    | Simplex.Optimal sd, Simplex.Optimal sp ->
-        let scale = Float.max 1. (Float.abs sd.Simplex.objective) in
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d objectives agree" case)
-          true
-          (Float.abs (sd.Simplex.objective -. sp.Simplex.objective) <= 1e-6 *. scale);
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d partial solution feasible" case)
-          true
-          (Simplex.feasibility_error std sp.Simplex.x <= 1e-6)
-    | Simplex.Infeasible, Simplex.Infeasible | Simplex.Unbounded, Simplex.Unbounded -> ()
-    | _ -> Alcotest.failf "case %d: pricing modes disagree on LP status" case
-  done
-
-let test_pricing_env_rejects_garbage () =
-  Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "fancy";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BUFSIZE_SIMPLEX_PRICING" "dantzig")
-    (fun () ->
-      let std = random_standard (Rng.create 7) ~m:3 ~n:6 in
-      match Simplex.solve std with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "expected Invalid_argument for unknown pricing mode")
-
 let () =
   Alcotest.run "parallel"
     [
@@ -272,6 +254,11 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_pool_empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
           Alcotest.test_case "nested calls fall back" `Quick test_pool_nested_calls_fall_back;
+        ] );
+      ( "pool-domain-env",
+        [
+          Alcotest.test_case "positive override honoured" `Quick test_domains_env_accepted;
+          Alcotest.test_case "garbage rejected" `Quick test_domains_env_rejected;
         ] );
       ( "replicate",
         [
@@ -284,11 +271,5 @@ let () =
           Alcotest.test_case "merge = single pass (qcheck)" `Quick test_merge_matches_single_pass;
           Alcotest.test_case "empty identities" `Quick test_merge_empty_identity;
           Alcotest.test_case "single-sample shards" `Quick test_merge_single_samples;
-        ] );
-      ( "simplex-pricing",
-        [
-          Alcotest.test_case "partial agrees with dantzig" `Quick
-            test_partial_pricing_agrees_with_dantzig;
-          Alcotest.test_case "unknown mode rejected" `Quick test_pricing_env_rejects_garbage;
         ] );
     ]

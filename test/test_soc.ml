@@ -935,6 +935,80 @@ let test_sizing_weighted_losses () =
   Alcotest.(check bool) "weighted processor gets at least as much" true
     (alloc_of weighted >= alloc_of base)
 
+(* A three-bus SoC whose buses are joined by two bridges, sized at budget
+   64 with 40 states per subsystem.  Its joint LP has ~110 rows, under the
+   auto-selection cutoff, so the dense tableau engine solves it.  The
+   allocation, the loss bits and the pivot count are pinned: any change to
+   the dense engine's pivot path or to its exact finish shows up here. *)
+let three_bus_spec =
+  {|bus cpu rate 3.7
+bus mem rate 4.5
+bus io rate 3.6
+proc cpu0 on cpu
+proc cpu1 on cpu
+proc cpu2 on cpu
+proc mem0 on mem
+proc mem1 on mem
+proc mem2 on mem
+proc io0 on io
+proc io1 on io
+proc io2 on io
+bridge b01 cpu mem
+bridge b12 mem io
+flow cpu0 -> mem0 rate 0.6
+flow cpu1 -> io1 rate 0.57
+flow cpu2 -> cpu0 rate 0.58
+flow mem1 -> cpu1 rate 0.63
+flow mem2 -> io0 rate 0.61
+flow io0 -> mem1 rate 0.62
+flow io2 -> cpu2 rate 0.56
+flow io1 -> io2 rate 0.56
+|}
+
+let test_sizing_dense_pinned () =
+  let traffic =
+    match Bufsize_soc.Spec_parser.parse three_bus_spec with
+    | Ok (_, traffic) -> traffic
+    | Error e -> Alcotest.fail e
+  in
+  let module Obs = Bufsize_obs.Obs in
+  let dense = Obs.counter "simplex.pivots" and revised = Obs.counter "simplex_revised.pivots" in
+  (* Cold caches, so the joint LP really runs; metrics on to count pivots. *)
+  Bufsize_numeric.Solve_cache.clear_all ();
+  Obs.enable_metrics ();
+  let d0 = Obs.counter_value dense and r0 = Obs.counter_value revised in
+  let r =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Sizing.run { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 } traffic)
+  in
+  let entries = r.Sizing.allocation.Buffer_alloc.entries in
+  let words = Array.to_list (Array.map (fun e -> e.Buffer_alloc.words) entries) in
+  Alcotest.(check (list int)) "allocation" [ 6; 6; 6; 5; 1; 5; 5; 5; 5; 5; 5; 5; 5 ] words;
+  Alcotest.(check string) "predicted loss bits" "0x1.583ef69bc4016p+0"
+    (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
+  Alcotest.(check int) "dense pivots" 164 (Obs.counter_value dense - d0);
+  Alcotest.(check int) "no revised pivots" 0 (Obs.counter_value revised - r0)
+
+(* Fig. 1 sized per subsystem: the final perturbed bases of these LPs are
+   slightly infeasible for the true data, so the dual cleanup pivots (26,
+   39 and 5 pivots).  The exact finish must then factorize the new basis,
+   not reuse the pre-cleanup LU: a stale LU shows as a changed loss and as
+   drift retries. *)
+let test_sizing_finish_after_dual_cleanup () =
+  let _, traffic = Fig1.create () in
+  let module Obs = Bufsize_obs.Obs in
+  let retries = Obs.counter "simplex.retries" in
+  Bufsize_numeric.Solve_cache.clear_all ();
+  Obs.enable_metrics ();
+  let before = Obs.counter_value retries in
+  let config =
+    { (Sizing.default_config ~budget:40) with Sizing.max_states = 64; solver = Sizing.Separate }
+  in
+  let r = Fun.protect ~finally:Obs.disable (fun () -> Sizing.run config traffic) in
+  Alcotest.(check string) "predicted loss bits" "0x1.64d85888d78d2p-5"
+    (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
+  Alcotest.(check int) "no retries" 0 (Obs.counter_value retries - before)
+
 let test_sizing_rejects_bad_config () =
   let _, traffic = Fig1.create () in
   Alcotest.check_raises "bad budget" (Invalid_argument "Sizing.run: budget must be positive")
@@ -1030,6 +1104,10 @@ let () =
         ] );
       ( "sizing",
         [
+          Alcotest.test_case "dense engine pinned (three buses, two bridges)" `Quick
+            test_sizing_dense_pinned;
+          Alcotest.test_case "exact finish after dual-cleanup pivots" `Quick
+            test_sizing_finish_after_dual_cleanup;
           Alcotest.test_case "fig1 end to end" `Quick test_sizing_fig1_end_to_end;
           Alcotest.test_case "separate solver" `Quick test_sizing_separate_solver;
           Alcotest.test_case "budget monotonicity" `Quick test_sizing_more_budget_less_loss;

@@ -219,6 +219,46 @@ let test_canonical_distinguishes () =
   Alcotest.(check bool) "one-ulp rhs difference changes the key" true
     (Lp.canonical lp <> Lp.canonical other)
 
+(* The binary key must separate models whose numbers differ only in bits
+   a decimal print could lose, and models whose sections hold the same
+   terms split differently. *)
+let test_canonical_bitwise_and_framed () =
+  let model ?(name = "m") ?(lb = 0.) ~obj ~coef ~rhs () =
+    let lp = Lp.create ~name Lp.Minimize in
+    let x = Lp.add_var ~lb lp in
+    let y = Lp.add_var lp in
+    Lp.add_constraint lp [ (1., x); (coef, y) ] Lp.Eq rhs;
+    Lp.set_objective lp (List.map (fun (c, v) -> (c, [| x; y |].(v))) obj);
+    lp
+  in
+  let key = Lp.canonical in
+  let base = model ~obj:[ (1., 0); (2., 1) ] ~coef:0.5 ~rhs:0. () in
+  let distinct label a b = Alcotest.(check bool) label true (a <> b) in
+  distinct "1-ulp coefficient" (key base)
+    (key (model ~obj:[ (1., 0); (2., 1) ] ~coef:(Float.succ 0.5) ~rhs:0. ()));
+  distinct "1-ulp objective" (key base)
+    (key (model ~obj:[ (1., 0); (Float.pred 2., 1) ] ~coef:0.5 ~rhs:0. ()));
+  distinct "0. vs -0. right-hand side" (key base)
+    (key (model ~obj:[ (1., 0); (2., 1) ] ~coef:0.5 ~rhs:(-0.) ()));
+  distinct "0. vs -0. coefficient"
+    (key (model ~obj:[ (1., 0) ] ~coef:0. ~rhs:1. ()))
+    (key (model ~obj:[ (1., 0) ] ~coef:(-0.) ~rhs:1. ()));
+  (* Without per-section counts both byte streams would read
+     (x, 5.) (y, 1.): once as a lower bound then an objective term, once
+     as two objective terms. *)
+  distinct "bound vs objective term"
+    (key (model ~lb:5. ~obj:[ (1., 1) ] ~coef:0.5 ~rhs:0. ()))
+    (key (model ~obj:[ (5., 0); (1., 1) ] ~coef:0.5 ~rhs:0. ()));
+  distinct "name vs tag boundary"
+    (key ~tag:"c" (model ~name:"ab" ~obj:[] ~coef:0.5 ~rhs:0. ()))
+    (key ~tag:"bc" (model ~name:"a" ~obj:[] ~coef:0.5 ~rhs:0. ()))
+
+(* Published 64-bit FNV-1a vectors: the bucket hash is a fixed function. *)
+let test_fnv1a_vectors () =
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a %S" s) h (Solve_cache.fnv1a s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
 (* Hammer one cache from several domains at once.  The invariants: a hit
    never returns a value that disagrees with the key it was stored under,
    the hit/miss counters account for every find exactly once, and
@@ -341,6 +381,9 @@ let () =
           Alcotest.test_case "disabled mode" `Quick test_cache_disabled;
           Alcotest.test_case "lp result cache" `Quick test_lp_result_cache;
           Alcotest.test_case "canonical key" `Quick test_canonical_distinguishes;
+          Alcotest.test_case "canonical key is bitwise and framed" `Quick
+            test_canonical_bitwise_and_framed;
+          Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_vectors;
           Alcotest.test_case "concurrent stress" `Quick test_cache_concurrent_stress;
         ] );
       ( "ctmc-incremental",
