@@ -18,8 +18,8 @@
                          buffer levels swept up to 2x, sparse vs dense
                          solve time, allocation, and peak RSS
      warmstart           Fig-3 resize loop (10 iterations) with cold solves
-                         vs the exact-key solve cache + warm-started bases,
-                         with a bitwise identical-result cross-check; writes
+                         vs the exact-key solve caches, with a bitwise
+                         identical-result cross-check; writes
                          BENCH_warmstart.json
      kron                un-split bridged model through the Kronecker/SAN
                          descriptor, state-space sweep to 10^6 joint states
@@ -67,20 +67,17 @@ let write_bench_json path =
   close_out oc;
   Format.printf "@.(json written to %s)@." path
 
-(* Run [f] with the solve caches and the warm-basis registry disabled and
-   cleared, restoring the previous switches afterwards.  Scaling and
-   overhead benchmarks wrap their timed sections in this so repeated
-   identical solves time the solver, not a cache lookup. *)
+(* Run [f] with the solve caches disabled and cleared, restoring the
+   previous switch afterwards.  Scaling and overhead benchmarks wrap their
+   timed sections in this so repeated identical solves time the solver,
+   not a cache lookup. *)
 let with_cold_solves f =
   let cache_was = B.Numeric.Solve_cache.enabled () in
-  let warm_was = B.Numeric.Lp.warm_start_enabled () in
   B.Numeric.Solve_cache.set_enabled false;
-  B.Numeric.Lp.set_warm_start false;
   B.Numeric.Solve_cache.clear_all ();
   Fun.protect
     ~finally:(fun () ->
       B.Numeric.Solve_cache.set_enabled cache_was;
-      B.Numeric.Lp.set_warm_start warm_was;
       B.Numeric.Solve_cache.clear_all ())
     f
 
@@ -1044,7 +1041,7 @@ let warmstart_json : (string * string) list ref = ref []
 
 let write_warmstart_json path =
   let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"bufsize-bench-warmstart-v1\"";
+  output_string oc "{\n  \"schema\": \"bufsize-bench-warmstart-v2\"";
   List.iter (fun (k, v) -> Printf.fprintf oc ",\n  %S: %s" k v) (List.rev !warmstart_json);
   output_string oc "\n}\n";
   close_out oc;
@@ -1054,11 +1051,11 @@ let write_warmstart_json path =
    resizing, the replication-heavy experiment driver) re-runs the netproc
    sizing many times with the same spec.  Cold, every iteration pays the
    full CTMDP build + LP solve; warm, the first iteration populates the
-   exact-key solve cache (and the warm-basis registry) and the rest are
-   hits, so the whole loop costs about one iteration.  The artifact also
+   exact-key solve caches and the rest are sizing-cache hits, so the whole
+   loop costs about one iteration.  The artifact also
    cross-checks that the warm loop's answer is bitwise the cold one. *)
 let run_warmstart () =
-  section "WARMSTART: Fig-3 resize loop (10 iterations), cold solves vs solve cache + warm starts";
+  section "WARMSTART: Fig-3 resize loop (10 iterations), cold solves vs solve caches";
   let iterations = 10 in
   let _, traffic = B.Netproc.create () in
   let config = { (B.Sizing.default_config ~budget:160) with B.Sizing.max_states = 64 } in
@@ -1076,24 +1073,19 @@ let run_warmstart () =
   in
   let t_cold, r_cold = with_cold_solves (fun () -> time loop) in
   let cache_was = B.Numeric.Solve_cache.enabled () in
-  let warm_was = B.Numeric.Lp.warm_start_enabled () in
   B.Numeric.Solve_cache.set_enabled true;
-  B.Numeric.Lp.set_warm_start true;
   B.Numeric.Solve_cache.clear_all ();
   let sz_hits0, sz_misses0 = B.Sizing.cache_stats () in
   let lp_hits0, _ = B.Numeric.Lp.cache_stats () in
-  let acc0, rej0 = B.Numeric.Simplex_revised.warm_stats () in
   let t_warm, r_warm =
     Fun.protect
       ~finally:(fun () ->
         B.Numeric.Solve_cache.set_enabled cache_was;
-        B.Numeric.Lp.set_warm_start warm_was;
         B.Numeric.Solve_cache.clear_all ())
       (fun () -> time loop)
   in
   let sz_hits, sz_misses = B.Sizing.cache_stats () in
   let lp_hits, _ = B.Numeric.Lp.cache_stats () in
-  let acc, rej = B.Numeric.Simplex_revised.warm_stats () in
   let bits = Int64.bits_of_float in
   let identical =
     r_cold.B.Sizing.allocation = r_warm.B.Sizing.allocation
@@ -1108,7 +1100,6 @@ let run_warmstart () =
     t_warm speedup;
   Format.printf "  sizing cache: %d hits / %d misses; lp cache: %d hits@." (sz_hits - sz_hits0)
     (sz_misses - sz_misses0) (lp_hits - lp_hits0);
-  Format.printf "  warm bases: %d accepted / %d rejected@." (acc - acc0) (rej - rej0);
   Format.printf "  warm result bitwise identical to cold: %b@."
     identical;
   if not identical then Format.printf "  WARNING: warm loop diverged from the cold loop!@.";
@@ -1125,8 +1116,6 @@ let run_warmstart () =
       ("sizing_cache_hits", string_of_int (sz_hits - sz_hits0));
       ("sizing_cache_misses", string_of_int (sz_misses - sz_misses0));
       ("lp_cache_hits", string_of_int (lp_hits - lp_hits0));
-      ("warm_accepted", string_of_int (acc - acc0));
-      ("warm_rejected", string_of_int (rej - rej0));
     ]
     |> List.rev
 

@@ -224,19 +224,17 @@ let size_cmd =
           sol.B.Sizing.switching)
       r.B.Sizing.solutions;
     if health then Format.printf "@.%a@." B.Resilience.pp_health r.B.Sizing.health;
-    if health_json then begin
-      (* The health report plus the warm-start / solve-cache counters of
-         this process — the observability surface of the incremental
-         engine (cache.* and simplex_revised.warm_* in the metrics
-         registry mirror these). *)
-      let warm_acc, warm_rej = B.Numeric.Simplex_revised.warm_stats () in
-      let lp_hits, lp_misses = B.Numeric.Lp.cache_stats () in
-      let sz_hits, sz_misses = B.Sizing.cache_stats () in
-      Format.printf
-        "@.{\"health\":%s,\"solver_stats\":{\"lp_cache\":{\"hits\":%d,\"misses\":%d},\"sizing_cache\":{\"hits\":%d,\"misses\":%d},\"warm_start\":{\"accepted\":%d,\"rejected\":%d}}}@."
-        (B.Resilience.health_to_json r.B.Sizing.health)
-        lp_hits lp_misses sz_hits sz_misses warm_acc warm_rej
-    end
+    if health_json then
+      (* The health report plus this process's solve-cache counters
+         (cache.lp.* and cache.sizing.* in the metrics registry mirror
+         them). *)
+      Format.printf "@.%s@."
+        (B.Json.encode
+           (B.Json.Obj
+              [
+                ("health", B.Resilience.health_json r.B.Sizing.health);
+                ("solver_stats", B.Serve.solver_stats_json ());
+              ]))
   in
   let doc = "Run the CTMDP buffer sizing and print the allocation." in
   Cmd.v (Cmd.info "size" ~doc)

@@ -195,7 +195,7 @@ let escape s =
 (* Numbers print with %.17g so every float round-trips bitwise through
    parse (integers within 2^53 print without an exponent or dot, matching
    how ids and counts are written by hand elsewhere); NaN/infinities have
-   no JSON spelling and become null, mirroring [Resilience.to_json]. *)
+   no JSON spelling and become null. *)
 let number_repr f =
   if Float.is_integer f && Float.abs f <= 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f

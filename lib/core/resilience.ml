@@ -94,40 +94,6 @@ let pp ppf d =
     Format.fprintf ppf ", fallbacks: %s" (String.concat " -> " d.fallbacks);
   Format.fprintf ppf "@]"
 
-(* Hand-rolled JSON (no dependency): strings are escaped, NaN/infinite
-   floats are emitted as null so the output stays standard JSON. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
-
-let to_json d =
-  let status, reason =
-    match d.status with
-    | Ok -> ("ok", None)
-    | Degraded r -> ("degraded", Some r)
-    | Failed r -> ("failed", Some r)
-  in
-  Printf.sprintf
-    "{\"solver\":\"%s\",\"status\":\"%s\",\"reason\":%s,\"iterations\":%d,\"residual\":%s,\"wall_ms\":%s,\"fallbacks\":[%s],\"span\":%s}"
-    (json_escape d.solver) status
-    (match reason with None -> "null" | Some r -> Printf.sprintf "\"%s\"" (json_escape r))
-    d.iterations (json_float d.residual) (json_float d.wall_ms)
-    (String.concat "," (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) d.fallbacks))
-    (if d.span_id = 0 then "null" else string_of_int d.span_id)
-
 (* ------------------------------------------------------------- budget *)
 
 (* A budget is an absolute wall-clock deadline (plus an optional iteration
@@ -330,20 +296,9 @@ let pp_health ppf (h : health) =
   List.iter (fun (label, d) -> Format.fprintf ppf "  %-20s %a@," label pp d) h;
   Format.fprintf ppf "@]"
 
-let health_to_json (h : health) =
-  Printf.sprintf "{\"ok\":%b,\"diagnostics\":[%s]}" (health_ok h)
-    (String.concat ","
-       (List.map
-          (fun (label, d) ->
-            Printf.sprintf "{\"label\":\"%s\",\"diagnostic\":%s}" (json_escape label) (to_json d))
-          h))
-
-(* Structured variants of [to_json]/[health_to_json]: the serve layer
-   embeds diagnostics inside larger reply objects, and building the tree
-   directly beats printing and re-parsing.  [Json.encode] of these
-   values is byte-identical to the strings above (its number printer
-   collapses integer-valued floats to %.0f and both print non-integers
-   with %.17g; NaN residuals encode as null either way). *)
+(* JSON views of diagnostics and health reports: trees for embedding in
+   larger replies, and their [Json.encode] text.  A NaN residual encodes
+   as null, keeping the output standard JSON. *)
 let diagnostic_json d : Bufsize_json.Json.t =
   let module J = Bufsize_json.Json in
   let status, reason =
@@ -376,6 +331,9 @@ let health_json (h : health) : Bufsize_json.Json.t =
                J.Obj [ ("label", J.Str label); ("diagnostic", diagnostic_json d) ])
              h) );
     ]
+
+let to_json d = Bufsize_json.Json.encode (diagnostic_json d)
+let health_to_json h = Bufsize_json.Json.encode (health_json h)
 
 (* ----------------------------------------------------------- finiteness *)
 

@@ -173,9 +173,9 @@ let solve ?extra_bounds ?max_iter ?engine m =
   let lp, x, n_structural_rows = assemble ?extra_bounds m in
   outcome_of_lp ?extra_bounds m x n_structural_rows (Lp.solve ?max_iter ?engine lp)
 
-let solve_diag ?extra_bounds ?max_iter ?engine ?budget ?warm_basis m =
+let solve_diag ?extra_bounds ?max_iter ?engine ?budget m =
   let lp, x, n_structural_rows = assemble ?extra_bounds m in
-  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget ?warm_basis lp in
+  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget lp in
   (Option.map (outcome_of_lp ?extra_bounds m x n_structural_rows) o, diag)
 
 type joint_solved = {
@@ -262,7 +262,7 @@ let solve_joint ?shared_bounds ?max_iter ?engine models =
   joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extras
     (Lp.solve ?max_iter ?engine lp)
 
-let solve_joint_diag ?shared_bounds ?max_iter ?engine ?budget ?warm_basis models =
+let solve_joint_diag ?shared_bounds ?max_iter ?engine ?budget models =
   let lp, blocks, n_structural_rows, num_extras =
     Obs.span ~name:"lp_formulation.assemble_joint"
       ~attrs:(fun () -> [ ("blocks", string_of_int (Array.length models)) ])
@@ -276,7 +276,7 @@ let solve_joint_diag ?shared_bounds ?max_iter ?engine ?budget ?warm_basis models
         ("nnz", string_of_int (Lp.num_terms lp));
       ])
   @@ fun () ->
-  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget ?warm_basis lp in
+  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget lp in
   ( Option.map
       (joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extras)
       o,

@@ -58,16 +58,11 @@ val solve_diag :
   ?max_iter:int ->
   ?engine:Bufsize_numeric.Lp.engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
-  ?warm_basis:int array ->
   Ctmdp.t ->
   outcome option * Bufsize_resilience.Resilience.diagnostic
 (** {!solve} through {!Bufsize_numeric.Lp.solve_diag}: same model, same
     clean path, plus the engine escalation chain and a structured
-    diagnostic instead of silent fallbacks.  [warm_basis] — the optimal
-    basis of a related prior solve — is threaded through to every step of
-    the chain (see {!Bufsize_numeric.Lp.solve_diag}); with warm starting
-    enabled globally ({!Bufsize_numeric.Lp.set_warm_start}) bases also
-    hand off implicitly between structurally identical solves. *)
+    diagnostic instead of silent fallbacks. *)
 
 type joint_solved = {
   total_gain : float;
@@ -97,8 +92,7 @@ val solve_joint_diag :
   ?max_iter:int ->
   ?engine:Bufsize_numeric.Lp.engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
-  ?warm_basis:int array ->
   Ctmdp.t array ->
   joint_outcome option * Bufsize_resilience.Resilience.diagnostic
 (** {!solve_joint} with the LP engine escalation chain and a structured
-    diagnostic.  [warm_basis] as in {!solve_diag}. *)
+    diagnostic. *)

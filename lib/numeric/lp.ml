@@ -147,8 +147,6 @@ type solution = {
   values : float array;
   duals : float array;
   iterations : int;
-  basis : int array;
-      (* optimal standard-form basis, for warm-starting related solves *)
 }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
@@ -309,20 +307,11 @@ let choose_engine t = function
   | Some e -> e
   | None -> if t.nrows > auto_engine_threshold then Revised else Dense
 
-let solve ?eps ?max_iter ?engine ?bland_after ?lex ?warm_basis t =
-  (* A warm basis is only meaningful to the revised engine; when the caller
-     did not pin an engine, its presence selects Revised so the warm attempt
-     actually engages (sizing LPs sit below the auto threshold). *)
-  let chosen =
-    match (engine, warm_basis) with
-    | None, Some _ -> Revised
-    | _ -> choose_engine t engine
-  in
+let solve ?eps ?max_iter ?engine ?bland_after ?lex t =
   let result =
-    match chosen with
+    match choose_engine t engine with
     | Dense -> Simplex.solve ?eps ?max_iter ?bland_after ?lex (to_standard t)
-    | Revised ->
-        Simplex_revised.solve_sparse ?eps ?max_iter ?warm_basis (to_standard_sparse t)
+    | Revised -> Simplex_revised.solve_sparse ?eps ?max_iter (to_standard_sparse t)
   in
   match result with
   | Simplex.Infeasible -> Infeasible
@@ -342,14 +331,7 @@ let solve ?eps ?max_iter ?engine ?bland_after ?lex ?warm_basis t =
         List.fold_left (fun acc (coef, v) -> acc +. (coef *. values.(v))) 0. t.objective
       in
       let duals = Array.map (fun y -> obj_sign *. y) sol.Simplex.duals in
-      Optimal
-        {
-          objective;
-          values;
-          duals;
-          iterations = sol.Simplex.iterations;
-          basis = sol.Simplex.basis;
-        }
+      Optimal { objective; values; duals; iterations = sol.Simplex.iterations }
 
 let pp_outcome ppf = function
   | Infeasible -> Format.fprintf ppf "infeasible"
@@ -479,62 +461,15 @@ let canonical ?(tag = "") t =
   done;
   Buffer.contents buf
 
-(* Structure-only key (dimensions, senses, sparsity pattern, free-variable
-   pattern) — everything that determines the standard-form column layout but
-   not the numbers.  Two models with equal signatures accept each other's
-   optimal bases as warm starts; whether a basis actually helps is then
-   decided numerically by the engine. *)
-let signature t =
-  let buf = Buffer.create (128 + (t.nterms * 4)) in
-  Printf.bprintf buf "lpsig1 %s %s vars %d rows %d terms %d\n"
-    (match t.dir with Minimize -> "min" | Maximize -> "max")
-    t.lp_name t.vars t.nrows t.nterms;
-  for v = 0 to t.vars - 1 do
-    if t.lower_bounds.(v) = Float.neg_infinity then Printf.bprintf buf "free %d\n" v
-  done;
-  Buffer.add_string buf "o";
-  List.iter (fun (_, v) -> Printf.bprintf buf " %d" v) t.objective;
-  Buffer.add_char buf '\n';
-  for r = 0 to t.nrows - 1 do
-    Buffer.add_string buf
-      (match t.row_sense.(r) with Le -> "l" | Eq -> "e" | Ge -> "g");
-    iter_row_terms t r (fun _ v -> Printf.bprintf buf " %d" v);
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
-(* Exact-key result cache for [solve_diag], plus a structural registry of
-   last good bases so escalation chains and sweep loops inherit a warm
-   start without explicit threading.  The registry is consulted only when
-   warm starting is switched on: its hand-offs can land on a different
-   optimal vertex of a degenerate LP, so the default keeps published
-   artifacts bitwise-reproducible; callers opt in per process
-   ([BUFSIZE_WARM_START=1] or {!set_warm_start}).  Explicit [?warm_basis]
-   arguments are always honored. *)
+(* Exact-key result cache for [solve_diag].  A hit replays the stored
+   result of a bitwise-identical model, so caching never moves an answer. *)
 let result_cache : (outcome option * Resilience.diagnostic) Solve_cache.t =
   Solve_cache.create "lp"
-
-let warm_registry : int array Solve_cache.t =
-  (* [always]: the registry is gated by the warm-start flag below, not by
-     the result-cache switch — disabling result caching to time a cold
-     path must not silently turn warm starts off too. *)
-  Solve_cache.create ~capacity:32 ~always:true "lp.warm-basis"
-
-let warm_env_var = "BUFSIZE_WARM_START"
-
-let warm_flag =
-  ref
-    (match Sys.getenv_opt warm_env_var with
-    | Some ("1" | "on" | "true" | "yes") -> true
-    | _ -> false)
-
-let set_warm_start b = warm_flag := b
-let warm_start_enabled () = !warm_flag
 
 let cache_stats () =
   (Solve_cache.hits result_cache, Solve_cache.misses result_cache)
 
-let solve_diag ?eps ?max_iter ?engine ?budget ?warm_basis t =
+let solve_diag ?eps ?max_iter ?engine ?budget t =
   Obs.incr m_lp_solves;
   Obs.set_gauge g_lp_rows (float_of_int t.nrows);
   Obs.set_gauge g_lp_nnz (float_of_int t.nterms);
@@ -560,18 +495,8 @@ let solve_diag ?eps ?max_iter ?engine ?budget ?warm_basis t =
   match Option.bind cache_key (Solve_cache.find result_cache) with
   | Some cached -> cached
   | None ->
-  let warm =
-    match warm_basis with
-    | Some _ as w -> w
-    | None ->
-        if warm_start_enabled () then Solve_cache.find warm_registry (signature t)
-        else None
-  in
-  let primary =
-    match (engine, warm) with None, Some _ -> Revised | _ -> choose_engine t engine
-  in
   let attempt ?bland_after ?lex engine _budget =
-    let o = solve ?eps ?max_iter ~engine ?bland_after ?lex ?warm_basis:warm t in
+    let o = solve ?eps ?max_iter ~engine ?bland_after ?lex t in
     if not (outcome_finite o) then
       Resilience.Reject "claimed-optimal solution contains NaN/Inf"
     else
@@ -600,7 +525,7 @@ let solve_diag ?eps ?max_iter ?engine ?budget ?warm_basis t =
     ]
   in
   let steps =
-    match primary with
+    match choose_engine t engine with
     | Revised ->
         Resilience.step "revised-simplex" (attempt Revised)
         :: Resilience.step "dense-tableau" (attempt Dense)
@@ -614,13 +539,9 @@ let solve_diag ?eps ?max_iter ?engine ?budget ?warm_basis t =
   let ((outcome_opt, diag) as result) =
     Resilience.escalate ~solver:(Printf.sprintf "lp.solve(%s)" t.lp_name) ~budget steps
   in
-  (match outcome_opt with
-  | Some (Optimal s) ->
-      if warm_start_enabled () then Solve_cache.add warm_registry (signature t) s.basis;
-      (* Only clean first-step answers are cached: Degraded/Failed outcomes
-         can depend on the wall-clock budget and deserve a retry. *)
-      (match (cache_key, diag.Resilience.status) with
-      | Some key, Resilience.Ok -> Solve_cache.add result_cache key result
-      | _ -> ())
-  | Some (Infeasible | Unbounded) | None -> ());
+  (* Only clean first-step optima are cached: Degraded/Failed outcomes can
+     depend on the wall-clock budget and deserve a retry. *)
+  (match (outcome_opt, cache_key, diag.Resilience.status) with
+  | Some (Optimal _), Some key, Resilience.Ok -> Solve_cache.add result_cache key result
+  | _ -> ());
   result

@@ -63,9 +63,6 @@ type solution = {
   values : float array;  (** indexed by variable *)
   duals : float array;  (** indexed by constraint, in insertion order *)
   iterations : int;
-  basis : int array;
-      (** optimal standard-form basis (indices into the columns of [A | I]),
-          suitable as [?warm_basis] for a subsequent related solve *)
 }
 
 type outcome =
@@ -83,7 +80,6 @@ val solve :
   ?engine:engine ->
   ?bland_after:int ->
   ?lex:bool ->
-  ?warm_basis:int array ->
   t ->
   outcome
 (** Lower to standard form and solve.  [engine] selects the dense tableau
@@ -93,14 +89,7 @@ val solve :
     [engine] is omitted the model chooses: dense below ~400 rows (all
     published artifact runs stay on it, bit-for-bit), revised above.
     [bland_after] and [lex] are forwarded to the dense tableau only
-    (anti-cycling knobs used by the escalation chain in {!solve_diag}).
-
-    [warm_basis] — the [basis] of a prior {!solution} on a related model —
-    is forwarded to the revised engine, which attempts a phase-2-only
-    re-optimization from it and falls back to a cold start on any defect.
-    When [engine] is omitted and a warm basis is supplied, the revised
-    engine is selected regardless of size (a warm basis is meaningless to
-    the dense tableau). *)
+    (anti-cycling knobs used by the escalation chain in {!solve_diag}). *)
 
 val feasibility_residual : t -> float array -> float
 (** Worst violation of the user-level constraints by [values] (indexed by
@@ -124,7 +113,6 @@ val solve_diag :
   ?max_iter:int ->
   ?engine:engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
-  ?warm_basis:int array ->
   t ->
   outcome option * Bufsize_resilience.Resilience.diagnostic
 (** Resilient {!solve}: runs the escalation chain
@@ -137,16 +125,10 @@ val solve_diag :
     A step is rejected — never surfaced — when it raises or claims an
     optimum containing NaN/Inf.
 
-    Two layers of reuse sit in front of the chain:
-    - an exact-key result cache ({!Solve_cache}) keyed on {!canonical} —
-      a hit returns the stored result of the identical solve, bypassing
-      the chain entirely (bitwise-transparent by construction);
-    - when warm starting is on ({!set_warm_start} or [BUFSIZE_WARM_START]),
-      the last optimal basis recorded under the model's {!signature} is
-      handed to every step as a warm start, and the basis of each new
-      optimum is recorded back.  An explicit [warm_basis] argument takes
-      precedence over the registry and is honored regardless of the
-      switch. *)
+    An exact-key result cache ({!Solve_cache}) keyed on {!canonical} sits
+    in front of the chain: a hit returns the stored result of the
+    identical unbudgeted solve, bypassing the chain entirely
+    (bitwise-transparent by construction). *)
 
 val canonical : ?tag:string -> t -> string
 (** Lossless binary key of the model (direction, nonzero lower bounds,
@@ -156,22 +138,6 @@ val canonical : ?tag:string -> t -> string
     standard forms, hence bitwise-identical solver behaviour — the
     exact-key cache in {!solve_diag} relies on this.  [tag] folds solver
     parameters into the key. *)
-
-val signature : t -> string
-(** Structure-only key: dimensions, senses, sparsity pattern, free-variable
-    pattern — everything that fixes the standard-form column layout but not
-    the numeric values.  Models with equal signatures can exchange warm
-    bases. *)
-
-val set_warm_start : bool -> unit
-(** Toggle the implicit warm-basis registry used by {!solve_diag}
-    (default: off unless [BUFSIZE_WARM_START] is set to [1]/[on]/[true]).
-    Off by default because a warm start may land on a different optimal
-    vertex of a degenerate LP, perturbing last-ulp reproducibility of
-    published artifacts; the warm-cold oracle checks objectives agree to
-    [1e-9] and sizing outputs bitwise. *)
-
-val warm_start_enabled : unit -> bool
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the {!solve_diag} result cache. *)

@@ -59,8 +59,8 @@ let factorize ?(pivot_tol = 1e-12) m =
 let dim f = f.lu.Mat.rows
 
 (* Re-run the elimination into [f]'s existing storage for a new same-sized
-   matrix: the warm-start path refactorizes hundreds of simplex bases per
-   solve and reuses one allocation for all of them.  On a singular pivot
+   matrix: the revised simplex refactorizes hundreds of bases per solve
+   and reuses one allocation for all of them.  On a singular pivot
    the storage holds a partial elimination and [Error k] tells the caller
    to fall back; the factorization must not be used for solves until a
    subsequent refactorization succeeds. *)

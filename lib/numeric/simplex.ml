@@ -19,7 +19,6 @@ type solution = {
   x : float array;
   objective : float;
   duals : float array;
-  basis : int array;
   iterations : int;
 }
 
@@ -268,7 +267,7 @@ let tableau_solution std tab iterations =
         let y = -.tget tab tab.m (tab.n + i) in
         if std.b.(i) < 0. then -.y else y)
   in
-  { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
+  { x; objective = !objective; duals; iterations }
 
 (* Row signs of the tableau: rows with a negative right-hand side were
    flipped by [build_tableau]. *)
@@ -310,18 +309,12 @@ let refined_solution ?factors std tab iterations =
          true data by that same order; accept it and clamp, reject only
          genuine infeasibility. *)
       let feasible = ref true in
-      let worst = ref 0. and worst_art = ref 0. in
       Array.iteri
         (fun j v ->
           if v < -1e-5 then feasible := false;
-          if v < !worst then worst := v;
           (* A basic artificial must sit at (perturbation-) zero. *)
-          if tab.basis.(j) >= tab.n && Float.abs v > 1e-5 then feasible := false;
-          if tab.basis.(j) >= tab.n && Float.abs v > !worst_art then worst_art := Float.abs v)
+          if tab.basis.(j) >= tab.n && Float.abs v > 1e-5 then feasible := false)
         xb;
-      if (not !feasible) && Sys.getenv_opt "BUFSIZE_SIMPLEX_DEBUG" <> None then
-        Printf.eprintf "[simplex] refine rejected: min x_B %.3e, max |artificial| %.3e\n%!" !worst
-          !worst_art;
       if not !feasible then None
       else begin
         let x = Array.make tab.n 0. in
@@ -341,7 +334,7 @@ let refined_solution ?factors std tab iterations =
         | Stdlib.Error _ -> None
         | Stdlib.Ok y ->
             let duals = Array.init m (fun i -> flip.(i) *. y.(i)) in
-            Some { x; objective = !objective; duals; basis = Array.copy tab.basis; iterations }
+            Some { x; objective = !objective; duals; iterations }
       end
 
 (* Rebuild the whole tableau from the original data given the current basis
@@ -529,20 +522,11 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
             | Some sol -> `Optimal sol
             | None -> `Drifted (tableau_solution std tab iters2)))
   in
-  let debug = Sys.getenv_opt "BUFSIZE_SIMPLEX_DEBUG" <> None in
   let timed label f =
     Obs.span ~name:"simplex.dense"
       ~attrs:(fun () ->
         [ ("run", label); ("rows", string_of_int std.nrows); ("cols", string_of_int std.ncols) ])
-    @@ fun () ->
-    if not debug then f ()
-    else begin
-      let t0 = Sys.time () in
-      let r = f () in
-      Printf.eprintf "[simplex] %s: %.2fs (m=%d n=%d)\n%!" label (Sys.time () -. t0) std.nrows
-        std.ncols;
-      r
-    end
+      f
   in
   let unperturbed_retry () =
     (* The perturbation turns redundant-but-consistent rows (rank-deficient

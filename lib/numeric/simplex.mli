@@ -28,7 +28,6 @@ type solution = {
   x : float array;  (** primal optimum, length [ncols] *)
   objective : float;
   duals : float array;  (** one multiplier per row (sign: y'b = objective) *)
-  basis : int array;  (** basic column per row *)
   iterations : int;
 }
 

@@ -14,28 +14,13 @@
 
 module Obs = Bufsize_obs.Obs
 
-(* Same pivot/refactorization telemetry as the dense engine, under its
-   own metric names so the two engines stay distinguishable. *)
+(* Same pivot/refactorization/retry telemetry as the dense engine: pivots
+   and refactorizations under their own metric names so the two engines
+   stay distinguishable, reruns (unperturbed or short eta file) on the
+   shared [simplex.retries] counter. *)
 let m_pivots = Obs.counter "simplex_revised.pivots"
 let m_refactorizations = Obs.counter "simplex_revised.refactorizations"
-
-(* Warm-start outcome telemetry: accepted = a supplied basis carried the
-   solve to completion; rejected = it was invalid, singular, infeasible or
-   stalled and the engine fell back to a cold start. *)
-let m_warm_accepted = Obs.counter "simplex_revised.warm_accepted"
-let m_warm_rejected = Obs.counter "simplex_revised.warm_rejected"
-let warm_acc = Atomic.make 0
-let warm_rej = Atomic.make 0
-
-let warm_stats () = (Atomic.get warm_acc, Atomic.get warm_rej)
-
-let note_warm_accepted () =
-  Atomic.incr warm_acc;
-  Obs.incr m_warm_accepted
-
-let note_warm_rejected () =
-  Atomic.incr warm_rej;
-  Obs.incr m_warm_rejected
+let m_retries = Obs.counter "simplex.retries"
 
 type sparse_standard = {
   snrows : int;
@@ -339,17 +324,11 @@ let refined eng iterations =
   | f ->
       let xbstar = Lu.solve_factorized f eng.b_true in
       let ok = ref true in
-      let worst = ref 0. and worst_art = ref 0. in
       Array.iteri
         (fun j v ->
           if v < -1e-5 then ok := false;
-          if v < !worst then worst := v;
-          if eng.basis.(j) >= eng.n && Float.abs v > 1e-5 then ok := false;
-          if eng.basis.(j) >= eng.n && Float.abs v > !worst_art then worst_art := Float.abs v)
+          if eng.basis.(j) >= eng.n && Float.abs v > 1e-5 then ok := false)
         xbstar;
-      if (not !ok) && Sys.getenv_opt "BUFSIZE_SIMPLEX_DEBUG" <> None then
-        Printf.eprintf "[revised] refine rejected: min x_B %.3e, max |artificial| %.3e\n%!" !worst
-          !worst_art;
       if not !ok then None
       else begin
         let x = Array.make eng.n 0. in
@@ -363,14 +342,7 @@ let refined eng iterations =
         let cb = Array.init eng.m (fun i -> if eng.basis.(i) < eng.n then eng.c.(eng.basis.(i)) else 0.) in
         let y = Lu.solve_transposed f cb in
         let duals = Array.init eng.m (fun i -> eng.flip.(i) *. y.(i)) in
-        Some
-          {
-            Simplex.x;
-            objective = !objective;
-            duals;
-            basis = Array.copy eng.basis;
-            iterations;
-          }
+        Some { Simplex.x; objective = !objective; duals; iterations }
       end
 
 let best_effort eng iterations =
@@ -380,7 +352,7 @@ let best_effort eng iterations =
   for j = 0 to eng.n - 1 do
     objective := !objective +. (eng.c.(j) *. x.(j))
   done;
-  { Simplex.x; objective = !objective; duals = Array.make eng.m Float.nan; basis = Array.copy eng.basis; iterations }
+  { Simplex.x; objective = !objective; duals = Array.make eng.m Float.nan; iterations }
 
 let solve_once ~eps ~max_iter ~refactor_every ~perturbed sp =
   Obs.span ~name:"simplex.revised"
@@ -423,75 +395,7 @@ let solve_once ~eps ~max_iter ~refactor_every ~perturbed sp =
             | None -> `Drifted (best_effort eng iters2)))
   end
 
-(* A warm basis is usable only if it is a permutation-free selection of m
-   distinct columns of [A | I]. *)
-let valid_warm_basis sp basis =
-  Array.length basis = sp.snrows
-  &&
-  let total = sp.sncols + sp.snrows in
-  let seen = Array.make total false in
-  Array.for_all
-    (fun j ->
-      j >= 0 && j < total && not seen.(j)
-      &&
-      (seen.(j) <- true;
-       true))
-    basis
-
-(* Attempt the solve from a prior optimal basis: install it, refactorize,
-   check primal feasibility on the true rhs, and run phase 2 only.  Any
-   defect (singular basis, negative basic value, mass on an artificial,
-   stall) yields None and the caller falls back to a cold start.  The
-   iteration budget is capped well below [max_iter]: a warm basis either
-   re-optimizes in a handful of pivots or is not worth pursuing. *)
-let solve_warm ~eps ~max_iter ~refactor_every sp basis =
-  Obs.span ~name:"simplex.revised.warm"
-    ~attrs:(fun () ->
-      [ ("rows", string_of_int sp.snrows); ("cols", string_of_int sp.sncols) ])
-  @@ fun () ->
-  let eng = create ~perturbed:false sp in
-  Array.blit basis 0 eng.basis 0 eng.m;
-  Array.fill eng.in_basis 0 (eng.n + eng.m) false;
-  Array.iter (fun j -> eng.in_basis.(j) <- true) eng.basis;
-  if not (refactorize eng) then None
-  else if Array.exists (fun v -> v < -1e-7) eng.xb then None
-  else begin
-    let artificial_mass = ref 0. in
-    Array.iteri
-      (fun i j ->
-        if j >= eng.n then artificial_mass := Float.max !artificial_mass (Float.abs eng.xb.(i)))
-      eng.basis;
-    if !artificial_mass > 1e-7 then None
-    else begin
-      let structural j = j < eng.n in
-      let phase2_cost j = if j < eng.n then eng.c.(j) else 0. in
-      let cap = Int.min max_iter (eng.m + eng.n + 1024) in
-      let outcome, iters =
-        run_phase eng ~eps ~max_iter:cap ~refactor_every ~allow:structural
-          ~cost_of:phase2_cost 0
-      in
-      match outcome with
-      | Optimal_phase -> (
-          match refined eng iters with Some sol -> Some (`Optimal sol) | None -> None)
-      | Unbounded_phase ->
-          (* The basis was primal feasible, so an unbounded ray is a genuine
-             certificate: no need to re-derive it from a cold start. *)
-          Some `Unbounded
-      | Iteration_limit | Singular_basis -> None
-    end
-  end
-
-let debug_log label outcome =
-  if Sys.getenv_opt "BUFSIZE_SIMPLEX_DEBUG" <> None then
-    Printf.eprintf "[revised] %s: %s\n%!" label
-      (match outcome with
-      | `Optimal _ -> "optimal"
-      | `Unbounded -> "unbounded"
-      | `Infeasible -> "infeasible"
-      | `Stalled -> "stalled"
-      | `Drifted _ -> "drifted")
-
-let solve_sparse ?(eps = 1e-9) ?(max_iter = 200_000) ?(refactor_every = 64) ?warm_basis sp =
+let solve_sparse ?(eps = 1e-9) ?(max_iter = 200_000) ?(refactor_every = 64) sp =
   if Array.length sp.scols <> sp.sncols then
     invalid_arg "Simplex_revised.solve_sparse: column count mismatch";
   if Array.length sp.sb <> sp.snrows then
@@ -509,46 +413,28 @@ let solve_sparse ?(eps = 1e-9) ?(max_iter = 200_000) ?(refactor_every = 64) ?war
         col)
     sp.scols;
   let unperturbed_retry () =
+    Obs.incr m_retries;
     match solve_once ~eps ~max_iter ~refactor_every ~perturbed:false sp with
     | `Optimal sol -> Simplex.Optimal sol
     | `Unbounded -> Simplex.Unbounded
     | `Infeasible | `Stalled -> Simplex.Infeasible
     | `Drifted fallback -> Simplex.Optimal fallback
   in
-  let cold () =
-    let first = solve_once ~eps ~max_iter ~refactor_every ~perturbed:true sp in
-    debug_log "first run" first;
-    match first with
-    | `Optimal sol -> Simplex.Optimal sol
-    | `Unbounded -> Simplex.Unbounded
-    | `Infeasible | `Stalled -> unperturbed_retry ()
-    | `Drifted _ -> (
-        (* Retry with a much shorter eta file before settling for less. *)
-        match
-          solve_once ~eps ~max_iter ~refactor_every:(Int.max 8 (refactor_every / 8))
-            ~perturbed:true sp
-        with
-        | `Optimal sol -> Simplex.Optimal sol
-        | `Unbounded -> Simplex.Unbounded
-        | `Infeasible | `Stalled -> unperturbed_retry ()
-        | `Drifted fallback -> Simplex.Optimal fallback)
-  in
-  match warm_basis with
-  | None -> cold ()
-  | Some basis when not (valid_warm_basis sp basis) ->
-      note_warm_rejected ();
-      cold ()
-  | Some basis -> (
-      match solve_warm ~eps ~max_iter ~refactor_every sp basis with
-      | Some (`Optimal sol) ->
-          note_warm_accepted ();
-          Simplex.Optimal sol
-      | Some `Unbounded ->
-          note_warm_accepted ();
-          Simplex.Unbounded
-      | None ->
-          note_warm_rejected ();
-          cold ())
+  match solve_once ~eps ~max_iter ~refactor_every ~perturbed:true sp with
+  | `Optimal sol -> Simplex.Optimal sol
+  | `Unbounded -> Simplex.Unbounded
+  | `Infeasible | `Stalled -> unperturbed_retry ()
+  | `Drifted _ -> (
+      (* Retry with a much shorter eta file before settling for less. *)
+      Obs.incr m_retries;
+      match
+        solve_once ~eps ~max_iter ~refactor_every:(Int.max 8 (refactor_every / 8))
+          ~perturbed:true sp
+      with
+      | `Optimal sol -> Simplex.Optimal sol
+      | `Unbounded -> Simplex.Unbounded
+      | `Infeasible | `Stalled -> unperturbed_retry ()
+      | `Drifted fallback -> Simplex.Optimal fallback)
 
 let sparse_of_standard std =
   let m = std.Simplex.nrows and n = std.Simplex.ncols in
@@ -563,11 +449,11 @@ let sparse_of_standard std =
   in
   { snrows = m; sncols = n; scols; sb = std.Simplex.b; sc = std.Simplex.c }
 
-let solve ?eps ?max_iter ?refactor_every ?warm_basis std =
+let solve ?eps ?max_iter ?refactor_every std =
   if Array.length std.Simplex.a <> std.Simplex.nrows * std.Simplex.ncols then
     invalid_arg "Simplex_revised.solve: matrix size mismatch";
   if Array.length std.Simplex.b <> std.Simplex.nrows then
     invalid_arg "Simplex_revised.solve: rhs size mismatch";
   if Array.length std.Simplex.c <> std.Simplex.ncols then
     invalid_arg "Simplex_revised.solve: cost size mismatch";
-  solve_sparse ?eps ?max_iter ?refactor_every ?warm_basis (sparse_of_standard std)
+  solve_sparse ?eps ?max_iter ?refactor_every (sparse_of_standard std)

@@ -39,22 +39,12 @@ val solve_sparse :
   ?eps:float ->
   ?max_iter:int ->
   ?refactor_every:int ->
-  ?warm_basis:int array ->
   sparse_standard ->
   Simplex.result
 (** Solve from the sparse columns directly.  Identical pivot trajectory to
-    {!solve} on the equivalent dense input.
-
-    [warm_basis] supplies the optimal basis of a related prior solve (the
-    [basis] field of {!Simplex.solution}, indices into the columns of
-    [A | I]).  The engine installs it, refactorizes, checks primal
-    feasibility on the true right-hand side, and runs phase 2 only — on a
-    nearby problem this re-optimizes in a handful of pivots.  If the basis
-    is malformed, singular, infeasible, carries mass on an artificial
-    column, or stalls, the engine falls back to the usual cold two-phase
-    path, so a stale basis can degrade only speed, never the answer.
-    Acceptance/rejection is counted in [simplex_revised.warm_accepted] /
-    [simplex_revised.warm_rejected] (see {!warm_stats}). *)
+    {!solve} on the equivalent dense input.  Each rerun (unperturbed, or
+    with a short eta file after numerical drift) counts once on the
+    [simplex.retries] metric the dense engine also uses. *)
 
 val sparse_of_standard : Simplex.standard -> sparse_standard
 (** Column extraction from a dense standard form (zeros dropped). *)
@@ -63,15 +53,9 @@ val solve :
   ?eps:float ->
   ?max_iter:int ->
   ?refactor_every:int ->
-  ?warm_basis:int array ->
   Simplex.standard ->
   Simplex.result
 (** [solve std] with [eps] (default [1e-9]) the reduced-cost tolerance,
     [max_iter] (default [200_000]) the total pivot bound, and
     [refactor_every] (default [64]) the eta-file length triggering basis
-    refactorization.  [warm_basis] as in {!solve_sparse}. *)
-
-val warm_stats : unit -> int * int
-(** [(accepted, rejected)] warm-start counts since process start —
-    mirrored as metrics-registry counters and reported by the CLI's
-    [--health-json]. *)
+    refactorization. *)

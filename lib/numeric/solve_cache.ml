@@ -2,25 +2,28 @@ module Obs = Bufsize_obs.Obs
 
 let env_var = "BUFSIZE_SOLVE_CACHE"
 
-(* Env contract: unset/empty -> defaults on; "0"/"off"/"false" -> disabled;
-   positive integer -> enabled with that per-cache capacity. *)
-let env_setting =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> `Default
-  | Some ("0" | "off" | "OFF" | "false" | "no") -> `Disabled
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> `Capacity n
-      | _ -> `Default)
+let parse_env = function
+  | None | Some ("" | "1" | "on" | "true" | "yes") -> true
+  | Some ("0" | "off" | "false" | "no") -> false
+  | Some s ->
+      invalid_arg
+        (Printf.sprintf "Solve_cache: %s must be one of 1/on/true/yes or 0/off/false/no, not %S"
+           env_var s)
 
-let global_enabled =
-  Atomic.make (match env_setting with `Disabled -> false | _ -> true)
+(* [None] until the first query reads the environment, so a bad value
+   fails where caching is first consulted rather than at program start,
+   and a {!set_enabled} before that query never reads it at all. *)
+let global_enabled : bool option Atomic.t = Atomic.make None
 
-let enabled () = Atomic.get global_enabled
-let set_enabled b = Atomic.set global_enabled b
+let enabled () =
+  match Atomic.get global_enabled with
+  | Some b -> b
+  | None ->
+      let b = parse_env (Sys.getenv_opt env_var) in
+      Atomic.set global_enabled (Some b);
+      b
 
-let default_capacity =
-  match env_setting with `Capacity n -> n | `Default | `Disabled -> 64
+let set_enabled b = Atomic.set global_enabled (Some b)
 
 (* A plain loop, not [String.iter]: the closure would box the running
    hash on every byte, and LP keys run to tens of kilobytes. *)
@@ -41,7 +44,6 @@ type 'a entry = { key : string; value : 'a; mutable stamp : int }
 type 'a t = {
   cache_name : string;
   capacity : int;
-  always : bool;  (* ignore the global switch (caller gates it itself) *)
   mutex : Mutex.t;
   table : (int64, 'a entry) Hashtbl.t;
   mutable tick : int;
@@ -58,12 +60,11 @@ type any = Any : 'a t -> any
 let registry_mutex = Mutex.create ()
 let registry : any list ref = ref []
 
-let create ?(capacity = default_capacity) ?(always = false) cache_name =
+let create ?(capacity = 64) cache_name =
   let c =
     {
       cache_name;
       capacity = max 1 capacity;
-      always;
       mutex = Mutex.create ();
       table = Hashtbl.create 64;
       tick = 0;
@@ -85,7 +86,7 @@ let locked c f =
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
 
 let find c key =
-  if not (c.always || enabled ()) then None
+  if not (enabled ()) then None
   else
     let h = fnv1a key in
     locked c @@ fun () ->
@@ -125,7 +126,7 @@ let evict_lru c =
       List.iter (fun e -> Hashtbl.add c.table h e) (List.rev keep)
 
 let add c key value =
-  if c.always || enabled () then begin
+  if enabled () then begin
     let h = fnv1a key in
     locked c @@ fun () ->
     c.tick <- c.tick + 1;

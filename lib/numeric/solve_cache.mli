@@ -1,4 +1,4 @@
-(** Exact-key solve caching for the warm-start / incremental layer.
+(** Exact-key solve caching.
 
     A [Solve_cache.t] is a small mutex-guarded LRU map from a {e canonical
     spec string} (a lossless print of everything the cached computation
@@ -14,8 +14,7 @@
     {!Lp.solve_diag} and [Sizing.run] are instances of this module.
 
     Caching is enabled by default and controlled globally:
-    - the [BUFSIZE_SOLVE_CACHE] environment variable ([0]/[off] disables,
-      a positive integer overrides the default per-cache capacity);
+    - the [BUFSIZE_SOLVE_CACHE] environment variable (see {!parse_env});
     - {!set_enabled} flips all caches at runtime (used by benchmarks to
       measure cold paths and by the warm-cold verify oracle).
 
@@ -23,16 +22,12 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?always:bool -> string -> 'a t
-(** [create name] registers a cache.  [capacity] (default 64, or the
-    [BUFSIZE_SOLVE_CACHE] integer when set) bounds the number of retained
-    entries; the least-recently-used entry is evicted beyond it.  [name]
-    scopes the hit/miss telemetry counters ([cache.<name>.hits] /
-    [cache.<name>.misses] in the {!Bufsize_obs.Obs} metrics registry).
-    [always] (default false) exempts the instance from the global
-    {!set_enabled} switch — for stores with their own independent gate,
-    like the warm-basis registry behind [BUFSIZE_WARM_START] ({!clear_all}
-    still wipes it). *)
+val create : ?capacity:int -> string -> 'a t
+(** [create name] registers a cache.  [capacity] (default 64) bounds the
+    number of retained entries; the least-recently-used entry is evicted
+    beyond it.  [name] scopes the hit/miss telemetry counters
+    ([cache.<name>.hits] / [cache.<name>.misses] in the
+    {!Bufsize_obs.Obs} metrics registry). *)
 
 val name : 'a t -> string
 
@@ -55,7 +50,9 @@ val length : 'a t -> int
 (** Entries currently held; never exceeds the capacity. *)
 
 val enabled : unit -> bool
-(** Whether caching is globally enabled right now. *)
+(** Whether caching is globally enabled right now.  The first call reads
+    [BUFSIZE_SOLVE_CACHE] unless {!set_enabled} came first.
+    @raise Invalid_argument when that value is rejected by {!parse_env}. *)
 
 val set_enabled : bool -> unit
 (** Override the global switch at runtime (all caches at once). *)
@@ -66,6 +63,11 @@ val clear_all : unit -> unit
 
 val env_var : string
 (** ["BUFSIZE_SOLVE_CACHE"]. *)
+
+val parse_env : string option -> bool
+(** The on/off contract of {!env_var}: unset, empty, [1], [on], [true] and
+    [yes] enable caching; [0], [off], [false] and [no] disable it.
+    @raise Invalid_argument naming the variable on any other value. *)
 
 val fnv1a : string -> int64
 (** The 64-bit FNV-1a hash used for key bucketing (exposed for tests). *)

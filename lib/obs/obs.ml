@@ -517,23 +517,9 @@ let reset () =
 
 (* ---------------------------------------------------------- exporters *)
 
-(* Hand-rolled JSON, mirroring lib/core/resilience.ml (which sits above
-   this module in the dependency order, so no sharing). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* JSON text is printed directly here (the exporters stream large traces);
+   string escaping is the one shared [Json.escape]. *)
+let json_escape = Bufsize_json.Json.escape
 let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
 let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
 

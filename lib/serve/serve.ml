@@ -178,7 +178,6 @@ let sizing_core_json traffic (r : Sizing.result) =
     ]
 
 let solver_stats_json () =
-  let warm_acc, warm_rej = Bufsize_numeric.Simplex_revised.warm_stats () in
   let lp_hits, lp_misses = Bufsize_numeric.Lp.cache_stats () in
   let sz_hits, sz_misses = Sizing.cache_stats () in
   let pair h m =
@@ -188,12 +187,6 @@ let solver_stats_json () =
     [
       ("lp_cache", pair lp_hits lp_misses);
       ("sizing_cache", pair sz_hits sz_misses);
-      ( "warm_start",
-        Json.Obj
-          [
-            ("accepted", Json.Num (float_of_int warm_acc));
-            ("rejected", Json.Num (float_of_int warm_rej));
-          ] );
     ]
 
 (* -------------------------------------------------------- built-in ops *)
@@ -230,7 +223,7 @@ let size_handler ~deadline:_ req =
       let fields =
         [
           ("result", sizing_core_json traffic r);
-          ("health", Json.parse_exn (Resilience.health_to_json r.Sizing.health));
+          ("health", Resilience.health_json r.Sizing.health);
           ("solver_stats", solver_stats_json ());
         ]
       in
@@ -729,15 +722,14 @@ let handle_line t conn line =
 
 (* ------------------------------------------------------------- workers *)
 
-(* Cache/warm-start counters sampled around a telemetry request; the
+(* Solve-cache counters sampled around a telemetry request; the
    reply carries the deltas.  (Process-global counters, so concurrent
    requests can bleed into each other's deltas — telemetry is a
    diagnostic view, not an accounting one.) *)
 let cache_stats_now () =
   let lp_h, lp_m = Bufsize_numeric.Lp.cache_stats () in
   let sz_h, sz_m = Sizing.cache_stats () in
-  let wa, wr = Bufsize_numeric.Simplex_revised.warm_stats () in
-  (lp_h, lp_m, sz_h, sz_m, wa, wr)
+  (lp_h, lp_m, sz_h, sz_m)
 
 let span_json epoch (s : Obs.span_record) =
   Json.Obj
@@ -757,8 +749,8 @@ let reply_fields = function
   | Reply_error _ -> []
 
 let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c1 ~reply =
-  let lp_h0, lp_m0, sz_h0, sz_m0, wa0, wr0 = c0 in
-  let lp_h1, lp_m1, sz_h1, sz_m1, wa1, wr1 = c1 in
+  let lp_h0, lp_m0, sz_h0, sz_m0 = c0 in
+  let lp_h1, lp_m1, sz_h1, sz_m1 = c1 in
   let pair h m = Json.Obj [ ("hits", num_int h); ("misses", num_int m) ] in
   let epoch = match spans with s :: _ -> s.Obs.sstart_ns | [] -> 0L in
   Json.Obj
@@ -778,8 +770,6 @@ let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c
           [
             ("lp", pair (lp_h1 - lp_h0) (lp_m1 - lp_m0));
             ("sizing", pair (sz_h1 - sz_h0) (sz_m1 - sz_m0));
-            ( "warm_start",
-              Json.Obj [ ("accepted", num_int (wa1 - wa0)); ("rejected", num_int (wr1 - wr0)) ] );
           ] );
     ]
 

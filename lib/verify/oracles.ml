@@ -649,64 +649,10 @@ let split_monolithic =
 
 (* -------------------------------------------------------- 6. warm-cold *)
 
-(* Warm-started, incrementally patched, and cached solves must reproduce
-   their cold baselines: re-using an optimal basis (from the same or a
-   perturbed LP) must not move the objective, a rate-patched CTMC must be
-   bitwise the full rebuild, seeded iterations must converge to the cold
-   fixed point, and a cache-served sizing run must be bitwise the
-   cache-off run. *)
-
-let warm_tol = 1e-9
-
-let check_warm_lp (c : Gen_model.lp_case) =
-  let fresh () = Gen_model.lp_of_case c in
-  match Lp.solve ~engine:Lp.Revised (fresh ()) with
-  | Lp.Infeasible | Lp.Unbounded -> Pass (* no optimal basis to warm from *)
-  | Lp.Optimal cold ->
-      all_of
-        [
-          (fun () ->
-            (* Re-solving from the optimal basis itself: the warm path must
-               accept it (or fall back) and land on the same objective. *)
-            match Lp.solve ~warm_basis:cold.Lp.basis (fresh ()) with
-            | Lp.Optimal warm ->
-                if rel_close warm_tol warm.Lp.objective cold.Lp.objective then Pass
-                else
-                  failf "same-problem warm restart: objective %.15g vs cold %.15g"
-                    warm.Lp.objective cold.Lp.objective
-            | o -> failf "same-problem warm restart reclassified as %s" (outcome_name o));
-          (fun () ->
-            (* The canonical warm start: a basis taken from a problem with
-               nudged right-hand sides.  Whether re-used or rejected, the
-               answer must match the cold one. *)
-            let nudged =
-              {
-                c with
-                Gen_model.rows =
-                  List.map (fun (t, s, rhs) -> (t, s, rhs +. 0.125)) c.Gen_model.rows;
-              }
-            in
-            match Lp.solve ~engine:Lp.Revised (Gen_model.lp_of_case nudged) with
-            | Lp.Infeasible | Lp.Unbounded -> Pass
-            | Lp.Optimal near -> (
-                match Lp.solve ~warm_basis:near.Lp.basis (fresh ()) with
-                | Lp.Optimal warm ->
-                    if rel_close warm_tol warm.Lp.objective cold.Lp.objective then Pass
-                    else
-                      failf "perturbed-basis warm start: objective %.15g vs cold %.15g"
-                        warm.Lp.objective cold.Lp.objective
-                | o -> failf "perturbed-basis warm start reclassified as %s" (outcome_name o)));
-        ]
-
-let rec warm_lp_to_oracle_case (c : Gen_model.lp_case) =
-  {
-    label =
-      Printf.sprintf "warm lp: %d vars, %d rows" (Array.length c.Gen_model.obj)
-        (List.length c.Gen_model.rows);
-    repro = "# warm-cold kind: lp\n" ^ Gen_model.lp_case_to_string c;
-    check = (fun () -> check_warm_lp c);
-    shrink = (fun () -> List.map warm_lp_to_oracle_case (shrink_lp_case c));
-  }
+(* Incrementally patched, seeded and cached solves must reproduce their
+   cold baselines: a rate-patched CTMC must be bitwise the full rebuild,
+   seeded iterations must converge to the cold fixed point, and a
+   cache-served sizing run must be bitwise the cache-off run. *)
 
 (* The chain induced by each state's first action; the generated cycle
    edge makes it irreducible. *)
@@ -746,18 +692,6 @@ let check_warm_ctmdp (c : Gen_model.ctmdp_case) =
   let chain = Ctmc.of_rates n rates in
   all_of
     [
-      (fun () ->
-        (* Occupation LP warm-restarted from its own optimal basis. *)
-        match Lp.solve ~engine:Lp.Revised (Lp_formulation.build m) with
-        | Lp.Infeasible | Lp.Unbounded -> failf "occupation LP not optimal on a valid CTMDP"
-        | Lp.Optimal cold -> (
-            match Lp.solve ~warm_basis:cold.Lp.basis (Lp_formulation.build m) with
-            | Lp.Optimal warm ->
-                if rel_close warm_tol warm.Lp.objective cold.Lp.objective then Pass
-                else
-                  failf "occupation LP warm gain %.15g vs cold %.15g" warm.Lp.objective
-                    cold.Lp.objective
-            | o -> failf "occupation LP warm restart reclassified as %s" (outcome_name o)));
       (fun () ->
         (* Same-pattern rate patch vs full rebuild: bitwise. *)
         let scaled = List.map (fun (i, j, r) -> (i, j, r *. 1.5)) rates in
@@ -811,22 +745,18 @@ let check_warm_sizing (c : sizing_case) =
         { (Sizing.default_config ~budget:c.budget) with Sizing.max_states = c.max_states }
       in
       let was_cached = Bufsize_numeric.Solve_cache.enabled () in
-      let was_warm = Lp.warm_start_enabled () in
       Fun.protect
         ~finally:(fun () ->
           Bufsize_numeric.Solve_cache.set_enabled was_cached;
-          Lp.set_warm_start was_warm;
           Bufsize_numeric.Solve_cache.clear_all ())
         (fun () ->
-          (* Cold: no caching, no warm starts. *)
+          (* Cold: no caching. *)
           Bufsize_numeric.Solve_cache.set_enabled false;
-          Lp.set_warm_start false;
           let cold = Sizing.run config traffic in
-          (* Warm: caches on (empty), warm-start hand-off on.  The first
-             run populates, the second must be served verbatim. *)
+          (* Caches on (empty): the first run populates, the second must
+             be served verbatim. *)
           Bufsize_numeric.Solve_cache.set_enabled true;
           Bufsize_numeric.Solve_cache.clear_all ();
-          Lp.set_warm_start true;
           let w1 = Sizing.run config traffic in
           let w2 = Sizing.run config traffic in
           let same_run a b =
@@ -840,7 +770,7 @@ let check_warm_sizing (c : sizing_case) =
               (fun () ->
                 if same_run cold w1 then Pass
                 else
-                  failf "cached+warm sizing differs from cold (loss %.17g vs %.17g)"
+                  failf "cached sizing differs from cold (loss %.17g vs %.17g)"
                     w1.Sizing.predicted_loss_rate cold.Sizing.predicted_loss_rate);
               (fun () ->
                 if same_run w1 w2 then Pass
@@ -864,12 +794,11 @@ let rec warm_sizing_to_oracle_case (c : sizing_case) =
 let warm_cold =
   {
     name = "warm-cold";
-    doc = "warm-started, patched, and cached solves vs their cold baselines";
+    doc = "patched, seeded, and cached solves vs their cold baselines";
     generate =
       (fun ~max_states rng ->
-        match Rng.int rng 10 with
-        | 0 | 1 | 2 | 3 | 4 -> warm_lp_to_oracle_case (Gen_model.lp_case rng)
-        | 5 | 6 | 7 ->
+        match Rng.int rng 5 with
+        | 0 | 1 | 2 ->
             let knobs =
               { Gen_model.default_ctmdp_knobs with Gen_model.max_states = Int.min 7 max_states }
             in
@@ -1529,7 +1458,6 @@ let case_of_repro text =
   | Some "warm-cold" -> (
       match header_value ~prefix:"# warm-cold kind:" text with
       | None -> Error "warm-cold repro has no '# warm-cold kind:' header"
-      | Some "lp" -> Result.map warm_lp_to_oracle_case (Gen_model.lp_case_of_string text)
       | Some "ctmdp" ->
           Result.map warm_ctmdp_to_oracle_case (Gen_model.ctmdp_case_of_string text)
       | Some "sizing" -> (

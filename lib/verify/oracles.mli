@@ -15,6 +15,9 @@
     - [split-monolithic]: the split linear solution vs damped Newton and a
       Picard fixed point on the monolithic quadratic closure; exact
       agreement on the decoupled ([cross_fraction = 0]) boundary.
+    - [warm-cold]: rate-patched CTMCs vs a full rebuild (bitwise), seeded
+      stationary and bias-seeded policy evaluation vs their cold solves,
+      and cache-served sizing runs vs the cache-off run (bitwise).
     - [kron]: random SAN descriptors — Kronecker shuffle SpMV, transposed
       SpMV, diagonal, and adjointness vs the materialized joint generator
       to 1e-12, and the Kronecker-side stationary power iteration vs the

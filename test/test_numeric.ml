@@ -403,6 +403,23 @@ let test_revised_infeasible_unbounded () =
   | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
+(* Three copies of one equality row: the perturbed run sees inconsistent
+   rows and reports infeasible, so the engine reruns unperturbed.  The
+   rerun is counted on [simplex.retries], the dense engine's counter. *)
+let test_revised_rerun_counted () =
+  let module Obs = Bufsize_obs.Obs in
+  let retries = Obs.counter "simplex.retries" in
+  let p = std ~nrows:3 ~ncols:2 [| 1.; 1.; 1.; 1.; 1.; 1. |] [| 1.; 1.; 1. |] [| 1.; 2. |] in
+  Obs.enable_metrics ();
+  let before = Obs.counter_value retries in
+  let outcome = Simplex_revised.solve p in
+  let counted = Obs.counter_value retries - before in
+  Obs.disable ();
+  (match outcome with
+  | Simplex.Optimal sol -> check_float_loose "optimum after the rerun" 1. sol.Simplex.objective
+  | _ -> Alcotest.fail "expected an optimum");
+  Alcotest.(check int) "one rerun counted" 1 counted
+
 let test_revised_agrees_with_dense_property () =
   (* Property: on random feasible bounded LPs both engines find the same
      optimal value. *)
@@ -732,6 +749,7 @@ let () =
         [
           Alcotest.test_case "fixed cases" `Quick test_revised_matches_dense_basics;
           Alcotest.test_case "infeasible/unbounded" `Quick test_revised_infeasible_unbounded;
+          Alcotest.test_case "rerun counted" `Quick test_revised_rerun_counted;
           Alcotest.test_case "matches dense (property)" `Quick
             test_revised_agrees_with_dense_property;
           Alcotest.test_case "LU transpose solve" `Quick test_lu_solve_transposed;

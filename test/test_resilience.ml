@@ -162,6 +162,26 @@ let test_health_json_roundtrip () =
   | Test_json.Null | Test_json.Num _ -> ()
   | _ -> Alcotest.fail "span must be a number or null"
 
+(* The exact bytes of the diagnostic and health encodings: a NaN residual
+   becomes null, an integer-valued wall time prints without a dot or
+   exponent, a non-integer one with %.17g, and quotes, newlines and other
+   control characters in strings are escaped. *)
+let test_health_json_exact_bytes () =
+  let d =
+    Resilience.degraded ~solver:"lp.solve(x)" ~iterations:12 ~wall_ms:3. ~fallbacks:[ "bland" ]
+      "say \"no\"\nthen\x01stop"
+  in
+  let d_json =
+    "{\"solver\":\"lp.solve(x)\",\"status\":\"degraded\",\"reason\":\"say \\\"no\\\"\\nthen\\u0001stop\",\"iterations\":12,\"residual\":null,\"wall_ms\":3,\"fallbacks\":[\"bland\"],\"span\":null}"
+  in
+  Alcotest.(check string) "diagnostic bytes" d_json (Resilience.to_json d);
+  let clean = Resilience.ok ~solver:"s" ~residual:0.25 ~wall_ms:0.1 () in
+  Alcotest.(check string) "health bytes"
+    ("{\"ok\":false,\"diagnostics\":[{\"label\":\"a\\\"b\",\"diagnostic\":" ^ d_json
+   ^ "},{\"label\":\"c\",\"diagnostic\":{\"solver\":\"s\",\"status\":\"ok\",\"reason\":null,\"iterations\":0,\"residual\":0.25,\"wall_ms\":0.10000000000000001,\"fallbacks\":[],\"span\":null}}]}"
+    )
+    (Resilience.health_to_json [ ("a\"b", d); ("c", clean) ])
+
 (* A real escalation chain run under tracing stamps the chain's span id
    into the diagnostic, linking --health-json output to the trace. *)
 let test_diagnostic_links_to_span () =
@@ -382,6 +402,7 @@ let () =
           Alcotest.test_case "budget basics" `Quick test_budget_basics;
           Alcotest.test_case "health report" `Quick test_health_report;
           Alcotest.test_case "health json round-trip" `Quick test_health_json_roundtrip;
+          Alcotest.test_case "health json exact bytes" `Quick test_health_json_exact_bytes;
           Alcotest.test_case "diagnostic links to span" `Quick test_diagnostic_links_to_span;
         ] );
       ( "singular-basis",

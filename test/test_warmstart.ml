@@ -1,26 +1,25 @@
-(* Tests for the warm-start & incremental-solve machinery: LU storage
-   reuse, warm simplex bases (acceptance, garbage and singular fallback),
-   the exact-key solve cache, CTMC rate patching and seeded iterations,
-   and chunked pool determinism. *)
+(* Tests for the incremental-solve machinery: LU storage reuse, the
+   exact-key solve caches and their environment switch, CTMC rate
+   patching and seeded iterations, and chunked pool determinism. *)
 
 module Lp = Bufsize_numeric.Lp
 module Lu = Bufsize_numeric.Lu
 module Mat = Bufsize_numeric.Mat
 module Solve_cache = Bufsize_numeric.Solve_cache
-module Simplex_revised = Bufsize_numeric.Simplex_revised
+module Sizing = Bufsize_soc.Sizing
+module Spec_parser = Bufsize_soc.Spec_parser
 module Ctmc = Bufsize_prob.Ctmc
 module Pool = Bufsize_pool.Pool
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* Restore the process-wide cache / warm-start switches around a test so
-   test order never matters. *)
+(* Restore the process-wide cache switch around a test so test order
+   never matters. *)
 let with_clean_globals f =
-  let cached = Solve_cache.enabled () and warm = Lp.warm_start_enabled () in
+  let cached = Solve_cache.enabled () in
   Fun.protect
     ~finally:(fun () ->
       Solve_cache.set_enabled cached;
-      Lp.set_warm_start warm;
       Solve_cache.clear_all ())
     f
 
@@ -65,7 +64,7 @@ let test_refactorize_dim_mismatch () =
     (Invalid_argument "Lu.refactorize: dimension mismatch") (fun () ->
       ignore (Lu.refactorize f (Mat.identity 2)))
 
-(* ------------------------------------------------------------ warm bases *)
+(* ------------------------------------------------------------ solve cache *)
 
 (* max 3x + 2y st x + y <= 4, x <= 3, y <= 3: optimum 11 at (3, 1). *)
 let small_lp () =
@@ -77,78 +76,6 @@ let small_lp () =
   Lp.add_constraint lp [ (1., y) ] Lp.Le 3.;
   Lp.set_objective lp [ (3., x); (2., y) ];
   lp
-
-let solve_opt ?warm_basis lp =
-  match Lp.solve ~engine:Lp.Revised ?warm_basis lp with
-  | Lp.Optimal s -> s
-  | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
-
-let test_warm_basis_resolve () =
-  let cold = solve_opt (small_lp ()) in
-  check_float "cold objective" 11. cold.Lp.objective;
-  let acc0, _ = Simplex_revised.warm_stats () in
-  let warm = solve_opt ~warm_basis:cold.Lp.basis (small_lp ()) in
-  let acc1, _ = Simplex_revised.warm_stats () in
-  check_float "warm objective" 11. warm.Lp.objective;
-  Alcotest.(check bool) "warm basis accepted" true (acc1 > acc0)
-
-let test_garbage_basis_falls_back () =
-  let cold = solve_opt (small_lp ()) in
-  let _, rej0 = Simplex_revised.warm_stats () in
-  (* Duplicate indices: structurally invalid, must be rejected cheaply. *)
-  let warm = solve_opt ~warm_basis:[| 0; 0; 0 |] (small_lp ()) in
-  let _, rej1 = Simplex_revised.warm_stats () in
-  check_float "fallback objective" cold.Lp.objective warm.Lp.objective;
-  Alcotest.(check bool) "garbage basis rejected" true (rej1 > rej0)
-
-let test_singular_basis_falls_back () =
-  (* x and y have identical constraint columns, so the warm basis {x, y}
-     is numerically singular: refactorization must fail gracefully and the
-     cold solve must still deliver a clean optimum — never NaN. *)
-  let lp () =
-    let lp = Lp.create ~name:"singular-warm" Lp.Minimize in
-    let x = Lp.add_var ~name:"x" lp in
-    let y = Lp.add_var ~name:"y" lp in
-    Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Eq 1.;
-    Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Le 2.;
-    Lp.set_objective lp [ (1., x); (2., y) ];
-    lp
-  in
-  let _, rej0 = Simplex_revised.warm_stats () in
-  let o, diag = Lp.solve_diag ~warm_basis:[| 0; 1 |] (lp ()) in
-  let _, rej1 = Simplex_revised.warm_stats () in
-  (match o with
-  | Some (Lp.Optimal s) ->
-      Alcotest.(check bool) "objective finite" true (Float.is_finite s.Lp.objective);
-      check_float "optimum" 1. s.Lp.objective
-  | _ -> Alcotest.fail "singular warm basis broke the solve");
-  (match diag.Bufsize_resilience.Resilience.status with
-  | Bufsize_resilience.Resilience.Failed r -> Alcotest.failf "diagnostic Failed: %s" r
-  | _ -> ());
-  Alcotest.(check bool) "singular basis rejected" true (rej1 > rej0)
-
-let test_warm_registry_hand_off () =
-  with_clean_globals (fun () ->
-      Solve_cache.set_enabled false;
-      (* cache off so the second solve really re-runs *)
-      Lp.set_warm_start true;
-      let first =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "first solve failed"
-      in
-      let acc0, _ = Simplex_revised.warm_stats () in
-      let second =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "second solve failed"
-      in
-      let acc1, _ = Simplex_revised.warm_stats () in
-      check_float "same objective" first.Lp.objective second.Lp.objective;
-      Alcotest.(check bool) "registry basis accepted" true (acc1 > acc0))
-
-(* ------------------------------------------------------------ solve cache *)
 
 let test_cache_hit_miss_lru () =
   with_clean_globals (fun () ->
@@ -187,7 +114,6 @@ let test_lp_result_cache () =
   with_clean_globals (fun () ->
       Solve_cache.set_enabled true;
       Solve_cache.clear_all ();
-      Lp.set_warm_start false;
       let h0, m0 = Lp.cache_stats () in
       let first =
         match Lp.solve_diag (small_lp ()) with
@@ -203,6 +129,68 @@ let test_lp_result_cache () =
       Alcotest.(check bool) "one miss then one hit" true (h1 = h0 + 1 && m1 = m0 + 1);
       Alcotest.(check bool) "bitwise identical objective" true
         (Int64.bits_of_float first.Lp.objective = Int64.bits_of_float second.Lp.objective))
+
+(* Why the LP result cache earns its keep: the sizing occupancy bound is
+   fraction * B / (B / L) levels, so doubling the budget B leaves every
+   bit of the joint LP unchanged.  The 2B run misses the sizing memo
+   (its key holds the budget) but hits the LP cache, and its answer is
+   bitwise the cache-off one. *)
+let test_lp_cache_serves_doubled_budget () =
+  with_clean_globals (fun () ->
+      let spec =
+        "bus a rate 8.0\nbus b rate 8.0\nproc p on a\nproc q on b\nbridge br a b\n\
+         flow p -> q rate 1.0\nflow q -> p rate 0.5\n"
+      in
+      let traffic = match Spec_parser.parse spec with Ok (_, t) -> t | Error e -> failwith e in
+      let run budget =
+        Sizing.run { (Sizing.default_config ~budget) with Sizing.max_states = 16 } traffic
+      in
+      Solve_cache.set_enabled false;
+      let cold = run 16 in
+      Solve_cache.set_enabled true;
+      Solve_cache.clear_all ();
+      ignore (run 8);
+      let lp0 = Lp.cache_stats () and sz0 = Sizing.cache_stats () in
+      let served = run 16 in
+      let lp_hits, lp_misses = Lp.cache_stats () and sz_hits, sz_misses = Sizing.cache_stats () in
+      Alcotest.(check (pair int int)) "one lp cache hit, no miss" (fst lp0 + 1, snd lp0)
+        (lp_hits, lp_misses);
+      Alcotest.(check (pair int int)) "one sizing cache miss, no hit" (fst sz0, snd sz0 + 1)
+        (sz_hits, sz_misses);
+      let bits = Int64.bits_of_float in
+      Alcotest.(check bool) "allocation as cache-off" true
+        (served.Sizing.allocation = cold.Sizing.allocation);
+      Alcotest.(check int64) "loss bitwise as cache-off" (bits cold.Sizing.predicted_loss_rate)
+        (bits served.Sizing.predicted_loss_rate);
+      Alcotest.(check int64) "words per level bitwise as cache-off"
+        (bits cold.Sizing.words_per_level) (bits served.Sizing.words_per_level);
+      Alcotest.(check bool) "bound activity as cache-off" cold.Sizing.budget_bound_active
+        served.Sizing.budget_bound_active)
+
+let test_cache_env_contract () =
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%S enables" v) true (Solve_cache.parse_env (Some v)))
+    [ ""; "1"; "on"; "true"; "yes" ];
+  Alcotest.(check bool) "unset enables" true (Solve_cache.parse_env None);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%S disables" v) false
+        (Solve_cache.parse_env (Some v)))
+    [ "0"; "off"; "false"; "no" ];
+  List.iter
+    (fun v ->
+      match Solve_cache.parse_env (Some v) with
+      | _ -> Alcotest.failf "%S accepted" v
+      | exception Invalid_argument msg ->
+          let name = Solve_cache.env_var in
+          let n = String.length name in
+          let rec mentions i =
+            i + n <= String.length msg && (String.sub msg i n = name || mentions (i + 1))
+          in
+          Alcotest.(check bool) (Printf.sprintf "%S rejection names the variable" v) true
+            (mentions 0))
+    [ "abc"; "-3"; "2"; "64"; "ON"; " 1"; "off " ]
 
 let test_canonical_distinguishes () =
   let a = Lp.canonical (small_lp ()) in
@@ -368,18 +356,14 @@ let () =
             test_refactorize_singular_then_recover;
           Alcotest.test_case "dimension mismatch" `Quick test_refactorize_dim_mismatch;
         ] );
-      ( "warm-basis",
-        [
-          Alcotest.test_case "re-solve from optimal basis" `Quick test_warm_basis_resolve;
-          Alcotest.test_case "garbage basis falls back" `Quick test_garbage_basis_falls_back;
-          Alcotest.test_case "singular basis falls back" `Quick test_singular_basis_falls_back;
-          Alcotest.test_case "registry hand-off" `Quick test_warm_registry_hand_off;
-        ] );
       ( "solve-cache",
         [
           Alcotest.test_case "hit, miss, lru" `Quick test_cache_hit_miss_lru;
           Alcotest.test_case "disabled mode" `Quick test_cache_disabled;
           Alcotest.test_case "lp result cache" `Quick test_lp_result_cache;
+          Alcotest.test_case "lp cache serves 2x budget" `Quick
+            test_lp_cache_serves_doubled_budget;
+          Alcotest.test_case "env on/off contract" `Quick test_cache_env_contract;
           Alcotest.test_case "canonical key" `Quick test_canonical_distinguishes;
           Alcotest.test_case "canonical key is bitwise and framed" `Quick
             test_canonical_bitwise_and_framed;
