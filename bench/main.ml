@@ -21,11 +21,6 @@
                          vs the exact-key solve caches, with a bitwise
                          identical-result cross-check; writes
                          BENCH_warmstart.json
-     kron                un-split bridged model through the Kronecker/SAN
-                         descriptor, state-space sweep to 10^6 joint states
-                         (BUFSIZE_KRON_SWEEP overrides), with a dense
-                         stationary cross-check on the small instances;
-                         writes BENCH_kron.json
      serve               daemon round-trip latency: one cold netproc solve
                          vs a warm concurrent-client sweep over the sizing
                          service, with a bitwise reply cross-check; writes
@@ -1119,145 +1114,6 @@ let run_warmstart () =
     ]
     |> List.rev
 
-(* ----------------------------------------------------------------- KRON *)
-
-(* Monolithic (un-split) solve of the bridged two-bus model through the
-   Kronecker/SAN descriptor, swept over the per-queue capacity k (joint
-   state space (k+1)^3, so k = 99 is the 10^6-state point).  The joint
-   generator is never materialized — memory stays O(n) vectors — and on
-   every instance small enough to materialize (<= 6500 states) the
-   stationary vector is cross-checked against the dense GTH solve to
-   1e-8.  Sweep override: BUFSIZE_KRON_SWEEP="4,8,17" for CI smoke runs.
-   Results (states, sweeps, seconds, peak RSS, losses, split-vs-joint
-   gaps, crosscheck) go to BENCH_kron.json. *)
-
-type kron_entry = {
-  ke_k : int;
-  ke_states : int;
-  ke_sweeps : int;
-  ke_converged : bool;
-  ke_seconds : float;
-  ke_rss_mb : float;
-  ke_residual : float;
-  ke_x_loss : float;
-  ke_bridge_loss : float;
-  ke_y_loss : float;
-  ke_bridge_loss_gap_pct : float;
-  ke_y_loss_gap_pct : float;
-  ke_crosscheck : float option;  (* max |pi_kron - pi_dense|, small instances *)
-}
-
-let kron_records : kron_entry list ref = ref []
-
-let write_kron_json path =
-  let oc = open_out path in
-  output_string oc
-    "{\n  \"schema\": \"bufsize-bench-kron-v1\",\n  \"spec\": \
-     \"lambda_x=1.5 mu_x=2.4 cross=0.25 lambda_y=1.2 mu_y=2.2\",\n  \"entries\": [\n";
-  let entries = List.rev !kron_records in
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"k\": %d, \"states\": %d, \"sweeps\": %d, \"converged\": %b, \
-         \"seconds\": %.6f, \"peak_rss_mb\": %.1f, \"residual\": %.3e, \
-         \"x_loss\": %.9g, \"bridge_loss\": %.9g, \"y_loss\": %.9g, \
-         \"bridge_loss_gap_pct\": %.3f, \"y_loss_gap_pct\": %.3f%s}%s\n"
-        e.ke_k e.ke_states e.ke_sweeps e.ke_converged e.ke_seconds e.ke_rss_mb
-        e.ke_residual e.ke_x_loss e.ke_bridge_loss e.ke_y_loss
-        e.ke_bridge_loss_gap_pct e.ke_y_loss_gap_pct
-        (match e.ke_crosscheck with
-        | None -> ""
-        | Some d ->
-            Printf.sprintf ", \"crosscheck_max_abs_diff\": %.3e, \"crosscheck_ok\": %b" d
-              (d <= 1e-8))
-        (if i = last then "" else ","))
-    entries;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-let run_kron () =
-  section "KRON: un-split bridged model via the Kronecker/SAN descriptor (state-space sweep)";
-  let spec k =
-    {
-      B.Monolithic.kx = k;
-      ky = k;
-      lambda_x = 1.5;
-      lambda_y = 1.2;
-      cross_fraction = 0.25;
-      mu_x = 2.4;
-      mu_y = 2.2;
-    }
-  in
-  let sweep =
-    match Sys.getenv_opt "BUFSIZE_KRON_SWEEP" with
-    | Some s ->
-        List.filter_map
-          (fun tok ->
-            let tok = String.trim tok in
-            if tok = "" then None else Some (int_of_string tok))
-          (String.split_on_char ',' s)
-    | None -> [ 4; 8; 17; 30; 63; 99 ]
-  in
-  Format.printf "  %-6s %10s %8s %10s %8s %14s %10s %10s@." "k" "states" "sweeps" "seconds"
-    "rss MB" "bridge_loss" "gap_b %" "gap_y %";
-  List.iter
-    (fun k ->
-      let sp = spec k in
-      let t0 = Unix.gettimeofday () in
-      let g = B.San_bridge.compare_split ~tol:1e-9 ~max_sweeps:100_000 sp in
-      let dt = Unix.gettimeofday () -. t0 in
-      let j = g.B.San_bridge.joint in
-      (* On materializable instances, the Kronecker-side stationary vector
-         must agree with the dense GTH solve on the materialized joint
-         generator — the same invariant the kron oracle fuzzes. *)
-      let crosscheck =
-        if j.B.San_bridge.states <= 6500 then begin
-          let san = B.San_bridge.model sp in
-          let pi_kron = B.Prob.San.stationary san in
-          let pi_dense = B.Prob.Ctmc.stationary (B.Prob.San.to_ctmc san) in
-          let d = ref 0. in
-          Array.iteri
-            (fun i x -> d := Float.max !d (Float.abs (x -. pi_dense.(i))))
-            pi_kron;
-          Some !d
-        end
-        else None
-      in
-      kron_records :=
-        {
-          ke_k = k;
-          ke_states = j.B.San_bridge.states;
-          ke_sweeps = j.B.San_bridge.sweeps;
-          ke_converged = j.B.San_bridge.converged;
-          ke_seconds = dt;
-          ke_rss_mb = vm_hwm_mb ();
-          ke_residual = j.B.San_bridge.residual;
-          ke_x_loss = j.B.San_bridge.x_loss;
-          ke_bridge_loss = j.B.San_bridge.bridge_loss;
-          ke_y_loss = j.B.San_bridge.y_loss;
-          ke_bridge_loss_gap_pct = g.B.San_bridge.bridge_loss_gap_pct;
-          ke_y_loss_gap_pct = g.B.San_bridge.y_loss_gap_pct;
-          ke_crosscheck = crosscheck;
-        }
-        :: !kron_records;
-      record (Printf.sprintf "kron:solve:k=%d" k) dt;
-      Format.printf "  %-6d %10d %8d %10.2f %8.1f %14.6g %10.2f %10.2f%s%s@." k
-        j.B.San_bridge.states j.B.San_bridge.sweeps dt (vm_hwm_mb ())
-        j.B.San_bridge.bridge_loss g.B.San_bridge.bridge_loss_gap_pct
-        g.B.San_bridge.y_loss_gap_pct
-        (match crosscheck with
-        | None -> ""
-        | Some d -> Printf.sprintf "   (dense crosscheck %.1e)" d)
-        (if j.B.San_bridge.converged then "" else "   NOT CONVERGED"))
-    sweep;
-  Format.printf
-    "@.the joint generator is never materialized: memory is O(n) vectors, so the@.\
-     10^6-state point (k=99) runs where the dense route would need ~8 TB for the@.\
-     generator alone.  The split approximation's bridge-loss error is the joint@.\
-     X-busy/bridge-full correlation its Poisson closure cannot express.@."
-
 (* ----------------------------------------------------------------- TOPO *)
 
 (* Mesh NoC sweep (n x n routers, shared-pool buffers, shift-by-one NI
@@ -1561,7 +1417,6 @@ let () =
       "sparse";
       "obs";
       "warmstart";
-      "kron";
       "topo";
       "serve";
     ]
@@ -1592,7 +1447,6 @@ let () =
       | "sparse" -> run_sparse ()
       | "obs" -> run_obs ()
       | "warmstart" -> run_warmstart ()
-      | "kron" -> run_kron ()
       | "topo" -> run_topo ()
       | "serve" -> run_serve ()
       | other ->
@@ -1606,6 +1460,5 @@ let () =
   if List.mem "sparse" selected then write_sparse_json "BENCH_sparse.json";
   if List.mem "obs" selected then write_obs_json "BENCH_obs.json";
   if List.mem "warmstart" selected then write_warmstart_json "BENCH_warmstart.json";
-  if List.mem "kron" selected then write_kron_json "BENCH_kron.json";
   if List.mem "topo" selected then write_topo_json "BENCH_topo.json";
   if List.mem "serve" selected then write_serve_json "BENCH_serve.json"

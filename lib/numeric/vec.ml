@@ -36,9 +36,21 @@ let dot u v =
   done;
   !acc
 
-let sum v = Array.fold_left ( +. ) 0. v
+(* Explicit loops rather than folds: a polymorphic fold boxes its float
+   accumulator at every element.  The order is left to right, as a fold's. *)
+let sum v =
+  let acc = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    acc := !acc +. v.(i)
+  done;
+  !acc
 
-let norm_inf v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. v
+let norm_inf v =
+  let acc = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    acc := Float.max !acc (Float.abs v.(i))
+  done;
+  !acc
 
 let norm2 v = sqrt (dot v v)
 

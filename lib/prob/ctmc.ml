@@ -2,9 +2,10 @@ module Mat = Bufsize_numeric.Mat
 module Vec = Bufsize_numeric.Vec
 module Lu = Bufsize_numeric.Lu
 module Sparse = Bufsize_numeric.Sparse
+module Krylov = Bufsize_numeric.Krylov
 module Obs = Bufsize_obs.Obs
 
-(* Stationary-solve telemetry: total uniformized sweeps, how many solves
+(* Stationary-solve telemetry: total operator applications, how many solves
    took the iterative path, and the balance residuals of accepted
    distributions. *)
 let m_iterations = Obs.counter "ctmc.iterations"
@@ -24,8 +25,8 @@ type t = {
 }
 
 (* Largest n solved by direct dense elimination; beyond it the stationary
-   distribution comes from uniformized power iteration (sparse, O(nnz) per
-   sweep) and no dense n x n matrix is ever allocated. *)
+   distribution comes from restarted GMRES (sparse, O(nnz) per operator
+   application) and no dense n x n matrix is ever allocated. *)
 let dense_threshold = 512
 
 let of_rates n rates =
@@ -252,47 +253,33 @@ let stationary_gth t =
 
 let max_exit_rate t = Array.fold_left Float.max 0. t.exit
 
-(* Uniformized power iteration: pi <- pi P with P = I + Q/Lambda, applied
-   through the transposed SpMV so no matrix beyond the generator is ever
-   formed.  Lambda = 2 max_i exit_i keeps every diagonal of P at >= 1/2
-   (strong aperiodicity) — the near-minimal rate used by [uniformize]
-   would make P almost periodic on symmetric chains and stall convergence. *)
+(* Restarted GMRES on Q' pi = 0 through the transposed SpMV, so no
+   matrix beyond the generator is ever formed.  Lambda = 2 max_i exit_i
+   scales the stop rule and drives the uniformized-sweep fallback, whose
+   P = I + Q/Lambda keeps every diagonal at >= 1/2 (strong aperiodicity)
+   — the near-minimal rate used by [uniformize] would make P almost
+   periodic on symmetric chains and stall it. *)
 let stationary_iterative_report ?(tol = 1e-13) ?(max_iter = 200_000) ?init t =
   let n = t.n in
   if n = 1 then ([| 1. |], 0, true)
   else begin
-    Obs.incr m_iterative_solves;
-    let lambda = Float.max (2. *. max_exit_rate t) 1e-300 in
-    (* A previous stationary vector (sweep warm start) is accepted as the
-       starting point when it is a plausible distribution of the right
-       size; anything else falls back to uniform. *)
-    let pi =
-      match init with
-      | Some p0
-        when Array.length p0 = n
-             && Array.for_all (fun x -> Float.is_finite x && x >= 0.) p0
-             && Float.abs (Vec.sum p0 -. 1.) <= 1e-6 ->
-          Array.copy p0
-      | _ -> Array.make n (1. /. float_of_int n)
-    in
-    let qt_pi = Array.make n 0. in
-    let continue = ref true in
-    let iters = ref 0 in
-    while !continue && !iters < max_iter do
-      Sparse.mul_vec_t_into t.q pi qt_pi;
-      let delta = ref 0. in
-      for i = 0 to n - 1 do
-        let step = qt_pi.(i) /. lambda in
-        pi.(i) <- pi.(i) +. step;
-        delta := Float.max !delta (Float.abs step)
-      done;
-      incr iters;
-      if !delta < tol then continue := false
-    done;
-    let pi = Array.map (fun p -> Float.max 0. p) pi in
-    let total = Vec.sum pi in
-    Obs.add m_iterations !iters;
-    (Array.map (fun p -> p /. total) pi, !iters, not !continue)
+    let report = ref None in
+    Obs.span ~name:"ctmc.stationary_iterative"
+      ~attrs:(fun () -> ("states", string_of_int n) :: Krylov.attrs !report)
+      (fun () ->
+        Obs.incr m_iterative_solves;
+        (* A previous stationary vector (sweep warm start) is accepted as
+           the starting point when it is a plausible distribution of the
+           right size; anything else falls back to uniform. *)
+        let pi, r =
+          Krylov.stationary
+            ~apply:(fun x y -> Sparse.mul_vec_t_into t.q x y)
+            ~lambda:(Float.max (2. *. max_exit_rate t) 1e-300)
+            ~tol ~max_iter ?init n
+        in
+        report := Some r;
+        Obs.add m_iterations r.Krylov.iterations;
+        (pi, r.Krylov.iterations, r.Krylov.converged))
   end
 
 let stationary_iterative ?tol ?max_iter ?init t =
@@ -328,7 +315,7 @@ let stationary_residual t pi =
 
 (* Diagnostic stationary solve: the escalation chain of the ISSUE —
    direct GTH first at small n (preserving [stationary]'s clean path),
-   uniformized iteration first beyond the dense threshold, each method
+   GMRES iteration first beyond the dense threshold, each method
    validated for finiteness/normalization before being trusted, and a
    reducible chain surfacing its closed class in the rejection reason
    rather than as an exception. *)
@@ -367,18 +354,18 @@ let stationary_diag ?budget ?init t =
       Resilience.Partial
         ( pi,
           Resilience.meta ~iterations:iters ~residual:(stationary_residual t pi) (),
-          Printf.sprintf "uniformized iteration unconverged after %d sweeps" iters )
+          Printf.sprintf "GMRES iteration unconverged after %d iterations" iters )
   in
   let steps =
     if t.n <= dense_threshold then
       [
         Resilience.step "gth" gth;
         Resilience.step "lu-dense" lu;
-        Resilience.step "uniformized-iterative" iterative;
+        Resilience.step "gmres-iterative" iterative;
       ]
     else
       [
-        Resilience.step "uniformized-iterative" iterative;
+        Resilience.step "gmres-iterative" iterative;
         Resilience.step "gth" gth;
         Resilience.step "lu-dense" lu;
       ]

@@ -9,9 +9,9 @@
     The generator is stored sparse (CSR) — buffer-occupancy chains have
     O(1) neighbours per state.  Stationary solves dispatch on size: GTH
     elimination (subtraction-free, with an LU fallback for reducible
-    chains) up to a few hundred states, uniformized power iteration via
-    transposed SpMV beyond that, so no O(n^2) matrix is ever allocated on
-    the large-instance path. *)
+    chains) up to a few hundred states, restarted GMRES
+    ({!Bufsize_numeric.Krylov}) via transposed SpMV beyond that, so no
+    O(n^2) matrix is ever allocated on the large-instance path. *)
 
 type t
 (** A validated generator. *)
@@ -90,13 +90,19 @@ val stationary_iterative :
   ?init:Bufsize_numeric.Vec.t ->
   t ->
   Bufsize_numeric.Vec.t
-(** Uniformized power iteration through transposed SpMV — O(nnz) per
-    sweep, no dense allocation.  [tol] (default [1e-13]) bounds the
-    per-sweep max update; [max_iter] defaults to [200_000].  [init] seeds
-    the iteration with a previous stationary vector (sweep warm start:
-    nearby chains converge in a fraction of the sweeps); it is used only
-    when it is a valid distribution of the right size, so a stale or
-    malformed seed silently falls back to the uniform start. *)
+(** Restarted GMRES ({!Bufsize_numeric.Krylov.stationary}) on
+    [Q' pi = 0] through transposed SpMV — O(nnz) per operator
+    application plus 12 work vectors, no dense
+    allocation.  It stops once [|pi Q|_inf <= Lambda * tol] with
+    [Lambda = 2 max_i exit_i] ([tol] defaults to [1e-13]); [max_iter]
+    (default [200_000]) caps operator applications, and a stalled
+    restart cycle hands the rest of that budget to the uniformized
+    sweep [pi <- pi + pi Q / Lambda].  [init] seeds the solve with a
+    previous stationary vector (sweep warm start: nearby chains converge
+    in a fraction of the iterations, a seed already at the fixed point
+    in none); it is used only when it is a valid distribution of the
+    right size, so a stale or malformed seed silently falls back to the
+    uniform start. *)
 
 val stationary_iterative_report :
   ?tol:float ->
@@ -104,9 +110,12 @@ val stationary_iterative_report :
   ?init:Bufsize_numeric.Vec.t ->
   t ->
   Bufsize_numeric.Vec.t * int * bool
-(** {!stationary_iterative} plus the sweep count and whether [tol] was
-    reached within [max_iter] — the convergence evidence the resilience
-    layer needs to distinguish Ok from Degraded. *)
+(** {!stationary_iterative} plus the iteration count (operator
+    applications, as counted by {!Bufsize_numeric.Krylov.report}) and
+    whether [tol] was reached within [max_iter] — the convergence
+    evidence the resilience layer needs to distinguish Ok from Degraded.
+    Runs inside an [Obs] span ["ctmc.stationary_iterative"] carrying the
+    states, iterations, restarts, final residual and fallback flag. *)
 
 val distribution_valid : Bufsize_numeric.Vec.t -> bool
 (** Finite, nonnegative, and summing to 1 within [1e-6] — the acceptance
@@ -122,7 +131,7 @@ val stationary_diag :
   t ->
   Bufsize_numeric.Vec.t option * Bufsize_resilience.Resilience.diagnostic
 (** Resilient stationary solve with an explicit escalation chain:
-    GTH -> dense LU -> uniformized iteration below the dense threshold
+    GTH -> dense LU -> GMRES iteration below the dense threshold
     (preserving {!stationary}'s clean path as the [Ok] first step),
     iteration first above it.  Reducible chains are rejected by GTH with
     the offending closed class in the reason string; an unconverged

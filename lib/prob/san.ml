@@ -1,10 +1,10 @@
-module Vec = Bufsize_numeric.Vec
 module Sparse = Bufsize_numeric.Sparse
 module Kronecker = Bufsize_numeric.Kronecker
+module Krylov = Bufsize_numeric.Krylov
 module Obs = Bufsize_obs.Obs
 
-(* Solver telemetry, mirroring ctmc.ml: solve count, per-iteration
-   sweep counter, and the balance residuals of returned vectors. *)
+(* Solver telemetry, mirroring ctmc.ml: solve count, operator
+   applications, and the balance residuals of returned vectors. *)
 let m_solves = Obs.counter "san.solves"
 let m_sweeps = Obs.counter "san.sweeps"
 let h_residual = Obs.histogram "san.residual"
@@ -176,48 +176,28 @@ let stationary_residual t pi =
   let qt_pi = Kronecker.mul_vec_t t.desc pi in
   Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. qt_pi
 
-(* Same sweep as Ctmc.stationary_iterative_report, with the transposed
-   SpMV routed through the shuffle algorithm and scratch reused across
-   sweeps so the loop allocates nothing per iteration. *)
+(* Restarted GMRES through the shuffle transposed SpMV, one scratch
+   reused across every product. *)
 let stationary_report ?(tol = 1e-13) ?(max_iter = 200_000) ?init t =
   let n = num_states t in
   if n = 1 then ([| 1. |], 0, true)
-  else
+  else begin
+    let report = ref None in
     Obs.span ~name:"san.stationary"
-      ~attrs:(fun () -> [ ("states", string_of_int n) ])
+      ~attrs:(fun () -> ("states", string_of_int n) :: Krylov.attrs !report)
       (fun () ->
         Obs.incr m_solves;
-        let lambda = uniformization_rate t in
-        let pi =
-          match init with
-          | Some p0
-            when Array.length p0 = n
-                 && Array.for_all (fun x -> Float.is_finite x && x >= 0.) p0
-                 && Float.abs (Vec.sum p0 -. 1.) <= 1e-6 ->
-              Array.copy p0
-          | _ -> Array.make n (1. /. float_of_int n)
-        in
-        let qt_pi = Array.make n 0. in
         let scratch = Kronecker.scratch t.desc in
-        let continue = ref true in
-        let iters = ref 0 in
-        while !continue && !iters < max_iter do
-          Kronecker.mul_vec_t_into ~scratch t.desc pi qt_pi;
-          let delta = ref 0. in
-          for i = 0 to n - 1 do
-            let step = qt_pi.(i) /. lambda in
-            pi.(i) <- pi.(i) +. step;
-            delta := Float.max !delta (Float.abs step)
-          done;
-          incr iters;
-          Obs.incr m_sweeps;
-          if !delta < tol then continue := false
-        done;
-        let pi = Array.map (fun p -> Float.max 0. p) pi in
-        let total = Vec.sum pi in
-        let pi = Array.map (fun p -> p /. total) pi in
+        let pi, r =
+          Krylov.stationary
+            ~apply:(fun x y -> Kronecker.mul_vec_t_into ~scratch t.desc x y)
+            ~lambda:(uniformization_rate t) ~tol ~max_iter ?init n
+        in
+        report := Some r;
+        Obs.add m_sweeps r.Krylov.iterations;
         Obs.observe h_residual (stationary_residual t pi);
-        (pi, !iters, not !continue))
+        (pi, r.Krylov.iterations, r.Krylov.converged))
+  end
 
 let stationary ?tol ?max_iter ?init t =
   let pi, _, _ = stationary_report ?tol ?max_iter ?init t in

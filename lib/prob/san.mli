@@ -17,9 +17,11 @@
     [sum_a I (x) Q_a (x) I  +  sum_e rate_e ((x) R_ea - (x) D_ea)]
     with [D_ea = diag(R_ea 1)], which keeps every row sum exactly zero
     and every off-diagonal nonnegative by construction.  Stationary
-    solves run the same uniformized power iteration as {!Ctmc}
-    (including [?init] warm seeding) through the Kronecker transposed
-    SpMV, so joint spaces of 10^6+ states stay in O(n) memory. *)
+    solves run the same restarted GMRES as {!Ctmc}
+    ({!Bufsize_numeric.Krylov}, including [?init] warm seeding) through
+    the Kronecker transposed SpMV, so joint spaces of 10^6+ states stay
+    in O(n) memory: 12 work vectors plus the shuffle
+    scratch. *)
 
 type automaton = {
   name : string;
@@ -61,7 +63,8 @@ val decode : t -> int -> int array
 
 val uniformization_rate : t -> float
 (** [2 * max_i exit_i], computed exactly from the descriptor diagonal
-    — the same strongly aperiodic constant {!Ctmc} iteration uses. *)
+    — the same constant {!Ctmc} iteration uses to scale its stop rule
+    and its fallback sweep. *)
 
 val stationary_report :
   ?tol:float ->
@@ -69,14 +72,19 @@ val stationary_report :
   ?init:Bufsize_numeric.Vec.t ->
   t ->
   Bufsize_numeric.Vec.t * int * bool
-(** Uniformized power iteration [pi <- pi + (Q' pi)/Lambda] through
-    the Kronecker transposed SpMV.  Defaults match
-    {!Ctmc.stationary_iterative_report} ([tol = 1e-13],
-    [max_iter = 200_000]); [init] is accepted only when it is a valid
-    distribution of the right size, exactly like the {!Ctmc} warm
-    seed.  Returns [(pi, sweeps, converged)].  Instrumented with an
-    [Obs] span ["san.stationary"] plus per-iteration [san.sweeps]
-    counters and a [san.residual] histogram. *)
+(** Restarted GMRES on [Q' pi = 0] through the Kronecker transposed
+    SpMV, stopping once [|pi Q|_inf <= Lambda * tol] with
+    [Lambda = uniformization_rate]; a stalled restart cycle hands the
+    rest of the budget to the uniformized sweep
+    [pi <- pi + (Q' pi)/Lambda] (see {!Bufsize_numeric.Krylov}).
+    Defaults match {!Ctmc.stationary_iterative_report} ([tol = 1e-13],
+    [max_iter = 200_000] operator applications); [init] is accepted
+    only when it is a valid distribution of the right size, exactly like
+    the {!Ctmc} warm seed.  Returns [(pi, sweeps, converged)] where
+    [sweeps] counts operator applications: GMRES steps plus fallback
+    sweeps.  Instrumented with an [Obs] span ["san.stationary"]
+    (states, iterations, restarts, final residual, fallback flag), the
+    [san.sweeps] counter and a [san.residual] histogram. *)
 
 val stationary : ?tol:float -> ?max_iter:int -> ?init:Bufsize_numeric.Vec.t -> t -> Bufsize_numeric.Vec.t
 

@@ -304,7 +304,7 @@ let kron_handler ~deadline:_ req =
     ]
   in
   if j.S.converged then Reply_ok fields
-  else Reply_degraded ("power iteration did not converge within the sweep cap", fields)
+  else Reply_degraded ("stationary solve did not converge within the sweep cap", fields)
 
 (* Occupies a worker for a controlled interval — lets tests fill the
    queue deterministically.  Chaos-gated: a production daemon must not

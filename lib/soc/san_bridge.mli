@@ -20,7 +20,9 @@ type solution = {
   spec : Monolithic.spec;
   bridge_capacity : int;
   states : int;  (** joint state count *)
-  sweeps : int;  (** uniformized power-iteration sweeps *)
+  sweeps : int;
+      (** operator applications of the stationary solve: GMRES steps
+          plus any uniformized fallback sweeps *)
   converged : bool;
   residual : float;  (** [|pi Q|_inf] of the returned vector *)
   x_dist : Bufsize_numeric.Vec.t;  (** exact joint marginals *)

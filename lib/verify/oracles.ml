@@ -701,8 +701,8 @@ let check_warm_ctmdp (c : Gen_model.ctmdp_case) =
             if same_generator patched (Ctmc.of_rates n scaled) then Pass
             else failf "patched generator differs bitwise from the rebuild");
       (fun () ->
-        (* Power iteration seeded with a nearby chain's stationary vector
-           must land on the cold fixed point. *)
+        (* The iterative stationary solve seeded with a nearby chain's
+           stationary vector must land on the cold fixed point. *)
         let scaled = List.map (fun (i, j, r) -> (i, j, r *. 1.25)) rates in
         let nearby = Ctmc.of_rates n scaled in
         let seed = Ctmc.stationary_iterative chain in
@@ -820,7 +820,7 @@ let warm_cold =
 (* The Kronecker shuffle SpMV vs the materialized joint generator: on
    small random SANs the descriptor must agree with the explicit CSR
    matrix to near machine precision (SpMV, transposed SpMV, diagonal,
-   adjointness) and the Kronecker-side power iteration must land on the
+   adjointness) and the Kronecker-side GMRES solve must land on the
    same stationary vector as the dense-side GTH solve. *)
 
 module San = Bufsize_prob.San
@@ -902,11 +902,11 @@ let check_san_case (c : Gen_model.san_case) =
             if diff <= 1e-12 *. (1. +. inf_norm md) then Pass
             else failf "diagonal: Kronecker vs materialized differ by %.3e" diff);
           (fun () ->
-            (* Stationary vector: Kronecker power iteration vs the dense
+            (* Stationary vector: Kronecker GMRES solve vs the dense
                GTH solve on the materialized chain, plus warm re-seeding
                staying on the fixed point. *)
             let pi_kron, _, converged = San.stationary_report san in
-            if not converged then failf "Kronecker power iteration did not converge"
+            if not converged then failf "Kronecker stationary solve did not converge"
             else begin
               let pi_dense = Ctmc.stationary (San.to_ctmc san) in
               let diff = max_abs_diff pi_kron pi_dense in

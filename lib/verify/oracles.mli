@@ -20,7 +20,7 @@
       and cache-served sizing runs vs the cache-off run (bitwise).
     - [kron]: random SAN descriptors — Kronecker shuffle SpMV, transposed
       SpMV, diagonal, and adjointness vs the materialized joint generator
-      to 1e-12, and the Kronecker-side stationary power iteration vs the
+      to 1e-12, and the Kronecker-side stationary GMRES solve vs the
       dense GTH solve to 1e-8 (warm re-seeding must hold the fixed point
       to 1e-10).
     - [topo]: random mesh/torus NoC instances with shared-pool routers —

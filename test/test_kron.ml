@@ -134,6 +134,22 @@ let test_stationary_matches_materialized () =
       let pi_kron, _, converged = San.stationary_report san in
       converged && close 1e-8 pi_kron (Ctmc.stationary (San.to_ctmc san)))
 
+let test_krylov_matches_gth () =
+  (* The GMRES answer against GTH on the materialized chain, and its
+     balance residual against the stop rule it claims to have met. *)
+  let tol = 1e-13 in
+  qcheck ~count:60 "SAN GMRES = GTH, residual <= Lambda tol" seed_arb (fun seed ->
+      let san = random_san seed in
+      let pi, _, converged = San.stationary_report ~tol san in
+      let gth =
+        match Ctmc.stationary_gth (San.to_ctmc san) with
+        | Ok pi -> pi
+        | Error (`Reducible_class _) -> QCheck.Test.fail_report "GTH refused the chain"
+      in
+      converged
+      && close 1e-8 pi gth
+      && San.stationary_residual san pi <= San.uniformization_rate san *. tol)
+
 (* -------------------------------------------------------- bridged SAN *)
 
 let spec =
@@ -186,6 +202,88 @@ let test_bridge_warm_equals_cold () =
     true
     (warm.San_bridge.sweeps <= cold.San_bridge.sweeps)
 
+let bridge_spec k =
+  {
+    Monolithic.kx = k;
+    ky = k;
+    lambda_x = 1.5;
+    lambda_y = 1.2;
+    cross_fraction = 0.25;
+    mu_x = 2.4;
+    mu_y = 2.2;
+  }
+
+let test_bridge_dense_crosscheck () =
+  (* The small end of the state-space sweep (125, 729 and 5832 joint
+     states): the 1e-9 split comparison converges within its sweep cap,
+     and a cold default-tolerance solve through the Kronecker SpMV
+     matches the solve on the materialized generator.  At 5832 states
+     the cold start is the case where GMRES stalls and the uniformized
+     sweep finishes the solve.  The split-product seed must land on the
+     same vector. *)
+  List.iter
+    (fun k ->
+      let spec = bridge_spec k in
+      let g = San_bridge.compare_split ~tol:1e-9 ~max_sweeps:100_000 spec in
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d converged" k)
+        true g.San_bridge.joint.San_bridge.converged;
+      let san = San_bridge.model spec in
+      let pi_dense = Ctmc.stationary (San.to_ctmc san) in
+      let check what pi =
+        let d = max_abs_diff pi pi_dense in
+        if d > 1e-8 then Alcotest.failf "k=%d %s: |pi_kron - pi_dense| = %.3e" k what d
+      in
+      let pi_cold, _, converged = San.stationary_report san in
+      Alcotest.(check bool) (Printf.sprintf "k=%d cold converged" k) true converged;
+      check "cold" pi_cold;
+      check "seeded" (San.stationary ~init:(San_bridge.split_seed spec) san))
+    [ 4; 8; 17 ]
+
+let test_bridge_loss_k17 () =
+  (* The bridge loss at k = 17 is a tail probability near 1e-9, the
+     quantity most sensitive to how the residual's error is spread over
+     the states.  Reference: uniformized power iteration at tol 1e-13
+     (residual 1.4e-12) gives 1.11973453e-09, and GMRES at 1e-13 agrees
+     to 1e-16.  At the CLI's default --tol 1e-12 the loss must be at
+     least as close to it as power iteration at --tol 1e-9 was
+     (2.0e-14). *)
+  let sol = San_bridge.solve ~tol:1e-12 (bridge_spec 17) in
+  Alcotest.(check bool) "converged" true sol.San_bridge.converged;
+  let err = Float.abs (sol.San_bridge.bridge_loss -. 1.11973453e-09) in
+  if err > 2e-14 then
+    Alcotest.failf "k=17 bridge loss %.10e is %.2e off the reference"
+      sol.San_bridge.bridge_loss err
+
+let test_bridge_fixed_point_seed () =
+  (* A seed that already meets the stop rule costs no operator
+     application at all. *)
+  let san = San_bridge.model spec in
+  let pi, _, converged = San.stationary_report san in
+  Alcotest.(check bool) "converged" true converged;
+  let again, iters, converged = San.stationary_report ~init:pi san in
+  Alcotest.(check bool) "still converged" true converged;
+  Alcotest.(check int) "iterations" 0 iters;
+  Alcotest.(check bool) "same vector" true (close 1e-15 again pi)
+
+(* The CLI built next to this test (see the [deps] of test/dune). *)
+let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe"
+
+let test_bridge_sweep_cap () =
+  let sol = San_bridge.solve ~max_sweeps:5 (bridge_spec 8) in
+  Alcotest.(check bool) "converged" false sol.San_bridge.converged;
+  Alcotest.(check int) "sweeps" 5 sol.San_bridge.sweeps;
+  let cmd =
+    Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
+      [ "kron"; "--kx"; "8"; "--ky"; "8"; "--max-sweeps"; "5" ]
+  in
+  Alcotest.(check int) "bufsize kron exit code" 1 (Sys.command cmd);
+  let ok =
+    Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
+      [ "kron"; "--kx"; "4"; "--ky"; "4" ]
+  in
+  Alcotest.(check int) "converged run exit code" 0 (Sys.command ok)
+
 let test_san_case_serialization_roundtrip () =
   qcheck ~count:60 "san_case survives to_string/of_string" seed_arb (fun seed ->
       let c = Gen_model.san_case (Rng.create (1 + seed)) in
@@ -222,6 +320,8 @@ let () =
         [
           Alcotest.test_case "SAN vs materialized (property)" `Quick
             test_stationary_matches_materialized;
+          Alcotest.test_case "GMRES = GTH, residual (property)" `Quick
+            test_krylov_matches_gth;
         ] );
       ( "bridge",
         [
@@ -231,6 +331,14 @@ let () =
           Alcotest.test_case "decoupled boundary" `Quick test_bridge_decoupled_boundary;
           Alcotest.test_case "warm seed holds the fixed point" `Quick
             test_bridge_warm_equals_cold;
+          Alcotest.test_case "dense crosscheck at k = 4, 8, 17" `Quick
+            test_bridge_dense_crosscheck;
+          Alcotest.test_case "k = 17 bridge loss at --tol 1e-12" `Quick
+            test_bridge_loss_k17;
+          Alcotest.test_case "fixed-point seed costs 0 iterations" `Quick
+            test_bridge_fixed_point_seed;
+          Alcotest.test_case "sweep cap: unconverged, exit 1" `Quick
+            test_bridge_sweep_cap;
         ] );
       ( "serialization",
         [

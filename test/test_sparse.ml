@@ -6,6 +6,7 @@
 
 module Mat = Bufsize_numeric.Mat
 module Sparse = Bufsize_numeric.Sparse
+module Krylov = Bufsize_numeric.Krylov
 module Lp = Bufsize_numeric.Lp
 module Simplex_revised = Bufsize_numeric.Simplex_revised
 module Ctmc = Bufsize_prob.Ctmc
@@ -120,9 +121,9 @@ let test_scale_and_row_sums () =
 
 (* Random irreducible CTMC: a cycle [i -> i+1 mod n] guarantees
    irreducibility, random extra transitions give it structure. *)
-let random_ctmc seed =
+let random_ctmc ?(min_states = 2) ?(span = 29) seed =
   let rng = Rng.create (1 + seed) in
-  let n = 2 + Rng.int rng 29 in
+  let n = min_states + Rng.int rng span in
   let rates = ref [] in
   for i = 0 to n - 1 do
     rates := (i, (i + 1) mod n, Rng.float_range rng 0.5 2.) :: !rates;
@@ -158,6 +159,50 @@ let test_two_state_converges_in_two_sweeps () =
   Alcotest.(check bool) "converged" true converged;
   Alcotest.(check bool) "iterations <= 2" true (iters <= 2);
   Alcotest.(check bool) "exact fixed point" true (close 1e-12 pi [| 0.5; 0.5 |])
+
+let gth c =
+  match Ctmc.stationary_gth c with
+  | Ok pi -> pi
+  | Error (`Reducible_class _) -> QCheck.Test.fail_report "GTH refused an irreducible chain"
+
+let test_large_iterative_matches_gth () =
+  (* Above the dense threshold [Ctmc.stationary] takes the GMRES path:
+     GTH within 1e-8 and the residual within the stop rule. *)
+  let tol = 1e-13 in
+  qcheck ~count:8 "GMRES = GTH beyond 512 states" seed_arb (fun seed ->
+      let c = random_ctmc ~min_states:513 ~span:150 seed in
+      let pi, _, converged = Ctmc.stationary_iterative_report ~tol c in
+      converged
+      && close 1e-8 pi (gth c)
+      && close 0. pi (Ctmc.stationary c)
+      && Ctmc.stationary_residual c pi <= Ctmc.uniformization_rate c *. 2. *. tol)
+
+let test_directed_cycle_fallback () =
+  (* Restarted GMRES(10) crawls on a 100-state directed cycle started
+     from a point mass; the stall test hands over to the uniformized
+     sweep, which must still land on the GTH answer. *)
+  let n = 100 in
+  let c = Ctmc.of_rates n (List.init n (fun i -> (i, (i + 1) mod n, 1.))) in
+  let q = Ctmc.sparse_generator c in
+  let pi, r =
+    Krylov.stationary
+      ~apply:(fun x y -> Sparse.mul_vec_t_into q x y)
+      ~lambda:2. ~tol:1e-13 ~max_iter:200_000
+      ~init:(Array.init n (fun i -> if i = 0 then 1. else 0.))
+      n
+  in
+  Alcotest.(check bool) "fallback taken" true r.Krylov.fallback;
+  Alcotest.(check bool) "converged" true r.Krylov.converged;
+  Alcotest.(check bool) "restarts before the stall" true (r.Krylov.restarts >= 1);
+  Alcotest.(check bool) "matches GTH" true (close 1e-8 pi (gth c))
+
+let test_fixed_point_seed_costs_nothing () =
+  let c = random_ctmc 11 in
+  let pi, _, _ = Ctmc.stationary_iterative_report c in
+  let again, iters, converged = Ctmc.stationary_iterative_report ~init:pi c in
+  Alcotest.(check bool) "converged" true converged;
+  Alcotest.(check int) "iterations" 0 iters;
+  Alcotest.(check bool) "unchanged" true (close 1e-15 again pi)
 
 let test_init_seeding_preserves_fixed_point () =
   qcheck ~count:40 "?init seeding never moves the fixed point" seed_arb (fun seed ->
@@ -229,6 +274,12 @@ let () =
           Alcotest.test_case "?init seeding preserves fixed point (property)" `Quick
             test_init_seeding_preserves_fixed_point;
           Alcotest.test_case "dispatch consistency" `Quick test_stationary_dispatch_consistent;
+          Alcotest.test_case "GMRES vs GTH above 512 (property)" `Quick
+            test_large_iterative_matches_gth;
+          Alcotest.test_case "directed cycle stalls: fallback" `Quick
+            test_directed_cycle_fallback;
+          Alcotest.test_case "fixed-point seed: 0 iterations" `Quick
+            test_fixed_point_seed_costs_nothing;
         ] );
       ( "lowering",
         [
