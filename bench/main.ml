@@ -10,71 +10,18 @@
      ablation-quantile   sensitivity to the occupancy quantile
      ablation-levels     CTMDP discretization vs resulting loss
      ablation-solver     joint LP vs separate LPs vs policy iteration
-     parallel            domain-pool scaling: sizing LPs and replications
-                         at 1/2/4/all domains, with an identical-statistics
-                         cross-check
-     perf                bechamel microbenchmarks
-     sparse              CSR pipeline scaling: netproc core subsystem with
-                         buffer levels swept up to 2x, sparse vs dense
-                         solve time, allocation, and peak RSS
-     warmstart           Fig-3 resize loop (10 iterations) with cold solves
-                         vs the exact-key solve caches, with a bitwise
-                         identical-result cross-check; writes
-                         BENCH_warmstart.json
-     serve               daemon round-trip latency: one cold netproc solve
-                         vs a warm concurrent-client sweep over the sizing
-                         service, with a bitwise reply cross-check; writes
-                         BENCH_serve.json
+     ablation-weights    weighted losses: one processor's loss weighted 10x
+     ablation-profiling  profile-driven re-sizing from simulated rates
 
    With no argument the paper artifacts (fig1 nonlinear fig3 table1) run in
-   order.  `all` adds the ablations, parallel, perf, and sparse.  Runs that
-   include `parallel` or `perf` also write BENCH_parallel.json with
-   per-artifact wall-clock times (machine-readable perf trajectory); runs
-   that include `sparse` write BENCH_sparse.json (per-instance states,
-   seconds, allocation, peak RSS, and the dense-path comparison). *)
+   order; `all` adds the five ablations.  An unknown name exits 2 before
+   anything runs.  Performance is measured by perfbench/, not here. *)
 
 module B = Bufsize
 module Stats = Bufsize_numeric.Stats
 
 let section title =
   Format.printf "@.=== %s ===@.@." title
-
-(* --------------------------------------------- machine-readable timings *)
-
-let bench_records : (string * float * float option) list ref = ref []
-
-let record ?speedup name seconds = bench_records := (name, seconds, speedup) :: !bench_records
-
-let write_bench_json path =
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"bufsize-bench-v1\",\n  \"entries\": [\n";
-  let entries = List.rev !bench_records in
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i (name, secs, speedup) ->
-      Printf.fprintf oc "    {\"name\": %S, \"seconds\": %.6f%s}%s\n" name secs
-        (match speedup with
-        | None -> ""
-        | Some s -> Printf.sprintf ", \"speedup\": %.3f" s)
-        (if i = last then "" else ","))
-    entries;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-(* Run [f] with the solve caches disabled and cleared, restoring the
-   previous switch afterwards.  Scaling and overhead benchmarks wrap their
-   timed sections in this so repeated identical solves time the solver,
-   not a cache lookup. *)
-let with_cold_solves f =
-  let cache_was = B.Numeric.Solve_cache.enabled () in
-  B.Numeric.Solve_cache.set_enabled false;
-  B.Numeric.Solve_cache.clear_all ();
-  Fun.protect
-    ~finally:(fun () ->
-      B.Numeric.Solve_cache.set_enabled cache_was;
-      B.Numeric.Solve_cache.clear_all ())
-    f
 
 (* ------------------------------------------------------------------ FIG1 *)
 
@@ -164,8 +111,7 @@ let run_fig3 () =
   let timeout = B.per_proc_mean_losses outcome.B.timeout_variant in
   write_csv "fig3.csv" "processor,before,after,timeout"
     (List.init (Array.length before) (fun p ->
-         Printf.sprintf "%d,%.2f,%.2f,%.2f" (p + 1) before.(p) after.(p) timeout.(p)));
-  outcome
+         Printf.sprintf "%d,%.2f,%.2f,%.2f" (p + 1) before.(p) after.(p) timeout.(p)))
 
 (* --------------------------------------------------------------- TABLE1 *)
 
@@ -406,994 +352,10 @@ let run_ablation_profiling () =
      and quantile quantization absorbs the (<= ~20%%) rate shifts that loss thinning@.\
      causes, so the analytically routed rates are already adequate for Poisson traffic.@."
 
-(* ------------------------------------------------------------- PARALLEL *)
-
-(* Wall-clock scaling of the two pool-mapped hot paths at 1, 2, 4, and all
-   domains.  Every configuration must produce the SAME numbers — the pool
-   preserves item ordering and the aggregation is a deterministic fold —
-   so the artifact cross-checks statistics bitwise across domain counts
-   besides timing them. *)
-let run_parallel () =
-  section "PARALLEL: domain-pool scaling (Table 1 sizing LPs, 32-replication simulation)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let all = B.Pool.default_size () in
-  let sizes = List.sort_uniq compare [ 1; 2; 4; all ] in
-  Format.printf "domain counts: %s (machine default %d; BUFSIZE_NUM_DOMAINS overrides)@.@."
-    (String.concat ", " (List.map string_of_int sizes))
-    all;
-  let with_pool k f =
-    let pool = B.Pool.create k in
-    Fun.protect ~finally:(fun () -> B.Pool.shutdown pool) (fun () -> f pool)
-  in
-  let _, traffic = B.Netproc.create () in
-  (* --- Table 1 sizing, Separate solver: per-subsystem LPs fan out --- *)
-  let sizing_config =
-    {
-      (B.Sizing.default_config ~budget:160) with
-      B.Sizing.max_states = 64;
-      solver = B.Sizing.Separate;
-    }
-  in
-  Format.printf "Table 1 sizing (netproc, budget 160, separate per-subsystem LPs):@.";
-  Format.printf "  %-10s %10s %10s@." "domains" "time (s)" "speedup";
-  let sizing_base = ref Float.nan in
-  let sizing_gain = ref Float.nan in
-  let sizing_alloc = ref None in
-  (* Cold solves throughout: with the solve cache live, every domain count
-     after the first would be an exact-key cache hit and the scaling curve
-     would measure the cache, not the pool.  [Pool.create] caps requested
-     sizes at the machine's domain count, so several requested sizes can
-     collapse to the same effective pool; those are measured once (min
-     over a few reps) and the measurement is shared — re-timing an
-     identical pool only adds noise that masquerades as a slowdown. *)
-  with_cold_solves @@ fun () ->
-  let sizing_reps = 3 in
-  let by_effective : (int * (float * B.Sizing.result)) list ref = ref [] in
-  List.iter
-    (fun k ->
-      let eff = ref k in
-      let measure pool =
-        let dt = ref infinity and res = ref None in
-        for _ = 1 to sizing_reps do
-          let t, r = time (fun () -> B.Sizing.run ~pool sizing_config traffic) in
-          if t < !dt then dt := t;
-          res := Some r
-        done;
-        (!dt, Option.get !res)
-      in
-      let dt, r =
-        with_pool k (fun pool ->
-            eff := B.Pool.size pool;
-            match List.assoc_opt !eff !by_effective with
-            | Some cached -> cached
-            | None ->
-                let m = measure pool in
-                by_effective := (!eff, m) :: !by_effective;
-                m)
-      in
-      if Float.is_nan !sizing_base then sizing_base := dt;
-      (match !sizing_alloc with None -> sizing_alloc := Some r.B.Sizing.allocation | Some _ -> ());
-      let gain = r.B.Sizing.predicted_loss_rate in
-      if Float.is_nan !sizing_gain then sizing_gain := gain
-      else if gain <> !sizing_gain then
-        Format.printf "  WARNING: predicted gain differs across domain counts (%.17g vs %.17g)@."
-          gain !sizing_gain;
-      let speedup = !sizing_base /. dt in
-      record ~speedup (Printf.sprintf "parallel:sizing-table1:domains=%d" k) dt;
-      Format.printf "  %-10d %10.2f %9.2fx%s@." k dt speedup
-        (if !eff <> k then Printf.sprintf "   (capped to %d domain%s)" !eff (if !eff = 1 then "" else "s")
-         else ""))
-    sizes;
-  (* --- 32-replication simulation of the sized allocation --- *)
-  let allocation =
-    match !sizing_alloc with Some a -> a | None -> B.Buffer_alloc.uniform traffic ~budget:160
-  in
-  let spec =
-    {
-      (B.Sim_run.default_spec ~traffic ~allocation) with
-      B.Sim_run.horizon = 2000.;
-      warmup = 100.;
-    }
-  in
-  Format.printf "@.32-replication simulation (netproc, horizon 2000):@.";
-  Format.printf "  %-10s %10s %10s %14s@." "domains" "time (s)" "speedup" "mean lost";
-  let sim_base = ref Float.nan in
-  let reference = ref None in
-  let identical = ref true in
-  List.iter
-    (fun k ->
-      let dt, agg =
-        with_pool k (fun pool -> time (fun () -> B.Replicate.run ~pool ~replications:32 spec))
-      in
-      if Float.is_nan !sim_base then sim_base := dt;
-      (* Bitwise comparison against the 1-domain statistics. *)
-      let fingerprint (agg : B.Replicate.aggregate) =
-        Array.concat
-          [
-            [|
-              float_of_int (Stats.count agg.B.Replicate.total_lost);
-              Stats.mean agg.B.Replicate.total_lost;
-              Stats.variance agg.B.Replicate.total_lost;
-              Stats.mean agg.B.Replicate.loss_fraction;
-              Stats.variance agg.B.Replicate.loss_fraction;
-            |];
-            B.Replicate.mean_per_proc_lost agg;
-          ]
-      in
-      let fp = fingerprint agg in
-      (match !reference with
-      | None -> reference := Some fp
-      | Some ref_fp ->
-          if
-            not
-              (Array.for_all2
-                 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-                 ref_fp fp)
-          then begin
-            identical := false;
-            Format.printf "  WARNING: statistics differ from the 1-domain run!@."
-          end);
-      let speedup = !sim_base /. dt in
-      record ~speedup (Printf.sprintf "parallel:sim32:domains=%d" k) dt;
-      Format.printf "  %-10d %10.2f %9.2fx %14.1f@." k dt speedup
-        (Stats.mean agg.B.Replicate.total_lost))
-    sizes;
-  Format.printf "@.loss statistics across domain counts: %s@."
-    (if !identical then "bitwise identical" else "DIVERGED (bug)")
-
-(* ----------------------------------------------------------------- PERF *)
-
-let run_perf () =
-  section "PERF: bechamel microbenchmarks";
-  let open Bechamel in
-  let traffic = small_arch () in
-  let split = B.Splitting.split traffic in
-  let model = B.Bus_model.build ~max_states:64 split.B.Splitting.subsystems.(0) in
-  let ctmdp = B.Bus_model.ctmdp model in
-  let lp_solve =
-    Test.make ~name:"ctmdp-lp-solve(64st)"
-      (Staged.stage (fun () -> ignore (B.Mdp.Lp_formulation.solve ctmdp)))
-  in
-  let pi_solve =
-    Test.make ~name:"policy-iteration(64st)"
-      (Staged.stage (fun () -> ignore (B.Mdp.Policy_iteration.solve ctmdp)))
-  in
-  let ctmc = Bufsize_prob.Birth_death.to_ctmc (Bufsize_prob.Birth_death.mm1k ~lambda:2. ~mu:3. ~k:50) in
-  let stationary =
-    Test.make ~name:"ctmc-stationary(51st)"
-      (Staged.stage (fun () -> ignore (Bufsize_prob.Ctmc.stationary ctmc)))
-  in
-  let allocation = B.Buffer_alloc.uniform traffic ~budget:16 in
-  let sim =
-    Test.make ~name:"simulate(horizon=200)"
-      (Staged.stage (fun () ->
-           ignore
-             (B.Sim_run.run
-                {
-                  (B.Sim_run.default_spec ~traffic ~allocation) with
-                  B.Sim_run.horizon = 200.;
-                  warmup = 0.;
-                })))
-  in
-  let tests = Test.make_grouped ~name:"bufsize" [ lp_solve; pi_solve; stationary; sim ] in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw) instances
-    in
-    (Analyze.merge ols instances results, raw)
-  in
-  let results, _ = benchmark () in
-  let clock_label = Measure.label Toolkit.Instance.monotonic_clock in
-  Hashtbl.iter
-    (fun measure by_test ->
-      if measure = clock_label then
-        Hashtbl.iter
-          (fun name ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] ->
-                record (Printf.sprintf "perf:%s" name) (est *. 1e-9);
-                Format.printf "  %-28s %12.1f ns/run@." name est
-            | Some _ | None -> Format.printf "  %-28s (no estimate)@." name)
-          by_test)
-    results
-
-(* --------------------------------------------------------------- SPARSE *)
-
-(* CSR pipeline scaling: sweep the per-processor buffer levels of the
-   netproc `core` subsystem (8 loaded processors) from the production
-   discretization up to doubled levels, solving each CTMDP end-to-end
-   through the sparse pipeline (policy iteration with iterative
-   evaluation, sparse stationary distribution).  On the largest instance
-   the final policy is re-evaluated through the historical dense path
-   (dense (n+1)^2 evaluation system, LU elimination) for the speedup and
-   peak-memory comparison.  Sweep points are the number of processors
-   whose level count is doubled (0 = today's discretization, 8 = all
-   doubled), overridable via BUFSIZE_SPARSE_SWEEP="0,2,..." for CI smoke
-   runs.  Results go to BENCH_sparse.json. *)
-
-type sparse_entry = {
-  se_name : string;
-  se_states : int;
-  se_actions : int;
-  se_seconds : float;
-  se_alloc_mb : float;
-  se_rss_mb : float;
-  se_speedup : float option;  (* dense seconds / sparse seconds *)
-  se_alloc_ratio : float option;  (* dense alloc / sparse alloc *)
-}
-
-let sparse_records : sparse_entry list ref = ref []
-
-(* Peak resident set (VmHWM) in MB; 0. where /proc is unavailable. *)
-let vm_hwm_mb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0.
-  | ic ->
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file -> 0.
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              Scanf.sscanf
-                (String.sub line 6 (String.length line - 6))
-                " %f kB"
-                (fun kb -> kb /. 1024.)
-            else scan ()
-      in
-      let hwm = scan () in
-      close_in ic;
-      hwm
-
-let write_sparse_json path =
-  let oc = open_out path in
-  output_string oc
-    "{\n  \"schema\": \"bufsize-bench-sparse-v1\",\n  \"subsystem\": \"netproc:core\",\n  \"entries\": [\n";
-  let entries = List.rev !sparse_records in
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"states\": %d, \"actions\": %d, \"seconds\": %.6f, \
-         \"alloc_mb\": %.3f, \"peak_rss_mb\": %.1f%s%s}%s\n"
-        e.se_name e.se_states e.se_actions e.se_seconds e.se_alloc_mb e.se_rss_mb
-        (match e.se_speedup with
-        | None -> ""
-        | Some s -> Printf.sprintf ", \"sparse_speedup\": %.3f" s)
-        (match e.se_alloc_ratio with
-        | None -> ""
-        | Some r -> Printf.sprintf ", \"sparse_alloc_ratio\": %.3f" r)
-        (if i = last then "" else ","))
-    entries;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-let timed_alloc f =
-  let a0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  (x, dt, (Gc.allocated_bytes () -. a0) /. 1048576.)
-
-let run_sparse () =
-  section "SPARSE: CSR pipeline scaling (netproc core subsystem, levels sweep)";
-  let _, traffic = B.Netproc.create () in
-  let split = B.Splitting.split traffic in
-  let sub =
-    match
-      Array.find_opt
-        (fun s -> s.B.Splitting.bus_name = "core")
-        split.B.Splitting.subsystems
-    with
-    | Some s -> s
-    | None -> failwith "netproc: no core subsystem"
-  in
-  let base = B.Bus_model.build ~max_states:64 sub in
-  let base_levels =
-    Array.map (fun (c : B.Bus_model.client_model) -> c.B.Bus_model.levels) (B.Bus_model.clients base)
-  in
-  let nclients = Array.length base_levels in
-  let sweep =
-    match Sys.getenv_opt "BUFSIZE_SPARSE_SWEEP" with
-    | Some s ->
-        List.filter_map
-          (fun tok ->
-            let tok = String.trim tok in
-            if tok = "" then None else Some (int_of_string tok))
-          (String.split_on_char ',' s)
-    | None -> [ 0; 2; 4; 6; 8 ]
-  in
-  let record_sparse ?speedup ?alloc_ratio name states actions secs alloc =
-    sparse_records :=
-      {
-        se_name = name;
-        se_states = states;
-        se_actions = actions;
-        se_seconds = secs;
-        se_alloc_mb = alloc;
-        se_rss_mb = vm_hwm_mb ();
-        se_speedup = speedup;
-        se_alloc_ratio = alloc_ratio;
-      }
-      :: !sparse_records
-  in
-  let line name states actions secs alloc =
-    Format.printf "  %-22s %8d %8d %10.3f %10.1f %10.1f@." name states actions secs alloc
-      (vm_hwm_mb ())
-  in
-  Format.printf "  %-22s %8s %8s %10s %10s %10s@." "instance" "states" "actions" "seconds"
-    "alloc MB" "rss MB";
-  let largest = ref None in
-  List.iter
-    (fun k ->
-      if k < 0 || k > nclients then
-        invalid_arg (Printf.sprintf "sparse sweep: %d out of range 0..%d" k nclients);
-      (* Double the discretization of the first [k] processors. *)
-      let levels = Array.mapi (fun i l -> if i < k then 2 * l else l) base_levels in
-      let model = B.Bus_model.build ~levels sub in
-      let ctmdp = B.Bus_model.ctmdp model in
-      let states = B.Bus_model.num_states model in
-      let actions = B.Mdp.Ctmdp.total_state_actions ctmdp in
-      let res, dt, alloc = timed_alloc (fun () -> B.Mdp.Policy_iteration.solve ctmdp) in
-      let name = Printf.sprintf "sparse:solve:k=%d" k in
-      record_sparse name states actions dt alloc;
-      line name states actions dt alloc;
-      let _occ, dt_s, alloc_s =
-        timed_alloc (fun () -> B.Mdp.Policy.stationary ctmdp res.B.Mdp.Policy_iteration.policy)
-      in
-      let sname = Printf.sprintf "sparse:stationary:k=%d" k in
-      record_sparse sname states actions dt_s alloc_s;
-      line sname states actions dt_s alloc_s;
-      largest := Some (k, ctmdp, states, actions, res))
-    sweep;
-  match !largest with
-  | None -> ()
-  | Some (k, ctmdp, states, actions, res) ->
-      Format.printf "@.  dense-path comparison on the largest instance (%d states):@." states;
-      let choice = res.B.Mdp.Policy_iteration.choice in
-      let (_ : float * float array), it_dt, it_alloc =
-        timed_alloc (fun () ->
-            B.Mdp.Policy_iteration.evaluate_deterministic_iterative ctmdp choice)
-      in
-      let iname = Printf.sprintf "sparse:evaluate:k=%d" k in
-      record_sparse iname states actions it_dt it_alloc;
-      line iname states actions it_dt it_alloc;
-      let (_ : float * float array), de_dt, de_alloc =
-        timed_alloc (fun () -> B.Mdp.Policy_iteration.evaluate_deterministic ctmdp choice)
-      in
-      let speedup = de_dt /. it_dt in
-      let alloc_ratio = de_alloc /. it_alloc in
-      let dname = Printf.sprintf "dense:evaluate:k=%d" k in
-      record_sparse ~speedup ~alloc_ratio dname states actions de_dt de_alloc;
-      line dname states actions de_dt de_alloc;
-      Format.printf
-        "@.  policy evaluation at %d states: %.2fx faster, %.1fx less allocation sparse@."
-        states speedup alloc_ratio
-
-(* ------------------------------------------------------------------ OBS *)
-
-(* Telemetry overhead on the Table 1 sizing run: the same netproc sizing
-   timed with telemetry fully disabled and with spans + metrics enabled.
-   The acceptance bar is < 3% overhead when DISABLED vs the instrumented
-   build's enabled mode staying cheap; both numbers and the headline
-   metric values go to BENCH_obs.json.  The sized allocation is also
-   cross-checked bitwise between the two modes — telemetry must only
-   observe. *)
-
-let obs_json : (string * string) list ref = ref []
-
-let write_obs_json path =
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"bufsize-bench-obs-v1\"";
-  List.iter (fun (k, v) -> Printf.fprintf oc ",\n  %S: %s" k v) (List.rev !obs_json);
-  output_string oc "\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-let run_obs () =
-  section "OBS: telemetry overhead on the Table 1 sizing run (netproc, budget 160)";
-  (* Cold solves: the repeated identical sizing runs would otherwise hit
-     the solve cache and the on/off overhead comparison would be noise. *)
-  (with_cold_solves @@ fun () ->
-  let _, traffic = B.Netproc.create () in
-  let config = { (B.Sizing.default_config ~budget:160) with B.Sizing.max_states = 64 } in
-  let reps = 5 in
-  let time_one () =
-    let t0 = Unix.gettimeofday () in
-    let r = B.Sizing.run config traffic in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  (* Interleave disabled/enabled reps (rather than two back-to-back
-     blocks) so machine-load drift hits both modes equally; min over the
-     reps is the stable statistic for overhead comparisons. *)
-  let enable () =
-    B.Obs.enable_spans ();
-    B.Obs.enable_metrics ()
-  in
-  B.Obs.disable ();
-  B.Obs.reset ();
-  ignore (time_one ());
-  enable ();
-  B.Obs.reset ();
-  ignore (time_one ());
-  let t_off = ref infinity and t_on = ref infinity in
-  let r_off = ref None and r_on = ref None in
-  for _ = 1 to reps do
-    B.Obs.disable ();
-    B.Obs.reset ();
-    let dt, r = time_one () in
-    if dt < !t_off then t_off := dt;
-    r_off := Some r;
-    enable ();
-    B.Obs.reset ();
-    let dt, r = time_one () in
-    if dt < !t_on then t_on := dt;
-    r_on := Some r
-  done;
-  let t_off = !t_off and t_on = !t_on in
-  let r_off = Option.get !r_off and r_on = Option.get !r_on in
-  Format.printf "  %-10s min over %d runs: %8.3f s@." "disabled" reps t_off;
-  Format.printf "  %-10s min over %d runs: %8.3f s@." "enabled" reps t_on;
-  let identical = r_off.B.Sizing.allocation = r_on.B.Sizing.allocation in
-  let overhead_pct = 100. *. (t_on -. t_off) /. t_off in
-  let nspans = List.length (B.Obs.recorded_spans ()) in
-  Format.printf "  overhead enabled vs disabled: %+.2f%% (%d spans recorded)@." overhead_pct
-    nspans;
-  Format.printf "  allocation identical with telemetry on/off: %b@." identical;
-  let metric name =
-    List.find_map
-      (function
-        | B.Obs.Counter (n, v) when n = name -> Some v
-        | B.Obs.Counter _ | B.Obs.Gauge _ | B.Obs.Histogram _ -> None)
-      (B.Obs.metrics_snapshot ())
-    |> Option.value ~default:0
-  in
-  let pivots = metric "simplex.pivots" + metric "simplex_revised.pivots" in
-  let fallbacks = metric "resilience.fallbacks" in
-  Format.printf "  simplex pivots %d, escalation fallbacks %d@." pivots fallbacks;
-  obs_json :=
-    [
-      ("workload", "\"sizing:netproc:budget=160\"");
-      ("reps", string_of_int reps);
-      ("disabled_seconds", Printf.sprintf "%.6f" t_off);
-      ("enabled_seconds", Printf.sprintf "%.6f" t_on);
-      ("overhead_pct", Printf.sprintf "%.3f" overhead_pct);
-      ("spans_recorded", string_of_int nspans);
-      ("simplex_pivots", string_of_int pivots);
-      ("resilience_fallbacks", string_of_int fallbacks);
-      ("allocation_identical", string_of_bool identical);
-    ]
-    |> List.rev;
-  record "obs:sizing-table1:disabled" t_off;
-  record "obs:sizing-table1:enabled" t_on);
-  B.Obs.disable ();
-  B.Obs.reset ();
-  (* Per-request telemetry on the daemon path: the same warm sizing
-     request with and without ["telemetry": true], strictly interleaved
-     so load drift cancels.  This runs outside the cold-solve scope —
-     the daemon's solve cache must be live so the timed requests are
-     genuine warm hits.  Telemetry must stay cheap (the capture sink
-     only runs for requests that ask) and must only observe — a
-     telemetry reply stripped of its telemetry member is byte-identical
-     to the plain reply (checked on kron, whose reply carries no
-     wall-clock fields). *)
-  Format.printf "@.  -- serve: per-request telemetry on vs off (warm size requests) --@.";
-  let cfg =
-    {
-      B.Serve.socket_path = B.Serve.temp_socket_path ();
-      queue_depth = 64;
-      workers = 2;
-      default_deadline_ms = 0.;
-      max_request_bytes = 1 lsl 20;
-      flight_cap = 256;
-      log_requests = false;
-    }
-  in
-  let server = B.Serve.start ~config:cfg () in
-  Fun.protect
-    ~finally:(fun () -> B.Serve.stop server)
-    (fun () ->
-      let socket = cfg.B.Serve.socket_path in
-      let size_req ~telemetry ~id =
-        B.Json.Obj
-          ([
-             ("id", B.Json.Num (float_of_int id));
-             ("op", B.Json.Str "size");
-             ("arch", B.Json.Str "netproc");
-             ("budget", B.Json.Num 160.);
-           ]
-          @ if telemetry then [ ("telemetry", B.Json.Bool true) ] else [])
-      in
-      let ask what req =
-        match B.Serve.request ~socket req with
-        | Ok r ->
-            (match B.Json.mem_string "status" r with
-            | Some "ok" -> r
-            | s ->
-                failwith
-                  (Printf.sprintf "obs bench: %s replied %s: %s" what
-                     (Option.value ~default:"?" s) (B.Json.encode r)))
-        | Error e -> failwith ("obs bench: " ^ what ^ " failed: " ^ e)
-      in
-      (* Cold solve once so every timed request is a cache hit. *)
-      ignore (ask "cold size" (size_req ~telemetry:false ~id:0));
-      let reps = 100 in
-      let lat_off = Array.make reps 0. and lat_on = Array.make reps 0. in
-      for i = 0 to reps - 1 do
-        let t0 = Unix.gettimeofday () in
-        ignore (ask "warm size" (size_req ~telemetry:false ~id:(1 + (2 * i))));
-        lat_off.(i) <- 1000. *. (Unix.gettimeofday () -. t0);
-        let t1 = Unix.gettimeofday () in
-        ignore (ask "warm telemetry size" (size_req ~telemetry:true ~id:(2 + (2 * i))));
-        lat_on.(i) <- 1000. *. (Unix.gettimeofday () -. t1)
-      done;
-      Array.sort compare lat_off;
-      Array.sort compare lat_on;
-      let p50_off = lat_off.(reps / 2) and p50_on = lat_on.(reps / 2) in
-      let kron_req ~telemetry =
-        B.Json.Obj
-          ([
-             ("id", B.Json.Num 999.);
-             ("op", B.Json.Str "kron");
-             ("dims", B.Json.List [ B.Json.Num 4.; B.Json.Num 4. ]);
-             ("rates", B.Json.List [ B.Json.Num 1.; B.Json.Num 2. ]);
-           ]
-          @ if telemetry then [ ("telemetry", B.Json.Bool true) ] else [])
-      in
-      let plain = ask "kron" (kron_req ~telemetry:false) in
-      let tele = ask "kron telemetry" (kron_req ~telemetry:true) in
-      let strip = function
-        | B.Json.Obj kvs -> B.Json.Obj (List.filter (fun (k, _) -> k <> "telemetry") kvs)
-        | v -> v
-      in
-      let strip_identical = B.Json.encode (strip tele) = B.Json.encode plain in
-      (* A warm size request is a ~0.2 ms cache-hit round trip, so the
-         fixed cost of serializing the span subtree dwarfs any relative
-         bar — the cache-hit numbers are reported as the worst case and
-         gated in absolute terms (sub-millisecond).  The <= 3% relative
-         bar is held on a workload-representative request: a simulate
-         run (multi-ms DES, deterministic by seed, recomputed every
-         call so nothing is a cache hit). *)
-      let sim_req ~telemetry ~id =
-        B.Json.Obj
-          ([
-             ("id", B.Json.Num (float_of_int id));
-             ("op", B.Json.Str "simulate");
-             ("arch", B.Json.Str "netproc");
-             ("policy", B.Json.Str "uniform");
-             ("budget", B.Json.Num 160.);
-             ("horizon", B.Json.Num 2000.);
-             ("seed", B.Json.Num 1.);
-           ]
-          @ if telemetry then [ ("telemetry", B.Json.Bool true) ] else [])
-      in
-      ignore (ask "warmup simulate" (sim_req ~telemetry:false ~id:1000));
-      let sim_reps = 30 in
-      let sim_off = Array.make sim_reps 0. and sim_on = Array.make sim_reps 0. in
-      for i = 0 to sim_reps - 1 do
-        let t0 = Unix.gettimeofday () in
-        ignore (ask "simulate" (sim_req ~telemetry:false ~id:(1001 + (2 * i))));
-        sim_off.(i) <- 1000. *. (Unix.gettimeofday () -. t0);
-        let t1 = Unix.gettimeofday () in
-        ignore (ask "simulate telemetry" (sim_req ~telemetry:true ~id:(1002 + (2 * i))));
-        sim_on.(i) <- 1000. *. (Unix.gettimeofday () -. t1)
-      done;
-      Array.sort compare sim_off;
-      Array.sort compare sim_on;
-      let sim_p50_off = sim_off.(sim_reps / 2) and sim_p50_on = sim_on.(sim_reps / 2) in
-      let sim_overhead_pct =
-        100. *. (sim_p50_on -. sim_p50_off) /. Float.max 1e-9 sim_p50_off
-      in
-      Format.printf "  cache-hit size p50 telemetry off %10.3f ms@." p50_off;
-      Format.printf "  cache-hit size p50 telemetry on  %10.3f ms@." p50_on;
-      Format.printf "  cache-hit telemetry overhead     %+9.3f ms  (bar: <= 1 ms absolute)@."
-        (p50_on -. p50_off);
-      Format.printf "  simulate p50 telemetry off       %10.3f ms@." sim_p50_off;
-      Format.printf "  simulate p50 telemetry on        %10.3f ms@." sim_p50_on;
-      Format.printf "  simulate telemetry overhead      %+9.2f%%  (bar: <= 3%%)@."
-        sim_overhead_pct;
-      Format.printf "  stripped reply identical         %9b@." strip_identical;
-      if not strip_identical then
-        failwith "obs bench: telemetry reply is not byte-identical after stripping";
-      if p50_on -. p50_off > 1.0 then
-        failwith "obs bench: cache-hit telemetry overhead above 1 ms absolute";
-      if sim_overhead_pct > 3.0 && sim_p50_on -. sim_p50_off > 0.3 then
-        failwith "obs bench: simulate telemetry overhead above the 3% bar";
-      record "obs:serve-warm-p50:telemetry-off" (p50_off /. 1000.);
-      record "obs:serve-warm-p50:telemetry-on" (p50_on /. 1000.);
-      record "obs:serve-sim-p50:telemetry-off" (sim_p50_off /. 1000.);
-      record "obs:serve-sim-p50:telemetry-on" (sim_p50_on /. 1000.);
-      obs_json :=
-        List.rev
-          [
-            ("serve_reps", string_of_int reps);
-            ("serve_warm_p50_off_ms", Printf.sprintf "%.6f" p50_off);
-            ("serve_warm_p50_on_ms", Printf.sprintf "%.6f" p50_on);
-            ("serve_telemetry_overhead_ms", Printf.sprintf "%.6f" (p50_on -. p50_off));
-            ("serve_sim_reps", string_of_int sim_reps);
-            ("serve_sim_p50_off_ms", Printf.sprintf "%.6f" sim_p50_off);
-            ("serve_sim_p50_on_ms", Printf.sprintf "%.6f" sim_p50_on);
-            ("serve_telemetry_overhead_pct", Printf.sprintf "%.3f" sim_overhead_pct);
-            ("serve_strip_identical", string_of_bool strip_identical);
-          ]
-        @ !obs_json);
-  B.Obs.disable ();
-  B.Obs.reset ()
-
-(* ------------------------------------------------------------ WARMSTART *)
-
-let warmstart_json : (string * string) list ref = ref []
-
-let write_warmstart_json path =
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"bufsize-bench-warmstart-v2\"";
-  List.iter (fun (k, v) -> Printf.fprintf oc ",\n  %S: %s" k v) (List.rev !warmstart_json);
-  output_string oc "\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-(* The Fig-3 resize loop: an outer design loop (parameter sweeps, what-if
-   resizing, the replication-heavy experiment driver) re-runs the netproc
-   sizing many times with the same spec.  Cold, every iteration pays the
-   full CTMDP build + LP solve; warm, the first iteration populates the
-   exact-key solve caches and the rest are sizing-cache hits, so the whole
-   loop costs about one iteration.  The artifact also
-   cross-checks that the warm loop's answer is bitwise the cold one. *)
-let run_warmstart () =
-  section "WARMSTART: Fig-3 resize loop (10 iterations), cold solves vs solve caches";
-  let iterations = 10 in
-  let _, traffic = B.Netproc.create () in
-  let config = { (B.Sizing.default_config ~budget:160) with B.Sizing.max_states = 64 } in
-  let loop () =
-    let last = ref None in
-    for _ = 1 to iterations do
-      last := Some (B.Sizing.run config traffic)
-    done;
-    Option.get !last
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let t_cold, r_cold = with_cold_solves (fun () -> time loop) in
-  let cache_was = B.Numeric.Solve_cache.enabled () in
-  B.Numeric.Solve_cache.set_enabled true;
-  B.Numeric.Solve_cache.clear_all ();
-  let sz_hits0, sz_misses0 = B.Sizing.cache_stats () in
-  let lp_hits0, _ = B.Numeric.Lp.cache_stats () in
-  let t_warm, r_warm =
-    Fun.protect
-      ~finally:(fun () ->
-        B.Numeric.Solve_cache.set_enabled cache_was;
-        B.Numeric.Solve_cache.clear_all ())
-      (fun () -> time loop)
-  in
-  let sz_hits, sz_misses = B.Sizing.cache_stats () in
-  let lp_hits, _ = B.Numeric.Lp.cache_stats () in
-  let bits = Int64.bits_of_float in
-  let identical =
-    r_cold.B.Sizing.allocation = r_warm.B.Sizing.allocation
-    && bits r_cold.B.Sizing.predicted_loss_rate = bits r_warm.B.Sizing.predicted_loss_rate
-    && bits r_cold.B.Sizing.words_per_level = bits r_warm.B.Sizing.words_per_level
-    && r_cold.B.Sizing.budget_bound_active = r_warm.B.Sizing.budget_bound_active
-  in
-  let speedup = t_cold /. t_warm in
-  Format.printf "  %-28s %10.2f s@." (Printf.sprintf "cold (%d iterations)" iterations) t_cold;
-  Format.printf "  %-28s %10.2f s %8.2fx@."
-    (Printf.sprintf "warm (%d iterations)" iterations)
-    t_warm speedup;
-  Format.printf "  sizing cache: %d hits / %d misses; lp cache: %d hits@." (sz_hits - sz_hits0)
-    (sz_misses - sz_misses0) (lp_hits - lp_hits0);
-  Format.printf "  warm result bitwise identical to cold: %b@."
-    identical;
-  if not identical then Format.printf "  WARNING: warm loop diverged from the cold loop!@.";
-  record "warmstart:fig3-resize10:cold" t_cold;
-  record ~speedup "warmstart:fig3-resize10:warm" t_warm;
-  warmstart_json :=
-    [
-      ("workload", "\"sizing:netproc:budget=160:max_states=64\"");
-      ("iterations", string_of_int iterations);
-      ("cold_seconds", Printf.sprintf "%.6f" t_cold);
-      ("warm_seconds", Printf.sprintf "%.6f" t_warm);
-      ("speedup", Printf.sprintf "%.3f" speedup);
-      ("identical", string_of_bool identical);
-      ("sizing_cache_hits", string_of_int (sz_hits - sz_hits0));
-      ("sizing_cache_misses", string_of_int (sz_misses - sz_misses0));
-      ("lp_cache_hits", string_of_int (lp_hits - lp_hits0));
-    ]
-    |> List.rev
-
-(* ----------------------------------------------------------------- TOPO *)
-
-(* Mesh NoC sweep (n x n routers, shared-pool buffers, shift-by-one NI
-   traffic through the spec-text front door) comparing the three buffer
-   organizations per router: the paper's static partition, the DAMQ shared
-   pool at equal capacity, and the decoupled per-client M/M/1 baseline.
-   The invariant the CI smoke asserts: total DAMQ loss <= total static
-   loss at equal budget (the static admission rule is one of the pool's
-   actions).  Sweep override: BUFSIZE_TOPO_SWEEP="2,3" for smoke runs. *)
-
-let topo_spec_text ~rows ~cols ~mu ~rate =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "mesh noc rows %d cols %d rate %g\n" rows cols mu);
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      Buffer.add_string buf (Printf.sprintf "shared_buffer noc_r%dc%d\n" r c);
-      Buffer.add_string buf (Printf.sprintf "proc ni_r%dc%d on noc_r%dc%d\n" r c r c)
-    done
-  done;
-  let n = rows * cols in
-  for i = 0 to n - 1 do
-    let j = (i + 1) mod n in
-    Buffer.add_string buf
-      (Printf.sprintf "flow ni_r%dc%d -> ni_r%dc%d rate %g\n" (i / cols) (i mod cols)
-         (j / cols) (j mod cols) rate)
-  done;
-  Buffer.contents buf
-
-type topo_entry = {
-  te_size : int;
-  te_buses : int;
-  te_compared : int;
-  te_skipped : int;
-  te_budget : int;
-  te_seconds : float;
-  te_rss_mb : float;
-  te_static_loss : float;
-  te_damq_loss : float;
-  te_separate_loss : float;
-  te_static_delay : float;  (* mean over compared buses *)
-  te_damq_delay : float;
-  te_separate_delay : float;
-}
-
-let topo_records : topo_entry list ref = ref []
-
-let write_topo_json path =
-  let oc = open_out path in
-  output_string oc
-    "{\n  \"schema\": \"bufsize-bench-topo-v1\",\n  \"spec\": \
-     \"n x n mesh, mu=2.0, shift-by-one NI flows at 0.2, budget=8 words/router, \
-     max_states=16\",\n  \"entries\": [\n";
-  let entries = List.rev !topo_records in
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    {\"size\": %d, \"buses\": %d, \"compared\": %d, \"skipped\": %d, \
-         \"budget\": %d, \"seconds\": %.6f, \"peak_rss_mb\": %.1f, \
-         \"static_loss\": %.9g, \"damq_loss\": %.9g, \"separate_loss\": %.9g, \
-         \"damq_le_static\": %b, \"static_delay\": %.9g, \"damq_delay\": %.9g, \
-         \"separate_delay\": %.9g}%s\n"
-        e.te_size e.te_buses e.te_compared e.te_skipped e.te_budget e.te_seconds e.te_rss_mb
-        e.te_static_loss e.te_damq_loss e.te_separate_loss
-        (e.te_damq_loss <= e.te_static_loss +. 1e-9)
-        e.te_static_delay e.te_damq_delay e.te_separate_delay
-        (if i = last then "" else ","))
-    entries;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.(json written to %s)@." path
-
-let run_topo () =
-  section "TOPO: mesh NoC sweep, static vs DAMQ vs separate buffer organizations";
-  let sweep =
-    match Sys.getenv_opt "BUFSIZE_TOPO_SWEEP" with
-    | Some s ->
-        List.filter_map
-          (fun tok ->
-            let tok = String.trim tok in
-            if tok = "" then None else Some (int_of_string tok))
-          (String.split_on_char ',' s)
-    | None -> [ 2; 3; 4; 5; 6; 7; 8 ]
-  in
-  Format.printf "  %-6s %8s %10s %12s %12s %12s %10s@." "n" "buses" "seconds" "static_loss"
-    "damq_loss" "sep_loss" "damq<=st";
-  List.iter
-    (fun n ->
-      let text = topo_spec_text ~rows:n ~cols:n ~mu:2.0 ~rate:0.2 in
-      let traffic =
-        match B.Spec_parser.parse text with
-        | Ok (_, traffic) -> traffic
-        | Error msg -> failwith ("topo bench spec: " ^ msg)
-      in
-      let budget = 8 * n * n in
-      let config =
-        { (B.Sizing.default_config ~budget) with B.Sizing.max_states = 16 }
-      in
-      let t0 = Unix.gettimeofday () in
-      let _result, report = B.Sizing.compare_sharing config traffic in
-      let dt = Unix.gettimeofday () -. t0 in
-      let entries = report.B.Sizing.entries in
-      let mean f =
-        match entries with
-        | [] -> 0.
-        | _ ->
-            List.fold_left (fun acc e -> acc +. f e) 0. entries
-            /. float_of_int (List.length entries)
-      in
-      let e =
-        {
-          te_size = n;
-          te_buses = n * n;
-          te_compared = List.length entries;
-          te_skipped = List.length report.B.Sizing.skipped;
-          te_budget = budget;
-          te_seconds = dt;
-          te_rss_mb = vm_hwm_mb ();
-          te_static_loss = report.B.Sizing.total_static_loss;
-          te_damq_loss = report.B.Sizing.total_damq_loss;
-          te_separate_loss = report.B.Sizing.total_separate_loss;
-          te_static_delay = mean (fun e -> e.B.Sizing.static_delay);
-          te_damq_delay = mean (fun e -> e.B.Sizing.damq_delay);
-          te_separate_delay = mean (fun e -> e.B.Sizing.separate_delay);
-        }
-      in
-      topo_records := e :: !topo_records;
-      record (Printf.sprintf "topo:compare:n=%d" n) dt;
-      Format.printf "  %-6d %8d %10.2f %12.6g %12.6g %12.6g %10b@." n (n * n) dt
-        e.te_static_loss e.te_damq_loss e.te_separate_loss
-        (e.te_damq_loss <= e.te_static_loss +. 1e-9))
-    sweep;
-  Format.printf
-    "@.dynamic sharing (DAMQ) dominates the static partition on loss at equal@.\
-     capacity — the static admission rule is one of the pool's actions — while@.\
-     the decoupled per-client M/M/1 baseline understates loss by ignoring bus@.\
-     arbitration contention.@."
-
-(* ---------------------------------------------------------------- SERVE *)
-
-(* Daemon round-trip latency.  One cold request against a fresh server
-   (solve caches cleared, so the solve dominates), then a warm sweep from
-   concurrent client domains hitting the same problem — the exact-key
-   solve cache turns those into near-pure protocol overhead, so warm p50
-   should sit far below the cold latency (the acceptance bar in the CI
-   smoke job is 0.2x).  Every reply is checked bitwise against the first:
-   concurrency must never change an answer. *)
-
-type serve_summary = {
-  se_arch : string;
-  se_budget : int;
-  se_cold_ms : float;
-  se_clients : int;
-  se_requests : int;
-  se_warm_p50_ms : float;
-  se_warm_p99_ms : float;
-  se_throughput_rps : float;
-  se_bitwise : bool;
-}
-
-let serve_summary : serve_summary option ref = ref None
-
-let write_serve_json path =
-  match !serve_summary with
-  | None -> ()
-  | Some s ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema\": \"bufsize-bench-serve-v1\",\n\
-        \  \"arch\": %S,\n\
-        \  \"budget\": %d,\n\
-        \  \"cold_ms\": %.6f,\n\
-        \  \"clients\": %d,\n\
-        \  \"requests\": %d,\n\
-        \  \"warm_p50_ms\": %.6f,\n\
-        \  \"warm_p99_ms\": %.6f,\n\
-        \  \"throughput_rps\": %.1f,\n\
-        \  \"warm_p50_over_cold\": %.6f,\n\
-        \  \"bitwise_identical\": %b\n\
-         }\n"
-        s.se_arch s.se_budget s.se_cold_ms s.se_clients s.se_requests s.se_warm_p50_ms
-        s.se_warm_p99_ms s.se_throughput_rps
-        (s.se_warm_p50_ms /. Float.max 1e-9 s.se_cold_ms)
-        s.se_bitwise;
-      close_out oc;
-      Format.printf "@.(json written to %s)@." path
-
-let run_serve () =
-  section "SERVE: daemon round-trip latency, cold solve vs warm concurrent clients";
-  let arch = "netproc" and budget = 160 in
-  let clients = 4 and per_client = 25 in
-  let cfg =
-    {
-      B.Serve.socket_path = B.Serve.temp_socket_path ();
-      queue_depth = 64;
-      workers = 4;
-      default_deadline_ms = 0.;
-      max_request_bytes = 1 lsl 20;
-      flight_cap = 256;
-      log_requests = false;
-    }
-  in
-  let request ~id =
-    B.Json.Obj
-      [
-        ("id", B.Json.Num (float_of_int id));
-        ("op", B.Json.Str "size");
-        ("arch", B.Json.Str arch);
-        ("budget", B.Json.Num (float_of_int budget));
-      ]
-  in
-  let result_of reply = B.Json.encode (B.Json.member_exn "result" reply) in
-  let server = B.Serve.start ~config:cfg () in
-  Fun.protect
-    ~finally:(fun () -> B.Serve.stop server)
-    (fun () ->
-      let socket = cfg.B.Serve.socket_path in
-      B.Numeric.Solve_cache.clear_all ();
-      let t0 = Unix.gettimeofday () in
-      let cold_reply =
-        match B.Serve.request ~socket (request ~id:0) with
-        | Ok r -> r
-        | Error e -> failwith ("serve bench: cold request failed: " ^ e)
-      in
-      let cold_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      let expected = result_of cold_reply in
-      let sweep_t0 = Unix.gettimeofday () in
-      let domains =
-        Array.init clients (fun c ->
-            Domain.spawn (fun () ->
-                Array.init per_client (fun i ->
-                    let t0 = Unix.gettimeofday () in
-                    let reply =
-                      match B.Serve.request ~socket (request ~id:((100 * c) + i)) with
-                      | Ok r -> r
-                      | Error e -> failwith ("serve bench: warm request failed: " ^ e)
-                    in
-                    (1000. *. (Unix.gettimeofday () -. t0), result_of reply = expected))))
-      in
-      let per_domain = Array.map Domain.join domains in
-      let sweep_s = Unix.gettimeofday () -. sweep_t0 in
-      let samples = Array.concat (Array.to_list per_domain) in
-      let lat = Array.map fst samples in
-      Array.sort compare lat;
-      let pct p =
-        let n = Array.length lat in
-        lat.(Int.min (n - 1) (int_of_float (p *. float_of_int n)))
-      in
-      let bitwise = Array.for_all snd samples in
-      let n = Array.length samples in
-      let s =
-        {
-          se_arch = arch;
-          se_budget = budget;
-          se_cold_ms = cold_ms;
-          se_clients = clients;
-          se_requests = n;
-          se_warm_p50_ms = pct 0.5;
-          se_warm_p99_ms = pct 0.99;
-          se_throughput_rps = float_of_int n /. Float.max 1e-9 sweep_s;
-          se_bitwise = bitwise;
-        }
-      in
-      serve_summary := Some s;
-      record "serve:cold-request" (cold_ms /. 1000.);
-      record "serve:warm-sweep" sweep_s;
-      Format.printf "  cold single request     %10.2f ms  (%s, budget %d)@." cold_ms arch budget;
-      Format.printf "  warm p50 / p99          %10.3f ms / %.3f ms  (%d clients x %d requests)@."
-        s.se_warm_p50_ms s.se_warm_p99_ms clients per_client;
-      Format.printf "  throughput              %10.1f requests/s@." s.se_throughput_rps;
-      Format.printf "  warm p50 / cold         %10.4f  (bar: <= 0.2)@."
-        (s.se_warm_p50_ms /. Float.max 1e-9 cold_ms);
-      Format.printf "  bitwise identical       %10b@." bitwise;
-      if not bitwise then failwith "serve bench: a concurrent reply diverged from the cold reply")
-
 (* ----------------------------------------------------------------- main *)
 
 (* SIGINT/SIGTERM turn into exit so the at_exit telemetry exporters
-   (BUFSIZE_TRACE / metrics) still flush when a long sweep is cut short. *)
+   (BUFSIZE_TRACE / metrics) still flush when a long run is cut short. *)
 let install_exit_on_signals () =
   List.iter
     (fun signum ->
@@ -1401,64 +363,41 @@ let install_exit_on_signals () =
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
+let artifacts =
+  [
+    ("fig1", run_fig1);
+    ("nonlinear", run_nonlinear);
+    ("fig3", run_fig3);
+    ("table1", run_table1);
+  ]
+
+let ablations =
+  [
+    ("ablation-quantile", run_ablation_quantile);
+    ("ablation-levels", run_ablation_levels);
+    ("ablation-solver", run_ablation_solver);
+    ("ablation-weights", run_ablation_weights);
+    ("ablation-profiling", run_ablation_profiling);
+  ]
+
 let () =
-  install_exit_on_signals ();
-  B.Obs.init_from_env ();
-  let artifacts = [ "fig1"; "nonlinear"; "fig3"; "table1" ] in
-  let ablations =
-    [
-      "ablation-quantile";
-      "ablation-levels";
-      "ablation-solver";
-      "ablation-weights";
-      "ablation-profiling";
-      "parallel";
-      "perf";
-      "sparse";
-      "obs";
-      "warmstart";
-      "topo";
-      "serve";
-    ]
-  in
+  let known = artifacts @ ablations in
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let selected =
     match args with
-    | [] -> artifacts
-    | [ "all" ] -> artifacts @ ablations
-    | xs -> xs
+    | [] -> List.map snd artifacts
+    | [ "all" ] -> List.map snd known
+    | names ->
+        List.map
+          (fun name ->
+            match List.assoc_opt name known with
+            | Some run -> run
+            | None ->
+                Format.eprintf "unknown artifact %S; known: %s@." name
+                  (String.concat ", " (List.map fst known @ [ "all" ]));
+                exit 2)
+          names
   in
-  List.iter
-    (fun name ->
-      let t0 = Unix.gettimeofday () in
-      let known = ref true in
-      (match name with
-      | "fig1" -> run_fig1 ()
-      | "nonlinear" -> run_nonlinear ()
-      | "fig3" -> ignore (run_fig3 ())
-      | "table1" -> run_table1 ()
-      | "ablation-quantile" -> run_ablation_quantile ()
-      | "ablation-levels" -> run_ablation_levels ()
-      | "ablation-solver" -> run_ablation_solver ()
-      | "ablation-weights" -> run_ablation_weights ()
-      | "ablation-profiling" -> run_ablation_profiling ()
-      | "parallel" -> run_parallel ()
-      | "perf" -> run_perf ()
-      | "sparse" -> run_sparse ()
-      | "obs" -> run_obs ()
-      | "warmstart" -> run_warmstart ()
-      | "topo" -> run_topo ()
-      | "serve" -> run_serve ()
-      | other ->
-          known := false;
-          Format.printf "unknown artifact %S; known: %s@." other
-            (String.concat ", " (artifacts @ ablations @ [ "all" ])));
-      if !known then record (Printf.sprintf "artifact:%s" name) (Unix.gettimeofday () -. t0))
-    selected;
-  if List.exists (fun a -> a = "perf" || a = "parallel") selected then
-    write_bench_json "BENCH_parallel.json";
-  if List.mem "sparse" selected then write_sparse_json "BENCH_sparse.json";
-  if List.mem "obs" selected then write_obs_json "BENCH_obs.json";
-  if List.mem "warmstart" selected then write_warmstart_json "BENCH_warmstart.json";
-  if List.mem "topo" selected then write_topo_json "BENCH_topo.json";
-  if List.mem "serve" selected then write_serve_json "BENCH_serve.json"
+  install_exit_on_signals ();
+  B.Obs.init_from_env ();
+  List.iter (fun run -> run ()) selected

@@ -74,8 +74,8 @@ let env_true name =
   | Some _ | None -> false
 
 (* More domains than cores is pure overhead under OCaml 5's stop-the-world
-   minor GC — the 4-domain slowdown recorded in BENCH_parallel.json came
-   from exactly this on a small container.  [create] therefore caps the
+   minor GC: on a small container a 4-domain pool ran slower than a
+   1-domain one for exactly this reason.  [create] therefore caps the
    pool at the hardware's recommended domain count unless the caller (or
    BUFSIZE_POOL_OVERSUBSCRIBE=1) explicitly asks to exceed it, e.g. tests
    that must exercise real multi-domain execution on any machine. *)

@@ -8,8 +8,8 @@
 
     Also provides a Lagrangian alternative: dualize the constraints and
     solve the resulting unconstrained CTMDPs by policy iteration, adjusting
-    the multiplier by bisection.  Used by the ABL-SOLVER ablation and as a
-    scalable fallback for very large models. *)
+    the multiplier by bisection.  Only the unit tests call it; no
+    sizing or ablation path does. *)
 
 type result = {
   solved : Lp_formulation.solved;

@@ -186,6 +186,24 @@ let test_profiled_sizing_runs () =
     (fun loss -> Alcotest.(check bool) "losses finite" true (Float.is_finite loss && loss >= 0.))
     losses
 
+(* The bench harness built next to this test (see the [deps] of test/dune).
+   A mistyped artifact name must fail before any artifact runs, so a typo
+   in a script cannot pass silently. *)
+let test_bench_rejects_unknown_artifact () =
+  let bench = Filename.concat (Filename.concat ".." "bench") "main.exe" in
+  let out = Filename.temp_file "bench" ".out" and err = Filename.temp_file "bench" ".err" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let cmd = Filename.quote_command bench ~stdout:out ~stderr:err [ "fig1"; "no-such" ] in
+      Alcotest.(check int) "exit code" 2 (Sys.command cmd);
+      Alcotest.(check string) "nothing ran" "" (read out);
+      Alcotest.(check string) "known names listed"
+        "unknown artifact \"no-such\"; known: fig1, nonlinear, fig3, table1, ablation-quantile, \
+         ablation-levels, ablation-solver, ablation-weights, ablation-profiling, all\n"
+        (read err))
+
 let () =
   Alcotest.run "integration"
     [
@@ -203,4 +221,7 @@ let () =
           Alcotest.test_case "weighted experiment" `Slow test_weighted_experiment_protects_processor;
           Alcotest.test_case "profiled re-sizing" `Slow test_profiled_sizing_runs;
         ] );
+      ( "bench",
+        [ Alcotest.test_case "unknown artifact exits 2" `Quick test_bench_rejects_unknown_artifact ]
+      );
     ]

@@ -457,14 +457,20 @@ let small_traffic () =
       { Traffic.src = p3; dst = p1; rate = 0.7 };
     ]
 
+(* The caches are cleared before each run, so the traced run really solves
+   instead of replaying the untraced run's cached result. *)
 let test_sizing_identical_with_tracing_on_or_off () =
   fresh ();
   let traffic = small_traffic () in
   let config = { (Sizing.default_config ~budget:16) with Sizing.max_states = 48 } in
-  let off = Sizing.run config traffic in
+  let run () =
+    Bufsize_numeric.Solve_cache.clear_all ();
+    Sizing.run config traffic
+  in
+  let off = run () in
   Obs.enable_spans ();
   Obs.enable_metrics ();
-  let on = Sizing.run config traffic in
+  let on = run () in
   Alcotest.(check bool) "allocations identical" true
     (off.Sizing.allocation = on.Sizing.allocation);
   Alcotest.(check bool) "predicted gain bitwise identical" true

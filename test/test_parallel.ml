@@ -10,6 +10,7 @@ module Traffic = Bufsize_soc.Traffic
 module Buffer_alloc = Bufsize_soc.Buffer_alloc
 module Sim_run = Bufsize_sim.Sim_run
 module Replicate = Bufsize_sim.Replicate
+module Sizing = Bufsize_soc.Sizing
 
 (* Tests must exercise real multi-domain execution even on single-core CI
    runners, so they lift the core-count cap. *)
@@ -165,6 +166,29 @@ let test_replicate_pool_size_invariant () =
   let parallel = with_pool 3 (fun pool -> Replicate.run ~replications:8 ~pool spec) in
   check_aggregate_identical sequential parallel
 
+(* The sizing LPs fan out over the pool; the answer must not depend on how
+   many domains solve them.  Cold caches before each run, so the second
+   pool really solves rather than replaying the first pool's cached result. *)
+let test_sizing_pool_size_invariant () =
+  let traffic = Test_specs.traffic Test_specs.three_bus in
+  List.iter
+    (fun solver ->
+      let config =
+        { (Sizing.default_config ~budget:64) with Sizing.max_states = 40; solver }
+      in
+      let run k =
+        Bufsize_numeric.Solve_cache.clear_all ();
+        with_pool k (fun pool -> Sizing.run ~pool config traffic)
+      in
+      let one = run 1 and three = run 3 in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check bool) "allocation" true (one.Sizing.allocation = three.Sizing.allocation);
+      Alcotest.(check int64) "predicted loss bitwise" (bits one.Sizing.predicted_loss_rate)
+        (bits three.Sizing.predicted_loss_rate);
+      Alcotest.(check int64) "words per level bitwise" (bits one.Sizing.words_per_level)
+        (bits three.Sizing.words_per_level))
+    [ Sizing.Joint; Sizing.Separate ]
+
 (* --------------------------------------------------------- derived seeds *)
 
 let test_derive_seed_injective () =
@@ -264,6 +288,8 @@ let () =
         [
           Alcotest.test_case "aggregate invariant under pool size" `Quick
             test_replicate_pool_size_invariant;
+          Alcotest.test_case "sizing invariant under pool size" `Quick
+            test_sizing_pool_size_invariant;
         ] );
       ("seeds", [ Alcotest.test_case "derive_seed injective" `Quick test_derive_seed_injective ]);
       ( "stats-merge",

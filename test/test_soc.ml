@@ -935,42 +935,12 @@ let test_sizing_weighted_losses () =
   Alcotest.(check bool) "weighted processor gets at least as much" true
     (alloc_of weighted >= alloc_of base)
 
-(* A three-bus SoC whose buses are joined by two bridges, sized at budget
-   64 with 40 states per subsystem.  Its joint LP has ~110 rows, under the
-   auto-selection cutoff, so the dense tableau engine solves it.  The
-   allocation, the loss bits and the pivot count are pinned: any change to
-   the dense engine's pivot path or to its exact finish shows up here. *)
-let three_bus_spec =
-  {|bus cpu rate 3.7
-bus mem rate 4.5
-bus io rate 3.6
-proc cpu0 on cpu
-proc cpu1 on cpu
-proc cpu2 on cpu
-proc mem0 on mem
-proc mem1 on mem
-proc mem2 on mem
-proc io0 on io
-proc io1 on io
-proc io2 on io
-bridge b01 cpu mem
-bridge b12 mem io
-flow cpu0 -> mem0 rate 0.6
-flow cpu1 -> io1 rate 0.57
-flow cpu2 -> cpu0 rate 0.58
-flow mem1 -> cpu1 rate 0.63
-flow mem2 -> io0 rate 0.61
-flow io0 -> mem1 rate 0.62
-flow io2 -> cpu2 rate 0.56
-flow io1 -> io2 rate 0.56
-|}
-
+(* [Test_specs.three_bus] at budget 64 with 40 states per subsystem: the
+   dense tableau engine solves its joint LP.  The allocation, the loss bits
+   and the pivot count are pinned: any change to the dense engine's pivot
+   path or to its exact finish shows up here. *)
 let test_sizing_dense_pinned () =
-  let traffic =
-    match Bufsize_soc.Spec_parser.parse three_bus_spec with
-    | Ok (_, traffic) -> traffic
-    | Error e -> Alcotest.fail e
-  in
+  let traffic = Test_specs.traffic Test_specs.three_bus in
   let module Obs = Bufsize_obs.Obs in
   let dense = Obs.counter "simplex.pivots" and revised = Obs.counter "simplex_revised.pivots" in
   (* Cold caches, so the joint LP really runs; metrics on to count pivots. *)
@@ -1008,6 +978,39 @@ let test_sizing_finish_after_dual_cleanup () =
   Alcotest.(check string) "predicted loss bits" "0x1.64d85888d78d2p-5"
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
   Alcotest.(check int) "no retries" 0 (Obs.counter_value retries - before)
+
+(* An n x n mesh with a shared router buffer per cell and one NI per
+   router, each sending to the next NI in row-major order. *)
+let mesh_spec n =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf "mesh noc rows %d cols %d rate 2.0\n" n n;
+  for r = 0 to n - 1 do
+    for c = 0 to n - 1 do
+      Printf.bprintf buf "shared_buffer noc_r%dc%d\nproc ni_r%dc%d on noc_r%dc%d\n" r c r c r c
+    done
+  done;
+  for i = 0 to (n * n) - 1 do
+    let j = (i + 1) mod (n * n) in
+    Printf.bprintf buf "flow ni_r%dc%d -> ni_r%dc%d rate 0.2\n" (i / n) (i mod n) (j / n) (j mod n)
+  done;
+  Buffer.contents buf
+
+(* DAMQ never loses more than the static partition at equal capacity: the
+   static admission rule is one of the shared pool's actions.  Checked on
+   the whole-mesh totals that [Sizing.compare_sharing] reports. *)
+let test_compare_sharing_damq_le_static () =
+  List.iter
+    (fun n ->
+      let traffic = Test_specs.traffic (mesh_spec n) in
+      let config = { (Sizing.default_config ~budget:(8 * n * n)) with Sizing.max_states = 16 } in
+      let _, report = Sizing.compare_sharing config traffic in
+      let name what = Printf.sprintf "n=%d %s" n what in
+      Alcotest.(check bool) (name "buses compared") true (report.Sizing.entries <> []);
+      Alcotest.(check (list (pair string string))) (name "none skipped") [] report.Sizing.skipped;
+      if report.Sizing.total_damq_loss > report.Sizing.total_static_loss +. 1e-9 then
+        Alcotest.failf "n=%d: damq loss %g > static loss %g" n report.Sizing.total_damq_loss
+          report.Sizing.total_static_loss)
+    [ 2; 3 ]
 
 let test_sizing_rejects_bad_config () =
   let _, traffic = Fig1.create () in
@@ -1113,5 +1116,7 @@ let () =
           Alcotest.test_case "budget monotonicity" `Quick test_sizing_more_budget_less_loss;
           Alcotest.test_case "weighted losses" `Quick test_sizing_weighted_losses;
           Alcotest.test_case "config validation" `Quick test_sizing_rejects_bad_config;
+          Alcotest.test_case "compare_sharing: damq <= static on meshes" `Quick
+            test_compare_sharing_damq_le_static;
         ] );
     ]

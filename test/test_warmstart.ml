@@ -134,7 +134,8 @@ let test_lp_result_cache () =
    fraction * B / (B / L) levels, so doubling the budget B leaves every
    bit of the joint LP unchanged.  The 2B run misses the sizing memo
    (its key holds the budget) but hits the LP cache, and its answer is
-   bitwise the cache-off one. *)
+   bitwise the cache-off one.  A second 2B run is then a sizing-memo hit
+   that never reaches the LP cache, with the same bits again. *)
 let test_lp_cache_serves_doubled_budget () =
   with_clean_globals (fun () ->
       let spec =
@@ -157,15 +158,23 @@ let test_lp_cache_serves_doubled_budget () =
         (lp_hits, lp_misses);
       Alcotest.(check (pair int int)) "one sizing cache miss, no hit" (fst sz0, snd sz0 + 1)
         (sz_hits, sz_misses);
+      let memo = run 16 in
+      Alcotest.(check (pair int int)) "one sizing cache hit" (sz_hits + 1, sz_misses)
+        (Sizing.cache_stats ());
+      Alcotest.(check (pair int int)) "no further lp cache lookup" (lp_hits, lp_misses)
+        (Lp.cache_stats ());
       let bits = Int64.bits_of_float in
-      Alcotest.(check bool) "allocation as cache-off" true
-        (served.Sizing.allocation = cold.Sizing.allocation);
-      Alcotest.(check int64) "loss bitwise as cache-off" (bits cold.Sizing.predicted_loss_rate)
-        (bits served.Sizing.predicted_loss_rate);
-      Alcotest.(check int64) "words per level bitwise as cache-off"
-        (bits cold.Sizing.words_per_level) (bits served.Sizing.words_per_level);
-      Alcotest.(check bool) "bound activity as cache-off" cold.Sizing.budget_bound_active
-        served.Sizing.budget_bound_active)
+      List.iter
+        (fun (what, r) ->
+          Alcotest.(check bool) (what ^ ": allocation as cache-off") true
+            (r.Sizing.allocation = cold.Sizing.allocation);
+          Alcotest.(check int64) (what ^ ": loss bitwise as cache-off")
+            (bits cold.Sizing.predicted_loss_rate) (bits r.Sizing.predicted_loss_rate);
+          Alcotest.(check int64) (what ^ ": words per level bitwise as cache-off")
+            (bits cold.Sizing.words_per_level) (bits r.Sizing.words_per_level);
+          Alcotest.(check bool) (what ^ ": bound activity as cache-off")
+            cold.Sizing.budget_bound_active r.Sizing.budget_bound_active)
+        [ ("lp hit", served); ("sizing hit", memo) ])
 
 let test_cache_env_contract () =
   List.iter
