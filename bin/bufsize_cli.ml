@@ -315,7 +315,7 @@ let verify_cmd =
   let oracle_arg =
     let doc =
       "Run only this oracle (repeatable). Available: simplex-cross, mdp-gain, sim-analytic, \
-       sizing-bounds, split-monolithic, warm-cold, kron, topo, chaos, serve. Default: all."
+       sizing-bounds, split-monolithic, warm-cold, kron, topo, chaos, serve, price. Default: all."
     in
     Arg.(value & opt_all string [] & info [ "o"; "oracle" ] ~docv:"NAME" ~doc)
   in

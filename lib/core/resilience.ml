@@ -2,7 +2,7 @@
    escalation chains.
 
    Every numeric entry point of the solve pipeline (simplex, LU, Newton,
-   stationary solves, policy/value iteration) reports its outcome as a
+   stationary solves, the price-directed constrained solve) reports its outcome as a
    [diagnostic] instead of a bare exception or a silent NaN/unconverged
    return: which solver ran, whether the answer is clean ([Ok]), usable
    but produced by a fallback or with a known defect ([Degraded]), or

@@ -1,68 +1,286 @@
-type result = {
-  solved : Lp_formulation.solved;
-  switching : Kswitching.analysis;
-  policy_gain_check : float;
-}
+module Lp = Bufsize_numeric.Lp
+module Lu = Bufsize_numeric.Lu
+module Resilience = Bufsize_resilience.Resilience
+module Obs = Bufsize_obs.Obs
 
-type outcome = Feasible of result | Infeasible | Unbounded
+(* Price-path telemetry: cutting-plane rounds of the breakpoint search,
+   and solves that had to fall back to the joint LP. *)
+let m_price_rounds = Obs.counter "constrained.price_rounds"
+let m_lp_fallbacks = Obs.counter "constrained.lp_fallbacks"
 
-let outcome_of_lp ~bounds m = function
-  | Lp_formulation.Infeasible -> Infeasible
-  | Lp_formulation.Unbounded -> Unbounded
-  | Lp_formulation.Optimal solved ->
-      let switching =
-        Kswitching.analyze ~constraints:(Array.length bounds) m solved.Lp_formulation.policy
-      in
-      let check = Policy.evaluate m solved.Lp_formulation.policy in
-      Feasible { solved; switching; policy_gain_check = check.Policy.gain }
+type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
 
-let solve ?max_iter ~bounds m =
-  outcome_of_lp ~bounds m (Lp_formulation.solve ~extra_bounds:bounds ?max_iter m)
+let sequential = { map = Array.map }
 
-let solve_diag ?max_iter ?budget ~bounds m =
-  let o, diag = Lp_formulation.solve_diag ~extra_bounds:bounds ?max_iter ?budget m in
-  (Option.map (outcome_of_lp ~bounds m) o, diag)
+(* A reason to leave the price path for the LP step, and a bound that
+   even the least-usage policies exceed. *)
+exception Give_up of string
+exception Infeasible_bound
 
-let with_priced_extra m ~extra ~price =
-  Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.cost +. (price *. act.Ctmdp.extras.(extra)))
+(* The breakpoint search ends when the new policy's priced gain meets
+   the cutting-plane model within [search_rel_tol] relative, or gives up
+   after [max_rounds]; the one-state mix accepts its two end tuples when
+   they price within [mix_rel_tol] of the dual value; a least usage
+   within [feasibility_tol] of the bound counts as feasible, like the
+   LP's feasibility tolerance. *)
+let search_rel_tol = 1e-12
+let mix_rel_tol = 1e-9
+let feasibility_tol = 1e-9
+let max_rounds = 64
 
-let extra_usage m ~extra result =
-  let eval = Policy.evaluate m result.Policy_iteration.policy in
-  eval.Policy.extras.(extra)
+(* One block under one deterministic policy: the occupation measure and
+   its two linear functionals, summed in the order the LP harvest uses. *)
+type block = { choice : int array; occupation : float array array; gain : float; usage : float }
 
-let solve_lagrangian ?(bisection_steps = 40) ?(price_hi = 1e6) ~budget ~extra m =
-  if extra < 0 || extra >= Ctmdp.num_extras m then
-    invalid_arg "Constrained.solve_lagrangian: extra index out of range";
-  let solve_at price =
-    let priced = with_priced_extra m ~extra ~price in
-    let r = Policy_iteration.solve priced in
-    (* Report the gain in terms of the original costs. *)
-    let eval = Policy.evaluate m r.Policy_iteration.policy in
-    (r, eval.Policy.gain)
+let evaluate_block m choice =
+  let e = Policy.evaluate m (Policy.deterministic m choice) in
+  { choice; occupation = e.Policy.occupation; gain = e.Policy.gain; usage = e.Policy.extras.(0) }
+
+(* Policy iteration on one block at [price] per unit of extra 0 (or on
+   the extra alone, [`Usage]), strict about multichain policies so that
+   a singular evaluation leaves the price path instead of being patched
+   over. *)
+let solve_block ?max_iter ~objective ?initial m =
+  let priced =
+    match objective with
+    | `Price 0. -> m
+    | `Price price ->
+        Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.cost +. (price *. act.Ctmdp.extras.(0)))
+    | `Usage -> Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.extras.(0))
   in
-  let r0, _ = solve_at 0. in
-  if not r0.Policy_iteration.converged then None
-  else if extra_usage m ~extra r0 <= budget then Some (r0, 0.)
-  else begin
-    (* Find a price making the budget hold, then bisect the threshold. *)
-    let rec bracket price =
-      if price > price_hi then price_hi
-      else begin
-        let r, _ = solve_at price in
-        if extra_usage m ~extra r <= budget then price else bracket (price *. 4.)
-      end
+  match Policy_iteration.solve ?max_iter ~strict:true ?initial priced with
+  | exception Lu.Singular k ->
+      Error (Printf.sprintf "multichain policy (singular evaluation at pivot %d)" k)
+  | r when not r.Policy_iteration.converged ->
+      Error (Printf.sprintf "policy iteration hit max_iter (%d)" r.Policy_iteration.iterations)
+  | r -> Ok (evaluate_block m r.Policy_iteration.choice)
+
+let total_gain = Array.fold_left (fun acc b -> acc +. b.gain) 0.
+let total_usage = Array.fold_left (fun acc b -> acc +. b.usage) 0.
+
+(* The dual line of a policy tuple: its priced gain minus the priced
+   bound, G + price (U - bound). *)
+let line_value ~bound blocks price =
+  total_gain blocks +. (price *. (total_usage blocks -. bound))
+
+let solved ~gain ~usage occupation policy =
+  {
+    Lp_formulation.gain;
+    occupation;
+    policy;
+    extras = [| usage |];
+    extra_duals = [||];
+    lp_iterations = 0;
+  }
+
+let deterministic_solved m b =
+  solved ~gain:b.gain ~usage:b.usage b.occupation (Policy.deterministic m b.choice)
+
+(* Mix two deterministic policies of one block that differ in state
+   [state] only, with weight [alpha] on [a]: the occupation measures mix
+   linearly, so the policy randomizes in [state] alone. *)
+let mixed_solved m ~alpha ~state a b =
+  let occupation =
+    Array.mapi
+      (fun s row ->
+        Array.mapi (fun k x -> (alpha *. x) +. ((1. -. alpha) *. b.occupation.(s).(k))) row)
+      a.occupation
+  in
+  let probs =
+    Array.mapi
+      (fun s row ->
+        let mass = Array.fold_left ( +. ) 0. row in
+        if s = state && mass > 1e-12 then Array.map (fun x -> x /. mass) row
+        else Array.init (Array.length row) (fun k -> if k = b.choice.(s) then 1. else 0.))
+      occupation
+  in
+  let gain = ref 0. and usage = ref 0. in
+  Array.iteri
+    (fun s row ->
+      Array.iteri
+        (fun k x ->
+          let act = Ctmdp.action m s k in
+          gain := !gain +. (x *. act.Ctmdp.cost);
+          usage := !usage +. (x *. act.Ctmdp.extras.(0)))
+        row)
+    occupation;
+  solved ~gain:!gain ~usage:!usage occupation (Policy.randomized m probs)
+
+(* The price step proper: (joint record, price, rounds), or raises
+   [Give_up] or [Infeasible_bound]. *)
+let price_search ~map ?max_iter ~budget ~bound models =
+  let nb = Array.length models in
+  let solve_all objective initial =
+    let results =
+      map.map
+        (fun i -> solve_block ?max_iter ~objective ?initial:(initial i) models.(i))
+        (Array.init nb Fun.id)
     in
-    let hi0 = bracket 1e-3 in
-    let rec bisect lo hi steps =
-      if steps = 0 then hi
-      else begin
-        let mid = (lo +. hi) /. 2. in
-        let r, _ = solve_at mid in
-        if extra_usage m ~extra r <= budget then bisect lo mid (steps - 1)
-        else bisect mid hi (steps - 1)
-      end
+    Array.map (function Ok b -> b | Error why -> raise (Give_up why)) results
+  in
+  let record ~price ~rounds components =
+    let sum f = Array.fold_left (fun acc c -> acc +. f c) 0. components in
+    let joint =
+      {
+        Lp_formulation.total_gain = sum (fun c -> c.Lp_formulation.gain);
+        components;
+        shared_extras = [| sum (fun c -> c.Lp_formulation.extras.(0)) |];
+        shared_duals =
+          (match bound with
+          | None -> [||]
+          | Some _ -> [| (if price = 0. then 0. else -.price) |]);
+        joint_iterations = rounds;
+      }
     in
-    let price = bisect 0. hi0 bisection_steps in
-    let r, _ = solve_at price in
-    Some (r, price)
-  end
+    (joint, price, rounds)
+  in
+  let deterministic ~price ~rounds blocks =
+    record ~price ~rounds (Array.mapi (fun i b -> deterministic_solved models.(i) b) blocks)
+  in
+  (* 1. Slack test: the unconstrained optimum, block by block. *)
+  let free = solve_all (`Price 0.) (fun _ -> None) in
+  match bound with
+  | None -> deterministic ~price:0. ~rounds:0 free
+  | Some bound when total_usage free <= bound -> deterministic ~price:0. ~rounds:0 free
+  | Some bound ->
+      let least = solve_all `Usage (fun _ -> None) in
+      (* A least usage within the LP's feasibility tolerance of the bound
+         is feasible: the bound is moved up to it, so that [least] stays
+         a line of non-positive slope. *)
+      let least_usage = total_usage least in
+      if least_usage > bound +. (feasibility_tol *. (1. +. Float.abs bound)) then
+        raise Infeasible_bound;
+      let bound = Float.max bound least_usage in
+      if total_usage free <= bound then deterministic ~price:0. ~rounds:0 free
+      else
+      (* 2. Breakpoint search on the concave dual D(price) = min over
+         tuples of G + price (U - bound).  [hi] has U > bound, [lo] has
+         U <= bound; the cutting-plane model is min of their two lines,
+         maximized where they cross. *)
+      let rec search ~hi ~lo ~warm rounds =
+        if rounds >= max_rounds then raise (Give_up "price search hit its round cap");
+        if Resilience.exhausted budget then
+          raise (Give_up "budget exhausted during the price search");
+        let price =
+          Float.max 0. ((total_gain lo -. total_gain hi) /. (total_usage hi -. total_usage lo))
+        in
+        let model = line_value ~bound hi price in
+        let next = solve_all (`Price price) (fun i -> Some warm.(i).choice) in
+        Obs.incr m_price_rounds;
+        let rounds = rounds + 1 in
+        let slope = total_usage next -. bound in
+        if line_value ~bound next price >= model -. (search_rel_tol *. (1. +. Float.abs model))
+        then `Bracket (price, hi, lo, rounds)
+        else if slope > 0. then search ~hi:next ~lo ~warm:next rounds
+        else if slope < 0. then search ~hi ~lo:next ~warm:next rounds
+        else `Exact (price, next, rounds)
+      in
+      match search ~hi:free ~lo:least ~warm:free 0 with
+      | `Exact (price, blocks, rounds) -> deterministic ~price ~rounds blocks
+      | `Bracket (price, hi, lo, rounds) ->
+          (* 3. One-state mix.  Walk from [hi] to [lo] one (block, state)
+             switch at a time, in block-then-state order; bisect for a
+             switch where the usage crosses the bound and mix the two
+             tuples on either side of it. *)
+          let switches = ref [] in
+          Array.iteri
+            (fun i h ->
+              Array.iteri
+                (fun s a -> if a <> lo.(i).choice.(s) then switches := (i, s) :: !switches)
+                h.choice)
+            hi;
+          let switches = Array.of_list (List.rev !switches) in
+          let k = Array.length switches in
+          (* The tuple after the first [j] switches: blocks before the last
+             switched one are lo's, blocks after it hi's, and only that
+             block, when part-way, needs a fresh evaluation. *)
+          let tuple j =
+            let b, _ = switches.(j - 1) in
+            Array.init nb (fun i ->
+                if i < b || (i = b && (j = k || fst switches.(j) <> b)) then lo.(i)
+                else if i > b then hi.(i)
+                else begin
+                  let choice = Array.copy hi.(b).choice in
+                  for l = 0 to j - 1 do
+                    let bl, s = switches.(l) in
+                    if bl = b then choice.(s) <- lo.(b).choice.(s)
+                  done;
+                  evaluate_block models.(b) choice
+                end)
+          in
+          let rec bisect (a, ta) (z, tz) =
+            if z - a <= 1 then (a, ta, tz)
+            else
+              let mid = (a + z) / 2 in
+              let tm = tuple mid in
+              if total_usage tm > bound then bisect (mid, tm) (z, tz) else bisect (a, ta) (mid, tm)
+          in
+          let a, ta, tz = bisect (0, hi) (k, lo) in
+          let dual = Float.max (line_value ~bound hi price) (line_value ~bound lo price) in
+          let worst = Float.max (line_value ~bound ta price) (line_value ~bound tz price) in
+          if worst > dual +. (mix_rel_tol *. (1. +. Float.abs dual)) then
+            raise (Give_up "one-state mix: the tuples around the crossing are not optimal");
+          let ua = total_usage ta and uz = total_usage tz in
+          let alpha = (bound -. uz) /. (ua -. uz) in
+          let block, state = switches.(a) in
+          let components =
+            Array.mapi
+              (fun i m ->
+                if i = block && alpha > 0. then mixed_solved m ~alpha ~state ta.(i) tz.(i)
+                else deterministic_solved m tz.(i))
+              models
+          in
+          record ~price ~rounds components
+
+let solve_price ?(map = sequential) ?max_iter ?bound models =
+  let nb = Array.length models in
+  if nb = 0 then invalid_arg "Constrained.solve_price: no blocks";
+  Array.iter
+    (fun m ->
+      if Ctmdp.num_extras m <> 1 then
+        invalid_arg "Constrained.solve_price: every block needs exactly one extra")
+    models;
+  let budget = Resilience.of_env () in
+  let price = ref Float.nan and rounds = ref 0 in
+  Obs.span ~name:"ctmdp.price"
+    ~attrs:(fun () ->
+      [
+        ("blocks", string_of_int nb);
+        ("rounds", string_of_int !rounds);
+        ("price", Printf.sprintf "%.6g" !price);
+      ])
+  @@ fun () ->
+  let price_step =
+    Resilience.step "price" (fun budget ->
+        match price_search ~map ?max_iter ~budget ~bound models with
+        | j, p, r ->
+            price := p;
+            rounds := r;
+            Resilience.Accept (Lp_formulation.Joint_optimal j, Resilience.meta ~iterations:r ())
+        | exception Infeasible_bound ->
+            Resilience.Accept (Lp_formulation.Joint_infeasible, Resilience.meta ())
+        | exception Give_up why -> Resilience.Reject why)
+  in
+  let lp_step =
+    Resilience.step "lp" (fun budget ->
+        Obs.incr m_lp_fallbacks;
+        let shared_bounds =
+          Option.map (fun value -> [| { Lp_formulation.sense = Lp.Le; value } |]) bound
+        in
+        match Lp_formulation.solve_joint_diag ?shared_bounds ~budget models with
+        | Some o, d ->
+            let meta = Resilience.meta ~iterations:d.Resilience.iterations () in
+            (match o with
+            | Lp_formulation.Joint_optimal j when Array.length j.Lp_formulation.shared_duals > 0 ->
+                price := Float.max 0. (-.j.Lp_formulation.shared_duals.(0))
+            | _ -> ());
+            (match d.Resilience.status with
+            | Resilience.Ok -> Resilience.Accept (o, meta)
+            | Resilience.Degraded why | Resilience.Failed why -> Resilience.Partial (o, meta, why))
+        | None, d ->
+            Resilience.Reject
+              (Option.value ~default:"LP failed" (Resilience.status_reason d.Resilience.status)))
+  in
+  Resilience.escalate
+    ~solver:(Printf.sprintf "ctmdp.price(blocks=%d)" nb)
+    ~budget [ price_step; lp_step ]

@@ -1,55 +1,58 @@
-(** Constrained average-cost CTMDP solving — the paper's method wrapped in
-    one call, with diagnostics.
+(** Constrained average-cost CTMDP solving by price.
 
-    Combines {!Lp_formulation} (the only solver able to handle the
-    constraints), {!Kswitching} (structure of the optimal policy), and a
-    sanity cross-check of the reported gain against a re-evaluation of the
-    extracted policy.
+    The paper's joint LP ({!Lp_formulation.solve_joint}) couples its
+    per-subsystem blocks through one shared occupancy row.  Such a
+    problem is solved here by one scalar price on that row and policy
+    iteration per block, with the LP as the fallback and the reference
+    the [price] verify oracle checks against; {!Kswitching} bounds the
+    answer's randomization to one state. *)
 
-    Also provides a Lagrangian alternative: dualize the constraints and
-    solve the resulting unconstrained CTMDPs by policy iteration, adjusting
-    the multiplier by bisection.  Only the unit tests call it; no
-    sizing or ablation path does. *)
+type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
+(** How {!solve_price} runs its independent per-block solves: [Array.map]
+    semantics (results in input order), possibly on several domains.
+    Default [Array.map]; Sizing passes its domain pool. *)
 
-type result = {
-  solved : Lp_formulation.solved;
-  switching : Kswitching.analysis;
-  policy_gain_check : float;
-      (** gain of the extracted policy re-evaluated through its CTMC;
-          should match [solved.gain] up to numerical error for unichain
-          models *)
-}
-
-type outcome =
-  | Feasible of result
-  | Infeasible
-  | Unbounded
-
-val solve :
-  ?max_iter:int -> bounds:Lp_formulation.bound array -> Ctmdp.t -> outcome
-
-val solve_diag :
+val solve_price :
+  ?map:map ->
   ?max_iter:int ->
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  bounds:Lp_formulation.bound array ->
-  Ctmdp.t ->
-  outcome option * Bufsize_resilience.Resilience.diagnostic
-(** {!solve} through the LP escalation chain, reporting how the solve was
-    obtained (engine fallbacks, anti-cycling, budget exhaustion) as a
-    structured diagnostic. *)
+  ?bound:float ->
+  Ctmdp.t array ->
+  Lp_formulation.joint_outcome option * Bufsize_resilience.Resilience.diagnostic
+(** [solve_price ~bound blocks] minimizes the summed gain of independent
+    CTMDP blocks subject to one shared bound on the time-average sum of
+    their extra 0 — the problem {!Lp_formulation.solve_joint} solves with
+    one [Le] shared row — without the LP:
 
-val solve_lagrangian :
-  ?bisection_steps:int ->
-  ?price_hi:float ->
-  budget:float ->
-  extra:int ->
-  Ctmdp.t ->
-  (Policy_iteration.result * float) option
-(** [solve_lagrangian ~budget ~extra m] minimizes cost subject to
-    [E extra <= budget] by bisecting on the resource price: for price [y],
-    policy iteration solves the unconstrained CTMDP with costs
-    [c + y * r_extra].  Returns the policy-iteration result at the final
-    price together with that price, or [None] when even price 0 satisfies
-    the budget (the constraint is slack: the unconstrained optimum is
-    returned inside [Some] in that case too — [None] only when policy
-    iteration fails to converge). *)
+    + {e slack test}: one policy iteration per block at price 0; when the
+      summed usage is within [bound] (or there is no bound) that is the
+      answer, at price 0;
+    + {e breakpoint search}: otherwise a cutting-plane search on the
+      concave, piecewise-linear dual
+      [D(p) = sum_i min_pi (g_i + p u_i) - p bound], started from the
+      price-0 policies and the least-usage policies (policy iteration on
+      the extra alone, which also detects an infeasible bound).  Each
+      round runs one warm-started policy iteration per block at the
+      price where the two bracketing lines cross, and the search stops
+      when the new policy meets the lines' value within 1e-12 relative;
+    + {e one-state mix}: on the walk from one bracketing policy tuple to
+      the other, one (block, state) switch at a time in a fixed order, a
+      bisection finds a switch where usage crosses the bound; the
+      occupation measures of the two tuples around it, which must both
+      price within 1e-9 relative of the dual value, are mixed to meet
+      the bound exactly, so the answer randomizes in at most one state
+      (Feinberg's K-switching bound for K = 1).
+
+    The answer is the record the joint LP returns, with
+    [shared_duals = [| -p* |]] in the LP's sign convention ([[||]]
+    without a bound) and [joint_iterations] the number of search rounds.
+    An infeasible bound is [Joint_infeasible].  The solve runs as a
+    {!Bufsize_resilience.Resilience.escalate} chain under the ambient
+    budget ({!Bufsize_resilience.Resilience.of_env}), which is also
+    checked between rounds.  When policy
+    iteration does not converge within [max_iter] (default 1000), meets a
+    multichain policy (a singular dense evaluation), the search hits
+    64 rounds or the mix fails, the chain falls back to
+    {!Lp_formulation.solve_joint_diag} on the same blocks and the
+    diagnostic names the reason.  Every block must have exactly one
+    extra.  Counters: [constrained.price_rounds],
+    [constrained.lp_fallbacks]; span: [ctmdp.price]. *)

@@ -98,21 +98,6 @@ let check_bounds m extra_bounds =
       if Array.length bs <> Ctmdp.num_extras m then
         invalid_arg "Lp_formulation: extra_bounds length mismatch"
 
-let build ?extra_bounds m =
-  check_bounds m extra_bounds;
-  let lp = Lp.create ~name:"ctmdp-average-cost" Lp.Minimize in
-  let x = add_block lp m ~prefix:"" in
-  (match extra_bounds with
-  | None -> ()
-  | Some bs ->
-      Array.iteri
-        (fun k b ->
-          Lp.add_constraint ~name:(Printf.sprintf "extra_%d" k) lp (extra_terms m x k) b.sense
-            b.value)
-        bs);
-  Lp.set_objective lp (objective_terms m x);
-  lp
-
 (* Extract occupation / extras / policy from raw LP values laid out as one
    block's x.(s).(a) handles. *)
 let harvest m x values =

@@ -40,10 +40,6 @@ type outcome =
   | Infeasible
   | Unbounded
 
-val build : ?extra_bounds:bound array -> Ctmdp.t -> Bufsize_numeric.Lp.t
-(** The LP model, exposed for inspection and benchmarks.  [extra_bounds]
-    must have length [Ctmdp.num_extras]; omitted means unconstrained. *)
-
 val solve :
   ?extra_bounds:bound array ->
   ?max_iter:int ->

@@ -120,46 +120,6 @@ let evaluate m choice =
     | r -> r
     | exception Lu.Singular _ -> evaluate_deterministic_iterative m choice
 
-module Resilience = Bufsize_resilience.Resilience
-
-let gain_bias_finite (g, h) = Float.is_finite g && Resilience.all_finite h
-
-(* Diagnostic policy evaluation: the same dense-then-iterative chain as
-   [evaluate], but every step is checked for finiteness and the fallback
-   is recorded instead of taken silently.  Above the dense threshold only
-   the iterative step runs (the dense system would allocate O(n^2)). *)
-let evaluate_diag ?budget m choice =
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
-  let accept pair ~iterations =
-    if gain_bias_finite pair then
-      Resilience.Accept (pair, Resilience.meta ~iterations ())
-    else Resilience.Reject "gain/bias contains NaN/Inf"
-  in
-  let dense =
-    Resilience.step "dense-lu" (fun _ ->
-        match evaluate_deterministic m choice with
-        | pair -> accept pair ~iterations:0
-        | exception Lu.Singular k ->
-            Resilience.Reject
-              (Printf.sprintf "singular evaluation system (pivot %d): multichain policy" k))
-  in
-  let iterative =
-    Resilience.step "uniformized-iterative" (fun _ ->
-        let g, h, iters, converged = evaluate_deterministic_iterative_report m choice in
-        if not (gain_bias_finite (g, h)) then
-          Resilience.Reject "gain/bias contains NaN/Inf"
-        else if converged then Resilience.Accept ((g, h), Resilience.meta ~iterations:iters ())
-        else
-          Resilience.Partial
-            ((g, h), Resilience.meta ~iterations:iters (), "Poisson sweep hit max_iter"))
-  in
-  let steps =
-    if Ctmdp.num_states m > dense_threshold then [ iterative ] else [ dense; iterative ]
-  in
-  Resilience.escalate
-    ~solver:(Printf.sprintf "policy_iteration.evaluate(n=%d)" (Ctmdp.num_states m))
-    ~budget steps
-
 let improvement m bias =
   Array.init (Ctmdp.num_states m) (fun s ->
       let value a =
@@ -181,8 +141,11 @@ let improvement m bias =
       done;
       (!best, !best_val))
 
-let solve ?(max_iter = 1000) ?(tol = 1e-9) ?initial m =
+let solve ?(max_iter = 1000) ?(tol = 1e-9) ?(strict = false) ?initial m =
   let n = Ctmdp.num_states m in
+  let evaluate =
+    if strict && n <= dense_threshold then evaluate_deterministic else evaluate
+  in
   let choice =
     match initial with
     | Some c ->
@@ -222,22 +185,3 @@ let solve ?(max_iter = 1000) ?(tol = 1e-9) ?initial m =
     end
   in
   loop choice 0
-
-(* Diagnostic wrapper around [solve]: convergence and finiteness become
-   data.  One step only — policy iteration already escalates internally
-   through [evaluate]'s dense-to-iterative fallback. *)
-let solve_diag ?budget ?max_iter ?tol ?initial m =
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
-  Resilience.escalate
-    ~solver:(Printf.sprintf "policy_iteration.solve(n=%d)" (Ctmdp.num_states m))
-    ~budget
-    [
-      Resilience.step "policy-iteration" (fun _ ->
-          let r = solve ?max_iter ?tol ?initial m in
-          if not (gain_bias_finite (r.gain, r.bias)) then
-            Resilience.Reject "gain/bias contains NaN/Inf"
-          else
-            let meta = Resilience.meta ~iterations:r.iterations () in
-            if r.converged then Resilience.Accept (r, meta)
-            else Resilience.Partial (r, meta, "policy iteration hit max_iter"));
-    ]

@@ -6,9 +6,10 @@
     {v  c_phi - g 1 + Q_phi h = 0,   h(s0) = 0  v}
 
     and the improvement step replaces [phi(s)] by the action minimizing
-    [c(s,a) + sum_j q(j|s,a) h(j)].  Unconstrained only — it serves as an
-    independent cross-check of the LP formulation (they must agree on the
-    gain) and as the inner solver of the Lagrangian decomposition. *)
+    [c(s,a) + sum_j q(j|s,a) h(j)].  Unconstrained only — it is the
+    per-block solver of the price-directed constrained solve
+    ({!Constrained.solve_price}) and an independent cross-check of the LP
+    formulation (they must agree on the gain). *)
 
 type result = {
   policy : Policy.t;
@@ -57,28 +58,12 @@ val evaluate : Ctmdp.t -> int array -> float * Bufsize_numeric.Vec.t
     hundred states (degrading to the iterative path when the dense system
     is singular, i.e. the policy is multichain), iterative above. *)
 
-val evaluate_diag :
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  Ctmdp.t ->
-  int array ->
-  (float * Bufsize_numeric.Vec.t) option * Bufsize_resilience.Resilience.diagnostic
-(** {!evaluate} with the fallback recorded instead of taken silently: a
-    singular dense system rejects the first step with the pivot named, an
-    unconverged iterative sweep surfaces as a best-known [Degraded]
-    answer, and NaN/Inf in gain or bias is rejected outright. *)
-
-val solve : ?max_iter:int -> ?tol:float -> ?initial:int array -> Ctmdp.t -> result
+val solve :
+  ?max_iter:int -> ?tol:float -> ?strict:bool -> ?initial:int array -> Ctmdp.t -> result
 (** Policy iteration from [initial] (default: first action everywhere).
     [tol] (default [1e-9]) is the improvement threshold guarding against
-    cycling on ties; [max_iter] defaults to [1000]. *)
-
-val solve_diag :
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?initial:int array ->
-  Ctmdp.t ->
-  result option * Bufsize_resilience.Resilience.diagnostic
-(** {!solve} as a diagnostic: [Ok] when converged, [Degraded] (with the
-    best policy found) when the iteration cap was hit, [Failed] on
-    NaN/Inf. *)
+    cycling on ties; [max_iter] defaults to [1000].  With [strict]
+    (default [false]) a multichain policy met on the way is an error:
+    the singular dense evaluation raises
+    [Bufsize_numeric.Lu.Singular] instead of degrading to the iterative
+    evaluation. *)

@@ -91,22 +91,3 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-9) ~alpha m =
     else loop next (iters + 1)
   in
   loop (Vec.zeros n) 0
-
-module Resilience = Bufsize_resilience.Resilience
-
-(* Diagnostic wrapper: span convergence and value finiteness as data. *)
-let solve_diag ?budget ?max_iter ?tol ~alpha m =
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
-  Resilience.escalate
-    ~solver:(Printf.sprintf "value_iteration.solve(n=%d)" (Ctmdp.num_states m))
-    ~budget
-    [
-      Resilience.step "uniformized-value-iteration" (fun _ ->
-          let r = solve ?max_iter ?tol ~alpha m in
-          if not (Resilience.all_finite r.values) then
-            Resilience.Reject "value vector contains NaN/Inf"
-          else
-            let meta = Resilience.meta ~iterations:r.iterations ~residual:r.span () in
-            if r.converged then Resilience.Accept (r, meta)
-            else Resilience.Partial (r, meta, "span target not reached within max_iter"));
-    ]

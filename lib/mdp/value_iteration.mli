@@ -22,14 +22,3 @@ val solve :
 (** [solve ~alpha m] with discount rate [alpha > 0].  [tol] (default
     [1e-9]) is the span target; [max_iter] defaults to [100_000].
     @raise Invalid_argument if [alpha <= 0]. *)
-
-val solve_diag :
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  ?max_iter:int ->
-  ?tol:float ->
-  alpha:float ->
-  Ctmdp.t ->
-  result option * Bufsize_resilience.Resilience.diagnostic
-(** {!solve} as a diagnostic: [Ok] when the span target was met,
-    [Degraded] with the best iterate when [max_iter] was exhausted,
-    [Failed] on NaN/Inf values. *)

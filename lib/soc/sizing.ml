@@ -1,6 +1,6 @@
-module Lp = Bufsize_numeric.Lp
 module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Kswitching = Bufsize_mdp.Kswitching
+module Constrained = Bufsize_mdp.Constrained
 module Pool = Bufsize_pool.Pool
 module Resilience = Bufsize_resilience.Resilience
 module Obs = Bufsize_obs.Obs
@@ -49,6 +49,7 @@ type result = {
   predicted_loss_rate : float;
   words_per_level : float;
   budget_bound_active : bool;
+  bound_price : float;
   health : Resilience.health;
 }
 
@@ -120,6 +121,25 @@ let unconstrained_note = "occupancy budget bound not honored: solved unconstrain
    giving up on the DAMQ comparison for a bus. *)
 let shared_guard config = Int.max 512 (4 * config.max_states)
 
+(* The price the shared occupancy row carries in a price-path or LP
+   answer: the negated dual in the LP's sign convention, 0 when slack. *)
+let price_of (j : Lp_formulation.joint_solved) =
+  if Array.length j.Lp_formulation.shared_duals = 0 then 0.
+  else Float.max 0. (-.j.Lp_formulation.shared_duals.(0))
+
+(* Solve independent blocks under at most one shared occupancy bound,
+   retrying without the bound when it cannot be met: (joint answer, bound
+   kept, price, diagnostic). *)
+let solve_blocks ?map ?bound blocks =
+  match Constrained.solve_price ?map ?bound blocks with
+  | Some (Lp_formulation.Joint_optimal j), diag -> Some (j, true, price_of j, diag)
+  | _ when bound = None -> None
+  | _ -> (
+      match Constrained.solve_price ?map blocks with
+      | Some (Lp_formulation.Joint_optimal j), diag ->
+          Some (j, false, 0., demote unconstrained_note "unconstrained" diag)
+      | _ -> None)
+
 (* Re-solve one statically solved subsystem as a DAMQ shared pool of equal
    capacity (total static levels).  The static partition's admission rule
    is included as an action alternative, so the shared optimum can never
@@ -138,26 +158,15 @@ let damq_reeval ?(bound_occupancy = true) config (s : subsystem_solution) =
   with
   | exception Invalid_argument msg -> Error msg
   | shared -> (
-      let model = Bus_model.Shared.ctmdp shared in
-      let constrained () =
-        let bound = s.solved.Lp_formulation.extras.(0) in
-        let value = bound +. (1e-6 *. (1. +. Float.abs bound)) in
-        Lp_formulation.solve_diag
-          ~extra_bounds:[| { Lp_formulation.sense = Lp.Le; value } |]
-          model
+      let bound =
+        if bound_occupancy then
+          let used = s.solved.Lp_formulation.extras.(0) in
+          Some (used +. (1e-6 *. (1. +. Float.abs used)))
+        else None
       in
-      let first =
-        if bound_occupancy then constrained ()
-        else Lp_formulation.solve_diag model
-      in
-      match first with
-      | Some (Lp_formulation.Optimal d), diag -> Ok (shared, d, diag)
-      | _ when bound_occupancy -> (
-          match Lp_formulation.solve_diag model with
-          | Some (Lp_formulation.Optimal d), diag ->
-              Ok (shared, d, demote unconstrained_note "unconstrained-lp" diag)
-          | _ -> Error "shared-pool LP failed")
-      | _ -> Error "shared-pool LP failed")
+      match solve_blocks ?bound [| Bus_model.Shared.ctmdp shared |] with
+      | Some (j, _, _, diag) -> Ok (shared, j.Lp_formulation.components.(0), diag)
+      | None -> Error "shared-pool solve failed")
 
 let solve_subsystems ?pool config models =
   let total_levels =
@@ -170,31 +179,25 @@ let solve_subsystems ?pool config models =
   in
   (* Per-subsystem CTMDP construction is independent — build on the pool. *)
   let ctmdps = Pool.map_array ?pool Bus_model.ctmdp models in
+  let fail () = failwith "Sizing.run: subsystem solve failed even without the budget bound" in
   match config.solver with
   | Joint -> (
-      let attempt bounds =
+      (* One price couples the blocks; the per-block policy iterations of
+         each round run on the pool. *)
+      let map = { Constrained.map = (fun f a -> Pool.map_array ?pool f a) } in
+      match
         Obs.span ~name:"sizing.solve-joint"
           ~attrs:(fun () -> [ ("subsystems", string_of_int (Array.length ctmdps)) ])
-          (fun () -> Lp_formulation.solve_joint_diag ?shared_bounds:bounds ctmdps)
-      in
-      match
-        attempt (Some [| { Lp_formulation.sense = Lp.Le; value = bound_levels } |])
+          (fun () -> solve_blocks ~map ~bound:bound_levels ctmdps)
       with
-      | Some (Lp_formulation.Joint_optimal j), diag ->
+      | Some (j, active, price, diag) ->
           ( j.Lp_formulation.components,
             j.Lp_formulation.total_gain,
-            true,
+            active,
+            price,
             words_per_level,
-            [ ("joint-lp", diag) ] )
-      | _ -> (
-          match attempt None with
-          | Some (Lp_formulation.Joint_optimal j), diag ->
-              ( j.Lp_formulation.components,
-                j.Lp_formulation.total_gain,
-                false,
-                words_per_level,
-                [ ("joint-lp", demote unconstrained_note "unconstrained-lp" diag) ] )
-          | _ -> failwith "Sizing.run: joint LP failed even without the budget bound"))
+            [ ("joint", diag) ] )
+      | None -> fail ())
   | Separate ->
       let shares =
         (* Divide the occupancy bound proportionally to represented levels. *)
@@ -203,35 +206,32 @@ let solve_subsystems ?pool config models =
             bound_levels *. float_of_int (Bus_model.total_levels m) /. float_of_int total_levels)
           models
       in
-      (* Each subsystem LP is independent (that is the paper's point), so
-         solve them on the pool.  The solver returns (solution, bound kept,
-         diagnostic) triples instead of flipping a shared flag — no mutable
-         state crosses domains, and the same code path serves the
-         sequential fallback. *)
+      (* Each subsystem is independent (that is the paper's point), with a
+         price of its own, so solve them on the pool.  The solver returns
+         its result instead of flipping a shared flag — no mutable state
+         crosses domains. *)
       let solve_one i m =
         Obs.span ~name:"sizing.subsystem"
           ~attrs:(fun () -> [ ("bus", bus_label models.(i)) ])
         @@ fun () ->
-        let bounds = [| { Lp_formulation.sense = Lp.Le; value = shares.(i) } |] in
-        match Lp_formulation.solve_diag ~extra_bounds:bounds m with
-        | Some (Lp_formulation.Optimal s), diag -> (s, true, diag)
-        | _ -> (
-            match Lp_formulation.solve_diag m with
-            | Some (Lp_formulation.Optimal s), diag ->
-                (s, false, demote unconstrained_note "unconstrained-lp" diag)
-            | _ -> failwith "Sizing.run: subsystem LP failed")
+        match solve_blocks ~bound:shares.(i) [| m |] with
+        | Some (j, active, price, diag) -> (j.Lp_formulation.components.(0), active, price, diag)
+        | None -> fail ()
       in
       let solved = Pool.mapi_array ?pool solve_one ctmdps in
-      let solutions = Array.map (fun (s, _, _) -> s) solved in
-      let active = Array.for_all (fun (_, a, _) -> a) solved in
+      let solutions = Array.map (fun (s, _, _, _) -> s) solved in
+      let active = Array.for_all (fun (_, a, _, _) -> a) solved in
+      (* The report's price is the largest block price: the bound binds
+         when it binds anywhere. *)
+      let price = Array.fold_left (fun acc (_, _, p, _) -> Float.max acc p) 0. solved in
       let health =
-        Array.to_list (Array.mapi (fun i (_, _, d) -> (bus_label models.(i), d)) solved)
+        Array.to_list (Array.mapi (fun i (_, _, _, d) -> (bus_label models.(i), d)) solved)
       in
       let gain = Array.fold_left (fun acc s -> acc +. s.Lp_formulation.gain) 0. solutions in
-      (solutions, gain, active, words_per_level, health)
+      (solutions, gain, active, price, words_per_level, health)
 
-(* The expensive middle of [run] — CTMDP construction, the LP solve(s),
-   and the occupancy / K-switching post-processing — is a deterministic
+(* The expensive middle of [run] — CTMDP construction, the constrained
+   solve(s), and the occupancy / K-switching post-processing — is a deterministic
    function of the post-profile subsystems and the numeric config, so it
    is memoized in a process-wide exact-key cache.  The key prints every
    number that feeds the computation losslessly (including the
@@ -245,6 +245,7 @@ type cached = {
   c_total_gain : float;
   c_words_per_level : float;
   c_bound_active : bool;
+  c_bound_price : float;
   c_lp_health : Resilience.health;
 }
 
@@ -323,7 +324,7 @@ let run ?measured_rates ?pool config traffic =
                     ~max_states:config.max_states s))
             subsystems
         in
-        let solved, total_gain, bound_active, words_per_level, lp_health =
+        let solved, total_gain, bound_active, bound_price, words_per_level, lp_health =
           solve_subsystems ?pool config models
         in
         let solutions =
@@ -354,6 +355,7 @@ let run ?measured_rates ?pool config traffic =
             c_total_gain = total_gain;
             c_words_per_level = words_per_level;
             c_bound_active = bound_active;
+            c_bound_price = bound_price;
             c_lp_health = lp_health;
           }
         in
@@ -433,6 +435,7 @@ let run ?measured_rates ?pool config traffic =
     predicted_loss_rate;
     words_per_level = payload.c_words_per_level;
     budget_bound_active = payload.c_bound_active;
+    bound_price = payload.c_bound_price;
     health = payload.c_lp_health @ damq_health @ occupancy_health;
   }
 
@@ -490,8 +493,9 @@ let compare_sharing ?pool config traffic =
         (* Static partition at its solved levels, unconstrained: the best
            loss the partition itself allows. *)
         let static_eval () =
-          match Lp_formulation.solve_diag (Bus_model.ctmdp s.model) with
-          | Some (Lp_formulation.Optimal st), _ ->
+          match solve_blocks [| Bus_model.ctmdp s.model |] with
+          | Some (j, _, _, _) ->
+              let st = j.Lp_formulation.components.(0) in
               let occupancy =
                 Bus_model.occupancy_distribution s.model st.Lp_formulation.policy
               in
@@ -504,7 +508,7 @@ let compare_sharing ?pool config traffic =
                   0. occupancy
               in
               Ok (st.Lp_formulation.gain, expected)
-          | _ -> Error "static LP failed"
+          | _ -> Error "static solve failed"
         in
         let damq_eval () =
           match damq_reeval ~bound_occupancy:false config s with
@@ -583,6 +587,9 @@ let pp_summary ppf r =
     r.config.budget
     (Buffer_alloc.num_buffers r.allocation)
     (Array.length r.solutions) r.predicted_loss_rate r.words_per_level
-    (if r.budget_bound_active then "active" else "fallback (unconstrained)");
+    (if not r.budget_bound_active then "fallback (unconstrained)"
+     else if r.bound_price > 0. then
+       Printf.sprintf "binding (price %.4g per level)" r.bound_price
+     else "slack (price 0)");
   if not (Resilience.health_ok r.health) then
     Format.fprintf ppf "@\n%a" Resilience.pp_health r.health

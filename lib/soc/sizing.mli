@@ -1,12 +1,14 @@
 (** End-to-end CTMDP buffer sizing — the paper's methodology in one call.
 
     Pipeline: split the architecture at bridges ({!Splitting}), build one
-    CTMDP per subsystem ({!Bus_model}), solve all subsystems in one joint
-    LP with a shared time-average buffer-occupancy budget
-    ({!Bufsize_mdp.Lp_formulation.solve_joint}), analyze the K-switching
-    structure, translate the optimal policy's stationary occupancy
-    distributions into per-client buffer requirements (occupancy quantile),
-    and apportion the integer word budget ({!Buffer_alloc}).
+    CTMDP per subsystem ({!Bus_model}), solve all subsystems jointly under
+    a shared time-average buffer-occupancy budget — the paper's joint LP,
+    solved by one scalar price and per-subsystem policy iteration
+    ({!Bufsize_mdp.Constrained.solve_price}, with the joint LP
+    {!Bufsize_mdp.Lp_formulation.solve_joint} as its fallback) — analyze
+    the K-switching structure, translate the optimal policy's stationary
+    occupancy distributions into per-client buffer requirements (occupancy
+    quantile), and apportion the integer word budget ({!Buffer_alloc}).
 
     Model levels are an abstraction of buffer words: with total budget [W]
     words and [L] total model levels, one level stands for [g = W/L] words
@@ -14,9 +16,10 @@
     occupied space at [occupancy_fraction * W] words. *)
 
 type solver = Joint | Separate
-(** [Joint] solves one block LP over all subsystems (the paper's "in one
-    go"); [Separate] solves per-subsystem LPs with proportionally divided
-    budgets (the sequential strawman, kept for the ablation). *)
+(** [Joint] solves all subsystems under one shared bound (the paper's "in
+    one go"; one price for all); [Separate] solves each subsystem under a
+    proportionally divided share of the bound (the sequential strawman,
+    kept for the ablation; one price per subsystem). *)
 
 type sharing = Static | Damq
 (** How buses marked shared ({!Topology.mark_shared} / the spec's
@@ -65,14 +68,18 @@ type result = {
   solutions : subsystem_solution array;
   allocation : Buffer_alloc.t;
   predicted_loss_rate : float;
-      (** the joint LP's optimal gain: model-predicted total loss rate *)
+      (** the joint optimum's gain: model-predicted total loss rate *)
   words_per_level : float;  (** the granularity g *)
   budget_bound_active : bool;
       (** false when the occupancy bound was infeasible and the solve fell
-          back to the unconstrained LP *)
+          back to the unconstrained optimum *)
+  bound_price : float;
+      (** the occupancy bound's price in loss rate per model level: 0 when
+          the bound is slack or was dropped, positive when it binds (under
+          [Separate], the largest subsystem price) *)
   health : Bufsize_resilience.Resilience.health;
-      (** per-subsystem solver diagnostics: one entry per LP solve (the
-          joint block LP, or each subsystem LP under [Separate]) plus one
+      (** per-subsystem solver diagnostics: one entry per constrained solve
+          (the joint solve, or each subsystem under [Separate]) plus one
           per-subsystem occupancy-marginal check.  All-[Ok] on the clean
           path; any fallback taken anywhere in the pipeline appears here
           as [Degraded] with its reason — this is what the CLI's
@@ -86,28 +93,27 @@ val run :
   Traffic.t ->
   result
 (** [pool] runs the independent per-subsystem stages — CTMDP model
-    construction, occupancy/K-switching post-processing, and (under
-    [Separate]) the per-subsystem LP solves — on a {!Bufsize_pool.Pool}
-    (default: the process-wide pool, sized by [BUFSIZE_NUM_DOMAINS]).  The [Joint]
-    block LP itself stays sequential: its subsystems are coupled by the
-    shared occupancy constraint, so there is nothing independent to fan
-    out at the solver level.  Results are identical for every pool size.
+    construction, the per-subsystem policy iterations of every price
+    round (under [Separate], the whole per-subsystem solves), and the
+    occupancy/K-switching post-processing — on a {!Bufsize_pool.Pool}
+    (default: the process-wide pool, sized by [BUFSIZE_NUM_DOMAINS]).
+    Results are identical for every pool size.
 
     [measured_rates] optionally overrides the analytically routed client
     arrival rates with profiled ones (e.g. per-buffer arrival counts from a
     simulation of the previous allocation — the paper's "better profiling"
     suggestion; see [Bufsize.profiled_sizing]).  [None] keeps the routed
     rate; overrides must be positive to keep a loaded client loaded.
-    @raise Failure if some subsystem LP is unbounded (cannot happen for
-    well-formed models) or the unconstrained fallback also fails. *)
+    @raise Failure if some subsystem solve fails even without the
+    occupancy bound (cannot happen for well-formed models). *)
 
 type sharing_entry = {
   cmp_bus : Topology.bus_id;
   cmp_bus_name : string;
   cmp_clients : int;  (** loaded clients of the bus *)
   cmp_capacity : int;  (** pool capacity compared at, in model levels *)
-  static_loss : float;  (** unconstrained LP optimum of the static partition *)
-  damq_loss : float;  (** shared-pool LP optimum at equal capacity *)
+  static_loss : float;  (** unconstrained optimum of the static partition *)
+  damq_loss : float;  (** shared-pool optimum at equal capacity *)
   separate_loss : float;  (** decoupled per-client M/M/1/levels baseline *)
   static_delay : float;
   damq_delay : float;
@@ -119,7 +125,7 @@ type sharing_entry = {
 type sharing_report = {
   entries : sharing_entry list;
   skipped : (string * string) list;
-      (** buses whose shared pool exceeded the state guard or whose LP
+      (** buses whose shared pool exceeded the state guard or whose solve
           failed: (bus name, reason) *)
   total_static_loss : float;
   total_damq_loss : float;
@@ -142,7 +148,7 @@ val requirements_of_solution : result -> (Topology.bus_id * Traffic.client * flo
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the sizing-level solve cache.  {!run} memoizes its
-    expensive middle — CTMDP construction, the LP solve(s), and the
+    expensive middle — CTMDP construction, the constrained solve(s), and the
     occupancy / K-switching post-processing — in a process-wide exact-key
     {!Bufsize_numeric.Solve_cache} keyed on a lossless print of the
     post-profile subsystems and every numeric config field (with

@@ -7,6 +7,10 @@ module Ctmc = Bufsize_prob.Ctmc
 module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Value_iteration = Bufsize_mdp.Value_iteration
+module Ctmdp = Bufsize_mdp.Ctmdp
+module Kswitching = Bufsize_mdp.Kswitching
+module Constrained = Bufsize_mdp.Constrained
+module Resilience = Bufsize_resilience.Resilience
 module Topology = Bufsize_soc.Topology
 module Traffic = Bufsize_soc.Traffic
 module Spec_parser = Bufsize_soc.Spec_parser
@@ -1332,6 +1336,180 @@ let topo =
           });
   }
 
+let header_value ~prefix text =
+  let plen = String.length prefix in
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         let line = String.trim line in
+         if String.length line >= plen && String.sub line 0 plen = prefix then
+           Some (String.trim (String.sub line plen (String.length line - plen)))
+         else None)
+
+(* ------------------------------------------------------------ 11. price *)
+
+(* The price-directed solver against the joint LP it replaces on the
+   sizing path: 1-3 random unichain blocks sharing one occupancy bound,
+   placed a fraction [price_at] of the way from the least attainable
+   usage to the unconstrained optimum's usage (both from the LP). *)
+
+type price_case = { price_blocks : Gen_model.ctmdp_case list; price_at : float }
+
+let lp_gain_usage m =
+  match Lp_formulation.solve m with
+  | Lp_formulation.Optimal s -> (s.Lp_formulation.gain, s.Lp_formulation.extras.(0))
+  | Lp_formulation.Infeasible | Lp_formulation.Unbounded ->
+      failwith "occupation LP not optimal on a valid CTMDP"
+
+let price_bound (c : price_case) models =
+  let sum f = Array.fold_left (fun acc m -> acc +. f m) 0. models in
+  let least =
+    sum (fun m -> fst (lp_gain_usage (Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.extras.(0)))))
+  in
+  let free = sum (fun m -> snd (lp_gain_usage m)) in
+  least +. (c.price_at *. (free -. least))
+
+let check_price_case (c : price_case) =
+  let models = Array.of_list (List.map Gen_model.ctmdp_of_case c.price_blocks) in
+  let bound = price_bound c models in
+  match
+    ( Lp_formulation.solve_joint
+        ~shared_bounds:[| { Lp_formulation.sense = Lp.Le; value = bound } |]
+        models,
+      Constrained.solve_price ~bound models )
+  with
+  | Lp_formulation.Joint_optimal lp, (Some (Lp_formulation.Joint_optimal j), diag) ->
+      let g = lp.Lp_formulation.total_gain in
+      let price = -.j.Lp_formulation.shared_duals.(0) in
+      all_of
+        [
+          (fun () ->
+            if Resilience.is_ok diag then Pass
+            else failf "price path fell back: %s" (Format.asprintf "%a" Resilience.pp diag));
+          (fun () ->
+            if rel_close 1e-9 j.Lp_formulation.total_gain g then Pass
+            else failf "price-path gain %.15g vs LP gain %.15g" j.Lp_formulation.total_gain g);
+          (fun () ->
+            (* D(price) = sum_i min_pi (g_i + price u_i) - price bound must
+               reach the LP optimum: the price is a valid dual even where
+               the LP's own dual is not unique. *)
+            let dual =
+              Array.fold_left
+                (fun acc m ->
+                  let priced =
+                    Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.cost +. (price *. a.Ctmdp.extras.(0)))
+                  in
+                  acc +. (Policy_iteration.solve priced).Policy_iteration.gain)
+                0. models
+              -. (price *. bound)
+            in
+            if rel_close 1e-9 dual g then Pass
+            else failf "dual value %.15g at price %.12g vs LP gain %.15g" dual price g);
+          (fun () ->
+            let used = j.Lp_formulation.shared_extras.(0) in
+            if used <= bound +. (1e-9 *. (1. +. bound)) then Pass
+            else failf "usage %.15g exceeds the bound %.15g" used bound);
+          (fun () ->
+            let randomized =
+              Array.fold_left ( + ) 0
+                (Array.mapi
+                   (fun i m ->
+                     (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
+                        j.Lp_formulation.components.(i).Lp_formulation.occupation)
+                       .Kswitching.num_randomized)
+                   models)
+            in
+            if randomized <= 1 then Pass else failf "%d randomized states (at most 1)" randomized);
+        ]
+  | Lp_formulation.Joint_optimal _, (_, diag) ->
+      failf "LP optimal, price path not: %s" (Format.asprintf "%a" Resilience.pp diag)
+  | _ -> failf "joint LP not optimal at a bound above the least usage"
+
+let shrink_price_case (c : price_case) =
+  let blocks = c.price_blocks in
+  let drop_block =
+    if List.length blocks <= 1 then []
+    else
+      List.init (List.length blocks) (fun i ->
+          { c with price_blocks = List.filteri (fun k _ -> k <> i) blocks })
+  in
+  let shrink_block =
+    List.concat
+      (List.mapi
+         (fun i b ->
+           List.map
+             (fun b' ->
+               { c with price_blocks = List.mapi (fun k x -> if k = i then b' else x) blocks })
+             (shrink_ctmdp_case b))
+         blocks)
+  in
+  drop_block @ shrink_block
+
+let price_header = "# price cross-check: bound at"
+
+let rec price_case_to_oracle_case (c : price_case) =
+  {
+    label =
+      Printf.sprintf "price: %d block(s), bound at %g" (List.length c.price_blocks) c.price_at;
+    repro =
+      Printf.sprintf "%s %.17g\n%s" price_header c.price_at
+        (String.concat "" (List.map Gen_model.ctmdp_case_to_string c.price_blocks));
+    check = (fun () -> check_price_case c);
+    shrink = (fun () -> List.map price_case_to_oracle_case (shrink_price_case c));
+  }
+
+(* The repro is the header line plus one [ctmdp states ...] dump per
+   block. *)
+let price_case_of_string text =
+  let lines = String.split_on_char '\n' text in
+  let chunks =
+    List.fold_left
+      (fun acc line ->
+        let line = String.trim line in
+        if String.length line >= 12 && String.sub line 0 12 = "ctmdp states" then [ line ] :: acc
+        else match acc with chunk :: rest -> (line :: chunk) :: rest | [] -> [])
+      [] lines
+    |> List.rev_map (fun chunk -> String.concat "\n" (List.rev chunk))
+  in
+  match header_value ~prefix:price_header text with
+  | None -> Error "price repro has no '# price cross-check:' header"
+  | Some v -> (
+      match float_of_string_opt v with
+      | None -> Error ("price: bad bound position " ^ v)
+      | Some price_at ->
+          if chunks = [] then Error "price: no blocks"
+          else
+            List.fold_right
+              (fun chunk acc ->
+                match (acc, Gen_model.ctmdp_case_of_string chunk) with
+                | Ok bs, Ok b -> Ok (b :: bs)
+                | (Error _ as e), _ -> e
+                | _, Error e -> Error e)
+              chunks (Ok [])
+            |> Result.map (fun price_blocks -> { price_blocks; price_at }))
+
+let price =
+  {
+    name = "price";
+    doc = "price-directed solver vs the joint LP on blocks sharing one occupancy bound";
+    generate =
+      (fun ~max_states rng ->
+        let knobs =
+          { Gen_model.default_ctmdp_knobs with Gen_model.max_states = Int.min 7 max_states }
+        in
+        let nb = 1 + Rng.int rng 3 in
+        (* Copies of one block break even at the same prices, so the two
+           policy tuples bracketing the price differ in several states
+           and the one-state mix has a real walk to make. *)
+        let price_blocks =
+          if Rng.bool rng then List.init nb (fun _ -> Gen_model.ctmdp_case ~knobs rng)
+          else
+            let b = Gen_model.ctmdp_case ~knobs rng in
+            List.init nb (fun _ -> b)
+        in
+        let price_at = Float.round (Rng.float rng *. 1000.) /. 1000. in
+        price_case_to_oracle_case { price_blocks; price_at });
+  }
+
 (* ----------------------------------------------------------- the matrix *)
 
 let all =
@@ -1346,6 +1524,7 @@ let all =
     topo;
     Chaos.oracle;
     Serve_oracle.oracle;
+    price;
   ]
 
 (* The daemon's [verify] op runs this same matrix; the list is injected
@@ -1359,15 +1538,6 @@ let names () = List.map (fun o -> o.name) all
 
 (* -------------------------------------------------------------- replay *)
 
-let header_value ~prefix text =
-  let plen = String.length prefix in
-  String.split_on_char '\n' text
-  |> List.find_map (fun line ->
-         let line = String.trim line in
-         if String.length line >= plen && String.sub line 0 plen = prefix then
-           Some (String.trim (String.sub line plen (String.length line - plen)))
-         else None)
-
 let case_of_repro text =
   match header_value ~prefix:"# oracle:" text with
   | None -> Error "repro has no '# oracle:' header"
@@ -1377,6 +1547,7 @@ let case_of_repro text =
   | Some "split-monolithic" ->
       Result.map monolithic_case_to_oracle_case (Gen_model.monolithic_of_string text)
   | Some "kron" -> Result.map san_case_to_oracle_case (Gen_model.san_case_of_string text)
+  | Some "price" -> Result.map price_case_to_oracle_case (price_case_of_string text)
   | Some "chaos" -> (
       match (header_value ~prefix:"# fault:" text, header_value ~prefix:"# seed:" text) with
       | None, _ -> Error "chaos repro has no '# fault:' header"

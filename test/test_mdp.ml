@@ -14,6 +14,7 @@ module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Value_iteration = Bufsize_mdp.Value_iteration
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
+module Resilience = Bufsize_resilience.Resilience
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -519,37 +520,128 @@ let test_vi_value_bounded_by_cost_over_alpha () =
 
 (* ---------------------------------------------------------- Constrained *)
 
+(* The answer's policy, re-evaluated through its own CTMC, has the
+   reported gain, and randomizes within the K-switching bound. *)
 let test_constrained_wrapper () =
   let m = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
-  match Constrained.solve ~bounds:[| { Lp_formulation.sense = Lp.Le; value = 1.2 } |] m with
-  | Constrained.Feasible r ->
-      check_close 1e-6 "gain check consistent" r.Constrained.solved.Lp_formulation.gain
-        r.Constrained.policy_gain_check;
+  match Constrained.solve_price ~bound:1.2 [| m |] with
+  | Some (Lp_formulation.Joint_optimal j), diag ->
+      Alcotest.(check bool) "diagnostic ok" true (Resilience.is_ok diag);
+      let c = j.Lp_formulation.components.(0) in
+      check_close 1e-6 "gain check consistent" c.Lp_formulation.gain
+        (Policy.evaluate m c.Lp_formulation.policy).Policy.gain;
       Alcotest.(check bool) "switching within bound" true
-        r.Constrained.switching.Kswitching.within_bound
+        (Kswitching.analyze ~constraints:1 m c.Lp_formulation.policy).Kswitching.within_bound
   | _ -> Alcotest.fail "expected feasible"
 
+(* The price-directed solver is a Lagrangian decomposition: one price on
+   the occupancy, policy iteration per block.  At half the unconstrained
+   occupancy the bound binds; the answer must match the LP's. *)
 let test_constrained_lagrangian () =
   let m = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
-  let unconstrained =
+  let lp_free =
     match Lp_formulation.solve m with
-    | Lp_formulation.Optimal s -> s.Lp_formulation.extras.(0)
+    | Lp_formulation.Optimal s -> s
     | _ -> Alcotest.fail "LP failed"
   in
-  let budget = unconstrained *. 0.5 in
-  match Constrained.solve_lagrangian ~budget ~extra:0 m with
-  | Some (r, price) ->
-      Alcotest.(check bool) "nonnegative price" true (price >= 0.);
-      let eval = Policy.evaluate m r.Policy_iteration.policy in
-      Alcotest.(check bool) "budget met" true (eval.Policy.extras.(0) <= budget +. 1e-6)
-  | None -> Alcotest.fail "lagrangian failed"
+  let bound = lp_free.Lp_formulation.extras.(0) *. 0.5 in
+  let lp =
+    match
+      Lp_formulation.solve_joint
+        ~shared_bounds:[| { Lp_formulation.sense = Lp.Le; value = bound } |]
+        [| m |]
+    with
+    | Lp_formulation.Joint_optimal j -> j
+    | _ -> Alcotest.fail "constrained LP failed"
+  in
+  match Constrained.solve_price ~bound [| m |] with
+  | Some (Lp_formulation.Joint_optimal j), diag ->
+      Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
+      let price = -.j.Lp_formulation.shared_duals.(0) in
+      Alcotest.(check bool) "positive price" true (price > 0.);
+      check_close 1e-8 "price = LP dual" (-.lp.Lp_formulation.shared_duals.(0)) price;
+      check_close 1e-9 "gain = LP gain" lp.Lp_formulation.total_gain j.Lp_formulation.total_gain;
+      Alcotest.(check bool) "budget met" true
+        (j.Lp_formulation.shared_extras.(0) <= bound +. (1e-9 *. (1. +. bound)));
+      let c = j.Lp_formulation.components.(0) in
+      let k =
+        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m c.Lp_formulation.occupation
+      in
+      Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
+  | _ -> Alcotest.fail "price solve failed"
 
 let test_constrained_lagrangian_slack () =
   (* A generous budget: price 0 and the unconstrained optimum. *)
   let m = admission_ctmdp ~lambda:1. ~mu:3. ~k:4 in
-  match Constrained.solve_lagrangian ~budget:100. ~extra:0 m with
-  | Some (_, price) -> check_close 1e-12 "zero price" 0. price
-  | None -> Alcotest.fail "expected result"
+  match Constrained.solve_price ~bound:100. [| m |] with
+  | Some (Lp_formulation.Joint_optimal j), diag ->
+      Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
+      check_close 1e-12 "zero price" 0. j.Lp_formulation.shared_duals.(0);
+      let pi = Policy_iteration.solve m in
+      check_close 1e-12 "unconstrained gain" pi.Policy_iteration.gain j.Lp_formulation.total_gain
+  | _ -> Alcotest.fail "expected result"
+
+(* Two closed classes under the first-action policy ({0,1} and {2,3});
+   "cross" joins them.  Occupancy is used only in the second class. *)
+let two_class_ctmdp () =
+  let act label transitions cost extra =
+    { Ctmdp.label; transitions; cost; extras = [| extra |] }
+  in
+  Ctmdp.create ~num_extras:1
+    [|
+      [| act "stay" [ (1, 1.) ] 1. 0. |];
+      [| act "stay" [ (0, 1.) ] 1. 0.; act "cross" [ (2, 1.) ] 1. 0. |];
+      [| act "stay" [ (3, 1.) ] 0. 1. |];
+      [| act "stay" [ (2, 1.) ] 0. 1.; act "cross" [ (0, 1.) ] 0. 1. |];
+    |]
+
+(* Where the price path cannot answer — a multichain block (a singular
+   dense evaluation), or policy iteration capped by [max_iter] — the LP
+   step answers, the diagnostic names the fallback and its reason, and
+   the fallback counter moves. *)
+let test_price_falls_back_to_lp () =
+  let module Obs = Bufsize_obs.Obs in
+  let fallbacks = Obs.counter "constrained.lp_fallbacks" in
+  List.iter
+    (fun (what, m, bound, max_iter, reason) ->
+      let lp =
+        match
+          Lp_formulation.solve_joint
+            ~shared_bounds:[| { Lp_formulation.sense = Lp.Le; value = bound } |]
+            [| m |]
+        with
+        | Lp_formulation.Joint_optimal j -> j
+        | _ -> Alcotest.fail (what ^ ": LP failed")
+      in
+      Obs.enable_metrics ();
+      let f0 = Obs.counter_value fallbacks in
+      let outcome =
+        Fun.protect ~finally:Obs.disable (fun () ->
+            Constrained.solve_price ?max_iter ~bound [| m |])
+      in
+      Alcotest.(check int) (what ^ ": one LP fallback") 1 (Obs.counter_value fallbacks - f0);
+      match outcome with
+      | Some (Lp_formulation.Joint_optimal j), diag ->
+          Alcotest.(check (list string)) (what ^ ": fallback named") [ "lp" ]
+            diag.Resilience.fallbacks;
+          let why = Option.value ~default:"" (Resilience.status_reason diag.Resilience.status) in
+          let mentions sub =
+            let n = String.length sub in
+            let rec go i = i + n <= String.length why && (String.sub why i n = sub || go (i + 1)) in
+            go 0
+          in
+          Alcotest.(check bool) (what ^ ": reason " ^ reason) true (mentions reason);
+          Alcotest.(check (float 0.)) (what ^ ": the LP's gain") lp.Lp_formulation.total_gain
+            j.Lp_formulation.total_gain
+      | _ -> Alcotest.fail (what ^ ": no answer"))
+    [
+      ("multichain", two_class_ctmdp (), 0.5, None, "multichain");
+      ( "capped",
+        admission_ctmdp ~lambda:3. ~mu:2. ~k:5,
+        1.2,
+        Some 1,
+        "max_iter" );
+    ]
 
 let () =
   Alcotest.run "mdp"
@@ -613,5 +705,6 @@ let () =
           Alcotest.test_case "wrapper diagnostics" `Quick test_constrained_wrapper;
           Alcotest.test_case "lagrangian decomposition" `Quick test_constrained_lagrangian;
           Alcotest.test_case "lagrangian slack budget" `Quick test_constrained_lagrangian_slack;
+          Alcotest.test_case "price path falls back to the LP" `Quick test_price_falls_back_to_lp;
         ] );
     ]

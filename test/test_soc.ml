@@ -935,49 +935,180 @@ let test_sizing_weighted_losses () =
   Alcotest.(check bool) "weighted processor gets at least as much" true
     (alloc_of weighted >= alloc_of base)
 
-(* [Test_specs.three_bus] at budget 64 with 40 states per subsystem: the
-   dense tableau engine solves its joint LP.  The allocation, the loss bits
-   and the pivot count are pinned: any change to the dense engine's pivot
-   path or to its exact finish shows up here. *)
-let test_sizing_dense_pinned () =
-  let traffic = Test_specs.traffic Test_specs.three_bus in
-  let module Obs = Bufsize_obs.Obs in
-  let dense = Obs.counter "simplex.pivots" and revised = Obs.counter "simplex_revised.pivots" in
-  (* Cold caches, so the joint LP really runs; metrics on to count pivots. *)
-  Bufsize_numeric.Solve_cache.clear_all ();
-  Obs.enable_metrics ();
-  let d0 = Obs.counter_value dense and r0 = Obs.counter_value revised in
-  let r =
-    Fun.protect ~finally:Obs.disable (fun () ->
-        Sizing.run { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 } traffic)
+(* The subsystem CTMDPs [Sizing.run] builds for [config], their level
+   counts, and the occupancy bound in levels it poses — so a test can call
+   the LP on exactly the problem the sizing path solves. *)
+let sizing_blocks config traffic =
+  let models =
+    Array.map
+      (fun s ->
+        Bus_model.build ~weights:config.Sizing.client_weight ~max_states:config.Sizing.max_states s)
+      (Splitting.split traffic).Splitting.subsystems
   in
+  let total = Array.fold_left (fun acc m -> acc + Bus_model.total_levels m) 0 models in
+  let words_per_level = float_of_int config.Sizing.budget /. float_of_int total in
+  let bound =
+    config.Sizing.occupancy_fraction *. float_of_int config.Sizing.budget /. words_per_level
+  in
+  (models, bound)
+
+let le value = [| { Bufsize_mdp.Lp_formulation.sense = Bufsize_numeric.Lp.Le; value } |]
+
+(* [Test_specs.three_bus] at budget 64 with 40 states per subsystem.  The
+   dense tableau engine solves its joint LP, called directly: the loss
+   bits and the pivot count are pinned, so any change to the dense
+   engine's pivot path or to its exact finish shows up here.  The sizing
+   path itself solves the same problem by price, with no LP at all: its
+   allocation and loss bits are pinned too. *)
+let test_sizing_dense_pinned () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let traffic = Test_specs.traffic Test_specs.three_bus in
+  let config = { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 } in
+  let dense = Obs.counter "simplex.pivots" and revised = Obs.counter "simplex_revised.pivots" in
+  let solves = Obs.counter "lp.solves" in
+  (* Cold caches, so every solve really runs; metrics on to count. *)
+  let counted f =
+    Bufsize_numeric.Solve_cache.clear_all ();
+    Obs.enable_metrics ();
+    Fun.protect ~finally:Obs.disable f
+  in
+  let models, bound = sizing_blocks config traffic in
+  let ctmdps = Array.map Bus_model.ctmdp models in
+  let d0 = Obs.counter_value dense and r0 = Obs.counter_value revised in
+  (match counted (fun () -> Lp_formulation.solve_joint_diag ~shared_bounds:(le bound) ctmdps) with
+  | Some (Lp_formulation.Joint_optimal j), _ ->
+      Alcotest.(check string) "joint LP loss bits" "0x1.583ef69bc4016p+0"
+        (Printf.sprintf "%h" j.Lp_formulation.total_gain)
+  | _ -> Alcotest.fail "joint LP not optimal");
+  Alcotest.(check int) "dense pivots" 164 (Obs.counter_value dense - d0);
+  Alcotest.(check int) "no revised pivots" 0 (Obs.counter_value revised - r0);
+  let s0 = Obs.counter_value solves in
+  let r = counted (fun () -> Sizing.run config traffic) in
   let entries = r.Sizing.allocation.Buffer_alloc.entries in
   let words = Array.to_list (Array.map (fun e -> e.Buffer_alloc.words) entries) in
   Alcotest.(check (list int)) "allocation" [ 6; 6; 6; 5; 1; 5; 5; 5; 5; 5; 5; 5; 5 ] words;
-  Alcotest.(check string) "predicted loss bits" "0x1.583ef69bc4016p+0"
+  Alcotest.(check string) "predicted loss bits" "0x1.583ef69bc400fp+0"
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
-  Alcotest.(check int) "dense pivots" 164 (Obs.counter_value dense - d0);
-  Alcotest.(check int) "no revised pivots" 0 (Obs.counter_value revised - r0)
+  Alcotest.(check int) "no LP solve on the sizing path" 0 (Obs.counter_value solves - s0)
 
-(* Fig. 1 sized per subsystem: the final perturbed bases of these LPs are
-   slightly infeasible for the true data, so the dual cleanup pivots (26,
-   39 and 5 pivots).  The exact finish must then factorize the new basis,
-   not reuse the pre-cleanup LU: a stale LU shows as a changed loss and as
-   drift retries. *)
+(* Fig. 1 sized per subsystem, with each subsystem LP called directly:
+   the final perturbed bases of these LPs are slightly infeasible for the
+   true data, so the dual cleanup pivots (26, 39 and 5 pivots).  The exact
+   finish must then factorize the new basis, not reuse the pre-cleanup
+   LU: a stale LU shows as a changed loss and as drift retries.  The
+   sizing path prices each subsystem instead and runs no LP. *)
 let test_sizing_finish_after_dual_cleanup () =
   let _, traffic = Fig1.create () in
   let module Obs = Bufsize_obs.Obs in
-  let retries = Obs.counter "simplex.retries" in
-  Bufsize_numeric.Solve_cache.clear_all ();
-  Obs.enable_metrics ();
-  let before = Obs.counter_value retries in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let retries = Obs.counter "simplex.retries" and solves = Obs.counter "lp.solves" in
   let config =
     { (Sizing.default_config ~budget:40) with Sizing.max_states = 64; solver = Sizing.Separate }
   in
+  let models, bound = sizing_blocks config traffic in
+  let total = Array.fold_left (fun acc m -> acc + Bus_model.total_levels m) 0 models in
+  Bufsize_numeric.Solve_cache.clear_all ();
+  Obs.enable_metrics ();
+  let before = Obs.counter_value retries in
+  let loss =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Array.fold_left ( +. ) 0.
+          (Array.mapi
+             (fun i m ->
+               let levels = Bus_model.total_levels models.(i) in
+               let share = bound *. float_of_int levels /. float_of_int total in
+               match Lp_formulation.solve_diag ~extra_bounds:(le share) m with
+               | Some (Lp_formulation.Optimal s), _ -> s.Lp_formulation.gain
+               | _ -> Alcotest.fail "subsystem LP not optimal")
+             (Array.map Bus_model.ctmdp models)))
+  in
+  Alcotest.(check string) "LP loss bits" "0x1.64d85888d78d2p-5" (Printf.sprintf "%h" loss);
+  Alcotest.(check int) "no retries" 0 (Obs.counter_value retries - before);
+  Bufsize_numeric.Solve_cache.clear_all ();
+  Obs.enable_metrics ();
+  let s0 = Obs.counter_value solves in
   let r = Fun.protect ~finally:Obs.disable (fun () -> Sizing.run config traffic) in
-  Alcotest.(check string) "predicted loss bits" "0x1.64d85888d78d2p-5"
+  let entries = r.Sizing.allocation.Buffer_alloc.entries in
+  Alcotest.(check (list int)) "allocation" (List.init 10 (fun _ -> 4))
+    (Array.to_list (Array.map (fun e -> e.Buffer_alloc.words) entries));
+  Alcotest.(check string) "predicted loss bits" "0x1.64d85888d7914p-5"
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
-  Alcotest.(check int) "no retries" 0 (Obs.counter_value retries - before)
+  Alcotest.(check int) "no LP solve on the sizing path" 0 (Obs.counter_value solves - s0)
+
+(* The 95% occupancy level of every loaded client under a policy. *)
+let quantile_levels model policy =
+  Array.map
+    (fun dist ->
+      let acc = ref 0. and level = ref (-1) in
+      Array.iteri
+        (fun l p ->
+          acc := !acc +. p;
+          if !level < 0 && !acc >= 0.95 then level := l)
+        dist;
+      !level)
+    (Bus_model.occupancy_distribution model policy)
+
+(* Netproc (Table 1's architecture, 64 states per subsystem) priced
+   against the joint LP.  At the fig3 default kappa = 0.6 the bound is
+   slack: price 0 and the unconstrained gain.  At kappa = 0.25 it binds:
+   the price is the LP's dual, the answer randomizes in at most one state,
+   and every client's quantile level — what the allocation is made of —
+   is the LP's. *)
+let test_netproc_price_vs_lp () =
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Constrained = Bufsize_mdp.Constrained in
+  let module Kswitching = Bufsize_mdp.Kswitching in
+  let _, traffic = Netproc.create () in
+  List.iter
+    (fun (kappa, expected_gain, expected_price) ->
+      let name what = Printf.sprintf "kappa %g: %s" kappa what in
+      let config =
+        {
+          (Sizing.default_config ~budget:160) with
+          Sizing.max_states = 64;
+          occupancy_fraction = kappa;
+        }
+      in
+      let models, bound = sizing_blocks config traffic in
+      let ctmdps = Array.map Bus_model.ctmdp models in
+      let lp =
+        match Lp_formulation.solve_joint ~shared_bounds:(le bound) ctmdps with
+        | Lp_formulation.Joint_optimal j -> j
+        | _ -> Alcotest.fail (name "joint LP not optimal")
+      in
+      let priced, diag =
+        match Constrained.solve_price ~bound ctmdps with
+        | Some (Lp_formulation.Joint_optimal j), diag -> (j, diag)
+        | _ -> Alcotest.fail (name "price solve failed")
+      in
+      Alcotest.(check bool) (name "no fallback") true (Bufsize_resilience.Resilience.is_ok diag);
+      let gain = priced.Lp_formulation.total_gain in
+      Alcotest.(check (float 1e-10)) (name "gain") expected_gain gain;
+      Alcotest.(check (float (1e-9 *. (1. +. gain)))) (name "gain = LP gain")
+        lp.Lp_formulation.total_gain gain;
+      let price = -.priced.Lp_formulation.shared_duals.(0) in
+      Alcotest.(check (float 1e-7)) (name "price") expected_price price;
+      Alcotest.(check (float 1e-8)) (name "price = LP dual")
+        (-.lp.Lp_formulation.shared_duals.(0)) price;
+      let randomized =
+        Array.fold_left ( + ) 0
+          (Array.mapi
+             (fun i m ->
+               (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
+                  priced.Lp_formulation.components.(i).Lp_formulation.occupation)
+                 .Kswitching.num_randomized)
+             ctmdps)
+      in
+      Alcotest.(check bool) (name "at most one randomized state") true (randomized <= 1);
+      Array.iteri
+        (fun i model ->
+          let levels (j : Lp_formulation.joint_solved) =
+            quantile_levels model j.Lp_formulation.components.(i).Lp_formulation.policy
+          in
+          Alcotest.(check (array int)) (name "quantile levels = LP's") (levels lp) (levels priced))
+        models)
+    [ (0.6, 7.1069936544, 0.); (0.25, 7.70995290312, 0.8639137) ]
 
 (* An n x n mesh with a shared router buffer per cell and one NI per
    router, each sending to the next NI in row-major order. *)
@@ -1111,6 +1242,7 @@ let () =
             test_sizing_dense_pinned;
           Alcotest.test_case "exact finish after dual-cleanup pivots" `Quick
             test_sizing_finish_after_dual_cleanup;
+          Alcotest.test_case "netproc price = LP (kappa 0.6, 0.25)" `Slow test_netproc_price_vs_lp;
           Alcotest.test_case "fig1 end to end" `Quick test_sizing_fig1_end_to_end;
           Alcotest.test_case "separate solver" `Quick test_sizing_separate_solver;
           Alcotest.test_case "budget monotonicity" `Quick test_sizing_more_budget_less_loss;

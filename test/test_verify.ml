@@ -96,7 +96,7 @@ let oracle_case (o : Oracle.t) =
         Alcotest.fail (Format.asprintf "%a" Driver.pp_summary summary))
 
 let test_oracle_registry () =
-  Alcotest.(check int) "ten oracles" 10 (List.length Oracles.all);
+  Alcotest.(check int) "eleven oracles" 11 (List.length Oracles.all);
   List.iter
     (fun name ->
       match Oracles.find name with
