@@ -225,9 +225,8 @@ let size_cmd =
       r.B.Sizing.solutions;
     if health then Format.printf "@.%a@." B.Resilience.pp_health r.B.Sizing.health;
     if health_json then
-      (* The health report plus this process's solve-cache counters
-         (cache.lp.* and cache.sizing.* in the metrics registry mirror
-         them). *)
+      (* The health report plus this process's sizing-cache counters
+         (cache.sizing.* in the metrics registry mirrors them). *)
       Format.printf "@.%s@."
         (B.Json.encode
            (B.Json.Obj

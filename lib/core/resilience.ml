@@ -10,8 +10,8 @@
    wall time, and the ordered list of fallbacks taken.
 
    The [escalate] combinator runs a chain of solver steps in order
-   (e.g. revised simplex -> dense tableau -> Bland -> lexicographic
-   perturbation), converts uncaught exceptions into step rejections,
+   (e.g. dense tableau -> Bland -> lexicographic perturbation),
+   converts uncaught exceptions into step rejections,
    stops the chain when the wall-clock budget is exhausted, and keeps the
    best partial answer so a hung or failing solve degrades to the
    best-known answer instead of spinning or crashing.

@@ -154,13 +154,17 @@ let outcome_of_lp ?extra_bounds m x n_structural_rows = function
           lp_iterations = sol.Lp.iterations;
         }
 
-let solve ?extra_bounds ?max_iter ?engine m =
-  let lp, x, n_structural_rows = assemble ?extra_bounds m in
-  outcome_of_lp ?extra_bounds m x n_structural_rows (Lp.solve ?max_iter ?engine lp)
+let model ?extra_bounds m =
+  let lp, _, _ = assemble ?extra_bounds m in
+  lp
 
-let solve_diag ?extra_bounds ?max_iter ?engine ?budget m =
+let solve ?extra_bounds ?max_iter m =
   let lp, x, n_structural_rows = assemble ?extra_bounds m in
-  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget lp in
+  outcome_of_lp ?extra_bounds m x n_structural_rows (Lp.solve ?max_iter lp)
+
+let solve_diag ?extra_bounds ?max_iter ?budget m =
+  let lp, x, n_structural_rows = assemble ?extra_bounds m in
+  let o, diag = Lp.solve_diag ?max_iter ?budget lp in
   (Option.map (outcome_of_lp ?extra_bounds m x n_structural_rows) o, diag)
 
 type joint_solved = {
@@ -242,12 +246,12 @@ let joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extra
           joint_iterations = sol.Lp.iterations;
         }
 
-let solve_joint ?shared_bounds ?max_iter ?engine models =
+let solve_joint ?shared_bounds ?max_iter models =
   let lp, blocks, n_structural_rows, num_extras = assemble_joint ?shared_bounds models in
   joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extras
-    (Lp.solve ?max_iter ?engine lp)
+    (Lp.solve ?max_iter lp)
 
-let solve_joint_diag ?shared_bounds ?max_iter ?engine ?budget models =
+let solve_joint_diag ?shared_bounds ?max_iter ?budget models =
   let lp, blocks, n_structural_rows, num_extras =
     Obs.span ~name:"lp_formulation.assemble_joint"
       ~attrs:(fun () -> [ ("blocks", string_of_int (Array.length models)) ])
@@ -261,7 +265,7 @@ let solve_joint_diag ?shared_bounds ?max_iter ?engine ?budget models =
         ("nnz", string_of_int (Lp.num_terms lp));
       ])
   @@ fun () ->
-  let o, diag = Lp.solve_diag ?max_iter ?engine ?budget lp in
+  let o, diag = Lp.solve_diag ?max_iter ?budget lp in
   ( Option.map
       (joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extras)
       o,

@@ -43,21 +43,24 @@ type outcome =
 val solve :
   ?extra_bounds:bound array ->
   ?max_iter:int ->
-  ?engine:Bufsize_numeric.Lp.engine ->
   Ctmdp.t ->
   outcome
-(** Build and solve the LP for one CTMDP.  [engine] selects the dense or
-    sparse-revised simplex (see {!Bufsize_numeric.Lp.engine}). *)
+(** Build and solve the LP for one CTMDP.
+    @raise Bufsize_numeric.Simplex.Pivot_cap when the simplex reaches
+    [max_iter] pivots. *)
+
+val model : ?extra_bounds:bound array -> Ctmdp.t -> Bufsize_numeric.Lp.t
+(** The LP {!solve} builds for one CTMDP (its objective is the gain), for
+    solving with a reference engine. *)
 
 val solve_diag :
   ?extra_bounds:bound array ->
   ?max_iter:int ->
-  ?engine:Bufsize_numeric.Lp.engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
   Ctmdp.t ->
   outcome option * Bufsize_resilience.Resilience.diagnostic
 (** {!solve} through {!Bufsize_numeric.Lp.solve_diag}: same model, same
-    clean path, plus the engine escalation chain and a structured
+    clean path, plus the pivot-rule escalation chain and a structured
     diagnostic instead of silent fallbacks. *)
 
 type joint_solved = {
@@ -76,7 +79,6 @@ type joint_outcome =
 val solve_joint :
   ?shared_bounds:bound array ->
   ?max_iter:int ->
-  ?engine:Bufsize_numeric.Lp.engine ->
   Ctmdp.t array ->
   joint_outcome
 (** One block LP over all components.  All components must agree on
@@ -86,9 +88,8 @@ val solve_joint :
 val solve_joint_diag :
   ?shared_bounds:bound array ->
   ?max_iter:int ->
-  ?engine:Bufsize_numeric.Lp.engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
   Ctmdp.t array ->
   joint_outcome option * Bufsize_resilience.Resilience.diagnostic
-(** {!solve_joint} with the LP engine escalation chain and a structured
+(** {!solve_joint} with the pivot-rule escalation chain and a structured
     diagnostic. *)

@@ -157,8 +157,7 @@ let value sol (v : var) = sol.values.(v)
    - for each user variable: one column (shifted by its finite lower bound),
      or two columns (positive/negative parts) when the variable is free;
    - then one slack (Le) or surplus (Ge) column per inequality row.
-   The same layout drives the dense lowering, the sparse lowering and the
-   solution mapping, so the two engines see the exact same problem. *)
+   The same layout drives the lowering and the solution mapping. *)
 
 type col_map = Single of int * float (* column, shift *) | Split of int * int
 
@@ -230,90 +229,9 @@ let to_standard t =
   done;
   { Simplex.nrows; ncols; a; b; c = standard_cost t lay }
 
-(* Sparse lowering: the same accumulation order as [to_standard] (a dense
-   scratch row reused across rows), so the standard-form coefficients are
-   bitwise identical to the dense path's — only the storage differs. *)
-let to_standard_sparse t =
-  let lay = layout t in
-  let ncols = lay.lncols in
-  let nrows = t.nrows in
-  let b = Array.make nrows 0. in
-  let scratch = Array.make ncols 0. in
-  let touched = Array.make ncols false in
-  let col_count = Array.make ncols 0 in
-  (* Pass 1: per-row sorted nonzero columns with accumulated values. *)
-  let row_entries =
-    Array.init nrows (fun i ->
-        let used = ref [] in
-        let touch col x =
-          if not touched.(col) then begin
-            touched.(col) <- true;
-            used := col :: !used
-          end;
-          scratch.(col) <- scratch.(col) +. x
-        in
-        let rhs = ref t.row_rhs.(i) in
-        iter_row_terms t i (fun coef v ->
-            match lay.cols.(v) with
-            | Single (col, shift) ->
-                touch col coef;
-                if shift <> 0. then rhs := !rhs -. (coef *. shift)
-            | Split (p, m) ->
-                touch p coef;
-                touch m (-.coef));
-        (match lay.slack_cols.(i) with
-        | Some (col, sign) -> touch col sign
-        | None -> ());
-        b.(i) <- !rhs;
-        let cols_used = List.sort compare !used in
-        let entries =
-          List.filter_map
-            (fun col ->
-              let v = scratch.(col) in
-              if v = 0. then None else Some (col, v))
-            cols_used
-        in
-        List.iter
-          (fun col ->
-            scratch.(col) <- 0.;
-            touched.(col) <- false)
-          !used;
-        List.iter (fun (col, _) -> col_count.(col) <- col_count.(col) + 1) entries;
-        entries)
-  in
-  (* Pass 2: transpose row entries into per-column arrays; scanning rows in
-     order yields strictly increasing row indices within each column. *)
-  let scols = Array.map (fun c -> Array.make c (0, 0.)) col_count in
-  let fill = Array.make ncols 0 in
-  Array.iteri
-    (fun i entries ->
-      List.iter
-        (fun (col, v) ->
-          scols.(col).(fill.(col)) <- (i, v);
-          fill.(col) <- fill.(col) + 1)
-        entries)
-    row_entries;
-  { Simplex_revised.snrows = nrows; sncols = ncols; scols; sb = b; sc = standard_cost t lay }
-
-type engine = Dense | Revised
-
-(* With no explicit engine the model picks for itself: the dense tableau
-   for small instances (battle-tested, and what all published artifacts
-   were produced with), the sparse revised engine once the tableau would
-   be large enough to dominate memory and time. *)
-let auto_engine_threshold = 400
-
-let choose_engine t = function
-  | Some e -> e
-  | None -> if t.nrows > auto_engine_threshold then Revised else Dense
-
-let solve ?eps ?max_iter ?engine ?bland_after ?lex t =
-  let result =
-    match choose_engine t engine with
-    | Dense -> Simplex.solve ?eps ?max_iter ?bland_after ?lex (to_standard t)
-    | Revised -> Simplex_revised.solve_sparse ?eps ?max_iter (to_standard_sparse t)
-  in
-  match result with
+(* Map a standard-form result of [to_standard t] back onto the user's
+   variables. *)
+let outcome_of_standard t = function
   | Simplex.Infeasible -> Infeasible
   | Simplex.Unbounded -> Unbounded
   | Simplex.Optimal sol ->
@@ -332,6 +250,9 @@ let solve ?eps ?max_iter ?engine ?bland_after ?lex t =
       in
       let duals = Array.map (fun y -> obj_sign *. y) sol.Simplex.duals in
       Optimal { objective; values; duals; iterations = sol.Simplex.iterations }
+
+let solve ?eps ?max_iter ?bland_after ?lex t =
+  outcome_of_standard t (Simplex.solve ?eps ?max_iter ?bland_after ?lex (to_standard t))
 
 let pp_outcome ppf = function
   | Infeasible -> Format.fprintf ppf "infeasible"
@@ -392,15 +313,15 @@ let outcome_finite = function
       && Resilience.all_finite s.values
       && Resilience.all_finite s.duals
 
-(* Escalation chain over the LP engines: the auto-chosen engine first
-   (identical to [solve] on the clean path), then the other engine, then
-   the dense tableau under Bland's anti-cycling rule from the first pivot,
-   then the dense tableau under the geometric (lexicographic-style)
-   right-hand-side perturbation.  A step is rejected when it raises or
-   when it claims optimality with NaN/Inf anywhere in the solution, so a
-   usable result is always finite.  [budget] (default: the
-   BUFSIZE_SOLVE_BUDGET_MS environment budget) bounds the whole chain in
-   wall-clock time; on exhaustion the best-known answer is returned as
+(* Escalation chain over pivot rules of the dense tableau: Dantzig's rule
+   first (identical to [solve] on the clean path), then Bland's
+   anti-cycling rule from the first pivot, then the geometric
+   (lexicographic-style) right-hand-side perturbation.  A step is
+   rejected when it raises, when it reaches the pivot cap (a capped run
+   has no verdict), or when it claims optimality with NaN/Inf anywhere in
+   the solution, so a usable result is always finite.  [budget] (default:
+   the BUFSIZE_SOLVE_BUDGET_MS environment budget) bounds the whole chain
+   in wall-clock time; on exhaustion the best-known answer is returned as
    [Degraded] rather than spinning through further fallbacks.
 
    Returns [None] (with a [Failed] diagnostic) only when every step
@@ -409,139 +330,37 @@ let m_lp_solves = Obs.counter "lp.solves"
 let g_lp_rows = Obs.gauge "lp.rows"
 let g_lp_nnz = Obs.gauge "lp.nnz"
 
-(* ------------------------------------------- canonical printing & caching *)
-
-(* Lossless canonical key of the full model (direction, bounds, objective
-   in insertion order, rows with CSR-order terms), in binary.  Every float
-   is its raw IEEE bits, so a 1-ulp or signed-zero difference changes the
-   key, and the name, the tag, the nonzero lower bounds, the objective and
-   every row carry their lengths, so no two models' terms can run
-   together.  Two
-   models with equal keys lower to bitwise-identical standard forms and
-   therefore solve to bitwise-identical answers, which is what makes
-   exact-key result caching transparent to every artifact.  Variable/row
-   names are excluded — they never reach the solver.  A one-shot process
-   builds the key and never reuses it, so it must be cheap: raw bits, not
-   a printf and parse round trip per term. *)
-let canonical ?(tag = "") t =
-  let names = String.length t.lp_name + String.length tag in
-  let buf = Buffer.create (32 + names + (t.nrows * 13) + (t.nterms * 12)) in
-  let int i = Buffer.add_int32_le buf (Int32.of_int i) in
-  let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
-  let string s =
-    int (String.length s);
-    Buffer.add_string buf s
-  in
-  Buffer.add_string buf "lp2";
-  Buffer.add_char buf (match t.dir with Minimize -> '-' | Maximize -> '+');
-  string t.lp_name;
-  string tag;
-  int t.vars;
-  int t.nrows;
-  let terms l =
-    int (List.length l);
-    List.iter
-      (fun (c, v) ->
-        int v;
-        float c)
-      l
-  in
-  let bounded v = Int64.bits_of_float t.lower_bounds.(v) <> 0L in
-  let bounds = List.filter bounded (List.init t.vars Fun.id) in
-  terms (List.map (fun v -> (t.lower_bounds.(v), v)) bounds);
-  terms t.objective;
-  for r = 0 to t.nrows - 1 do
-    Buffer.add_char buf (match t.row_sense.(r) with Le -> '<' | Eq -> '=' | Ge -> '>');
-    float t.row_rhs.(r);
-    int (t.row_start.(r + 1) - t.row_start.(r));
-    for k = t.row_start.(r) to t.row_start.(r + 1) - 1 do
-      int t.term_var.(k);
-      float t.term_coef.(k)
-    done
-  done;
-  Buffer.contents buf
-
-(* Exact-key result cache for [solve_diag].  A hit replays the stored
-   result of a bitwise-identical model, so caching never moves an answer. *)
-let result_cache : (outcome option * Resilience.diagnostic) Solve_cache.t =
-  Solve_cache.create "lp"
-
-let cache_stats () =
-  (Solve_cache.hits result_cache, Solve_cache.misses result_cache)
-
-let solve_diag ?eps ?max_iter ?engine ?budget t =
+let solve_diag ?eps ?max_iter ?budget t =
   Obs.incr m_lp_solves;
   Obs.set_gauge g_lp_rows (float_of_int t.nrows);
   Obs.set_gauge g_lp_nnz (float_of_int t.nterms);
-  let cache_key =
-    (* Budgeted calls are excluded from caching entirely: the caller asked
-       for wall-clock semantics (an expired budget must surface as a
-       budget failure, a tight one as Degraded), and a cached Ok from an
-       unbudgeted solve would silently override that contract. *)
-    if budget = None && Solve_cache.enabled () then
-      Some
-        (canonical
-           ~tag:
-             (Printf.sprintf "eps=%s;it=%s;eng=%s"
-                (match eps with Some e -> Solve_cache.float_repr e | None -> "-")
-                (match max_iter with Some i -> string_of_int i | None -> "-")
-                (match engine with
-                | Some Dense -> "dense"
-                | Some Revised -> "revised"
-                | None -> "auto"))
-           t)
-    else None
-  in
-  match Option.bind cache_key (Solve_cache.find result_cache) with
-  | Some cached -> cached
-  | None ->
-  let attempt ?bland_after ?lex engine _budget =
-    let o = solve ?eps ?max_iter ~engine ?bland_after ?lex t in
-    if not (outcome_finite o) then
-      Resilience.Reject "claimed-optimal solution contains NaN/Inf"
-    else
-      match o with
-      | Optimal s ->
-          let m =
-            Resilience.meta ~iterations:s.iterations ~residual:(feasibility_residual t s.values)
-              ()
-          in
-          let rel = relative_feasibility_residual t s.values in
-          if rel > 1e-6 then
-            Resilience.Partial
-              ( o,
-                m,
-                Printf.sprintf
-                  "claimed optimum violates a constraint at relative level %.3e (badly scaled \
-                   row?)"
-                  rel )
-          else Resilience.Accept (o, m)
-      | Infeasible | Unbounded -> Resilience.Accept (o, Resilience.meta ())
-  in
-  let dense_steps =
-    [
-      Resilience.step "bland" (attempt ~bland_after:0 Dense);
-      Resilience.step "lex-perturbation" (attempt ~lex:true Dense);
-    ]
+  let attempt ?bland_after ?lex () _budget =
+    match solve ?eps ?max_iter ?bland_after ?lex t with
+    | exception Simplex.Pivot_cap cap ->
+        Resilience.Reject (Printf.sprintf "pivot cap reached (max_iter %d)" cap)
+    | o when not (outcome_finite o) ->
+        Resilience.Reject "claimed-optimal solution contains NaN/Inf"
+    | Optimal s as o ->
+        let m =
+          Resilience.meta ~iterations:s.iterations ~residual:(feasibility_residual t s.values) ()
+        in
+        let rel = relative_feasibility_residual t s.values in
+        if rel > 1e-6 then
+          Resilience.Partial
+            ( o,
+              m,
+              Printf.sprintf
+                "claimed optimum violates a constraint at relative level %.3e (badly scaled row?)"
+                rel )
+        else Resilience.Accept (o, m)
+    | (Infeasible | Unbounded) as o -> Resilience.Accept (o, Resilience.meta ())
   in
   let steps =
-    match choose_engine t engine with
-    | Revised ->
-        Resilience.step "revised-simplex" (attempt Revised)
-        :: Resilience.step "dense-tableau" (attempt Dense)
-        :: dense_steps
-    | Dense ->
-        Resilience.step "dense-tableau" (attempt Dense)
-        :: Resilience.step "revised-simplex" (attempt Revised)
-        :: dense_steps
+    [
+      Resilience.step "dense-tableau" (attempt ());
+      Resilience.step "bland" (attempt ~bland_after:0 ());
+      Resilience.step "lex-perturbation" (attempt ~lex:true ());
+    ]
   in
   let budget = match budget with Some b -> b | None -> Resilience.of_env () in
-  let ((outcome_opt, diag) as result) =
-    Resilience.escalate ~solver:(Printf.sprintf "lp.solve(%s)" t.lp_name) ~budget steps
-  in
-  (* Only clean first-step optima are cached: Degraded/Failed outcomes can
-     depend on the wall-clock budget and deserve a retry. *)
-  (match (outcome_opt, cache_key, diag.Resilience.status) with
-  | Some (Optimal _), Some key, Resilience.Ok -> Solve_cache.add result_cache key result
-  | _ -> ());
-  result
+  Resilience.escalate ~solver:(Printf.sprintf "lp.solve(%s)" t.lp_name) ~budget steps

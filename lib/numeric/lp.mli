@@ -72,24 +72,17 @@ type outcome =
 
 val value : solution -> var -> float
 
-type engine = Dense | Revised
-
 val solve :
   ?eps:float ->
   ?max_iter:int ->
-  ?engine:engine ->
   ?bland_after:int ->
   ?lex:bool ->
   t ->
   outcome
-(** Lower to standard form and solve.  [engine] selects the dense tableau
-    ({!Simplex.solve} — battle-tested, O(m*(n+m)) memory) or the sparse
-    revised simplex ({!Simplex_revised.solve_sparse} — lowered via
-    {!to_standard_sparse}, never materializing a dense tableau).  When
-    [engine] is omitted the model chooses: dense below ~400 rows (all
-    published artifact runs stay on it, bit-for-bit), revised above.
-    [bland_after] and [lex] are forwarded to the dense tableau only
-    (anti-cycling knobs used by the escalation chain in {!solve_diag}). *)
+(** Lower to standard form ({!to_standard}) and solve with the dense
+    tableau ({!Simplex.solve}).  [bland_after] and [lex] are its
+    anti-cycling knobs, used by the escalation chain in {!solve_diag}.
+    @raise Simplex.Pivot_cap when the run reaches [max_iter] pivots. *)
 
 val feasibility_residual : t -> float array -> float
 (** Worst violation of the user-level constraints by [values] (indexed by
@@ -111,43 +104,28 @@ val outcome_finite : outcome -> bool
 val solve_diag :
   ?eps:float ->
   ?max_iter:int ->
-  ?engine:engine ->
   ?budget:Bufsize_resilience.Resilience.budget ->
   t ->
   outcome option * Bufsize_resilience.Resilience.diagnostic
 (** Resilient {!solve}: runs the escalation chain
-    auto engine -> other engine -> Bland from pivot one -> lexicographic
-    perturbation, each step bounded by [budget] (default
+    [dense-tableau] (Dantzig's rule) -> [bland] (Bland's rule from pivot
+    one) -> [lex-perturbation] (lexicographic-style perturbation), each
+    step bounded by [budget] (default
     {!Bufsize_resilience.Resilience.of_env}).  The first step is exactly
-    {!solve}, so the clean path is bit-for-bit unchanged and reported
-    [Ok]; any fallback demotes the diagnostic to [Degraded]; exhausting
-    the chain (or the budget with nothing usable) yields [None, Failed].
-    A step is rejected — never surfaced — when it raises or claims an
-    optimum containing NaN/Inf.
-
-    An exact-key result cache ({!Solve_cache}) keyed on {!canonical} sits
-    in front of the chain: a hit returns the stored result of the
-    identical unbudgeted solve, bypassing the chain entirely
-    (bitwise-transparent by construction). *)
-
-val canonical : ?tag:string -> t -> string
-(** Lossless binary key of the model (direction, nonzero lower bounds,
-    objective, rows; names excluded).  Floats are their raw IEEE bits and
-    every section is length-prefixed, so models differing by one ulp or a
-    zero's sign get distinct keys.  Equal keys imply bitwise-identical
-    standard forms, hence bitwise-identical solver behaviour — the
-    exact-key cache in {!solve_diag} relies on this.  [tag] folds solver
-    parameters into the key. *)
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of the {!solve_diag} result cache. *)
+    {!solve}, so the clean path is reported [Ok]; any fallback demotes
+    the diagnostic to [Degraded]; exhausting the chain (or the budget with
+    nothing usable) yields [None, Failed].  A step is rejected — never
+    surfaced — when it raises, when it reaches the [max_iter] pivot cap
+    (the reason names the cap), or when it claims an optimum containing
+    NaN/Inf. *)
 
 val to_standard : t -> Simplex.standard
-(** The lowered dense standard form (exposed for tests and benchmarks). *)
+(** The lowered dense standard form. *)
 
-val to_standard_sparse : t -> Simplex_revised.sparse_standard
-(** The lowered standard form as sparse columns.  Coefficients are
-    accumulated in the same order as {!to_standard}, so the two lowerings
-    agree bitwise entry-for-entry. *)
+val outcome_of_standard : t -> Simplex.result -> outcome
+(** Map a result for [to_standard t] back onto [t]'s variables and rows:
+    {!solve} is [outcome_of_standard t (Simplex.solve (to_standard t))],
+    and a reference engine on the same standard form reports through it
+    too. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -24,6 +24,8 @@ type solution = {
 
 type result = Optimal of solution | Infeasible | Unbounded
 
+exception Pivot_cap of int
+
 (* The tableau is stored row-major with width [width = ncols + nrows + 1]:
    columns 0..ncols-1 are the structural variables, ncols..ncols+nrows-1 the
    artificials, and the last column the right-hand side.  Row [nrows] is the
@@ -181,27 +183,28 @@ let leaving tab ~eps col =
 
 type phase_outcome = Phase_optimal | Phase_unbounded | Phase_iterations
 
+(* [max_iter] caps the pivots of a whole run (both phases): the cap is
+   checked only when another pivot is due, so a phase that is optimal
+   after exactly [max_iter] pivots still reports optimal. *)
 let run_phase tab ~eps ~max_iter ~bland_after ~refactor_every ~refactor ~allow iterations =
   let rec loop iters since_refactor =
-    if iters >= max_iter then (Phase_iterations, iters)
+    let since_refactor =
+      if since_refactor >= refactor_every then begin
+        refactor ();
+        0
+      end
+      else since_refactor
+    in
+    let bland = iters >= bland_after in
+    let col = entering tab ~eps ~bland ~allow in
+    if col < 0 then (Phase_optimal, iters)
+    else if iters >= max_iter then (Phase_iterations, iters)
     else begin
-      let since_refactor =
-        if since_refactor >= refactor_every then begin
-          refactor ();
-          0
-        end
-        else since_refactor
-      in
-      let bland = iters >= bland_after in
-      let col = entering tab ~eps ~bland ~allow in
-      if col < 0 then (Phase_optimal, iters)
+      let row = leaving tab ~eps col in
+      if row < 0 then (Phase_unbounded, iters)
       else begin
-        let row = leaving tab ~eps col in
-        if row < 0 then (Phase_unbounded, iters)
-        else begin
-          pivot tab row col;
-          loop (iters + 1) (since_refactor + 1)
-        end
+        pivot tab row col;
+        loop (iters + 1) (since_refactor + 1)
       end
     end
   in
@@ -490,7 +493,7 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
     refactor1 ();
     let phase1_obj = -.tget tab tab.m (tab.width - 1) in
     match outcome1 with
-    | Phase_iterations -> `Stalled
+    | Phase_iterations -> raise (Pivot_cap max_iter)
     | Phase_unbounded -> `Infeasible
     | Phase_optimal when phase1_obj > 1e-6 -> `Infeasible
     | Phase_optimal -> (
@@ -507,7 +510,8 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
         in
         match outcome2 with
         | Phase_unbounded -> `Unbounded
-        | Phase_iterations | Phase_optimal -> (
+        | Phase_iterations -> raise (Pivot_cap max_iter)
+        | Phase_optimal -> (
             (* Swap the true data back in (removing the perturbation) and
                restore primal feasibility with a few dual pivots.  Without
                a dual pivot the basis, hence B, is the one just factorized,
@@ -528,35 +532,37 @@ let solve ?(eps = 1e-9) ?(max_iter = 200_000) ?(bland_after = 20_000) ?(lex = fa
         [ ("run", label); ("rows", string_of_int std.nrows); ("cols", string_of_int std.ncols) ])
       f
   in
+  let drift_retry ~work fallback =
+    (* The pivot path drifted numerically despite refactorization; retry
+       with much tighter refactorization (still Dantzig — Bland is far
+       too slow on these LPs and no more accurate). *)
+    Obs.incr m_retries;
+    match timed "drift retry" (fun () -> run ~work ~bland_after ~refactor_every:100) with
+    | `Optimal sol -> Optimal sol
+    | `Infeasible -> Infeasible
+    | `Unbounded -> Unbounded
+    | `Drifted _ -> Optimal fallback
+  in
   let unperturbed_retry () =
     (* The perturbation turns redundant-but-consistent rows (rank-deficient
        systems like balanced transportation problems) into inconsistent
        ones; a perturbed "infeasible" verdict must be confirmed on the true
-       data before being believed. *)
+       data before being believed.  The degenerate true data drift more
+       easily, so a drifted retry gets its own drift retry. *)
     Obs.incr m_retries;
     match timed "unperturbed retry" (fun () -> run ~work:std ~bland_after ~refactor_every:200)
     with
     | `Optimal sol -> Optimal sol
     | `Unbounded -> Unbounded
-    | `Infeasible | `Stalled -> Infeasible
-    | `Drifted fallback -> Optimal fallback
+    | `Infeasible -> Infeasible
+    | `Drifted fallback -> drift_retry ~work:std fallback
   in
   let work = if lex then perturb_lex std else perturb std in
   match timed "first run" (fun () -> run ~work ~bland_after ~refactor_every:400) with
   | `Infeasible -> unperturbed_retry ()
   | `Unbounded -> Unbounded
   | `Optimal sol -> Optimal sol
-  | `Stalled -> unperturbed_retry ()
-  | `Drifted fallback -> (
-      (* The pivot path drifted numerically despite refactorization; retry
-         with much tighter refactorization (still Dantzig — Bland is far
-         too slow on these LPs and no more accurate). *)
-      Obs.incr m_retries;
-      match timed "drift retry" (fun () -> run ~work ~bland_after ~refactor_every:100) with
-      | `Optimal sol -> Optimal sol
-      | `Infeasible -> Infeasible
-      | `Unbounded -> Unbounded
-      | `Stalled | `Drifted _ -> Optimal fallback)
+  | `Drifted fallback -> drift_retry ~work fallback
 
 let feasibility_error std x =
   let err = ref 0. in

@@ -14,7 +14,7 @@
 
     Dual values are read off the artificial columns of the final tableau and
     exposed in {!solution}; the buffer-budget row's dual is the "price of
-    buffer space" used by the Lagrangian decomposition ablation. *)
+    buffer space". *)
 
 type standard = {
   nrows : int;
@@ -36,6 +36,10 @@ type result =
   | Infeasible
   | Unbounded
 
+exception Pivot_cap of int
+(** A run needed more than [max_iter] pivots (the payload).  A capped run
+    has no verdict: it is neither optimal nor infeasible. *)
+
 val solve :
   ?eps:float ->
   ?max_iter:int ->
@@ -45,14 +49,17 @@ val solve :
   result
 (** [solve std] runs two-phase simplex.  [eps] (default [1e-9]) is the
     numerical tolerance for reduced costs and pivots; [max_iter] (default
-    [200_000]) bounds total pivots; [bland_after] (default [20_000]) is the
-    pivot count after which Bland's rule replaces Dantzig's.  [lex]
+    [200_000]) bounds the pivots of each run (a rerun gets its own);
+    [bland_after] (default [20_000]) is the pivot count after which
+    Bland's rule replaces Dantzig's.  [lex]
     (default [false]) replaces the uniform anti-degeneracy right-hand-side
     perturbation with a lexicographic-style geometric one — strictly
     decreasing per-row magnitudes, so ties between degenerate rows are
     broken in a fixed row order; the escalation chain's last resort on
     cycling-prone instances.
-    @raise Invalid_argument on inconsistent dimensions. *)
+    @raise Invalid_argument on inconsistent dimensions.
+    @raise Pivot_cap when a run reaches [max_iter] pivots with another
+    pivot due. *)
 
 val solution_finite : solution -> bool
 (** No NaN/Inf anywhere in the claimed solution (objective, primal point,

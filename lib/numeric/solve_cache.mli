@@ -10,8 +10,8 @@
     Because a hit requires the canonical strings to be byte-identical, a
     cached result is exactly what recomputing would produce (all solvers
     in this library are deterministic functions of their inputs) — caching
-    is therefore bitwise-transparent to every artifact.  The caches behind
-    {!Lp.solve_diag} and [Sizing.run] are instances of this module.
+    is therefore bitwise-transparent to every artifact.  The cache behind
+    [Sizing.run] is an instance of this module.
 
     Caching is enabled by default and controlled globally:
     - the [BUFSIZE_SOLVE_CACHE] environment variable (see {!parse_env});

@@ -178,16 +178,11 @@ let sizing_core_json traffic (r : Sizing.result) =
     ]
 
 let solver_stats_json () =
-  let lp_hits, lp_misses = Bufsize_numeric.Lp.cache_stats () in
   let sz_hits, sz_misses = Sizing.cache_stats () in
   let pair h m =
     Json.Obj [ ("hits", Json.Num (float_of_int h)); ("misses", Json.Num (float_of_int m)) ]
   in
-  Json.Obj
-    [
-      ("lp_cache", pair lp_hits lp_misses);
-      ("sizing_cache", pair sz_hits sz_misses);
-    ]
+  Json.Obj [ ("sizing_cache", pair sz_hits sz_misses) ]
 
 (* -------------------------------------------------------- built-in ops *)
 
@@ -722,15 +717,6 @@ let handle_line t conn line =
 
 (* ------------------------------------------------------------- workers *)
 
-(* Solve-cache counters sampled around a telemetry request; the
-   reply carries the deltas.  (Process-global counters, so concurrent
-   requests can bleed into each other's deltas — telemetry is a
-   diagnostic view, not an accounting one.) *)
-let cache_stats_now () =
-  let lp_h, lp_m = Bufsize_numeric.Lp.cache_stats () in
-  let sz_h, sz_m = Sizing.cache_stats () in
-  (lp_h, lp_m, sz_h, sz_m)
-
 let span_json epoch (s : Obs.span_record) =
   Json.Obj
     [
@@ -748,9 +734,13 @@ let reply_fields = function
   | Reply_ok fields | Reply_degraded (_, fields) -> fields
   | Reply_error _ -> []
 
+(* [c0]/[c1] are the sizing-cache counters sampled around the request;
+   the reply carries the deltas.  (Process-global counters, so concurrent
+   requests can bleed into each other's deltas — telemetry is a
+   diagnostic view, not an accounting one.) *)
 let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c1 ~reply =
-  let lp_h0, lp_m0, sz_h0, sz_m0 = c0 in
-  let lp_h1, lp_m1, sz_h1, sz_m1 = c1 in
+  let sz_h0, sz_m0 = c0 in
+  let sz_h1, sz_m1 = c1 in
   let pair h m = Json.Obj [ ("hits", num_int h); ("misses", num_int m) ] in
   let epoch = match spans with s :: _ -> s.Obs.sstart_ns | [] -> 0L in
   Json.Obj
@@ -765,12 +755,7 @@ let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c
         (* The solver diagnostics (engine, status, iterations, residual,
            fallbacks, chain span id) as the handler attached them. *)
         Option.value ~default:Json.Null (List.assoc_opt "health" (reply_fields reply)) );
-      ( "cache",
-        Json.Obj
-          [
-            ("lp", pair (lp_h1 - lp_h0) (lp_m1 - lp_m0));
-            ("sizing", pair (sz_h1 - sz_h0) (sz_m1 - sz_m0));
-          ] );
+      ("cache", Json.Obj [ ("sizing", pair (sz_h1 - sz_h0) (sz_m1 - sz_m0)) ]);
     ]
 
 let run_work t w =
@@ -798,7 +783,7 @@ let run_work t w =
   let reply, capture =
     if not w.w_telemetry then (compute (), None)
     else begin
-      let c0 = cache_stats_now () in
+      let c0 = Sizing.cache_stats () in
       let (reply, root), spans, spans_dropped =
         Obs.with_capture (fun () ->
             Obs.span_with_id ~name:"serve.request" (fun root -> (compute (), root)))
@@ -843,7 +828,7 @@ let run_work t w =
     match capture with
     | None -> []
     | Some (root, spans, spans_dropped, c0) ->
-        let c1 = cache_stats_now () in
+        let c1 = Sizing.cache_stats () in
         [
           ( "telemetry",
             telemetry_json ~rid:w.w_rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0

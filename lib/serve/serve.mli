@@ -182,5 +182,5 @@ val sizing_core_json : Bufsize_soc.Traffic.t -> Bufsize_soc.Sizing.result -> Jso
     times. *)
 
 val solver_stats_json : unit -> Json.t
-(** The process-wide LP and sizing cache counters, shaped like the
+(** The process-wide sizing-cache counters, shaped like the
     [solver_stats] object of the CLI's [--health-json]. *)

@@ -468,6 +468,11 @@ let repro_lines text =
 
 let tokens line = String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
+(* A finite number; [nan] and [inf] tokens do not parse, so a repro can
+   only declare -inf through a [free] line. *)
+let float_token tok =
+  match float_of_string_opt tok with Some x when Float.is_finite x -> Some x | _ -> None
+
 (* "x3" -> Some 3 *)
 let parse_var_tok n tok =
   if String.length tok >= 2 && tok.[0] = 'x' then
@@ -480,13 +485,13 @@ let parse_var_tok n tok =
 let rec parse_terms n acc = function
   | [] -> Some (List.rev acc, None)
   | [ sense; rhs ] when sense = "<=" || sense = "=" || sense = ">=" -> (
-      match float_of_string_opt rhs with
+      match float_token rhs with
       | Some r ->
           let s = match sense with "<=" -> Lp.Le | ">=" -> Lp.Ge | _ -> Lp.Eq in
           Some (List.rev acc, Some (s, r))
       | None -> None)
   | coef :: var :: tl -> (
-      match (float_of_string_opt coef, parse_var_tok n var) with
+      match (float_token coef, parse_var_tok n var) with
       | Some c, Some v -> parse_terms n ((v, c) :: acc) tl
       | _ -> None)
   | _ -> None
@@ -516,7 +521,7 @@ let lp_case_of_string text =
                       | Some j -> lbs.(j) <- neg_infinity
                       | None -> fail ("lp: bad free line: " ^ line))
                   | [ v; ">="; b ] -> (
-                      match (parse_var_tok n v, float_of_string_opt b) with
+                      match (parse_var_tok n v, float_token b) with
                       | Some j, Some lb -> lbs.(j) <- lb
                       | _ -> fail ("lp: bad bound line: " ^ line))
                   | "row:" :: tl -> (
@@ -538,7 +543,7 @@ let parse_transition_tok tok =
     | Some at -> (
         match
           ( int_of_string_opt (String.sub tok 2 (at - 2)),
-            float_of_string_opt (String.sub tok (at + 1) (String.length tok - at - 1)) )
+            float_token (String.sub tok (at + 1) (String.length tok - at - 1)) )
         with
         | Some t, Some r -> Some (t, r)
         | _ -> None)
@@ -571,7 +576,7 @@ let ctmdp_case_of_string text =
                             | _ -> None)
                           (Some []) trans
                       in
-                      match (int_of_string_opt s, float_of_string_opt c, float_of_string_opt e, transitions) with
+                      match (int_of_string_opt s, float_token c, float_token e, transitions) with
                       | Some s, Some cost, Some extra, Some ts when s >= 0 && s < n ->
                           actions.(s) <- (label, List.rev ts, cost, extra) :: actions.(s)
                       | _ -> fail ("ctmdp: bad action line: " ^ line))
@@ -598,11 +603,11 @@ let monolithic_of_string text =
           match
             ( int_of_string_opt kx,
               int_of_string_opt ky,
-              float_of_string_opt lx,
-              float_of_string_opt ly,
-              float_of_string_opt cf,
-              float_of_string_opt mx,
-              float_of_string_opt my )
+              float_token lx,
+              float_token ly,
+              float_token cf,
+              float_token mx,
+              float_token my )
           with
           | Some kx, Some ky, Some lambda_x, Some lambda_y, Some cross_fraction, Some mu_x, Some mu_y
             ->
@@ -764,7 +769,7 @@ let parse_edge_tok tok =
           match
             ( int_of_string_opt (String.sub tok 0 i),
               int_of_string_opt (String.sub tok (i + 2) (at - i - 2)),
-              float_of_string_opt (String.sub tok (at + 1) (len - at - 1)) )
+              float_token (String.sub tok (at + 1) (len - at - 1)) )
           with
           | Some f, Some t, Some r -> Some (f, t, r)
           | _ -> None))
@@ -834,7 +839,7 @@ let san_case_of_string text =
                           else !locals.(i) <- edges
                       | _ -> ())
                   | [ "event"; label; "rate"; r ] -> (
-                      match float_of_string_opt r with
+                      match float_token r with
                       | Some rate ->
                           flush ();
                           current := Some (label, rate, [], [])
@@ -846,7 +851,7 @@ let san_case_of_string text =
                       | None, _, _ -> fail ("san: route line outside an event: " ^ line)
                       | _ -> ())
                   | "scale" :: a :: ":" :: tl -> (
-                      let mult = List.filter_map float_of_string_opt tl in
+                      let mult = List.filter_map float_token tl in
                       match (!current, automaton_index line a) with
                       | Some (label, rate, routing, scaling), Some i ->
                           if List.length mult <> List.length tl then

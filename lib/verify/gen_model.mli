@@ -151,7 +151,13 @@ val monolithic_to_string : Bufsize_soc.Monolithic.spec -> string
 
     Inverses of the [*_to_string] printers, used by
     [bufsize verify --replay] to reconstruct a case from a dumped repro.
-    All parsers skip blank and ['#'] comment lines. *)
+    All parsers skip blank and ['#'] comment lines and read every number
+    through {!float_token}: a non-finite one is an [Error] naming its
+    line. *)
+
+val float_token : string -> float option
+(** A finite float, or [None] for [nan], [inf] and non-numbers.  An LP
+    repro declares an unbounded-below variable only with a [free] line. *)
 
 val lp_case_of_string : string -> (lp_case, string) result
 val ctmdp_case_of_string : string -> (ctmdp_case, string) result

@@ -27,9 +27,10 @@ let rel_close tol a b = Float.abs (a -. b) <= tol *. (1. +. Float.max (Float.abs
 
 (* ----------------------------------------------------- 1. simplex-cross *)
 
-(* Dense tableau vs sparse revised simplex: independently engineered
-   solvers for the same standard form must agree on the classification and
-   (when optimal) on the objective. *)
+(* The production engine (dense tableau) vs the reference engine (sparse
+   revised simplex): independently engineered solvers for the same
+   [Lp.to_standard] output must agree on the classification and (when
+   optimal) on the objective. *)
 
 let outcome_name = function
   | Lp.Optimal _ -> "optimal"
@@ -37,8 +38,8 @@ let outcome_name = function
   | Lp.Unbounded -> "unbounded"
 
 let check_lp_case (c : Gen_model.lp_case) =
-  let solve engine = Lp.solve ~engine (Gen_model.lp_of_case c) in
-  match (solve Lp.Dense, solve Lp.Revised) with
+  let lp = Gen_model.lp_of_case c in
+  match (Lp.solve lp, Simplex_revised.solve_lp lp) with
   | Lp.Optimal d, Lp.Optimal r ->
       if rel_close 1e-6 d.Lp.objective r.Lp.objective then Pass
       else
@@ -101,21 +102,22 @@ let rec lp_case_to_oracle_case (c : Gen_model.lp_case) =
 let simplex_cross =
   {
     name = "simplex-cross";
-    doc = "dense tableau vs sparse revised simplex on random LPs";
+    doc = "dense tableau vs the reference sparse revised simplex on random LPs";
     generate = (fun ~max_states:_ rng -> lp_case_to_oracle_case (Gen_model.lp_case rng));
   }
 
 (* --------------------------------------------------------- 2. mdp-gain *)
 
 (* Average-cost routes on random unichain CTMDPs: the occupation-measure
-   LP (both simplex engines), policy iteration, and small-discount value
-   iteration must tell one consistent story about the optimal gain. *)
+   LP (dense tableau and the reference revised simplex), policy iteration,
+   and small-discount value iteration must tell one consistent story about
+   the optimal gain. *)
 
 let vi_alpha = 1e-3
 
 let check_ctmdp_case (c : Gen_model.ctmdp_case) =
   let m = Gen_model.ctmdp_of_case c in
-  match Lp_formulation.solve ~engine:Lp.Dense m with
+  match Lp_formulation.solve m with
   | Lp_formulation.Infeasible | Lp_formulation.Unbounded ->
       failf "occupation LP not optimal on a valid CTMDP"
   | Lp_formulation.Optimal s ->
@@ -147,12 +149,10 @@ let check_ctmdp_case (c : Gen_model.ctmdp_case) =
               failf "extras inconsistent with occupation: %.12g vs %.12g" !acc
                 s.Lp_formulation.extras.(0));
           (fun () ->
-            match Lp_formulation.solve ~engine:Lp.Revised m with
-            | Lp_formulation.Optimal r ->
-                if rel_close 1e-6 r.Lp_formulation.gain g then Pass
-                else
-                  failf "revised-engine gain %.12g differs from dense %.12g"
-                    r.Lp_formulation.gain g
+            match Simplex_revised.solve_lp (Lp_formulation.model m) with
+            | Lp.Optimal r ->
+                if rel_close 1e-6 r.Lp.objective g then Pass
+                else failf "revised-engine gain %.12g differs from dense %.12g" r.Lp.objective g
             | _ -> failf "revised engine failed where dense was optimal");
           (fun () ->
             let pi = Policy_iteration.solve m in
@@ -1473,7 +1473,7 @@ let price_case_of_string text =
   match header_value ~prefix:price_header text with
   | None -> Error "price repro has no '# price cross-check:' header"
   | Some v -> (
-      match float_of_string_opt v with
+      match Gen_model.float_token v with
       | None -> Error ("price: bad bound position " ^ v)
       | Some price_at ->
           if chunks = [] then Error "price: no blocks"

@@ -1,8 +1,9 @@
 (** The oracle matrix: independent solution routes cross-checked on random
     instances (see DESIGN.md §6.1 for the full matrix and tolerances).
 
-    - [simplex-cross]: dense tableau vs sparse revised simplex on random
-      LPs — same classification, same objective.
+    - [simplex-cross]: dense tableau (the production engine) vs the
+      reference sparse revised simplex ({!Simplex_revised}) on random LPs
+      — same classification, same objective.
     - [mdp-gain]: occupation-measure LP (both engines) vs average-cost
       policy iteration vs small-discount value iteration on random
       unichain CTMDPs.

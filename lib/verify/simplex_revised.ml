@@ -13,6 +13,10 @@
    trajectories on the same problem). *)
 
 module Obs = Bufsize_obs.Obs
+module Simplex = Bufsize_numeric.Simplex
+module Lu = Bufsize_numeric.Lu
+module Mat = Bufsize_numeric.Mat
+module Lp = Bufsize_numeric.Lp
 
 (* Same pivot/refactorization/retry telemetry as the dense engine: pivots
    and refactorizations under their own metric names so the two engines
@@ -200,33 +204,31 @@ let run_phase eng ~eps ~max_iter ~refactor_every ~allow ~cost_of iterations =
   let iters = ref iterations in
   let outcome = ref None in
   while !outcome = None do
-    if !iters >= max_iter then outcome := Some Iteration_limit
+    let q = entering eng ~eps ~allow ~cost_of in
+    if q < 0 then outcome := Some Optimal_phase
+    else if !iters >= max_iter then outcome := Some Iteration_limit
     else begin
-      let q = entering eng ~eps ~allow ~cost_of in
-      if q < 0 then outcome := Some Optimal_phase
+      let w = ftran eng (dense_column eng q) in
+      let r =
+        let r = leaving eng ~tol:1e-6 w in
+        if r >= 0 then r else leaving eng ~tol:eps w
+      in
+      if r < 0 then outcome := Some Unbounded_phase
       else begin
-        let w = ftran eng (dense_column eng q) in
-        let r =
-          let r = leaving eng ~tol:1e-6 w in
-          if r >= 0 then r else leaving eng ~tol:eps w
-        in
-        if r < 0 then outcome := Some Unbounded_phase
-        else begin
-          let t = Float.max 0. eng.xb.(r) /. w.(r) in
-          for i = 0 to eng.m - 1 do
-            if i <> r then eng.xb.(i) <- eng.xb.(i) -. (t *. w.(i))
-          done;
-          eng.xb.(r) <- t;
-          eng.in_basis.(eng.basis.(r)) <- false;
-          eng.in_basis.(q) <- true;
-          eng.basis.(r) <- q;
-          eng.etas <- { er = r; ew = w } :: eng.etas;
-          eng.neta <- eng.neta + 1;
-          Obs.incr m_pivots;
-          incr iters;
-          if eng.neta >= refactor_every then
-            if not (refactorize eng) then outcome := Some Singular_basis
-        end
+        let t = Float.max 0. eng.xb.(r) /. w.(r) in
+        for i = 0 to eng.m - 1 do
+          if i <> r then eng.xb.(i) <- eng.xb.(i) -. (t *. w.(i))
+        done;
+        eng.xb.(r) <- t;
+        eng.in_basis.(eng.basis.(r)) <- false;
+        eng.in_basis.(q) <- true;
+        eng.basis.(r) <- q;
+        eng.etas <- { er = r; ew = w } :: eng.etas;
+        eng.neta <- eng.neta + 1;
+        Obs.incr m_pivots;
+        incr iters;
+        if eng.neta >= refactor_every then
+          if not (refactorize eng) then outcome := Some Singular_basis
       end
     end
   done;
@@ -374,7 +376,8 @@ let solve_once ~eps ~max_iter ~refactor_every ~perturbed sp =
       !acc
     in
     match outcome1 with
-    | Iteration_limit | Singular_basis -> `Stalled
+    | Iteration_limit -> raise (Simplex.Pivot_cap max_iter)
+    | Singular_basis -> `Stalled
     | Unbounded_phase -> `Infeasible (* phase 1 is bounded below; cannot happen *)
     | Optimal_phase when phase1_obj > 1e-6 -> `Infeasible
     | Optimal_phase -> (
@@ -387,7 +390,8 @@ let solve_once ~eps ~max_iter ~refactor_every ~perturbed sp =
         match outcome2 with
         | Unbounded_phase -> `Unbounded
         | Singular_basis -> `Drifted (best_effort eng iters2)
-        | Iteration_limit | Optimal_phase -> (
+        | Iteration_limit -> raise (Simplex.Pivot_cap max_iter)
+        | Optimal_phase -> (
             (* Remove the perturbation exactly before reading the answer. *)
             if perturbed then dual_cleanup eng ~refactor_every ~allow:structural ~cost_of:phase2_cost;
             match refined eng iters2 with
@@ -457,3 +461,5 @@ let solve ?eps ?max_iter ?refactor_every std =
   if Array.length std.Simplex.c <> std.Simplex.ncols then
     invalid_arg "Simplex_revised.solve: cost size mismatch";
   solve_sparse ?eps ?max_iter ?refactor_every (sparse_of_standard std)
+
+let solve_lp lp = Lp.outcome_of_standard lp (solve (Lp.to_standard lp))

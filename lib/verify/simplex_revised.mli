@@ -1,8 +1,12 @@
-(** Sparse revised simplex — the scalable alternative to the dense tableau.
+(** Sparse revised simplex — the reference engine the production LP
+    solver ({!Bufsize_numeric.Simplex}, the dense tableau) is checked
+    against.  The [simplex-cross] and [mdp-gain] oracles and the
+    engine-agreement tests solve the same {!Bufsize_numeric.Lp.to_standard}
+    output with both engines and compare.
 
-    Same problem class and result types as {!Simplex} (standard form:
-    minimize [c'x] s.t. [A x = b], [x >= 0]), but instead of carrying the
-    full [m x (n+m)] tableau it maintains only:
+    Same problem class and result types as the dense engine (standard
+    form: minimize [c'x] s.t. [A x = b], [x >= 0]), but instead of
+    carrying the full [m x (n+m)] tableau it maintains only:
 
     - the sparse columns of [A];
     - an LU factorization of the current basis, extended between
@@ -10,16 +14,14 @@
     - the dense basic solution vector.
 
     Per-pivot cost drops from [O(m (n+m))] dense row operations to
-    [O(m k + nnz)] (eta application plus sparse pricing), which is what
-    makes CTMDP occupation LPs beyond a few hundred states practical.
+    [O(m k + nnz)] (eta application plus sparse pricing).
 
     Shares the dense engine's anti-degeneracy strategy: perturbed
     right-hand side during pivoting, a Harris-flavoured ratio test, and an
     exact LU refinement against the true data at the end (with an
     unperturbed retry when the perturbation manufactures infeasibility).
-
-    Cross-validated against {!Simplex} by the test-suite on random LPs and
-    on CTMDP instances. *)
+    A run that reaches [max_iter] pivots raises
+    {!Bufsize_numeric.Simplex.Pivot_cap}, as the dense engine does. *)
 
 type sparse_standard = {
   snrows : int;
@@ -31,31 +33,35 @@ type sparse_standard = {
   sc : float array;
 }
 (** Standard form held column-wise and sparse — the native input of this
-    engine.  {!solve} on a dense {!Simplex.standard} converts to this
-    once up front; large models should lower straight to it
-    ({!Lp.to_standard_sparse}) and never materialize the dense matrix. *)
+    engine.  {!solve} on a dense {!Bufsize_numeric.Simplex.standard}
+    converts to this once up front. *)
 
 val solve_sparse :
   ?eps:float ->
   ?max_iter:int ->
   ?refactor_every:int ->
   sparse_standard ->
-  Simplex.result
+  Bufsize_numeric.Simplex.result
 (** Solve from the sparse columns directly.  Identical pivot trajectory to
     {!solve} on the equivalent dense input.  Each rerun (unperturbed, or
     with a short eta file after numerical drift) counts once on the
     [simplex.retries] metric the dense engine also uses. *)
 
-val sparse_of_standard : Simplex.standard -> sparse_standard
+val sparse_of_standard : Bufsize_numeric.Simplex.standard -> sparse_standard
 (** Column extraction from a dense standard form (zeros dropped). *)
 
 val solve :
   ?eps:float ->
   ?max_iter:int ->
   ?refactor_every:int ->
-  Simplex.standard ->
-  Simplex.result
+  Bufsize_numeric.Simplex.standard ->
+  Bufsize_numeric.Simplex.result
 (** [solve std] with [eps] (default [1e-9]) the reduced-cost tolerance,
-    [max_iter] (default [200_000]) the total pivot bound, and
+    [max_iter] (default [200_000]) the pivot bound of each run, and
     [refactor_every] (default [64]) the eta-file length triggering basis
     refactorization. *)
+
+val solve_lp : Bufsize_numeric.Lp.t -> Bufsize_numeric.Lp.outcome
+(** [solve_lp lp] solves [Lp.to_standard lp] with this engine and maps
+    the answer back onto the model's variables — the reference
+    counterpart of {!Bufsize_numeric.Lp.solve}. *)

@@ -5,6 +5,7 @@
 
 module Vec = Bufsize_numeric.Vec
 module Lp = Bufsize_numeric.Lp
+module Simplex_revised = Bufsize_verify.Simplex_revised
 module Birth_death = Bufsize_prob.Birth_death
 module Rng = Bufsize_prob.Rng
 module Ctmdp = Bufsize_mdp.Ctmdp
@@ -273,8 +274,8 @@ let test_lp_infeasible_constraint () =
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_lp_engines_agree () =
-  (* The dense tableau and the sparse revised simplex must find the same
-     optimal gain on CTMDP occupation LPs. *)
+  (* The dense tableau and the reference sparse revised simplex must find
+     the same optimal gain on CTMDP occupation LPs. *)
   let gen =
     QCheck.make
       QCheck.Gen.(
@@ -286,18 +287,18 @@ let test_lp_engines_agree () =
   in
   let prop (lambda, mu, k, frac) =
     let m = admission_ctmdp ~lambda ~mu ~k in
-    match Lp_formulation.solve ~engine:Lp.Dense m with
+    match Lp_formulation.solve m with
     | Lp_formulation.Optimal d -> (
         let bounds =
           [| { Lp_formulation.sense = Lp.Le; value = d.Lp_formulation.extras.(0) *. frac } |]
         in
         match
-          ( Lp_formulation.solve ~extra_bounds:bounds ~engine:Lp.Dense m,
-            Lp_formulation.solve ~extra_bounds:bounds ~engine:Lp.Revised m )
+          ( Lp_formulation.solve ~extra_bounds:bounds m,
+            Simplex_revised.solve_lp (Lp_formulation.model ~extra_bounds:bounds m) )
         with
-        | Lp_formulation.Optimal a, Lp_formulation.Optimal b ->
-            Float.abs (a.Lp_formulation.gain -. b.Lp_formulation.gain) < 1e-6
-        | Lp_formulation.Infeasible, Lp_formulation.Infeasible -> true
+        | Lp_formulation.Optimal a, Lp.Optimal b ->
+            Float.abs (a.Lp_formulation.gain -. b.Lp.objective) < 1e-6
+        | Lp_formulation.Infeasible, Lp.Infeasible -> true
         | _, _ -> false)
     | _ -> false
   in

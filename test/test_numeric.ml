@@ -352,7 +352,7 @@ let test_simplex_strong_duality_property () =
 
 (* -------------------------------------------------------------- Revised *)
 
-module Simplex_revised = Bufsize_numeric.Simplex_revised
+module Simplex_revised = Bufsize_verify.Simplex_revised
 
 let test_revised_matches_dense_basics () =
   (* Re-run the dense engine's fixed cases through the revised engine. *)
@@ -604,6 +604,85 @@ let test_lp_large_model_access () =
     (Printf.sprintf "O(1) accessors: %d lookups took %.3fs (bound 2s)" lookups dt)
     true (dt < 2.0)
 
+(* max 3x + 2y + z  st  x + y + z <= 4, x <= 2.5, y + z <= 3, x + y >= 1:
+   optimum 10.5 at (2.5, 1.5, 0) after 7 pivots, and no pivot rule of the
+   escalation chain finishes it in one. *)
+let capped_lp () =
+  let lp = Lp.create ~name:"capped" Lp.Maximize in
+  let x = Lp.add_var lp and y = Lp.add_var lp and z = Lp.add_var lp in
+  Lp.set_objective lp [ (3., x); (2., y); (1., z) ];
+  Lp.add_constraint lp [ (1., x); (1., y); (1., z) ] Lp.Le 4.;
+  Lp.add_constraint lp [ (1., x) ] Lp.Le 2.5;
+  Lp.add_constraint lp [ (1., y); (1., z) ] Lp.Le 3.;
+  Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Ge 1.;
+  lp
+
+(* A pivot cap is never a verdict.  On random LPs with an optimum after k
+   pivots, every cap below k makes both engines raise [Pivot_cap], and
+   [solve_diag] either finds the true optimum with another pivot rule or
+   returns no answer: never [Infeasible], never a worse "optimum". *)
+let test_lp_pivot_cap_no_verdict () =
+  let module Gen_model = Bufsize_verify.Gen_model in
+  let module Resilience = Bufsize_resilience.Resilience in
+  let raises_cap f = match f () with _ -> false | exception Simplex.Pivot_cap _ -> true in
+  let prop seed =
+    let lp = Gen_model.lp_of_case (Gen_model.lp_case (Bufsize_prob.Rng.create (1 + seed))) in
+    let revised_pivots =
+      match Simplex_revised.solve_lp lp with Lp.Optimal r -> r.Lp.iterations | _ -> 0
+    in
+    match Lp.solve lp with
+    | Lp.Infeasible | Lp.Unbounded -> true
+    | Lp.Optimal best ->
+        let capped cap =
+          let dense_raises = raises_cap (fun () -> Lp.solve ~max_iter:cap lp) in
+          let revised_raises =
+            cap >= revised_pivots
+            || raises_cap (fun () -> Simplex_revised.solve ~max_iter:cap (Lp.to_standard lp))
+          in
+          let diag_sound =
+            match Lp.solve_diag ~max_iter:cap lp with
+            | None, d -> not (Resilience.is_usable d)
+            | Some (Lp.Optimal s), d ->
+                (not (Resilience.is_ok d))
+                && Float.abs (s.Lp.objective -. best.Lp.objective)
+                   <= 1e-9 *. (1. +. Float.abs best.Lp.objective)
+            | Some (Lp.Infeasible | Lp.Unbounded), _ -> false
+          in
+          dense_raises && revised_raises && diag_sound
+        in
+        List.for_all capped (List.init best.Lp.iterations Fun.id)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"capped solves give no verdict"
+       QCheck.(make ~print:string_of_int Gen.(0 -- 100_000))
+       prop)
+
+(* The escalation chain is dense-tableau -> bland -> lex-perturbation, in
+   that order; capped at one pivot, every step is tried and rejected, no
+   answer surfaces and the reason names the cap. *)
+let test_lp_chain_shape () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Resilience = Bufsize_resilience.Resilience in
+  let (outcome, diag), spans, _ =
+    Obs.with_capture (fun () -> Lp.solve_diag ~max_iter:1 (capped_lp ()))
+  in
+  let steps =
+    List.filter_map
+      (fun s ->
+        let n = s.Obs.sname in
+        if String.length n > 5 && String.sub n 0 5 = "step:" then
+          Some (String.sub n 5 (String.length n - 5))
+        else None)
+      spans
+  in
+  Alcotest.(check (list string)) "steps tried" [ "dense-tableau"; "bland"; "lex-perturbation" ]
+    steps;
+  Alcotest.(check (list string)) "fallbacks" [ "bland"; "lex-perturbation" ]
+    diag.Resilience.fallbacks;
+  Alcotest.(check bool) "no answer" true (outcome = None);
+  Alcotest.(check bool) "failed, naming the cap" true
+    (diag.Resilience.status = Resilience.Failed "pivot cap reached (max_iter 1)")
+
 (* --------------------------------------------------------------- Newton *)
 
 let test_newton_scalar () =
@@ -767,6 +846,8 @@ let () =
           Alcotest.test_case "random LPs (property)" `Quick test_lp_random_feasibility;
           Alcotest.test_case "O(1) accessors on a 10k-var model" `Quick
             test_lp_large_model_access;
+          Alcotest.test_case "pivot cap is never a verdict" `Quick test_lp_pivot_cap_no_verdict;
+          Alcotest.test_case "escalation chain shape" `Quick test_lp_chain_shape;
         ] );
       ( "newton",
         [

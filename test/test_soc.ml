@@ -992,6 +992,63 @@ let test_sizing_dense_pinned () =
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
   Alcotest.(check int) "no LP solve on the sizing path" 0 (Obs.counter_value solves - s0)
 
+(* A router's shared-pool LP (120 rows) from a 3x3 mesh.  Its perturbed
+   run reports infeasible, and the unperturbed retry drifts; the drifted
+   tableau point violates a row at relative level 5.4, so the drifted
+   retry must be rerun with tighter refactorization.  The dense tableau
+   then answers in its first escalation step, with the reference
+   engine's optimum. *)
+let test_dense_unperturbed_drift_retry () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Resilience = Bufsize_resilience.Resilience in
+  let spec =
+    "mesh g rows 3 cols 3 rate 4.17\n"
+    ^ String.concat ""
+        (List.init 9 (fun i -> Printf.sprintf "proc ni%d on g_r%dc%d\n" i (i / 3) (i mod 3)))
+    ^ String.concat ""
+        (List.map (Printf.sprintf "shared_buffer g_%s\n")
+           [ "r0c0"; "r0c1"; "r1c0"; "r1c1"; "r2c1"; "r2c2" ])
+    ^ String.concat ""
+        (List.map
+           (fun (a, b, r) -> Printf.sprintf "flow ni%d -> ni%d rate %s\n" a b r)
+           [
+             (0, 1, "0.366"); (0, 3, "0.136"); (1, 8, "0.181"); (2, 1, "0.227");
+             (2, 6, "0.164"); (3, 1, "0.11"); (4, 0, "0.363"); (5, 0, "0.282");
+             (6, 8, "0.193"); (6, 8, "0.373"); (7, 8, "0.368"); (8, 4, "0.059");
+           ])
+  in
+  let traffic = Test_specs.traffic spec in
+  let sub =
+    List.find
+      (fun (s : Splitting.subsystem) -> s.Splitting.bus_name = "g_r2c2")
+      (Array.to_list (Splitting.split traffic).Splitting.subsystems)
+  in
+  let levels = Bus_model.choose_levels ~max_states:24 sub.Splitting.clients in
+  let model = Bus_model.build ~levels sub in
+  let shared =
+    Bus_model.Shared.build ~static_levels:levels ~max_states:512
+      ~capacity:(Bus_model.total_levels model) sub
+  in
+  let ctmdp = Bus_model.Shared.ctmdp shared in
+  let retries = Obs.counter "simplex.retries" in
+  Obs.enable_metrics ();
+  let r0 = Obs.counter_value retries in
+  let outcome, diag =
+    Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.solve_diag ctmdp)
+  in
+  Alcotest.(check int) "rows" 120 (Bufsize_numeric.Lp.num_constraints (Lp_formulation.model ctmdp));
+  Alcotest.(check int) "unperturbed retry and its drift retry" 2 (Obs.counter_value retries - r0);
+  Alcotest.(check bool) "first step answers" true (Resilience.is_ok diag);
+  match (outcome, Bufsize_verify.Simplex_revised.solve_lp (Lp_formulation.model ctmdp)) with
+  | Some (Lp_formulation.Optimal d), Bufsize_numeric.Lp.Optimal r ->
+      Alcotest.(check string) "reference optimum" "0.000118253849196"
+        (Printf.sprintf "%.12g" r.Bufsize_numeric.Lp.objective);
+      Alcotest.(check bool) "dense gain = reference" true
+        (Float.abs (d.Lp_formulation.gain -. r.Bufsize_numeric.Lp.objective)
+        <= 1e-9 *. r.Bufsize_numeric.Lp.objective)
+  | _ -> Alcotest.fail "shared-pool LP not optimal"
+
 (* Fig. 1 sized per subsystem, with each subsystem LP called directly:
    the final perturbed bases of these LPs are slightly infeasible for the
    true data, so the dual cleanup pivots (26, 39 and 5 pivots).  The exact
@@ -1240,6 +1297,8 @@ let () =
         [
           Alcotest.test_case "dense engine pinned (three buses, two bridges)" `Quick
             test_sizing_dense_pinned;
+          Alcotest.test_case "dense drift retry after the unperturbed retry" `Quick
+            test_dense_unperturbed_drift_retry;
           Alcotest.test_case "exact finish after dual-cleanup pivots" `Quick
             test_sizing_finish_after_dual_cleanup;
           Alcotest.test_case "netproc price = LP (kappa 0.6, 0.25)" `Slow test_netproc_price_vs_lp;

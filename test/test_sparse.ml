@@ -1,14 +1,14 @@
 (* Tests for the CSR sparse-matrix substrate and the sparse solve paths
    built on it: SpMV and transposed SpMV against the dense reference,
    triplet accumulation, transpose, iterative stationary distributions
-   against the direct (GTH/LU) solvers on random CTMCs, and the sparse LP
-   lowering against the dense one. *)
+   against the direct (GTH/LU) solvers on random CTMCs, and the sparse
+   columns the reference LP engine reads off the dense lowering. *)
 
 module Mat = Bufsize_numeric.Mat
 module Sparse = Bufsize_numeric.Sparse
 module Krylov = Bufsize_numeric.Krylov
 module Lp = Bufsize_numeric.Lp
-module Simplex_revised = Bufsize_numeric.Simplex_revised
+module Simplex_revised = Bufsize_verify.Simplex_revised
 module Ctmc = Bufsize_prob.Ctmc
 module Rng = Bufsize_prob.Rng
 module Gen_model = Bufsize_verify.Gen_model
@@ -237,13 +237,24 @@ let dense_of_sparse_std (s : Simplex_revised.sparse_standard) =
     s.Simplex_revised.scols;
   a
 
+(* The reference engine solves the production engine's standard form:
+   its sparse columns hold exactly the dense lowering's nonzeros, in
+   strictly increasing row order. *)
 let test_sparse_lowering_matches_dense () =
-  qcheck ~count:200 "to_standard_sparse = to_standard" seed_arb (fun seed ->
+  qcheck ~count:200 "sparse_of_standard (to_standard) = to_standard" seed_arb (fun seed ->
       let c = Gen_model.lp_case (Rng.create (1 + seed)) in
       let lp = Gen_model.lp_of_case c in
       let d = Lp.to_standard lp in
-      let s = Lp.to_standard_sparse lp in
-      s.Simplex_revised.snrows = d.Bufsize_numeric.Simplex.nrows
+      let s = Simplex_revised.sparse_of_standard d in
+      let increasing col =
+        let ok = ref true in
+        Array.iteri
+          (fun k (i, v) -> if v = 0. || (k > 0 && fst col.(k - 1) >= i) then ok := false)
+          col;
+        !ok
+      in
+      Array.for_all increasing s.Simplex_revised.scols
+      && s.Simplex_revised.snrows = d.Bufsize_numeric.Simplex.nrows
       && s.Simplex_revised.sncols = d.Bufsize_numeric.Simplex.ncols
       && s.Simplex_revised.sb = d.Bufsize_numeric.Simplex.b
       && s.Simplex_revised.sc = d.Bufsize_numeric.Simplex.c

@@ -4,8 +4,7 @@ let traffic text =
   match Bufsize_soc.Spec_parser.parse text with Ok (_, t) -> t | Error e -> failwith e
 
 (* A three-bus SoC whose buses are joined by two bridges.  Sized at budget
-   64 with 40 states per subsystem, its joint LP has ~110 rows, under the
-   auto-selection cutoff, so the dense tableau engine solves it. *)
+   64 with 40 states per subsystem, its joint LP has ~110 rows. *)
 let three_bus =
   {|bus cpu rate 3.7
 bus mem rate 4.5

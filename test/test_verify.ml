@@ -289,6 +289,31 @@ let test_replay_rejects_malformed () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected Error on an unknown oracle"
 
+(* Non-finite numbers are not data: each repro is an [Error] naming the
+   offending line.  A nan or inf bound would otherwise replay as a pass,
+   and a nan objective term as an engine disagreement. *)
+let test_replay_rejects_non_finite () =
+  let repro ~objective ~bound =
+    Printf.sprintf
+      "# oracle: simplex-cross\nlp minimize vars 2\nobjective: %s\n%s\nrow: +1 x0 +1 x1 <= 4\n"
+      objective bound
+  in
+  List.iter
+    (fun (objective, bound, bad_line) ->
+      match Oracles.case_of_repro (repro ~objective ~bound) with
+      | Ok case -> Alcotest.failf "accepted %S as %s" bad_line case.Oracle.label
+      | Error e ->
+          let n = String.length bad_line in
+          let rec names i =
+            i + n <= String.length e && (String.sub e i n = bad_line || names (i + 1))
+          in
+          Alcotest.(check bool) (Printf.sprintf "%S names %S" e bad_line) true (names 0))
+    [
+      ("+1 x0 +1 x1", "x0 >= nan", "x0 >= nan");
+      ("+1 x0 +1 x1", "x0 >= inf", "x0 >= inf");
+      ("+1 x0 +nan x1", "x0 free", "objective: +1 x0 +nan x1");
+    ]
+
 let test_replay_from_file () =
   (* Driver.replay reads a repro file end-to-end. *)
   let case = (List.hd Oracles.all).Oracle.generate ~max_states:16 (Rng.create 9) in
@@ -374,6 +399,7 @@ let () =
           Alcotest.test_case "case printers round-trip" `Quick test_replay_case_roundtrips;
           Alcotest.test_case "every oracle replays" `Quick test_replay_all_oracles;
           Alcotest.test_case "malformed repros rejected" `Quick test_replay_rejects_malformed;
+          Alcotest.test_case "non-finite numbers rejected" `Quick test_replay_rejects_non_finite;
           Alcotest.test_case "file replay" `Quick test_replay_from_file;
         ] );
     ]

@@ -2,7 +2,7 @@
    exact-key solve caches and their environment switch, CTMC rate
    patching and seeded iterations, and chunked pool determinism. *)
 
-module Lp = Bufsize_numeric.Lp
+module Obs = Bufsize_obs.Obs
 module Lu = Bufsize_numeric.Lu
 module Mat = Bufsize_numeric.Mat
 module Solve_cache = Bufsize_numeric.Solve_cache
@@ -66,17 +66,6 @@ let test_refactorize_dim_mismatch () =
 
 (* ------------------------------------------------------------ solve cache *)
 
-(* max 3x + 2y st x + y <= 4, x <= 3, y <= 3: optimum 11 at (3, 1). *)
-let small_lp () =
-  let lp = Lp.create ~name:"warm-test" Lp.Maximize in
-  let x = Lp.add_var ~name:"x" lp in
-  let y = Lp.add_var ~name:"y" lp in
-  Lp.add_constraint lp [ (1., x); (1., y) ] Lp.Le 4.;
-  Lp.add_constraint lp [ (1., x) ] Lp.Le 3.;
-  Lp.add_constraint lp [ (1., y) ] Lp.Le 3.;
-  Lp.set_objective lp [ (3., x); (2., y) ];
-  lp
-
 let test_cache_hit_miss_lru () =
   with_clean_globals (fun () ->
       Solve_cache.set_enabled true;
@@ -110,32 +99,12 @@ let test_cache_disabled () =
       Solve_cache.set_enabled true;
       Alcotest.(check (option int)) "re-enabled find" (Some 42) (Solve_cache.find c "k"))
 
-let test_lp_result_cache () =
-  with_clean_globals (fun () ->
-      Solve_cache.set_enabled true;
-      Solve_cache.clear_all ();
-      let h0, m0 = Lp.cache_stats () in
-      let first =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "first solve failed"
-      in
-      let second =
-        match Lp.solve_diag (small_lp ()) with
-        | Some (Lp.Optimal s), _ -> s
-        | _ -> Alcotest.fail "second solve failed"
-      in
-      let h1, m1 = Lp.cache_stats () in
-      Alcotest.(check bool) "one miss then one hit" true (h1 = h0 + 1 && m1 = m0 + 1);
-      Alcotest.(check bool) "bitwise identical objective" true
-        (Int64.bits_of_float first.Lp.objective = Int64.bits_of_float second.Lp.objective))
-
 (* The sizing occupancy bound is fraction * B / (B / L) levels, so
    doubling the budget B leaves the constrained problem unchanged.  The
    sizing path solves it by price, not by LP, so the 2B run misses the
-   sizing memo (its key holds the budget), makes no LP cache lookup at
-   all, and its answer is bitwise the cache-off one.  A second 2B run is
-   then a sizing-memo hit, with the same bits again. *)
+   sizing memo (its key holds the budget), solves no LP at all, and its
+   answer is bitwise the cache-off one.  A second 2B run is then a
+   sizing-memo hit, with the same bits again. *)
 let test_doubled_budget_bitwise () =
   with_clean_globals (fun () ->
       let spec =
@@ -151,16 +120,21 @@ let test_doubled_budget_bitwise () =
       Solve_cache.set_enabled true;
       Solve_cache.clear_all ();
       ignore (run 8);
-      let lp0 = Lp.cache_stats () and sz0 = Sizing.cache_stats () in
-      let served = run 16 in
+      let lp_solves = Obs.counter "lp.solves" in
+      let counted f =
+        Obs.enable_metrics ();
+        Fun.protect ~finally:Obs.disable f
+      in
+      let lp0 = Obs.counter_value lp_solves and sz0 = Sizing.cache_stats () in
+      let served = counted (fun () -> run 16) in
       let sz_hits, sz_misses = Sizing.cache_stats () in
-      Alcotest.(check (pair int int)) "no lp cache lookup" lp0 (Lp.cache_stats ());
+      Alcotest.(check int) "no lp solve" lp0 (Obs.counter_value lp_solves);
       Alcotest.(check (pair int int)) "one sizing cache miss, no hit" (fst sz0, snd sz0 + 1)
         (sz_hits, sz_misses);
-      let memo = run 16 in
+      let memo = counted (fun () -> run 16) in
       Alcotest.(check (pair int int)) "one sizing cache hit" (sz_hits + 1, sz_misses)
         (Sizing.cache_stats ());
-      Alcotest.(check (pair int int)) "still no lp cache lookup" lp0 (Lp.cache_stats ());
+      Alcotest.(check int) "still no lp solve" lp0 (Obs.counter_value lp_solves);
       let bits = Int64.bits_of_float in
       List.iter
         (fun (what, r) ->
@@ -200,55 +174,6 @@ let test_cache_env_contract () =
           Alcotest.(check bool) (Printf.sprintf "%S rejection names the variable" v) true
             (mentions 0))
     [ "abc"; "-3"; "2"; "64"; "ON"; " 1"; "off " ]
-
-let test_canonical_distinguishes () =
-  let a = Lp.canonical (small_lp ()) in
-  let b = Lp.canonical (small_lp ()) in
-  Alcotest.(check string) "canonical is deterministic" a b;
-  let lp = small_lp () in
-  let other = Lp.create ~name:"warm-test" Lp.Maximize in
-  let x = Lp.add_var ~name:"x" other in
-  let y = Lp.add_var ~name:"y" other in
-  Lp.add_constraint other [ (1., x); (1., y) ] Lp.Le 4.;
-  Lp.add_constraint other [ (1., x) ] Lp.Le 3.;
-  Lp.add_constraint other [ (1., y) ] Lp.Le 3.000000000000001;
-  Lp.set_objective other [ (3., x); (2., y) ];
-  Alcotest.(check bool) "one-ulp rhs difference changes the key" true
-    (Lp.canonical lp <> Lp.canonical other)
-
-(* The binary key must separate models whose numbers differ only in bits
-   a decimal print could lose, and models whose sections hold the same
-   terms split differently. *)
-let test_canonical_bitwise_and_framed () =
-  let model ?(name = "m") ?(lb = 0.) ~obj ~coef ~rhs () =
-    let lp = Lp.create ~name Lp.Minimize in
-    let x = Lp.add_var ~lb lp in
-    let y = Lp.add_var lp in
-    Lp.add_constraint lp [ (1., x); (coef, y) ] Lp.Eq rhs;
-    Lp.set_objective lp (List.map (fun (c, v) -> (c, [| x; y |].(v))) obj);
-    lp
-  in
-  let key = Lp.canonical in
-  let base = model ~obj:[ (1., 0); (2., 1) ] ~coef:0.5 ~rhs:0. () in
-  let distinct label a b = Alcotest.(check bool) label true (a <> b) in
-  distinct "1-ulp coefficient" (key base)
-    (key (model ~obj:[ (1., 0); (2., 1) ] ~coef:(Float.succ 0.5) ~rhs:0. ()));
-  distinct "1-ulp objective" (key base)
-    (key (model ~obj:[ (1., 0); (Float.pred 2., 1) ] ~coef:0.5 ~rhs:0. ()));
-  distinct "0. vs -0. right-hand side" (key base)
-    (key (model ~obj:[ (1., 0); (2., 1) ] ~coef:0.5 ~rhs:(-0.) ()));
-  distinct "0. vs -0. coefficient"
-    (key (model ~obj:[ (1., 0) ] ~coef:0. ~rhs:1. ()))
-    (key (model ~obj:[ (1., 0) ] ~coef:(-0.) ~rhs:1. ()));
-  (* Without per-section counts both byte streams would read
-     (x, 5.) (y, 1.): once as a lower bound then an objective term, once
-     as two objective terms. *)
-  distinct "bound vs objective term"
-    (key (model ~lb:5. ~obj:[ (1., 1) ] ~coef:0.5 ~rhs:0. ()))
-    (key (model ~obj:[ (5., 0); (1., 1) ] ~coef:0.5 ~rhs:0. ()));
-  distinct "name vs tag boundary"
-    (key ~tag:"c" (model ~name:"ab" ~obj:[] ~coef:0.5 ~rhs:0. ()))
-    (key ~tag:"bc" (model ~name:"a" ~obj:[] ~coef:0.5 ~rhs:0. ()))
 
 (* Published 64-bit FNV-1a vectors: the bucket hash is a fixed function. *)
 let test_fnv1a_vectors () =
@@ -369,13 +294,9 @@ let () =
         [
           Alcotest.test_case "hit, miss, lru" `Quick test_cache_hit_miss_lru;
           Alcotest.test_case "disabled mode" `Quick test_cache_disabled;
-          Alcotest.test_case "lp result cache" `Quick test_lp_result_cache;
           Alcotest.test_case "2x budget bitwise, no lp lookup" `Quick
             test_doubled_budget_bitwise;
           Alcotest.test_case "env on/off contract" `Quick test_cache_env_contract;
-          Alcotest.test_case "canonical key" `Quick test_canonical_distinguishes;
-          Alcotest.test_case "canonical key is bitwise and framed" `Quick
-            test_canonical_bitwise_and_framed;
           Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_vectors;
           Alcotest.test_case "concurrent stress" `Quick test_cache_concurrent_stress;
         ] );
