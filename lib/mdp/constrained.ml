@@ -28,40 +28,25 @@ let mix_rel_tol = 1e-9
 let feasibility_tol = 1e-9
 let max_rounds = 64
 
-(* One block under one deterministic policy: the occupation measure and
-   its two linear functionals, summed in the order the LP harvest uses. *)
-type block = { choice : int array; occupation : float array array; gain : float; usage : float }
-
-let evaluate_block m choice =
-  let e = Policy.evaluate m (Policy.deterministic m choice) in
-  { choice; occupation = e.Policy.occupation; gain = e.Policy.gain; usage = e.Policy.extras.(0) }
-
-(* Policy iteration on one block at [price] per unit of extra 0 (or on
-   the extra alone, [`Usage]), strict about multichain policies so that
-   a singular evaluation leaves the price path instead of being patched
-   over. *)
-let solve_block ?max_iter ~objective ?initial m =
-  let priced =
-    match objective with
-    | `Price 0. -> m
-    | `Price price ->
-        Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.cost +. (price *. act.Ctmdp.extras.(0)))
-    | `Usage -> Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.extras.(0))
-  in
-  match Policy_iteration.solve ?max_iter ~strict:true ?initial priced with
+(* Policy iteration on one block at the weights on (cost, extra 0),
+   warm-started from a line of the block: the line it stops at.  A
+   singular dense evaluation (a multichain policy) leaves the price path
+   instead of being patched over. *)
+let solve_block ?max_iter ~weights ?warm m =
+  match Policy_iteration.solve ?max_iter ~weights ?warm m with
   | exception Lu.Singular k ->
       Error (Printf.sprintf "multichain policy (singular evaluation at pivot %d)" k)
   | r when not r.Policy_iteration.converged ->
       Error (Printf.sprintf "policy iteration hit max_iter (%d)" r.Policy_iteration.iterations)
-  | r -> Ok (evaluate_block m r.Policy_iteration.choice)
+  | r -> Ok r.Policy_iteration.line
 
-let total_gain = Array.fold_left (fun acc b -> acc +. b.gain) 0.
-let total_usage = Array.fold_left (fun acc b -> acc +. b.usage) 0.
+let total_gain = Array.fold_left (fun acc l -> acc +. l.Policy_iteration.g_c) 0.
+let total_usage = Array.fold_left (fun acc l -> acc +. l.Policy_iteration.g_u) 0.
 
 (* The dual line of a policy tuple: its priced gain minus the priced
    bound, G + price (U - bound). *)
-let line_value ~bound blocks price =
-  total_gain blocks +. (price *. (total_usage blocks -. bound))
+let line_value ~bound lines price =
+  total_gain lines +. (price *. (total_usage lines -. bound))
 
 let solved ~gain ~usage occupation policy =
   {
@@ -73,25 +58,29 @@ let solved ~gain ~usage occupation policy =
     lp_iterations = 0;
   }
 
-let deterministic_solved m b =
-  solved ~gain:b.gain ~usage:b.usage b.occupation (Policy.deterministic m b.choice)
+(* A returned deterministic policy: its occupation measure from the
+   induced chain's stationary distribution, and the two functionals summed
+   in the order the LP harvest uses. *)
+let deterministic_solved m choice =
+  let policy = Policy.deterministic m choice in
+  let e = Policy.evaluate m policy in
+  solved ~gain:e.Policy.gain ~usage:e.Policy.extras.(0) e.Policy.occupation policy
 
 (* Mix two deterministic policies of one block that differ in state
    [state] only, with weight [alpha] on [a]: the occupation measures mix
    linearly, so the policy randomizes in [state] alone. *)
 let mixed_solved m ~alpha ~state a b =
   let occupation =
-    Array.mapi
-      (fun s row ->
-        Array.mapi (fun k x -> (alpha *. x) +. ((1. -. alpha) *. b.occupation.(s).(k))) row)
-      a.occupation
+    Array.map2
+      (Array.map2 (fun x y -> (alpha *. x) +. ((1. -. alpha) *. y)))
+      a.Lp_formulation.occupation b.Lp_formulation.occupation
   in
   let probs =
     Array.mapi
       (fun s row ->
         let mass = Array.fold_left ( +. ) 0. row in
         if s = state && mass > 1e-12 then Array.map (fun x -> x /. mass) row
-        else Array.init (Array.length row) (fun k -> if k = b.choice.(s) then 1. else 0.))
+        else Policy.action_probs b.Lp_formulation.policy s)
       occupation
   in
   let gain = ref 0. and usage = ref 0. in
@@ -110,10 +99,10 @@ let mixed_solved m ~alpha ~state a b =
    [Give_up] or [Infeasible_bound]. *)
 let price_search ~map ?max_iter ~budget ~bound models =
   let nb = Array.length models in
-  let solve_all objective initial =
+  let solve_all weights warm =
     let results =
       map.map
-        (fun i -> solve_block ?max_iter ~objective ?initial:(initial i) models.(i))
+        (fun i -> solve_block ?max_iter ~weights ?warm:(warm i) models.(i))
         (Array.init nb Fun.id)
     in
     Array.map (function Ok b -> b | Error why -> raise (Give_up why)) results
@@ -134,16 +123,17 @@ let price_search ~map ?max_iter ~budget ~bound models =
     in
     (joint, price, rounds)
   in
-  let deterministic ~price ~rounds blocks =
-    record ~price ~rounds (Array.mapi (fun i b -> deterministic_solved models.(i) b) blocks)
+  let deterministic ~price ~rounds lines =
+    record ~price ~rounds
+      (Array.mapi (fun i l -> deterministic_solved models.(i) l.Policy_iteration.choice) lines)
   in
   (* 1. Slack test: the unconstrained optimum, block by block. *)
-  let free = solve_all (`Price 0.) (fun _ -> None) in
+  let free = solve_all (1., 0.) (fun _ -> None) in
   match bound with
   | None -> deterministic ~price:0. ~rounds:0 free
   | Some bound when total_usage free <= bound -> deterministic ~price:0. ~rounds:0 free
   | Some bound ->
-      let least = solve_all `Usage (fun _ -> None) in
+      let least = solve_all (0., 1.) (fun _ -> None) in
       (* A least usage within the LP's feasibility tolerance of the bound
          is feasible: the bound is moved up to it, so that [least] stays
          a line of non-positive slope. *)
@@ -165,7 +155,7 @@ let price_search ~map ?max_iter ~budget ~bound models =
           Float.max 0. ((total_gain lo -. total_gain hi) /. (total_usage hi -. total_usage lo))
         in
         let model = line_value ~bound hi price in
-        let next = solve_all (`Price price) (fun i -> Some warm.(i).choice) in
+        let next = solve_all (1., price) (fun i -> Some warm.(i)) in
         Obs.incr m_price_rounds;
         let rounds = rounds + 1 in
         let slope = total_usage next -. bound in
@@ -186,26 +176,30 @@ let price_search ~map ?max_iter ~budget ~bound models =
           Array.iteri
             (fun i h ->
               Array.iteri
-                (fun s a -> if a <> lo.(i).choice.(s) then switches := (i, s) :: !switches)
-                h.choice)
+                (fun s a ->
+                  if a <> lo.(i).Policy_iteration.choice.(s) then switches := (i, s) :: !switches)
+                h.Policy_iteration.choice)
             hi;
           let switches = Array.of_list (List.rev !switches) in
           let k = Array.length switches in
           (* The tuple after the first [j] switches: blocks before the last
              switched one are lo's, blocks after it hi's, and only that
-             block, when part-way, needs a fresh evaluation. *)
+             block, when part-way, needs a fresh evaluation.  A multichain
+             part-way policy leaves the price path like any other. *)
           let tuple j =
             let b, _ = switches.(j - 1) in
             Array.init nb (fun i ->
                 if i < b || (i = b && (j = k || fst switches.(j) <> b)) then lo.(i)
                 else if i > b then hi.(i)
                 else begin
-                  let choice = Array.copy hi.(b).choice in
+                  let choice = Array.copy hi.(b).Policy_iteration.choice in
                   for l = 0 to j - 1 do
                     let bl, s = switches.(l) in
-                    if bl = b then choice.(s) <- lo.(b).choice.(s)
+                    if bl = b then choice.(s) <- lo.(b).Policy_iteration.choice.(s)
                   done;
-                  evaluate_block models.(b) choice
+                  match Policy_iteration.evaluate_line models.(b) choice with
+                  | line -> line
+                  | exception Lu.Singular _ -> raise (Give_up "one-state mix: multichain policy")
                 end)
           in
           let rec bisect (a, ta) (z, tz) =
@@ -220,17 +214,19 @@ let price_search ~map ?max_iter ~budget ~bound models =
           let worst = Float.max (line_value ~bound ta price) (line_value ~bound tz price) in
           if worst > dual +. (mix_rel_tol *. (1. +. Float.abs dual)) then
             raise (Give_up "one-state mix: the tuples around the crossing are not optimal");
-          let ua = total_usage ta and uz = total_usage tz in
-          let alpha = (bound -. uz) /. (ua -. uz) in
+          (* Only the returned policies get occupation measures: tz's, and
+             ta's in the one block where the two differ. *)
           let block, state = switches.(a) in
-          let components =
-            Array.mapi
-              (fun i m ->
-                if i = block && alpha > 0. then mixed_solved m ~alpha ~state ta.(i) tz.(i)
-                else deterministic_solved m tz.(i))
-              models
+          let usage = Array.fold_left (fun acc c -> acc +. c.Lp_formulation.extras.(0)) 0. in
+          let sz =
+            Array.mapi (fun i m -> deterministic_solved m tz.(i).Policy_iteration.choice) models
           in
-          record ~price ~rounds components
+          let sa = Array.copy sz in
+          sa.(block) <- deterministic_solved models.(block) ta.(block).Policy_iteration.choice;
+          let alpha = (bound -. usage sz) /. (usage sa -. usage sz) in
+          if alpha > 0. then
+            sz.(block) <- mixed_solved models.(block) ~alpha ~state sa.(block) sz.(block);
+          record ~price ~rounds sz
 
 let solve_price ?(map = sequential) ?max_iter ?bound models =
   let nb = Array.length models in

@@ -31,9 +31,13 @@ val solve_price :
       [D(p) = sum_i min_pi (g_i + p u_i) - p bound], started from the
       price-0 policies and the least-usage policies (policy iteration on
       the extra alone, which also detects an infeasible bound).  Each
-      round runs one warm-started policy iteration per block at the
-      price where the two bracketing lines cross, and the search stops
-      when the new policy meets the lines' value within 1e-12 relative;
+      round runs one policy iteration per block at the price where the
+      two bracketing lines cross, warm-started from the block's previous
+      {!Policy_iteration.line} — a block whose incumbent is still optimal
+      costs one improvement sweep and no factorization — and the search
+      stops when the new policy meets the lines' value within 1e-12
+      relative.  Gains and usages on the search are the lines' [g_c] and
+      [g_u]; no priced copy of a block is made;
     + {e one-state mix}: on the walk from one bracketing policy tuple to
       the other, one (block, state) switch at a time in a fixed order, a
       bisection finds a switch where usage crosses the bound; the
@@ -41,6 +45,10 @@ val solve_price :
       price within 1e-9 relative of the dual value, are mixed to meet
       the bound exactly, so the answer randomizes in at most one state
       (Feinberg's K-switching bound for K = 1).
+
+    Occupation measures ({!Policy.evaluate}) are computed for the
+    returned tuples only: every block of the answer, and the one block
+    of the other tuple that the mix combines.
 
     The answer is the record the joint LP returns, with
     [shared_duals = [| -p* |]] in the LP's sign convention ([[||]]
@@ -50,7 +58,8 @@ val solve_price :
     budget ({!Bufsize_resilience.Resilience.of_env}), which is also
     checked between rounds.  When policy
     iteration does not converge within [max_iter] (default 1000), meets a
-    multichain policy (a singular dense evaluation), the search hits
+    multichain policy (a singular dense evaluation, here or on the mix's
+    walk), the search hits
     64 rounds or the mix fails, the chain falls back to
     {!Lp_formulation.solve_joint_diag} on the same blocks and the
     diagnostic names the reason.  Every block must have exactly one

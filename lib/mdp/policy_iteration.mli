@@ -1,30 +1,49 @@
-(** Average-cost policy iteration for unichain CTMDPs.
+(** Average-cost policy iteration for unichain CTMDPs, at a price.
 
     Works directly in continuous time: for a stationary deterministic
-    policy [phi], the gain [g] and bias [h] solve
+    policy [phi] and a rate [r] (the cost, or extra 0), the gain [g] and
+    bias [h] solve
 
-    {v  c_phi - g 1 + Q_phi h = 0,   h(s0) = 0  v}
+    {v  r_phi - g 1 + Q_phi h = 0,   h(s0) = 0  v}
 
-    and the improvement step replaces [phi(s)] by the action minimizing
-    [c(s,a) + sum_j q(j|s,a) h(j)].  Unconstrained only — it is the
-    per-block solver of the price-directed constrained solve
-    ({!Constrained.solve_price}) and an independent cross-check of the LP
-    formulation (they must agree on the gain). *)
+    The system is linear in [r], so a policy's evaluation is one
+    {!line}: at price [p] its gain is [g_c + p g_u] and its bias
+    [h_c + p h_u].  Policy iteration at weights [(w_c, w_u)] minimizes
+    the gain of [w_c c + w_u u]; its improvement step replaces [phi(s)]
+    by the action minimizing [w_c c(s,a) + w_u u(s,a) + sum_j q(j|s,a) h(j)]
+    with [h = w_c h_c + w_u h_u].  It is the per-block solver of the
+    price-directed constrained solve ({!Constrained.solve_price}) and an
+    independent cross-check of the LP formulation (they must agree on
+    the gain). *)
+
+type line = {
+  choice : int array;  (** the deterministic action choice *)
+  g_c : float;  (** gain of the cost *)
+  g_u : float;  (** gain of extra 0: the time-average usage (0 without extras) *)
+  h_c : Bufsize_numeric.Vec.t;  (** bias of the cost, 0 at state 0 *)
+  h_u : Bufsize_numeric.Vec.t;  (** bias of extra 0, 0 at state 0 *)
+}
+(** A deterministic policy's evaluation as an affine function of the
+    price on extra 0. *)
 
 type result = {
-  policy : Policy.t;
-  choice : int array;  (** the deterministic action choice *)
-  gain : float;
-  bias : Bufsize_numeric.Vec.t;
+  line : line;  (** the line of the policy the iteration stopped at *)
+  gain : float;  (** [w_c g_c + w_u g_u] at the solve's weights *)
   iterations : int;
   converged : bool;
 }
 
+val evaluate_line : Ctmdp.t -> int array -> line
+(** The line of a deterministic policy.  Up to 512 states: one LU
+    factorization of the (n+1)-unknown evaluation system, solved for the
+    cost and for the usage.  Above: one stationary solve of the induced
+    chain and the uniformized Poisson-equation sweep on each rate.
+    @raise Bufsize_numeric.Lu.Singular if a dense evaluation meets a
+    policy that is not unichain (the system is singular). *)
+
 val evaluate_deterministic : Ctmdp.t -> int array -> float * Bufsize_numeric.Vec.t
-(** Gain and bias of a deterministic policy (bias normalized at state 0)
-    by dense elimination of the (n+1)-unknown evaluation system.
-    @raise Bufsize_numeric.Lu.Singular if the induced chain is not
-    unichain (the evaluation system is singular). *)
+(** [(g_c, h_c)] of the dense evaluation, whatever the size.
+    @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}. *)
 
 val evaluate_deterministic_iterative :
   ?tol:float ->
@@ -33,37 +52,27 @@ val evaluate_deterministic_iterative :
   Ctmdp.t ->
   int array ->
   float * Bufsize_numeric.Vec.t
-(** Same result through the sparse pipeline: stationary distribution of
-    the induced chain for the gain, uniformized Poisson-equation sweeps
-    for the bias.  O(nnz) per sweep, no dense allocation; used
-    automatically by {!solve} above a few hundred states.  [init_bias]
-    seeds the sweep with a previous policy's bias vector (re-pinned at
-    [h(0) = 0]); the fixed point — and hence the result at convergence —
-    is unchanged, a nearby seed only shrinks the sweep count.  Malformed
-    seeds (wrong size, non-finite) are ignored. *)
-
-val evaluate_deterministic_iterative_report :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?init_bias:Bufsize_numeric.Vec.t ->
-  Ctmdp.t ->
-  int array ->
-  float * Bufsize_numeric.Vec.t * int * bool
-(** {!evaluate_deterministic_iterative} plus the sweep count and whether
-    the residual target was reached — convergence evidence for the
-    resilience layer. *)
-
-val evaluate : Ctmdp.t -> int array -> float * Bufsize_numeric.Vec.t
-(** Size-dispatching policy evaluation: dense elimination below a few
-    hundred states (degrading to the iterative path when the dense system
-    is singular, i.e. the policy is multichain), iterative above. *)
+(** [(g_c, h_c)] through the sparse pipeline, whatever the size:
+    stationary distribution of the induced chain for the gain,
+    uniformized Poisson-equation sweeps to residual [tol] (default
+    [1e-10] relative to [1 + |g|]) for the bias.  O(nnz) per sweep, no
+    dense allocation.  [init_bias] seeds the sweep with a previous
+    policy's bias vector (re-pinned at [h(0) = 0]); the fixed point — and
+    hence the result at convergence — is unchanged, a nearby seed only
+    shrinks the sweep count.  Malformed seeds (wrong size, non-finite)
+    are ignored. *)
 
 val solve :
-  ?max_iter:int -> ?tol:float -> ?strict:bool -> ?initial:int array -> Ctmdp.t -> result
-(** Policy iteration from [initial] (default: first action everywhere).
-    [tol] (default [1e-9]) is the improvement threshold guarding against
-    cycling on ties; [max_iter] defaults to [1000].  With [strict]
-    (default [false]) a multichain policy met on the way is an error:
-    the singular dense evaluation raises
-    [Bufsize_numeric.Lu.Singular] instead of degrading to the iterative
-    evaluation. *)
+  ?max_iter:int -> ?tol:float -> ?weights:float * float -> ?warm:line -> Ctmdp.t -> result
+(** Policy iteration at [weights] (default [(1., 0.)], the cost alone;
+    [(1., p)] is price [p], [(0., 1.)] the least usage), from [warm] — a
+    line of this model, whose policy is not evaluated again, so a warm
+    line that is already optimal at [weights] costs no factorization —
+    or else from the first action everywhere.  [tol] (default [1e-9]) is
+    the improvement threshold guarding against cycling on ties;
+    [max_iter] (default [1000]) caps the evaluations.  Each dense
+    evaluation refactorizes one workspace in place.  Counters:
+    [policy_iteration.factorizations] (dense evaluations),
+    [policy_iteration.improvements] (improvement sweeps) and
+    [policy_iteration.poisson_sweeps]; span: [policy_iteration.evaluate].
+    @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}. *)

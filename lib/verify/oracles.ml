@@ -6,7 +6,6 @@ module Birth_death = Bufsize_prob.Birth_death
 module Ctmc = Bufsize_prob.Ctmc
 module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
-module Value_iteration = Bufsize_mdp.Value_iteration
 module Ctmdp = Bufsize_mdp.Ctmdp
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained

@@ -1,4 +1,6 @@
 module Vec = Bufsize_numeric.Vec
+module Ctmdp = Bufsize_mdp.Ctmdp
+module Policy = Bufsize_mdp.Policy
 module Obs = Bufsize_obs.Obs
 
 let m_sweeps = Obs.counter "value_iteration.sweeps"

@@ -12,7 +12,7 @@ module Ctmdp = Bufsize_mdp.Ctmdp
 module Policy = Bufsize_mdp.Policy
 module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
-module Value_iteration = Bufsize_mdp.Value_iteration
+module Value_iteration = Bufsize_verify.Value_iteration
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
 module Resilience = Bufsize_resilience.Resilience
@@ -351,7 +351,7 @@ let test_pi_improves_over_initial () =
   (* Evaluate the "always serve client 2 if possible" style initial policy. *)
   let initial = Array.make 4 0 in
   let g0, _ = Policy_iteration.evaluate_deterministic m initial in
-  let r = Policy_iteration.solve ~initial m in
+  let r = Policy_iteration.solve ~warm:(Policy_iteration.evaluate_line m initial) m in
   Alcotest.(check bool) "no worse than initial" true (r.Policy_iteration.gain <= g0 +. 1e-9)
 
 let test_pi_evaluation_satisfies_equations () =
@@ -369,6 +369,76 @@ let test_pi_evaluation_satisfies_equations () =
     check_close 1e-9 "evaluation equation" 0. residual
   done;
   check_close 1e-12 "normalized" 0. h.(0)
+
+(* A ring of [n] states, two actions each: the cycle edge keeps every
+   policy's chain irreducible, the per-action chords make it mix fast. *)
+let ring_ctmdp n =
+  let act s k =
+    let next = (s + 1) mod n and chord = ((s * (k + 3)) + 7) mod n in
+    let chord = if chord = s || chord = next then [] else [ (chord, 0.5 +. float_of_int k) ] in
+    {
+      Ctmdp.label = Printf.sprintf "a%d" k;
+      transitions = (next, 1. +. float_of_int k) :: chord;
+      cost = float_of_int (((s * 7) + (k * 3)) mod 11) /. 11.;
+      extras = [| float_of_int ((s + (k * 5)) mod 13) |];
+    }
+  in
+  Ctmdp.create ~num_extras:1 (Array.init n (fun s -> [| act s 0; act s 1 |]))
+
+(* A policy's line is its priced evaluation: g_c + p g_u and h_c + p h_u
+   equal the dense evaluation of the model with cost c + p u.  On a dense
+   block both agree within 1e-10 relative.  Above the dense threshold
+   the line comes from the iterative path: its gain still agrees within
+   1e-10, its bias to the Poisson sweep's own accuracy (residual target
+   1e-10; 2.3e-10 relative measured here), so the bias bound is 1e-8. *)
+let test_pi_line_is_priced_evaluation () =
+  List.iter
+    (fun (n, bias_tol) ->
+      let m = ring_ctmdp n in
+      let choice = Array.init n (fun s -> s mod 3 / 2) in
+      let line = Policy_iteration.evaluate_line m choice in
+      List.iter
+        (fun price ->
+          let priced =
+            Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.cost +. (price *. a.Ctmdp.extras.(0)))
+          in
+          let g, h = Policy_iteration.evaluate_deterministic priced choice in
+          let at_price c u = c +. (price *. u) in
+          let name what = Printf.sprintf "n=%d price %g: %s" n price what in
+          let g_line = at_price line.Policy_iteration.g_c line.Policy_iteration.g_u in
+          if Float.abs (g_line -. g) > 1e-10 *. Float.abs g then
+            Alcotest.failf "%s: %.17g vs %.17g" (name "gain") g_line g;
+          let norm = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 1. h in
+          Array.iteri
+            (fun s hs ->
+              let h_line = at_price line.Policy_iteration.h_c.(s) line.Policy_iteration.h_u.(s) in
+              if Float.abs (h_line -. hs) > bias_tol *. norm then
+                Alcotest.failf "%s: %.17g vs %.17g" (name (Printf.sprintf "bias %d" s)) h_line hs)
+            h)
+        [ 0.; 0.3; 5. ])
+    [ (40, 1e-10); (600, 1e-8) ]
+
+(* A warm start whose policy is already optimal at the new price costs an
+   improvement sweep and no factorization. *)
+let test_pi_warm_optimal_no_factorization () =
+  let module Obs = Bufsize_obs.Obs in
+  let factorizations = Obs.counter "policy_iteration.factorizations" in
+  let m = ring_ctmdp 40 in
+  let cold = Policy_iteration.solve ~weights:(1., 0.3) m in
+  Obs.enable_metrics ();
+  let f0 = Obs.counter_value factorizations in
+  let warm =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Policy_iteration.solve ~weights:(1., 0.31) ~warm:cold.Policy_iteration.line m)
+  in
+  Alcotest.(check bool) "converged" true warm.Policy_iteration.converged;
+  Alcotest.(check (array int)) "incumbent kept" cold.Policy_iteration.line.Policy_iteration.choice
+    warm.Policy_iteration.line.Policy_iteration.choice;
+  Alcotest.(check int) "no factorization" 0 (Obs.counter_value factorizations - f0);
+  let line = cold.Policy_iteration.line in
+  check_close 0. "gain at the new price"
+    (line.Policy_iteration.g_c +. (0.31 *. line.Policy_iteration.g_u))
+    warm.Policy_iteration.gain
 
 (* ------------------------------------------------------ Value iteration *)
 
@@ -679,6 +749,9 @@ let () =
           Alcotest.test_case "MM1K gain" `Quick test_pi_mm1k;
           Alcotest.test_case "improves over initial" `Quick test_pi_improves_over_initial;
           Alcotest.test_case "evaluation equations" `Quick test_pi_evaluation_satisfies_equations;
+          Alcotest.test_case "line = priced evaluation" `Quick test_pi_line_is_priced_evaluation;
+          Alcotest.test_case "warm optimal: no factorization" `Quick
+            test_pi_warm_optimal_no_factorization;
         ] );
       ( "value-iteration",
         [

@@ -992,16 +992,9 @@ let test_sizing_dense_pinned () =
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
   Alcotest.(check int) "no LP solve on the sizing path" 0 (Obs.counter_value solves - s0)
 
-(* A router's shared-pool LP (120 rows) from a 3x3 mesh.  Its perturbed
-   run reports infeasible, and the unperturbed retry drifts; the drifted
-   tableau point violates a row at relative level 5.4, so the drifted
-   retry must be rerun with tighter refactorization.  The dense tableau
-   then answers in its first escalation step, with the reference
-   engine's optimum. *)
-let test_dense_unperturbed_drift_retry () =
-  let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
-  let module Resilience = Bufsize_resilience.Resilience in
+(* Router g_r2c2 of a 3x3 mesh: its static model at 24 states and its
+   DAMQ shared pool of equal capacity. *)
+let g_r2c2 () =
   let spec =
     "mesh g rows 3 cols 3 rate 4.17\n"
     ^ String.concat ""
@@ -1030,7 +1023,18 @@ let test_dense_unperturbed_drift_retry () =
     Bus_model.Shared.build ~static_levels:levels ~max_states:512
       ~capacity:(Bus_model.total_levels model) sub
   in
-  let ctmdp = Bus_model.Shared.ctmdp shared in
+  (model, Bus_model.Shared.ctmdp shared)
+
+(* The g_r2c2 shared-pool LP (120 rows).  Its perturbed run reports
+   infeasible, and the unperturbed retry drifts; the drifted tableau
+   point violates a row at relative level 5.4, so the drifted retry must
+   be rerun with tighter refactorization.  The dense tableau then answers
+   in its first escalation step, with the reference engine's optimum. *)
+let test_dense_unperturbed_drift_retry () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Resilience = Bufsize_resilience.Resilience in
+  let _, ctmdp = g_r2c2 () in
   let retries = Obs.counter "simplex.retries" in
   Obs.enable_metrics ();
   let r0 = Obs.counter_value retries in
@@ -1048,6 +1052,41 @@ let test_dense_unperturbed_drift_retry () =
         (Float.abs (d.Lp_formulation.gain -. r.Bufsize_numeric.Lp.objective)
         <= 1e-9 *. r.Bufsize_numeric.Lp.objective)
   | _ -> Alcotest.fail "shared-pool LP not optimal"
+
+(* The g_r2c2 shared pool bounded at its static occupancy, as
+   [Sizing.damq_reeval] bounds it: the bound binds, and the price path
+   answers it with the joint LP's gain and dual, at most one randomized
+   state and no fallback. *)
+let test_damq_pool_price_vs_lp () =
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Constrained = Bufsize_mdp.Constrained in
+  let module Kswitching = Bufsize_mdp.Kswitching in
+  let static, shared = g_r2c2 () in
+  let used =
+    match Constrained.solve_price [| Bus_model.ctmdp static |] with
+    | Some (Lp_formulation.Joint_optimal j), _ -> j.Lp_formulation.shared_extras.(0)
+    | _ -> Alcotest.fail "static solve failed"
+  in
+  let bound = used +. (1e-6 *. (1. +. Float.abs used)) in
+  let lp =
+    match Lp_formulation.solve_joint ~shared_bounds:(le bound) [| shared |] with
+    | Lp_formulation.Joint_optimal j -> j
+    | _ -> Alcotest.fail "joint LP not optimal"
+  in
+  match Constrained.solve_price ~bound [| shared |] with
+  | Some (Lp_formulation.Joint_optimal j), diag ->
+      Alcotest.(check bool) "no fallback" true (Bufsize_resilience.Resilience.is_ok diag);
+      let price = -.j.Lp_formulation.shared_duals.(0) in
+      Alcotest.(check bool) "the bound binds" true (price > 0.);
+      let gain = lp.Lp_formulation.total_gain in
+      Alcotest.(check (float (1e-9 *. gain))) "gain = LP gain" gain j.Lp_formulation.total_gain;
+      Alcotest.(check (float 1e-8)) "price = LP dual" (-.lp.Lp_formulation.shared_duals.(0)) price;
+      let k =
+        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 shared
+          j.Lp_formulation.components.(0).Lp_formulation.occupation
+      in
+      Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
+  | _ -> Alcotest.fail "price solve failed"
 
 (* Fig. 1 sized per subsystem, with each subsystem LP called directly:
    the final perturbed bases of these LPs are slightly infeasible for the
@@ -1309,5 +1348,7 @@ let () =
           Alcotest.test_case "config validation" `Quick test_sizing_rejects_bad_config;
           Alcotest.test_case "compare_sharing: damq <= static on meshes" `Quick
             test_compare_sharing_damq_le_static;
+          Alcotest.test_case "damq pool price = LP (g_r2c2, binding)" `Quick
+            test_damq_pool_price_vs_lp;
         ] );
     ]
