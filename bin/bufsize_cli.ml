@@ -588,30 +588,41 @@ let topo_cmd =
 
 (* ---------------------------------------------------------------- serve *)
 
+let serve_defaults = B.Serve.default_config
+
 let socket_arg =
-  let doc = "Unix socket path (default: $(b,BUFSIZE_SERVE_SOCKET) or <tmpdir>/bufsize.sock)." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
+  let doc = "Unix socket path." in
+  Arg.(value & opt string serve_defaults.B.Serve.socket_path & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let serve_cmd =
   let queue_arg =
     let doc = "Bounded request-queue depth; a full queue rejects with a typed overloaded error." in
-    Arg.(value & opt (some int) None & info [ "queue" ] ~docv:"N" ~doc)
+    Arg.(value & opt int serve_defaults.B.Serve.queue_depth & info [ "queue" ] ~docv:"N" ~doc)
   in
   let workers_arg =
     let doc = "Worker domains." in
-    Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt int serve_defaults.B.Serve.workers & info [ "workers" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
     let doc = "Default per-request deadline in ms for requests without deadline_ms (0 = none)." in
-    Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+    Arg.(
+      value
+      & opt float serve_defaults.B.Serve.default_deadline_ms
+      & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
   let max_request_arg =
     let doc = "Longest accepted request line in bytes." in
-    Arg.(value & opt (some int) None & info [ "max-request" ] ~docv:"BYTES" ~doc)
+    Arg.(
+      value
+      & opt int serve_defaults.B.Serve.max_request_bytes
+      & info [ "max-request" ] ~docv:"BYTES" ~doc)
   in
   let flight_cap_arg =
-    let doc = "Flight-recorder capacity: completed requests remembered for crash dumps." in
-    Arg.(value & opt (some int) None & info [ "flight-cap" ] ~docv:"N" ~doc)
+    let doc =
+      "Flight-recorder capacity: completed requests remembered for crash dumps (written to the \
+       socket path plus $(b,.flight.jsonl))."
+    in
+    Arg.(value & opt int serve_defaults.B.Serve.flight_cap & info [ "flight-cap" ] ~docv:"N" ~doc)
   in
   let log_requests_arg =
     let doc = "Write one structured JSONL line per completed request to stderr." in
@@ -620,19 +631,25 @@ let serve_cmd =
   let run socket queue workers deadline max_request flight_cap log_requests trace metrics
       metrics_json =
     setup_telemetry trace metrics metrics_json;
-    let base = B.Serve.config_of_env () in
     let config =
       {
-        B.Serve.socket_path = Option.value ~default:base.B.Serve.socket_path socket;
-        queue_depth = Option.value ~default:base.B.Serve.queue_depth queue;
-        workers = Option.value ~default:base.B.Serve.workers workers;
-        default_deadline_ms = Option.value ~default:base.B.Serve.default_deadline_ms deadline;
-        max_request_bytes = Option.value ~default:base.B.Serve.max_request_bytes max_request;
-        flight_cap = Option.value ~default:base.B.Serve.flight_cap flight_cap;
-        log_requests = log_requests || base.B.Serve.log_requests;
+        B.Serve.socket_path = socket;
+        queue_depth = queue;
+        workers;
+        default_deadline_ms = deadline;
+        max_request_bytes = max_request;
+        flight_cap;
+        log_requests;
       }
     in
-    let server = B.Serve.start ~config () in
+    let server =
+      match B.Serve.start ~config () with
+      | server -> server
+      | exception Invalid_argument msg ->
+          Format.eprintf "bufsize serve: %s@.Try 'bufsize serve --help' for more information.@."
+            msg;
+          exit 2
+    in
     Format.eprintf "bufsize serve: listening on %s (%d workers, queue %d)@."
       config.B.Serve.socket_path config.B.Serve.workers config.B.Serve.queue_depth;
     (* SIGTERM/SIGINT mean drain, not die: finish in-flight requests,
@@ -668,7 +685,7 @@ let serve_cmd =
 
 let request_cmd =
   let op_arg =
-    let doc = "Operation: ping, size, simulate, kron, verify, ..." in
+    let doc = "Operation: ping, stats, flight, size, simulate, kron or metrics." in
     Arg.(value & opt string "size" & info [ "op" ] ~docv:"OP" ~doc)
   in
   let raw_arg =
@@ -704,11 +721,6 @@ let request_cmd =
   let run socket raw op arch file budget max_states id deadline attempts seed telemetry
       prometheus =
     install_exit_on_signals ();
-    let socket =
-      match socket with
-      | Some s -> s
-      | None -> (B.Serve.config_of_env ()).B.Serve.socket_path
-    in
     let req =
       match raw with
       | Some text -> (

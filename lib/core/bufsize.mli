@@ -34,8 +34,8 @@ module Pool = Bufsize_pool.Pool
 
 module Resilience = Bufsize_resilience.Resilience
 (** Structured solver diagnostics, escalation chains and wall-clock
-    budgets ([BUFSIZE_SOLVE_BUDGET_MS]) shared by every numeric entry
-    point; {!Sizing.result.health} aggregates them per subsystem. *)
+    budgets (the daemon's per-request deadlines) shared by every
+    numeric entry point; {!Sizing.result.health} aggregates them per subsystem. *)
 
 module Json = Bufsize_json.Json
 (** Strict JSON parser/encoder shared by the daemon protocol, the

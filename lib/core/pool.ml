@@ -68,21 +68,16 @@ let worker_loop pool =
   in
   loop 0
 
-let env_true name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* More domains than cores is pure overhead under OCaml 5's stop-the-world
    minor GC: on a small container a 4-domain pool ran slower than a
    1-domain one for exactly this reason.  [create] therefore caps the
-   pool at the hardware's recommended domain count unless the caller (or
-   BUFSIZE_POOL_OVERSUBSCRIBE=1) explicitly asks to exceed it, e.g. tests
-   that must exercise real multi-domain execution on any machine. *)
+   pool at the hardware's recommended domain count unless the caller
+   explicitly asks to exceed it, e.g. tests that must exercise real
+   multi-domain execution on any machine. *)
 let create ?(oversubscribe = false) total =
   if total < 1 then invalid_arg "Pool.create: need at least one domain";
   let total =
-    if oversubscribe || env_true "BUFSIZE_POOL_OVERSUBSCRIBE" then total
+    if oversubscribe then total
     else Int.min total (Int.max 1 (Domain.recommended_domain_count ()))
   in
   let pool =
@@ -135,27 +130,14 @@ let default () =
   Mutex.unlock default_m;
   p
 
-(* Steal granularity: an explicit [?chunk] wins, then the
-   BUFSIZE_POOL_CHUNK environment knob, then a heuristic giving each
-   domain ~8 steals per job — coarse enough to keep counter traffic
+(* Steal granularity: an explicit [?chunk] wins, else a heuristic giving
+   each domain ~8 steals per job — coarse enough to keep counter traffic
    negligible, fine enough that uneven item costs still balance. *)
-let chunk_env =
-  match Sys.getenv_opt "BUFSIZE_POOL_CHUNK" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some c when c >= 1 -> Some c
-      | Some _ | None ->
-          invalid_arg "Pool: BUFSIZE_POOL_CHUNK must be a positive integer")
-
 let resolve_chunk pool ~chunk n =
   match chunk with
   | Some c when c >= 1 -> c
   | Some _ -> invalid_arg "Pool: chunk must be a positive integer"
-  | None -> (
-      match chunk_env with
-      | Some c -> c
-      | None -> Int.max 1 (n / (8 * pool.total)))
+  | None -> Int.max 1 (n / (8 * pool.total))
 
 (* Run [f 0 .. f (n-1)] on the pool.  Sequential when the pool has one
    domain, was shut down, or is already running a job (nested calls from a

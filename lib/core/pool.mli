@@ -30,9 +30,8 @@ val create : ?oversubscribe:bool -> int -> t
     workers).  [k] is capped at [Domain.recommended_domain_count ()] —
     more domains than cores is pure overhead under the stop-the-world
     minor GC (the recorded 4-domain slowdown) — unless
-    [oversubscribe:true] or [BUFSIZE_POOL_OVERSUBSCRIBE=1] lifts the cap
-    (tests exercising real multi-domain execution need this on small
-    machines).  @raise Invalid_argument if [k < 1]. *)
+    [oversubscribe:true] lifts the cap (tests exercising real
+    multi-domain execution need this on small machines).  @raise Invalid_argument if [k < 1]. *)
 
 val size : t -> int
 (** Total domains the pool uses, including the caller's. *)
@@ -57,11 +56,10 @@ val map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
     [f] must be safe to run concurrently with itself on distinct items.
 
     [chunk] sets how many consecutive items a domain claims per steal.
-    Default: the [BUFSIZE_POOL_CHUNK] environment knob when set, else
-    [max 1 (n / (8 * size pool))] — about eight steals per domain, coarse
-    enough that the shared claim counter stops being a contention point
-    on fine-grained items, fine enough that uneven item costs still
-    balance.  Chunking never changes results: item [i]'s output lands in
+    Default: [max 1 (n / (8 * size pool))] — about eight steals per
+    domain, coarse enough that the shared claim counter stops being a
+    contention point on fine-grained items, fine enough that uneven item
+    costs still balance.  Chunking never changes results: item [i]'s output lands in
     slot [i] regardless of block boundaries. *)
 
 val mapi_array : ?pool:t -> ?chunk:int -> (int -> 'a -> 'b) -> 'a array -> 'b array

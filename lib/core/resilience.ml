@@ -96,11 +96,8 @@ let pp ppf d =
 
 (* ------------------------------------------------------------- budget *)
 
-(* A budget is an absolute wall-clock deadline (plus an optional iteration
-   allowance solvers can consult).  [None] deadline = unlimited.  The
-   BUFSIZE_SOLVE_BUDGET_MS environment variable seeds the default budget;
-   unset or non-positive means unlimited, matching the historical
-   behavior exactly. *)
+(* A budget is an absolute wall-clock deadline.  [None] deadline =
+   unlimited. *)
 
 type budget = { deadline : float option (* Unix epoch seconds *) }
 
@@ -114,16 +111,15 @@ let of_ms ms = if ms <= 0. then unlimited else { deadline = Some (now_s () +. (m
    resolution; used by the chaos harness to exercise the exhaustion path. *)
 let expired () = { deadline = Some (now_s () -. 1.) }
 
-let budget_env_var = "BUFSIZE_SOLVE_BUDGET_MS"
-
 (* Ambient per-request budget.  The sizing daemon serves many clients
-   with different deadlines from one process, so a process-wide env var
-   cannot carry them; instead the request handler installs its deadline
-   here (domain-local, so concurrent worker domains never see each
-   other's deadlines) and every solver that defaults its budget from
-   [of_env] picks it up without any signature change.  [Pool] re-installs
-   the caller's ambient budget inside its worker domains, so a solve that
-   fans out stays under the same deadline. *)
+   with different deadlines from one process, so the request handler
+   installs its deadline here (domain-local, so concurrent worker domains
+   never see each other's deadlines) and every solver that defaults its
+   budget from [current_budget] picks it up without any signature
+   change.  [Pool] re-installs the caller's ambient budget inside its
+   worker domains, so a solve that fans out stays under the same
+   deadline.  Outside a request there is no ambient budget and solves
+   run unlimited. *)
 
 let ambient_key : budget option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -135,19 +131,7 @@ let with_ambient_budget b f =
   Domain.DLS.set ambient_key (Some b);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
 
-let of_env () =
-  match ambient_budget () with
-  | Some b -> b
-  | None -> (
-      match Sys.getenv_opt budget_env_var with
-      | None | Some "" -> unlimited
-      | Some s -> (
-          match float_of_string_opt s with
-          | Some ms when ms > 0. -> of_ms ms
-          | Some _ -> unlimited
-          | None ->
-              invalid_arg
-                (Printf.sprintf "%s: expected a duration in milliseconds, got %S" budget_env_var s)))
+let current_budget () = Option.value ~default:unlimited (ambient_budget ())
 
 let exhausted b = match b.deadline with None -> false | Some d -> now_s () > d
 

@@ -236,7 +236,7 @@ let solve_price ?(map = sequential) ?max_iter ?bound models =
       if Ctmdp.num_extras m <> 1 then
         invalid_arg "Constrained.solve_price: every block needs exactly one extra")
     models;
-  let budget = Resilience.of_env () in
+  let budget = Resilience.current_budget () in
   let price = ref Float.nan and rounds = ref 0 in
   Obs.span ~name:"ctmdp.price"
     ~attrs:(fun () ->

@@ -55,8 +55,8 @@ val solve_price :
     without a bound) and [joint_iterations] the number of search rounds.
     An infeasible bound is [Joint_infeasible].  The solve runs as a
     {!Bufsize_resilience.Resilience.escalate} chain under the ambient
-    budget ({!Bufsize_resilience.Resilience.of_env}), which is also
-    checked between rounds.  When policy
+    budget ({!Bufsize_resilience.Resilience.current_budget}), which is
+    also checked between rounds.  When policy
     iteration does not converge within [max_iter] (default 1000), meets a
     multichain policy (a singular dense evaluation, here or on the mix's
     walk), the search hits

@@ -320,7 +320,7 @@ let outcome_finite = function
    rejected when it raises, when it reaches the pivot cap (a capped run
    has no verdict), or when it claims optimality with NaN/Inf anywhere in
    the solution, so a usable result is always finite.  [budget] (default:
-   the BUFSIZE_SOLVE_BUDGET_MS environment budget) bounds the whole chain
+   the ambient request deadline, else unlimited) bounds the whole chain
    in wall-clock time; on exhaustion the best-known answer is returned as
    [Degraded] rather than spinning through further fallbacks.
 
@@ -362,5 +362,5 @@ let solve_diag ?eps ?max_iter ?budget t =
       Resilience.step "lex-perturbation" (attempt ~lex:true ());
     ]
   in
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
+  let budget = match budget with Some b -> b | None -> Resilience.current_budget () in
   Resilience.escalate ~solver:(Printf.sprintf "lp.solve(%s)" t.lp_name) ~budget steps

@@ -111,8 +111,8 @@ val solve_diag :
     [dense-tableau] (Dantzig's rule) -> [bland] (Bland's rule from pivot
     one) -> [lex-perturbation] (lexicographic-style perturbation), each
     step bounded by [budget] (default
-    {!Bufsize_resilience.Resilience.of_env}).  The first step is exactly
-    {!solve}, so the clean path is reported [Ok]; any fallback demotes
+    {!Bufsize_resilience.Resilience.current_budget}).  The first step is
+    exactly {!solve}, so the clean path is reported [Ok]; any fallback demotes
     the diagnostic to [Degraded]; exhausting the chain (or the budget with
     nothing usable) yields [None, Failed].  A step is rejected — never
     surfaced — when it raises, when it reaches the [max_iter] pivot cap

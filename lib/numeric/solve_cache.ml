@@ -1,29 +1,8 @@
 module Obs = Bufsize_obs.Obs
 
-let env_var = "BUFSIZE_SOLVE_CACHE"
-
-let parse_env = function
-  | None | Some ("" | "1" | "on" | "true" | "yes") -> true
-  | Some ("0" | "off" | "false" | "no") -> false
-  | Some s ->
-      invalid_arg
-        (Printf.sprintf "Solve_cache: %s must be one of 1/on/true/yes or 0/off/false/no, not %S"
-           env_var s)
-
-(* [None] until the first query reads the environment, so a bad value
-   fails where caching is first consulted rather than at program start,
-   and a {!set_enabled} before that query never reads it at all. *)
-let global_enabled : bool option Atomic.t = Atomic.make None
-
-let enabled () =
-  match Atomic.get global_enabled with
-  | Some b -> b
-  | None ->
-      let b = parse_env (Sys.getenv_opt env_var) in
-      Atomic.set global_enabled (Some b);
-      b
-
-let set_enabled b = Atomic.set global_enabled (Some b)
+let global_enabled = Atomic.make true
+let enabled () = Atomic.get global_enabled
+let set_enabled b = Atomic.set global_enabled b
 
 (* A plain loop, not [String.iter]: the closure would box the running
    hash on every byte, and LP keys run to tens of kilobytes. *)

@@ -13,10 +13,8 @@
     is therefore bitwise-transparent to every artifact.  The cache behind
     [Sizing.run] is an instance of this module.
 
-    Caching is enabled by default and controlled globally:
-    - the [BUFSIZE_SOLVE_CACHE] environment variable (see {!parse_env});
-    - {!set_enabled} flips all caches at runtime (used by benchmarks to
-      measure cold paths and by the warm-cold verify oracle).
+    Caching is enabled by default; {!set_enabled} flips all caches at
+    once (the warm-cold verify oracle compares both modes).
 
     Instances are safe to share across pool domains. *)
 
@@ -50,24 +48,14 @@ val length : 'a t -> int
 (** Entries currently held; never exceeds the capacity. *)
 
 val enabled : unit -> bool
-(** Whether caching is globally enabled right now.  The first call reads
-    [BUFSIZE_SOLVE_CACHE] unless {!set_enabled} came first.
-    @raise Invalid_argument when that value is rejected by {!parse_env}. *)
+(** Whether caching is globally enabled right now. *)
 
 val set_enabled : bool -> unit
-(** Override the global switch at runtime (all caches at once). *)
+(** Set the global switch (all caches at once). *)
 
 val clear_all : unit -> unit
-(** {!clear} every cache created so far — benchmarks use this to separate
-    cold from warm timings without re-launching the process. *)
-
-val env_var : string
-(** ["BUFSIZE_SOLVE_CACHE"]. *)
-
-val parse_env : string option -> bool
-(** The on/off contract of {!env_var}: unset, empty, [1], [on], [true] and
-    [yes] enable caching; [0], [off], [false] and [no] disable it.
-    @raise Invalid_argument naming the variable on any other value. *)
+(** {!clear} every cache created so far — tests and the warm-cold oracle
+    use this to separate cold from warm solves in one process. *)
 
 val fnv1a : string -> int64
 (** The 64-bit FNV-1a hash used for key bucketing (exposed for tests). *)

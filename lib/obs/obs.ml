@@ -517,9 +517,12 @@ let reset () =
 
 (* ---------------------------------------------------------- exporters *)
 
-(* JSON text is printed directly here (the exporters stream large traces);
-   string escaping is the one shared [Json.escape]. *)
-let json_escape = Bufsize_json.Json.escape
+(* Span records are printed directly here (the exporters stream large
+   traces); metrics go through [Json.t] trees.  String escaping is the
+   one shared [Json.escape] either way. *)
+module Json = Bufsize_json.Json
+
+let json_escape = Json.escape
 let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
 let json_float x = if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
 
@@ -534,13 +537,17 @@ let span_args s =
   in
   String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) kv)
 
-let gc_json () =
-  let st = Gc.quick_stat () in
-  Printf.sprintf
-    "{\"minor_words\":%s,\"promoted_words\":%s,\"major_words\":%s,\"minor_collections\":%d,\"major_collections\":%d,\"heap_words\":%d}"
-    (json_float st.Gc.minor_words) (json_float st.Gc.promoted_words)
-    (json_float st.Gc.major_words) st.Gc.minor_collections st.Gc.major_collections
-    st.Gc.heap_words
+let gc_tree st =
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    [
+      ("minor_words", Json.Num st.Gc.minor_words);
+      ("promoted_words", Json.Num st.Gc.promoted_words);
+      ("major_words", Json.Num st.Gc.major_words);
+      ("minor_collections", int st.Gc.minor_collections);
+      ("major_collections", int st.Gc.major_collections);
+      ("heap_words", int st.Gc.heap_words);
+    ]
 
 let write_chrome_trace path =
   let spans = recorded_spans () in
@@ -572,15 +579,29 @@ let write_chrome_trace path =
   out "]}";
   close_out oc
 
-let metric_json_line = function
-  | Counter (n, v) -> Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}" (json_str n) v
-  | Gauge (n, v) ->
-      Printf.sprintf "{\"type\":\"gauge\",\"name\":%s,\"value\":%s}" (json_str n) (json_float v)
-  | Histogram (n, h) ->
-      Printf.sprintf
-        "{\"type\":\"histogram\",\"name\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"buckets\":[%s]}"
-        (json_str n) h.h_count (json_float h.h_sum) (json_float h.h_min) (json_float h.h_max)
-        (String.concat "," (Array.to_list (Array.map string_of_int h.h_buckets)))
+let floats a = Json.List (Array.to_list (Array.map (fun x -> Json.Num x) a))
+let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Num (float_of_int n)) a))
+
+(* The fields a histogram shares between the JSONL line and the metrics
+   object; [extra] goes between the summary and the buckets. *)
+let histogram_fields h extra =
+  [
+    ("count", Json.Num (float_of_int h.h_count));
+    ("sum", Json.Num h.h_sum);
+    ("min", Json.Num h.h_min);
+    ("max", Json.Num h.h_max);
+  ]
+  @ extra
+  @ [ ("buckets", ints h.h_buckets) ]
+
+let metric_json_line m =
+  let head kind n = [ ("type", Json.Str kind); ("name", Json.Str n) ] in
+  Json.encode
+    (Json.Obj
+       (match m with
+       | Counter (n, v) -> head "counter" n @ [ ("value", Json.Num (float_of_int v)) ]
+       | Gauge (n, v) -> head "gauge" n @ [ ("value", Json.Num v) ]
+       | Histogram (n, h) -> head "histogram" n @ histogram_fields h []))
 
 let write_jsonl path =
   let oc = open_out path in
@@ -595,37 +616,36 @@ let write_jsonl path =
            (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) s.sattrs)))
     (recorded_spans ());
   List.iter (fun m -> Printf.fprintf oc "%s\n" (metric_json_line m)) (metrics_snapshot ());
-  Printf.fprintf oc "{\"type\":\"gc\",\"stat\":%s}\n" (gc_json ());
+  Printf.fprintf oc "{\"type\":\"gc\",\"stat\":%s}\n" (Json.encode (gc_tree (Gc.quick_stat ())));
   Printf.fprintf oc "{\"type\":\"dropped_spans\",\"value\":%d}\n" (dropped_spans ());
   close_out oc
 
-let metrics_json () =
-  let counters, gauges, histos =
-    List.fold_left
-      (fun (cs, gs, hs) m ->
-        match m with
-        | Counter (n, v) -> (Printf.sprintf "%s:%d" (json_str n) v :: cs, gs, hs)
-        | Gauge (n, v) -> (cs, Printf.sprintf "%s:%s" (json_str n) (json_float v) :: gs, hs)
-        | Histogram (n, h) ->
-            ( cs,
-              gs,
-              Printf.sprintf
-                "%s:{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"bounds\":[%s],\"buckets\":[%s]}"
-                (json_str n) h.h_count (json_float h.h_sum) (json_float h.h_min)
-                (json_float h.h_max)
-                (json_float (quantile h 0.50))
-                (json_float (quantile h 0.95))
-                (json_float (quantile h 0.99))
-                (String.concat "," (Array.to_list (Array.map json_float h.h_bounds)))
-                (String.concat "," (Array.to_list (Array.map string_of_int h.h_buckets)))
-              :: hs ))
-      ([], [], []) (metrics_snapshot ())
-  in
-  Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s},\"gc\":%s}"
-    (String.concat "," (List.rev counters))
-    (String.concat "," (List.rev gauges))
-    (String.concat "," (List.rev histos))
-    (gc_json ())
+let metrics_tree ?(gc = Gc.quick_stat ()) snapshot =
+  let section pick = Json.Obj (List.filter_map pick snapshot) in
+  Json.Obj
+    [
+      ( "counters",
+        section (function Counter (n, v) -> Some (n, Json.Num (float_of_int v)) | _ -> None) );
+      ("gauges", section (function Gauge (n, v) -> Some (n, Json.Num v) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram (n, h) ->
+              let q p = Json.Num (quantile h p) in
+              Some
+                ( n,
+                  Json.Obj
+                    (histogram_fields h
+                       [
+                         ("p50", q 0.50);
+                         ("p95", q 0.95);
+                         ("p99", q 0.99);
+                         ("bounds", floats h.h_bounds);
+                       ]) )
+          | _ -> None) );
+      ("gc", gc_tree gc);
+    ]
+
+let metrics_json () = Json.encode (metrics_tree (metrics_snapshot ()))
 
 (* --------------------------------------------- Prometheus exposition *)
 

@@ -181,9 +181,13 @@ val write_jsonl : string -> unit
 (** One JSON object per line: spans, metrics, a GC snapshot, and a
     dropped-span count. *)
 
+val metrics_tree : ?gc:Gc.stat -> metric_value list -> Bufsize_json.Json.t
+(** The metrics object of a snapshot: counters, gauges (unset = [null]),
+    histograms (with p50/p95/p99 and bucket layout) and a GC snapshot
+    ([gc], default [Gc.quick_stat ()]). *)
+
 val metrics_json : unit -> string
-(** Single JSON object: counters, gauges, histograms (with p50/p95/p99
-    and bucket layout), GC snapshot. *)
+(** {!metrics_tree} of {!metrics_snapshot}, encoded. *)
 
 val metrics_prometheus : unit -> string
 (** Prometheus text exposition (format 0.0.4) of every registered

@@ -370,7 +370,7 @@ let stationary_diag ?budget ?init t =
         Resilience.step "lu-dense" lu;
       ]
   in
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
+  let budget = match budget with Some b -> b | None -> Resilience.current_budget () in
   Resilience.escalate ~solver:(Printf.sprintf "ctmc.stationary(n=%d)" t.n) ~budget steps
 
 let is_irreducible t =

@@ -137,7 +137,7 @@ val stationary_diag :
     the offending closed class in the reason string; an unconverged
     iteration is kept as a [Partial] best-known answer; every candidate
     must pass {!distribution_valid} to surface.  [budget] defaults to
-    {!Bufsize_resilience.Resilience.of_env}. *)
+    {!Bufsize_resilience.Resilience.current_budget}. *)
 
 val is_irreducible : t -> bool
 (** Graph check: every state reaches every other along positive rates. *)

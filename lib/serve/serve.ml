@@ -33,47 +33,17 @@ type config = {
   log_requests : bool;
 }
 
-let env_nonneg_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-          invalid_arg (Printf.sprintf "%s: expected a nonnegative integer, got %S" name s))
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> f
-      | None -> invalid_arg (Printf.sprintf "%s: expected a number, got %S" name s))
-
-let env_bool name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some s -> invalid_arg (Printf.sprintf "%s: expected a boolean, got %S" name s)
-
-let default_socket_path () = Filename.concat (Filename.get_temp_dir_name ()) "bufsize.sock"
-
-let config_of_env () =
+(* The defaults behind the [bufsize serve] flags, the only way to set
+   these values. *)
+let default_config =
   {
-    socket_path =
-      (match Sys.getenv_opt "BUFSIZE_SERVE_SOCKET" with
-      | None | Some "" -> default_socket_path ()
-      | Some p -> p);
-    queue_depth = env_nonneg_int "BUFSIZE_SERVE_QUEUE" 64;
-    workers =
-      Int.max 1
-        (env_nonneg_int "BUFSIZE_SERVE_WORKERS"
-           (Int.max 1 (Int.min 4 (Domain.recommended_domain_count () - 1))));
-    default_deadline_ms = env_float "BUFSIZE_SERVE_DEADLINE_MS" 0.;
-    max_request_bytes = env_nonneg_int "BUFSIZE_SERVE_MAX_REQUEST" (1 lsl 20);
-    flight_cap = Int.max 1 (env_nonneg_int "BUFSIZE_FLIGHT_CAP" 256);
-    log_requests = env_bool "BUFSIZE_SERVE_LOG_REQUESTS" false;
+    socket_path = Filename.concat (Filename.get_temp_dir_name ()) "bufsize.sock";
+    queue_depth = 64;
+    workers = Int.max 1 (Int.min 4 (Domain.recommended_domain_count () - 1));
+    default_deadline_ms = 0.;
+    max_request_bytes = 1 lsl 20;
+    flight_cap = 256;
+    log_requests = false;
   }
 
 let temp_socket_path () =
@@ -81,9 +51,6 @@ let temp_socket_path () =
   (* temp_file creates the file; the bind below wants the name only. *)
   (try Sys.remove path with Sys_error _ -> ());
   path
-
-let chaos_enabled () =
-  match Sys.getenv_opt "BUFSIZE_CHAOS" with Some "1" -> true | Some _ | None -> false
 
 (* ------------------------------------------------------------ handlers *)
 
@@ -301,17 +268,6 @@ let kron_handler ~deadline:_ req =
   if j.S.converged then Reply_ok fields
   else Reply_degraded ("stationary solve did not converge within the sweep cap", fields)
 
-(* Occupies a worker for a controlled interval — lets tests fill the
-   queue deterministically.  Chaos-gated: a production daemon must not
-   offer a free denial-of-service op. *)
-let stall_handler ~deadline:_ req =
-  if not (chaos_enabled ()) then bad_request "stall requires BUFSIZE_CHAOS=1"
-  else begin
-    let ms = Option.value ~default:100. (Json.mem_number "ms" req) in
-    Unix.sleepf (Float.max 0. ms /. 1000.);
-    Reply_ok [ ("slept_ms", Json.Num ms) ]
-  end
-
 (* The full Obs metrics registry — counters, gauges, and the per-op
    latency histograms with their p50/p95/p99 — as JSON, or as Prometheus
    text exposition when the request sets ["prometheus": true] (or
@@ -328,13 +284,12 @@ let metrics_handler ~deadline:_ req =
         ("content_type", Json.Str "text/plain; version=0.0.4");
         ("text", Json.Str (Obs.metrics_prometheus ()));
       ]
-  else Reply_ok [ ("metrics", Json.parse_exn (Obs.metrics_json ())) ]
+  else Reply_ok [ ("metrics", Obs.metrics_tree (Obs.metrics_snapshot ())) ]
 
 let () =
   register_op "size" size_handler;
   register_op "simulate" simulate_handler;
   register_op "kron" kron_handler;
-  register_op "stall" stall_handler;
   register_op "metrics" metrics_handler
 
 (* ------------------------------------------- flight recorder & stats *)
@@ -531,7 +486,6 @@ let stat_done t op ~failed =
   Mutex.unlock t.stats_m
 
 let socket_path t = t.cfg.socket_path
-let config t = t.cfg
 
 let rec write_all fd b off len =
   if len > 0 then
@@ -629,17 +583,12 @@ let flight_reply t =
       ("records", Json.List (List.map flight_record_json (flight_records t)));
     ]
 
-let flight_dump_path t =
-  match Sys.getenv_opt "BUFSIZE_FLIGHT_PATH" with
-  | Some p when p <> "" -> p
-  | Some _ | None -> t.cfg.socket_path ^ ".flight.jsonl"
-
 (* Merge every domain's ring stripe and write the newest [flight_cap]
    records as JSONL, newest snapshot replacing the previous dump.
    Called on internal_error (from the failing worker), on SIGUSR1 (via
    the CLI), and manually; must never throw into a worker. *)
-let dump_flight ?path t =
-  let path = match path with Some p -> p | None -> flight_dump_path t in
+let dump_flight t =
+  let path = t.cfg.socket_path ^ ".flight.jsonl" in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -961,9 +910,16 @@ let io_loop t =
 
 (* ----------------------------------------------------------- lifecycle *)
 
-let start ?config () =
-  let cfg = match config with Some c -> c | None -> config_of_env () in
-  if cfg.workers < 1 then invalid_arg "Serve.start: need at least one worker";
+let start ?config:(cfg = default_config) () =
+  List.iter
+    (fun (name, v) ->
+      if v < 1 then invalid_arg (Printf.sprintf "Serve.start: %s must be at least 1, got %d" name v))
+    [
+      ("workers", cfg.workers);
+      ("queue_depth", cfg.queue_depth);
+      ("max_request_bytes", cfg.max_request_bytes);
+      ("flight_cap", cfg.flight_cap);
+    ];
   (* A dying client mid-write must not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
@@ -988,7 +944,7 @@ let start ?config () =
       ewma_ms = Atomic.make 0.;
       started_at = Unix.gettimeofday ();
       rids = Atomic.make 1;
-      flight = Obs.Ring.create ~capacity:(Int.max 1 cfg.flight_cap);
+      flight = Obs.Ring.create ~capacity:cfg.flight_cap;
       stats_m = Mutex.create ();
       op_stats = Hashtbl.create 16;
     }

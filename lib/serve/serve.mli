@@ -53,17 +53,15 @@
     recorder's newest records).  Worker ops: [size], [simulate], [kron],
     [metrics] (the full Obs metrics registry with per-op latency
     histograms and p50/p95/p99, as JSON or — with ["prometheus": true] —
-    Prometheus text exposition in a ["text"] member), and the
-    chaos-gated [stall]; the verify library registers [verify] and
-    [chaos] (both gated behind [BUFSIZE_CHAOS=1] where they inject
-    faults).
+    Prometheus text exposition in a ["text"] member).  That op set is
+    fixed here; {!register_op} exists so tests can add fake ops.
 
     {2 Flight recorder}
 
     A lock-free per-domain ring ({!Bufsize_obs.Obs.Ring}) remembers the
     last [flight_cap] completed request records (id, op, outcome,
     queue/service latencies, telemetry span id, diagnostic note).  The
-    merged ring is dumped as JSONL to {!flight_dump_path} on any
+    merged ring is dumped as JSONL to [<socket>.flight.jsonl] on any
     [internal_error] reply and by {!dump_flight} (the CLI calls it on
     SIGUSR1), and is served live by the [flight] op. *)
 
@@ -82,12 +80,10 @@ type config = {
   log_requests : bool;  (** one JSONL line per completed request on stderr *)
 }
 
-val config_of_env : unit -> config
-(** Defaults seeded from the environment: [BUFSIZE_SERVE_SOCKET] (default
-    [<tmpdir>/bufsize.sock]), [BUFSIZE_SERVE_QUEUE] (64),
-    [BUFSIZE_SERVE_WORKERS], [BUFSIZE_SERVE_DEADLINE_MS] (unlimited),
-    [BUFSIZE_SERVE_MAX_REQUEST] (1 MiB), [BUFSIZE_FLIGHT_CAP] (256),
-    [BUFSIZE_SERVE_LOG_REQUESTS] (off). *)
+val default_config : config
+(** Socket [<tmpdir>/bufsize.sock], queue 64, [min 4 (cores - 1)]
+    workers (at least 1), no default deadline, 1 MiB requests, flight
+    capacity 256, request log off. *)
 
 val temp_socket_path : unit -> string
 (** A fresh unique socket path in the temp directory — for in-process
@@ -109,14 +105,9 @@ type handler = deadline:Resilience.budget -> Json.t -> reply
     (or [degraded] when the deadline expired mid-flight). *)
 
 val register_op : string -> handler -> unit
-(** Later registrations replace earlier ones; ["ping"] cannot be taken
-    (the IO loop answers it before dispatch). *)
-
-val registered_ops : unit -> string list
-(** Sorted op names, [ping] included. *)
-
-val chaos_enabled : unit -> bool
-(** Whether [BUFSIZE_CHAOS=1] — the gate on fault-injection ops. *)
+(** Add a worker op, replacing any earlier one of that name — how tests
+    add fake ops to the fixed set.  [ping], [stats] and [flight] cannot
+    be taken (the IO loop answers them before dispatch). *)
 
 (** {1 Server lifecycle} *)
 
@@ -125,6 +116,9 @@ type t
 val start : ?config:config -> unit -> t
 (** Bind the socket (replacing a stale file), spawn the worker domains
     and the IO domain.  The socket is connectable when [start] returns.
+    [config] defaults to {!default_config}.
+    @raise Invalid_argument when [workers], [queue_depth],
+    [max_request_bytes] or [flight_cap] is below 1 (nothing is bound).
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val stop : t -> unit
@@ -133,17 +127,12 @@ val stop : t -> unit
     connection and unlink the socket.  Idempotent. *)
 
 val socket_path : t -> string
-val config : t -> config
 
-val flight_dump_path : t -> string
-(** Where {!dump_flight} writes by default: [BUFSIZE_FLIGHT_PATH] when
-    set, else [socket_path ^ ".flight.jsonl"]. *)
-
-val dump_flight : ?path:string -> t -> string
+val dump_flight : t -> string
 (** Write the flight recorder's current records (oldest first, one JSON
-    object per line) to [path] (default {!flight_dump_path}), replacing
-    any previous dump, and return the path written.  Called automatically
-    on every [internal_error] reply; the CLI wires it to SIGUSR1. *)
+    object per line) to [socket_path ^ ".flight.jsonl"], replacing any
+    previous dump, and return the path written.  Called automatically on
+    every [internal_error] reply; the CLI wires it to SIGUSR1. *)
 
 (** {1 Client} *)
 

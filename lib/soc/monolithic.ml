@@ -281,7 +281,7 @@ let solve_closure ?budget ?(tol = 1e-9) s =
               Resilience.Partial
                 (v, meta, Printf.sprintf "fixed point residual %.3e above target" res))
   in
-  let budget = match budget with Some b -> b | None -> Resilience.of_env () in
+  let budget = match budget with Some b -> b | None -> Resilience.current_budget () in
   Resilience.escalate
     ~solver:(Printf.sprintf "monolithic.closure(kx=%d,ky=%d)" s.kx s.ky)
     ~budget

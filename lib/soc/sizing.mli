@@ -155,7 +155,6 @@ val cache_stats : unit -> int * int
     [client_weight] evaluated per client).  A hit replays exactly what a
     recompute would produce; allocation and the occupancy health check are
     recomputed fresh.  Only clean (all-[Ok]) solves are stored.  Disable
-    process-wide with [BUFSIZE_SOLVE_CACHE=0] or
-    {!Bufsize_numeric.Solve_cache.set_enabled}. *)
+    process-wide with {!Bufsize_numeric.Solve_cache.set_enabled}. *)
 
 val pp_summary : Format.formatter -> result -> unit

@@ -1526,11 +1526,6 @@ let all =
     price;
   ]
 
-(* The daemon's [verify] op runs this same matrix; the list is injected
-   (rather than referenced from Serve_oracle) because Driver defaults to
-   [all] and a back-reference would cycle. *)
-let () = Serve_oracle.set_verify_oracles all
-
 let find name = List.find_opt (fun o -> o.name = name) all
 
 let names () = List.map (fun o -> o.name) all

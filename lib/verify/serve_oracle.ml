@@ -12,100 +12,6 @@ module Splitting = Bufsize_soc.Splitting
 module Sizing = Bufsize_soc.Sizing
 open Oracle
 
-(* ----------------------------------------------------- daemon-side ops *)
-
-(* The oracle matrix, injected by Oracles at init.  A ref rather than a
-   direct reference because Driver defaults to Oracles.all: referencing
-   Oracles here would close a module cycle. *)
-let verify_oracles : Oracle.t list ref = ref []
-let set_verify_oracles l = verify_oracles := l
-
-let verify_handler ~deadline:_ req =
-  let count = Int.max 1 (Int.min 50 (Option.value ~default:1 (Json.mem_int "count" req))) in
-  let seed = Option.value ~default:1 (Json.mem_int "seed" req) in
-  let max_states = Int.max 8 (Option.value ~default:24 (Json.mem_int "max_states" req)) in
-  let wanted = Json.mem_string "oracle" req in
-  let oracles =
-    match wanted with
-    | Some name -> List.filter (fun o -> o.name = name) !verify_oracles
-    | None ->
-        (* Running the serve oracle from inside a serve worker would nest
-           a server per case; callers who really want that name it. *)
-        List.filter (fun o -> o.name <> "serve") !verify_oracles
-  in
-  match (oracles, wanted) with
-  | [], Some name ->
-      Serve.Reply_error
-        {
-          kind = Serve.Bad_request;
-          message = Printf.sprintf "unknown oracle %S" name;
-          retry_after_ms = None;
-        }
-  | oracles, _ ->
-      let failures = ref [] in
-      let cases = ref 0 in
-      List.iteri
-        (fun oi o ->
-          let rng = Rng.create (Rng.derive_seed seed oi) in
-          for _ = 1 to count do
-            incr cases;
-            let case = o.generate ~max_states rng in
-            match run_check case with
-            | Pass -> ()
-            | Fail msg ->
-                failures :=
-                  Json.Obj
-                    [
-                      ("oracle", Json.Str o.name);
-                      ("label", Json.Str case.label);
-                      ("message", Json.Str msg);
-                    ]
-                  :: !failures
-          done)
-        oracles;
-      Serve.Reply_ok
-        [
-          ("oracles", Json.Num (float_of_int (List.length oracles)));
-          ("cases", Json.Num (float_of_int !cases));
-          ("failures", Json.List (List.rev !failures));
-          ("pass", Json.Bool (!failures = []));
-        ]
-
-(* Fault injection op: replays a Chaos fault family by name, or — with
-   the reserved name [raise] — crashes its own handler on purpose to
-   prove worker crash isolation end to end. *)
-let chaos_handler ~deadline:_ req =
-  if not (Serve.chaos_enabled ()) then
-    Serve.Reply_error
-      { kind = Serve.Bad_request; message = "chaos requires BUFSIZE_CHAOS=1"; retry_after_ms = None }
-  else
-    match Json.mem_string "fault" req with
-    | None ->
-        Serve.Reply_error
-          { kind = Serve.Bad_request; message = "chaos needs a \"fault\" name"; retry_after_ms = None }
-    | Some "raise" -> failwith "chaos: injected handler crash"
-    | Some name -> (
-        match Chaos.fault_of_name name with
-        | None ->
-            Serve.Reply_error
-              {
-                kind = Serve.Bad_request;
-                message =
-                  Printf.sprintf "unknown fault %S (or \"raise\"); known: %s" name
-                    (String.concat ", " (List.map Chaos.fault_name Chaos.all_faults));
-                retry_after_ms = None;
-              }
-        | Some fault -> (
-            let seed = Option.value ~default:1 (Json.mem_int "seed" req) in
-            match Chaos.check fault seed with
-            | Pass -> Serve.Reply_ok [ ("verdict", Json.Str "pass") ]
-            | Fail msg ->
-                Serve.Reply_ok [ ("verdict", Json.Str "fail"); ("message", Json.Str msg) ]))
-
-let () =
-  Serve.register_op "verify" verify_handler;
-  Serve.register_op "chaos" chaos_handler
-
 (* ------------------------------------------------------- the cross-check *)
 
 type serve_case = { sv_text : string; sv_budget : int; sv_max_states : int; sv_seed : int }
@@ -443,13 +349,13 @@ let flight_probe socket =
                   failf "flight: %d records, want min(capacity %d, finished %d)"
                     (List.length records) cap finished);
               (fun () ->
-                let sent_ops = [ "size"; "kron"; "chaos" ] in
+                let sent_ops = [ "size"; "kron" ] in
                 let ok_rec r =
                   (match Json.mem_string "op" r with
                   | Some op -> List.mem op sent_ops
                   | None -> false)
                   && (match Json.mem_string "outcome" r with
-                     | Some ("ok" | "degraded" | "internal_error") -> true
+                     | Some ("ok" | "degraded") -> true
                      | Some _ | None -> false)
                   && (match Json.mem_number "queue_ms" r with Some q -> q >= 0. | None -> false)
                   &&
@@ -467,31 +373,6 @@ let flight_probe socket =
             ]
       | _ -> failf "flight: reply missing records/capacity")
 
-(* Under BUFSIZE_CHAOS=1, crash a handler on purpose: the reply must be a
-   typed internal_error and the server must still answer afterwards. *)
-let chaos_probe c socket expected =
-  if not (Serve.chaos_enabled ()) then Pass
-  else
-    let crash =
-      Json.Obj
-        [ ("id", Json.Num 7.); ("op", Json.Str "chaos"); ("fault", Json.Str "raise") ]
-    in
-    match Serve.request ~socket crash with
-    | Error e -> failf "chaos crash request: %s" e
-    | Ok reply ->
-        all_of
-          [
-            (fun () ->
-              if status_of reply = "error" && error_kind_of reply = "internal_error" then Pass
-              else
-                failf "chaos crash: want error/internal_error, got %s/%s" (status_of reply)
-                  (error_kind_of reply));
-            (fun () ->
-              match Serve.request ~socket (size_request ~id:8 c) with
-              | Error e -> failf "after chaos crash: %s" e
-              | Ok r -> check_sizing_reply ~what:"after chaos crash" ~expected r);
-          ]
-
 let check_serve_case c =
   match expected_result c with
   | Error e -> Fail e
@@ -506,7 +387,6 @@ let check_serve_case c =
               (fun () -> pipelined_batch c socket expected);
               (fun () -> concurrent_clients c socket expected);
               (fun () -> telemetry_probe c socket expected);
-              (fun () -> chaos_probe c socket expected);
               (fun () -> stats_probe socket);
               (fun () -> flight_probe socket);
               (fun () ->
@@ -533,7 +413,7 @@ let case ~text ~budget ~max_states ~seed =
         c.sv_budget c.sv_max_states c.sv_seed c.sv_text;
     check = (fun () -> check_serve_case c);
     (* A serve case has no structural shrink: the batch is fixed and the
-       architecture only parameterizes the payload (chaos precedent). *)
+       architecture only parameterizes the payload. *)
     shrink = (fun () -> []);
   }
 

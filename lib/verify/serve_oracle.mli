@@ -4,24 +4,15 @@
     fresh socket and throws a mixed batch at it — well-formed sizing
     requests (pipelined on one connection and concurrently from separate
     domains), malformed JSON, an unknown op, an oversized line, a
-    deadline-zero request, and (under [BUFSIZE_CHAOS=1]) a fault-injected
-    op that crashes its handler.  The contract checked:
+    deadline-zero request, and telemetry, stats and flight probes.  The
+    contract checked:
 
     - every request line gets exactly one well-formed reply, ids echoed;
     - sizing replies are {e bitwise identical} to a direct
       {!Bufsize_soc.Sizing.run} through the shared serializer;
-    - malformed / unknown / oversized / deadline-zero / crashed requests
-      come back as their typed statuses, never as silence or a dead
-      socket;
-    - the server survives all of it and still answers afterwards.
-
-    This module also registers the daemon's [verify] and [chaos] ops
-    (the oracle list is injected by [Oracles] to avoid a module cycle
-    with the driver). *)
-
-val set_verify_oracles : Oracle.t list -> unit
-(** Called once by [Oracles] at init with the full oracle matrix; the
-    daemon's [verify] op draws from this list. *)
+    - malformed / unknown / oversized / deadline-zero requests come back
+      as their typed statuses, never as silence or a dead socket;
+    - the server survives all of it and still answers afterwards. *)
 
 val case : text:string -> budget:int -> max_states:int -> seed:int -> Oracle.case
 (** The case is fully determined by the architecture text and the three

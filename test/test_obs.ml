@@ -247,6 +247,66 @@ let test_jsonl_and_metrics_json_well_formed () =
         [ "span"; "counter"; "histogram"; "gc"; "dropped_spans" ]);
   fresh ()
 
+(* The metrics object and the JSONL metric lines, byte for byte, on a
+   fixed registry: a counter, an unset (NaN) gauge and a histogram with
+   an interpolated p50.  The expected strings are what the hand-printed
+   exporters wrote before both became [Json.t] trees. *)
+let test_metrics_text_pinned () =
+  fresh ();
+  Obs.enable_metrics ();
+  Obs.add (Obs.counter "pin.requests") 3;
+  ignore (Obs.gauge "pin.unset");
+  let h = Obs.histogram_with_bounds "pin.latency_ms" [| 1.; 5.; 100. |] in
+  List.iter (Obs.observe h) [ 0.25; 0.1; 1.5; 1.75; 1.9; 7.; 9.; 42.125; 60.; 70.; 80.; 90. ];
+  let pinned name = String.starts_with ~prefix:"pin." name in
+  let snapshot =
+    List.filter
+      (function Obs.Counter (n, _) | Obs.Gauge (n, _) | Obs.Histogram (n, _) -> pinned n)
+      (Obs.metrics_snapshot ())
+  in
+  let gc =
+    {
+      (Gc.quick_stat ()) with
+      Gc.minor_words = 12345.5;
+      promoted_words = 0.1;
+      major_words = 1e20;
+      minor_collections = 7;
+      major_collections = 2;
+      heap_words = 4096;
+    }
+  in
+  Alcotest.(check string)
+    "metrics object"
+    ("{\"counters\":{\"pin.requests\":3},\"gauges\":{\"pin.unset\":null},"
+   ^ "\"histograms\":{\"pin.latency_ms\":{\"count\":12,\"sum\":363.625,"
+   ^ "\"min\":0.10000000000000001,\"max\":90,\"p50\":17.142857142857142,\"p95\":90,"
+   ^ "\"p99\":90,\"bounds\":[1,5,100],\"buckets\":[2,3,7,0]}},"
+   ^ "\"gc\":{\"minor_words\":12345.5,\"promoted_words\":0.10000000000000001,"
+   ^ "\"major_words\":1e+20,\"minor_collections\":7,\"major_collections\":2,"
+   ^ "\"heap_words\":4096}}")
+    (Bufsize_json.Json.encode (Obs.metrics_tree ~gc snapshot));
+  with_temp_file (fun path ->
+      Obs.write_jsonl path;
+      let lines =
+        List.filter
+          (fun l ->
+            match Test_json.(member "name" (parse_exn l)) with
+            | Some (Test_json.Str n) -> pinned n
+            | _ -> false)
+          (String.split_on_char '\n' (read_file path)
+          |> List.filter (fun l -> String.trim l <> ""))
+      in
+      Alcotest.(check (list string))
+        "jsonl metric lines"
+        [
+          "{\"type\":\"counter\",\"name\":\"pin.requests\",\"value\":3}";
+          "{\"type\":\"gauge\",\"name\":\"pin.unset\",\"value\":null}";
+          "{\"type\":\"histogram\",\"name\":\"pin.latency_ms\",\"count\":12,\"sum\":363.625,"
+          ^ "\"min\":0.10000000000000001,\"max\":90,\"buckets\":[2,3,7,0]}";
+        ]
+        lines);
+  fresh ()
+
 (* ----------------------------------------------------------- quantiles *)
 
 (* The estimator's contract (obs.mli): the estimate falls inside the
@@ -529,6 +589,7 @@ let () =
           Alcotest.test_case "chrome trace well-formed" `Quick test_chrome_trace_well_formed;
           Alcotest.test_case "jsonl and metrics json" `Quick
             test_jsonl_and_metrics_json_well_formed;
+          Alcotest.test_case "metrics text pinned" `Quick test_metrics_text_pinned;
         ] );
       ( "only-observes",
         [

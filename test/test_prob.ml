@@ -1,11 +1,9 @@
-(* Tests for the probability substrate: RNG determinism and moments,
-   distributions, CTMC/DTMC stationary analysis, birth-death closed forms. *)
+(* Tests for the probability substrate: RNG determinism and moments, CTMC
+   stationary analysis, birth-death closed forms. *)
 
 module Vec = Bufsize_numeric.Vec
 module Rng = Bufsize_prob.Rng
-module Dist = Bufsize_prob.Dist
 module Ctmc = Bufsize_prob.Ctmc
-module Dtmc = Bufsize_prob.Dtmc
 module Birth_death = Bufsize_prob.Birth_death
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -98,38 +96,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 (fun i -> i)) sorted
 
-(* ----------------------------------------------------------------- Dist *)
-
-let test_dist_means () =
-  check_float "exp mean" 0.25 (Dist.mean (Dist.exponential 4.));
-  check_float "erlang mean" 1.5 (Dist.mean (Dist.erlang 3 2.));
-  check_float "det mean" 7. (Dist.mean (Dist.deterministic 7.));
-  check_float "uniform mean" 3. (Dist.mean (Dist.uniform 2. 4.))
-
-let test_dist_sampling_moments () =
-  let rng = Rng.create 2024 in
-  let check d =
-    let n = 60_000 in
-    let acc = ref 0. in
-    for _ = 1 to n do
-      acc := !acc +. Dist.sample rng d
-    done;
-    check_close (0.02 *. (Dist.mean d +. 0.1)) "sample mean" (Dist.mean d)
-      (!acc /. float_of_int n)
-  in
-  check (Dist.exponential 3.);
-  check (Dist.erlang 4 2.);
-  check (Dist.deterministic 1.25);
-  check (Dist.uniform 0.5 2.5)
-
-let test_dist_scale_rate () =
-  let d = Dist.scale_rate 2. (Dist.exponential 3.) in
-  check_float "rate doubled" 6. (Dist.rate d)
-
-let test_dist_validation () =
-  Alcotest.check_raises "bad rate" (Invalid_argument "Dist.exponential: rate must be positive")
-    (fun () -> ignore (Dist.exponential 0.))
-
 (* ----------------------------------------------------------------- Ctmc *)
 
 let two_state_ctmc a b = Ctmc.of_rates 2 [ (0, 1, a); (1, 0, b) ]
@@ -208,32 +174,6 @@ let test_ctmc_stationary_property () =
   in
   QCheck.Test.check_exn (QCheck.Test.make ~count:200 ~name:"pi Q = 0" gen prop)
 
-(* ----------------------------------------------------------------- Dtmc *)
-
-let test_dtmc_stationary_matches_power () =
-  let p =
-    Bufsize_numeric.Mat.of_rows
-      [| [| 0.5; 0.5; 0. |]; [| 0.25; 0.5; 0.25 |]; [| 0.; 0.5; 0.5 |] |]
-  in
-  let d = Dtmc.of_matrix p in
-  let direct = Dtmc.stationary d in
-  let power = Dtmc.power_stationary d in
-  Alcotest.(check bool) "agree" true (Vec.approx_equal ~tol:1e-8 direct power)
-
-let test_dtmc_embedded () =
-  let c = two_state_ctmc 2. 6. in
-  let d = Dtmc.embedded_of_ctmc c in
-  (* Jump chain of a 2-state CTMC alternates deterministically. *)
-  let m = Dtmc.matrix d in
-  check_float "p01" 1. (Bufsize_numeric.Mat.get m 0 1);
-  check_float "p10" 1. (Bufsize_numeric.Mat.get m 1 0)
-
-let test_dtmc_validation () =
-  let bad = Bufsize_numeric.Mat.of_rows [| [| 0.5; 0.6 |]; [| 0.5; 0.5 |] |] in
-  (match Dtmc.of_matrix bad with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection")
-
 (* ----------------------------------------------------- Birth-death / MM1K *)
 
 let test_bd_stationary_matches_ctmc () =
@@ -297,13 +237,6 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independence;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
         ] );
-      ( "dist",
-        [
-          Alcotest.test_case "means" `Quick test_dist_means;
-          Alcotest.test_case "sampling moments" `Quick test_dist_sampling_moments;
-          Alcotest.test_case "scale_rate" `Quick test_dist_scale_rate;
-          Alcotest.test_case "validation" `Quick test_dist_validation;
-        ] );
       ( "ctmc",
         [
           Alcotest.test_case "two-state stationary" `Quick test_ctmc_two_state_stationary;
@@ -314,13 +247,6 @@ let () =
           Alcotest.test_case "transient short horizon" `Quick test_ctmc_transient_short_horizon;
           Alcotest.test_case "uniformization stochastic" `Quick test_ctmc_uniformize_stochastic;
           Alcotest.test_case "pi Q = 0 (property)" `Quick test_ctmc_stationary_property;
-        ] );
-      ( "dtmc",
-        [
-          Alcotest.test_case "stationary matches power iteration" `Quick
-            test_dtmc_stationary_matches_power;
-          Alcotest.test_case "embedded chain" `Quick test_dtmc_embedded;
-          Alcotest.test_case "validation" `Quick test_dtmc_validation;
         ] );
       ( "birth-death",
         [

@@ -146,8 +146,11 @@ let test_lifecycle () =
   let ops =
     Json.member_exn "ops" reply |> Json.to_list |> List.map Json.to_string
   in
-  Alcotest.(check bool) "ops lists ping" true (List.mem "ping" ops);
-  Alcotest.(check bool) "ops lists size" true (List.mem "size" ops);
+  (* The daemon's op set is fixed; only this file's fake ops join it. *)
+  Alcotest.(check (list string))
+    "fixed op set"
+    [ "flight"; "kron"; "metrics"; "ping"; "simulate"; "size"; "stats" ]
+    (List.filter (fun op -> op <> "block" && op <> "boom") ops);
   Serve.stop t;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists cfg.Serve.socket_path);
   Serve.stop t
@@ -506,6 +509,42 @@ let test_internal_error_dumps_flight () =
       Alcotest.(check (option string)) "crashing op recorded" (Some "boom")
         (Json.mem_string "op" last))
 
+(* Every count in the config must be at least 1: [start] refuses the
+   config before binding anything. *)
+let test_start_rejects (field, value, set) =
+  let cfg = set (test_config ()) value in
+  (match Serve.start ~config:cfg () with
+  | t ->
+      Serve.stop t;
+      Alcotest.failf "start accepted %s = %d" field value
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "rejection names the field"
+        (Printf.sprintf "Serve.start: %s must be at least 1, got %d" field value)
+        msg);
+  Alcotest.(check bool) "nothing bound" false (Sys.file_exists cfg.Serve.socket_path)
+
+let rejected_fields =
+  [
+    ("workers", 0, fun c v -> { c with Serve.workers = v });
+    ("queue_depth", -3, fun c v -> { c with Serve.queue_depth = v });
+    ("max_request_bytes", -5, fun c v -> { c with Serve.max_request_bytes = v });
+    ("flight_cap", 0, fun c v -> { c with Serve.flight_cap = v });
+  ]
+
+(* The CLI turns the same rejection into a usage error, exit 2, without
+   starting a daemon. *)
+let test_cli_rejects_bad_flags () =
+  let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe" in
+  List.iter
+    (fun flags ->
+      let cmd =
+        Printf.sprintf "%s serve --socket %s %s 2>/dev/null" (Filename.quote cli)
+          (Filename.quote (Serve.temp_socket_path ()))
+          flags
+      in
+      Alcotest.(check int) (flags ^ ": exit code") 2 (Sys.command cmd))
+    [ "--workers 0"; "--queue=-3 --max-request=-5"; "--flight-cap 0" ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -514,6 +553,13 @@ let () =
           Alcotest.test_case "start, ping, stop, unlink" `Quick test_lifecycle;
           Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
         ] );
+      ( "config",
+        List.map
+          (fun ((field, _, _) as case) ->
+            Alcotest.test_case ("start rejects " ^ field ^ " < 1") `Quick (fun () ->
+                test_start_rejects case))
+          rejected_fields
+        @ [ Alcotest.test_case "cli bad flags exit 2" `Quick test_cli_rejects_bad_flags ] );
       ( "parity",
         [
           Alcotest.test_case "size bitwise vs library" `Quick test_size_bitwise;

@@ -1,5 +1,5 @@
 (* Tests for the incremental-solve machinery: LU storage reuse, the
-   exact-key solve caches and their environment switch, CTMC rate
+   exact-key solve caches and their global switch, CTMC rate
    patching and seeded iterations, and chunked pool determinism. *)
 
 module Obs = Bufsize_obs.Obs
@@ -150,31 +150,6 @@ let test_doubled_budget_bitwise () =
             (bits cold.Sizing.bound_price) (bits r.Sizing.bound_price))
         [ ("sizing miss", served); ("sizing hit", memo) ])
 
-let test_cache_env_contract () =
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) (Printf.sprintf "%S enables" v) true (Solve_cache.parse_env (Some v)))
-    [ ""; "1"; "on"; "true"; "yes" ];
-  Alcotest.(check bool) "unset enables" true (Solve_cache.parse_env None);
-  List.iter
-    (fun v ->
-      Alcotest.(check bool) (Printf.sprintf "%S disables" v) false
-        (Solve_cache.parse_env (Some v)))
-    [ "0"; "off"; "false"; "no" ];
-  List.iter
-    (fun v ->
-      match Solve_cache.parse_env (Some v) with
-      | _ -> Alcotest.failf "%S accepted" v
-      | exception Invalid_argument msg ->
-          let name = Solve_cache.env_var in
-          let n = String.length name in
-          let rec mentions i =
-            i + n <= String.length msg && (String.sub msg i n = name || mentions (i + 1))
-          in
-          Alcotest.(check bool) (Printf.sprintf "%S rejection names the variable" v) true
-            (mentions 0))
-    [ "abc"; "-3"; "2"; "64"; "ON"; " 1"; "off " ]
-
 (* Published 64-bit FNV-1a vectors: the bucket hash is a fixed function. *)
 let test_fnv1a_vectors () =
   List.iter
@@ -296,7 +271,6 @@ let () =
           Alcotest.test_case "disabled mode" `Quick test_cache_disabled;
           Alcotest.test_case "2x budget bitwise, no lp lookup" `Quick
             test_doubled_budget_bitwise;
-          Alcotest.test_case "env on/off contract" `Quick test_cache_env_contract;
           Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_vectors;
           Alcotest.test_case "concurrent stress" `Quick test_cache_concurrent_stress;
         ] );
