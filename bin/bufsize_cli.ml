@@ -59,6 +59,16 @@ let load_arch arch file =
             other;
           exit 1)
 
+(* Input errors the library reports as [Invalid_argument] — a budget below
+   the buffer count, an unknown policy — end the command like a malformed
+   spec does. *)
+let or_input_error f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 1
+
 let arch_arg =
   let doc = "Built-in architecture: fig1, netproc, amba, or small." in
   Arg.(value & opt string "small" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
@@ -209,7 +219,7 @@ let size_cmd =
         client_weight = weight_fn topo weights;
       }
     in
-    let r = B.Sizing.run config traffic in
+    let r = or_input_error (fun () -> B.Sizing.run config traffic) in
     if json then begin
       print_endline (B.Json.encode (B.Serve.sizing_core_json traffic r));
       exit 0
@@ -256,6 +266,7 @@ let simulate_cmd =
     setup_telemetry trace metrics metrics_json;
     let _, traffic = load_arch arch file in
     let allocation =
+      or_input_error @@ fun () ->
       match policy with
       | "uniform" -> B.Buffer_alloc.uniform traffic ~budget
       | "proportional" -> B.Buffer_alloc.traffic_proportional traffic ~budget
@@ -296,7 +307,7 @@ let dot_cmd =
       let config =
         { (B.Sizing.default_config ~budget:annotate) with B.Sizing.max_states }
       in
-      let r = B.Sizing.run config traffic in
+      let r = or_input_error (fun () -> B.Sizing.run config traffic) in
       print_string (B.Dot.with_allocation topo traffic r.B.Sizing.allocation)
     end
   in
@@ -572,7 +583,9 @@ let topo_cmd =
           let config =
             { (B.Sizing.default_config ~budget) with B.Sizing.max_states; sharing }
           in
-          let result, report = B.Sizing.compare_sharing config traffic in
+          let result, report =
+            or_input_error (fun () -> B.Sizing.compare_sharing config traffic)
+          in
           Format.printf "%a@.@.%a@.@.%a@." B.Topology.pp topo B.Sizing.pp_summary result
             B.Sizing.pp_sharing_report report
   in
@@ -649,6 +662,10 @@ let serve_cmd =
           Format.eprintf "bufsize serve: %s@.Try 'bufsize serve --help' for more information.@."
             msg;
           exit 2
+      | exception Unix.Unix_error (e, fn, _) ->
+          Format.eprintf "error: cannot listen on socket %s: %s (%s)@." socket
+            (Unix.error_message e) fn;
+          exit 1
     in
     Format.eprintf "bufsize serve: listening on %s (%d workers, queue %d)@."
       config.B.Serve.socket_path config.B.Serve.workers config.B.Serve.queue_depth;
@@ -800,7 +817,7 @@ let experiment_cmd =
           }
         traffic
     in
-    let outcome = B.size_and_evaluate exp in
+    let outcome = or_input_error (fun () -> B.size_and_evaluate exp) in
     Format.printf "%a@." B.pp_outcome outcome
   in
   let doc = "The paper's before/after/timeout loss comparison." in

@@ -191,11 +191,15 @@ let escalate ~solver ?(budget = unlimited) steps =
         span_id = chain_span;
       } )
   in
-  let run_step s budget =
-    (* Each step is a child span of the chain; an exception still closes
-       the span before being converted into a rejection below. *)
-    Obs.span ~name:("step:" ^ s.step_name) (fun () -> s.run budget)
+  (* Each step is a child span of the chain named [<stem>:<step>], the
+     stem being the solver name up to its parenthesized instance, e.g.
+     "ctmc.stationary:gth" — so a step's time is charged to its chain's
+     layer.  An exception still closes the span before being converted
+     into a rejection below. *)
+  let stem =
+    match String.index_opt solver '(' with Some i -> String.sub solver 0 i | None -> solver
   in
+  let run_step s budget = Obs.span ~name:(stem ^ ":" ^ s.step_name) (fun () -> s.run budget) in
   let no_meta = meta () in
   let rec go steps ~first_reject ~best ~fallbacks =
     match steps with

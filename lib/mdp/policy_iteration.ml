@@ -74,7 +74,7 @@ let evaluate_deterministic m choice =
    each rate r its gain, and its bias by the uniformized Poisson-equation
    sweep h <- h + (Q h + r - g)/Lambda pinned at h(0) = 0 — each sweep is
    one transposed-free SpMV. *)
-let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) ?init_bias m choice =
+let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) m choice =
   let n = Ctmdp.num_states m in
   let transitions = ref [] in
   for s = n - 1 downto 0 do
@@ -100,16 +100,7 @@ let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) ?init_bias m choice 
     done;
     let g = !gain in
     let scale = 1. +. Float.abs g in
-    (* A previous policy's bias (sweep warm start) is accepted as the
-       starting point when finite and of the right size — re-pinned at
-       h(0) = 0, since the sweep maintains that normalization.  The fixed
-       point is unchanged, only the sweep count shrinks. *)
-    let h =
-      match init_bias with
-      | Some h0 when Array.length h0 = n && Array.for_all Float.is_finite h0 ->
-          Array.init n (fun i -> h0.(i) -. h0.(0))
-      | _ -> Array.make n 0.
-    in
+    let h = Array.make n 0. in
     let qh = Array.make n 0. in
     let continue = ref true in
     let iters = ref 0 in
@@ -130,9 +121,6 @@ let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) ?init_bias m choice 
     done;
     Obs.add m_poisson_sweeps !iters;
     (g, h)
-
-let evaluate_deterministic_iterative ?tol ?max_iter ?init_bias m choice =
-  evaluate_iterative ?tol ?max_iter ?init_bias m choice cost
 
 (* Dense elimination up to this many states; beyond it policy evaluation
    goes through the sparse iterative path and never allocates O(n^2). *)

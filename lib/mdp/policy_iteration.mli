@@ -45,23 +45,6 @@ val evaluate_deterministic : Ctmdp.t -> int array -> float * Bufsize_numeric.Vec
 (** [(g_c, h_c)] of the dense evaluation, whatever the size.
     @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}. *)
 
-val evaluate_deterministic_iterative :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?init_bias:Bufsize_numeric.Vec.t ->
-  Ctmdp.t ->
-  int array ->
-  float * Bufsize_numeric.Vec.t
-(** [(g_c, h_c)] through the sparse pipeline, whatever the size:
-    stationary distribution of the induced chain for the gain,
-    uniformized Poisson-equation sweeps to residual [tol] (default
-    [1e-10] relative to [1 + |g|]) for the bias.  O(nnz) per sweep, no
-    dense allocation.  [init_bias] seeds the sweep with a previous
-    policy's bias vector (re-pinned at [h(0) = 0]); the fixed point — and
-    hence the result at convergence — is unchanged, a nearby seed only
-    shrinks the sweep count.  Malformed seeds (wrong size, non-finite)
-    are ignored. *)
-
 val solve :
   ?max_iter:int -> ?tol:float -> ?weights:float * float -> ?warm:line -> Ctmdp.t -> result
 (** Policy iteration at [weights] (default [(1., 0.)], the cost alone;

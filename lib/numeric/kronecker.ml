@@ -56,7 +56,6 @@ let create ~dims terms =
   { dims; spans; n; terms = Array.of_list terms }
 
 let dims t = Array.copy t.dims
-let num_modes t = Array.length t.dims
 let num_states t = t.n
 let terms t = Array.to_list t.terms
 
@@ -212,22 +211,6 @@ let diagonal t =
       done)
     t.terms;
   d
-
-let flops_per_apply t =
-  let n = float_of_int t.n in
-  Array.fold_left
-    (fun acc { factors; _ } ->
-      let per_mode =
-        Array.fold_left
-          (fun s f ->
-            match f with
-            | Identity -> s
-            | Factor a ->
-                s +. (float_of_int (Sparse.nnz a) /. float_of_int a.Sparse.rows))
-          0. factors
-      in
-      acc +. (2. *. n *. per_mode) +. (2. *. n))
-    0. t.terms
 
 let materialize t =
   let nmodes = Array.length t.dims in

@@ -35,8 +35,6 @@ val create : dims:int array -> term list -> t
 val dims : t -> int array
 (** Copy of the per-mode sizes. *)
 
-val num_modes : t -> int
-
 val num_states : t -> int
 (** Joint dimension [prod dims]. *)
 
@@ -78,10 +76,6 @@ val diagonal : t -> Vec.t
     costs [O(n * terms)], no materialization.  For a generator
     descriptor this is minus the exit-rate vector, which is how the
     SAN solver picks its uniformization rate. *)
-
-val flops_per_apply : t -> float
-(** Estimated flops of one shuffle SpMV — [sum_k n * sum_i nnz_ki/n_i]
-    plus the final axpy per term.  Reported by benchmarks. *)
 
 val materialize : t -> Sparse.t
 (** The joint matrix as explicit CSR — cross-check path for small

@@ -133,15 +133,6 @@ let iter_row_terms t r f =
     f t.term_coef.(k) t.term_var.(k)
   done
 
-let constraint_matrix t =
-  let triplets = ref [] in
-  for r = t.nrows - 1 downto 0 do
-    for k = t.row_start.(r + 1) - 1 downto t.row_start.(r) do
-      triplets := (r, t.term_var.(k), t.term_coef.(k)) :: !triplets
-    done
-  done;
-  Sparse.of_triplets ~rows:t.nrows ~cols:t.vars !triplets
-
 type solution = {
   objective : float;
   values : float array;

@@ -54,10 +54,6 @@ val add_constraint_a : ?name:string -> t -> (float * var) array -> sense -> floa
     arrays (e.g. CTMDP block emitters) avoid building an intermediate
     list per row. *)
 
-val constraint_matrix : t -> Sparse.t
-(** The raw user-level constraint matrix (rows x vars, duplicate terms
-    accumulated) as CSR — no slack columns, bound shifts or objective. *)
-
 type solution = {
   objective : float;
   values : float array;  (** indexed by variable *)

@@ -149,13 +149,6 @@ let iter_row t i f =
     f t.col_idx.(k) t.values.(k)
   done
 
-let fold_row t i f init =
-  let acc = ref init in
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    acc := f !acc t.col_idx.(k) t.values.(k)
-  done;
-  !acc
-
 let iter t f =
   for i = 0 to t.rows - 1 do
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do

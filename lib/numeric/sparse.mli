@@ -47,8 +47,6 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 (** [iter_row a i f] applies [f col value] over row [i] in increasing
     column order. *)
 
-val fold_row : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
-
 val iter : t -> (int -> int -> float -> unit) -> unit
 (** All entries, row-major. *)
 

@@ -537,6 +537,23 @@ let span_args s =
   in
   String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) kv)
 
+(* The GC counts as they stand, without forcing a collection.  On OCaml 5
+   [Gc.quick_stat] folds the running domain's allocation into its word
+   counts only at a minor collection, so a short run that never collects
+   reads 0 words; [Gc.minor_words] and [Gc.counters] include the words
+   allocated since.  Each word count is the larger of the two readings:
+   [quick_stat] sums every domain's last sample, the live counters see
+   only the calling domain. *)
+let current_gc () =
+  let st = Gc.quick_stat () in
+  let _, promoted, major = Gc.counters () in
+  {
+    st with
+    Gc.minor_words = Float.max st.Gc.minor_words (Gc.minor_words ());
+    promoted_words = Float.max st.Gc.promoted_words promoted;
+    major_words = Float.max st.Gc.major_words major;
+  }
+
 let gc_tree st =
   let int n = Json.Num (float_of_int n) in
   Json.Obj
@@ -616,11 +633,11 @@ let write_jsonl path =
            (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) s.sattrs)))
     (recorded_spans ());
   List.iter (fun m -> Printf.fprintf oc "%s\n" (metric_json_line m)) (metrics_snapshot ());
-  Printf.fprintf oc "{\"type\":\"gc\",\"stat\":%s}\n" (Json.encode (gc_tree (Gc.quick_stat ())));
+  Printf.fprintf oc "{\"type\":\"gc\",\"stat\":%s}\n" (Json.encode (gc_tree (current_gc ())));
   Printf.fprintf oc "{\"type\":\"dropped_spans\",\"value\":%d}\n" (dropped_spans ());
   close_out oc
 
-let metrics_tree ?(gc = Gc.quick_stat ()) snapshot =
+let metrics_tree ?(gc = current_gc ()) snapshot =
   let section pick = Json.Obj (List.filter_map pick snapshot) in
   Json.Obj
     [

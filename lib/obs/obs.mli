@@ -184,7 +184,11 @@ val write_jsonl : string -> unit
 val metrics_tree : ?gc:Gc.stat -> metric_value list -> Bufsize_json.Json.t
 (** The metrics object of a snapshot: counters, gauges (unset = [null]),
     histograms (with p50/p95/p99 and bucket layout) and a GC snapshot
-    ([gc], default [Gc.quick_stat ()]). *)
+    ([gc]).  The default snapshot is [Gc.quick_stat] with its word counts
+    brought up to date without a collection: on OCaml 5 [quick_stat] adds
+    the running domain's allocation only at a minor collection, so a run
+    that never collects would read 0 words.  The JSONL [gc] line of
+    {!write_jsonl} reads the same counts. *)
 
 val metrics_json : unit -> string
 (** {!metrics_tree} of {!metrics_snapshot}, encoded. *)

@@ -16,7 +16,7 @@ let h_residual = Obs.histogram "ctmc.residual"
    CTMDPs have a handful of arrival/service neighbours per state, so the
    O(n^2) dense matrix was the memory wall for everything downstream.
    Dense matrices only appear in the small-n direct solves and in the
-   explicitly dense accessors ([generator], [uniformize]). *)
+   explicitly dense accessor [generator]. *)
 
 type t = {
   n : int;
@@ -55,72 +55,6 @@ let of_rates n rates =
       (List.rev_append (List.rev rates) !diag)
   in
   { n; q; exit }
-
-(* Incremental re-rate: when a sweep changes only the numbers and not the
-   sparsity pattern, rebuild the CSR values in place of a full [of_rates].
-   The accumulation mirrors [of_rates] exactly — duplicates summed in list
-   order per position, exit rates re-summed in ascending-column order — so
-   a successful patch is bitwise-identical to the rebuild.  Any pattern
-   change (a rate at a position the chain does not have, a previously
-   present position accumulating to zero, an exit vanishing or appearing)
-   returns [None] and the caller rebuilds. *)
-let patch_rates t rates =
-  let n = t.n in
-  let ok =
-    List.for_all
-      (fun (i, j, r) -> i >= 0 && i < n && j >= 0 && j < n && i <> j && r >= 0.)
-      rates
-  in
-  if not ok then None
-  else begin
-    let nnz = Sparse.nnz t.q in
-    let vals = Array.make nnz 0. in
-    let touched = Array.make nnz false in
-    let mismatch = ref false in
-    List.iter
-      (fun (i, j, r) ->
-        if not !mismatch then
-          match Sparse.index t.q i j with
-          | None -> mismatch := true
-          | Some k ->
-              vals.(k) <- vals.(k) +. r;
-              touched.(k) <- true)
-      rates;
-    if !mismatch then None
-    else begin
-      (* Every off-diagonal position must survive with a nonzero value
-         (of_triplets would have dropped it otherwise, shifting the
-         pattern). *)
-      let exit = Array.make n 0. in
-      (try
-         for i = 0 to n - 1 do
-           let out = ref 0. in
-           for k = t.q.Sparse.row_ptr.(i) to t.q.Sparse.row_ptr.(i + 1) - 1 do
-             let j = t.q.Sparse.col_idx.(k) in
-             if j <> i then begin
-               if (not touched.(k)) || vals.(k) = 0. then raise Exit;
-               out := !out +. vals.(k)
-             end
-           done;
-           exit.(i) <- !out
-         done
-       with Exit -> mismatch := true);
-      if !mismatch then None
-      else begin
-        (try
-           for i = 0 to n - 1 do
-             match Sparse.index t.q i i with
-             | Some k ->
-                 if exit.(i) = 0. then raise Exit;
-                 vals.(k) <- -.exit.(i)
-             | None -> if exit.(i) <> 0. then raise Exit
-           done
-         with Exit -> mismatch := true);
-        if !mismatch then None
-        else Some { n; q = Sparse.with_values t.q vals; exit }
-      end
-    end
-  end
 
 let of_generator m =
   if m.Mat.rows <> m.Mat.cols then invalid_arg "Ctmc.of_generator: not square";
@@ -257,7 +191,7 @@ let max_exit_rate t = Array.fold_left Float.max 0. t.exit
    matrix beyond the generator is ever formed.  Lambda = 2 max_i exit_i
    scales the stop rule and drives the uniformized-sweep fallback, whose
    P = I + Q/Lambda keeps every diagonal at >= 1/2 (strong aperiodicity)
-   — the near-minimal rate used by [uniformize] would make P almost
+   — the near-minimal [uniformization_rate] would make P almost
    periodic on symmetric chains and stall it. *)
 let stationary_iterative_report ?(tol = 1e-13) ?(max_iter = 200_000) ?init t =
   let n = t.n in
@@ -286,19 +220,6 @@ let stationary_iterative ?tol ?max_iter ?init t =
   let pi, _, _ = stationary_iterative_report ?tol ?max_iter ?init t in
   pi
 
-let stationary t =
-  if t.n <= dense_threshold then
-    match stationary_gth t with
-    | Ok pi -> pi
-    | Error (`Reducible_class _) -> (
-        (* LU picks one closed class (the historical behavior); a singular
-           system on top of that degrades to the iterative sweep instead
-           of escaping as an exception. *)
-        match stationary_dense t with
-        | pi -> pi
-        | exception Lu.Singular _ -> stationary_iterative t)
-  else stationary_iterative t
-
 module Resilience = Bufsize_resilience.Resilience
 
 (* A usable stationary distribution: finite, nonnegative, normalized. *)
@@ -313,13 +234,14 @@ let stationary_residual t pi =
   Sparse.mul_vec_t_into t.q pi qt_pi;
   Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. qt_pi
 
-(* Diagnostic stationary solve: the escalation chain of the ISSUE —
-   direct GTH first at small n (preserving [stationary]'s clean path),
-   GMRES iteration first beyond the dense threshold, each method
-   validated for finiteness/normalization before being trusted, and a
-   reducible chain surfacing its closed class in the rejection reason
-   rather than as an exception. *)
-let stationary_diag ?budget ?init t =
+(* The stationary solve: an escalation chain whose steps are each
+   validated for finiteness/normalization before being trusted.  Up to
+   the dense threshold: GTH, then dense LU (which picks one closed class
+   of a reducible chain), then GMRES; a reducible chain surfaces its
+   closed class in the rejection reason rather than as an exception.
+   Above it: GMRES alone, so no step ever allocates an n x n matrix
+   there.  The chain runs under the ambient budget. *)
+let stationary_diag t =
   let fmt_class cls =
     let shown = List.filteri (fun i _ -> i < 8) cls in
     Printf.sprintf "reducible: closed class [%s%s] (%d states)"
@@ -327,13 +249,14 @@ let stationary_diag ?budget ?init t =
       (if List.length cls > 8 then ";..." else "")
       (List.length cls)
   in
+  let invalid = "invalid distribution (NaN/Inf, negative, or unnormalized)" in
   let accept pi iterations =
     if distribution_valid pi then begin
       let residual = stationary_residual t pi in
       Obs.observe h_residual residual;
       Resilience.Accept (pi, Resilience.meta ~iterations ~residual ())
     end
-    else Resilience.Reject "invalid distribution (NaN/Inf, negative, or unnormalized)"
+    else Resilience.Reject invalid
   in
   let gth _ =
     match stationary_gth t with
@@ -342,36 +265,32 @@ let stationary_diag ?budget ?init t =
   in
   let lu _ = accept (stationary_dense t) 0 in
   let iterative _ =
-    let pi, iters, converged = stationary_iterative_report ?init t in
-    if not (distribution_valid pi) then
-      Resilience.Reject "invalid distribution (NaN/Inf, negative, or unnormalized)"
-    else if converged then begin
-      let residual = stationary_residual t pi in
-      Obs.observe h_residual residual;
-      Resilience.Accept (pi, Resilience.meta ~iterations:iters ~residual ())
-    end
+    let pi, iters, converged = stationary_iterative_report t in
+    if converged then accept pi iters
+    else if not (distribution_valid pi) then Resilience.Reject invalid
     else
       Resilience.Partial
         ( pi,
           Resilience.meta ~iterations:iters ~residual:(stationary_residual t pi) (),
           Printf.sprintf "GMRES iteration unconverged after %d iterations" iters )
   in
+  let gmres = Resilience.step "gmres-iterative" iterative in
   let steps =
     if t.n <= dense_threshold then
-      [
-        Resilience.step "gth" gth;
-        Resilience.step "lu-dense" lu;
-        Resilience.step "gmres-iterative" iterative;
-      ]
-    else
-      [
-        Resilience.step "gmres-iterative" iterative;
-        Resilience.step "gth" gth;
-        Resilience.step "lu-dense" lu;
-      ]
+      [ Resilience.step "gth" gth; Resilience.step "lu-dense" lu; gmres ]
+    else [ gmres ]
   in
-  let budget = match budget with Some b -> b | None -> Resilience.current_budget () in
-  Resilience.escalate ~solver:(Printf.sprintf "ctmc.stationary(n=%d)" t.n) ~budget steps
+  Resilience.escalate
+    ~solver:(Printf.sprintf "ctmc.stationary(n=%d)" t.n)
+    ~budget:(Resilience.current_budget ()) steps
+
+let stationary t =
+  match stationary_diag t with
+  | Some pi, _ -> pi
+  | None, d ->
+      failwith
+        (Printf.sprintf "%s: %s" d.Resilience.solver
+           (Option.value ~default:"no answer" (Resilience.status_reason d.Resilience.status)))
 
 let is_irreducible t =
   let n = t.n in
@@ -390,46 +309,3 @@ let is_irreducible t =
   check 0
 
 let uniformization_rate t = (max_exit_rate t *. 1.0000001) +. 1e-12
-
-let uniformize ?rate t =
-  let lambda = match rate with Some r -> r | None -> uniformization_rate t in
-  let n = t.n in
-  let p = Mat.identity n in
-  Sparse.iter t.q (fun i j v -> Mat.update p i j (fun base -> base +. (v /. lambda)));
-  p
-
-let transient t pi0 horizon =
-  if horizon < 0. then invalid_arg "Ctmc.transient: negative horizon";
-  let n = t.n in
-  if Vec.dim pi0 <> n then invalid_arg "Ctmc.transient: distribution size mismatch";
-  let lambda = uniformization_rate t in
-  let mean = lambda *. horizon in
-  (* Truncate the Poisson sum when the accumulated mass is within 1e-12;
-     term <- term P' computed sparsely as term + (Q' term)/lambda. *)
-  let result = Vec.zeros n in
-  let term = ref (Vec.copy pi0) in
-  let qt_term = Array.make n 0. in
-  let weight = ref (exp (-.mean)) in
-  let accumulated = ref 0. in
-  let k = ref 0 in
-  let max_terms = 16 + int_of_float (mean +. (8. *. sqrt (mean +. 1.))) in
-  while !accumulated < 1. -. 1e-12 && !k <= max_terms do
-    Vec.axpy !weight !term result;
-    accumulated := !accumulated +. !weight;
-    Sparse.mul_vec_t_into t.q !term qt_term;
-    let next = Array.make n 0. in
-    for i = 0 to n - 1 do
-      next.(i) <- !term.(i) +. (qt_term.(i) /. lambda)
-    done;
-    term := next;
-    incr k;
-    weight := !weight *. mean /. float_of_int !k
-  done;
-  (* Renormalize the truncation remainder. *)
-  let total = Vec.sum result in
-  if total > 0. then Vec.scale (1. /. total) result else result
-
-let expected_value _t pi f =
-  let acc = ref 0. in
-  Array.iteri (fun i p -> acc := !acc +. (p *. f i)) pi;
-  !acc

@@ -7,11 +7,11 @@
     CTMDP policies to buffer occupancy distributions.
 
     The generator is stored sparse (CSR) — buffer-occupancy chains have
-    O(1) neighbours per state.  Stationary solves dispatch on size: GTH
-    elimination (subtraction-free, with an LU fallback for reducible
-    chains) up to a few hundred states, restarted GMRES
-    ({!Bufsize_numeric.Krylov}) via transposed SpMV beyond that, so no
-    O(n^2) matrix is ever allocated on the large-instance path. *)
+    O(1) neighbours per state.  {!stationary} is one validated escalation
+    chain: GTH elimination (subtraction-free), then dense LU, then GMRES
+    up to a few hundred states; restarted GMRES
+    ({!Bufsize_numeric.Krylov}) via transposed SpMV alone beyond that, so
+    no O(n^2) matrix is ever allocated on the large-instance path. *)
 
 type t
 (** A validated generator. *)
@@ -21,18 +21,6 @@ val of_rates : int -> (int * int * float) list -> t
     [(from, to, rate)] triples (accumulating duplicates; diagonal computed).
     @raise Invalid_argument on negative rates, self loops, or out-of-range
     states. *)
-
-val patch_rates : t -> (int * int * float) list -> t option
-(** [patch_rates t rates] rebuilds the chain from new rate triples while
-    reusing the existing sparsity pattern (fresh values array; shared
-    [row_ptr]/[col_idx]) — the incremental path for sweeps that change
-    only the numbers.  A successful patch is bitwise-identical to
-    [of_rates (dim t) rates]: duplicates accumulate in list order and the
-    exit rates re-sum in ascending-column order, exactly as the rebuild
-    would.  Returns [None] — and the caller must rebuild — whenever the
-    pattern shifts: a rate at a position [t] does not have, a previously
-    present position accumulating to zero, an exit rate appearing or
-    vanishing, or an invalid triple (out of range, self loop, negative). *)
 
 val of_generator : Bufsize_numeric.Mat.t -> t
 (** Validates an explicit generator matrix: square, nonnegative
@@ -58,18 +46,16 @@ val exit_rate : t -> int -> float
 (** Total rate out of a state ([-Q_ii]). *)
 
 val stationary : t -> Bufsize_numeric.Vec.t
-(** Stationary distribution.  Small chains use GTH elimination (falling
-    back to the LU balance-equation solve when the chain is reducible —
-    the result is then a stationary distribution of one closed class as
-    selected by the linear solve, and a singular LU system degrades
-    further to {!stationary_iterative}); large chains use
-    {!stationary_iterative}.  Use {!stationary_diag} when the caller needs
-    to know which path was taken. *)
+(** Stationary distribution: the answer of {!stationary_diag}, clean or
+    degraded (a reducible chain yields a stationary distribution of one
+    closed class, an unconverged GMRES its best iterate).
+    @raise Failure with the diagnostic's reason when the chain has no
+    answer (every step rejected, or the ambient budget ran out first). *)
 
 val stationary_dense : t -> Bufsize_numeric.Vec.t
 (** The direct LU solve on the dense balance equations, at any size
-    (allocates O(n^2)) — the historical semantics, kept as the reducible
-    fallback and for cross-checks. *)
+    (allocates O(n^2)) — the second step of {!stationary_diag} below the
+    dense threshold, and a cross-check. *)
 
 val stationary_gth :
   t ->
@@ -77,8 +63,8 @@ val stationary_gth :
 (** Subtraction-free GTH state elimination;
     [Error (`Reducible_class states)] when the chain is not irreducible
     enough for the elimination order, naming the communicating class of
-    the state whose elimination pivot vanished (callers typically fall
-    back to {!stationary_dense}).  Allocates O(n^2) work space. *)
+    the state whose elimination pivot vanished ({!stationary_diag} then
+    falls back to {!stationary_dense}).  Allocates O(n^2) work space. *)
 
 val communicating_class : t -> int -> int list
 (** The communicating class of a state: every state it both reaches and
@@ -126,33 +112,18 @@ val stationary_residual : t -> Bufsize_numeric.Vec.t -> float
 (** [|pi Q|_inf], the balance-equation residual (O(nnz)). *)
 
 val stationary_diag :
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  ?init:Bufsize_numeric.Vec.t ->
-  t ->
-  Bufsize_numeric.Vec.t option * Bufsize_resilience.Resilience.diagnostic
-(** Resilient stationary solve with an explicit escalation chain:
-    GTH -> dense LU -> GMRES iteration below the dense threshold
-    (preserving {!stationary}'s clean path as the [Ok] first step),
-    iteration first above it.  Reducible chains are rejected by GTH with
-    the offending closed class in the reason string; an unconverged
-    iteration is kept as a [Partial] best-known answer; every candidate
-    must pass {!distribution_valid} to surface.  [budget] defaults to
-    {!Bufsize_resilience.Resilience.current_budget}. *)
+  t -> Bufsize_numeric.Vec.t option * Bufsize_resilience.Resilience.diagnostic
+(** The escalation chain behind {!stationary}, with its diagnostic: GTH
+    -> dense LU -> GMRES iteration up to 512 states, GMRES alone above
+    (no step allocates an n x n matrix there).  Reducible chains are
+    rejected by GTH with the offending closed class in the reason string;
+    an unconverged iteration is kept as a [Partial] best-known answer;
+    every candidate must pass {!distribution_valid} to surface.  Runs
+    under {!Bufsize_resilience.Resilience.current_budget}; each step is a
+    [ctmc.stationary:<step>] span. *)
 
 val is_irreducible : t -> bool
 (** Graph check: every state reaches every other along positive rates. *)
 
 val uniformization_rate : t -> float
 (** Smallest valid uniformization constant, [max_i exit_rate + epsilon]. *)
-
-val uniformize : ?rate:float -> t -> Bufsize_numeric.Mat.t
-(** Discrete-time transition matrix [P = I + Q/rate]; [rate] defaults to
-    {!uniformization_rate}. *)
-
-val transient : t -> Bufsize_numeric.Vec.t -> float -> Bufsize_numeric.Vec.t
-(** [transient t pi0 horizon] is the distribution at time [horizon] from
-    initial distribution [pi0], via uniformization with adaptive Poisson
-    truncation. *)
-
-val expected_value : t -> Bufsize_numeric.Vec.t -> (int -> float) -> float
-(** [expected_value t pi f] is [sum_i pi_i f(i)]. *)

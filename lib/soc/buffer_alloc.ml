@@ -32,7 +32,15 @@ let num_buffers t = Array.length t.entries
 let client_keys traffic =
   List.map (fun (bus, c, r) -> (bus, c, r)) (Traffic.all_clients traffic)
 
+let check_budget traffic ~budget =
+  let buffers = List.length (Traffic.all_clients traffic) in
+  if budget < buffers then
+    invalid_arg
+      (Printf.sprintf "budget %d words is below the %d buffers to size (each needs at least one word)"
+         budget buffers)
+
 let allocate traffic ~budget weights_of =
+  check_budget traffic ~budget;
   let keys = client_keys traffic in
   let weights = Array.of_list (List.map weights_of keys) in
   let shares = Apportion.largest_remainder ~minimum:1 ~budget weights in

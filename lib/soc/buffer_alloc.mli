@@ -29,15 +29,21 @@ val total : t -> int
 
 val num_buffers : t -> int
 
+val check_budget : Traffic.t -> budget:int -> unit
+(** @raise Invalid_argument naming both numbers when [budget] is below the
+    number of client buffers: every buffer needs at least one word. *)
+
 val uniform : Traffic.t -> budget:int -> t
 (** The "constant buffer sizing policy": the budget is split as evenly as
     possible over all client buffers (every buffer gets at least 1 word;
-    @raise Invalid_argument if the budget cannot cover that). *)
+    @raise Invalid_argument as {!check_budget} if the budget cannot cover
+    that). *)
 
 val traffic_proportional : Traffic.t -> budget:int -> t
 (** Split proportionally to client arrival rates (the "simple division of
     the space depending on traffic ratios" the paper contrasts with),
-    with a 1-word floor per buffer. *)
+    with a 1-word floor per buffer; @raise Invalid_argument as
+    {!check_budget}. *)
 
 val of_requirements :
   Traffic.t -> budget:int -> (Topology.bus_id * Traffic.client * float) list -> t

@@ -211,15 +211,6 @@ let occupancy_distribution t policy =
     pi;
   marginals
 
-let expected_occupancy t policy =
-  let marginals = occupancy_distribution t policy in
-  Array.map
-    (fun dist ->
-      let acc = ref 0. in
-      Array.iteri (fun l p -> acc := !acc +. (float_of_int l *. p)) dist;
-      !acc)
-    marginals
-
 let total_levels t = Array.fold_left (fun acc c -> acc + c.levels) 0 t.loaded
 
 module Shared = struct

@@ -69,9 +69,6 @@ val occupancy_distribution : t -> Bufsize_mdp.Policy.t -> float array array
     occupancy level under policy [p] — the quantity the paper translates
     into buffer space requirements. *)
 
-val expected_occupancy : t -> Bufsize_mdp.Policy.t -> float array
-(** Mean occupied levels per loaded client. *)
-
 val total_levels : t -> int
 (** Sum of level counts over loaded clients (capacity represented by the
     model). *)

@@ -185,104 +185,3 @@ let pp_attempt ppf r =
     "newton on the monolithic quadratic system: %d starts -> %d valid, %d invalid, %d failed \
      (best residual %.2e)"
     r.starts r.converged_valid r.converged_invalid r.failed r.best_residual
-
-(* ------------------------------------------------ resilient closure solve *)
-
-module Resilience = Bufsize_resilience.Resilience
-module Obs = Bufsize_obs.Obs
-
-(* Closure-solve telemetry: Newton iterations (plain and damped) and
-   Picard fixed-point sweeps, summed across escalation attempts. *)
-let m_newton_iters = Obs.counter "monolithic.newton_iterations"
-let m_picard_iters = Obs.counter "monolithic.picard_iterations"
-
-let residual_norm s v =
-  Array.fold_left (fun acc r -> Float.max acc (Float.abs r)) 0. (residual s v)
-
-(* A usable closure root: finite, (numerically) nonnegative, both blocks
-   normalized. *)
-let closure_valid s v =
-  Resilience.all_finite v
-  && Array.for_all (fun c -> c >= -1e-7) v
-  && begin
-       let sum_x = ref 0. and sum_y = ref 0. in
-       for i = 0 to s.kx do
-         sum_x := !sum_x +. v.(i)
-       done;
-       for j = 0 to s.ky do
-         sum_y := !sum_y +. v.(s.kx + 1 + j)
-       done;
-       Float.abs (!sum_x -. 1.) <= 1e-6 && Float.abs (!sum_y -. 1.) <= 1e-6
-     end
-
-let bd_stationary ~birth ~death ~k =
-  Birth_death.stationary
-    (Birth_death.create ~births:(Array.make k birth) ~deaths:(Array.make k death))
-
-(* Picard iteration on the closure: given (x_0, y_0) the effective rates
-   freeze, making both buses constant-rate birth-death chains whose
-   product-form marginals refresh (x_0, y_0).  Slower than Newton but
-   immune to the Jacobian pathologies that defeat it on stiff instances —
-   the last resort of the escalation chain. *)
-let picard ?(tol = 1e-13) ?(max_iter = 500) ?x0 ?y0 s =
-  validate s;
-  let f = s.cross_fraction in
-  let px0 = Option.value ~default:(1. /. float_of_int (s.kx + 1)) x0 in
-  let py0 = Option.value ~default:(1. /. float_of_int (s.ky + 1)) y0 in
-  let rec go px py iter =
-    if iter > max_iter then None
-    else begin
-      let mu_x_eff = s.mu_x *. (1. -. f +. (f *. py)) in
-      let xd = bd_stationary ~birth:s.lambda_x ~death:mu_x_eff ~k:s.kx in
-      let cross_in = f *. mu_x_eff *. (1. -. xd.(0)) in
-      let mu_y_eff = s.mu_y *. (1. -. (f *. (1. -. xd.(0)))) in
-      let yd = bd_stationary ~birth:(s.lambda_y +. cross_in) ~death:mu_y_eff ~k:s.ky in
-      let delta = Float.abs (xd.(0) -. px) +. Float.abs (yd.(0) -. py) in
-      if delta < tol then Some (Array.append xd yd, iter) else go xd.(0) yd.(0) (iter + 1)
-    end
-  in
-  go px0 py0 0
-
-let solve_closure ?budget ?(tol = 1e-9) s =
-  validate s;
-  let uniform_start =
-    Array.init (dim s) (fun i ->
-        if i <= s.kx then 1. /. float_of_int (s.kx + 1) else 1. /. float_of_int (s.ky + 1))
-  in
-  let newton_step name ~damped =
-    Resilience.step name (fun _ ->
-        let r = Newton.solve ~max_iter:200 ~tol ~damped ~f:(residual s) ~x0:uniform_start () in
-        Obs.add m_newton_iters r.Newton.iterations;
-        let meta = Resilience.meta ~iterations:r.Newton.iterations ~residual:r.Newton.residual () in
-        if not r.Newton.converged then
-          Resilience.Reject
-            (if r.Newton.singular_jacobian then
-               Printf.sprintf "singular Jacobian after %d iterations (residual %.3e)"
-                 r.Newton.iterations r.Newton.residual
-             else
-               Printf.sprintf "did not converge in %d iterations (residual %.3e)"
-                 r.Newton.iterations r.Newton.residual)
-        else if not (closure_valid s r.Newton.solution) then
-          Resilience.Reject "converged outside the probability simplex"
-        else Resilience.Accept (r.Newton.solution, meta))
-  in
-  let picard_step =
-    Resilience.step "picard" (fun _ ->
-        match picard s with
-        | None -> Resilience.Reject "no attractive fixed point from the uniform start"
-        | Some (v, iters) ->
-            Obs.add m_picard_iters iters;
-            let res = residual_norm s v in
-            let meta = Resilience.meta ~iterations:iters ~residual:res () in
-            if not (closure_valid s v) then
-              Resilience.Reject "fixed point outside the probability simplex"
-            else if res <= Float.max 1e-7 tol then Resilience.Accept (v, meta)
-            else
-              Resilience.Partial
-                (v, meta, Printf.sprintf "fixed point residual %.3e above target" res))
-  in
-  let budget = match budget with Some b -> b | None -> Resilience.current_budget () in
-  Resilience.escalate
-    ~solver:(Printf.sprintf "monolithic.closure(kx=%d,ky=%d)" s.kx s.ky)
-    ~budget
-    [ newton_step "newton" ~damped:false; newton_step "damped-newton" ~damped:true; picard_step ]

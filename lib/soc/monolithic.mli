@@ -69,37 +69,3 @@ val solve_split : ?bridge_capacity:int -> spec -> split_solution
     small CTMC stationary solve — linear algebra only. *)
 
 val pp_attempt : Format.formatter -> attempt_report -> unit
-
-val residual_norm : spec -> Bufsize_numeric.Vec.t -> float
-(** [|F(v)|_inf] — the balance residual of a candidate closure root. *)
-
-val closure_valid : spec -> Bufsize_numeric.Vec.t -> bool
-(** Finite, nonnegative, both blocks normalized — the acceptance test for
-    closure roots in {!solve_closure}. *)
-
-val picard :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?x0:float ->
-  ?y0:float ->
-  spec ->
-  (Bufsize_numeric.Vec.t * int) option
-(** Picard fixed-point iteration on the closure through birth-death
-    product forms: freeze [(x_0, y_0)], solve both buses as constant-rate
-    chains, refresh.  Returns the root and the iteration count, or [None]
-    if no attractive fixed point is reached from the start
-    ([x0]/[y0] default to the uniform marginals).  Derivative-free — the
-    escalation fallback when Newton's Jacobian misbehaves. *)
-
-val solve_closure :
-  ?budget:Bufsize_resilience.Resilience.budget ->
-  ?tol:float ->
-  spec ->
-  Bufsize_numeric.Vec.t option * Bufsize_resilience.Resilience.diagnostic
-(** Resilient closure solve: plain Newton, then damped Newton, then
-    {!picard}, each checked for convergence {e and} simplex validity —
-    a non-converged Newton report is rejected (never silently used), and
-    any fallback is recorded as a [Degraded] diagnostic.  On stiff
-    bridge instances (heavy cross coupling) the chain typically lands on
-    Picard; on benign ones the first step accepts and the diagnostic is
-    [Ok]. *)

@@ -1,7 +1,5 @@
 let num_processors = 17
 
-let paper_index p = p + 1
-
 (* The default scale calibrates bus utilizations to ~0.85-0.95, the regime
    where the paper's Figure 3 numbers live: per-processor baseline losses
    of tens-to-hundreds per 2000 time units at 160 buffer words, ~20-30%

@@ -18,5 +18,3 @@ val create : ?rate_scale:float -> unit -> Topology.t * Traffic.t
     that the Figure 3 experiment lands in the paper's loss regime; use
     smaller values for lighter load. *)
 
-val paper_index : Topology.proc_id -> int
-(** 1-based index as plotted in the paper's Figure 3. *)

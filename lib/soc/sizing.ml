@@ -284,6 +284,7 @@ let run ?measured_rates ?pool config traffic =
   Obs.span ~name:"sizing.run"
     ~attrs:(fun () -> [ ("budget", string_of_int config.budget) ])
   @@ fun () ->
+  Buffer_alloc.check_budget traffic ~budget:config.budget;
   if config.budget <= 0 then invalid_arg "Sizing.run: budget must be positive";
   if config.occupancy_fraction <= 0. || config.occupancy_fraction > 1. then
     invalid_arg "Sizing.run: occupancy_fraction must be in (0, 1]";

@@ -104,6 +104,8 @@ val run :
     simulation of the previous allocation — the paper's "better profiling"
     suggestion; see [Bufsize.profiled_sizing]).  [None] keeps the routed
     rate; overrides must be positive to keep a loaded client loaded.
+    @raise Invalid_argument up front, as {!Buffer_alloc.check_budget},
+    when the budget is below the number of client buffers.
     @raise Failure if some subsystem solve fails even without the
     occupancy bound (cannot happen for well-formed models). *)
 

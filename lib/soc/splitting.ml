@@ -72,8 +72,6 @@ let is_linear_without_split traffic =
       match c with Traffic.Proc_client _ -> true | Traffic.Bridge_client _ -> false)
     (Traffic.all_clients traffic)
 
-let subsystem_of_bus t bus = Array.find_opt (fun s -> s.bus = bus) t.subsystems
-
 let total_clients t =
   Array.fold_left (fun acc s -> acc + List.length s.clients) 0 t.subsystems
 

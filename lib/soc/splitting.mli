@@ -42,8 +42,6 @@ val is_linear_without_split : Traffic.t -> bool
 (** True iff no flow crosses a bridge, i.e. the monolithic model is
     already linear and splitting is a no-op. *)
 
-val subsystem_of_bus : t -> Topology.bus_id -> subsystem option
-
 val total_clients : t -> int
 
 val pp : Format.formatter -> Topology.t -> t -> unit

@@ -2,11 +2,14 @@
 
    Each chaos case deterministically (from a seed) builds a numerically
    hazardous instance of a known fault family and drives it through the
-   diagnostic solver entry points.  The contract under test is the
-   resilience invariant:
+   solver entry points that production calls: [Lp.solve_diag] and
+   [Ctmc.stationary], whose escalation chain [Ctmc.stationary_diag]
+   supplies the diagnostic.  The contract under test is the resilience
+   invariant:
 
    - no fault may escape as an uncaught exception (the escalation chains
-     convert solver exceptions into step rejections);
+     convert solver exceptions into step rejections; [Ctmc.stationary]
+     raises [Failure] exactly when its chain has no answer);
    - no claimed-[Ok] result may contain NaN/Inf or disagree with the
      clean-instance answer beyond 1e-8 (faults here are metamorphic:
      duplicated LP rows, uniformly scaled CTMC rates, ... preserve the
@@ -21,7 +24,6 @@
 module Rng = Bufsize_prob.Rng
 module Lp = Bufsize_numeric.Lp
 module Ctmc = Bufsize_prob.Ctmc
-module Monolithic = Bufsize_soc.Monolithic
 module Resilience = Bufsize_resilience.Resilience
 open Oracle
 
@@ -32,7 +34,6 @@ type fault =
   | Rate_overflow  (* all CTMC rates scaled by 1e+140 *)
   | Reducible_chain  (* two disjoint closed classes *)
   | Budget_exhaustion  (* an already-expired wall-clock budget *)
-  | Stiff_closure  (* heavily coupled monolithic bridge: Newton-hostile *)
 
 let all_faults =
   [
@@ -42,7 +43,6 @@ let all_faults =
     Rate_overflow;
     Reducible_chain;
     Budget_exhaustion;
-    Stiff_closure;
   ]
 
 let fault_name = function
@@ -52,7 +52,6 @@ let fault_name = function
   | Rate_overflow -> "rate-overflow"
   | Reducible_chain -> "reducible-chain"
   | Budget_exhaustion -> "budget-exhaustion"
-  | Stiff_closure -> "stiff-closure"
 
 let fault_of_name s = List.find_opt (fun f -> fault_name f = s) all_faults
 
@@ -173,6 +172,33 @@ let random_ctmc_rates rng =
   done;
   (n, !rates)
 
+(* Solve [t] as production does, with [Ctmc.stationary], and read the
+   same chain's diagnostic from [Ctmc.stationary_diag]: the production
+   answer must be bitwise the chain's answer (and [Failure] exactly when
+   the chain has none), and a surfaced vector must be a distribution
+   whatever the status. *)
+let solve_stationary t =
+  let answer = match Ctmc.stationary t with pi -> Some pi | exception Failure _ -> None in
+  let o, diag = Ctmc.stationary_diag t in
+  let bits = Option.map (Array.map Int64.bits_of_float) in
+  let checks =
+    [
+      (fun () -> check_diag_consistency o diag);
+      (fun () ->
+        if bits answer = bits o then Pass
+        else
+          failf "Ctmc.stationary differs from its diagnostic chain (status %s)"
+            (status_name diag.Resilience.status));
+      (fun () ->
+        match answer with
+        | Some pi when not (Ctmc.distribution_valid pi) ->
+            failf "surfaced stationary vector is not a distribution (status %s)"
+              (status_name diag.Resilience.status)
+        | _ -> Pass);
+    ]
+  in
+  (answer, diag, checks)
+
 (* Metamorphic CTMC check: scaling every rate by [scale] leaves the
    stationary distribution unchanged, so a claimed-Ok solve of the scaled
    chain must match the clean chain's distribution. *)
@@ -180,31 +206,25 @@ let check_ctmc_scaled ~scale rng =
   let n, rates = random_ctmc_rates rng in
   let clean_pi = Ctmc.stationary (Ctmc.of_rates n rates) in
   let scaled = Ctmc.of_rates n (List.map (fun (i, j, r) -> (i, j, r *. scale)) rates) in
-  let o, diag = Ctmc.stationary_diag scaled in
+  let answer, diag, checks = solve_stationary scaled in
   all_of
-    [
-      (fun () -> check_diag_consistency o diag);
-      (fun () ->
-        match o with
-        | Some pi when not (Ctmc.distribution_valid pi) ->
-            failf "surfaced stationary vector is not a distribution (status %s)"
-              (status_name diag.Resilience.status)
-        | _ -> Pass);
-      (fun () ->
-        match (o, diag.Resilience.status) with
-        | Some pi, Resilience.Ok ->
-            let worst = ref 0. in
-            Array.iteri
-              (fun i p -> worst := Float.max !worst (Float.abs (p -. clean_pi.(i))))
-              pi;
-            if !worst <= 1e-8 then Pass
-            else failf "Ok stationary distribution drifted by %.3e under rate scaling" !worst
-        | _ -> Pass);
-    ]
+    (checks
+    @ [
+        (fun () ->
+          match (answer, diag.Resilience.status) with
+          | Some pi, Resilience.Ok ->
+              let worst = ref 0. in
+              Array.iteri
+                (fun i p -> worst := Float.max !worst (Float.abs (p -. clean_pi.(i))))
+                pi;
+              if !worst <= 1e-8 then Pass
+              else failf "Ok stationary distribution drifted by %.3e under rate scaling" !worst
+          | _ -> Pass);
+      ])
 
 (* Two disjoint closed classes: GTH must reject with the offending class
-   named, the typed error must name a genuine communicating class, and no
-   route may report Ok. *)
+   named, the typed error must name a genuine communicating class, and the
+   production solve must not report Ok. *)
 let check_reducible rng =
   let n1 = 2 + Rng.int rng 4 and n2 = 2 + Rng.int rng 4 in
   let n = n1 + n2 in
@@ -217,32 +237,21 @@ let check_reducible rng =
   done;
   let t = Ctmc.of_rates n !rates in
   let class_a = List.init n1 Fun.id and class_b = List.init n2 (fun i -> n1 + i) in
+  let _, diag, checks = solve_stationary t in
   all_of
-    [
-      (fun () ->
-        match Ctmc.stationary_gth t with
-        | Ok _ -> failf "GTH accepted a chain with two closed classes"
-        | Error (`Reducible_class cls) ->
-            if cls = class_a || cls = class_b then Pass
-            else
-              failf "reported class [%s] is neither constructed closed class"
-                (String.concat ";" (List.map string_of_int cls)));
-      (fun () ->
-        let o, diag = Ctmc.stationary_diag t in
-        all_of
-          [
-            (fun () -> check_diag_consistency o diag);
-            (fun () ->
-              match diag.Resilience.status with
-              | Resilience.Ok -> failf "reducible chain solved with a clean Ok diagnostic"
-              | Resilience.Degraded _ | Resilience.Failed _ -> Pass);
-            (fun () ->
-              match o with
-              | Some pi when not (Ctmc.distribution_valid pi) ->
-                  failf "degraded stationary vector is not a distribution"
-              | _ -> Pass);
-          ]);
-    ]
+    ((fun () ->
+       match Ctmc.stationary_gth t with
+       | Ok _ -> failf "GTH accepted a chain with two closed classes"
+       | Error (`Reducible_class cls) ->
+           if cls = class_a || cls = class_b then Pass
+           else
+             failf "reported class [%s] is neither constructed closed class"
+               (String.concat ";" (List.map string_of_int cls)))
+    :: (fun () ->
+         match diag.Resilience.status with
+         | Resilience.Ok -> failf "reducible chain solved with a clean Ok diagnostic"
+         | Resilience.Degraded _ | Resilience.Failed _ -> Pass)
+    :: checks)
 
 (* ------------------------------------------------------- budget faults *)
 
@@ -273,42 +282,6 @@ let check_budget_exhaustion rng =
       mentions_budget;
     ]
 
-(* ------------------------------------------------------ closure faults *)
-
-(* A heavily coupled, highly utilized bridge: the quadratic closure is
-   bistable and Newton-hostile.  Whatever happens, the chain must return
-   a structured diagnostic and only surface simplex-valid roots. *)
-let check_stiff_closure rng =
-  let s =
-    {
-      Monolithic.kx = 4 + Rng.int rng 4;
-      ky = 4 + Rng.int rng 4;
-      lambda_x = Rng.float_range rng 0.8 1.1;
-      lambda_y = Rng.float_range rng 0.8 1.1;
-      cross_fraction = Rng.float_range rng 0.7 0.95;
-      mu_x = 1.;
-      mu_y = 1.;
-    }
-  in
-  let o, diag = Monolithic.solve_closure s in
-  all_of
-    [
-      (fun () -> check_diag_consistency o diag);
-      (fun () ->
-        match o with
-        | Some v when not (Monolithic.closure_valid s v) ->
-            failf "surfaced closure root is outside the probability simplex (status %s)"
-              (status_name diag.Resilience.status)
-        | _ -> Pass);
-      (fun () ->
-        match (o, diag.Resilience.status) with
-        | Some v, Resilience.Ok ->
-            let r = Monolithic.residual_norm s v in
-            if r <= 1e-6 then Pass
-            else failf "Ok closure root has balance residual %.3e" r
-        | _ -> Pass);
-    ]
-
 (* ------------------------------------------------------------- dispatch *)
 
 let check fault seed =
@@ -320,7 +293,6 @@ let check fault seed =
   | Rate_overflow -> check_ctmc_scaled ~scale:1e140 rng
   | Reducible_chain -> check_reducible rng
   | Budget_exhaustion -> check_budget_exhaustion rng
-  | Stiff_closure -> check_stiff_closure rng
 
 let repro_of ~fault ~seed =
   Printf.sprintf "# oracle: chaos\n# fault: %s\n# seed: %d\n" (fault_name fault) seed

@@ -2,11 +2,13 @@
 
     Each case deterministically builds a numerically hazardous instance of
     one fault family — rank-deficient LP bases, near-tolerance pivots,
-    rate underflow/overflow, reducible chains, expired wall-clock budgets,
-    Newton-hostile closures — and asserts the resilience contract: no
-    uncaught exception, no NaN/Inf in a surfaced result, metamorphic
-    agreement with the clean instance when the diagnostic claims [Ok], and
-    a [Degraded]/[Failed] diagnostic otherwise.
+    rate underflow/overflow, reducible chains, expired wall-clock budgets
+    — and asserts the resilience contract on the entry points production
+    calls ([Lp.solve_diag], [Ctmc.stationary]): no uncaught exception, no
+    NaN/Inf in a surfaced result, metamorphic agreement with the clean
+    instance when the diagnostic claims [Ok], and a [Degraded]/[Failed]
+    diagnostic otherwise.  The CTMC cases also require [Ctmc.stationary]
+    to return bitwise the answer of its chain, {!Bufsize_prob.Ctmc.stationary_diag}.
 
     Exposed both as the [chaos] oracle of [bufsize verify] and as a
     library for the test-suite's exhaustive fault sweep. *)
@@ -18,7 +20,6 @@ type fault =
   | Rate_overflow  (** all CTMC rates scaled by 1e+140 *)
   | Reducible_chain  (** two disjoint closed communicating classes *)
   | Budget_exhaustion  (** an already-expired wall-clock budget *)
-  | Stiff_closure  (** heavily coupled monolithic bridge *)
 
 val all_faults : fault list
 

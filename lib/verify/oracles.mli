@@ -16,9 +16,9 @@
     - [split-monolithic]: the split linear solution vs damped Newton and a
       Picard fixed point on the monolithic quadratic closure; exact
       agreement on the decoupled ([cross_fraction = 0]) boundary.
-    - [warm-cold]: rate-patched CTMCs vs a full rebuild (bitwise), seeded
-      stationary and bias-seeded policy evaluation vs their cold solves,
-      and cache-served sizing runs vs the cache-off run (bitwise).
+    - [warm-cold]: seeded iterative stationary solves vs their cold
+      solves, and cache-served sizing runs vs the cache-off run
+      (bitwise).
     - [kron]: random SAN descriptors — Kronecker shuffle SpMV, transposed
       SpMV, diagonal, and adjointness vs the materialized joint generator
       to 1e-12, and the Kronecker-side stationary GMRES solve vs the
@@ -32,7 +32,7 @@
       responding monotonically to extra buffer space.
     - [chaos] ({!Chaos.oracle}): injected numeric faults (singular bases,
       degenerate pivots, rate underflow/overflow, reducible chains,
-      expired budgets, stiff closures) must surface as structured
+      expired budgets) must surface as structured
       [Degraded]/[Failed] diagnostics — never an uncaught exception, a
       NaN/Inf result, or a silently drifted [Ok] answer. *)
 

@@ -204,6 +204,28 @@ let test_bench_rejects_unknown_artifact () =
          ablation-levels, ablation-solver, ablation-weights, ablation-profiling, all\n"
         (read err))
 
+(* The CLI built next to this test.  Input errors (a budget below the
+   buffer count, a socket path that cannot be bound) end a command with
+   "error: ..." and exit 1, never with an uncaught exception. *)
+let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe"
+
+let check_input_error args expected () =
+  let err = Filename.temp_file "cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let cmd = Filename.quote_command cli ~stdout:Filename.null ~stderr:err args in
+      Alcotest.(check int) "exit code" 1 (Sys.command cmd);
+      Alcotest.(check string) "message" ("error: " ^ expected ^ "\n")
+        (In_channel.with_open_bin err In_channel.input_all))
+
+let below n buffers =
+  Printf.sprintf "budget %d words is below the %d buffers to size (each needs at least one word)"
+    n buffers
+
+let unbindable_socket =
+  Filename.concat (Filename.concat (Filename.get_temp_dir_name ()) "bufsize-no-such-dir") "x.sock"
+
 let () =
   Alcotest.run "integration"
     [
@@ -224,4 +246,24 @@ let () =
       ( "bench",
         [ Alcotest.test_case "unknown artifact exits 2" `Quick test_bench_rejects_unknown_artifact ]
       );
+      ( "cli",
+        [
+          Alcotest.test_case "size budget below buffers" `Quick
+            (check_input_error [ "size"; "--arch"; "netproc" ] (below 16 25));
+          Alcotest.test_case "size budget 0" `Quick
+            (check_input_error [ "size"; "-b"; "0" ] (below 0 6));
+          Alcotest.test_case "topo budget below buffers" `Quick
+            (check_input_error [ "topo"; "--rows"; "2"; "--cols"; "2"; "-b"; "2" ] (below 2 10));
+          Alcotest.test_case "simulate budget below buffers" `Quick
+            (check_input_error [ "simulate"; "--arch"; "netproc"; "-b"; "4" ] (below 4 25));
+          Alcotest.test_case "experiment budget below buffers" `Quick
+            (check_input_error [ "experiment"; "-b"; "4" ] (below 4 6));
+          Alcotest.test_case "dot budget below buffers" `Quick
+            (check_input_error [ "dot"; "--annotate"; "2" ] (below 2 6));
+          Alcotest.test_case "serve unbindable socket" `Quick
+            (check_input_error
+               [ "serve"; "--socket"; unbindable_socket ]
+               (Printf.sprintf "cannot listen on socket %s: No such file or directory (bind)"
+                  unbindable_socket));
+        ] );
     ]

@@ -658,8 +658,9 @@ let test_lp_pivot_cap_no_verdict () =
        prop)
 
 (* The escalation chain is dense-tableau -> bland -> lex-perturbation, in
-   that order; capped at one pivot, every step is tried and rejected, no
-   answer surfaces and the reason names the cap. *)
+   that order, each step a [lp.solve:<step>] span; capped at one pivot,
+   every step is tried and rejected, no answer surfaces and the reason
+   names the cap. *)
 let test_lp_chain_shape () =
   let module Obs = Bufsize_obs.Obs in
   let module Resilience = Bufsize_resilience.Resilience in
@@ -669,9 +670,10 @@ let test_lp_chain_shape () =
   let steps =
     List.filter_map
       (fun s ->
-        let n = s.Obs.sname in
-        if String.length n > 5 && String.sub n 0 5 = "step:" then
-          Some (String.sub n 5 (String.length n - 5))
+        let n = s.Obs.sname and stem = "lp.solve:" in
+        let k = String.length stem in
+        if String.length n > k && String.sub n 0 k = stem then
+          Some (String.sub n k (String.length n - k))
         else None)
       spans
   in

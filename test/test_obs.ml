@@ -247,6 +247,23 @@ let test_jsonl_and_metrics_json_well_formed () =
         [ "span"; "counter"; "histogram"; "gc"; "dropped_spans" ]);
   fresh ()
 
+(* The default GC snapshot counts words allocated since the last minor
+   collection: [Gc.quick_stat] alone reads no change across an
+   allocation that does not fill the minor heap. *)
+let test_gc_counts_current () =
+  let minor_words () =
+    Test_json.(to_number (member_exn "minor_words" (member_exn "gc" (Obs.metrics_tree []))))
+  in
+  let n = 30_000 in
+  let before = minor_words () in
+  (* 10,000 list cells of 3 words each, well under the 256k-word minor heap. *)
+  ignore (Sys.opaque_identity (List.init (n / 3) Fun.id));
+  let after = minor_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor_words grew by >= %d (%.0f -> %.0f)" n before after)
+    true
+    (after -. before >= float_of_int n)
+
 (* The metrics object and the JSONL metric lines, byte for byte, on a
    fixed registry: a counter, an unset (NaN) gauge and a histogram with
    an interpolated p50.  The expected strings are what the hand-printed
@@ -590,6 +607,7 @@ let () =
           Alcotest.test_case "jsonl and metrics json" `Quick
             test_jsonl_and_metrics_json_well_formed;
           Alcotest.test_case "metrics text pinned" `Quick test_metrics_text_pinned;
+          Alcotest.test_case "gc counts without a collection" `Quick test_gc_counts_current;
         ] );
       ( "only-observes",
         [

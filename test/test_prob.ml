@@ -1,10 +1,18 @@
 (* Tests for the probability substrate: RNG determinism and moments, CTMC
-   stationary analysis, birth-death closed forms. *)
+   stationary analysis (the validated escalation chain behind
+   [Ctmc.stationary]), birth-death closed forms. *)
 
 module Vec = Bufsize_numeric.Vec
 module Rng = Bufsize_prob.Rng
 module Ctmc = Bufsize_prob.Ctmc
 module Birth_death = Bufsize_prob.Birth_death
+module Resilience = Bufsize_resilience.Resilience
+
+(* Naive substring scan. *)
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  m = 0 || at 0
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -124,31 +132,60 @@ let test_ctmc_irreducible () =
   let absorbing = Ctmc.of_rates 2 [ (0, 1, 1.) ] in
   Alcotest.(check bool) "absorbing not irreducible" false (Ctmc.is_irreducible absorbing)
 
-let test_ctmc_transient_converges () =
-  let c = two_state_ctmc 2. 3. in
-  let pi_inf = Ctmc.stationary c in
-  let pt = Ctmc.transient c [| 1.; 0. |] 50. in
-  Alcotest.(check bool) "transient -> stationary" true
-    (Vec.approx_equal ~tol:1e-6 pt pi_inf)
+let two_cycles = [ (0, 1, 1.); (1, 0, 1.); (2, 3, 1.); (3, 2, 1.) ]
 
-let test_ctmc_transient_short_horizon () =
-  (* Tiny horizon: nearly the initial distribution. *)
-  let c = two_state_ctmc 2. 3. in
-  let pt = Ctmc.transient c [| 1.; 0. |] 1e-6 in
-  Alcotest.(check bool) "close to start" true (pt.(0) > 0.999)
+(* [Ctmc.stationary] is the chain's answer, degraded included: on a
+   reducible chain it returns bitwise what [stationary_diag] surfaces. *)
+let test_stationary_is_the_chain () =
+  let t = Ctmc.of_rates 4 two_cycles in
+  let pi, d = Ctmc.stationary_diag t in
+  Alcotest.(check bool) "degraded, not failed" true
+    (match d.Resilience.status with Resilience.Degraded _ -> true | _ -> false);
+  match pi with
+  | None -> Alcotest.fail "reducible chain left without an answer"
+  | Some v ->
+      let bits = Array.map Int64.bits_of_float in
+      Alcotest.(check bool) "bitwise the chain's answer" true
+        (bits (Ctmc.stationary t) = bits v)
 
-let test_ctmc_uniformize_stochastic () =
-  let c = two_state_ctmc 5. 1. in
-  let p = Ctmc.uniformize c in
-  for i = 0 to 1 do
-    let s = ref 0. in
-    for j = 0 to 1 do
-      let x = Bufsize_numeric.Mat.get p i j in
-      Alcotest.(check bool) "entry in [0,1]" true (x >= 0. && x <= 1.);
-      s := !s +. x
-    done;
-    check_float "row sums to 1" 1. !s
-  done
+(* The chain reads the ambient budget: once it has run out, no step runs,
+   [stationary_diag] fails naming the budget and [stationary] raises
+   [Failure] with that reason. *)
+let test_stationary_reads_ambient_budget () =
+  let t = Ctmc.of_rates 2 [ (0, 1, 1.); (1, 0, 2.) ] in
+  Resilience.with_ambient_budget (Resilience.expired ()) (fun () ->
+      let pi, d = Ctmc.stationary_diag t in
+      Alcotest.(check bool) "no answer" true (pi = None);
+      let reason = Option.value ~default:"" (Resilience.status_reason d.Resilience.status) in
+      Alcotest.(check bool) ("reason names the budget: " ^ reason) true
+        (contains_sub reason "budget");
+      match Ctmc.stationary t with
+      | _ -> Alcotest.fail "stationary answered under an expired budget"
+      | exception Failure msg ->
+          Alcotest.(check bool) ("failure carries the reason: " ^ msg) true
+            (contains_sub msg reason))
+
+(* Steps run as [ctmc.stationary:<step>] spans.  Up to the dense threshold
+   a clean chain stops at GTH; above it GMRES is the only step, so no
+   n x n matrix is built there. *)
+let test_stationary_steps () =
+  let module Obs = Bufsize_obs.Obs in
+  let steps n =
+    let ring =
+      Ctmc.of_rates n (List.init n (fun i -> (i, (i + 1) mod n, 1. +. float_of_int (i mod 3))))
+    in
+    let _, spans, _ = Obs.with_capture (fun () -> Ctmc.stationary ring) in
+    List.filter_map
+      (fun s ->
+        let name = s.Obs.sname and stem = "ctmc.stationary:" in
+        let k = String.length stem in
+        if String.length name > k && String.sub name 0 k = stem then
+          Some (String.sub name k (String.length name - k))
+        else None)
+      spans
+  in
+  Alcotest.(check (list string)) "small chain" [ "gth" ] (steps 8);
+  Alcotest.(check (list string)) "above the dense threshold" [ "gmres-iterative" ] (steps 600)
 
 let test_ctmc_stationary_property () =
   (* Property: on random irreducible 3-5 state chains, pi Q = 0. *)
@@ -243,9 +280,11 @@ let () =
           Alcotest.test_case "generator roundtrip" `Quick test_ctmc_of_generator_roundtrip;
           Alcotest.test_case "validation" `Quick test_ctmc_validation;
           Alcotest.test_case "irreducibility" `Quick test_ctmc_irreducible;
-          Alcotest.test_case "transient converges" `Quick test_ctmc_transient_converges;
-          Alcotest.test_case "transient short horizon" `Quick test_ctmc_transient_short_horizon;
-          Alcotest.test_case "uniformization stochastic" `Quick test_ctmc_uniformize_stochastic;
+          Alcotest.test_case "stationary is the chain's answer" `Quick
+            test_stationary_is_the_chain;
+          Alcotest.test_case "ambient budget reaches the chain" `Quick
+            test_stationary_reads_ambient_budget;
+          Alcotest.test_case "step spans, gmres alone above 512" `Quick test_stationary_steps;
           Alcotest.test_case "pi Q = 0 (property)" `Quick test_ctmc_stationary_property;
         ] );
       ( "birth-death",

@@ -186,6 +186,24 @@ let test_typed_errors () =
           Alcotest.(check string) "oversized id null" "null" (Json.encode (Json.member_exn "id" r3))
       | rs -> Alcotest.failf "expected 3 replies, got %d" (List.length rs))
 
+(* A budget below the buffer count is the client's error: bad_request,
+   with the message the CLI prints after "error: ". *)
+let test_budget_below_buffers () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let req =
+        match size_request ~id:6 with
+        | Json.Obj kvs ->
+            Json.Obj (List.map (fun (k, v) -> if k = "budget" then (k, Json.Num 1.) else (k, v)) kvs)
+        | _ -> assert false
+      in
+      let reply = ok_reply "tiny-budget size" (Serve.request ~socket req) in
+      Alcotest.(check string) "kind" "bad_request" (error_kind reply);
+      Alcotest.(check (option string))
+        "message"
+        (Some "budget 1 words is below the 4 buffers to size (each needs at least one word)")
+        (Option.bind (Json.member "error" reply) (Json.mem_string "message")))
+
 let test_deadline_zero () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
@@ -569,6 +587,7 @@ let () =
         [
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "deadline zero" `Quick test_deadline_zero;
+          Alcotest.test_case "budget below buffers" `Quick test_budget_below_buffers;
           Alcotest.test_case "overload and retry" `Quick test_overload_and_retry;
         ] );
       ( "introspection",

@@ -1241,7 +1241,8 @@ let test_compare_sharing_damq_le_static () =
 
 let test_sizing_rejects_bad_config () =
   let _, traffic = Fig1.create () in
-  Alcotest.check_raises "bad budget" (Invalid_argument "Sizing.run: budget must be positive")
+  Alcotest.check_raises "bad budget"
+    (Invalid_argument "budget 0 words is below the 10 buffers to size (each needs at least one word)")
     (fun () -> ignore (Sizing.run (Sizing.default_config ~budget:0) traffic))
 
 let () =

@@ -192,41 +192,6 @@ let test_cache_concurrent_stress () =
 
 let ring_rates = [ (0, 1, 2.); (1, 2, 1.5); (2, 0, 0.75); (0, 2, 0.25) ]
 
-let test_patch_rates_bitwise () =
-  let t0 = Ctmc.of_rates 3 ring_rates in
-  let scaled = List.map (fun (i, j, r) -> (i, j, r *. 1.5)) ring_rates in
-  match Ctmc.patch_rates t0 scaled with
-  | None -> Alcotest.fail "patch_rates rejected a same-pattern change"
-  | Some patched ->
-      let rebuilt = Ctmc.of_rates 3 scaled in
-      for i = 0 to 2 do
-        Alcotest.(check bool)
-          (Printf.sprintf "exit %d bitwise" i)
-          true
-          (Int64.bits_of_float (Ctmc.exit_rate patched i)
-          = Int64.bits_of_float (Ctmc.exit_rate rebuilt i));
-        for j = 0 to 2 do
-          if i <> j then
-            Alcotest.(check bool)
-              (Printf.sprintf "rate %d->%d bitwise" i j)
-              true
-              (Int64.bits_of_float (Ctmc.rate patched i j)
-              = Int64.bits_of_float (Ctmc.rate rebuilt i j))
-        done
-      done
-
-let test_patch_rates_pattern_shift () =
-  let t0 = Ctmc.of_rates 3 ring_rates in
-  (* A transition at a position the pattern does not have. *)
-  Alcotest.(check bool) "new position rejected" true
-    (Ctmc.patch_rates t0 ((1, 0, 1.) :: ring_rates) = None);
-  (* A previously present position vanishing. *)
-  Alcotest.(check bool) "dropped position rejected" true
-    (Ctmc.patch_rates t0 (List.tl ring_rates) = None);
-  (* Invalid triples. *)
-  Alcotest.(check bool) "self loop rejected" true
-    (Ctmc.patch_rates t0 [ (0, 0, 1.) ] = None)
-
 let test_seeded_stationary () =
   let t0 = Ctmc.of_rates 3 ring_rates in
   let nearby = Ctmc.of_rates 3 (List.map (fun (i, j, r) -> (i, j, r *. 1.1)) ring_rates) in
@@ -276,8 +241,6 @@ let () =
         ] );
       ( "ctmc-incremental",
         [
-          Alcotest.test_case "patch bitwise" `Quick test_patch_rates_bitwise;
-          Alcotest.test_case "pattern shifts rejected" `Quick test_patch_rates_pattern_shift;
           Alcotest.test_case "seeded stationary" `Quick test_seeded_stationary;
         ] );
       ( "pool-chunking",
