@@ -32,8 +32,8 @@ let max_rounds = 64
    warm-started from a line of the block: the line it stops at.  A
    singular dense evaluation (a multichain policy) leaves the price path
    instead of being patched over. *)
-let solve_block ?max_iter ~weights ?warm m =
-  match Policy_iteration.solve ?max_iter ~weights ?warm m with
+let solve_block ?max_iter ~weights ?warm ~workspace m =
+  match Policy_iteration.solve ?max_iter ~weights ?warm ~workspace m with
   | exception Lu.Singular k ->
       Error (Printf.sprintf "multichain policy (singular evaluation at pivot %d)" k)
   | r when not r.Policy_iteration.converged ->
@@ -96,13 +96,17 @@ let mixed_solved m ~alpha ~state a b =
   solved ~gain:!gain ~usage:!usage occupation (Policy.randomized m probs)
 
 (* The price step proper: (joint record, price, rounds), or raises
-   [Give_up] or [Infeasible_bound]. *)
-let price_search ~map ?max_iter ~budget ~bound models =
+   [Give_up] or [Infeasible_bound].  The price-0 lines of the slack test
+   go to [free] as soon as they exist.  Every evaluation of block [i],
+   on any round or on the mix's walk, refactorizes its one workspace. *)
+let price_search ~map ?max_iter ~budget ~bound ~free models =
   let nb = Array.length models in
+  let workspaces = Array.map Policy_iteration.workspace models in
   let solve_all weights warm =
     let results =
       map.map
-        (fun i -> solve_block ?max_iter ~weights ?warm:(warm i) models.(i))
+        (fun i ->
+          solve_block ?max_iter ~weights ?warm:(warm i) ~workspace:workspaces.(i) models.(i))
         (Array.init nb Fun.id)
     in
     Array.map (function Ok b -> b | Error why -> raise (Give_up why)) results
@@ -128,7 +132,11 @@ let price_search ~map ?max_iter ~budget ~bound models =
       (Array.mapi (fun i l -> deterministic_solved models.(i) l.Policy_iteration.choice) lines)
   in
   (* 1. Slack test: the unconstrained optimum, block by block. *)
-  let free = solve_all (1., 0.) (fun _ -> None) in
+  let free =
+    let lines = solve_all (1., 0.) (fun _ -> None) in
+    free := Some lines;
+    lines
+  in
   match bound with
   | None -> deterministic ~price:0. ~rounds:0 free
   | Some bound when total_usage free <= bound -> deterministic ~price:0. ~rounds:0 free
@@ -197,7 +205,9 @@ let price_search ~map ?max_iter ~budget ~bound models =
                     let bl, s = switches.(l) in
                     if bl = b then choice.(s) <- lo.(b).Policy_iteration.choice.(s)
                   done;
-                  match Policy_iteration.evaluate_line models.(b) choice with
+                  match
+                    Policy_iteration.evaluate_line ~workspace:workspaces.(b) models.(b) choice
+                  with
                   | line -> line
                   | exception Lu.Singular _ -> raise (Give_up "one-state mix: multichain policy")
                 end)
@@ -228,14 +238,9 @@ let price_search ~map ?max_iter ~budget ~bound models =
             sz.(block) <- mixed_solved models.(block) ~alpha ~state sa.(block) sz.(block);
           record ~price ~rounds sz
 
-let solve_price ?(map = sequential) ?max_iter ?bound models =
+(* The price step, then the LP, as one escalation chain. *)
+let price_chain ~map ?max_iter ?bound ~free models =
   let nb = Array.length models in
-  if nb = 0 then invalid_arg "Constrained.solve_price: no blocks";
-  Array.iter
-    (fun m ->
-      if Ctmdp.num_extras m <> 1 then
-        invalid_arg "Constrained.solve_price: every block needs exactly one extra")
-    models;
   let budget = Resilience.current_budget () in
   let price = ref Float.nan and rounds = ref 0 in
   Obs.span ~name:"ctmdp.price"
@@ -248,7 +253,7 @@ let solve_price ?(map = sequential) ?max_iter ?bound models =
   @@ fun () ->
   let price_step =
     Resilience.step "price" (fun budget ->
-        match price_search ~map ?max_iter ~budget ~bound models with
+        match price_search ~map ?max_iter ~budget ~bound ~free models with
         | j, p, r ->
             price := p;
             rounds := r;
@@ -280,3 +285,14 @@ let solve_price ?(map = sequential) ?max_iter ?bound models =
   Resilience.escalate
     ~solver:(Printf.sprintf "ctmdp.price(blocks=%d)" nb)
     ~budget [ price_step; lp_step ]
+
+let solve_price ?(map = sequential) ?max_iter ?bound models =
+  if Array.length models = 0 then invalid_arg "Constrained.solve_price: no blocks";
+  Array.iter
+    (fun m ->
+      if Ctmdp.num_extras m <> 1 then
+        invalid_arg "Constrained.solve_price: every block needs exactly one extra")
+    models;
+  let free = ref None in
+  let outcome, diag = price_chain ~map ?max_iter ?bound ~free models in
+  (outcome, diag, !free)

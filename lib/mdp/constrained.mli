@@ -12,12 +12,22 @@ type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
     semantics (results in input order), possibly on several domains.
     Default [Array.map]; Sizing passes its domain pool. *)
 
+val deterministic_solved : Ctmdp.t -> int array -> Lp_formulation.solved
+(** [deterministic_solved m choice] is the answer record of the
+    deterministic policy [choice]: its occupation measure from one
+    stationary solve of the induced chain ({!Policy.evaluate}), its gain
+    and its usage (extra 0), with no duals and [lp_iterations = 0] —
+    exactly the record {!solve_price} returns for a block it answers
+    with that policy. *)
+
 val solve_price :
   ?map:map ->
   ?max_iter:int ->
   ?bound:float ->
   Ctmdp.t array ->
-  Lp_formulation.joint_outcome option * Bufsize_resilience.Resilience.diagnostic
+  Lp_formulation.joint_outcome option
+  * Bufsize_resilience.Resilience.diagnostic
+  * Policy_iteration.line array option
 (** [solve_price ~bound blocks] minimizes the summed gain of independent
     CTMDP blocks subject to one shared bound on the time-average sum of
     their extra 0 — the problem {!Lp_formulation.solve_joint} solves with
@@ -48,7 +58,20 @@ val solve_price :
 
     Occupation measures ({!Policy.evaluate}) are computed for the
     returned tuples only: every block of the answer, and the one block
-    of the other tuple that the mix combines.
+    of the other tuple that the mix combines.  Each block keeps one
+    {!Policy_iteration.workspace} for the whole search, its slack test,
+    rounds and walk.
+
+    The third component holds the slack test's price-0 lines, block by
+    block, whenever the slack test completed — also when the bound then
+    binds, is infeasible, or a later step gives up and the LP answers;
+    [None] when the chain left the price step before the slack test
+    finished.  Line [i] is what {!Policy_iteration.solve} at weights
+    [(1., 0.)] from the first action returns on block [i], so
+    {!deterministic_solved} of its choice is bitwise the unconstrained
+    answer [solve_price [| block i |]] would give: callers that need the
+    unconstrained optimum next to the constrained one reuse it instead of
+    solving again.
 
     The answer is the record the joint LP returns, with
     [shared_duals = [| -p* |]] in the LP's sign convention ([[||]]

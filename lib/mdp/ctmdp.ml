@@ -7,9 +7,12 @@ type action = {
 
 type t = {
   actions : action array array;
+  exits : float array array;  (* exit rate of each action, summed once *)
   extras_count : int;
   state_labels : string array;
 }
+
+let exit_rate a = List.fold_left (fun acc (_, r) -> acc +. r) 0. a.transitions
 
 let create ?state_labels ~num_extras actions =
   let n = Array.length actions in
@@ -41,19 +44,23 @@ let create ?state_labels ~num_extras actions =
         ls
     | None -> Array.init n string_of_int
   in
-  { actions; extras_count = num_extras; state_labels }
+  {
+    actions;
+    exits = Array.map (Array.map exit_rate) actions;
+    extras_count = num_extras;
+    state_labels;
+  }
 
 let num_states t = Array.length t.actions
 let num_extras t = t.extras_count
 let num_actions t s = Array.length t.actions.(s)
 let action t s a = t.actions.(s).(a)
 let actions t s = t.actions.(s)
+let exit_rates t s = t.exits.(s)
 let state_label t s = t.state_labels.(s)
 
 let total_state_actions t =
   Array.fold_left (fun acc acts -> acc + Array.length acts) 0 t.actions
-
-let exit_rate a = List.fold_left (fun acc (_, r) -> acc +. r) 0. a.transitions
 
 let max_exit_rate t =
   Array.fold_left

@@ -43,6 +43,10 @@ val action : t -> int -> int -> action
 
 val actions : t -> int -> action array
 
+val exit_rates : t -> int -> float array
+(** [exit_rates t s] holds {!exit_rate} of each action of state [s],
+    computed once by {!create}; the array is [t]'s own, not a copy. *)
+
 val state_label : t -> int -> string
 
 val total_state_actions : t -> int

@@ -1,4 +1,3 @@
-module Mat = Bufsize_numeric.Mat
 module Vec = Bufsize_numeric.Vec
 module Lu = Bufsize_numeric.Lu
 module Sparse = Bufsize_numeric.Sparse
@@ -21,37 +20,53 @@ type result = { line : line; gain : float; iterations : int; converged : bool }
 let usage act = if Array.length act.Ctmdp.extras = 0 then 0. else act.Ctmdp.extras.(0)
 let cost act = act.Ctmdp.cost
 
-(* The dense evaluation's storage, reused by every evaluation of one
-   policy iteration: the (n+1)^2 system, its factorization (rebuilt in
-   place, bitwise equal to a fresh one) and the solve vectors. *)
-type workspace = { a : Mat.t; lu : Lu.factorization; idx : int array; rhs : Vec.t; sol : Vec.t }
+(* The dense evaluation's storage: the factorization of the (n+1)^2
+   system, rebuilt in place by each evaluation (bitwise equal to a fresh
+   one), and the solve vectors.  None above [dense_threshold], where
+   evaluation is iterative and allocates no O(n^2) storage. *)
+type dense = { lu : Lu.factorization; idx : int array; rhs : Vec.t; sol : Vec.t }
+type workspace = dense option
 
-let workspace n =
-  let a = Mat.identity (n + 1) in
+(* Dense elimination up to this many states; beyond it policy evaluation
+   goes through the sparse iterative path and never allocates O(n^2). *)
+let dense_threshold = 512
+
+let dense_workspace n =
   {
-    a;
-    lu = Lu.factorize a;
+    lu = Lu.create (n + 1);
     idx = Array.make (n + 1) 0;
     rhs = Array.make (n + 1) 0.;
     sol = Array.make (n + 1) 0.;
   }
 
+let workspace m =
+  let n = Ctmdp.num_states m in
+  if n > dense_threshold then None else Some (dense_workspace n)
+
 (* Unknowns: h(0..n-1) and g.  Equations: for each state s,
-   sum_j Q_sj h(j) - g = -r_s; plus h(0) = 0.  One factorization serves
-   both right-hand sides r, the cost and the usage. *)
+   sum_j Q_sj h(j) - g = -r_s; plus h(0) = 0.  The system is written
+   column-major straight into the factorization's zeroed storage, entry
+   (i, j) at j (n+1) + i; its entries are 0 - exit, sums of positive
+   rates, -1 and 1, never -0.  One factorization serves both right-hand
+   sides r, the cost and the usage. *)
 let evaluate_dense ws m choice =
   let n = Ctmdp.num_states m in
-  let a = ws.a in
-  Array.fill a.Mat.data 0 (Array.length a.Mat.data) 0.;
-  for s = 0 to n - 1 do
-    let act = Ctmdp.action m s choice.(s) in
-    let exit = Ctmdp.exit_rate act in
-    Mat.update a s s (fun x -> x -. exit);
-    List.iter (fun (j, r) -> Mat.update a s j (fun x -> x +. r)) act.Ctmdp.transitions;
-    Mat.set a s n (-1.)
-  done;
-  Mat.set a n 0 1.;
-  (match Lu.refactorize ws.lu a with Ok () -> () | Error k -> raise (Lu.Singular k));
+  let dim = n + 1 in
+  let fill a =
+    for s = 0 to n - 1 do
+      let c = choice.(s) in
+      let act = Ctmdp.action m s c in
+      a.((s * dim) + s) <- 0. -. (Ctmdp.exit_rates m s).(c);
+      List.iter
+        (fun (j, r) ->
+          let p = (j * dim) + s in
+          a.(p) <- a.(p) +. r)
+        act.Ctmdp.transitions;
+      a.((n * dim) + s) <- -1.
+    done;
+    a.(n) <- 1.
+  in
+  (match Lu.refactorize_columns ws.lu fill with Ok () -> () | Error k -> raise (Lu.Singular k));
   Obs.incr m_factorizations;
   let solve rate =
     for s = 0 to n - 1 do
@@ -66,7 +81,7 @@ let evaluate_dense ws m choice =
   { choice; g_c; g_u; h_c; h_u }
 
 let evaluate_deterministic m choice =
-  let l = evaluate_dense (workspace (Ctmdp.num_states m)) m choice in
+  let l = evaluate_dense (dense_workspace (Ctmdp.num_states m)) m choice in
   (l.g_c, l.h_c)
 
 (* Large-n evaluation without the dense (n+1)^2 system: one stationary
@@ -122,54 +137,72 @@ let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) m choice =
     Obs.add m_poisson_sweeps !iters;
     (g, h)
 
-(* Dense elimination up to this many states; beyond it policy evaluation
-   goes through the sparse iterative path and never allocates O(n^2). *)
-let dense_threshold = 512
-
 let evaluate_with ws m choice =
-  if Ctmdp.num_states m > dense_threshold then begin
-    let poisson = evaluate_iterative m choice in
-    let g_c, h_c = poisson cost in
-    let g_u, h_u = poisson usage in
-    { choice; g_c; g_u; h_c; h_u }
-  end
-  else evaluate_dense (Lazy.force ws) m choice
+  match ws with
+  | Some ws -> evaluate_dense ws m choice
+  | None ->
+      let poisson = evaluate_iterative m choice in
+      let g_c, h_c = poisson cost in
+      let g_u, h_u = poisson usage in
+      { choice; g_c; g_u; h_c; h_u }
 
-let evaluate_line m choice =
-  evaluate_with (lazy (workspace (Ctmdp.num_states m))) m choice
+(* The caller's workspace, which must be one for [m]'s state count, or a
+   fresh one. *)
+let workspace_for fn ws m =
+  match ws with
+  | None -> workspace m
+  | Some ws ->
+      let n = Ctmdp.num_states m in
+      let fits = match ws with Some d -> Lu.dim d.lu = n + 1 | None -> n > dense_threshold in
+      if not fits then invalid_arg (fn ^ ": workspace made for another state count");
+      ws
+
+let evaluate_line ?workspace m choice =
+  evaluate_with (workspace_for "Policy_iteration.evaluate_line" workspace m) m choice
 
 (* One improvement sweep at the weights: in each state, the action
    minimizing w_c c + w_u u + sum_j q(j) h(j) with h = w_c h_c + w_u h_u.
    The incumbent stays unless an action is better by more than [tol] —
-   the standard tie-breaking that guarantees termination.  [None] when no
-   state changes. *)
+   the standard tie-breaking that guarantees termination.  Each action,
+   the incumbent included, is valued once, with the exit rate summed by
+   [Ctmdp.create].  [None] when no state changes. *)
 let improve ~tol (w_c, w_u) m line =
   let h = Array.mapi (fun j hc -> (w_c *. hc) +. (w_u *. line.h_u.(j))) line.h_c in
-  let value s a =
-    let act = Ctmdp.action m s a in
-    let flow = List.fold_left (fun acc (j, r) -> acc +. (r *. h.(j))) 0. act.Ctmdp.transitions in
-    (w_c *. cost act) +. (w_u *. usage act) +. flow -. (Ctmdp.exit_rate act *. h.(s))
-  in
   let next = Array.copy line.choice and changed = ref false in
   for s = 0 to Ctmdp.num_states m - 1 do
-    let best = ref 0 and best_val = ref (value s 0) in
-    for a = 1 to Ctmdp.num_actions m s - 1 do
-      let v = value s a in
-      if v < !best_val then begin
+    let acts = Ctmdp.actions m s and exits = Ctmdp.exit_rates m s in
+    let hs = h.(s) and incumbent = line.choice.(s) in
+    let best = ref 0 and best_val = ref 0. and incumbent_val = ref 0. in
+    for a = 0 to Array.length acts - 1 do
+      let act = acts.(a) in
+      let flow = ref 0. and rest = ref act.Ctmdp.transitions in
+      while
+        match !rest with
+        | [] -> false
+        | (j, r) :: tl ->
+            flow := !flow +. (r *. h.(j));
+            rest := tl;
+            true
+      do
+        ()
+      done;
+      let v = (w_c *. cost act) +. (w_u *. usage act) +. !flow -. (exits.(a) *. hs) in
+      if a = 0 || v < !best_val then begin
         best := a;
         best_val := v
-      end
+      end;
+      if a = incumbent then incumbent_val := v
     done;
-    if !best_val < value s line.choice.(s) -. tol then begin
+    if !best_val < !incumbent_val -. tol then begin
       next.(s) <- !best;
       changed := true
     end
   done;
   if !changed then Some next else None
 
-let solve ?(max_iter = 1000) ?(tol = 1e-9) ?(weights = (1., 0.)) ?warm m =
+let solve ?(max_iter = 1000) ?(tol = 1e-9) ?(weights = (1., 0.)) ?warm ?workspace m =
   let n = Ctmdp.num_states m in
-  let ws = lazy (workspace n) in
+  let ws = workspace_for "Policy_iteration.solve" workspace m in
   let evaluate choice =
     Obs.span ~name:"policy_iteration.evaluate" (fun () -> evaluate_with ws m choice)
   in
@@ -178,6 +211,11 @@ let solve ?(max_iter = 1000) ?(tol = 1e-9) ?(weights = (1., 0.)) ?warm m =
     | Some l ->
         if Array.length l.choice <> n then
           invalid_arg "Policy_iteration.solve: warm line length mismatch";
+        Array.iteri
+          (fun s c ->
+            if c < 0 || c >= Ctmdp.num_actions m s then
+              invalid_arg "Policy_iteration.solve: warm line chooses an unknown action")
+          l.choice;
         l
     | None -> evaluate (Array.make n 0)
   in

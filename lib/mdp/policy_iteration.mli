@@ -33,20 +33,44 @@ type result = {
   converged : bool;
 }
 
-val evaluate_line : Ctmdp.t -> int array -> line
+type workspace
+(** Storage for the dense evaluations of one model: the factorization of
+    its (n+1)-unknown system, refactorized in place by each evaluation,
+    and the solve vectors.  A search that evaluates many policies of one
+    block (the price search of {!Constrained.solve_price}) allocates one
+    workspace per block and passes it to every {!solve} and
+    {!evaluate_line} of that block.  A workspace is used by one evaluation
+    at a time; each returned {!line} owns its vectors. *)
+
+val workspace : Ctmdp.t -> workspace
+(** [workspace m] serves every model with [m]'s number of states.  Up to
+    512 states it allocates the [(n+1)^2] factorization storage, plainly
+    (no factorization is run); above, nothing. *)
+
+val evaluate_line : ?workspace:workspace -> Ctmdp.t -> int array -> line
 (** The line of a deterministic policy.  Up to 512 states: one LU
-    factorization of the (n+1)-unknown evaluation system, solved for the
-    cost and for the usage.  Above: one stationary solve of the induced
-    chain and the uniformized Poisson-equation sweep on each rate.
+    factorization of the (n+1)-unknown evaluation system, written
+    column-major into [workspace] (default: a fresh one) by
+    {!Bufsize_numeric.Lu.refactorize_columns}, solved for the cost and
+    for the usage.  Above: one stationary solve of the induced chain and
+    the uniformized Poisson-equation sweep on each rate.
     @raise Bufsize_numeric.Lu.Singular if a dense evaluation meets a
-    policy that is not unichain (the system is singular). *)
+    policy that is not unichain (the system is singular).
+    @raise Invalid_argument if [workspace] was made for another number of
+    states. *)
 
 val evaluate_deterministic : Ctmdp.t -> int array -> float * Bufsize_numeric.Vec.t
 (** [(g_c, h_c)] of the dense evaluation, whatever the size.
     @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}. *)
 
 val solve :
-  ?max_iter:int -> ?tol:float -> ?weights:float * float -> ?warm:line -> Ctmdp.t -> result
+  ?max_iter:int ->
+  ?tol:float ->
+  ?weights:float * float ->
+  ?warm:line ->
+  ?workspace:workspace ->
+  Ctmdp.t ->
+  result
 (** Policy iteration at [weights] (default [(1., 0.)], the cost alone;
     [(1., p)] is price [p], [(0., 1.)] the least usage), from [warm] — a
     line of this model, whose policy is not evaluated again, so a warm
@@ -54,8 +78,12 @@ val solve :
     or else from the first action everywhere.  [tol] (default [1e-9]) is
     the improvement threshold guarding against cycling on ties;
     [max_iter] (default [1000]) caps the evaluations.  Each dense
-    evaluation refactorizes one workspace in place.  Counters:
+    evaluation refactorizes [workspace] (default: a fresh one) in place.
+    The improvement sweep values each action once per state, the
+    incumbent included.  Counters:
     [policy_iteration.factorizations] (dense evaluations),
     [policy_iteration.improvements] (improvement sweeps) and
     [policy_iteration.poisson_sweeps]; span: [policy_iteration.evaluate].
-    @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}. *)
+    @raise Bufsize_numeric.Lu.Singular as {!evaluate_line}.
+    @raise Invalid_argument as {!evaluate_line}, or if [warm] has another
+    length or chooses an action the model does not have. *)

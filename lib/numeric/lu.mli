@@ -3,7 +3,17 @@
 
     Used throughout the library: stationary distributions of CTMCs, the
     policy-evaluation equations of average-cost policy iteration, and Newton
-    steps for the monolithic nonlinear formulation. *)
+    steps for the monolithic nonlinear formulation.
+
+    The factors are stored column-major and eliminated column by column:
+    step [k] updates only the columns whose pivot-row entry is nonzero,
+    over the rows whose multiplier is nonzero, so its cost is the product
+    of those two counts rather than [(n-k)^2].  The pivots, and every
+    floating-point operation on every entry in its order, are those of
+    the textbook row-oriented loop, so the factors, solves and
+    determinant are bitwise that loop's.  (A skipped update is
+    [a - l * 0]; it is a no-op unless [a] is -0 or [l] is not finite,
+    and the elimination updates every column in those cases.) *)
 
 type factorization
 (** Opaque PA = LU factorization of a square matrix. *)
@@ -27,6 +37,23 @@ val refactorize : ?pivot_tol:float -> factorization -> Mat.t -> (unit, int) resu
     must not be used for solves until a later [refactorize] succeeds.
     @raise Invalid_argument if [m] is not square or its size differs from
     [dim f]. *)
+
+val create : int -> factorization
+(** [create n] is storage for an [n]x[n] factorization, for
+    {!refactorize} or {!refactorize_columns}; it holds no valid
+    factorization until one of them succeeds.
+    @raise Invalid_argument if [n] is negative. *)
+
+val refactorize_columns :
+  ?pivot_tol:float -> factorization -> (float array -> unit) -> (unit, int) result
+(** [refactorize_columns f fill] factorizes, in [f]'s storage, the matrix
+    that [fill] writes: [fill] receives the [n*n] storage zeroed and
+    writes entry [(i, j)] at index [j * n + i].  No transposition and no
+    intermediate {!Mat.t}: policy evaluation assembles its sparse system
+    straight into the storage.  [fill] must write no -0 entry (sums of
+    nonzero terms onto the zeroed entries never are); with one, the
+    factors could differ from {!refactorize}'s in the sign of a zero.
+    The result and [Error k] are as for {!refactorize}. *)
 
 val dim : factorization -> int
 (** Order of the factorized matrix. *)
@@ -62,6 +89,12 @@ val solve_transposed : factorization -> Vec.t -> Vec.t
 (** [solve_transposed f b] solves [A' x = b] using the factorization of
     [A] (PA = LU gives A' = U' L' P, two triangular solves and the inverse
     permutation).  This is the BTRAN operation of the revised simplex. *)
+
+val factors : factorization -> Mat.t * int array
+(** [factors f] is a row-major copy of the combined factors (L strictly
+    below the diagonal, its unit diagonal implied; U on and above) and of
+    the row permutation [p] (row [i] of PA is row [p.(i)] of A): for
+    inspection, and for tests against another elimination. *)
 
 val det : factorization -> float
 (** Determinant of the factorized matrix. *)

@@ -554,6 +554,9 @@ let current_gc () =
     major_words = Float.max st.Gc.major_words major;
   }
 
+(* [quick_stat] samples the heap size only at a collection, and a live
+   major heap is never empty: a [heap_words] of 0 was never measured and
+   prints [null]. *)
 let gc_tree st =
   let int n = Json.Num (float_of_int n) in
   Json.Obj
@@ -563,7 +566,7 @@ let gc_tree st =
       ("major_words", Json.Num st.Gc.major_words);
       ("minor_collections", int st.Gc.minor_collections);
       ("major_collections", int st.Gc.major_collections);
-      ("heap_words", int st.Gc.heap_words);
+      ("heap_words", if st.Gc.heap_words = 0 then Json.Null else int st.Gc.heap_words);
     ]
 
 let write_chrome_trace path =

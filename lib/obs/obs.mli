@@ -187,7 +187,10 @@ val metrics_tree : ?gc:Gc.stat -> metric_value list -> Bufsize_json.Json.t
     ([gc]).  The default snapshot is [Gc.quick_stat] with its word counts
     brought up to date without a collection: on OCaml 5 [quick_stat] adds
     the running domain's allocation only at a minor collection, so a run
-    that never collects would read 0 words.  The JSONL [gc] line of
+    that never collects would read 0 words.  [heap_words] is [null] when
+    the snapshot reads 0: [quick_stat] samples the heap size only at a
+    collection, a live major heap is never empty, and reading it live
+    ([Gc.stat]) would force a major cycle.  The JSONL [gc] line of
     {!write_jsonl} reads the same counts. *)
 
 val metrics_json : unit -> string

@@ -1,6 +1,7 @@
 module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
+module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Pool = Bufsize_pool.Pool
 module Resilience = Bufsize_resilience.Resilience
 module Obs = Bufsize_obs.Obs
@@ -129,24 +130,39 @@ let price_of (j : Lp_formulation.joint_solved) =
 
 (* Solve independent blocks under at most one shared occupancy bound,
    retrying without the bound when it cannot be met: (joint answer, bound
-   kept, price, diagnostic). *)
+   kept, price, diagnostic), and the price-0 lines of the first slack test
+   that completed. *)
 let solve_blocks ?map ?bound blocks =
-  match Constrained.solve_price ?map ?bound blocks with
-  | Some (Lp_formulation.Joint_optimal j), diag -> Some (j, true, price_of j, diag)
-  | _ when bound = None -> None
+  let outcome, diag, free = Constrained.solve_price ?map ?bound blocks in
+  match outcome with
+  | Some (Lp_formulation.Joint_optimal j) -> (Some (j, true, price_of j, diag), free)
+  | _ when bound = None -> (None, free)
   | _ -> (
-      match Constrained.solve_price ?map blocks with
-      | Some (Lp_formulation.Joint_optimal j), diag ->
-          Some (j, false, 0., demote unconstrained_note "unconstrained" diag)
-      | _ -> None)
+      let outcome, diag, retry_free = Constrained.solve_price ?map blocks in
+      let free = if free = None then retry_free else free in
+      match outcome with
+      | Some (Lp_formulation.Joint_optimal j) ->
+          (Some (j, false, 0., demote unconstrained_note "unconstrained" diag), free)
+      | _ -> (None, free))
+
+(* A subsystem's DAMQ shared pool, solved: the pool model, its answer,
+   the pool's price-0 line (its unconstrained optimum) when the slack test
+   completed, and the solve's diagnostic. *)
+type damq_pool = {
+  pool : Bus_model.Shared.t;
+  answer : Lp_formulation.solved;
+  pool_free : Policy_iteration.line option;
+  pool_diag : Resilience.diagnostic;
+}
 
 (* Re-solve one statically solved subsystem as a DAMQ shared pool of equal
    capacity (total static levels).  The static partition's admission rule
    is included as an action alternative, so the shared optimum can never
-   be worse; the pool's time-average occupancy is held to what the static
-   solution achieved (plus numerical slack) so the comparison does not
-   trade buffer space for loss. *)
-let damq_reeval ?(bound_occupancy = true) config (s : subsystem_solution) =
+   be worse.  [run] holds the pool's time-average occupancy to what the
+   static solution achieved (plus numerical slack) so the comparison does
+   not trade buffer space for loss; without [bound] the answer is the
+   pool's unconstrained optimum. *)
+let damq_reeval ?bound config (s : subsystem_solution) =
   let sub = Bus_model.subsystem s.model in
   let levels =
     Array.map (fun (c : Bus_model.client_model) -> c.Bus_model.levels) (Bus_model.clients s.model)
@@ -157,16 +173,17 @@ let damq_reeval ?(bound_occupancy = true) config (s : subsystem_solution) =
       ~max_states:(shared_guard config) ~capacity sub
   with
   | exception Invalid_argument msg -> Error msg
-  | shared -> (
-      let bound =
-        if bound_occupancy then
-          let used = s.solved.Lp_formulation.extras.(0) in
-          Some (used +. (1e-6 *. (1. +. Float.abs used)))
-        else None
-      in
-      match solve_blocks ?bound [| Bus_model.Shared.ctmdp shared |] with
-      | Some (j, _, _, diag) -> Ok (shared, j.Lp_formulation.components.(0), diag)
-      | None -> Error "shared-pool solve failed")
+  | pool -> (
+      match solve_blocks ?bound [| Bus_model.Shared.ctmdp pool |] with
+      | Some (j, _, _, pool_diag), free ->
+          Ok
+            {
+              pool;
+              answer = j.Lp_formulation.components.(0);
+              pool_free = Option.map (fun lines -> lines.(0)) free;
+              pool_diag;
+            }
+      | None, _ -> Error "shared-pool solve failed")
 
 let solve_subsystems ?pool config models =
   let total_levels =
@@ -190,14 +207,17 @@ let solve_subsystems ?pool config models =
           ~attrs:(fun () -> [ ("subsystems", string_of_int (Array.length ctmdps)) ])
           (fun () -> solve_blocks ~map ~bound:bound_levels ctmdps)
       with
-      | Some (j, active, price, diag) ->
+      | Some (j, active, price, diag), free ->
           ( j.Lp_formulation.components,
             j.Lp_formulation.total_gain,
             active,
             price,
             words_per_level,
-            [ ("joint", diag) ] )
-      | None -> fail ())
+            [ ("joint", diag) ],
+            match free with
+            | Some lines -> Array.map Option.some lines
+            | None -> Array.map (fun _ -> None) ctmdps )
+      | None, _ -> fail ())
   | Separate ->
       let shares =
         (* Divide the occupancy bound proportionally to represented levels. *)
@@ -215,10 +235,14 @@ let solve_subsystems ?pool config models =
           ~attrs:(fun () -> [ ("bus", bus_label models.(i)) ])
         @@ fun () ->
         match solve_blocks ~bound:shares.(i) [| m |] with
-        | Some (j, active, price, diag) -> (j.Lp_formulation.components.(0), active, price, diag)
-        | None -> fail ()
+        | Some (j, active, price, diag), free ->
+            ( (j.Lp_formulation.components.(0), active, price, diag),
+              Option.map (fun lines -> lines.(0)) free )
+        | None, _ -> fail ()
       in
       let solved = Pool.mapi_array ?pool solve_one ctmdps in
+      let free = Array.map snd solved in
+      let solved = Array.map fst solved in
       let solutions = Array.map (fun (s, _, _, _) -> s) solved in
       let active = Array.for_all (fun (_, a, _, _) -> a) solved in
       (* The report's price is the largest block price: the bound binds
@@ -228,32 +252,41 @@ let solve_subsystems ?pool config models =
         Array.to_list (Array.mapi (fun i (_, _, _, d) -> (bus_label models.(i), d)) solved)
       in
       let gain = Array.fold_left (fun acc s -> acc +. s.Lp_formulation.gain) 0. solutions in
-      (solutions, gain, active, price, words_per_level, health)
+      (solutions, gain, active, price, words_per_level, health, free)
 
 (* The expensive middle of [run] — CTMDP construction, the constrained
-   solve(s), and the occupancy / K-switching post-processing — is a deterministic
-   function of the post-profile subsystems and the numeric config, so it
-   is memoized in a process-wide exact-key cache.  The key prints every
-   number that feeds the computation losslessly (including the
-   [client_weight] closure {e evaluated} on each client — closures cannot
-   be compared, their values on the actual inputs can), so a hit replays
-   exactly what a recompute would produce.  Allocation and the occupancy
-   health check are recomputed fresh on hits: they also depend on the
-   caller's [traffic] value, which the key does not capture. *)
+   solve(s), the occupancy / K-switching post-processing and, under
+   [Damq], the shared routers' pool solves — is a deterministic function
+   of the post-profile subsystems, the routers marked shared and the
+   numeric config, so it is memoized in a process-wide exact-key cache.
+   The key prints every number that feeds the computation losslessly
+   (including the [client_weight] closure {e evaluated} on each client —
+   closures cannot be compared, their values on the actual inputs can),
+   so a hit replays exactly what a recompute would produce.  Allocation
+   and the occupancy health check are recomputed fresh on hits: they also
+   depend on the caller's [traffic] value, which the key does not
+   capture.  The price-0 lines and the pool solves are kept so that
+   [compare_sharing] needs no solve of its own. *)
 type cached = {
   c_solutions : subsystem_solution array;
-  c_total_gain : float;
   c_words_per_level : float;
   c_bound_active : bool;
   c_bound_price : float;
   c_lp_health : Resilience.health;
+  c_free : Policy_iteration.line option array;
+      (* per subsystem: its price-0 line, the unconstrained optimum *)
+  c_damq : (damq_pool, string) Stdlib.result option array;
+      (* per subsystem: its bounded pool solve, under [Damq] on a router
+         marked shared *)
+  c_damq_health : Resilience.health;
+  c_predicted_loss_rate : float;
 }
 
 let cache : cached Solve_cache.t = Solve_cache.create ~capacity:16 "sizing"
 
 let cache_stats () = (Solve_cache.hits cache, Solve_cache.misses cache)
 
-let cache_key config (subsystems : Splitting.subsystem array) =
+let cache_key config ~shared (subsystems : Splitting.subsystem array) =
   let buf = Buffer.create 512 in
   let fstr = Solve_cache.float_repr in
   Buffer.add_string buf
@@ -264,7 +297,8 @@ let cache_key config (subsystems : Splitting.subsystem array) =
   Array.iter
     (fun (s : Splitting.subsystem) ->
       Buffer.add_string buf
-        (Printf.sprintf "sub %d bus %d name %s mu %s:" s.Splitting.index s.Splitting.bus
+        (Printf.sprintf "sub %d bus %d%s name %s mu %s:" s.Splitting.index s.Splitting.bus
+           (if shared s.Splitting.bus then " shared" else "")
            s.Splitting.bus_name
            (fstr s.Splitting.service_rate));
       List.iter
@@ -280,7 +314,47 @@ let cache_key config (subsystems : Splitting.subsystem array) =
     subsystems;
   Buffer.contents buf
 
-let run ?measured_rates ?pool config traffic =
+(* Under [Damq], the routers marked shared are re-solved as a shared pool
+   of equal capacity; the allocation stays the static one (its per-client
+   words become the pool the bus draws from at runtime), only the
+   predicted loss reflects the dynamic sharing: (pool solves, health,
+   predicted loss). *)
+let damq_stage config traffic solutions total_gain =
+  match config.sharing with
+  | Static -> (Array.map (fun _ -> None) solutions, [], total_gain)
+  | Damq ->
+      let topo = Traffic.topology traffic in
+      let delta = ref 0. in
+      let health = ref [] in
+      let pools =
+        Array.map
+          (fun s ->
+            let bus = (Bus_model.subsystem s.model).Splitting.bus in
+            if not (Topology.shared_buffer topo bus) then None
+            else begin
+              let label = bus_label s.model ^ "-damq" in
+              let used = s.solved.Lp_formulation.extras.(0) in
+              let r = damq_reeval ~bound:(used +. (1e-6 *. (1. +. Float.abs used))) config s in
+              (match r with
+              | Ok d ->
+                  let g =
+                    Float.min d.answer.Lp_formulation.gain s.solved.Lp_formulation.gain
+                  in
+                  delta := !delta +. (s.solved.Lp_formulation.gain -. g);
+                  health := (label, d.pool_diag) :: !health
+              | Error msg ->
+                  health :=
+                    ( label,
+                      Resilience.degraded ~solver:label ("kept static partition: " ^ msg) )
+                    :: !health);
+              Some r
+            end)
+          solutions
+      in
+      (pools, List.rev !health, total_gain -. !delta)
+
+(* [run], and the payload that [compare_sharing] reuses. *)
+let solve ?measured_rates ?pool config traffic =
   Obs.span ~name:"sizing.run"
     ~attrs:(fun () -> [ ("budget", string_of_int config.budget) ])
   @@ fun () ->
@@ -310,7 +384,12 @@ let run ?measured_rates ?pool config traffic =
   in
   let subsystems = Array.map apply_profile split.Splitting.subsystems in
   Obs.add m_subsystems (Array.length subsystems);
-  let key = cache_key config subsystems in
+  let shared =
+    match config.sharing with
+    | Static -> fun _ -> false
+    | Damq -> Topology.shared_buffer (Traffic.topology traffic)
+  in
+  let key = cache_key config ~shared subsystems in
   let payload =
     match Solve_cache.find cache key with
     | Some p -> p
@@ -325,7 +404,7 @@ let run ?measured_rates ?pool config traffic =
                     ~max_states:config.max_states s))
             subsystems
         in
-        let solved, total_gain, bound_active, bound_price, words_per_level, lp_health =
+        let solved, total_gain, bound_active, bound_price, words_per_level, lp_health, free =
           solve_subsystems ?pool config models
         in
         let solutions =
@@ -350,19 +429,26 @@ let run ?measured_rates ?pool config traffic =
               { model; solved = s; switching; occupancy; requirements })
             models
         in
+        let damq, damq_health, predicted_loss_rate =
+          damq_stage config traffic solutions total_gain
+        in
         let payload =
           {
             c_solutions = solutions;
-            c_total_gain = total_gain;
             c_words_per_level = words_per_level;
             c_bound_active = bound_active;
             c_bound_price = bound_price;
             c_lp_health = lp_health;
+            c_free = free;
+            c_damq = damq;
+            c_damq_health = damq_health;
+            c_predicted_loss_rate = predicted_loss_rate;
           }
         in
         (* Degraded solves may depend on wall-clock budgets; only the
            deterministic clean path is worth replaying. *)
-        if Resilience.health_ok lp_health then Solve_cache.add cache key payload;
+        if Resilience.health_ok lp_health && Resilience.health_ok damq_health then
+          Solve_cache.add cache key payload;
         payload
   in
   let solutions = payload.c_solutions in
@@ -396,49 +482,20 @@ let run ?measured_rates ?pool config traffic =
            (label ^ "-occupancy", d))
          solutions)
   in
-  (* Under [Damq], buses marked shared in the topology are re-solved as a
-     shared pool of equal capacity; the allocation stays the static one
-     (its per-client words become the pool the bus draws from at runtime),
-     only the predicted loss reflects the dynamic sharing. *)
-  let damq_health, predicted_loss_rate =
-    match config.sharing with
-    | Static -> ([], payload.c_total_gain)
-    | Damq ->
-        let topo = Traffic.topology traffic in
-        let delta = ref 0. in
-        let health = ref [] in
-        Array.iter
-          (fun s ->
-            let bus = (Bus_model.subsystem s.model).Splitting.bus in
-            if Topology.shared_buffer topo bus then begin
-              let label = bus_label s.model ^ "-damq" in
-              match damq_reeval config s with
-              | Ok (_, d, diag) ->
-                  let g =
-                    Float.min d.Lp_formulation.gain s.solved.Lp_formulation.gain
-                  in
-                  delta := !delta +. (s.solved.Lp_formulation.gain -. g);
-                  health := (label, diag) :: !health
-              | Error msg ->
-                  health :=
-                    ( label,
-                      Resilience.degraded ~solver:label ("kept static partition: " ^ msg) )
-                    :: !health
-            end)
-          solutions;
-        (List.rev !health, payload.c_total_gain -. !delta)
-  in
-  {
-    config;
-    split;
-    solutions;
-    allocation;
-    predicted_loss_rate;
-    words_per_level = payload.c_words_per_level;
-    budget_bound_active = payload.c_bound_active;
-    bound_price = payload.c_bound_price;
-    health = payload.c_lp_health @ damq_health @ occupancy_health;
-  }
+  ( {
+      config;
+      split;
+      solutions;
+      allocation;
+      predicted_loss_rate = payload.c_predicted_loss_rate;
+      words_per_level = payload.c_words_per_level;
+      budget_bound_active = payload.c_bound_active;
+      bound_price = payload.c_bound_price;
+      health = payload.c_lp_health @ payload.c_damq_health @ occupancy_health;
+    },
+    payload )
+
+let run ?measured_rates ?pool config traffic = fst (solve ?measured_rates ?pool config traffic)
 
 type sharing_entry = {
   cmp_bus : Topology.bus_id;
@@ -468,7 +525,7 @@ type sharing_report = {
 let delay_of ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss)
 
 let compare_sharing ?pool config traffic =
-  let result = run ?pool config traffic in
+  let result, payload = solve ?pool config traffic in
   let topo = Traffic.topology traffic in
   (* Compare the buses marked shared; with none marked, compare them all
      (the CLI's mesh constructor path marks every router). *)
@@ -479,8 +536,8 @@ let compare_sharing ?pool config traffic =
   in
   let entries = ref [] in
   let skipped = ref [] in
-  Array.iter
-    (fun (s : subsystem_solution) ->
+  Array.iteri
+    (fun i (s : subsystem_solution) ->
       let sub = Bus_model.subsystem s.model in
       let bus = sub.Splitting.bus in
       if is_target bus then begin
@@ -492,11 +549,22 @@ let compare_sharing ?pool config traffic =
         in
         let capacity = Bus_model.total_levels s.model in
         (* Static partition at its solved levels, unconstrained: the best
-           loss the partition itself allows. *)
+           loss the partition itself allows — [run]'s price-0 line for this
+           subsystem, or else a solve of its own. *)
         let static_eval () =
-          match solve_blocks [| Bus_model.ctmdp s.model |] with
-          | Some (j, _, _, _) ->
-              let st = j.Lp_formulation.components.(0) in
+          let unconstrained =
+            match payload.c_free.(i) with
+            | Some line ->
+                Some
+                  (Constrained.deterministic_solved (Bus_model.ctmdp s.model)
+                     line.Policy_iteration.choice)
+            | None -> (
+                match solve_blocks [| Bus_model.ctmdp s.model |] with
+                | Some (j, _, _, _), _ -> Some j.Lp_formulation.components.(0)
+                | None, _ -> None)
+          in
+          match unconstrained with
+          | Some st ->
               let occupancy =
                 Bus_model.occupancy_distribution s.model st.Lp_formulation.policy
               in
@@ -509,15 +577,27 @@ let compare_sharing ?pool config traffic =
                   0. occupancy
               in
               Ok (st.Lp_formulation.gain, expected)
-          | _ -> Error "static solve failed"
+          | None -> Error "static solve failed"
         in
+        (* The pool's unconstrained optimum: [run]'s pool and its price-0
+           line, or else a pool built and solved here (under [Static], on
+           a router [run] did not re-solve, or when [run]'s slack test
+           did not complete). *)
         let damq_eval () =
-          match damq_reeval ~bound_occupancy:false config s with
-          | Ok (shared, d, _) ->
-              Ok
-                ( d.Lp_formulation.gain,
-                  Bus_model.Shared.expected_total shared d.Lp_formulation.policy )
-          | Error msg -> Error msg
+          let unconstrained =
+            match payload.c_damq.(i) with
+            | Some (Ok { pool; pool_free = Some line; _ }) ->
+                Ok
+                  ( pool,
+                    Constrained.deterministic_solved (Bus_model.Shared.ctmdp pool)
+                      line.Policy_iteration.choice )
+            | _ -> Result.map (fun d -> (d.pool, d.answer)) (damq_reeval config s)
+          in
+          Result.map
+            (fun (pool, d) ->
+              ( d.Lp_formulation.gain,
+                Bus_model.Shared.expected_total pool d.Lp_formulation.policy ))
+            unconstrained
         in
         match (static_eval (), damq_eval ()) with
         | Ok (static_loss, static_en), Ok (damq_loss, damq_en) ->

@@ -141,7 +141,18 @@ val compare_sharing :
     the decoupled per-client M/M/1 baseline — over the buses marked
     shared (all buses when none is marked).  [total_damq_loss <=
     total_static_loss] always: the static partition's admission rule is
-    representable in the shared-pool CTMDP. *)
+    representable in the shared-pool CTMDP.
+
+    The comparison solves nothing that {!run} already solved.  Both
+    unconstrained optima it reports are the price-0 lines of [run]'s own
+    slack tests ({!Bufsize_mdp.Constrained.solve_price}): a subsystem's
+    line from the joint (or separate) solve, and, under [Damq], a shared
+    router's pool and its line from the bounded pool solve.  Each becomes
+    an answer by {!Bufsize_mdp.Constrained.deterministic_solved} (one
+    stationary solve), bitwise the answer a fresh unconstrained solve
+    would give.  A pool is built and solved here only where [run] made
+    none — under [Static], on a router not marked shared, or when [run]'s
+    slack test did not complete (the static block likewise). *)
 
 val pp_sharing_report : Format.formatter -> sharing_report -> unit
 
@@ -150,13 +161,16 @@ val requirements_of_solution : result -> (Topology.bus_id * Traffic.client * flo
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the sizing-level solve cache.  {!run} memoizes its
-    expensive middle — CTMDP construction, the constrained solve(s), and the
-    occupancy / K-switching post-processing — in a process-wide exact-key
+    expensive middle — CTMDP construction, the constrained solve(s), the
+    occupancy / K-switching post-processing and, under [Damq], the shared
+    routers' pool solves — in a process-wide exact-key
     {!Bufsize_numeric.Solve_cache} keyed on a lossless print of the
-    post-profile subsystems and every numeric config field (with
-    [client_weight] evaluated per client).  A hit replays exactly what a
-    recompute would produce; allocation and the occupancy health check are
-    recomputed fresh.  Only clean (all-[Ok]) solves are stored.  Disable
+    post-profile subsystems, the routers marked shared (under [Damq]) and
+    every numeric config field (with [client_weight] evaluated per
+    client).  A hit replays exactly what a recompute would produce, the
+    price-0 lines {!compare_sharing} reuses included; allocation and the
+    occupancy health check are recomputed fresh.  Only clean solves are
+    stored: every constrained solve and every pool solve [Ok].  Disable
     process-wide with {!Bufsize_numeric.Solve_cache.set_enabled}. *)
 
 val pp_summary : Format.formatter -> result -> unit

@@ -1120,7 +1120,44 @@ let check_topo_case (c : topo_case) =
             (* DAMQ never worse: at equal capacity the shared pool's
                unconstrained LP optimum cannot exceed the static
                partition's — the static admission rule is one of its
-               actions.  Checked on the raw LP gains, per subsystem. *)
+               actions.  Checked on the raw LP gains, per subsystem.  The
+               same two LP gains are the reference for the report of
+               [Sizing.compare_sharing] under DAMQ, whose answers are the
+               price-0 lines of [Sizing.run]'s own solves: its static
+               loss is the static gain, its DAMQ loss the smaller of
+               the two. *)
+            let report =
+              lazy
+                (snd
+                   (Sizing.compare_sharing
+                      {
+                        (Sizing.default_config ~budget:c.topo_budget) with
+                        Sizing.max_states = c.topo_max_states;
+                        sharing = Sizing.Damq;
+                      }
+                      traffic))
+            in
+            let matches_report (sub : Splitting.subsystem) ~sg ~dg ~tol =
+              match
+                List.find_opt
+                  (fun e -> e.Sizing.cmp_bus = sub.Splitting.bus)
+                  (Lazy.force report).Sizing.entries
+              with
+              | exception Failure msg -> failf "compare_sharing failed: %s" msg
+              | None ->
+                  (* compared: the buses marked shared, or all when none is *)
+                  let marked = Topology.shared_buses topo in
+                  if marked <> [] && not (List.mem sub.Splitting.bus marked) then Pass
+                  else failf "bus %s: no compare_sharing entry" sub.Splitting.bus_name
+              | Some e ->
+                  if Float.abs (e.Sizing.static_loss -. sg) > tol then
+                    failf "bus %s: compare_sharing static loss %.12g, LP %.12g"
+                      sub.Splitting.bus_name e.Sizing.static_loss sg
+                  else if Float.abs (e.Sizing.damq_loss -. Float.min dg sg) > tol then
+                    failf "bus %s: compare_sharing DAMQ loss %.12g, LP min %.12g"
+                      sub.Splitting.bus_name e.Sizing.damq_loss (Float.min dg sg)
+                  else Pass
+            in
             all_of
               (Array.to_list split.Splitting.subsystems
               |> List.map (fun (sub : Splitting.subsystem) () ->
@@ -1154,7 +1191,7 @@ let check_topo_case (c : topo_case) =
                                    if dg < -.tol then
                                      failf "bus %s: negative shared-pool loss %.12g"
                                        sub.Splitting.bus_name dg
-                                   else if dg <= sg +. tol then Pass
+                                   else if dg <= sg +. tol then matches_report sub ~sg ~dg ~tol
                                    else
                                      failf
                                        "bus %s: shared pool loses %.12g, static partition %.12g"
@@ -1331,7 +1368,7 @@ let check_price_case (c : price_case) =
         models,
       Constrained.solve_price ~bound models )
   with
-  | Lp_formulation.Joint_optimal lp, (Some (Lp_formulation.Joint_optimal j), diag) ->
+  | Lp_formulation.Joint_optimal lp, (Some (Lp_formulation.Joint_optimal j), diag, _) ->
       let g = lp.Lp_formulation.total_gain in
       let price = -.j.Lp_formulation.shared_duals.(0) in
       all_of
@@ -1374,7 +1411,7 @@ let check_price_case (c : price_case) =
             in
             if randomized <= 1 then Pass else failf "%d randomized states (at most 1)" randomized);
         ]
-  | Lp_formulation.Joint_optimal _, (_, diag) ->
+  | Lp_formulation.Joint_optimal _, (_, diag, _) ->
       failf "LP optimal, price path not: %s" (Format.asprintf "%a" Resilience.pp diag)
   | _ -> failf "joint LP not optimal at a bound above the least usage"
 

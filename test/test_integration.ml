@@ -219,6 +219,27 @@ let check_input_error args expected () =
       Alcotest.(check string) "message" ("error: " ^ expected ^ "\n")
         (In_channel.with_open_bin err In_channel.input_all))
 
+(* A short run that never collects: its metrics object prints the heap
+   size that [Gc.quick_stat] never sampled as null, not as 0 words. *)
+let test_kron_heap_words_unsampled () =
+  let out = Filename.temp_file "metrics" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let args = [ "kron"; "--kx"; "8"; "--ky"; "8"; "--metrics-json"; out ] in
+      let cmd = Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null args in
+      Alcotest.(check int) "exit code" 0 (Sys.command cmd);
+      let gc =
+        Test_json.member_exn "gc"
+          (Test_json.parse_exn (In_channel.with_open_bin out In_channel.input_all))
+      in
+      Alcotest.(check bool) "major words counted" true
+        (Test_json.(to_number (member_exn "major_words" gc)) > 0.);
+      match Test_json.member_exn "heap_words" gc with
+      | Bufsize_json.Json.Null -> ()
+      | v ->
+          Alcotest.(check bool) "heap_words null or positive" true (Test_json.to_number v > 0.))
+
 let below n buffers =
   Printf.sprintf "budget %d words is below the %d buffers to size (each needs at least one word)"
     n buffers
@@ -260,6 +281,7 @@ let () =
             (check_input_error [ "experiment"; "-b"; "4" ] (below 4 6));
           Alcotest.test_case "dot budget below buffers" `Quick
             (check_input_error [ "dot"; "--annotate"; "2" ] (below 2 6));
+          Alcotest.test_case "kron heap_words unsampled" `Quick test_kron_heap_words_unsampled;
           Alcotest.test_case "serve unbindable socket" `Quick
             (check_input_error
                [ "serve"; "--socket"; unbindable_socket ]

@@ -596,7 +596,7 @@ let test_vi_value_bounded_by_cost_over_alpha () =
 let test_constrained_wrapper () =
   let m = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
   match Constrained.solve_price ~bound:1.2 [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag ->
+  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
       Alcotest.(check bool) "diagnostic ok" true (Resilience.is_ok diag);
       let c = j.Lp_formulation.components.(0) in
       check_close 1e-6 "gain check consistent" c.Lp_formulation.gain
@@ -626,7 +626,7 @@ let test_constrained_lagrangian () =
     | _ -> Alcotest.fail "constrained LP failed"
   in
   match Constrained.solve_price ~bound [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag ->
+  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
       Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
       let price = -.j.Lp_formulation.shared_duals.(0) in
       Alcotest.(check bool) "positive price" true (price > 0.);
@@ -645,7 +645,7 @@ let test_constrained_lagrangian_slack () =
   (* A generous budget: price 0 and the unconstrained optimum. *)
   let m = admission_ctmdp ~lambda:1. ~mu:3. ~k:4 in
   match Constrained.solve_price ~bound:100. [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag ->
+  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
       Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
       check_close 1e-12 "zero price" 0. j.Lp_formulation.shared_duals.(0);
       let pi = Policy_iteration.solve m in
@@ -692,7 +692,7 @@ let test_price_falls_back_to_lp () =
       in
       Alcotest.(check int) (what ^ ": one LP fallback") 1 (Obs.counter_value fallbacks - f0);
       match outcome with
-      | Some (Lp_formulation.Joint_optimal j), diag ->
+      | Some (Lp_formulation.Joint_optimal j), diag, _ ->
           Alcotest.(check (list string)) (what ^ ": fallback named") [ "lp" ]
             diag.Resilience.fallbacks;
           let why = Option.value ~default:"" (Resilience.status_reason diag.Resilience.status) in

@@ -195,6 +195,238 @@ let test_lu_sparse_solve_matches_dense () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:500 ~name:"sparse-aware solve = dense loops" gen prop)
 
+(* The row-oriented elimination [Lu] ran before it stored its factors by
+   columns, kept here as the reference: a row-major matrix, the pivot
+   search and the multipliers down column k with stride n, every trailing
+   entry of a row with a nonzero multiplier updated, and the same
+   sparse-aware substitutions.  [Lu] must match it bit for bit, signs of
+   zero and NaN payloads included. *)
+module Row_lu = struct
+  type t = { lu : Mat.t; perm : int array; sign : float }
+
+  let factorize ?(pivot_tol = 1e-12) m =
+    let n = m.Mat.rows in
+    let lu = Mat.copy m in
+    let a = lu.Mat.data in
+    let perm = Array.init n Fun.id in
+    let sign = ref 1. in
+    for k = 0 to n - 1 do
+      let kbase = k * n in
+      let pivot_row = ref k in
+      let best = ref (Float.abs a.(kbase + k)) in
+      for i = k + 1 to n - 1 do
+        let v = Float.abs a.((i * n) + k) in
+        if v > !best then begin
+          pivot_row := i;
+          best := v
+        end
+      done;
+      if !pivot_row <> k then begin
+        Mat.swap_rows lu k !pivot_row;
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!pivot_row);
+        perm.(!pivot_row) <- tmp;
+        sign := -. !sign
+      end;
+      let pivot = a.(kbase + k) in
+      if Float.abs pivot < pivot_tol then raise (Lu.Singular k);
+      for i = k + 1 to n - 1 do
+        let ibase = i * n in
+        let factor = a.(ibase + k) /. pivot in
+        a.(ibase + k) <- factor;
+        if factor <> 0. then
+          for j = k + 1 to n - 1 do
+            a.(ibase + j) <- a.(ibase + j) -. (factor *. a.(kbase + j))
+          done
+      done
+    done;
+    { lu; perm; sign = !sign }
+
+  let solve_into { lu; perm; _ } b x =
+    let n = lu.Mat.rows and data = lu.Mat.data in
+    let idx = Array.make n 0 in
+    let nnz = ref 0 in
+    for i = 0 to n - 1 do
+      let acc = ref b.(perm.(i)) in
+      for k = 0 to !nnz - 1 do
+        let j = idx.(k) in
+        acc := !acc -. (data.((i * n) + j) *. x.(j))
+      done;
+      x.(i) <- !acc;
+      if !acc <> 0. then begin
+        idx.(!nnz) <- i;
+        incr nnz
+      end
+    done;
+    nnz := 0;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for k = !nnz - 1 downto 0 do
+        let j = idx.(k) in
+        acc := !acc -. (data.((i * n) + j) *. x.(j))
+      done;
+      let v = !acc /. data.((i * n) + i) in
+      x.(i) <- v;
+      if v <> 0. then begin
+        idx.(!nnz) <- i;
+        incr nnz
+      end
+    done
+
+  let solve_transposed { lu; perm; _ } b =
+    let n = lu.Mat.rows and data = lu.Mat.data in
+    let z = Array.copy b in
+    for i = 0 to n - 1 do
+      let acc = ref z.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (data.((j * n) + i) *. z.(j))
+      done;
+      z.(i) <- !acc /. data.((i * n) + i)
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref z.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (data.((j * n) + i) *. z.(j))
+      done;
+      z.(i) <- !acc
+    done;
+    let x = Array.make n 0. in
+    Array.iteri (fun i p -> x.(p) <- z.(i)) perm;
+    x
+
+  let det { lu; sign; _ } =
+    let acc = ref sign in
+    for i = 0 to lu.Mat.rows - 1 do
+      acc := !acc *. Mat.get lu i i
+    done;
+    !acc
+end
+
+let same_bits u v = Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)
+let same_vec u v = Array.length u = Array.length v && Array.for_all2 same_bits u v
+
+(* A generator-shaped evaluation system, as policy evaluation builds it:
+   row s holds a CTMC generator row (a few positive rates, the exit rate
+   negated on the diagonal) and -1 in the dense gain column n; row n
+   pins h(0). *)
+let generator_system n rates =
+  let a = Mat.zeros (n + 1) (n + 1) in
+  List.iter
+    (fun (s, j, r) ->
+      let s = s mod n and j = j mod n in
+      if s <> j then begin
+        Mat.set a s j (Mat.get a s j +. r);
+        Mat.set a s s (Mat.get a s s -. r)
+      end)
+    rates;
+  for s = 0 to n - 1 do
+    Mat.set a s n (-1.)
+  done;
+  Mat.set a n 0 1.;
+  a
+
+(* Every observable of [Lu] against [Row_lu] on one matrix: the factors
+   (through [Lu.factorize], [Lu.refactorize] into reused storage and
+   [Lu.refactorize_columns]), the determinant, both solves on a dense and
+   a sparse right-hand side, or the same [Singular] step. *)
+let lu_matches_rows a b_dense b_sparse =
+  let n = a.Mat.rows in
+  let fill data =
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        data.((j * n) + i) <- Mat.get a i j
+      done
+    done
+  in
+  let columns () =
+    let f = Lu.create n in
+    match Lu.refactorize_columns f fill with Ok () -> Ok f | Error k -> Error k
+  in
+  let reused () =
+    let f = Lu.create n in
+    match Lu.refactorize f a with Ok () -> Ok f | Error k -> Error k
+  in
+  let has_negative_zero = Array.exists (fun x -> x = 0. && 1. /. x < 0.) a.Mat.data in
+  match (Row_lu.factorize a, Lu.try_factorize a) with
+  | exception Lu.Singular k -> (
+      match Lu.try_factorize a with
+      | Ok _ -> false
+      | Error k' ->
+          k = k'
+          && reused () = Error k
+          && (has_negative_zero || match columns () with Error k' -> k = k' | Ok _ -> false))
+  | _, Error _ -> false
+  | r, Ok f ->
+      let agrees f =
+        let lu, perm = Lu.factors f in
+        same_vec lu.Mat.data r.Row_lu.lu.Mat.data
+        && perm = r.Row_lu.perm
+        && same_bits (Lu.det f) (Row_lu.det r)
+        && List.for_all
+             (fun b ->
+               let x = Array.make n nan and x_ref = Array.make n nan in
+               Lu.solve_into f ~idx:(Array.make n (-1)) b x;
+               Row_lu.solve_into r b x_ref;
+               same_vec x x_ref
+               && same_vec (Lu.solve_transposed f b) (Row_lu.solve_transposed r b))
+             [ b_dense; b_sparse ]
+      in
+      agrees f
+      && (match reused () with Ok f -> agrees f | Error _ -> false)
+      (* [refactorize_columns] asks for no -0 entry. *)
+      && (has_negative_zero || match columns () with Ok f -> agrees f | Error _ -> false)
+
+let test_lu_bitwise_row_oriented () =
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        let* shape = int_range 0 5 in
+        let* n = int_range 1 (if shape = 2 then 24 else 12) in
+        let value = float_range (-1.) 1. in
+        let sparse = frequency [ (3, return 0.); (2, value) ] in
+        let square entry = map (fun e -> Mat.init n n (fun i j -> e.((i * n) + j))) entry in
+        let* a =
+          match shape with
+          | 0 -> square (array_size (return (n * n)) value)
+          | 1 -> square (array_size (return (n * n)) sparse)
+          | 2 ->
+              let* rates =
+                list_size (int_range n (4 * n))
+                  (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (float_range 0.01 5.))
+              in
+              return (generator_system n rates)
+          | 3 ->
+              (* rank-deficient: a duplicated row, or a zero column *)
+              let* e = array_size (return (n * n)) sparse in
+              let* i = int_range 0 (n - 1) in
+              let* dup = bool in
+              return
+                (Mat.init n n (fun r c ->
+                     if dup && r = i then e.(c)
+                     else if (not dup) && c = i then 0.
+                     else e.((r * n) + c)))
+          | 4 ->
+              (* -0 entries: the elimination updates every column *)
+              square
+                (array_size (return (n * n))
+                   (frequency [ (2, return (-0.)); (1, return 0.); (2, value) ]))
+          | _ ->
+              (* one infinite or NaN entry *)
+              let* e = array_size (return (n * n)) sparse in
+              let* p = int_range 0 ((n * n) - 1) in
+              let* bad = oneofl [ infinity; neg_infinity; nan ] in
+              return (Mat.init n n (fun i j -> if (i * n) + j = p then bad else e.((i * n) + j)))
+        in
+        let dim = a.Mat.rows in
+        let* b_dense = array_size (return dim) (float_range (-5.) 5.) in
+        let* keep = int_range 0 (dim - 1) in
+        let b_sparse = Array.init dim (fun i -> if i = keep then 1. else 0.) in
+        return (a, b_dense, b_sparse))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:1000 ~name:"Lu = row-oriented elimination, bitwise" gen
+       (fun (a, b_dense, b_sparse) -> lu_matches_rows a b_dense b_sparse))
+
 (* -------------------------------------------------------------- Simplex *)
 
 let std ~nrows ~ncols a b c = { Simplex.nrows; ncols; a; b; c }
@@ -813,6 +1045,8 @@ let () =
           Alcotest.test_case "random roundtrip (property)" `Quick test_lu_random_roundtrip;
           Alcotest.test_case "sparse-aware solve = dense loops (property)" `Quick
             test_lu_sparse_solve_matches_dense;
+          Alcotest.test_case "bitwise the row-oriented elimination (property)" `Quick
+            test_lu_bitwise_row_oriented;
         ] );
       ( "simplex",
         [

@@ -264,6 +264,23 @@ let test_gc_counts_current () =
     true
     (after -. before >= float_of_int n)
 
+(* A heap size that [Gc.quick_stat] never sampled (no collection yet)
+   reads 0; the default tree prints it as null, never as an empty heap,
+   and an unsampled snapshot prints null too. *)
+let test_gc_heap_words_never_zero () =
+  let heap_words gc =
+    Test_json.member_exn "heap_words" (Test_json.member_exn "gc" (Obs.metrics_tree ?gc []))
+  in
+  (match heap_words None with
+  | Bufsize_json.Json.Null -> ()
+  | v ->
+      Alcotest.(check bool)
+        "default tree: heap_words null or positive" true
+        (Test_json.to_number v > 0.));
+  match heap_words (Some { (Gc.quick_stat ()) with Gc.heap_words = 0 }) with
+  | Bufsize_json.Json.Null -> ()
+  | v -> Alcotest.failf "unsampled heap printed as %s" (Bufsize_json.Json.encode v)
+
 (* The metrics object and the JSONL metric lines, byte for byte, on a
    fixed registry: a counter, an unset (NaN) gauge and a histogram with
    an interpolated p50.  The expected strings are what the hand-printed
@@ -608,6 +625,7 @@ let () =
             test_jsonl_and_metrics_json_well_formed;
           Alcotest.test_case "metrics text pinned" `Quick test_metrics_text_pinned;
           Alcotest.test_case "gc counts without a collection" `Quick test_gc_counts_current;
+          Alcotest.test_case "gc heap_words never 0" `Quick test_gc_heap_words_never_zero;
         ] );
       ( "only-observes",
         [

@@ -1064,7 +1064,7 @@ let test_damq_pool_price_vs_lp () =
   let static, shared = g_r2c2 () in
   let used =
     match Constrained.solve_price [| Bus_model.ctmdp static |] with
-    | Some (Lp_formulation.Joint_optimal j), _ -> j.Lp_formulation.shared_extras.(0)
+    | Some (Lp_formulation.Joint_optimal j), _, _ -> j.Lp_formulation.shared_extras.(0)
     | _ -> Alcotest.fail "static solve failed"
   in
   let bound = used +. (1e-6 *. (1. +. Float.abs used)) in
@@ -1074,7 +1074,7 @@ let test_damq_pool_price_vs_lp () =
     | _ -> Alcotest.fail "joint LP not optimal"
   in
   match Constrained.solve_price ~bound [| shared |] with
-  | Some (Lp_formulation.Joint_optimal j), diag ->
+  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
       Alcotest.(check bool) "no fallback" true (Bufsize_resilience.Resilience.is_ok diag);
       let price = -.j.Lp_formulation.shared_duals.(0) in
       Alcotest.(check bool) "the bound binds" true (price > 0.);
@@ -1175,7 +1175,7 @@ let test_netproc_price_vs_lp () =
       in
       let priced, diag =
         match Constrained.solve_price ~bound ctmdps with
-        | Some (Lp_formulation.Joint_optimal j), diag -> (j, diag)
+        | Some (Lp_formulation.Joint_optimal j), diag, _ -> (j, diag)
         | _ -> Alcotest.fail (name "price solve failed")
       in
       Alcotest.(check bool) (name "no fallback") true (Bufsize_resilience.Resilience.is_ok diag);
@@ -1238,6 +1238,147 @@ let test_compare_sharing_damq_le_static () =
         Alcotest.failf "n=%d: damq loss %g > static loss %g" n report.Sizing.total_damq_loss
           report.Sizing.total_static_loss)
     [ 2; 3 ]
+
+(* [compare_sharing] reuses [run]'s solves: the static blocks' and the
+   pools' price-0 lines.  With the sizing cache off, under [Damq] it adds
+   no policy-iteration factorization to [run]'s, and under both sharing
+   modes its report is bitwise the recipe it replaced, written out here:
+   per router, a fresh unconstrained solve of the static block, and a
+   fresh pool build with an unconstrained solve of its own. *)
+let test_compare_sharing_reuses_run () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Constrained = Bufsize_mdp.Constrained in
+  let module Solve_cache = Bufsize_numeric.Solve_cache in
+  let factorizations = Obs.counter "policy_iteration.factorizations" in
+  let counted f =
+    Obs.enable_metrics ();
+    let f0 = Obs.counter_value factorizations in
+    let r = Fun.protect ~finally:Obs.disable f in
+    (r, Obs.counter_value factorizations - f0)
+  in
+  let unconstrained ctmdp =
+    match Constrained.solve_price [| ctmdp |] with
+    | Some (Lp_formulation.Joint_optimal j), _, _ -> j.Lp_formulation.components.(0)
+    | _ -> Alcotest.fail "unconstrained solve failed"
+  in
+  let delay ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss) in
+  let bits x = Printf.sprintf "%h" x in
+  let old_entry config (s : Sizing.subsystem_solution) =
+    let sub = Bus_model.subsystem s.Sizing.model in
+    let offered =
+      Array.fold_left
+        (fun acc c -> acc +. c.Bus_model.arrival_rate)
+        0.
+        (Bus_model.loaded_clients s.Sizing.model)
+    in
+    let st = unconstrained (Bus_model.ctmdp s.Sizing.model) in
+    let static_en =
+      Array.fold_left
+        (fun acc dist ->
+          let e = ref 0. in
+          Array.iteri (fun l p -> e := !e +. (float_of_int l *. p)) dist;
+          acc +. !e)
+        0.
+        (Bus_model.occupancy_distribution s.Sizing.model st.Lp_formulation.policy)
+    in
+    let pool =
+      Bus_model.Shared.build ~weights:config.Sizing.client_weight
+        ~static_levels:
+          (Array.map (fun c -> c.Bus_model.levels) (Bus_model.clients s.Sizing.model))
+        ~max_states:(Int.max 512 (4 * config.Sizing.max_states))
+        ~capacity:(Bus_model.total_levels s.Sizing.model) sub
+    in
+    let d = unconstrained (Bus_model.Shared.ctmdp pool) in
+    let damq_en = Bus_model.Shared.expected_total pool d.Lp_formulation.policy in
+    let static_loss = st.Lp_formulation.gain and damq_loss = d.Lp_formulation.gain in
+    ( sub.Splitting.bus,
+      List.map bits
+        [
+          static_loss;
+          Float.min damq_loss static_loss;
+          delay ~expected:static_en ~offered ~loss:static_loss;
+          delay ~expected:damq_en ~offered ~loss:damq_loss;
+        ] )
+  in
+  let new_entry (e : Sizing.sharing_entry) =
+    ( e.Sizing.cmp_bus,
+      List.map bits
+        [ e.Sizing.static_loss; e.Sizing.damq_loss; e.Sizing.static_delay; e.Sizing.damq_delay ]
+    )
+  in
+  Solve_cache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Solve_cache.set_enabled true)
+    (fun () ->
+      List.iter
+        (fun (n, sharing) ->
+          let name what =
+            Printf.sprintf "%dx%d %s %s" n n
+              (match sharing with Sizing.Static -> "static" | Sizing.Damq -> "damq")
+              what
+          in
+          let traffic = Test_specs.traffic (mesh_spec n) in
+          let config =
+            {
+              (Sizing.default_config ~budget:(6 * n * n)) with
+              Sizing.max_states = 24;
+              sharing;
+            }
+          in
+          let _, run_cost = counted (fun () -> Sizing.run config traffic) in
+          let (result, report), cost = counted (fun () -> Sizing.compare_sharing config traffic) in
+          if sharing = Sizing.Damq then begin
+            Alcotest.(check bool) (name "run factorizes") true (run_cost > 0);
+            Alcotest.(check int) (name "no factorization beyond run's") run_cost cost
+          end;
+          Alcotest.(check (list (pair int (list string))))
+            (name "report = fresh solves, bitwise")
+            (List.map (old_entry config) (Array.to_list result.Sizing.solutions))
+            (List.map new_entry report.Sizing.entries))
+        [ (2, Sizing.Damq); (2, Sizing.Static); (3, Sizing.Damq); (3, Sizing.Static) ])
+
+(* Under [Damq] the sizing cache holds the pool solves too: a hit replays
+   the cold report bit for bit with no factorization at all, and a mesh
+   that differs only in which routers are marked shared is a miss. *)
+let test_damq_cache_replays () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Solve_cache = Bufsize_numeric.Solve_cache in
+  let factorizations = Obs.counter "policy_iteration.factorizations" in
+  let full = mesh_spec 2 in
+  let partial =
+    String.concat "\n"
+      (List.filter (fun l -> l <> "shared_buffer noc_r0c1") (String.split_on_char '\n' full))
+  in
+  let config =
+    { (Sizing.default_config ~budget:24) with Sizing.max_states = 24; sharing = Sizing.Damq }
+  in
+  let answer spec =
+    let result, report = Sizing.compare_sharing config (Test_specs.traffic spec) in
+    ( Printf.sprintf "%h" result.Sizing.predicted_loss_rate,
+      List.map fst result.Sizing.health,
+      List.map
+        (fun e ->
+          Printf.sprintf "%d %h %h" e.Sizing.cmp_bus e.Sizing.static_loss e.Sizing.damq_loss)
+        report.Sizing.entries )
+  in
+  let answer_t = Alcotest.(triple string (list string) (list string)) in
+  Solve_cache.set_enabled false;
+  let cold_full = answer full and cold_partial = answer partial in
+  Alcotest.(check bool) "the marks change the answer" true (cold_full <> cold_partial);
+  Solve_cache.set_enabled true;
+  Solve_cache.clear_all ();
+  Fun.protect
+    ~finally:(fun () -> Solve_cache.clear_all ())
+    (fun () ->
+      Alcotest.check answer_t "first cached run = cold" cold_full (answer full);
+      Obs.enable_metrics ();
+      let f0 = Obs.counter_value factorizations in
+      let hit = Fun.protect ~finally:Obs.disable (fun () -> answer full) in
+      Alcotest.(check int) "a hit factorizes nothing" 0 (Obs.counter_value factorizations - f0);
+      Alcotest.check answer_t "hit = cold" cold_full hit;
+      Alcotest.check answer_t "other shared marks: a miss, = its cold run" cold_partial
+        (answer partial))
 
 let test_sizing_rejects_bad_config () =
   let _, traffic = Fig1.create () in
@@ -1349,6 +1490,10 @@ let () =
           Alcotest.test_case "config validation" `Quick test_sizing_rejects_bad_config;
           Alcotest.test_case "compare_sharing: damq <= static on meshes" `Quick
             test_compare_sharing_damq_le_static;
+          Alcotest.test_case "compare_sharing: reuses run's solves, bitwise" `Quick
+            test_compare_sharing_reuses_run;
+          Alcotest.test_case "damq: the sizing cache replays pool solves" `Quick
+            test_damq_cache_replays;
           Alcotest.test_case "damq pool price = LP (g_r2c2, binding)" `Quick
             test_damq_pool_price_vs_lp;
         ] );
