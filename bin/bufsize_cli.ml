@@ -7,7 +7,6 @@
      experiment  the paper's before/after/timeout comparison
      kron        exact monolithic solve via the Kronecker/SAN path vs the split
      topo        mesh/torus NoC sizing with static-vs-DAMQ buffer sharing
-     verify      differential oracles over random instances (fuzz harness)
      serve       long-running sizing daemon on a Unix socket (NDJSON)
      request     one request to a running daemon, with retry/backoff
 
@@ -130,54 +129,6 @@ let weight_fn topo specs =
     | B.Traffic.Proc_client p -> Option.value ~default:1. (Hashtbl.find_opt table p)
     | B.Traffic.Bridge_client _ -> 1.
 
-(* ------------------------------------------------------------ telemetry *)
-
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event JSON of the run to $(docv) (loadable in Perfetto / \
-     chrome://tracing, one track per domain). Implies metric collection."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc = "Collect metrics and print a summary table to stderr after the run." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let metrics_json_arg =
-  let doc = "Collect metrics and write them as a JSON object to $(docv) ($(b,-) = stdout)." in
-  Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
-
-(* A long-running subcommand killed with SIGINT/SIGTERM would otherwise
-   die without running [at_exit] — losing the trace/metrics files the
-   user asked for.  Converting the signal into [exit] routes it through
-   the exporters ([serve] overrides these with its own drain-first
-   handlers). *)
-let install_exit_on_signals () =
-  List.iter
-    (fun signum ->
-      try Sys.set_signal signum (Sys.Signal_handle (fun s -> Stdlib.exit (128 + s)))
-      with Invalid_argument _ | Sys_error _ -> ())
-    [ Sys.sigint; Sys.sigterm ]
-
-(* Exporters run from [at_exit] so they fire even on the [exit 1] paths
-   (e.g. verify failures), matching the BUFSIZE_TRACE env-var behaviour. *)
-let setup_telemetry trace metrics metrics_json =
-  install_exit_on_signals ();
-  if trace <> None then B.Obs.enable_spans ();
-  if trace <> None || metrics || metrics_json <> None then B.Obs.enable_metrics ();
-  if trace <> None || metrics || metrics_json <> None then
-    at_exit (fun () ->
-        Option.iter B.Obs.write_chrome_trace trace;
-        (match metrics_json with
-        | None -> ()
-        | Some "-" -> print_endline (B.Obs.metrics_json ())
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (B.Obs.metrics_json ());
-            output_char oc '\n';
-            close_out oc);
-        if metrics then Format.eprintf "%a@." B.Obs.pp_summary ())
-
 (* ----------------------------------------------------------------- info *)
 
 let info_cmd =
@@ -208,9 +159,8 @@ let size_cmd =
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run arch file budget max_states weights health health_json json trace metrics metrics_json
-      =
-    setup_telemetry trace metrics metrics_json;
+  let run arch file budget max_states weights health health_json json telemetry =
+    Cli_telemetry.setup telemetry;
     let topo, traffic = load_arch arch file in
     let config =
       {
@@ -249,7 +199,7 @@ let size_cmd =
   Cmd.v (Cmd.info "size" ~doc)
     Term.(
       const run $ arch_arg $ file_arg $ budget_arg $ max_states_arg $ weights_arg $ health_arg
-      $ health_json_arg $ json_arg $ trace_arg $ metrics_arg $ metrics_json_arg)
+      $ health_json_arg $ json_arg $ Cli_telemetry.term)
 
 (* ------------------------------------------------------------- simulate *)
 
@@ -262,8 +212,8 @@ let simulate_cmd =
     let doc = "Timeout threshold for the timeout drop policy (0 = off)." in
     Arg.(value & opt float 0. & info [ "timeout" ] ~docv:"T" ~doc)
   in
-  let run arch file budget policy timeout horizon seed max_states trace metrics metrics_json =
-    setup_telemetry trace metrics metrics_json;
+  let run arch file budget policy timeout horizon seed max_states telemetry =
+    Cli_telemetry.setup telemetry;
     let _, traffic = load_arch arch file in
     let allocation =
       or_input_error @@ fun () ->
@@ -291,7 +241,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const run $ arch_arg $ file_arg $ budget_arg $ policy_arg $ timeout_arg $ horizon_arg
-      $ seed_arg $ max_states_arg $ trace_arg $ metrics_arg $ metrics_json_arg)
+      $ seed_arg $ max_states_arg $ Cli_telemetry.term)
 
 (* ------------------------------------------------------------------ dot *)
 
@@ -314,89 +264,6 @@ let dot_cmd =
   let doc = "Emit the architecture as Graphviz DOT (optionally with a sized allocation)." in
   Cmd.v (Cmd.info "dot" ~doc)
     Term.(const run $ arch_arg $ file_arg $ annotate_arg $ max_states_arg)
-
-(* --------------------------------------------------------------- verify *)
-
-let verify_cmd =
-  let count_arg =
-    let doc = "Random instances per oracle." in
-    Arg.(value & opt int 25 & info [ "n"; "count" ] ~docv:"N" ~doc)
-  in
-  let oracle_arg =
-    let doc =
-      "Run only this oracle (repeatable). Available: simplex-cross, mdp-gain, sim-analytic, \
-       sizing-bounds, split-monolithic, warm-cold, kron, topo, chaos, serve, price. Default: all."
-    in
-    Arg.(value & opt_all string [] & info [ "o"; "oracle" ] ~docv:"NAME" ~doc)
-  in
-  let out_dir_arg =
-    let doc = "Write minimized failing repros into this directory." in
-    Arg.(value & opt (some string) None & info [ "out-dir" ] ~docv:"DIR" ~doc)
-  in
-  let list_arg =
-    let doc = "List the oracles and exit." in
-    Arg.(value & flag & info [ "list-oracles" ] ~doc)
-  in
-  let verify_max_states_arg =
-    let doc = "Cap on generated model sizes (states per CTMDP, sizing levels)." in
-    Arg.(value & opt int 48 & info [ "max-states" ] ~docv:"N" ~doc)
-  in
-  let replay_arg =
-    let doc =
-      "Re-run a single $(docv) previously written by --out-dir and exit (nonzero if it still \
-       fails)."
-    in
-    Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE.repro" ~doc)
-  in
-  let run seed count oracle_names out_dir max_states list replay trace metrics metrics_json =
-    setup_telemetry trace metrics metrics_json;
-    let module V = B.Verify in
-    if list then
-      List.iter
-        (fun (o : V.Oracle.t) -> Format.printf "%-16s %s@." o.V.Oracle.name o.V.Oracle.doc)
-        V.Oracles.all
-    else
-      match replay with
-      | Some path -> (
-          match V.Driver.replay path with
-          | Error e ->
-              Format.eprintf "error: %s@." e;
-              exit 2
-          | Ok (label, V.Oracle.Pass) -> Format.printf "PASS %s@." label
-          | Ok (label, V.Oracle.Fail msg) ->
-              Format.printf "FAIL %s@.%s@." label msg;
-              exit 1)
-      | None -> begin
-      let oracles =
-        match oracle_names with
-        | [] -> V.Oracles.all
-        | names ->
-            List.map
-              (fun n ->
-                match V.Oracles.find n with
-                | Some o -> o
-                | None ->
-                    Format.eprintf "error: unknown oracle %S (available: %s)@." n
-                      (String.concat ", " (V.Oracles.names ()));
-                    exit 1)
-              names
-      in
-      let summary =
-        V.Driver.run ~oracles ?out_dir ~max_states
-          ~progress:(fun line -> Format.printf "%s@." line)
-          ~seed ~count ()
-      in
-      Format.printf "%a@." V.Driver.pp_summary summary;
-      if not (V.Driver.passed summary) then exit 1
-    end
-  in
-  let doc =
-    "Cross-check the solvers against each other on random instances (differential oracles)."
-  in
-  Cmd.v (Cmd.info "verify" ~doc)
-    Term.(
-      const run $ seed_arg $ count_arg $ oracle_arg $ out_dir_arg $ verify_max_states_arg
-      $ list_arg $ replay_arg $ trace_arg $ metrics_arg $ metrics_json_arg)
 
 (* ----------------------------------------------------------------- kron *)
 
@@ -454,9 +321,8 @@ let kron_cmd =
     let doc = "Start from the uniform distribution instead of the split-product seed." in
     Arg.(value & flag & info [ "cold" ] ~doc)
   in
-  let run kx ky bridge lambda_x lambda_y cross mu_x mu_y tol max_sweeps cold trace metrics
-      metrics_json =
-    setup_telemetry trace metrics metrics_json;
+  let run kx ky bridge lambda_x lambda_y cross mu_x mu_y tol max_sweeps cold telemetry =
+    Cli_telemetry.setup telemetry;
     if kx < 1 || ky < 1 then begin
       Format.eprintf "error: queue capacities must be at least 1@.";
       exit 1
@@ -481,8 +347,7 @@ let kron_cmd =
   Cmd.v (Cmd.info "kron" ~doc)
     Term.(
       const run $ kx_arg $ ky_arg $ bridge_arg $ lambda_x_arg $ lambda_y_arg $ cross_arg
-      $ mu_x_arg $ mu_y_arg $ tol_arg $ max_sweeps_arg $ cold_arg $ trace_arg $ metrics_arg
-      $ metrics_json_arg)
+      $ mu_x_arg $ mu_y_arg $ tol_arg $ max_sweeps_arg $ cold_arg $ Cli_telemetry.term)
 
 (* ----------------------------------------------------------------- topo *)
 
@@ -543,9 +408,8 @@ let topo_cmd =
     let doc = "Print the generated grid spec text and exit." in
     Arg.(value & flag & info [ "print-spec" ] ~doc)
   in
-  let run file rows cols kind mu rate budget max_states sharing print_spec trace metrics
-      metrics_json =
-    setup_telemetry trace metrics metrics_json;
+  let run file rows cols kind mu rate budget max_states sharing print_spec telemetry =
+    Cli_telemetry.setup telemetry;
     let sharing =
       match sharing with
       | "static" -> B.Sizing.Static
@@ -596,8 +460,7 @@ let topo_cmd =
   Cmd.v (Cmd.info "topo" ~doc)
     Term.(
       const run $ file_arg $ rows_arg $ cols_arg $ kind_arg $ mu_arg $ rate_arg $ budget_arg
-      $ topo_max_states_arg $ sharing_arg $ spec_arg $ trace_arg $ metrics_arg
-      $ metrics_json_arg)
+      $ topo_max_states_arg $ sharing_arg $ spec_arg $ Cli_telemetry.term)
 
 (* ---------------------------------------------------------------- serve *)
 
@@ -641,9 +504,8 @@ let serve_cmd =
     let doc = "Write one structured JSONL line per completed request to stderr." in
     Arg.(value & flag & info [ "log-requests" ] ~doc)
   in
-  let run socket queue workers deadline max_request flight_cap log_requests trace metrics
-      metrics_json =
-    setup_telemetry trace metrics metrics_json;
+  let run socket queue workers deadline max_request flight_cap log_requests telemetry =
+    Cli_telemetry.setup telemetry;
     let config =
       {
         B.Serve.socket_path = socket;
@@ -698,7 +560,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket_arg $ queue_arg $ workers_arg $ deadline_arg $ max_request_arg
-      $ flight_cap_arg $ log_requests_arg $ trace_arg $ metrics_arg $ metrics_json_arg)
+      $ flight_cap_arg $ log_requests_arg $ Cli_telemetry.term)
 
 let request_cmd =
   let op_arg =
@@ -737,7 +599,7 @@ let request_cmd =
   in
   let run socket raw op arch file budget max_states id deadline attempts seed telemetry
       prometheus =
-    install_exit_on_signals ();
+    Cli_telemetry.install_exit_on_signals ();
     let req =
       match raw with
       | Some text -> (
@@ -803,9 +665,8 @@ let request_cmd =
 (* ----------------------------------------------------------- experiment *)
 
 let experiment_cmd =
-  let run arch file budget replications horizon seed max_states weights trace metrics
-      metrics_json =
-    setup_telemetry trace metrics metrics_json;
+  let run arch file budget replications horizon seed max_states weights telemetry =
+    Cli_telemetry.setup telemetry;
     let topo, traffic = load_arch arch file in
     let exp =
       B.experiment ~budget ~replications ~horizon ~seed
@@ -825,7 +686,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc)
     Term.(
       const run $ arch_arg $ file_arg $ budget_arg $ replications_arg $ horizon_arg $ seed_arg
-      $ max_states_arg $ weights_arg $ trace_arg $ metrics_arg $ metrics_json_arg)
+      $ max_states_arg $ weights_arg $ Cli_telemetry.term)
 
 let () =
   B.Obs.init_from_env ();
@@ -843,7 +704,6 @@ let () =
             kron_cmd;
             topo_cmd;
             dot_cmd;
-            verify_cmd;
             serve_cmd;
             request_cmd;
           ]))

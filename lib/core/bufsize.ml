@@ -23,7 +23,6 @@ module Arbiter = Bufsize_sim.Arbiter
 module Metrics = Bufsize_sim.Metrics
 module Sim_run = Bufsize_sim.Sim_run
 module Replicate = Bufsize_sim.Replicate
-module Verify = Bufsize_verify
 
 type experiment = {
   traffic : Traffic.t;

@@ -75,11 +75,6 @@ module Metrics = Bufsize_sim.Metrics
 module Sim_run = Bufsize_sim.Sim_run
 module Replicate = Bufsize_sim.Replicate
 
-module Verify = Bufsize_verify
-(** Differential-testing harness: seeded model generators, the oracle
-    matrix cross-checking independent solution routes, and the greedy
-    repro shrinker behind [bufsize verify]. *)
-
 (** {1 The paper's experiment} *)
 
 type experiment = {

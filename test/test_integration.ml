@@ -186,59 +186,124 @@ let test_profiled_sizing_runs () =
     (fun loss -> Alcotest.(check bool) "losses finite" true (Float.is_finite loss && loss >= 0.))
     losses
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Runs [exe args] with stdout and stderr in temporary files and hands
+   the exit code and both texts to [k]. *)
+let run_exe exe args k =
+  let out = Filename.temp_file "cli" ".out" and err = Filename.temp_file "cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let code = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
+      k code (read_file out) (read_file err))
+
 (* The bench harness built next to this test (see the [deps] of test/dune).
    A mistyped artifact name must fail before any artifact runs, so a typo
    in a script cannot pass silently. *)
 let test_bench_rejects_unknown_artifact () =
   let bench = Filename.concat (Filename.concat ".." "bench") "main.exe" in
-  let out = Filename.temp_file "bench" ".out" and err = Filename.temp_file "bench" ".err" in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
-    (fun () ->
-      let cmd = Filename.quote_command bench ~stdout:out ~stderr:err [ "fig1"; "no-such" ] in
-      Alcotest.(check int) "exit code" 2 (Sys.command cmd);
-      Alcotest.(check string) "nothing ran" "" (read out);
+  run_exe bench [ "fig1"; "no-such" ] (fun code out err ->
+      Alcotest.(check int) "exit code" 2 code;
+      Alcotest.(check string) "nothing ran" "" out;
       Alcotest.(check string) "known names listed"
         "unknown artifact \"no-such\"; known: fig1, nonlinear, fig3, table1, ablation-quantile, \
          ablation-levels, ablation-solver, ablation-weights, ablation-profiling, all\n"
-        (read err))
+        err)
 
 (* The CLI built next to this test.  Input errors (a budget below the
    buffer count, a socket path that cannot be bound) end a command with
    "error: ..." and exit 1, never with an uncaught exception. *)
 let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe"
 
+(* The differential harness is its own executable: the production binary
+   neither links it nor lists its counters, and [bufsize verify] is gone. *)
+let verify_exe = Filename.concat (Filename.concat ".." "bin") "verify.exe"
+
 let check_input_error args expected () =
-  let err = Filename.temp_file "cli" ".err" in
+  run_exe cli args (fun code _ err ->
+      Alcotest.(check int) "exit code" 1 code;
+      Alcotest.(check string) "message" ("error: " ^ expected ^ "\n") err)
+
+(* The metrics object a successful run writes with --metrics-json. *)
+let run_metrics exe args =
+  let json = Filename.temp_file "metrics" ".json" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> Sys.remove json)
     (fun () ->
-      let cmd = Filename.quote_command cli ~stdout:Filename.null ~stderr:err args in
-      Alcotest.(check int) "exit code" 1 (Sys.command cmd);
-      Alcotest.(check string) "message" ("error: " ^ expected ^ "\n")
-        (In_channel.with_open_bin err In_channel.input_all))
+      run_exe exe (args @ [ "--metrics-json"; json ]) (fun code _ _ ->
+          Alcotest.(check int) "exit code" 0 code);
+      Test_json.parse_exn (read_file json))
 
 (* A short run that never collects: its metrics object prints the heap
    size that [Gc.quick_stat] never sampled as null, not as 0 words. *)
 let test_kron_heap_words_unsampled () =
-  let out = Filename.temp_file "metrics" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove out)
-    (fun () ->
-      let args = [ "kron"; "--kx"; "8"; "--ky"; "8"; "--metrics-json"; out ] in
-      let cmd = Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null args in
-      Alcotest.(check int) "exit code" 0 (Sys.command cmd);
-      let gc =
-        Test_json.member_exn "gc"
-          (Test_json.parse_exn (In_channel.with_open_bin out In_channel.input_all))
+  let gc = Test_json.member_exn "gc" (run_metrics cli [ "kron"; "--kx"; "8"; "--ky"; "8" ]) in
+  Alcotest.(check bool) "major words counted" true
+    (Test_json.(to_number (member_exn "major_words" gc)) > 0.);
+  match Test_json.member_exn "heap_words" gc with
+  | Bufsize_json.Json.Null -> ()
+  | v -> Alcotest.(check bool) "heap_words null or positive" true (Test_json.to_number v > 0.)
+
+let metrics_counters exe args =
+  match Test_json.member_exn "counters" (run_metrics exe args) with
+  | Test_json.Obj kvs -> kvs
+  | _ -> Alcotest.fail "counters is not an object"
+
+let test_size_lists_no_harness_counters () =
+  let harness name =
+    name = "value_iteration.sweeps"
+    || String.starts_with ~prefix:"simplex_revised." name
+    || String.starts_with ~prefix:"verify." name
+  in
+  let names = List.map fst (metrics_counters cli [ "size" ]) in
+  Alcotest.(check bool) "size counts policy evaluations" true
+    (List.mem "policy_iteration.factorizations" names);
+  Alcotest.(check (list string)) "no harness counter" [] (List.filter harness names);
+  let counters = metrics_counters verify_exe [ "--oracle"; "mdp-gain"; "--count"; "2" ] in
+  Alcotest.(check bool) "verify counts its instances" true
+    (Test_json.to_number (List.assoc "verify.instances" counters) > 0.)
+
+let test_verify_lists_oracles () =
+  run_exe verify_exe [ "--list-oracles" ] (fun code out _ ->
+      Alcotest.(check int) "exit code" 0 code;
+      let names =
+        String.split_on_char '\n' out
+        |> List.filter (( <> ) "")
+        |> List.map (fun line -> List.hd (String.split_on_char ' ' line))
       in
-      Alcotest.(check bool) "major words counted" true
-        (Test_json.(to_number (member_exn "major_words" gc)) > 0.);
-      match Test_json.member_exn "heap_words" gc with
-      | Bufsize_json.Json.Null -> ()
-      | v ->
-          Alcotest.(check bool) "heap_words null or positive" true (Test_json.to_number v > 0.))
+      Alcotest.(check (list string)) "oracles"
+        [ "simplex-cross"; "mdp-gain"; "sim-analytic"; "sizing-bounds"; "split-monolithic";
+          "warm-cold"; "kron"; "topo"; "chaos"; "serve"; "price" ]
+        names)
+
+(* A repro in the format [--out-dir] writes: the oracle header, then the
+   case.  A generated LP case passes; a repro naming no oracle is an
+   input error. *)
+let test_verify_replays_repro () =
+  let repro = Filename.temp_file "simplex-cross" ".repro" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove repro)
+    (fun () ->
+      let case =
+        Bufsize_verify.Gen_model.(lp_case_to_string (lp_case (Bufsize_prob.Rng.create 9)))
+      in
+      Out_channel.with_open_bin repro (fun oc ->
+          Printf.fprintf oc "# oracle: simplex-cross\n# instance: 0 (derived seed 9)\n%s" case);
+      run_exe verify_exe [ "--replay"; repro ] (fun code out _ ->
+          Alcotest.(check int) "exit code" 0 code;
+          Alcotest.(check bool) "passes" true (String.starts_with ~prefix:"PASS " out));
+      Out_channel.with_open_bin repro (fun oc -> output_string oc case);
+      run_exe verify_exe [ "--replay"; repro ] (fun code _ err ->
+          Alcotest.(check int) "exit code" 2 code;
+          Alcotest.(check string) "message" "error: repro has no '# oracle:' header\n" err))
+
+let test_verify_not_a_bufsize_command () =
+  run_exe cli [ "verify"; "--count"; "1" ] (fun code out err ->
+      Alcotest.(check int) "exit code (command-line error)" 124 code;
+      Alcotest.(check string) "no output" "" out;
+      Alcotest.(check bool) "names the command" true
+        (String.starts_with ~prefix:"bufsize: unknown command 'verify'" err))
 
 let below n buffers =
   Printf.sprintf "budget %d words is below the %d buffers to size (each needs at least one word)"
@@ -282,6 +347,12 @@ let () =
           Alcotest.test_case "dot budget below buffers" `Quick
             (check_input_error [ "dot"; "--annotate"; "2" ] (below 2 6));
           Alcotest.test_case "kron heap_words unsampled" `Quick test_kron_heap_words_unsampled;
+          Alcotest.test_case "size lists no harness counters" `Quick
+            test_size_lists_no_harness_counters;
+          Alcotest.test_case "verify lists oracles" `Quick test_verify_lists_oracles;
+          Alcotest.test_case "verify replays a repro" `Quick test_verify_replays_repro;
+          Alcotest.test_case "verify not a bufsize command" `Quick
+            test_verify_not_a_bufsize_command;
           Alcotest.test_case "serve unbindable socket" `Quick
             (check_input_error
                [ "serve"; "--socket"; unbindable_socket ]
