@@ -210,10 +210,9 @@ let stochastic_arbiter (sizing : Sizing.result) =
         in
         let state = Bus_model.encode model occupancy in
         let action = Mdp.Policy.sample_action rng policy state in
-        let act = Mdp.Ctmdp.action (Bus_model.ctmdp model) state action in
         (* Action labels are "serve<i>" (index over loaded clients) or
            "idle"; map back to the view's client position. *)
-        let label = act.Mdp.Ctmdp.label in
+        let label = Mdp.Ctmdp.action_label (Bus_model.ctmdp model) state action in
         if String.length label <= 5 || String.sub label 0 5 <> "serve" then None
         else
           Option.bind

@@ -1,10 +1,9 @@
 (** Fixed-size domain work pool for coarse-grained data parallelism.
 
-    The paper's central structural result — bridge splitting turns one
-    intractable quadratic system into independent linear subsystems — makes
-    the evaluation pipeline embarrassingly parallel: per-subsystem LP
-    solves, per-subsystem CTMDP construction, and simulation replications
-    share no state.  This pool runs such independent array jobs across
+    Simulation replications share no state, and each runs for seconds.
+    (The per-subsystem sizing stages are independent too, but each is
+    sub-millisecond — less than a dispatch costs — so sizing runs on its
+    caller's domain.)  This pool runs such independent array jobs across
     OCaml 5 domains while keeping results bitwise-deterministic: item [i]'s
     result always lands in slot [i], and the work function receives exactly
     the same inputs regardless of how many domains execute.
@@ -46,8 +45,8 @@ val default_size : unit -> int
 
 val default : unit -> t
 (** The lazily created process-wide pool of [default_size ()] domains.
-    Library entry points ({!Bufsize_soc.Sizing.run},
-    {!Bufsize_sim.Replicate.run}) use it when no explicit pool is given. *)
+    {!Bufsize_sim.Replicate.run} uses it when no explicit pool is
+    given. *)
 
 val map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [Array.map f a] with the items evaluated on the

@@ -8,10 +8,6 @@ module Obs = Bufsize_obs.Obs
 let m_price_rounds = Obs.counter "constrained.price_rounds"
 let m_lp_fallbacks = Obs.counter "constrained.lp_fallbacks"
 
-type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
-
-let sequential = { map = Array.map }
-
 (* A reason to leave the price path for the LP step, and a bound that
    even the least-usage policies exceed. *)
 exception Give_up of string
@@ -48,7 +44,7 @@ let total_usage = Array.fold_left (fun acc l -> acc +. l.Policy_iteration.g_u) 0
 let line_value ~bound lines price =
   total_gain lines +. (price *. (total_usage lines -. bound))
 
-let solved ~gain ~usage occupation policy =
+let solved ~gain ~usage ?stationary occupation policy =
   {
     Lp_formulation.gain;
     occupation;
@@ -56,15 +52,17 @@ let solved ~gain ~usage occupation policy =
     extras = [| usage |];
     extra_duals = [||];
     lp_iterations = 0;
+    stationary;
   }
 
 (* A returned deterministic policy: its occupation measure from the
-   induced chain's stationary distribution, and the two functionals summed
-   in the order the LP harvest uses. *)
+   induced chain's stationary distribution, which the record keeps, and
+   the two functionals summed in the order the LP harvest uses. *)
 let deterministic_solved m choice =
   let policy = Policy.deterministic m choice in
   let e = Policy.evaluate m policy in
-  solved ~gain:e.Policy.gain ~usage:e.Policy.extras.(0) e.Policy.occupation policy
+  solved ~gain:e.Policy.gain ~usage:e.Policy.extras.(0) ~stationary:e.Policy.state_distribution
+    e.Policy.occupation policy
 
 (* Mix two deterministic policies of one block that differ in state
    [state] only, with weight [alpha] on [a]: the occupation measures mix
@@ -88,9 +86,9 @@ let mixed_solved m ~alpha ~state a b =
     (fun s row ->
       Array.iteri
         (fun k x ->
-          let act = Ctmdp.action m s k in
-          gain := !gain +. (x *. act.Ctmdp.cost);
-          usage := !usage +. (x *. act.Ctmdp.extras.(0)))
+          let i = m.Ctmdp.first_action.(s) + k in
+          gain := !gain +. (x *. m.Ctmdp.cost.(i));
+          usage := !usage +. (x *. Ctmdp.extra m i 0))
         row)
     occupation;
   solved ~gain:!gain ~usage:!usage occupation (Policy.randomized m probs)
@@ -99,15 +97,13 @@ let mixed_solved m ~alpha ~state a b =
    [Give_up] or [Infeasible_bound].  The price-0 lines of the slack test
    go to [free] as soon as they exist.  Every evaluation of block [i],
    on any round or on the mix's walk, refactorizes its one workspace. *)
-let price_search ~map ?max_iter ~budget ~bound ~free models =
+let price_search ?max_iter ~budget ~bound ~free models =
   let nb = Array.length models in
   let workspaces = Array.map Policy_iteration.workspace models in
   let solve_all weights warm =
     let results =
-      map.map
-        (fun i ->
+      Array.init nb (fun i ->
           solve_block ?max_iter ~weights ?warm:(warm i) ~workspace:workspaces.(i) models.(i))
-        (Array.init nb Fun.id)
     in
     Array.map (function Ok b -> b | Error why -> raise (Give_up why)) results
   in
@@ -239,7 +235,7 @@ let price_search ~map ?max_iter ~budget ~bound ~free models =
           record ~price ~rounds sz
 
 (* The price step, then the LP, as one escalation chain. *)
-let price_chain ~map ?max_iter ?bound ~free models =
+let price_chain ?max_iter ?bound ~free models =
   let nb = Array.length models in
   let budget = Resilience.current_budget () in
   let price = ref Float.nan and rounds = ref 0 in
@@ -253,7 +249,7 @@ let price_chain ~map ?max_iter ?bound ~free models =
   @@ fun () ->
   let price_step =
     Resilience.step "price" (fun budget ->
-        match price_search ~map ?max_iter ~budget ~bound ~free models with
+        match price_search ?max_iter ~budget ~bound ~free models with
         | j, p, r ->
             price := p;
             rounds := r;
@@ -286,7 +282,7 @@ let price_chain ~map ?max_iter ?bound ~free models =
     ~solver:(Printf.sprintf "ctmdp.price(blocks=%d)" nb)
     ~budget [ price_step; lp_step ]
 
-let solve_price ?(map = sequential) ?max_iter ?bound models =
+let solve_price ?max_iter ?bound models =
   if Array.length models = 0 then invalid_arg "Constrained.solve_price: no blocks";
   Array.iter
     (fun m ->
@@ -294,5 +290,5 @@ let solve_price ?(map = sequential) ?max_iter ?bound models =
         invalid_arg "Constrained.solve_price: every block needs exactly one extra")
     models;
   let free = ref None in
-  let outcome, diag = price_chain ~map ?max_iter ?bound ~free models in
+  let outcome, diag = price_chain ?max_iter ?bound ~free models in
   (outcome, diag, !free)

@@ -7,21 +7,15 @@
     the [price] verify oracle checks against; {!Kswitching} bounds the
     answer's randomization to one state. *)
 
-type map = { map : 'a 'b. ('a -> 'b) -> 'a array -> 'b array }
-(** How {!solve_price} runs its independent per-block solves: [Array.map]
-    semantics (results in input order), possibly on several domains.
-    Default [Array.map]; Sizing passes its domain pool. *)
-
 val deterministic_solved : Ctmdp.t -> int array -> Lp_formulation.solved
 (** [deterministic_solved m choice] is the answer record of the
     deterministic policy [choice]: its occupation measure from one
     stationary solve of the induced chain ({!Policy.evaluate}), its gain
-    and its usage (extra 0), with no duals and [lp_iterations = 0] —
-    exactly the record {!solve_price} returns for a block it answers
-    with that policy. *)
+    and its usage (extra 0), with no duals, [lp_iterations = 0] and the
+    solve's π in [stationary] — exactly the record {!solve_price} returns
+    for a block it answers with that policy. *)
 
 val solve_price :
-  ?map:map ->
   ?max_iter:int ->
   ?bound:float ->
   Ctmdp.t array ->
@@ -58,7 +52,9 @@ val solve_price :
 
     Occupation measures ({!Policy.evaluate}) are computed for the
     returned tuples only: every block of the answer, and the one block
-    of the other tuple that the mix combines.  Each block keeps one
+    of the other tuple that the mix combines.  Each deterministic block
+    of the answer carries its π ([stationary]); the mixed block, whose
+    policy randomizes, carries none.  Each block keeps one
     {!Policy_iteration.workspace} for the whole search, its slack test,
     rounds and walk.
 

@@ -1,103 +1,166 @@
-type action = {
-  label : string;
-  transitions : (int * float) list;
-  cost : float;
-  extras : float array;
-}
-
 type t = {
-  actions : action array array;
-  exits : float array array;  (* exit rate of each action, summed once *)
-  extras_count : int;
-  state_labels : string array;
+  num_states : int;
+  num_extras : int;
+  first_action : int array;
+  first_transition : int array;
+  dst : int array;
+  rate : float array;
+  cost : float array;
+  extras : float array;
+  exit : float array;
+  label : string array;
+  state_label : int -> string;
 }
 
-let exit_rate a = List.fold_left (fun acc (_, r) -> acc +. r) 0. a.transitions
+(* Growable flat arrays, filled state by state.  [state] is the state
+   being filled, [first] its first action, and [actions] the number of
+   actions started so far. *)
+type builder = {
+  n : int;
+  k : int;
+  mutable state : int;
+  mutable first : int;
+  mutable actions : int;
+  mutable transitions : int;
+  mutable b_first_transition : int array;
+  mutable b_dst : int array;
+  mutable b_rate : float array;
+  mutable b_cost : float array;
+  mutable b_extras : float array;
+  mutable b_label : string array;
+}
 
-let create ?state_labels ~num_extras actions =
-  let n = Array.length actions in
-  if n = 0 then invalid_arg "Ctmdp.create: no states";
+(* A copy of [a]'s first [used] cells with room for [need]: at least
+   double the length. *)
+let grow a ~used ~need fill =
+  let b = Array.make (Int.max need (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 used;
+  b
+
+let add_action b ~label ~cost ~extras =
+  if Array.length extras <> b.k then
+    invalid_arg
+      (Printf.sprintf "Ctmdp.create: state %d action %S has %d extras, expected %d" b.state label
+         (Array.length extras) b.k);
+  let i = b.actions in
+  if i + 1 >= Array.length b.b_first_transition then
+    b.b_first_transition <- grow b.b_first_transition ~used:i ~need:(i + 2) 0;
+  b.b_first_transition.(i) <- b.transitions;
+  if i >= Array.length b.b_cost then begin
+    b.b_cost <- grow b.b_cost ~used:i ~need:(i + 1) 0.;
+    b.b_label <- grow b.b_label ~used:i ~need:(i + 1) ""
+  end;
+  b.b_cost.(i) <- cost;
+  b.b_label.(i) <- label;
+  if (i + 1) * b.k > Array.length b.b_extras then
+    b.b_extras <- grow b.b_extras ~used:(i * b.k) ~need:((i + 1) * b.k) 0.;
+  Array.blit extras 0 b.b_extras (i * b.k) b.k;
+  b.actions <- i + 1
+
+let add_transition b j r =
+  if b.actions = b.first then invalid_arg "Ctmdp.add_transition: no action started";
+  if j < 0 || j >= b.n then
+    invalid_arg (Printf.sprintf "Ctmdp.create: transition to unknown state %d" j);
+  if j = b.state then invalid_arg "Ctmdp.create: self loop transition";
+  if r <= 0. then invalid_arg "Ctmdp.create: nonpositive rate";
+  let p = b.transitions in
+  if p >= Array.length b.b_dst then begin
+    b.b_dst <- grow b.b_dst ~used:p ~need:(p + 1) 0;
+    b.b_rate <- grow b.b_rate ~used:p ~need:(p + 1) 0.
+  end;
+  b.b_dst.(p) <- j;
+  b.b_rate.(p) <- r;
+  b.transitions <- p + 1
+
+let create ?(state_label = string_of_int) ~num_extras n fill =
+  if n <= 0 then invalid_arg "Ctmdp.create: no states";
   if num_extras < 0 then invalid_arg "Ctmdp.create: negative extras count";
-  Array.iteri
-    (fun s acts ->
-      if Array.length acts = 0 then
-        invalid_arg (Printf.sprintf "Ctmdp.create: state %d has no action" s);
-      Array.iter
-        (fun a ->
-          if Array.length a.extras <> num_extras then
-            invalid_arg
-              (Printf.sprintf "Ctmdp.create: state %d action %S has %d extras, expected %d" s
-                 a.label (Array.length a.extras) num_extras);
-          List.iter
-            (fun (j, r) ->
-              if j < 0 || j >= n then
-                invalid_arg (Printf.sprintf "Ctmdp.create: transition to unknown state %d" j);
-              if j = s then invalid_arg "Ctmdp.create: self loop transition";
-              if r <= 0. then invalid_arg "Ctmdp.create: nonpositive rate")
-            a.transitions)
-        acts)
-    actions;
-  let state_labels =
-    match state_labels with
-    | Some ls ->
-        if Array.length ls <> n then invalid_arg "Ctmdp.create: label count mismatch";
-        ls
-    | None -> Array.init n string_of_int
+  let cap = 4 * n in
+  let b =
+    {
+      n;
+      k = num_extras;
+      state = 0;
+      first = 0;
+      actions = 0;
+      transitions = 0;
+      b_first_transition = Array.make (n + 1) 0;
+      b_dst = Array.make cap 0;
+      b_rate = Array.make cap 0.;
+      b_cost = Array.make n 0.;
+      b_extras = Array.make (n * num_extras) 0.;
+      b_label = Array.make n "";
+    }
+  in
+  let first_action = Array.make (n + 1) 0 in
+  for s = 0 to n - 1 do
+    b.state <- s;
+    b.first <- b.actions;
+    first_action.(s) <- b.actions;
+    fill b s;
+    if b.actions = b.first then
+      invalid_arg (Printf.sprintf "Ctmdp.create: state %d has no action" s)
+  done;
+  let na = b.actions in
+  first_action.(n) <- na;
+  let first_transition = Array.sub b.b_first_transition 0 (na + 1) in
+  first_transition.(na) <- b.transitions;
+  let dst = Array.sub b.b_dst 0 b.transitions and rate = Array.sub b.b_rate 0 b.transitions in
+  let exit =
+    Array.init na (fun i ->
+        let e = ref 0. in
+        for p = first_transition.(i) to first_transition.(i + 1) - 1 do
+          e := !e +. rate.(p)
+        done;
+        !e)
   in
   {
-    actions;
-    exits = Array.map (Array.map exit_rate) actions;
-    extras_count = num_extras;
-    state_labels;
+    num_states = n;
+    num_extras;
+    first_action;
+    first_transition;
+    dst;
+    rate;
+    cost = Array.sub b.b_cost 0 na;
+    extras = Array.sub b.b_extras 0 (na * num_extras);
+    exit;
+    label = Array.sub b.b_label 0 na;
+    state_label;
   }
 
-let num_states t = Array.length t.actions
-let num_extras t = t.extras_count
-let num_actions t s = Array.length t.actions.(s)
-let action t s a = t.actions.(s).(a)
-let actions t s = t.actions.(s)
-let exit_rates t s = t.exits.(s)
-let state_label t s = t.state_labels.(s)
-
-let total_state_actions t =
-  Array.fold_left (fun acc acts -> acc + Array.length acts) 0 t.actions
-
-let max_exit_rate t =
-  Array.fold_left
-    (fun acc acts -> Array.fold_left (fun acc a -> Float.max acc (exit_rate a)) acc acts)
-    0. t.actions
+let num_states t = t.num_states
+let num_extras t = t.num_extras
+let num_actions t s = t.first_action.(s + 1) - t.first_action.(s)
+let total_state_actions t = t.first_action.(t.num_states)
+let extra t i k = t.extras.((i * t.num_extras) + k)
+let usage t i = if t.num_extras = 0 then 0. else t.extras.(i * t.num_extras)
+let action_label t s a = t.label.(t.first_action.(s) + a)
+let max_exit_rate t = Array.fold_left Float.max 0. t.exit
 
 let cost_bounds t =
   let lo = ref infinity and hi = ref neg_infinity in
   Array.iter
-    (Array.iter (fun a ->
-         if a.cost < !lo then lo := a.cost;
-         if a.cost > !hi then hi := a.cost))
-    t.actions;
+    (fun c ->
+      if c < !lo then lo := c;
+      if c > !hi then hi := c)
+    t.cost;
   (!lo, !hi)
 
-let map_costs t f =
-  let actions =
-    Array.mapi (fun s acts -> Array.mapi (fun a act -> { act with cost = f s a act }) acts) t.actions
-  in
-  { t with actions }
+let map_costs t f = { t with cost = Array.init (total_state_actions t) f }
 
 let is_unichain_heuristic t =
   (* Strong connectivity of the union graph: forward DFS from state 0 and a
      DFS on the reversed graph must both reach every state. *)
-  let n = num_states t in
+  let n = t.num_states in
   let forward = Array.make n [] and backward = Array.make n [] in
-  Array.iteri
-    (fun s acts ->
-      Array.iter
-        (fun a ->
-          List.iter
-            (fun (j, _) ->
-              forward.(s) <- j :: forward.(s);
-              backward.(j) <- s :: backward.(j))
-            a.transitions)
-        acts)
-    t.actions;
+  for s = 0 to n - 1 do
+    let first = t.first_transition.(t.first_action.(s)) in
+    for p = first to t.first_transition.(t.first_action.(s + 1)) - 1 do
+      let j = t.dst.(p) in
+      forward.(s) <- j :: forward.(s);
+      backward.(j) <- s :: backward.(j)
+    done
+  done;
   let reaches_all graph =
     let seen = Array.make n false in
     let rec dfs i =
@@ -114,4 +177,4 @@ let is_unichain_heuristic t =
 let pp_summary ppf t =
   let lo, hi = cost_bounds t in
   Format.fprintf ppf "CTMDP: %d states, %d state-action pairs, %d extras, cost in [%.4g, %.4g]"
-    (num_states t) (total_state_actions t) t.extras_count lo hi
+    t.num_states (total_state_actions t) t.num_extras lo hi

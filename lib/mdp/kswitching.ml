@@ -25,9 +25,9 @@ let analyze ?(tol = 1e-6) ~constraints m p =
     if List.length support > 1 then begin
       incr randomized;
       let mix =
-        List.map (fun (a, pr) -> (a, (Ctmdp.action m s a).Ctmdp.label, pr)) support
+        List.map (fun (a, pr) -> (a, Ctmdp.action_label m s a, pr)) support
       in
-      switches := { state = s; state_label = Ctmdp.state_label m s; mix } :: !switches
+      switches := { state = s; state_label = m.Ctmdp.state_label s; mix } :: !switches
     end
   done;
   {
@@ -52,9 +52,9 @@ let of_occupation ?(tol = 1e-6) ?(mass_tol = 1e-9) ~constraints m x =
       if List.length support > 1 then begin
         incr randomized;
         let mix =
-          List.map (fun (a, pr) -> (a, (Ctmdp.action m s a).Ctmdp.label, pr)) support
+          List.map (fun (a, pr) -> (a, Ctmdp.action_label m s a, pr)) support
         in
-        switches := { state = s; state_label = Ctmdp.state_label m s; mix } :: !switches
+        switches := { state = s; state_label = m.Ctmdp.state_label s; mix } :: !switches
       end
     end
   done;

@@ -10,7 +10,11 @@ type solved = {
   extras : float array;
   extra_duals : float array;
   lp_iterations : int;
+  stationary : Bufsize_numeric.Vec.t option;
 }
+
+let stationary m s =
+  match s.stationary with Some pi -> pi | None -> Policy.stationary m s.policy
 
 type outcome = Optimal of solved | Infeasible | Unbounded
 
@@ -28,14 +32,16 @@ let add_block lp m ~prefix =
      term arrays (count pass, then fill pass) straight into the model's
      CSR store — no per-state term lists. *)
   let dummy = (0., x.(0).(0)) in
+  let first = m.Ctmdp.first_transition in
   let counts = Array.make n 0 in
   for s = 0 to n - 1 do
-    Array.iteri
-      (fun a _ ->
-        let act = Ctmdp.action m s a in
-        if Ctmdp.exit_rate act > 0. then counts.(s) <- counts.(s) + 1;
-        List.iter (fun (j, _) -> counts.(j) <- counts.(j) + 1) act.Ctmdp.transitions)
-      x.(s)
+    for i = m.Ctmdp.first_action.(s) to m.Ctmdp.first_action.(s + 1) - 1 do
+      if m.Ctmdp.exit.(i) > 0. then counts.(s) <- counts.(s) + 1;
+      for t = first.(i) to first.(i + 1) - 1 do
+        let j = m.Ctmdp.dst.(t) in
+        counts.(j) <- counts.(j) + 1
+      done
+    done
   done;
   let balance_terms = Array.map (fun c -> Array.make c dummy) counts in
   let fill = Array.make n 0 in
@@ -46,10 +52,12 @@ let add_block lp m ~prefix =
   for s = 0 to n - 1 do
     Array.iteri
       (fun a v ->
-        let act = Ctmdp.action m s a in
-        let exit = Ctmdp.exit_rate act in
+        let i = m.Ctmdp.first_action.(s) + a in
+        let exit = m.Ctmdp.exit.(i) in
         if exit > 0. then push s (-.exit, v);
-        List.iter (fun (j, r) -> push j (r, v)) act.Ctmdp.transitions)
+        for t = first.(i) to first.(i + 1) - 1 do
+          push m.Ctmdp.dst.(t) (m.Ctmdp.rate.(t), v)
+        done)
       x.(s)
   done;
   (* Drop the last balance row (linearly dependent on the others). *)
@@ -73,7 +81,7 @@ let objective_terms m x =
     (fun s row ->
       Array.iteri
         (fun a v ->
-          let c = (Ctmdp.action m s a).Ctmdp.cost in
+          let c = m.Ctmdp.cost.(m.Ctmdp.first_action.(s) + a) in
           if c <> 0. then terms := (c, v) :: !terms)
         row)
     x;
@@ -85,7 +93,7 @@ let extra_terms m x k =
     (fun s row ->
       Array.iteri
         (fun a v ->
-          let e = (Ctmdp.action m s a).Ctmdp.extras.(k) in
+          let e = Ctmdp.extra m (m.Ctmdp.first_action.(s) + a) k in
           if e <> 0. then terms := (e, v) :: !terms)
         row)
     x;
@@ -104,15 +112,18 @@ let harvest m x values =
   let occupation =
     Array.map (Array.map (fun (v : Lp.var) -> Float.max 0. values.((v :> int)))) x
   in
-  let extras = Array.make (Ctmdp.num_extras m) 0. in
+  let ne = Ctmdp.num_extras m in
+  let extras = Array.make ne 0. in
   let gain = ref 0. in
   Array.iteri
     (fun s row ->
       Array.iteri
         (fun a mass ->
-          let act = Ctmdp.action m s a in
-          gain := !gain +. (mass *. act.Ctmdp.cost);
-          Array.iteri (fun k e -> extras.(k) <- extras.(k) +. (mass *. e)) act.Ctmdp.extras)
+          let i = m.Ctmdp.first_action.(s) + a in
+          gain := !gain +. (mass *. m.Ctmdp.cost.(i));
+          for k = 0 to ne - 1 do
+            extras.(k) <- extras.(k) +. (mass *. m.Ctmdp.extras.((i * ne) + k))
+          done)
         row)
     occupation;
   (occupation, extras, !gain)
@@ -152,6 +163,7 @@ let outcome_of_lp ?extra_bounds m x n_structural_rows = function
           extras;
           extra_duals;
           lp_iterations = sol.Lp.iterations;
+              stationary = None;
         }
 
 let model ?extra_bounds m =
@@ -226,6 +238,7 @@ let joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extra
               extras;
               extra_duals = [||];
               lp_iterations = sol.Lp.iterations;
+              stationary = None;
             })
           models
       in

@@ -33,7 +33,17 @@ type solved = {
   extras : float array;  (** achieved time-average of each extra *)
   extra_duals : float array;  (** multipliers of the resource rows *)
   lp_iterations : int;
+  stationary : Bufsize_numeric.Vec.t option;
+      (** the stationary distribution of [policy], when the solve that
+          produced the record computed it: [Some] on a deterministic
+          answer of the price path ({!Constrained.deterministic_solved}),
+          [None] on an LP answer or a mixed one.  {!stationary} reads it. *)
 }
+
+val stationary : Ctmdp.t -> solved -> Bufsize_numeric.Vec.t
+(** [stationary m s] is the stationary distribution of [s.policy] on
+    [m]: the one [s] carries, or else a fresh
+    {!Policy.stationary}. *)
 
 type outcome =
   | Optimal of solved

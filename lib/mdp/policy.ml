@@ -1,4 +1,5 @@
 module Vec = Bufsize_numeric.Vec
+module Sparse = Bufsize_numeric.Sparse
 module Ctmc = Bufsize_prob.Ctmc
 module Rng = Bufsize_prob.Rng
 
@@ -46,6 +47,10 @@ let uniform m =
 let prob p s a = p.probs.(s).(a)
 let action_probs p s = Array.copy p.probs.(s)
 
+let chooses p choice =
+  Array.length choice = Array.length p.probs
+  && Array.for_all2 (fun row a -> a >= 0 && a < Array.length row && row.(a) = 1.) p.probs choice
+
 let is_deterministic ?(tol = 1e-9) p =
   Array.for_all
     (fun row -> Array.exists (fun x -> Float.abs (x -. 1.) <= tol) row)
@@ -60,19 +65,40 @@ let randomized_states ?(tol = 1e-9) p =
     p.probs;
   List.rev !result
 
+(* The chain of a policy, straight from the flat arrays: row [s] holds
+   prob(a|s) * rate for the transitions of each action with positive
+   probability.  Each row's entries are laid down in reverse (action,
+   transition) order, the order in which duplicate targets have always
+   been accumulated, so every rate — and every pinned result — stays
+   bitwise. *)
 let induced_ctmc m p =
   let n = Ctmdp.num_states m in
-  let rates = ref [] in
+  let first_action = m.Ctmdp.first_action and first = m.Ctmdp.first_transition in
+  let row_ptr = Array.make (n + 1) 0 in
   for s = 0 to n - 1 do
+    let count = ref 0 in
     Array.iteri
       (fun a pa ->
-        if pa > 0. then
-          List.iter
-            (fun (j, r) -> rates := (s, j, pa *. r) :: !rates)
-            (Ctmdp.action m s a).Ctmdp.transitions)
-      p.probs.(s)
+        let i = first_action.(s) + a in
+        if pa > 0. then count := !count + first.(i + 1) - first.(i))
+      p.probs.(s);
+    row_ptr.(s + 1) <- row_ptr.(s) + !count
   done;
-  Ctmc.of_rates n !rates
+  let col_idx = Array.make row_ptr.(n) 0 and values = Array.make row_ptr.(n) 0. in
+  let k = ref 0 in
+  for s = 0 to n - 1 do
+    let row = p.probs.(s) in
+    for a = Array.length row - 1 downto 0 do
+      let pa = row.(a) and i = first_action.(s) + a in
+      if pa > 0. then
+        for t = first.(i + 1) - 1 downto first.(i) do
+          col_idx.(!k) <- m.Ctmdp.dst.(t);
+          values.(!k) <- pa *. m.Ctmdp.rate.(t);
+          incr k
+        done
+    done
+  done;
+  Ctmc.of_rate_matrix (Sparse.of_row_entries ~rows:n ~cols:n ~row_ptr ~col_idx ~values)
 
 let stationary m p = Ctmc.stationary (induced_ctmc m p)
 
@@ -94,9 +120,11 @@ let evaluate m p =
         Array.mapi
           (fun a pa ->
             let x = pi.(s) *. pa in
-            let act = Ctmdp.action m s a in
-            gain := !gain +. (x *. act.Ctmdp.cost);
-            Array.iteri (fun i e -> extras.(i) <- extras.(i) +. (x *. e)) act.Ctmdp.extras;
+            let i = m.Ctmdp.first_action.(s) + a in
+            gain := !gain +. (x *. m.Ctmdp.cost.(i));
+            for e = 0 to k - 1 do
+              extras.(e) <- extras.(e) +. (x *. m.Ctmdp.extras.((i * k) + e))
+            done;
             x)
           row)
       p.probs

@@ -27,6 +27,11 @@ val prob : t -> int -> int -> float
 
 val action_probs : t -> int -> float array
 
+val chooses : t -> int array -> bool
+(** [chooses p choice]: [p] takes action [choice.(s)] with probability
+    exactly 1 in every state [s] — [p] is the deterministic policy
+    [choice]. *)
+
 val is_deterministic : ?tol:float -> t -> bool
 
 val randomized_states : ?tol:float -> t -> int list
@@ -34,7 +39,9 @@ val randomized_states : ?tol:float -> t -> int list
     (default [1e-9]) — the "switching" states of a K-switching policy. *)
 
 val induced_ctmc : Ctmdp.t -> t -> Bufsize_prob.Ctmc.t
-(** The CTMC obtained by averaging transition rates under the policy. *)
+(** The CTMC obtained by averaging transition rates under the policy,
+    built from the model's flat arrays straight into the rate matrix
+    ({!Bufsize_prob.Ctmc.of_rate_matrix}). *)
 
 val stationary : Ctmdp.t -> t -> Bufsize_numeric.Vec.t
 (** Stationary distribution of {!induced_ctmc}. *)

@@ -15,10 +15,10 @@ type line = { choice : int array; g_c : float; g_u : float; h_c : Vec.t; h_u : V
 
 type result = { line : line; gain : float; iterations : int; converged : bool }
 
-(* The second right-hand side: extra 0, or nothing on a model without
-   extras. *)
-let usage act = if Array.length act.Ctmdp.extras = 0 then 0. else act.Ctmdp.extras.(0)
-let cost act = act.Ctmdp.cost
+(* The two right-hand sides of global action [i]: its cost, and extra 0
+   (nothing on a model without extras). *)
+let cost m i = m.Ctmdp.cost.(i)
+let usage = Ctmdp.usage
 
 (* The dense evaluation's storage: the factorization of the (n+1)^2
    system, rebuilt in place by each evaluation (bitwise equal to a fresh
@@ -54,14 +54,12 @@ let evaluate_dense ws m choice =
   let dim = n + 1 in
   let fill a =
     for s = 0 to n - 1 do
-      let c = choice.(s) in
-      let act = Ctmdp.action m s c in
-      a.((s * dim) + s) <- 0. -. (Ctmdp.exit_rates m s).(c);
-      List.iter
-        (fun (j, r) ->
-          let p = (j * dim) + s in
-          a.(p) <- a.(p) +. r)
-        act.Ctmdp.transitions;
+      let i = m.Ctmdp.first_action.(s) + choice.(s) in
+      a.((s * dim) + s) <- 0. -. m.Ctmdp.exit.(i);
+      for t = m.Ctmdp.first_transition.(i) to m.Ctmdp.first_transition.(i + 1) - 1 do
+        let p = (m.Ctmdp.dst.(t) * dim) + s in
+        a.(p) <- a.(p) +. m.Ctmdp.rate.(t)
+      done;
       a.((n * dim) + s) <- -1.
     done;
     a.(n) <- 1.
@@ -70,7 +68,7 @@ let evaluate_dense ws m choice =
   Obs.incr m_factorizations;
   let solve rate =
     for s = 0 to n - 1 do
-      ws.rhs.(s) <- -.rate (Ctmdp.action m s choice.(s))
+      ws.rhs.(s) <- -.rate m (m.Ctmdp.first_action.(s) + choice.(s))
     done;
     (* rhs.(n) = 0: bias normalized at state 0 *)
     Lu.solve_into ws.lu ~idx:ws.idx ws.rhs ws.sol;
@@ -91,13 +89,7 @@ let evaluate_deterministic m choice =
    one transposed-free SpMV. *)
 let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) m choice =
   let n = Ctmdp.num_states m in
-  let transitions = ref [] in
-  for s = n - 1 downto 0 do
-    List.iter
-      (fun (j, r) -> transitions := (s, j, r) :: !transitions)
-      (Ctmdp.action m s choice.(s)).Ctmdp.transitions
-  done;
-  let chain = Ctmc.of_rates n !transitions in
+  let chain = Policy.induced_ctmc m (Policy.deterministic m choice) in
   let pi = Ctmc.stationary chain in
   let q = Ctmc.sparse_generator chain in
   let lambda =
@@ -108,7 +100,7 @@ let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) m choice =
     Float.max (2. *. !m) 1e-300
   in
   fun rate ->
-    let r = Array.init n (fun s -> rate (Ctmdp.action m s choice.(s))) in
+    let r = Array.init n (fun s -> rate m (m.Ctmdp.first_action.(s) + choice.(s))) in
     let gain = ref 0. in
     for s = 0 to n - 1 do
       gain := !gain +. (pi.(s) *. r.(s))
@@ -170,23 +162,16 @@ let improve ~tol (w_c, w_u) m line =
   let h = Array.mapi (fun j hc -> (w_c *. hc) +. (w_u *. line.h_u.(j))) line.h_c in
   let next = Array.copy line.choice and changed = ref false in
   for s = 0 to Ctmdp.num_states m - 1 do
-    let acts = Ctmdp.actions m s and exits = Ctmdp.exit_rates m s in
+    let base = m.Ctmdp.first_action.(s) in
     let hs = h.(s) and incumbent = line.choice.(s) in
     let best = ref 0 and best_val = ref 0. and incumbent_val = ref 0. in
-    for a = 0 to Array.length acts - 1 do
-      let act = acts.(a) in
-      let flow = ref 0. and rest = ref act.Ctmdp.transitions in
-      while
-        match !rest with
-        | [] -> false
-        | (j, r) :: tl ->
-            flow := !flow +. (r *. h.(j));
-            rest := tl;
-            true
-      do
-        ()
+    for a = 0 to Ctmdp.num_actions m s - 1 do
+      let i = base + a in
+      let flow = ref 0. in
+      for t = m.Ctmdp.first_transition.(i) to m.Ctmdp.first_transition.(i + 1) - 1 do
+        flow := !flow +. (m.Ctmdp.rate.(t) *. h.(m.Ctmdp.dst.(t)))
       done;
-      let v = (w_c *. cost act) +. (w_u *. usage act) +. !flow -. (exits.(a) *. hs) in
+      let v = (w_c *. cost m i) +. (w_u *. usage m i) +. !flow -. (m.Ctmdp.exit.(i) *. hs) in
       if a = 0 || v < !best_val then begin
         best := a;
         best_val := v

@@ -11,87 +11,101 @@ type t = {
 let nnz t = t.row_ptr.(t.rows)
 let row_nnz t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
+(* Sort entries [lo, hi) of the parallel arrays by column, stably, so
+   duplicates keep their list order.  Insertion sort for the short rows
+   of generators and LP blocks; a stable sort of positions above. *)
+let sort_row col_idx values lo hi =
+  if hi - lo <= 16 then
+    for k = lo + 1 to hi - 1 do
+      let j = col_idx.(k) and v = values.(k) in
+      let p = ref k in
+      while !p > lo && col_idx.(!p - 1) > j do
+        col_idx.(!p) <- col_idx.(!p - 1);
+        values.(!p) <- values.(!p - 1);
+        decr p
+      done;
+      col_idx.(!p) <- j;
+      values.(!p) <- v
+    done
+  else begin
+    let order = Array.init (hi - lo) (fun k -> lo + k) in
+    Array.stable_sort (fun a b -> Int.compare col_idx.(a) col_idx.(b)) order;
+    let cs = Array.map (fun k -> col_idx.(k)) order in
+    let vs = Array.map (fun k -> values.(k)) order in
+    Array.blit cs 0 col_idx lo (hi - lo);
+    Array.blit vs 0 values lo (hi - lo)
+  end
+
+let of_row_entries ~rows ~cols ~row_ptr ~col_idx ~values =
+  if rows < 0 || cols < 0 then invalid_arg "Sparse.of_row_entries: negative dimensions";
+  let total = Array.length col_idx in
+  if Array.length row_ptr <> rows + 1 || row_ptr.(0) <> 0 || row_ptr.(rows) <> total
+     || Array.length values <> total
+  then invalid_arg "Sparse.of_row_entries: array lengths disagree";
+  (* Per row: a stable sort by column, then one merge that accumulates
+     duplicates in their array order and drops exact zero sums,
+     compacting in place. *)
+  let kept = ref 0 in
+  for i = 0 to rows - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    if hi < lo then invalid_arg "Sparse.of_row_entries: row_ptr decreases";
+    for k = lo to hi - 1 do
+      let j = col_idx.(k) in
+      if j < 0 || j >= cols then
+        invalid_arg
+          (Printf.sprintf "Sparse.of_row_entries: entry (%d, %d) out of %dx%d" i j rows cols)
+    done;
+    sort_row col_idx values lo hi;
+    row_ptr.(i) <- !kept;
+    let k = ref lo in
+    while !k < hi do
+      let j = col_idx.(!k) in
+      let acc = ref values.(!k) in
+      incr k;
+      while !k < hi && col_idx.(!k) = j do
+        acc := !acc +. values.(!k);
+        incr k
+      done;
+      if !acc <> 0. then begin
+        col_idx.(!kept) <- j;
+        values.(!kept) <- !acc;
+        incr kept
+      end
+    done
+  done;
+  row_ptr.(rows) <- !kept;
+  let trim a = if !kept = total then a else Array.sub a 0 !kept in
+  { rows; cols; row_ptr; col_idx = trim col_idx; values = trim values }
+
 let of_triplets ~rows ~cols entries =
   if rows < 0 || cols < 0 then
     invalid_arg "Sparse.of_triplets: negative dimensions";
+  (* Counting pass (validating), then a fill in list order, so duplicates
+     accumulate in list order and float sums are reproducible regardless
+     of how callers interleave rows. *)
+  let row_ptr = Array.make (rows + 1) 0 in
   List.iter
     (fun (i, j, _) ->
       if i < 0 || i >= rows || j < 0 || j >= cols then
         invalid_arg
           (Printf.sprintf "Sparse.of_triplets: entry (%d, %d) out of %dx%d" i j
-             rows cols))
+             rows cols);
+      row_ptr.(i + 1) <- row_ptr.(i + 1) + 1)
     entries;
-  (* Accumulate duplicates per row in list order so float sums are
-     reproducible regardless of how callers interleave rows. *)
-  let row_entries = Array.make rows [] in
-  List.iter
-    (fun (i, j, v) -> row_entries.(i) <- (j, v) :: row_entries.(i))
-    entries;
-  let row_ptr = Array.make (rows + 1) 0 in
-  let acc = Hashtbl.create 16 in
-  let per_row =
-    Array.init rows (fun i ->
-        let elts = List.rev row_entries.(i) in
-        Hashtbl.reset acc;
-        let order = ref [] in
-        List.iter
-          (fun (j, v) ->
-            match Hashtbl.find_opt acc j with
-            | None ->
-                Hashtbl.add acc j v;
-                order := j :: !order
-            | Some prev -> Hashtbl.replace acc j (prev +. v))
-          elts;
-        let cols_used = List.sort compare (List.rev !order) in
-        let kept =
-          List.filter_map
-            (fun j ->
-              let v = Hashtbl.find acc j in
-              if v = 0. then None else Some (j, v))
-            cols_used
-        in
-        row_ptr.(i + 1) <- List.length kept;
-        kept)
-  in
   for i = 0 to rows - 1 do
     row_ptr.(i + 1) <- row_ptr.(i) + row_ptr.(i + 1)
   done;
-  let n = row_ptr.(rows) in
-  let col_idx = Array.make n 0 and values = Array.make n 0. in
-  Array.iteri
-    (fun i kept ->
-      let k = ref row_ptr.(i) in
-      List.iter
-        (fun (j, v) ->
-          col_idx.(!k) <- j;
-          values.(!k) <- v;
-          incr k)
-        kept)
-    per_row;
-  { rows; cols; row_ptr; col_idx; values }
-
-let of_rows ~rows ~cols row_data =
-  if Array.length row_data <> rows then
-    invalid_arg "Sparse.of_rows: row count mismatch";
-  let row_ptr = Array.make (rows + 1) 0 in
-  for i = 0 to rows - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + Array.length row_data.(i)
-  done;
-  let n = row_ptr.(rows) in
-  let col_idx = Array.make n 0 and values = Array.make n 0. in
-  for i = 0 to rows - 1 do
-    let base = row_ptr.(i) in
-    let prev = ref (-1) in
-    Array.iteri
-      (fun k (j, v) ->
-        if j <= !prev || j < 0 || j >= cols then
-          invalid_arg "Sparse.of_rows: columns not strictly increasing";
-        prev := j;
-        col_idx.(base + k) <- j;
-        values.(base + k) <- v)
-      row_data.(i)
-  done;
-  { rows; cols; row_ptr; col_idx; values }
+  let total = row_ptr.(rows) in
+  let col_idx = Array.make total 0 and values = Array.make total 0. in
+  let fill = Array.sub row_ptr 0 rows in
+  List.iter
+    (fun (i, j, v) ->
+      let k = fill.(i) in
+      col_idx.(k) <- j;
+      values.(k) <- v;
+      fill.(i) <- k + 1)
+    entries;
+  of_row_entries ~rows ~cols ~row_ptr ~col_idx ~values
 
 let of_dense (m : Mat.t) =
   let rows = m.Mat.rows and cols = m.Mat.cols in

@@ -23,7 +23,8 @@ type t = private {
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 (** [of_triplets ~rows ~cols entries] accumulates duplicate [(i, j, v)]
     entries (in list order, so float accumulation is reproducible) and
-    drops entries whose accumulated value is exactly [0.].
+    drops entries whose accumulated value is exactly [0.]: a counting
+    pass and a fill, then {!of_row_entries}.
     @raise Invalid_argument on out-of-range indices or negative dims. *)
 
 val of_dense : Mat.t -> t
@@ -31,10 +32,17 @@ val of_dense : Mat.t -> t
 
 val to_dense : t -> Mat.t
 
-val of_rows : rows:int -> cols:int -> (int * float) array array -> t
-(** [of_rows ~rows ~cols r] with [r.(i)] the entries of row [i] as
-    [(col, value)] pairs in strictly increasing column order (validated).
-    Zero values are kept as given; no accumulation is performed. *)
+val of_row_entries :
+  rows:int -> cols:int -> row_ptr:int array -> col_idx:int array -> values:float array -> t
+(** [of_row_entries ~rows ~cols ~row_ptr ~col_idx ~values] with row [i]'s
+    entries at positions [row_ptr.(i) .. row_ptr.(i+1) - 1] of [col_idx]
+    and [values], in any column order: each row is sorted stably by
+    column, duplicates accumulate in their array order and entries whose
+    accumulated value is exactly [0.] are dropped, in place — the caller
+    hands the three arrays over.  {!of_triplets} is its counting pass and
+    fill.
+    @raise Invalid_argument on inconsistent lengths or an out-of-range
+    column. *)
 
 val nnz : t -> int
 

@@ -29,6 +29,45 @@ type t = {
    application) and no dense n x n matrix is ever allocated. *)
 let dense_threshold = 512
 
+let of_rate_matrix off =
+  let n = off.Sparse.rows in
+  if n <= 0 || off.Sparse.cols <> n then invalid_arg "Ctmc.of_rate_matrix: not square";
+  (* Diagonal = minus the (column-ascending) off-diagonal row sum — the
+     same accumulation order the dense representation used — inserted in
+     its column's place. *)
+  let exit = Array.make n 0. in
+  let diagonals = ref 0 in
+  for i = 0 to n - 1 do
+    let out = ref 0. in
+    Sparse.iter_row off i (fun j v ->
+        if j = i then invalid_arg "Ctmc.of_rate_matrix: self loop";
+        if v < 0. then invalid_arg "Ctmc.of_rate_matrix: negative rate";
+        out := !out +. v);
+    exit.(i) <- !out;
+    if !out <> 0. then incr diagonals
+  done;
+  let nnz = Sparse.nnz off + !diagonals in
+  let row_ptr = Array.make (n + 1) 0 in
+  let col_idx = Array.make nnz 0 and values = Array.make nnz 0. in
+  let k = ref 0 in
+  let put j v =
+    col_idx.(!k) <- j;
+    values.(!k) <- v;
+    incr k
+  in
+  for i = 0 to n - 1 do
+    let placed = ref (exit.(i) = 0.) in
+    Sparse.iter_row off i (fun j v ->
+        if (not !placed) && j > i then begin
+          put i (-.exit.(i));
+          placed := true
+        end;
+        put j v);
+    if not !placed then put i (-.exit.(i));
+    row_ptr.(i + 1) <- !k
+  done;
+  { n; q = Sparse.of_row_entries ~rows:n ~cols:n ~row_ptr ~col_idx ~values; exit }
+
 let of_rates n rates =
   if n <= 0 then invalid_arg "Ctmc.of_rates: need at least one state";
   List.iter
@@ -37,24 +76,7 @@ let of_rates n rates =
       if i = j then invalid_arg "Ctmc.of_rates: self loop";
       if r < 0. then invalid_arg "Ctmc.of_rates: negative rate")
     rates;
-  let off = Sparse.of_triplets ~rows:n ~cols:n rates in
-  (* Diagonal = minus the (column-ascending) off-diagonal row sum — the
-     same accumulation order the dense representation used. *)
-  let exit = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let out = ref 0. in
-    Sparse.iter_row off i (fun j v -> if j <> i then out := !out +. v);
-    exit.(i) <- !out
-  done;
-  let diag = ref [] in
-  for i = n - 1 downto 0 do
-    if exit.(i) <> 0. then diag := (i, i, -.exit.(i)) :: !diag
-  done;
-  let q =
-    Sparse.of_triplets ~rows:n ~cols:n
-      (List.rev_append (List.rev rates) !diag)
-  in
-  { n; q; exit }
+  of_rate_matrix (Sparse.of_triplets ~rows:n ~cols:n rates)
 
 let of_generator m =
   if m.Mat.rows <> m.Mat.cols then invalid_arg "Ctmc.of_generator: not square";

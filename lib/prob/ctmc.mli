@@ -22,6 +22,14 @@ val of_rates : int -> (int * int * float) list -> t
     @raise Invalid_argument on negative rates, self loops, or out-of-range
     states. *)
 
+val of_rate_matrix : Bufsize_numeric.Sparse.t -> t
+(** [of_rate_matrix r] is the chain whose off-diagonal rates are [r]
+    (square, no diagonal entry, no negative entry): each exit rate is the
+    row's sum in column order, and its negation is inserted as the
+    row's diagonal entry.  {!of_rates} is [of_rate_matrix] of
+    {!Bufsize_numeric.Sparse.of_triplets}.
+    @raise Invalid_argument otherwise. *)
+
 val of_generator : Bufsize_numeric.Mat.t -> t
 (** Validates an explicit generator matrix: square, nonnegative
     off-diagonal, rows summing to (numerically) zero. *)

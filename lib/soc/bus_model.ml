@@ -1,5 +1,4 @@
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Policy = Bufsize_mdp.Policy
 
 type client_model = {
   client : Traffic.client;
@@ -91,14 +90,6 @@ let build ?(weights = fun _ -> 1.) ?levels ?max_states sub =
   let radix = Array.map (fun c -> c.levels + 1) loaded in
   let nl = Array.length loaded in
   let num_states = Array.fold_left ( * ) 1 radix in
-  let encode k =
-    let s = ref 0 in
-    for i = 0 to nl - 1 do
-      if k.(i) < 0 || k.(i) >= radix.(i) then invalid_arg "Bus_model: occupancy out of range";
-      s := (!s * radix.(i)) + k.(i)
-    done;
-    !s
-  in
   let decode s =
     let k = Array.make nl 0 in
     let rest = ref s in
@@ -109,67 +100,48 @@ let build ?(weights = fun _ -> 1.) ?levels ?max_states sub =
     k
   in
   let mu = sub.Splitting.service_rate in
-  (* Cost rate: weighted arrival streams currently blocked (full buffers). *)
-  let cost_of k =
-    let acc = ref 0. in
-    for i = 0 to nl - 1 do
-      if k.(i) = loaded.(i).levels then acc := !acc +. (loaded.(i).weight *. loaded.(i).arrival_rate)
-    done;
-    !acc
+  (* Mixed-radix strides: client i's occupancy moves a state index by
+     stride.(i) (client 0 most significant). *)
+  let stride = Array.make nl 1 in
+  for i = nl - 2 downto 0 do
+    stride.(i) <- stride.(i + 1) * radix.(i + 1)
+  done;
+  let serve_labels = Array.init nl (Printf.sprintf "serve%d") in
+  let state_label s =
+    "(" ^ String.concat "," (Array.to_list (Array.map string_of_int (decode s))) ^ ")"
   in
-  let occupied k =
-    let acc = ref 0 in
-    for i = 0 to nl - 1 do
-      acc := !acc + k.(i)
-    done;
-    float_of_int !acc
-  in
-  let arrival_transitions k =
-    let acc = ref [] in
-    for i = 0 to nl - 1 do
-      if k.(i) < loaded.(i).levels then begin
-        let k' = Array.copy k in
-        k'.(i) <- k.(i) + 1;
-        acc := (encode k', loaded.(i).arrival_rate) :: !acc
-      end
-    done;
-    !acc
-  in
-  let actions =
-    Array.init num_states (fun s ->
-        let k = decode s in
-        let cost = cost_of k in
-        let extras = [| occupied k |] in
-        let arrivals = arrival_transitions k in
-        let serve_actions =
-          List.concat
-            (List.init nl (fun i ->
-                 if k.(i) > 0 then begin
-                   let k' = Array.copy k in
-                   k'.(i) <- k.(i) - 1;
-                   [
-                     {
-                       Ctmdp.label = Printf.sprintf "serve%d" i;
-                       transitions = (encode k', mu) :: arrivals;
-                       cost;
-                       extras;
-                     };
-                   ]
-                 end
-                 else []))
+  let model =
+    Ctmdp.create ~state_label ~num_extras:1 num_states (fun b s ->
+        let k = decode s and occupied = ref 0 and cost = ref 0. in
+        (* Cost rate: weighted arrival streams currently blocked (full
+           buffers); extra 0: the occupied levels. *)
+        for i = 0 to nl - 1 do
+          if k.(i) = loaded.(i).levels then
+            cost := !cost +. (loaded.(i).weight *. loaded.(i).arrival_rate);
+          occupied := !occupied + k.(i)
+        done;
+        let cost = !cost and extras = [| float_of_int !occupied |] in
+        (* Every action ends with the arrivals, last client first. *)
+        let arrivals () =
+          for i = nl - 1 downto 0 do
+            if k.(i) < loaded.(i).levels then
+              Ctmdp.add_transition b (s + stride.(i)) loaded.(i).arrival_rate
+          done
         in
-        match serve_actions with
-        | [] -> [| { Ctmdp.label = "idle"; transitions = arrivals; cost; extras } |]
-        | _ :: _ -> Array.of_list serve_actions)
+        let served = ref false in
+        for i = 0 to nl - 1 do
+          if k.(i) > 0 then begin
+            served := true;
+            Ctmdp.add_action b ~label:serve_labels.(i) ~cost ~extras;
+            Ctmdp.add_transition b (s - stride.(i)) mu;
+            arrivals ()
+          end
+        done;
+        if not !served then begin
+          Ctmdp.add_action b ~label:"idle" ~cost ~extras;
+          arrivals ()
+        end)
   in
-  let state_labels =
-    Array.init num_states (fun s ->
-        let k = decode s in
-        "("
-        ^ String.concat "," (Array.to_list (Array.map string_of_int k))
-        ^ ")")
-  in
-  let model = Ctmdp.create ~state_labels ~num_extras:1 actions in
   { sub; all_clients; loaded; radix; model }
 
 let subsystem t = t.sub
@@ -198,8 +170,7 @@ let decode t s =
   done;
   k
 
-let occupancy_distribution t policy =
-  let pi = Policy.stationary t.model policy in
+let occupancy_distribution t pi =
   let nl = Array.length t.loaded in
   let marginals = Array.init nl (fun i -> Array.make (t.loaded.(i).levels + 1) 0.) in
   Array.iteri
@@ -289,102 +260,129 @@ module Shared = struct
           Some (Array.of_list (List.rev !picked))
     in
     let states = enumerate n capacity in
-    let index = Hashtbl.create (Array.length states * 2) in
-    Array.iteri (fun s k -> Hashtbl.replace index k s) states;
+    (* A state's index is its rank in the lexicographic enumeration:
+       below[m].(r) counts the vectors of m clients holding at most r
+       levels between them, C(r + m, m), summed over r' <= r — so the
+       vectors that precede k at position i with the same prefix number
+       below[n-1-i].(rem) - below[n-1-i].(rem - k_i). *)
+    let below =
+      Array.init n (fun m ->
+          let acc = ref 0 in
+          Array.init (capacity + 1) (fun r ->
+              acc := !acc + state_count ~capacity:r m;
+              !acc))
+    in
     let encode k =
-      match Hashtbl.find_opt index k with
-      | Some s -> s
-      | None -> invalid_arg "Bus_model.Shared: occupancy out of range"
+      let rank = ref 0 and rem = ref capacity in
+      for i = 0 to n - 1 do
+        let c = below.(n - 1 - i) in
+        if k.(i) > 0 then rank := !rank + c.(!rem) - c.(!rem - k.(i));
+        rem := !rem - k.(i)
+      done;
+      !rank
     in
     let mu = sub.Splitting.service_rate in
     let full_set = List.init n (fun i -> i) in
     (* Admission alternatives: admit-all, admit-all-but-one (reserve a slot
        against one stream), and — when mimicking — the static partition's
-       rule.  Enumerating all 2^n subsets would square the LP for nothing:
-       these already include every undominated single-slot reservation. *)
-    let admissions k =
-      let cands =
-        full_set :: List.map (fun i -> List.filter (fun j -> j <> i) full_set) full_set
+       rule, in the order of their sorted client lists.  Enumerating all
+       2^n subsets would square the LP for nothing: these already include
+       every undominated single-slot reservation.  A state's alternatives
+       depend on it only through the mimicked rule, so they are made once
+       per distinct rule: each with its cost rate (the weighted rejected
+       streams) and its shared label per served client ([idle] last). *)
+    let fixed = full_set :: List.map (fun i -> List.filter (fun j -> j <> i) full_set) full_set in
+    let serve_labels = Array.init n (Printf.sprintf "serve%d") in
+    let alternative adm =
+      let cost =
+        List.fold_left
+          (fun acc i ->
+            if List.mem i adm then acc
+            else acc +. (sh_loaded.(i).weight *. sh_loaded.(i).arrival_rate))
+          0. full_set
       in
-      let cands =
-        match mimic with
-        | None -> cands
-        | Some ls ->
-            let a = List.filter (fun i -> k.(i) < ls.(i)) full_set in
-            a :: cands
+      let label base =
+        if adm = full_set then base
+        else base ^ "_adm" ^ String.concat "" (List.map string_of_int adm)
       in
-      List.sort_uniq compare cands
+      (Array.of_list adm, cost, Array.append (Array.map label serve_labels) [| label "idle" |])
     in
-    let num_states = Array.length states in
-    let actions =
-      Array.init num_states (fun s ->
+    let alternatives = Hashtbl.create 8 in
+    let admissions rule =
+      match Hashtbl.find_opt alternatives rule with
+      | Some a -> a
+      | None ->
+          let cands =
+            if rule < 0 then fixed
+            else List.filter (fun i -> rule land (1 lsl i) <> 0) full_set :: fixed
+          in
+          let a = Array.of_list (List.map alternative (List.sort_uniq compare cands)) in
+          Hashtbl.add alternatives rule a;
+          a
+    in
+    let full_cost =
+      Array.fold_left (fun acc c -> acc +. (c.weight *. c.arrival_rate)) 0. sh_loaded
+    in
+    let state_label s =
+      "(" ^ String.concat "," (Array.to_list (Array.map string_of_int states.(s))) ^ ")"
+    in
+    let sh_model =
+      Ctmdp.create ~state_label ~num_extras:1 (Array.length states) (fun b s ->
           let k = states.(s) in
           let total = Array.fold_left ( + ) 0 k in
           let extras = [| float_of_int total |] in
-          let serve_bases =
-            List.concat
-              (List.init n (fun j ->
-                   if k.(j) > 0 then begin
-                     let k' = Array.copy k in
-                     k'.(j) <- k.(j) - 1;
-                     [ (Printf.sprintf "serve%d" j, [ (encode k', mu) ]) ]
-                   end
-                   else []))
+          (* The served client's departure (none when idle), then the
+             admitted arrivals in client order. *)
+          let serve j =
+            k.(j) <- k.(j) - 1;
+            Ctmdp.add_transition b (encode k) mu;
+            k.(j) <- k.(j) + 1
           in
-          let bases = if serve_bases = [] then [ ("idle", []) ] else serve_bases in
-          let acts =
-            if total = capacity then
-              (* Pool full: every arrival is lost no matter what. *)
-              let cost =
-                Array.fold_left (fun acc c -> acc +. (c.weight *. c.arrival_rate)) 0. sh_loaded
-              in
-              List.filter_map
-                (fun (label, moves) ->
-                  if moves = [] then None
-                  else Some { Ctmdp.label; transitions = moves; cost; extras })
-                bases
-            else
-              List.concat_map
-                (fun (base_label, moves) ->
-                  List.filter_map
-                    (fun adm ->
-                      let arrivals =
-                        List.map
-                          (fun i ->
-                            let k' = Array.copy k in
-                            k'.(i) <- k.(i) + 1;
-                            (encode k', sh_loaded.(i).arrival_rate))
-                          adm
-                      in
-                      let transitions = moves @ arrivals in
-                      if transitions = [] then None
-                      else begin
-                        let cost =
-                          List.fold_left
-                            (fun acc i ->
-                              if List.mem i adm then acc
-                              else acc +. (sh_loaded.(i).weight *. sh_loaded.(i).arrival_rate))
-                            0. full_set
-                        in
-                        let label =
-                          if adm = full_set then base_label
-                          else
-                            base_label ^ "_adm"
-                            ^ String.concat "" (List.map string_of_int adm)
-                        in
-                        Some { Ctmdp.label; transitions; cost; extras }
-                      end)
-                    (admissions k))
-                bases
+          let arrive i =
+            k.(i) <- k.(i) + 1;
+            Ctmdp.add_transition b (encode k) sh_loaded.(i).arrival_rate;
+            k.(i) <- k.(i) - 1
           in
-          Array.of_list acts)
+          if total = capacity then
+            (* Pool full: every arrival is lost no matter what. *)
+            for j = 0 to n - 1 do
+              if k.(j) > 0 then begin
+                Ctmdp.add_action b ~label:serve_labels.(j) ~cost:full_cost ~extras;
+                serve j
+              end
+            done
+          else begin
+            let rule =
+              match mimic with
+              | None -> -1
+              | Some ls ->
+                  let r = ref 0 in
+                  for i = n - 1 downto 0 do
+                    r := (2 * !r) + if k.(i) < ls.(i) then 1 else 0
+                  done;
+                  !r
+            in
+            let alts = admissions rule in
+            let offer j =
+              Array.iter
+                (fun (adm, cost, labels) ->
+                  if j < n || Array.length adm > 0 then begin
+                    Ctmdp.add_action b ~label:labels.(j) ~cost ~extras;
+                    if j < n then serve j;
+                    Array.iter arrive adm
+                  end)
+                alts
+            in
+            let idle = ref true in
+            for j = 0 to n - 1 do
+              if k.(j) > 0 then begin
+                idle := false;
+                offer j
+              end
+            done;
+            if !idle then offer n
+          end)
     in
-    let state_labels =
-      Array.map
-        (fun k -> "(" ^ String.concat "," (Array.to_list (Array.map string_of_int k)) ^ ")")
-        states
-    in
-    let sh_model = Ctmdp.create ~state_labels ~num_extras:1 actions in
     { sh_sub = sub; sh_all; sh_loaded; capacity; states; sh_model }
 
   let subsystem t = t.sh_sub
@@ -395,8 +393,7 @@ module Shared = struct
   let capacity t = t.capacity
   let state t s = Array.copy t.states.(s)
 
-  let pool_distribution t policy =
-    let pi = Policy.stationary t.sh_model policy in
+  let pool_distribution t pi =
     let dist = Array.make (t.capacity + 1) 0. in
     Array.iteri
       (fun s p ->
@@ -405,8 +402,8 @@ module Shared = struct
       pi;
     dist
 
-  let expected_total t policy =
-    let dist = pool_distribution t policy in
+  let expected_total t pi =
+    let dist = pool_distribution t pi in
     let acc = ref 0. in
     Array.iteri (fun l p -> acc := !acc +. (float_of_int l *. p)) dist;
     !acc

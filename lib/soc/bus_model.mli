@@ -63,11 +63,13 @@ val encode : t -> int array -> int
 
 val decode : t -> int -> int array
 
-val occupancy_distribution : t -> Bufsize_mdp.Policy.t -> float array array
-(** [occupancy_distribution m p] gives, for each loaded client (in
-    {!loaded_clients} order), the stationary marginal distribution of its
-    occupancy level under policy [p] — the quantity the paper translates
-    into buffer space requirements. *)
+val occupancy_distribution : t -> Bufsize_numeric.Vec.t -> float array array
+(** [occupancy_distribution m pi] gives, for each loaded client (in
+    {!loaded_clients} order), the marginal distribution of its occupancy
+    level under the stationary distribution [pi] of a policy — the
+    quantity the paper translates into buffer space requirements.  [pi]
+    is the one the policy's solve computed
+    ({!Bufsize_mdp.Lp_formulation.stationary}); nothing is solved here. *)
 
 val total_levels : t -> int
 (** Sum of level counts over loaded clients (capacity represented by the
@@ -119,11 +121,12 @@ module Shared : sig
   val state : t -> int -> int array
   (** Occupancy vector (over loaded clients) of a state index. *)
 
-  val pool_distribution : t -> Bufsize_mdp.Policy.t -> float array
-  (** Stationary distribution of the total pool occupancy [0..capacity]
-      under a policy. *)
+  val pool_distribution : t -> Bufsize_numeric.Vec.t -> float array
+  (** Distribution of the total pool occupancy [0..capacity] under the
+      stationary distribution of a policy. *)
 
-  val expected_total : t -> Bufsize_mdp.Policy.t -> float
+  val expected_total : t -> Bufsize_numeric.Vec.t -> float
+  (** Mean of {!pool_distribution}. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -2,7 +2,6 @@ module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
 module Policy_iteration = Bufsize_mdp.Policy_iteration
-module Pool = Bufsize_pool.Pool
 module Resilience = Bufsize_resilience.Resilience
 module Obs = Bufsize_obs.Obs
 module Solve_cache = Bufsize_numeric.Solve_cache
@@ -132,13 +131,13 @@ let price_of (j : Lp_formulation.joint_solved) =
    retrying without the bound when it cannot be met: (joint answer, bound
    kept, price, diagnostic), and the price-0 lines of the first slack test
    that completed. *)
-let solve_blocks ?map ?bound blocks =
-  let outcome, diag, free = Constrained.solve_price ?map ?bound blocks in
+let solve_blocks ?bound blocks =
+  let outcome, diag, free = Constrained.solve_price ?bound blocks in
   match outcome with
   | Some (Lp_formulation.Joint_optimal j) -> (Some (j, true, price_of j, diag), free)
   | _ when bound = None -> (None, free)
   | _ -> (
-      let outcome, diag, retry_free = Constrained.solve_price ?map blocks in
+      let outcome, diag, retry_free = Constrained.solve_price blocks in
       let free = if free = None then retry_free else free in
       match outcome with
       | Some (Lp_formulation.Joint_optimal j) ->
@@ -185,7 +184,7 @@ let damq_reeval ?bound config (s : subsystem_solution) =
             }
       | None, _ -> Error "shared-pool solve failed")
 
-let solve_subsystems ?pool config models =
+let solve_subsystems config models ctmdps =
   let total_levels =
     Array.fold_left (fun acc m -> acc + Bus_model.total_levels m) 0 models
   in
@@ -194,18 +193,14 @@ let solve_subsystems ?pool config models =
   let bound_levels =
     config.occupancy_fraction *. float_of_int config.budget /. words_per_level
   in
-  (* Per-subsystem CTMDP construction is independent — build on the pool. *)
-  let ctmdps = Pool.map_array ?pool Bus_model.ctmdp models in
   let fail () = failwith "Sizing.run: subsystem solve failed even without the budget bound" in
   match config.solver with
   | Joint -> (
-      (* One price couples the blocks; the per-block policy iterations of
-         each round run on the pool. *)
-      let map = { Constrained.map = (fun f a -> Pool.map_array ?pool f a) } in
+      (* One price couples the blocks. *)
       match
         Obs.span ~name:"sizing.solve-joint"
           ~attrs:(fun () -> [ ("subsystems", string_of_int (Array.length ctmdps)) ])
-          (fun () -> solve_blocks ~map ~bound:bound_levels ctmdps)
+          (fun () -> solve_blocks ~bound:bound_levels ctmdps)
       with
       | Some (j, active, price, diag), free ->
           ( j.Lp_formulation.components,
@@ -227,9 +222,7 @@ let solve_subsystems ?pool config models =
           models
       in
       (* Each subsystem is independent (that is the paper's point), with a
-         price of its own, so solve them on the pool.  The solver returns
-         its result instead of flipping a shared flag — no mutable state
-         crosses domains. *)
+         price of its own. *)
       let solve_one i m =
         Obs.span ~name:"sizing.subsystem"
           ~attrs:(fun () -> [ ("bus", bus_label models.(i)) ])
@@ -240,7 +233,7 @@ let solve_subsystems ?pool config models =
               Option.map (fun lines -> lines.(0)) free )
         | None, _ -> fail ()
       in
-      let solved = Pool.mapi_array ?pool solve_one ctmdps in
+      let solved = Array.mapi solve_one ctmdps in
       let free = Array.map snd solved in
       let solved = Array.map fst solved in
       let solutions = Array.map (fun (s, _, _, _) -> s) solved in
@@ -354,7 +347,7 @@ let damq_stage config traffic solutions total_gain =
       (pools, List.rev !health, total_gain -. !delta)
 
 (* [run], and the payload that [compare_sharing] reuses. *)
-let solve ?measured_rates ?pool config traffic =
+let solve ?measured_rates config traffic =
   Obs.span ~name:"sizing.run"
     ~attrs:(fun () -> [ ("budget", string_of_int config.budget) ])
   @@ fun () ->
@@ -395,7 +388,7 @@ let solve ?measured_rates ?pool config traffic =
     | Some p -> p
     | None ->
         let models =
-          Pool.map_array ?pool
+          Array.map
             (fun (s : Splitting.subsystem) ->
               Obs.span ~name:"sizing.build"
                 ~attrs:(fun () -> [ ("bus", string_of_int s.Splitting.bus) ])
@@ -404,24 +397,29 @@ let solve ?measured_rates ?pool config traffic =
                     ~max_states:config.max_states s))
             subsystems
         in
+        let ctmdps = Array.map Bus_model.ctmdp models in
         let solved, total_gain, bound_active, bound_price, words_per_level, lp_health, free =
-          solve_subsystems ?pool config models
+          solve_subsystems config models ctmdps
         in
         let solutions =
-          Pool.mapi_array ?pool
+          Array.mapi
             (fun i model ->
               Obs.span ~name:"sizing.occupancy"
                 ~attrs:(fun () -> [ ("bus", bus_label model) ])
               @@ fun () ->
               let s = solved.(i) in
-              let occupancy = Bus_model.occupancy_distribution model s.Lp_formulation.policy in
+              (* The answer's own π: a fresh solve only for a mixed or an
+                 LP answer. *)
+              let occupancy =
+                Bus_model.occupancy_distribution model (Lp_formulation.stationary ctmdps.(i) s)
+              in
               let switching =
                 (* The joint problem has one shared constraint, so at most one
                    randomized state exists across ALL subsystems; states with
                    negligible occupation mass are filtered (their conditional
                    probabilities are numerical noise). *)
                 Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1
-                  (Bus_model.ctmdp model) s.Lp_formulation.occupation
+                  ctmdps.(i) s.Lp_formulation.occupation
               in
               let requirements =
                 requirements_for model ~words_per_level ~quantile:config.quantile occupancy
@@ -495,7 +493,7 @@ let solve ?measured_rates ?pool config traffic =
     },
     payload )
 
-let run ?measured_rates ?pool config traffic = fst (solve ?measured_rates ?pool config traffic)
+let run ?measured_rates config traffic = fst (solve ?measured_rates config traffic)
 
 type sharing_entry = {
   cmp_bus : Topology.bus_id;
@@ -522,10 +520,17 @@ type sharing_report = {
    law on the occupancy abstraction.  Comparable across organizations of
    the same bus; exact delay in requests when every client weight is 1
    (then the LP gain is the unweighted loss rate). *)
+(* A price-path answer that is the deterministic policy of [line], with
+   its π: bitwise what [Constrained.deterministic_solved] of the line's
+   choice would return. *)
+let reusable (answer : Lp_formulation.solved) line =
+  answer.Lp_formulation.stationary <> None
+  && Bufsize_mdp.Policy.chooses answer.Lp_formulation.policy line.Policy_iteration.choice
+
 let delay_of ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss)
 
-let compare_sharing ?pool config traffic =
-  let result, payload = solve ?pool config traffic in
+let compare_sharing config traffic =
+  let result, payload = solve config traffic in
   let topo = Traffic.topology traffic in
   (* Compare the buses marked shared; with none marked, compare them all
      (the CLI's mesh constructor path marks every router). *)
@@ -550,24 +555,28 @@ let compare_sharing ?pool config traffic =
         let capacity = Bus_model.total_levels s.model in
         (* Static partition at its solved levels, unconstrained: the best
            loss the partition itself allows — [run]'s price-0 line for this
-           subsystem, or else a solve of its own. *)
+           subsystem, or else a solve of its own.  When [run] answered
+           with that very policy, its answer and occupancy serve as they
+           are. *)
         let static_eval () =
+          let ctmdp = Bus_model.ctmdp s.model in
           let unconstrained =
             match payload.c_free.(i) with
+            | Some line when reusable s.solved line -> Some (s.solved, s.occupancy)
             | Some line ->
-                Some
-                  (Constrained.deterministic_solved (Bus_model.ctmdp s.model)
-                     line.Policy_iteration.choice)
+                let st = Constrained.deterministic_solved ctmdp line.Policy_iteration.choice in
+                let pi = Lp_formulation.stationary ctmdp st in
+                Some (st, Bus_model.occupancy_distribution s.model pi)
             | None -> (
-                match solve_blocks [| Bus_model.ctmdp s.model |] with
-                | Some (j, _, _, _), _ -> Some j.Lp_formulation.components.(0)
+                match solve_blocks [| ctmdp |] with
+                | Some (j, _, _, _), _ ->
+                    let st = j.Lp_formulation.components.(0) in
+                    let pi = Lp_formulation.stationary ctmdp st in
+                    Some (st, Bus_model.occupancy_distribution s.model pi)
                 | None, _ -> None)
           in
           match unconstrained with
-          | Some st ->
-              let occupancy =
-                Bus_model.occupancy_distribution s.model st.Lp_formulation.policy
-              in
+          | Some (st, occupancy) ->
               let expected =
                 Array.fold_left
                   (fun acc dist ->
@@ -580,12 +589,15 @@ let compare_sharing ?pool config traffic =
           | None -> Error "static solve failed"
         in
         (* The pool's unconstrained optimum: [run]'s pool and its price-0
-           line, or else a pool built and solved here (under [Static], on
-           a router [run] did not re-solve, or when [run]'s slack test
-           did not complete). *)
+           line (its bounded answer when that is the same policy), or else
+           a pool built and solved here (under [Static], on a router [run]
+           did not re-solve, or when [run]'s slack test did not
+           complete). *)
         let damq_eval () =
           let unconstrained =
             match payload.c_damq.(i) with
+            | Some (Ok { pool; answer; pool_free = Some line; _ }) when reusable answer line ->
+                Ok (pool, answer)
             | Some (Ok { pool; pool_free = Some line; _ }) ->
                 Ok
                   ( pool,
@@ -596,7 +608,8 @@ let compare_sharing ?pool config traffic =
           Result.map
             (fun (pool, d) ->
               ( d.Lp_formulation.gain,
-                Bus_model.Shared.expected_total pool d.Lp_formulation.policy ))
+                Bus_model.Shared.expected_total pool
+                  (Lp_formulation.stationary (Bus_model.Shared.ctmdp pool) d) ))
             unconstrained
         in
         match (static_eval (), damq_eval ()) with

@@ -88,16 +88,14 @@ type result = {
 
 val run :
   ?measured_rates:(Topology.bus_id -> Traffic.client -> float option) ->
-  ?pool:Bufsize_pool.Pool.t ->
   config ->
   Traffic.t ->
   result
-(** [pool] runs the independent per-subsystem stages — CTMDP model
-    construction, the per-subsystem policy iterations of every price
-    round (under [Separate], the whole per-subsystem solves), and the
-    occupancy/K-switching post-processing — on a {!Bufsize_pool.Pool}
-    (default: the process-wide pool, sized by [BUFSIZE_NUM_DOMAINS]).
-    Results are identical for every pool size.
+(** Runs on the calling domain: the per-subsystem stages are
+    sub-millisecond, less than a domain dispatch costs.  Each
+    subsystem's occupancy marginals come from the π its answer carries
+    ({!Bufsize_mdp.Lp_formulation.stationary}); only a mixed or an LP
+    answer is solved again for them.
 
     [measured_rates] optionally overrides the analytically routed client
     arrival rates with profiled ones (e.g. per-buffer arrival counts from a
@@ -134,8 +132,7 @@ type sharing_report = {
   total_separate_loss : float;
 }
 
-val compare_sharing :
-  ?pool:Bufsize_pool.Pool.t -> config -> Traffic.t -> result * sharing_report
+val compare_sharing : config -> Traffic.t -> result * sharing_report
 (** {!run}, plus a per-bus comparison of the three buffer organizations —
     static partition (the paper), DAMQ shared pool of equal capacity, and
     the decoupled per-client M/M/1 baseline — over the buses marked
@@ -147,12 +144,15 @@ val compare_sharing :
     unconstrained optima it reports are the price-0 lines of [run]'s own
     slack tests ({!Bufsize_mdp.Constrained.solve_price}): a subsystem's
     line from the joint (or separate) solve, and, under [Damq], a shared
-    router's pool and its line from the bounded pool solve.  Each becomes
-    an answer by {!Bufsize_mdp.Constrained.deterministic_solved} (one
-    stationary solve), bitwise the answer a fresh unconstrained solve
-    would give.  A pool is built and solved here only where [run] made
-    none — under [Static], on a router not marked shared, or when [run]'s
-    slack test did not complete (the static block likewise). *)
+    router's pool and its line from the bounded pool solve.  Where [run]
+    answered with the line's own policy, that answer (and its occupancy)
+    is reused; otherwise the line becomes an answer by
+    {!Bufsize_mdp.Constrained.deterministic_solved} (one stationary
+    solve, whose π gives the occupancy).  Either way it is bitwise the
+    answer a fresh unconstrained solve would give.  A pool is built and
+    solved here only where [run] made none — under [Static], on a router
+    not marked shared, or when [run]'s slack test did not complete (the
+    static block likewise). *)
 
 val pp_sharing_report : Format.formatter -> sharing_report -> unit
 

@@ -279,15 +279,12 @@ let ctmdp_case ?(knobs = default_ctmdp_knobs) rng =
   { num_states = n; actions }
 
 let ctmdp_of_case c =
-  Ctmdp.create ~num_extras:1
-    (Array.map
-       (fun acts ->
-         Array.of_list
-           (List.map
-              (fun (label, transitions, cost, extra) ->
-                { Ctmdp.label; transitions; cost; extras = [| extra |] })
-              acts))
-       c.actions)
+  Ctmdp.create ~num_extras:1 (Array.length c.actions) (fun b s ->
+      List.iter
+        (fun (label, transitions, cost, extra) ->
+          Ctmdp.add_action b ~label ~cost ~extras:[| extra |];
+          List.iter (fun (j, r) -> Ctmdp.add_transition b j r) transitions)
+        c.actions.(s))
 
 (* Lossless float printing for repro files: %g where it round-trips (the
    common round3 case), full precision otherwise (coefficients summed

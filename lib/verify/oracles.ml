@@ -140,7 +140,8 @@ let check_ctmdp_case (c : Gen_model.ctmdp_case) =
               (fun st xs ->
                 Array.iteri
                   (fun a x ->
-                    acc := !acc +. (x *. (Bufsize_mdp.Ctmdp.action m st a).Bufsize_mdp.Ctmdp.extras.(0)))
+                    let i = m.Bufsize_mdp.Ctmdp.first_action.(st) + a in
+                    acc := !acc +. (x *. Bufsize_mdp.Ctmdp.extra m i 0))
                   xs)
               s.Lp_formulation.occupation;
             if rel_close 1e-6 !acc s.Lp_formulation.extras.(0) then Pass
@@ -1354,7 +1355,7 @@ let lp_gain_usage m =
 let price_bound (c : price_case) models =
   let sum f = Array.fold_left (fun acc m -> acc +. f m) 0. models in
   let least =
-    sum (fun m -> fst (lp_gain_usage (Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.extras.(0)))))
+    sum (fun m -> fst (lp_gain_usage (Ctmdp.map_costs m (fun i -> Ctmdp.extra m i 0))))
   in
   let free = sum (fun m -> snd (lp_gain_usage m)) in
   least +. (c.price_at *. (free -. least))
@@ -1387,7 +1388,7 @@ let check_price_case (c : price_case) =
               Array.fold_left
                 (fun acc m ->
                   let priced =
-                    Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.cost +. (price *. a.Ctmdp.extras.(0)))
+                    Ctmdp.map_costs m (fun i -> m.Ctmdp.cost.(i) +. (price *. Ctmdp.extra m i 0))
                   in
                   acc +. (Policy_iteration.solve priced).Policy_iteration.gain)
                 0. models

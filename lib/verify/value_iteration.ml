@@ -23,30 +23,18 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-9) ~alpha m =
   (* Uniformized Bellman operator.  For action a in state s:
      T_a(v) = c/denom + beta * sum_j P(j|s,a) v(j), where the uniformized
      kernel is P(j|s,a) = rate/big_lambda off-diagonal and the leftover
-     mass (1 - exit/big_lambda) stays in s.  The kernel is precomputed
-     into flat arrays once — the transition lists would otherwise be
-     walked (boxed, pointer-chasing) on every sweep. *)
-  let precomputed =
-    Array.init n (fun s ->
-        Array.init (Ctmdp.num_actions m s) (fun a ->
-            let act = Ctmdp.action m s a in
-            let exit = Ctmdp.exit_rate act in
-            let nt = List.length act.Ctmdp.transitions in
-            let targets = Array.make nt 0 in
-            let weights = Array.make nt 0. in
-            List.iteri
-              (fun k (j, r) ->
-                targets.(k) <- j;
-                weights.(k) <- r /. big_lambda)
-              act.Ctmdp.transitions;
-            (act.Ctmdp.cost /. denom, 1. -. (exit /. big_lambda), targets, weights)))
-  in
+     mass (1 - exit/big_lambda) stays in s.  The scaled kernel is
+     precomputed once over the model's flat transition arrays. *)
+  let weights = Array.map (fun r -> r /. big_lambda) m.Ctmdp.rate in
+  let scaled_cost = Array.map (fun c -> c /. denom) m.Ctmdp.cost in
+  let stay_coef = Array.map (fun e -> 1. -. (e /. big_lambda)) m.Ctmdp.exit in
   let q_value v s a =
-    let scaled_cost, stay_coef, targets, weights = precomputed.(s).(a) in
+    let i = m.Ctmdp.first_action.(s) + a in
     let flow = ref 0. in
-    for k = 0 to Array.length targets - 1 do
-      flow := !flow +. (weights.(k) *. v.(targets.(k)))
+    for t = m.Ctmdp.first_transition.(i) to m.Ctmdp.first_transition.(i + 1) - 1 do
+      flow := !flow +. (weights.(t) *. v.(m.Ctmdp.dst.(t)))
     done;
+    let scaled_cost = scaled_cost.(i) and stay_coef = stay_coef.(i) in
     let stay = stay_coef *. v.(s) in
     scaled_cost +. (beta *. (!flow +. stay))
   in

@@ -264,6 +264,42 @@ let test_size_lists_no_harness_counters () =
   Alcotest.(check bool) "verify counts its instances" true
     (Test_json.to_number (List.assoc "verify.instances" counters) > 0.)
 
+(* One stationary solve per returned policy, and as many policy
+   evaluations as ever.  A slack perfbench-shaped [size] (three buses,
+   budget 64, 40 states) answers each subsystem by one GTH solve whose π
+   the occupancy stage reuses: 3 solves, where re-solving for the
+   occupancy made 6.  The 2x2 DAMQ mesh makes at most one per distinct
+   chain it returns: 16, where it made 32. *)
+let test_solve_counts () =
+  let counts args =
+    let m = run_metrics cli args in
+    let residual =
+      Test_json.(member_exn "ctmc.residual" (member_exn "histograms" m) |> member_exn "count")
+    in
+    let factorizations =
+      Test_json.(member_exn "policy_iteration.factorizations" (member_exn "counters" m))
+    in
+    (int_of_float (Test_json.to_number residual), int_of_float (Test_json.to_number factorizations))
+  in
+  let spec = Filename.temp_file "three_bus" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove spec)
+    (fun () ->
+      Out_channel.with_open_bin spec (fun oc -> output_string oc Test_specs.three_bus);
+      let residuals, factorizations =
+        counts [ "size"; "-f"; spec; "-b"; "64"; "--max-states"; "40" ]
+      in
+      Alcotest.(check int) "size: one stationary solve per subsystem" 3 residuals;
+      Alcotest.(check int) "size: policy evaluations" 8 factorizations);
+  let residuals, factorizations =
+    counts
+      [
+        "topo"; "--rows"; "2"; "--cols"; "2"; "-b"; "24"; "--max-states"; "24"; "--sharing"; "damq";
+      ]
+  in
+  Alcotest.(check bool) "2x2 damq: at most 16 stationary solves" true (residuals <= 16);
+  Alcotest.(check int) "2x2 damq: policy evaluations" 58 factorizations
+
 let test_verify_lists_oracles () =
   run_exe verify_exe [ "--list-oracles" ] (fun code out _ ->
       Alcotest.(check int) "exit code" 0 code;
@@ -349,6 +385,7 @@ let () =
           Alcotest.test_case "kron heap_words unsampled" `Quick test_kron_heap_words_unsampled;
           Alcotest.test_case "size lists no harness counters" `Quick
             test_size_lists_no_harness_counters;
+          Alcotest.test_case "stationary solves per request" `Quick test_solve_counts;
           Alcotest.test_case "verify lists oracles" `Quick test_verify_lists_oracles;
           Alcotest.test_case "verify replays a repro" `Quick test_verify_replays_repro;
           Alcotest.test_case "verify not a bufsize command" `Quick

@@ -21,6 +21,16 @@ let check_close tol = Alcotest.(check (float tol))
 
 (* --------------------------------------------------------------- models *)
 
+(* A model from per-state arrays of (label, transitions, cost, extras),
+   through the one constructor. *)
+let of_actions ~num_extras actions =
+  Ctmdp.create ~num_extras (Array.length actions) (fun b s ->
+      Array.iter
+        (fun (label, transitions, cost, extras) ->
+          Ctmdp.add_action b ~label ~cost ~extras;
+          List.iter (fun (j, r) -> Ctmdp.add_transition b j r) transitions)
+        actions.(s))
+
 (* M/M/1/K as a one-action-per-state CTMDP with loss cost: in the full state
    the arrival stream (rate lambda) is lost, so cost rate lambda there.
    Extra resource 0 = number of customers (occupied buffer). *)
@@ -32,9 +42,9 @@ let mm1k_ctmdp ~lambda ~mu ~k =
           @ (if s > 0 then [ (s - 1, mu) ] else [])
         in
         let cost = if s = k then lambda else 0. in
-        [| { Ctmdp.label = "serve"; transitions; cost; extras = [| float_of_int s |] } |])
+        [| ("serve", transitions, cost, [| float_of_int s |]) |])
   in
-  Ctmdp.create ~num_extras:1 actions
+  of_actions ~num_extras:1 actions
 
 (* Admission control on an M/M/1/K: in states below K the controller may
    admit (arrivals flow) or reject (arrivals lost at cost lambda).  The full
@@ -44,19 +54,14 @@ let admission_ctmdp ~lambda ~mu ~k =
     Array.init (k + 1) (fun s ->
         let down = if s > 0 then [ (s - 1, mu) ] else [] in
         if s = k then
-          [| { Ctmdp.label = "reject"; transitions = down; cost = lambda; extras = [| float_of_int s |] } |]
+          [| ("reject", down, lambda, [| float_of_int s |]) |]
         else
           [|
-            {
-              Ctmdp.label = "admit";
-              transitions = ((s + 1, lambda) :: down);
-              cost = 0.;
-              extras = [| float_of_int s |];
-            };
-            { Ctmdp.label = "reject"; transitions = down; cost = lambda; extras = [| float_of_int s |] };
+            ("admit", (s + 1, lambda) :: down, 0., [| float_of_int s |]);
+            ("reject", down, lambda, [| float_of_int s |]);
           |])
   in
-  Ctmdp.create ~num_extras:1 actions
+  of_actions ~num_extras:1 actions
 
 (* A two-client shared-server CTMDP used for policy-vs-LP cross checks:
    state = (k1, k2) with capacity 1 each, actions = which nonempty queue to
@@ -72,41 +77,40 @@ let two_client_ctmdp ~l1 ~l2 ~m1 ~m2 =
         in
         let cost = (if k1 = 1 then l1 else 0.) +. if k2 = 1 then l2 else 0. in
         let extras = [| float_of_int (k1 + k2) |] in
-        let serve1 =
-          {
-            Ctmdp.label = "serve1";
-            transitions = ((encode 0 k2, m1) :: arrivals k1 k2);
-            cost;
-            extras;
-          }
-        in
-        let serve2 =
-          {
-            Ctmdp.label = "serve2";
-            transitions = ((encode k1 0, m2) :: arrivals k1 k2);
-            cost;
-            extras;
-          }
-        in
+        let serve1 = ("serve1", (encode 0 k2, m1) :: arrivals k1 k2, cost, extras) in
+        let serve2 = ("serve2", (encode k1 0, m2) :: arrivals k1 k2, cost, extras) in
         match (k1, k2) with
-        | 0, 0 ->
-            [| { Ctmdp.label = "idle"; transitions = arrivals 0 0; cost; extras } |]
+        | 0, 0 -> [| ("idle", arrivals 0 0, cost, extras) |]
         | 1, 0 -> [| serve1 |]
         | 0, 1 -> [| serve2 |]
         | _, _ -> [| serve1; serve2 |])
   in
-  Ctmdp.create ~num_extras:1 actions
+  of_actions ~num_extras:1 actions
 
 (* ---------------------------------------------------------------- Ctmdp *)
 
 let test_ctmdp_validation () =
   Alcotest.check_raises "no actions" (Invalid_argument "Ctmdp.create: state 0 has no action")
-    (fun () -> ignore (Ctmdp.create ~num_extras:0 [| [||] |]));
+    (fun () -> ignore (of_actions ~num_extras:0 [| [||] |]));
   Alcotest.check_raises "self loop" (Invalid_argument "Ctmdp.create: self loop transition")
-    (fun () ->
+    (fun () -> ignore (of_actions ~num_extras:0 [| [| ("a", [ (0, 1.) ], 0., [||]) |] |]));
+  let two_states transitions =
+    of_actions ~num_extras:0 [| [| ("a", transitions, 0., [||]) |]; [| ("b", [], 0., [||]) |] |]
+  in
+  Alcotest.check_raises "unknown state"
+    (Invalid_argument "Ctmdp.create: transition to unknown state 2") (fun () ->
+      ignore (two_states [ (2, 1.) ]));
+  Alcotest.check_raises "nonpositive rate" (Invalid_argument "Ctmdp.create: nonpositive rate")
+    (fun () -> ignore (two_states [ (1, 0.) ]));
+  Alcotest.check_raises "extras"
+    (Invalid_argument "Ctmdp.create: state 0 action \"a\" has 0 extras, expected 1") (fun () ->
+      ignore (of_actions ~num_extras:1 [| [| ("a", [], 0., [||]) |] |]));
+  Alcotest.check_raises "transition before an action"
+    (Invalid_argument "Ctmdp.add_transition: no action started") (fun () ->
       ignore
-        (Ctmdp.create ~num_extras:0
-           [| [| { Ctmdp.label = "a"; transitions = [ (0, 1.) ]; cost = 0.; extras = [||] } |] |]))
+        (Ctmdp.create ~num_extras:0 2 (fun b s ->
+             if s = 1 then Ctmdp.add_transition b 0 1.;
+             Ctmdp.add_action b ~label:"a" ~cost:0. ~extras:[||])))
 
 let test_ctmdp_accessors () =
   let m = mm1k_ctmdp ~lambda:1. ~mu:2. ~k:3 in
@@ -121,7 +125,7 @@ let test_ctmdp_accessors () =
 
 let test_ctmdp_map_costs () =
   let m = mm1k_ctmdp ~lambda:1. ~mu:2. ~k:2 in
-  let m2 = Ctmdp.map_costs m (fun _ _ act -> act.Ctmdp.cost +. 10.) in
+  let m2 = Ctmdp.map_costs m (fun i -> m.Ctmdp.cost.(i) +. 10.) in
   let _, hi = Ctmdp.cost_bounds m2 in
   check_close 1e-12 "shifted" 11. hi
 
@@ -360,12 +364,13 @@ let test_pi_evaluation_satisfies_equations () =
   let g, h = Policy_iteration.evaluate_deterministic m choice in
   (* Check c - g + Q h = 0 row by row. *)
   for s = 0 to Ctmdp.num_states m - 1 do
-    let act = Ctmdp.action m s choice.(s) in
-    let exit = Ctmdp.exit_rate act in
-    let flow =
-      List.fold_left (fun acc (j, r) -> acc +. (r *. h.(j))) 0. act.Ctmdp.transitions
-    in
-    let residual = act.Ctmdp.cost -. g +. flow -. (exit *. h.(s)) in
+    let i = m.Ctmdp.first_action.(s) + choice.(s) in
+    let flow = ref 0. and exit = ref 0. in
+    for t = m.Ctmdp.first_transition.(i) to m.Ctmdp.first_transition.(i + 1) - 1 do
+      flow := !flow +. (m.Ctmdp.rate.(t) *. h.(m.Ctmdp.dst.(t)));
+      exit := !exit +. m.Ctmdp.rate.(t)
+    done;
+    let residual = m.Ctmdp.cost.(i) -. g +. !flow -. (!exit *. h.(s)) in
     check_close 1e-9 "evaluation equation" 0. residual
   done;
   check_close 1e-12 "normalized" 0. h.(0)
@@ -376,14 +381,12 @@ let ring_ctmdp n =
   let act s k =
     let next = (s + 1) mod n and chord = ((s * (k + 3)) + 7) mod n in
     let chord = if chord = s || chord = next then [] else [ (chord, 0.5 +. float_of_int k) ] in
-    {
-      Ctmdp.label = Printf.sprintf "a%d" k;
-      transitions = (next, 1. +. float_of_int k) :: chord;
-      cost = float_of_int (((s * 7) + (k * 3)) mod 11) /. 11.;
-      extras = [| float_of_int ((s + (k * 5)) mod 13) |];
-    }
+    ( Printf.sprintf "a%d" k,
+      (next, 1. +. float_of_int k) :: chord,
+      float_of_int (((s * 7) + (k * 3)) mod 11) /. 11.,
+      [| float_of_int ((s + (k * 5)) mod 13) |] )
   in
-  Ctmdp.create ~num_extras:1 (Array.init n (fun s -> [| act s 0; act s 1 |]))
+  of_actions ~num_extras:1 (Array.init n (fun s -> [| act s 0; act s 1 |]))
 
 (* A policy's line is its priced evaluation: g_c + p g_u and h_c + p h_u
    equal the dense evaluation of the model with cost c + p u.  On a dense
@@ -400,7 +403,7 @@ let test_pi_line_is_priced_evaluation () =
       List.iter
         (fun price ->
           let priced =
-            Ctmdp.map_costs m (fun _ _ a -> a.Ctmdp.cost +. (price *. a.Ctmdp.extras.(0)))
+            Ctmdp.map_costs m (fun i -> m.Ctmdp.cost.(i) +. (price *. Ctmdp.extra m i 0))
           in
           let g, h = Policy_iteration.evaluate_deterministic priced choice in
           let at_price c u = c +. (price *. u) in
@@ -655,10 +658,8 @@ let test_constrained_lagrangian_slack () =
 (* Two closed classes under the first-action policy ({0,1} and {2,3});
    "cross" joins them.  Occupancy is used only in the second class. *)
 let two_class_ctmdp () =
-  let act label transitions cost extra =
-    { Ctmdp.label; transitions; cost; extras = [| extra |] }
-  in
-  Ctmdp.create ~num_extras:1
+  let act label transitions cost extra = (label, transitions, cost, [| extra |]) in
+  of_actions ~num_extras:1
     [|
       [| act "stay" [ (1, 1.) ] 1. 0. |];
       [| act "stay" [ (0, 1.) ] 1. 0.; act "cross" [ (2, 1.) ] 1. 0. |];
@@ -703,7 +704,23 @@ let test_price_falls_back_to_lp () =
           in
           Alcotest.(check bool) (what ^ ": reason " ^ reason) true (mentions reason);
           Alcotest.(check (float 0.)) (what ^ ": the LP's gain") lp.Lp_formulation.total_gain
-            j.Lp_formulation.total_gain
+            j.Lp_formulation.total_gain;
+          (* An LP answer carries no π: its consumers solve its chain
+             afresh, once. *)
+          let answer = j.Lp_formulation.components.(0) in
+          Alcotest.(check bool) (what ^ ": no carried π") true
+            (answer.Lp_formulation.stationary = None);
+          let residual = Obs.histogram "ctmc.residual" in
+          Obs.enable_metrics ();
+          let r0 = (Obs.histogram_value residual).Obs.h_count in
+          let pi =
+            Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.stationary m answer)
+          in
+          Alcotest.(check int) (what ^ ": one fresh solve") 1
+            ((Obs.histogram_value residual).Obs.h_count - r0);
+          Alcotest.(check (array int64)) (what ^ ": the fresh π")
+            (Array.map Int64.bits_of_float (Policy.stationary m answer.Lp_formulation.policy))
+            (Array.map Int64.bits_of_float pi)
       | _ -> Alcotest.fail (what ^ ": no answer"))
     [
       ("multichain", two_class_ctmdp (), 0.5, None, "multichain");

@@ -166,27 +166,29 @@ let test_replicate_pool_size_invariant () =
   let parallel = with_pool 3 (fun pool -> Replicate.run ~replications:8 ~pool spec) in
   check_aggregate_identical sequential parallel
 
-(* The sizing LPs fan out over the pool; the answer must not depend on how
-   many domains solve them.  Cold caches before each run, so the second
-   pool really solves rather than replaying the first pool's cached result. *)
-let test_sizing_pool_size_invariant () =
+(* Sizing runs on its caller's domain — the daemon's workers each run
+   their own — so its answer must not depend on which domain that is.
+   Cold caches before each run, so the worker really solves rather than
+   replaying the first run's cached result. *)
+let test_sizing_same_on_a_worker_domain () =
   let traffic = Test_specs.traffic Test_specs.three_bus in
   List.iter
     (fun solver ->
       let config =
         { (Sizing.default_config ~budget:64) with Sizing.max_states = 40; solver }
       in
-      let run k =
+      let run () =
         Bufsize_numeric.Solve_cache.clear_all ();
-        with_pool k (fun pool -> Sizing.run ~pool config traffic)
+        Sizing.run config traffic
       in
-      let one = run 1 and three = run 3 in
+      let here = run () in
+      let there = Domain.join (Domain.spawn run) in
       let bits = Int64.bits_of_float in
-      Alcotest.(check bool) "allocation" true (one.Sizing.allocation = three.Sizing.allocation);
-      Alcotest.(check int64) "predicted loss bitwise" (bits one.Sizing.predicted_loss_rate)
-        (bits three.Sizing.predicted_loss_rate);
-      Alcotest.(check int64) "words per level bitwise" (bits one.Sizing.words_per_level)
-        (bits three.Sizing.words_per_level))
+      Alcotest.(check bool) "allocation" true (here.Sizing.allocation = there.Sizing.allocation);
+      Alcotest.(check int64) "predicted loss bitwise" (bits here.Sizing.predicted_loss_rate)
+        (bits there.Sizing.predicted_loss_rate);
+      Alcotest.(check int64) "words per level bitwise" (bits here.Sizing.words_per_level)
+        (bits there.Sizing.words_per_level))
     [ Sizing.Joint; Sizing.Separate ]
 
 (* --------------------------------------------------------- derived seeds *)
@@ -288,8 +290,11 @@ let () =
         [
           Alcotest.test_case "aggregate invariant under pool size" `Quick
             test_replicate_pool_size_invariant;
-          Alcotest.test_case "sizing invariant under pool size" `Quick
-            test_sizing_pool_size_invariant;
+        ] );
+      ( "sizing",
+        [
+          Alcotest.test_case "same answer on a worker domain" `Quick
+            test_sizing_same_on_a_worker_domain;
         ] );
       ("seeds", [ Alcotest.test_case "derive_seed injective" `Quick test_derive_seed_injective ]);
       ( "stats-merge",

@@ -333,7 +333,9 @@ let test_bus_model_occupancy_distribution () =
   let split = Splitting.split traffic in
   let model = Bus_model.build ~levels:[| 4; 0 |] split.Splitting.subsystems.(0) in
   let policy = Policy.deterministic (Bus_model.ctmdp model) (Array.make 5 0) in
-  let marginals = Bus_model.occupancy_distribution model policy in
+  let marginals =
+    Bus_model.occupancy_distribution model (Policy.stationary (Bus_model.ctmdp model) policy)
+  in
   Alcotest.(check int) "one loaded client" 1 (Array.length marginals);
   let expected = Birth_death.stationary (Birth_death.mm1k ~lambda:2.0 ~mu:3.0 ~k:4) in
   Array.iteri
@@ -1143,7 +1145,7 @@ let quantile_levels model policy =
           if !level < 0 && !acc >= 0.95 then level := l)
         dist;
       !level)
-    (Bus_model.occupancy_distribution model policy)
+    (Bus_model.occupancy_distribution model (Policy.stationary (Bus_model.ctmdp model) policy))
 
 (* Netproc (Table 1's architecture, 64 states per subsystem) priced
    against the joint LP.  At the fig3 default kappa = 0.6 the bound is
@@ -1208,7 +1210,7 @@ let test_netproc_price_vs_lp () =
 
 (* An n x n mesh with a shared router buffer per cell and one NI per
    router, each sending to the next NI in row-major order. *)
-let mesh_spec n =
+let mesh_spec ?(rate = 0.2) n =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "mesh noc rows %d cols %d rate 2.0\n" n n;
   for r = 0 to n - 1 do
@@ -1218,7 +1220,8 @@ let mesh_spec n =
   done;
   for i = 0 to (n * n) - 1 do
     let j = (i + 1) mod (n * n) in
-    Printf.bprintf buf "flow ni_r%dc%d -> ni_r%dc%d rate 0.2\n" (i / n) (i mod n) (j / n) (j mod n)
+    Printf.bprintf buf "flow ni_r%dc%d -> ni_r%dc%d rate %g\n" (i / n) (i mod n) (j / n) (j mod n)
+      rate
   done;
   Buffer.contents buf
 
@@ -1240,11 +1243,16 @@ let test_compare_sharing_damq_le_static () =
     [ 2; 3 ]
 
 (* [compare_sharing] reuses [run]'s solves: the static blocks' and the
-   pools' price-0 lines.  With the sizing cache off, under [Damq] it adds
-   no policy-iteration factorization to [run]'s, and under both sharing
+   pools' price-0 lines, and [run]'s own answer where it is the line's
+   policy.  With the sizing cache off, under [Damq] it adds no
+   policy-iteration factorization to [run]'s, and under both sharing
    modes its report is bitwise the recipe it replaced, written out here:
    per router, a fresh unconstrained solve of the static block, and a
-   fresh pool build with an unconstrained solve of its own. *)
+   fresh pool build with an unconstrained solve of its own, each with a
+   fresh stationary solve.  On the busier 3x3 mesh at kappa 0.25 the
+   joint bound binds (price 0.18): eight blocks answer with a
+   deterministic policy other than their price-0 one, which must not be
+   taken for it, and one with a mix. *)
 let test_compare_sharing_reuses_run () =
   let module Obs = Bufsize_obs.Obs in
   let module Lp_formulation = Bufsize_mdp.Lp_formulation in
@@ -1280,7 +1288,8 @@ let test_compare_sharing_reuses_run () =
           Array.iteri (fun l p -> e := !e +. (float_of_int l *. p)) dist;
           acc +. !e)
         0.
-        (Bus_model.occupancy_distribution s.Sizing.model st.Lp_formulation.policy)
+        (Bus_model.occupancy_distribution s.Sizing.model
+           (Policy.stationary (Bus_model.ctmdp s.Sizing.model) st.Lp_formulation.policy))
     in
     let pool =
       Bus_model.Shared.build ~weights:config.Sizing.client_weight
@@ -1290,7 +1299,10 @@ let test_compare_sharing_reuses_run () =
         ~capacity:(Bus_model.total_levels s.Sizing.model) sub
     in
     let d = unconstrained (Bus_model.Shared.ctmdp pool) in
-    let damq_en = Bus_model.Shared.expected_total pool d.Lp_formulation.policy in
+    let damq_en =
+      Bus_model.Shared.expected_total pool
+        (Policy.stationary (Bus_model.Shared.ctmdp pool) d.Lp_formulation.policy)
+    in
     let static_loss = st.Lp_formulation.gain and damq_loss = d.Lp_formulation.gain in
     ( sub.Splitting.bus,
       List.map bits
@@ -1312,18 +1324,19 @@ let test_compare_sharing_reuses_run () =
     ~finally:(fun () -> Solve_cache.set_enabled true)
     (fun () ->
       List.iter
-        (fun (n, sharing) ->
+        (fun (n, sharing, occupancy_fraction, rate) ->
           let name what =
-            Printf.sprintf "%dx%d %s %s" n n
+            Printf.sprintf "%dx%d %s kappa %g rate %g %s" n n
               (match sharing with Sizing.Static -> "static" | Sizing.Damq -> "damq")
-              what
+              occupancy_fraction rate what
           in
-          let traffic = Test_specs.traffic (mesh_spec n) in
+          let traffic = Test_specs.traffic (mesh_spec ~rate n) in
           let config =
             {
               (Sizing.default_config ~budget:(6 * n * n)) with
               Sizing.max_states = 24;
               sharing;
+              occupancy_fraction;
             }
           in
           let _, run_cost = counted (fun () -> Sizing.run config traffic) in
@@ -1336,7 +1349,77 @@ let test_compare_sharing_reuses_run () =
             (name "report = fresh solves, bitwise")
             (List.map (old_entry config) (Array.to_list result.Sizing.solutions))
             (List.map new_entry report.Sizing.entries))
-        [ (2, Sizing.Damq); (2, Sizing.Static); (3, Sizing.Damq); (3, Sizing.Static) ])
+        [
+          (2, Sizing.Damq, 0.6, 0.2);
+          (2, Sizing.Static, 0.6, 0.2);
+          (3, Sizing.Damq, 0.6, 0.2);
+          (3, Sizing.Static, 0.6, 0.2);
+          (3, Sizing.Static, 0.25, 0.6);
+        ])
+
+(* Every occupancy reads the π of its answer's own solve, bitwise the π
+   a fresh [Ctmc.stationary] of the same policy gives: on the
+   perfbench-shaped three-bus SoC, on netproc at kappa 0.6 (slack) and
+   0.25 (binding), and on the 2x2 DAMQ mesh's static blocks (its
+   [compare_sharing] entries are held to fresh solves by the test
+   above).  A deterministic answer carries its π; the one block a
+   binding answer mixes carries none, and its occupancy is that of a
+   fresh solve of the randomized chain, counted on [ctmc.residual]. *)
+let test_carried_pi_is_fresh () =
+  let module Obs = Bufsize_obs.Obs in
+  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Ctmc = Bufsize_prob.Ctmc in
+  let module Solve_cache = Bufsize_numeric.Solve_cache in
+  let residual = Obs.histogram "ctmc.residual" in
+  let residuals () = (Obs.histogram_value residual).Obs.h_count in
+  let bits = Array.map Int64.bits_of_float in
+  let check (name, config, traffic, expected_mixed) =
+    Solve_cache.clear_all ();
+    let r = Sizing.run config traffic in
+    let mixed = ref 0 in
+    Array.iteri
+      (fun i (s : Sizing.subsystem_solution) ->
+        let what w = Printf.sprintf "%s block %d: %s" name i w in
+        let m = Bus_model.ctmdp s.Sizing.model and answer = s.Sizing.solved in
+        let fresh = Ctmc.stationary (Policy.induced_ctmc m answer.Lp_formulation.policy) in
+        (match answer.Lp_formulation.stationary with
+        | Some pi ->
+            Alcotest.(check (array int64)) (what "carried π = fresh") (bits fresh) (bits pi)
+        | None ->
+            incr mixed;
+            Alcotest.(check bool) (what "only a mixed answer carries no π") false
+              (Policy.is_deterministic ~tol:0. answer.Lp_formulation.policy);
+            Obs.enable_metrics ();
+            let r0 = residuals () in
+            let pi =
+              Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.stationary m answer)
+            in
+            Alcotest.(check int) (what "a mixed answer is solved afresh") 1 (residuals () - r0);
+            Alcotest.(check (array int64)) (what "its π") (bits fresh) (bits pi));
+        Alcotest.(check (list (array int64)))
+          (what "occupancy of the fresh π")
+          (Array.to_list (Array.map bits (Bus_model.occupancy_distribution s.Sizing.model fresh)))
+          (Array.to_list (Array.map bits s.Sizing.occupancy)))
+      r.Sizing.solutions;
+    Alcotest.(check int) (name ^ ": mixed blocks") expected_mixed !mixed
+  in
+  let _, netproc = Netproc.create () in
+  let netproc_config kappa =
+    { (Sizing.default_config ~budget:160) with Sizing.max_states = 64; occupancy_fraction = kappa }
+  in
+  List.iter check
+    [
+      ( "three-bus",
+        { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 },
+        Test_specs.traffic Test_specs.three_bus,
+        0 );
+      ("netproc kappa 0.6", netproc_config 0.6, netproc, 0);
+      ("netproc kappa 0.25", netproc_config 0.25, netproc, 1);
+      ( "2x2 damq",
+        { (Sizing.default_config ~budget:24) with Sizing.max_states = 24; sharing = Sizing.Damq },
+        Test_specs.traffic (mesh_spec 2),
+        0 );
+    ]
 
 (* Under [Damq] the sizing cache holds the pool solves too: a hit replays
    the cold report bit for bit with no factorization at all, and a mesh
@@ -1492,6 +1575,8 @@ let () =
             test_compare_sharing_damq_le_static;
           Alcotest.test_case "compare_sharing: reuses run's solves, bitwise" `Quick
             test_compare_sharing_reuses_run;
+          Alcotest.test_case "carried π = a fresh stationary solve" `Quick
+            test_carried_pi_is_fresh;
           Alcotest.test_case "damq: the sizing cache replays pool solves" `Quick
             test_damq_cache_replays;
           Alcotest.test_case "damq pool price = LP (g_r2c2, binding)" `Quick

@@ -260,6 +260,69 @@ let test_sparse_lowering_matches_dense () =
       && s.Simplex_revised.sc = d.Bufsize_numeric.Simplex.c
       && dense_of_sparse_std s = d.Bufsize_numeric.Simplex.a)
 
+(* The per-row Hashtbl accumulation [Sparse.of_triplets] used before its
+   counting pass and stable sort, kept as the reference: (row_ptr,
+   col_idx, values) of the same matrix. *)
+let of_triplets_reference ~rows entries =
+  let row_entries = Array.make rows [] in
+  List.iter (fun (i, j, v) -> row_entries.(i) <- (j, v) :: row_entries.(i)) entries;
+  let acc = Hashtbl.create 16 in
+  let per_row =
+    Array.init rows (fun i ->
+        Hashtbl.reset acc;
+        let order = ref [] in
+        List.iter
+          (fun (j, v) ->
+            match Hashtbl.find_opt acc j with
+            | None ->
+                Hashtbl.add acc j v;
+                order := j :: !order
+            | Some prev -> Hashtbl.replace acc j (prev +. v))
+          (List.rev row_entries.(i));
+        List.filter_map
+          (fun j ->
+            let v = Hashtbl.find acc j in
+            if v = 0. then None else Some (j, v))
+          (List.sort compare (List.rev !order)))
+  in
+  let row_ptr = Array.make (rows + 1) 0 in
+  Array.iteri (fun i kept -> row_ptr.(i + 1) <- row_ptr.(i) + List.length kept) per_row;
+  let all = List.concat (Array.to_list per_row) in
+  (row_ptr, Array.of_list (List.map fst all), Array.of_list (List.map snd all))
+
+(* Random triplets in the shapes that stress the merge: many duplicates
+   per entry, exact cancellations (v then -v, and sums that round to
+   zero), values of mixed magnitude so the accumulation order shows in
+   the last bits, and rows far longer than the insertion-sort cutoff. *)
+let random_triplets seed =
+  let rng = Rng.create (7 + seed) in
+  let rows = 1 + Rng.int rng 6 and cols = 1 + Rng.int rng 60 in
+  let value () =
+    match Rng.int rng 4 with
+    | 0 -> Rng.float_range rng (-1.) 1.
+    | 1 -> Rng.float_range rng (-1e16) 1e16
+    | 2 -> float_of_int (Rng.int rng 5 - 2)
+    | _ -> Rng.float_range rng (-1e-3) 1e-3
+  in
+  let n = Rng.int rng (if Rng.int rng 4 = 0 then 400 else 40) in
+  let entries = ref [] in
+  for _ = 1 to n do
+    let i = Rng.int rng rows and j = Rng.int rng (Int.min cols (1 + Rng.int rng 12)) in
+    let v = value () in
+    entries := (i, j, v) :: !entries;
+    if Rng.int rng 5 = 0 then entries := (i, j, -.v) :: !entries
+  done;
+  (rows, cols, !entries)
+
+let test_of_triplets_matches_reference () =
+  qcheck ~count:500 "of_triplets = per-row Hashtbl reference, bitwise" seed_arb (fun seed ->
+      let rows, cols, entries = random_triplets seed in
+      let s = Sparse.of_triplets ~rows ~cols entries in
+      let row_ptr, col_idx, values = of_triplets_reference ~rows entries in
+      let bits = Array.map Int64.bits_of_float in
+      s.Sparse.row_ptr = row_ptr && s.Sparse.col_idx = col_idx
+      && bits s.Sparse.values = bits values)
+
 let () =
   Alcotest.run "sparse"
     [
@@ -272,6 +335,8 @@ let () =
           Alcotest.test_case "triplet accumulation" `Quick test_of_triplets_accumulates;
           Alcotest.test_case "triplet accumulation (property)" `Quick
             test_of_triplets_accumulation_property;
+          Alcotest.test_case "triplets = Hashtbl reference, bitwise (property)" `Quick
+            test_of_triplets_matches_reference;
           Alcotest.test_case "transpose involution (property)" `Quick
             test_transpose_involution_property;
           Alcotest.test_case "scale and row sums" `Quick test_scale_and_row_sums;
