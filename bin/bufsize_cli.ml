@@ -331,8 +331,9 @@ let kron_cmd =
       { B.Monolithic.kx; ky; lambda_x; lambda_y; cross_fraction = cross; mu_x; mu_y }
     in
     let g =
-      B.San_bridge.compare_split ~tol ~max_sweeps ~warm_start:(not cold)
-        ?bridge_capacity:bridge spec
+      or_input_error (fun () ->
+          B.San_bridge.compare_split ~tol ~max_sweeps ~warm_start:(not cold)
+            ?bridge_capacity:bridge spec)
     in
     Format.printf "%a@." B.San_bridge.pp_gap g;
     if not g.B.San_bridge.joint.B.San_bridge.converged then begin

@@ -12,7 +12,14 @@
     term is applied one mode at a time as [(I_l (x) A_ki (x) I_r) v],
     so a term over joint dimension [n = prod n_i] costs
     [n * sum_i nnz(A_ki)/n_i] flops instead of the [prod nnz(A_ki)] of
-    the materialized product.  Identity factors are skipped outright. *)
+    the materialized product.  Identity factors are skipped outright.
+    One gather kernel serves both directions: every output entry sums
+    its factor row's products in storage order, and a term's
+    last non-identity mode adds [c_k * sum] straight into the result.
+    The transposed product gathers over each factor's transpose, stored
+    by {!create}; its rows list their entries in increasing original-row
+    order, so [A' x] adds the same products in the same order as a
+    column scatter over [A_ki] would, bit for bit. *)
 
 type factor =
   | Identity  (** implicit identity over that mode — never stored *)
@@ -28,7 +35,8 @@ type t
 val create : dims:int array -> term list -> t
 (** [create ~dims terms] validates that every [Factor] is square with
     the size of its mode and that the joint dimension [prod dims] fits
-    in [int] without overflow.
+    in [int] without overflow, and stores each factor's transpose
+    ({!Sparse.transpose}, [n_i x n_i]) for {!mul_vec_t_into}.
     @raise Invalid_argument on empty/negative dims, shape mismatches,
     non-finite coefficients, or joint-dimension overflow. *)
 
@@ -54,8 +62,10 @@ val decode_into : t -> int -> int array -> unit
 (** Allocation-free {!decode} into a caller-owned buffer. *)
 
 type scratch
-(** Two joint-dimension work vectors for the shuffle ping-pong; reuse
-    one across repeated products to keep the hot loop allocation-free. *)
+(** Two joint-dimension work vectors: a term's modes before its last
+    ping-pong between them, and the last uses the free one for a row of
+    sums.  Reuse one across repeated products to keep the hot loop
+    allocation-free. *)
 
 val scratch : t -> scratch
 
@@ -66,8 +76,8 @@ val mul_vec_into : ?scratch:scratch -> t -> Vec.t -> Vec.t -> unit
 val mul_vec : t -> Vec.t -> Vec.t
 
 val mul_vec_t_into : ?scratch:scratch -> t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_t_into t x y] writes [A' x] into [y], factor-transposing
-    on the fly — no transposed copy of any factor is formed. *)
+(** [mul_vec_t_into t x y] writes [A' x] into [y] with the same kernel
+    as {!mul_vec_into}, run on the transposed factors {!create} stored. *)
 
 val mul_vec_t : t -> Vec.t -> Vec.t
 

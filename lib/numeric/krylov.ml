@@ -90,7 +90,7 @@ let stationary ~apply ~lambda ~tol ~max_iter ?init n =
         h.(i).(j) <- hij;
         sq := !sq +. (hij *. hij);
         for l = 0 to n - 1 do
-          w.(l) <- w.(l) -. (hij *. vi.(l))
+          Array.unsafe_set w l (Array.unsafe_get w l -. (hij *. Array.unsafe_get vi l))
         done
       done;
       let hnext = Vec.norm2 w in

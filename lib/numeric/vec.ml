@@ -28,11 +28,13 @@ let axpy a x y =
     y.(i) <- (a *. x.(i)) +. y.(i)
   done
 
+(* [check_dims] has checked both lengths, so the loop reads unchecked;
+   GMRES's Gram-Schmidt inner products run through here. *)
 let dot u v =
   check_dims "dot" u v;
   let acc = ref 0. in
   for i = 0 to Array.length u - 1 do
-    acc := !acc +. (u.(i) *. v.(i))
+    acc := !acc +. (Array.unsafe_get u i *. Array.unsafe_get v i)
   done;
   !acc
 

@@ -179,6 +179,8 @@ let stationary_residual t pi =
 (* Restarted GMRES through the shuffle transposed SpMV, one scratch
    reused across every product. *)
 let stationary_report ?(tol = 1e-13) ?(max_iter = 200_000) ?init t =
+  if not (Float.is_finite tol && tol > 0.) then
+    invalid_arg (Printf.sprintf "San.stationary_report: tol must be finite and positive (got %g)" tol);
   let n = num_states t in
   if n = 1 then ([| 1. |], 0, true)
   else begin

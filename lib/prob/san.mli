@@ -82,7 +82,9 @@ val stationary_report :
     only when it is a valid distribution of the right size, exactly like
     the {!Ctmc} warm seed.  Returns [(pi, sweeps, converged)] where
     [sweeps] counts operator applications: GMRES steps plus fallback
-    sweeps.  Instrumented with an [Obs] span ["san.stationary"]
+    sweeps.
+    @raise Invalid_argument when [tol] is not finite and positive.
+    Instrumented with an [Obs] span ["san.stationary"]
     (states, iterations, restarts, final residual, fallback flag), the
     [san.sweeps] counter and a [san.residual] histogram. *)
 

@@ -16,10 +16,14 @@ type spec = {
 
 let validate s =
   if s.kx < 1 || s.ky < 1 then invalid_arg "Monolithic: capacities must be >= 1";
-  if s.lambda_x <= 0. || s.lambda_y <= 0. || s.mu_x <= 0. || s.mu_y <= 0. then
-    invalid_arg "Monolithic: rates must be positive";
-  if s.cross_fraction < 0. || s.cross_fraction > 1. then
-    invalid_arg "Monolithic: cross_fraction must be in [0, 1]"
+  List.iter
+    (fun (field, rate) ->
+      if not (Float.is_finite rate && rate > 0.) then
+        invalid_arg (Printf.sprintf "Monolithic: %s must be finite and positive (got %g)" field rate))
+    [ ("lambda_x", s.lambda_x); ("lambda_y", s.lambda_y); ("mu_x", s.mu_x); ("mu_y", s.mu_y) ];
+  if not (s.cross_fraction >= 0. && s.cross_fraction <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Monolithic: cross_fraction must be in [0, 1] (got %g)" s.cross_fraction)
 
 let dim s = s.kx + 1 + (s.ky + 1)
 

@@ -25,6 +25,11 @@ type spec = {
   mu_y : float;
 }
 
+val validate : spec -> unit
+(** @raise Invalid_argument naming the field when a capacity is below
+    1, a rate is not finite and positive, or [cross_fraction] is not in
+    [0, 1] (NaN included).  Every solver here calls it first. *)
+
 val dim : spec -> int
 (** Number of unknowns: [(kx+1) + (ky+1)]. *)
 

@@ -19,14 +19,19 @@ type solution = {
   y_delay : float;
 }
 
+let capacity ?bridge_capacity (s : Monolithic.spec) =
+  let bcap = Option.value ~default:s.Monolithic.ky bridge_capacity in
+  if bcap < 0 then invalid_arg "San_bridge: negative bridge capacity";
+  bcap
+
 (* Automaton order: X producer queue (mode 0), bridge buffer (mode 1),
    Y local queue (mode 2).  X serves at full rate mu_x; a completion is
    a cross transfer with probability f, so the local drain runs at
    (1-f) mu_x and the synchronized cross event at f mu_x — the X
    marginal is exactly the split's M/M/1/K. *)
 let model ?bridge_capacity (s : Monolithic.spec) =
-  let bcap = Option.value ~default:s.Monolithic.ky bridge_capacity in
-  if bcap < 0 then invalid_arg "San_bridge.model: negative bridge capacity";
+  Monolithic.validate s;
+  let bcap = capacity ?bridge_capacity s in
   let range_routing d = List.init d (fun i -> (i + 1, i, 1.)) in
   let x =
     {
@@ -79,9 +84,8 @@ let model ?bridge_capacity (s : Monolithic.spec) =
   in
   San.create [ x; bridge; y ] [ cross; bridge_serve; y_serve ]
 
-let split_seed ?bridge_capacity (s : Monolithic.spec) =
-  let bcap = Option.value ~default:s.Monolithic.ky bridge_capacity in
-  let split = Monolithic.solve_split ~bridge_capacity:bcap s in
+(* The product seed of an already solved split. *)
+let product_seed bcap (s : Monolithic.spec) (split : Monolithic.split_solution) =
   let nb = bcap + 1 and ny = s.ky + 1 in
   let n = (s.kx + 1) * nb * ny in
   let pi0 = Array.make n 0. in
@@ -100,15 +104,17 @@ let split_seed ?bridge_capacity (s : Monolithic.spec) =
   let total = Vec.sum pi0 in
   if total > 0. then Array.map (fun p -> p /. total) pi0 else pi0
 
+let split_seed ?bridge_capacity (s : Monolithic.spec) =
+  let bcap = capacity ?bridge_capacity s in
+  product_seed bcap s (Monolithic.solve_split ~bridge_capacity:bcap s)
+
 let mean dist =
   let acc = ref 0. in
   Array.iteri (fun i p -> acc := !acc +. (float_of_int i *. p)) dist;
   !acc
 
-let solve ?tol ?max_sweeps ?(warm_start = true) ?bridge_capacity (s : Monolithic.spec) =
-  let bcap = Option.value ~default:s.Monolithic.ky bridge_capacity in
+let solve_with ?tol ?max_sweeps ?init bcap (s : Monolithic.spec) =
   let san = model ~bridge_capacity:bcap s in
-  let init = if warm_start then Some (split_seed ~bridge_capacity:bcap s) else None in
   let pi, sweeps, converged =
     San.stationary_report ?tol ?max_iter:max_sweeps ?init san
   in
@@ -143,6 +149,11 @@ let solve ?tol ?max_sweeps ?(warm_start = true) ?bridge_capacity (s : Monolithic
     y_delay = safe_div (mean y_dist) (s.lambda_y *. (1. -. y_dist.(s.ky)));
   }
 
+let solve ?tol ?max_sweeps ?(warm_start = true) ?bridge_capacity (s : Monolithic.spec) =
+  let bcap = capacity ?bridge_capacity s in
+  let init = if warm_start then Some (split_seed ~bridge_capacity:bcap s) else None in
+  solve_with ?tol ?max_sweeps ?init bcap s
+
 type gap_report = {
   joint : solution;
   split : Monolithic.split_solution;
@@ -160,10 +171,13 @@ let gap_pct ~joint ~split =
   else if Float.abs split <= 1e-12 then 0.
   else Float.infinity
 
-let compare_split ?tol ?max_sweeps ?warm_start ?bridge_capacity (s : Monolithic.spec) =
-  let bcap = Option.value ~default:s.Monolithic.ky bridge_capacity in
-  let joint = solve ?tol ?max_sweeps ?warm_start ~bridge_capacity:bcap s in
+let compare_split ?tol ?max_sweeps ?(warm_start = true) ?bridge_capacity
+    (s : Monolithic.spec) =
+  let bcap = capacity ?bridge_capacity s in
   let split = Monolithic.solve_split ~bridge_capacity:bcap s in
+  (* The warm start comes from this split answer, not a second solve. *)
+  let init = if warm_start then Some (product_seed bcap s split) else None in
+  let joint = solve_with ?tol ?max_sweeps ?init bcap s in
   let cross_in =
     s.cross_fraction *. s.mu_x *. (1. -. split.Monolithic.x_dist.(0))
   in

@@ -39,7 +39,9 @@ type solution = {
 
 val model : ?bridge_capacity:int -> Monolithic.spec -> Bufsize_prob.San.t
 (** The SAN; [bridge_capacity] defaults to [ky] like
-    {!Monolithic.solve_split}. *)
+    {!Monolithic.solve_split}.
+    @raise Invalid_argument on a spec {!Monolithic.validate} rejects or
+    a negative bridge capacity. *)
 
 val split_seed : ?bridge_capacity:int -> Monolithic.spec -> Bufsize_numeric.Vec.t
 (** Product of the split solution's marginals — the warm start that
@@ -78,7 +80,8 @@ val compare_split :
   Monolithic.spec ->
   gap_report
 (** Solve both ways and report the split approximation's loss/delay
-    error against the exact joint solution. *)
+    error against the exact joint solution.  The split is solved once:
+    the warm start is built from the answer the report carries. *)
 
 val pp_solution : Format.formatter -> solution -> unit
 val pp_gap : Format.formatter -> gap_report -> unit

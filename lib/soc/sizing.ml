@@ -168,8 +168,12 @@ let damq_reeval ?bound config (s : subsystem_solution) =
   in
   let capacity = Bus_model.total_levels s.model in
   match
-    Bus_model.Shared.build ~weights:config.client_weight ~static_levels:levels
-      ~max_states:(shared_guard config) ~capacity sub
+    Obs.span ~name:"sizing.build"
+      ~attrs:(fun () ->
+        [ ("bus", string_of_int sub.Splitting.bus); ("pool", string_of_int capacity) ])
+      (fun () ->
+        Bus_model.Shared.build ~weights:config.client_weight ~static_levels:levels
+          ~max_states:(shared_guard config) ~capacity sub)
   with
   | exception Invalid_argument msg -> Error msg
   | pool -> (

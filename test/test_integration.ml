@@ -300,6 +300,18 @@ let test_solve_counts () =
   Alcotest.(check bool) "2x2 damq: at most 16 stationary solves" true (residuals <= 16);
   Alcotest.(check int) "2x2 damq: policy evaluations" 58 factorizations
 
+(* [kron] solves the 81-state split once and builds its warm start from
+   that answer: one SAN solve and one Ctmc stationary solve (the
+   split's bridge chain), where seeding re-solved the split. *)
+let test_kron_solve_counts () =
+  let m = run_metrics cli [ "kron"; "--kx"; "8"; "--ky"; "8" ] in
+  let counter name = Test_json.(to_number (member_exn name (member_exn "counters" m))) in
+  let residuals =
+    Test_json.(member_exn "ctmc.residual" (member_exn "histograms" m) |> member_exn "count")
+  in
+  Alcotest.(check int) "san.solves" 1 (int_of_float (counter "san.solves"));
+  Alcotest.(check int) "ctmc.residual count" 1 (int_of_float (Test_json.to_number residuals))
+
 let test_verify_lists_oracles () =
   run_exe verify_exe [ "--list-oracles" ] (fun code out _ ->
       Alcotest.(check int) "exit code" 0 code;
@@ -386,6 +398,25 @@ let () =
           Alcotest.test_case "size lists no harness counters" `Quick
             test_size_lists_no_harness_counters;
           Alcotest.test_case "stationary solves per request" `Quick test_solve_counts;
+          Alcotest.test_case "kron solves the split once" `Quick test_kron_solve_counts;
+          Alcotest.test_case "kron cross fraction above 1" `Quick
+            (check_input_error [ "kron"; "--cross"; "1.5" ]
+               "Monolithic: cross_fraction must be in [0, 1] (got 1.5)");
+          Alcotest.test_case "kron zero service rate" `Quick
+            (check_input_error [ "kron"; "--mu-x"; "0" ]
+               "Monolithic: mu_x must be finite and positive (got 0)");
+          Alcotest.test_case "kron NaN arrival rate" `Quick
+            (check_input_error
+               [ "kron"; "--kx"; "8"; "--ky"; "8"; "--lambda-x"; "nan" ]
+               "Monolithic: lambda_x must be finite and positive (got nan)");
+          Alcotest.test_case "kron zero tolerance" `Quick
+            (check_input_error [ "kron"; "--tol"; "0" ]
+               "San.stationary_report: tol must be finite and positive (got 0)");
+          Alcotest.test_case "kron NaN tolerance" `Quick
+            (check_input_error [ "kron"; "--tol"; "nan" ]
+               "San.stationary_report: tol must be finite and positive (got nan)");
+          Alcotest.test_case "kron negative bridge capacity" `Quick
+            (check_input_error [ "kron"; "--bridge=-1" ] "San_bridge: negative bridge capacity");
           Alcotest.test_case "verify lists oracles" `Quick test_verify_lists_oracles;
           Alcotest.test_case "verify replays a repro" `Quick test_verify_replays_repro;
           Alcotest.test_case "verify not a bufsize command" `Quick

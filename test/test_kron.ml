@@ -1,6 +1,7 @@
 (* Tests for the sum-of-Kronecker operator and the SAN layer on top of
    it: mixed-radix index codec, shuffle SpMV vs the materialized joint
-   matrix, adjointness of the transposed product, generator row sums,
+   matrix, the gather kernel vs the shuffle kernels it replaced (bit for
+   bit), adjointness of the transposed product, generator row sums,
    term-order independence, and the SAN lowering of the bridged bus
    model against both the materialized CTMC solve and the split
    approximation's exact marginals. *)
@@ -149,6 +150,151 @@ let test_krylov_matches_gth () =
       converged
       && close 1e-8 pi gth
       && San.stationary_residual san pi <= San.uniformization_rate san *. tol)
+
+(* ----------------------------------------------- reference kernels *)
+
+(* The shuffle kernels the gather kernel replaced, kept as the bitwise
+   reference: every mode zero-fills a scratch vector and accumulates into
+   it, the transpose scatters along the columns of each factor, and each
+   term ends with its own [y += coeff * src] pass. *)
+module Shuffle = struct
+  let spans dims =
+    let nm = Array.length dims in
+    let spans = Array.make nm 1 in
+    for i = nm - 2 downto 0 do
+      spans.(i) <- spans.(i + 1) * dims.(i + 1)
+    done;
+    spans
+
+  let apply_mode dims spans n src dst m (a : Sparse.t) =
+    let d = dims.(m) and right = spans.(m) in
+    let left = n / (d * right) in
+    Array.fill dst 0 n 0.;
+    let rp = a.Sparse.row_ptr and ci = a.Sparse.col_idx and v = a.Sparse.values in
+    for blk = 0 to left - 1 do
+      let base = blk * d * right in
+      for r = 0 to d - 1 do
+        let ob = base + (r * right) in
+        for k = rp.(r) to rp.(r + 1) - 1 do
+          let x = v.(k) and ib = base + (ci.(k) * right) in
+          for b = 0 to right - 1 do
+            dst.(ob + b) <- dst.(ob + b) +. (x *. src.(ib + b))
+          done
+        done
+      done
+    done
+
+  let apply_mode_t dims spans n src dst m (a : Sparse.t) =
+    let d = dims.(m) and right = spans.(m) in
+    let left = n / (d * right) in
+    Array.fill dst 0 n 0.;
+    let rp = a.Sparse.row_ptr and ci = a.Sparse.col_idx and v = a.Sparse.values in
+    for blk = 0 to left - 1 do
+      let base = blk * d * right in
+      for r = 0 to d - 1 do
+        let ib = base + (r * right) in
+        for k = rp.(r) to rp.(r + 1) - 1 do
+          let x = v.(k) and ob = base + (ci.(k) * right) in
+          for b = 0 to right - 1 do
+            dst.(ob + b) <- dst.(ob + b) +. (x *. src.(ib + b))
+          done
+        done
+      done
+    done
+
+  let mul_into apply desc x =
+    let dims = Kronecker.dims desc in
+    let spans = spans dims and n = Kronecker.num_states desc in
+    let y = Array.make n 0. and bufs = [| Array.make n 0.; Array.make n 0. |] in
+    List.iter
+      (fun { Kronecker.coeff; factors } ->
+        let src = ref x and next = ref 0 in
+        Array.iteri
+          (fun m f ->
+            match f with
+            | Kronecker.Identity -> ()
+            | Kronecker.Factor a ->
+                let dst = bufs.(!next) in
+                apply dims spans n !src dst m a;
+                src := dst;
+                next := 1 - !next)
+          factors;
+        for i = 0 to n - 1 do
+          y.(i) <- y.(i) +. (coeff *. !src.(i))
+        done)
+      (Kronecker.terms desc);
+    y
+
+  let mul_vec = mul_into apply_mode
+  let mul_vec_t = mul_into apply_mode_t
+end
+
+(* Values that expose any change in the order of the per-entry sums:
+   signed zeros, magnitudes whose sums overflow or cancel, subnormals,
+   and ordinary numbers whose rounding depends on the order. *)
+let extreme rng =
+  match Rng.int rng 10 with
+  | 0 -> 0.
+  | 1 -> -0.
+  | 2 -> 1e300
+  | 3 -> -1e300
+  | 4 -> 4.9e-324
+  | 5 -> -1e-300
+  | _ -> Rng.float_range rng (-3.) 3.
+
+(* A random descriptor over 1-4 modes of size 1-5: each factor is the
+   identity or a random pattern (up to the full d x d) whose values, kept
+   even when exactly zero, come from [extreme]; about one term in six has
+   only identity factors. *)
+let random_descriptor rng =
+  let nmodes = 1 + Rng.int rng 4 in
+  let dims = Array.init nmodes (fun _ -> 1 + Rng.int rng 5) in
+  let factor d =
+    if Rng.int rng 3 = 0 then Kronecker.Identity
+    else begin
+      let entries = ref [] in
+      for i = 0 to d - 1 do
+        for j = 0 to d - 1 do
+          if Rng.int rng 3 > 0 then entries := (i, j, 1.) :: !entries
+        done
+      done;
+      let a = Sparse.of_triplets ~rows:d ~cols:d !entries in
+      Kronecker.Factor (Sparse.with_values a (Array.init (Sparse.nnz a) (fun _ -> extreme rng)))
+    end
+  in
+  let term _ =
+    let factors =
+      if Rng.int rng 6 = 0 then Array.make nmodes Kronecker.Identity
+      else Array.map factor dims
+    in
+    let coeff = match Rng.int rng 5 with 0 -> -0. | 1 -> 1e200 | _ -> Rng.float_range rng (-2.) 2. in
+    { Kronecker.coeff; factors }
+  in
+  Kronecker.create ~dims (List.init (1 + Rng.int rng 4) term)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let test_gather_matches_shuffle_bitwise () =
+  let rng = Rng.create 2024 in
+  for case = 1 to 1500 do
+    let desc = random_descriptor rng in
+    let n = Kronecker.num_states desc in
+    let x = Array.init n (fun _ -> extreme rng) in
+    let check what got want =
+      if not (same_bits got want) then
+        Alcotest.failf "descriptor %d (dims %s): %s differs from the shuffle kernel" case
+          (String.concat "x" (Array.to_list (Array.map string_of_int (Kronecker.dims desc))))
+          what
+    in
+    let scratch = Kronecker.scratch desc in
+    let y = Array.make n Float.nan in
+    Kronecker.mul_vec_into ~scratch desc x y;
+    check "A x" y (Shuffle.mul_vec desc x);
+    Kronecker.mul_vec_t_into ~scratch desc x y;
+    check "A' x" y (Shuffle.mul_vec_t desc x)
+  done
 
 (* -------------------------------------------------------- bridged SAN *)
 
@@ -315,6 +461,8 @@ let () =
             test_term_order_independence;
           Alcotest.test_case "hand-computed Kronecker product" `Quick
             test_hand_kronecker_product;
+          Alcotest.test_case "gather kernel = shuffle kernels, bit for bit" `Quick
+            test_gather_matches_shuffle_bitwise;
         ] );
       ( "stationary",
         [

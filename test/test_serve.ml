@@ -204,6 +204,20 @@ let test_budget_below_buffers () =
         (Some "budget 1 words is below the 4 buffers to size (each needs at least one word)")
         (Option.bind (Json.member "error" reply) (Json.mem_string "message")))
 
+(* A kron cross fraction outside [0, 1] is the client's error too, with
+   the message [bufsize kron --cross 1.5] prints. *)
+let test_kron_bad_cross () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let req =
+        Json.Obj [ ("id", Json.Num 7.); ("op", Json.Str "kron"); ("cross", Json.Num 1.5) ]
+      in
+      let reply = ok_reply "cross 1.5 kron" (Serve.request ~socket req) in
+      Alcotest.(check string) "kind" "bad_request" (error_kind reply);
+      Alcotest.(check (option string))
+        "message" (Some "Monolithic: cross_fraction must be in [0, 1] (got 1.5)")
+        (Option.bind (Json.member "error" reply) (Json.mem_string "message")))
+
 let test_deadline_zero () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
@@ -588,6 +602,7 @@ let () =
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
           Alcotest.test_case "deadline zero" `Quick test_deadline_zero;
           Alcotest.test_case "budget below buffers" `Quick test_budget_below_buffers;
+          Alcotest.test_case "kron cross fraction above 1" `Quick test_kron_bad_cross;
           Alcotest.test_case "overload and retry" `Quick test_overload_and_retry;
         ] );
       ( "introspection",
