@@ -1,5 +1,4 @@
 module Obs = Bufsize_obs.Obs
-module Pool = Bufsize_pool.Pool
 module Resilience = Bufsize_resilience.Resilience
 module Json = Bufsize_json.Json
 module Serve = Bufsize_serve.Serve

@@ -30,8 +30,6 @@ module Obs = Bufsize_obs.Obs
     observational only: results are bitwise identical with tracing on or
     off. *)
 
-module Pool = Bufsize_pool.Pool
-
 module Resilience = Bufsize_resilience.Resilience
 (** Structured solver diagnostics, escalation chains and wall-clock
     budgets (the daemon's per-request deadlines) shared by every
@@ -131,7 +129,10 @@ type outcome = {
 
 val size_and_evaluate : experiment -> outcome
 (** Runs the full loop: uniform baseline replications, CTMDP sizing, post
-    sizing replications, timeout-policy replications. *)
+    sizing replications, timeout-policy replications.  Sizing runs on the
+    calling domain; each set of replications runs on up to
+    {!Replicate.domains} domains that {!Replicate.run} spawns and joins,
+    and the outcome is bitwise identical for every domain count. *)
 
 val profiled_sizing :
   ?rounds:int -> experiment -> Sizing.result * float list

@@ -116,9 +116,8 @@ let expired () = { deadline = Some (now_s () -. 1.) }
    installs its deadline here (domain-local, so concurrent worker domains
    never see each other's deadlines) and every solver that defaults its
    budget from [current_budget] picks it up without any signature
-   change.  [Pool] re-installs the caller's ambient budget inside its
-   worker domains, so a solve that fans out stays under the same
-   deadline.  Outside a request there is no ambient budget and solves
+   change.  The budget does not follow work onto a domain that the
+   holder spawns; no solve spawns one.  Outside a request there is no ambient budget and solves
    run unlimited. *)
 
 let ambient_key : budget option Domain.DLS.key =

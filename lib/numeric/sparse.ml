@@ -206,8 +206,6 @@ let mul_vec_t t x =
   y
 
 let scale a t = { t with values = Array.map (fun v -> a *. v) t.values }
-let map f t = { t with values = Array.map f t.values }
-
 let with_values t values =
   if Array.length values <> nnz t then
     invalid_arg "Sparse.with_values: value count mismatch";

@@ -73,9 +73,6 @@ val mul_vec_t_into : t -> Vec.t -> Vec.t -> unit
 val scale : float -> t -> t
 (** [scale a m] is [a * m] (fresh values array, shared structure copied). *)
 
-val map : (float -> float) -> t -> t
-(** Entry-wise; structure preserved (zeros produced by [f] are kept). *)
-
 val with_values : t -> float array -> t
 (** [with_values a v] is [a] with its values replaced by [v] (same
     [row_ptr]/[col_idx], shared not copied) — the incremental-update

@@ -29,28 +29,6 @@ let of_list xs =
   List.iter (add t) xs;
   t
 
-let copy t = { n = t.n; mu = t.mu; m2 = t.m2; lo = t.lo; hi = t.hi }
-
-(* Chan/Golub/LeVeque pairwise combination of two Welford accumulators:
-   exact in [n], and the [m2] update is the numerically stable form (the
-   naive sum-of-squares difference cancels catastrophically). *)
-let merge a b =
-  if a.n = 0 then copy b
-  else if b.n = 0 then copy a
-  else begin
-    let n = a.n + b.n in
-    let na = float_of_int a.n and nb = float_of_int b.n in
-    let nf = float_of_int n in
-    let delta = b.mu -. a.mu in
-    {
-      n;
-      mu = a.mu +. (delta *. nb /. nf);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. nf);
-      lo = Float.min a.lo b.lo;
-      hi = Float.max a.hi b.hi;
-    }
-  end
-
 (* Two-sided 95% Student-t critical values; linear interpolation between the
    tabulated degrees of freedom, 1.96 beyond df = 120. *)
 let t_table =

@@ -5,7 +5,11 @@
     Student-t confidence intervals computed here. *)
 
 type t
-(** Mutable accumulator of a univariate sample (Welford's algorithm). *)
+(** Mutable accumulator of a univariate sample (Welford's algorithm).
+    One accumulator is filled on one domain, in sample order:
+    {!Bufsize_sim.Replicate.run} folds its replications in replication
+    order on the caller's domain, so its statistics do not depend on
+    the domain count. *)
 
 val create : unit -> t
 
@@ -28,16 +32,6 @@ val min_value : t -> float
 val max_value : t -> float
 
 val of_list : float list -> t
-
-val copy : t -> t
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to observing [a]'s
-    sample followed by [b]'s (Chan et al. pairwise combination of Welford
-    states — count and extrema exact, mean and variance up to roundoff).
-    Neither argument is mutated.  This is the join step for statistics
-    accumulated on separate domains of a {!Bufsize_pool.Pool}-style
-    parallel run. *)
 
 val t_quantile : df:int -> float
 (** Two-sided 95% Student-t critical value for [df] degrees of freedom

@@ -73,14 +73,11 @@ type span_record = {
 }
 
 (* A capture sink: the per-request span collector.  One request installs
-   a sink on its worker domain (and, via the pool's context propagation,
-   on every domain that runs work for it); spans closing under the sink
-   are appended here instead of — or in addition to — the global
-   per-domain buffers.  The mutex is uncontended except when a pooled
-   solve fans one request across domains, which is exactly when
-   correctness needs it. *)
+   a sink on its worker domain; spans closing there under the sink are
+   appended here instead of — or in addition to — the global per-domain
+   buffers.  Only the installing domain ever sees the sink, so it needs
+   no lock. *)
 type sink = {
-  k_m : Mutex.t;
   mutable k_spans : span_record list;  (* newest first *)
   k_cap : int;
   mutable k_n : int;
@@ -159,13 +156,11 @@ let record_span attrs name f =
         (match to_sink with
         | None -> ()
         | Some k ->
-            Mutex.lock k.k_m;
             if k.k_n >= k.k_cap then k.k_dropped <- k.k_dropped + 1
             else begin
               k.k_spans <- r :: k.k_spans;
               k.k_n <- k.k_n + 1
-            end;
-            Mutex.unlock k.k_m);
+            end);
         if to_buffer then begin
           if ds.nspans >= max_spans_per_domain then ds.dropped <- ds.dropped + 1
           else begin
@@ -219,8 +214,6 @@ let span_high_water () =
 
 (* ----------------------------------------------------------- capture *)
 
-type capture_sink = sink option
-
 let capture_begin () =
   Mutex.lock enable_m;
   incr captures_live;
@@ -234,7 +227,7 @@ let capture_end () =
   Mutex.unlock enable_m
 
 let with_capture ?(max_spans = 4096) f =
-  let k = { k_m = Mutex.create (); k_spans = []; k_cap = Int.max 1 max_spans; k_n = 0; k_dropped = 0 } in
+  let k = { k_spans = []; k_cap = Int.max 1 max_spans; k_n = 0; k_dropped = 0 } in
   let ds = dstate () in
   let saved = ds.sink_ in
   ds.sink_ <- Some k;
@@ -246,24 +239,8 @@ let with_capture ?(max_spans = 4096) f =
         ds.sink_ <- saved)
       f
   in
-  (* The pool joins its workers before [f] returns, so nothing pushes
-     into [k] after this point; the lock is for the memory fence. *)
-  Mutex.lock k.k_m;
-  let spans = k.k_spans and dropped = k.k_dropped in
-  Mutex.unlock k.k_m;
-  let spans = List.sort (fun a b -> Int64.compare a.sstart_ns b.sstart_ns) spans in
-  (result, spans, dropped)
-
-let current_sink () = if not (Atomic.get spans_on) then None else (dstate ()).sink_
-
-let with_sink k f =
-  match k with
-  | None -> f ()
-  | Some _ ->
-      let ds = dstate () in
-      let saved = ds.sink_ in
-      ds.sink_ <- k;
-      Fun.protect ~finally:(fun () -> ds.sink_ <- saved) f
+  let spans = List.sort (fun a b -> Int64.compare a.sstart_ns b.sstart_ns) k.k_spans in
+  (result, spans, k.k_dropped)
 
 (* ------------------------------------------------------------ metrics *)
 

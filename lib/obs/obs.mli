@@ -21,7 +21,7 @@ val disable : unit -> unit
 
 val reset : unit -> unit
 (** Clear every recorded span and zero every metric shard.  Call only
-    when no pooled work is in flight (between runs, in tests, between
+    when no other domain is recording (between runs, in tests, between
     benchmark repetitions). *)
 
 (* ------------------------------------------------------------- spans *)
@@ -47,8 +47,8 @@ val current_context : unit -> int
 
 val with_context : int -> (unit -> 'a) -> 'a
 (** [with_context parent f] runs [f] with spans parented under [parent]
-    when no local span is open — the pool uses it to parent worker-domain
-    spans under the span that submitted the job. *)
+    when no local span is open — [Bufsize_sim.Replicate.run] uses it to
+    parent the spans of the domains it spawns under its caller's span. *)
 
 type span_record = {
   sid : int;
@@ -76,31 +76,19 @@ val span_high_water : unit -> int
     A capture collects the span subtree of one computation without
     touching the global span buffers and without requiring tracing to be
     enabled process-wide — the sizing daemon uses it to attach a
-    request's own spans to its reply.  Captures nest with global tracing
-    (spans are then delivered to both destinations) and with each other
-    (innermost sink wins on a domain). *)
-
-type capture_sink
-(** The destination installed on a domain by a live capture.  Opaque;
-    exists so {!Bufsize_pool.Pool} can carry the caller's capture onto
-    its worker domains, exactly like the span parent context. *)
+    request's own spans to its reply.  A capture is domain-local: it
+    collects the spans that close on the domain that opened it, and no
+    other domain's.  Captures nest with global tracing (spans are then
+    delivered to both destinations) and with each other (innermost
+    sink wins). *)
 
 val with_capture : ?max_spans:int -> (unit -> 'a) -> 'a * span_record list * int
 (** [with_capture f] runs [f] with span recording forced on and a fresh
     sink installed on the calling domain; returns [f ()]'s value, the
     spans closed under the sink (start-time order), and how many were
-    discarded beyond [max_spans] (default 4096).  Pool workers running
-    items for [f] deliver to the same sink.  Other domains' unrelated
-    spans are not collected (and, when global tracing is off, not
-    recorded at all). *)
-
-val current_sink : unit -> capture_sink
-(** The calling domain's live capture sink (a no-op value when none).
-    Capture it before handing work to another domain, restore there with
-    {!with_sink} — the pool does this alongside {!current_context}. *)
-
-val with_sink : capture_sink -> (unit -> 'a) -> 'a
-(** Run [f] with the given sink installed on this domain. *)
+    discarded beyond [max_spans] (default 4096).  Spans on other
+    domains are not collected (and, when global tracing is off, not
+    recorded at all), even those of a domain [f] spawns. *)
 
 (* ------------------------------------------------------------ metrics *)
 

@@ -181,6 +181,8 @@ let stationary_residual t pi =
 let stationary_report ?(tol = 1e-13) ?(max_iter = 200_000) ?init t =
   if not (Float.is_finite tol && tol > 0.) then
     invalid_arg (Printf.sprintf "San.stationary_report: tol must be finite and positive (got %g)" tol);
+  if max_iter < 1 then
+    invalid_arg (Printf.sprintf "San.stationary_report: max_iter must be at least 1 (got %d)" max_iter);
   let n = num_states t in
   if n = 1 then ([| 1. |], 0, true)
   else begin

@@ -83,7 +83,8 @@ val stationary_report :
     the {!Ctmc} warm seed.  Returns [(pi, sweeps, converged)] where
     [sweeps] counts operator applications: GMRES steps plus fallback
     sweeps.
-    @raise Invalid_argument when [tol] is not finite and positive.
+    @raise Invalid_argument when [tol] is not finite and positive or
+    [max_iter < 1].
     Instrumented with an [Obs] span ["san.stationary"]
     (states, iterations, restarts, final residual, fallback flag), the
     [san.sweeps] counter and a [san.residual] histogram. *)

@@ -10,8 +10,8 @@
       retry-after hint, instead of queueing unboundedly;
     - {b deadline propagation} — a request's [deadline_ms] becomes the
       ambient {!Bufsize_resilience.Resilience} budget of its worker, so
-      every solver it reaches (including through {!Bufsize_pool.Pool})
-      cuts off server-side and degrades instead of hanging;
+      every solver it reaches cuts off server-side and degrades instead
+      of hanging;
     - {b crash isolation} — an exception in a handler poisons only its
       own request (typed [internal_error] reply), never the accept loop;
     - {b graceful shutdown} — {!stop} drains queued and in-flight

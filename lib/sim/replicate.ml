@@ -1,6 +1,5 @@
 module Stats = Bufsize_numeric.Stats
 module Rng = Bufsize_prob.Rng
-module Pool = Bufsize_pool.Pool
 module Obs = Bufsize_obs.Obs
 
 let m_replications = Obs.counter "sim.replications"
@@ -42,51 +41,66 @@ let accumulate agg (report : Metrics.report) =
   let sj = Metrics.mean_buffer_sojourn report in
   if Float.is_finite sj then Stats.add agg.mean_sojourn sj
 
-let run ?(replications = 10) ?pool spec =
+let domains () =
+  match Sys.getenv_opt "BUFSIZE_NUM_DOMAINS" with
+  | None -> Domain.recommended_domain_count ()
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> n
+      | Some _ | None ->
+          invalid_arg "Replicate.domains: BUFSIZE_NUM_DOMAINS must be a positive integer")
+
+(* [f 0 .. f (n-1)] on [min n (domains ())] domains, the caller's among
+   them.  Each domain claims the next index from one counter and writes
+   result [i] into slot [i], so the output does not depend on the domain
+   count.  The first exception, from an item or a failed [Domain.spawn],
+   stops further claims and is re-raised once every spawned domain is
+   joined.  Spawned domains parent their spans under the caller's. *)
+let fork_join n f =
+  let out = Array.make n None in
+  let next = Atomic.make 0 and error = Atomic.make None in
+  let fail e = ignore (Atomic.compare_and_set error None (Some (e, Printexc.get_raw_backtrace ()))) in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n && Option.is_none (Atomic.get error) then begin
+      (try out.(i) <- Some (f i) with e -> fail e);
+      work ()
+    end
+  in
+  let ctx = Obs.current_context () in
+  let spawned = ref [] in
+  (try
+     for _ = 2 to Int.min n (domains ()) do
+       spawned := Domain.spawn (fun () -> Obs.with_context ctx work) :: !spawned
+     done
+   with e -> fail e);
+  work ();
+  List.iter Domain.join !spawned;
+  match Atomic.get error with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> Array.map Option.get out
+
+let run ?(replications = 10) spec =
   if replications <= 0 then invalid_arg "Replicate.run: need at least one replication";
   let nprocs =
     Bufsize_soc.Topology.num_processors (Bufsize_soc.Traffic.topology spec.Sim_run.traffic)
   in
   (* Each replication builds its RNG from a hashed (seed, index) pair
-     inside [Sim_run.run] — a fully isolated stream per item, so the map
-     is embarrassingly parallel.  The pool preserves input ordering, and
-     the reports are folded into the accumulators in replication order on
-     the caller's domain, so every aggregate is bitwise identical whatever
-     the pool size. *)
+     inside [Sim_run.run] — a fully isolated stream per item, so the
+     replications share nothing.  The reports are folded into the
+     accumulators in replication order on the caller's domain, so every
+     aggregate is bitwise identical whatever the domain count. *)
   let reports =
-    Pool.map_array ?pool
-      (fun i ->
+    fork_join replications (fun i ->
         Obs.incr m_replications;
         Obs.span ~name:"sim.replication"
           ~attrs:(fun () -> [ ("replication", string_of_int i) ])
           (fun () ->
             Sim_run.run { spec with Sim_run.seed = Rng.derive_seed spec.Sim_run.seed i }))
-      (Array.init replications Fun.id)
   in
   let agg = make_empty nprocs replications in
   Array.iter (accumulate agg) reports;
   agg
-
-(* Combine aggregates of DISJOINT replication sets (e.g. shards of a sweep
-   run on different pools or hosts) via the pairwise Welford merge. *)
-let merge a b =
-  let np = Array.length a.per_proc_lost in
-  if np <> Array.length b.per_proc_lost then
-    invalid_arg "Replicate.merge: aggregates cover different topologies";
-  {
-    replications = a.replications + b.replications;
-    per_proc_lost = Array.init np (fun p -> Stats.merge a.per_proc_lost.(p) b.per_proc_lost.(p));
-    per_proc_offered =
-      Array.init np (fun p -> Stats.merge a.per_proc_offered.(p) b.per_proc_offered.(p));
-    per_proc_latency =
-      Array.init np (fun p -> Stats.merge a.per_proc_latency.(p) b.per_proc_latency.(p));
-    total_lost = Stats.merge a.total_lost b.total_lost;
-    total_offered = Stats.merge a.total_offered b.total_offered;
-    loss_fraction = Stats.merge a.loss_fraction b.loss_fraction;
-    mean_sojourn = Stats.merge a.mean_sojourn b.mean_sojourn;
-  }
-
-let empty ~nprocs = make_empty nprocs 0
 
 let mean_per_proc_lost agg = Array.map Stats.mean agg.per_proc_lost
 

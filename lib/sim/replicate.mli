@@ -20,32 +20,28 @@ type aggregate = {
       (** mean buffer sojourn per replication (timeout calibration) *)
 }
 
-val run : ?replications:int -> ?pool:Bufsize_pool.Pool.t -> Sim_run.spec -> aggregate
+val run : ?replications:int -> Sim_run.spec -> aggregate
 (** Default 10 replications; replication [i] uses seed
     [Rng.derive_seed spec.seed i] — a splitmix-style hash of the pair, so
     nearby user seeds cannot alias each other's replication streams (the
     old additive [seed + 1000 * i] scheme collided for seeds less than
     [1000 * replications] apart).
 
-    Replications are independent simulations and run on [pool] (default:
-    the process-wide {!Bufsize_pool.Pool}, sized by [BUFSIZE_NUM_DOMAINS]).
-    Reports are folded into the accumulators in replication order on the
-    caller's domain, so the aggregate is bitwise identical for every pool
-    size. *)
+    Replications are independent simulations.  [run] spawns
+    [min replications (domains ()) - 1] domains for the call, runs
+    replications on them and on the caller's domain, and joins them
+    before it returns; the first exception of any replication is
+    re-raised after the join.  Reports are folded into the accumulators
+    in replication order on the caller's domain, so the aggregate is
+    bitwise identical for every domain count.  [sim.replication] spans
+    stay parented under the caller's open span. *)
 
-val empty : nprocs:int -> aggregate
-(** The identity of {!merge} for a [nprocs]-processor topology: zero
-    replications, all accumulators empty.  Useful as the fold seed when
-    combining shards of a sweep; merging it into an aggregate changes
-    nothing (counts, means, variances, and extrema all survive). *)
-
-val merge : aggregate -> aggregate -> aggregate
-(** Combine aggregates of disjoint replication sets (shards of a sweep)
-    with {!Bufsize_numeric.Stats.merge}.  Empty shards (e.g. {!empty} or
-    a slice of a sweep that produced no replications) are handled: the
-    other side's statistics pass through unchanged, no NaNs are
-    introduced.  @raise Invalid_argument when the per-processor arrays
-    differ in length. *)
+val domains : unit -> int
+(** The domains {!run} uses, at most one per replication:
+    [BUFSIZE_NUM_DOMAINS] when set, as given, otherwise
+    [Domain.recommended_domain_count ()].
+    @raise Invalid_argument naming the variable when it is set to
+    anything but a positive integer. *)
 
 val mean_per_proc_lost : aggregate -> float array
 

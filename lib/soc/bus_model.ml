@@ -203,14 +203,6 @@ module Shared = struct
     done;
     !acc
 
-  let choose_capacity ?(max_states = 256) n =
-    if n < 1 then invalid_arg "Bus_model.Shared.choose_capacity: no clients";
-    let k = ref 1 in
-    while state_count ~capacity:(!k + 1) n <= max_states do
-      incr k
-    done;
-    !k
-
   let enumerate n capacity =
     let acc = ref [] in
     let k = Array.make n 0 in

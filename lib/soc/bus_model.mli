@@ -92,11 +92,6 @@ val total_levels : t -> int
 module Shared : sig
   type t
 
-  val choose_capacity : ?max_states:int -> int -> int
-  (** Largest capacity whose state count [C(capacity + n, n)] for [n]
-      loaded clients stays within [max_states] (default 256); at least
-      1. *)
-
   val build :
     ?weights:(Traffic.client -> float) ->
     ?static_levels:int array ->

@@ -415,6 +415,12 @@ let () =
           Alcotest.test_case "kron NaN tolerance" `Quick
             (check_input_error [ "kron"; "--tol"; "nan" ]
                "San.stationary_report: tol must be finite and positive (got nan)");
+          Alcotest.test_case "kron negative max sweeps" `Quick
+            (check_input_error [ "kron"; "--max-sweeps=-3" ]
+               "San.stationary_report: max_iter must be at least 1 (got -3)");
+          Alcotest.test_case "kron zero max sweeps" `Quick
+            (check_input_error [ "kron"; "--max-sweeps=0" ]
+               "San.stationary_report: max_iter must be at least 1 (got 0)");
           Alcotest.test_case "kron negative bridge capacity" `Quick
             (check_input_error [ "kron"; "--bridge=-1" ] "San_bridge: negative bridge capacity");
           Alcotest.test_case "verify lists oracles" `Quick test_verify_lists_oracles;

@@ -1,14 +1,16 @@
 (* Tests for the telemetry layer: the disabled fast path (no spans, no
    allocation), shard-merge permutation independence, span nesting and
-   pool context propagation, exporter well-formedness (parsed back with
+   replication context propagation, exporter well-formedness (parsed back with
    the strict Test_json parser), and the only-observes guarantee (sizing
    results bitwise identical with tracing on or off). *)
 
 module Obs = Bufsize_obs.Obs
-module Pool = Bufsize_pool.Pool
 module Topology = Bufsize_soc.Topology
 module Traffic = Bufsize_soc.Traffic
 module Sizing = Bufsize_soc.Sizing
+module Buffer_alloc = Bufsize_soc.Buffer_alloc
+module Sim_run = Bufsize_sim.Sim_run
+module Replicate = Bufsize_sim.Replicate
 
 let qcheck ?(count = 100) name arb prop =
   QCheck.Test.check_exn (QCheck.Test.make ~count ~name arb prop)
@@ -142,29 +144,33 @@ let test_span_with_id_cross_reference () =
   Alcotest.(check int) "body saw the recorded id" s.Obs.sid !seen;
   fresh ()
 
+(* Replications run on domains [Replicate.run] spawns; their spans must
+   still hang under the caller's span.  Two domains are forced, so some
+   replication really runs off the caller's domain on any host. *)
 let test_pool_context_propagation () =
   fresh ();
   Obs.enable_spans ();
-  (* Oversubscribed so cross-domain propagation is really exercised even
-     on a single-core runner. *)
-  let pool = Pool.create ~oversubscribe:true 2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      Obs.span ~name:"submit" (fun () ->
-          ignore
-            (Pool.map_array ~pool
-               (fun i -> Obs.span ~name:"worker" (fun () -> i))
-               (Array.init 8 Fun.id))));
+  let traffic = Test_specs.traffic Test_specs.three_bus in
+  let spec =
+    {
+      (Sim_run.default_spec ~traffic ~allocation:(Buffer_alloc.uniform traffic ~budget:64)) with
+      Sim_run.horizon = 50.;
+      warmup = 5.;
+    }
+  in
+  Test_specs.with_domains_env "2" (fun () ->
+      Obs.span ~name:"submit" (fun () -> ignore (Replicate.run ~replications:8 spec)));
   let spans = Obs.recorded_spans () in
   let submit = find_span "submit" spans in
-  let workers = List.filter (fun s -> s.Obs.sname = "worker") spans in
-  Alcotest.(check int) "eight worker spans" 8 (List.length workers);
+  let reps = List.filter (fun s -> s.Obs.sname = "sim.replication") spans in
+  Alcotest.(check int) "eight replication spans" 8 (List.length reps);
   List.iter
-    (fun w ->
-      Alcotest.(check int) "worker parented under the submitting span" submit.Obs.sid
-        w.Obs.sparent)
-    workers;
+    (fun r ->
+      Alcotest.(check int) "replication parented under the submitting span" submit.Obs.sid
+        r.Obs.sparent)
+    reps;
+  Alcotest.(check bool) "a replication ran on another domain" true
+    (List.exists (fun r -> r.Obs.strack <> submit.Obs.strack) reps);
   fresh ()
 
 (* ----------------------------------------------------------- exporters *)
@@ -475,9 +481,9 @@ let test_ring_capacity_small () =
 
 (* ------------------------------------------------------------ capture *)
 
-(* Per-request capture: spans flow to the caller's sink (across pool
-   domains) without global span recording being on, and without leaking
-   into the global buffers. *)
+(* Per-request capture: spans flow to the caller's sink without global
+   span recording being on, and without leaking into the global
+   buffers. *)
 let test_capture_collects_subtree () =
   fresh ();
   let (), spans, dropped =
@@ -493,30 +499,6 @@ let test_capture_collects_subtree () =
     (outer.Obs.sstart_ns <= inner.Obs.sstart_ns);
   Alcotest.(check int) "global buffers untouched" 0 (List.length (Obs.recorded_spans ()));
   Alcotest.(check bool) "spans off again after capture" false (Obs.spans_enabled ());
-  fresh ()
-
-let test_capture_crosses_pool_domains () =
-  fresh ();
-  let pool = Pool.create ~oversubscribe:true 2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let (), spans, _ =
-        Obs.with_capture (fun () ->
-            Obs.span ~name:"submit" (fun () ->
-                ignore
-                  (Pool.map_array ~pool
-                     (fun i -> Obs.span ~name:"worker" (fun () -> i))
-                     (Array.init 8 Fun.id))))
-      in
-      let submit = find_span "submit" spans in
-      let workers = List.filter (fun s -> s.Obs.sname = "worker") spans in
-      Alcotest.(check int) "eight pooled spans captured" 8 (List.length workers);
-      List.iter
-        (fun w ->
-          Alcotest.(check int) "pooled span parented under submit" submit.Obs.sid
-            w.Obs.sparent)
-        workers);
   fresh ()
 
 let test_capture_cap_counts_drops () =
@@ -615,7 +597,6 @@ let () =
         [
           Alcotest.test_case "collects the subtree off-globals" `Quick
             test_capture_collects_subtree;
-          Alcotest.test_case "crosses pool domains" `Quick test_capture_crosses_pool_domains;
           Alcotest.test_case "cap counts drops" `Quick test_capture_cap_counts_drops;
         ] );
       ( "exporters",

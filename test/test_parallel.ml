@@ -1,8 +1,7 @@
-(* Tests for the multicore layer: the domain pool and its size override,
-   parallel replication determinism, mergeable statistics and derived
-   replication seeds. *)
+(* Tests for the multicore layer: the replication domain count and its
+   override, parallel replication determinism and error handling, sizing
+   on another domain, and derived replication seeds. *)
 
-module Pool = Bufsize_pool.Pool
 module Stats = Bufsize_numeric.Stats
 module Rng = Bufsize_prob.Rng
 module Topology = Bufsize_soc.Topology
@@ -12,32 +11,16 @@ module Sim_run = Bufsize_sim.Sim_run
 module Replicate = Bufsize_sim.Replicate
 module Sizing = Bufsize_soc.Sizing
 
-(* Tests must exercise real multi-domain execution even on single-core CI
-   runners, so they lift the core-count cap. *)
-let with_pool k f =
-  let pool = Pool.create ~oversubscribe:true k in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+(* ----------------------------------------------------- domain count env *)
 
-(* ------------------------------------------------------- pool size env *)
+let with_domains_env = Test_specs.with_domains_env
 
-(* Run [f] with BUFSIZE_NUM_DOMAINS set to [v].  The environment cannot be
-   unset portably, so an originally absent variable is restored to the
-   value [default_size] would have picked anyway. *)
-let with_domains_env v f =
-  let var = "BUFSIZE_NUM_DOMAINS" in
-  let restore =
-    match Sys.getenv_opt var with
-    | Some old -> old
-    | None -> string_of_int (Domain.recommended_domain_count ())
-  in
-  Unix.putenv var v;
-  Fun.protect ~finally:(fun () -> Unix.putenv var restore) f
-
+(* Every value here is parsed only; no domain is spawned for it. *)
 let test_domains_env_accepted () =
   List.iter
     (fun (v, expected) ->
       with_domains_env v (fun () ->
-          Alcotest.(check int) (Printf.sprintf "%S" v) expected (Pool.default_size ())))
+          Alcotest.(check int) (Printf.sprintf "%S" v) expected (Replicate.domains ())))
     [ ("1", 1); ("3", 3); (" 2 ", 2); ("16", 16) ]
 
 let test_domains_env_rejected () =
@@ -49,7 +32,7 @@ let test_domains_env_rejected () =
   List.iter
     (fun v ->
       with_domains_env v (fun () ->
-          match Pool.default_size () with
+          match Replicate.domains () with
           | exception Invalid_argument msg ->
               Alcotest.(check bool)
                 (Printf.sprintf "%S: message names the variable" v)
@@ -57,72 +40,6 @@ let test_domains_env_rejected () =
                 (contains msg "BUFSIZE_NUM_DOMAINS")
           | n -> Alcotest.failf "%S: expected Invalid_argument, got %d" v n))
     [ "0"; "-2"; "four"; ""; "1.5" ]
-
-(* ------------------------------------------------------------------ pool *)
-
-(* Uneven per-item work so a work-stealing bug that permutes results would
-   actually be exercised: item i spins proportionally to a hash of i. *)
-let busy_square i =
-  let spin = 1 + ((i * 2654435761) land 0xff) in
-  let acc = ref 0 in
-  for k = 1 to spin do
-    acc := (!acc + (k * k)) land max_int
-  done;
-  ignore !acc;
-  i * i
-
-let test_pool_matches_sequential () =
-  let input = Array.init 257 Fun.id in
-  let expected = Array.map busy_square input in
-  List.iter
-    (fun k ->
-      with_pool k (fun pool ->
-          let got = Pool.map_array ~pool busy_square input in
-          Alcotest.(check (array int))
-            (Printf.sprintf "pool size %d" k)
-            expected got))
-    [ 1; 2; 3 ]
-
-let test_pool_mapi_indices () =
-  let input = Array.make 100 "x" in
-  with_pool 3 (fun pool ->
-      let got = Pool.mapi_array ~pool (fun i s -> (i, s)) input in
-      Array.iteri
-        (fun i (j, s) ->
-          Alcotest.(check int) "index" i j;
-          Alcotest.(check string) "value" "x" s)
-        got)
-
-let test_pool_empty_and_singleton () =
-  with_pool 3 (fun pool ->
-      Alcotest.(check (array int)) "empty" [||] (Pool.map_array ~pool busy_square [||]);
-      Alcotest.(check (array int)) "singleton" [| 49 |] (Pool.map_array ~pool busy_square [| 7 |]))
-
-let test_pool_exception_propagates () =
-  with_pool 3 (fun pool ->
-      Alcotest.check_raises "worker exception reaches caller" (Failure "item 17") (fun () ->
-          ignore
-            (Pool.map_array ~pool
-               (fun i -> if i = 17 then failwith "item 17" else busy_square i)
-               (Array.init 64 Fun.id)));
-      (* the pool must still be usable after a failed batch *)
-      Alcotest.(check (array int))
-        "pool survives" [| 0; 1; 4 |]
-        (Pool.map_array ~pool (fun i -> i * i) [| 0; 1; 2 |]))
-
-let test_pool_nested_calls_fall_back () =
-  (* A nested map_array on the same pool must not deadlock: the inner call
-     finds the pool busy and runs sequentially on the calling domain. *)
-  with_pool 2 (fun pool ->
-      let got =
-        Pool.map_array ~pool
-          (fun i ->
-            let inner = Pool.map_array ~pool (fun j -> i + j) (Array.init 4 Fun.id) in
-            Array.fold_left ( + ) 0 inner)
-          (Array.init 16 Fun.id)
-      in
-      let expected = Array.init 16 (fun i -> (4 * i) + 6) in
-      Alcotest.(check (array int)) "nested totals" expected got)
 
 (* ------------------------------------------------- replication determinism *)
 
@@ -160,11 +77,26 @@ let check_aggregate_identical (a : Replicate.aggregate) (b : Replicate.aggregate
   check_stats_identical "loss_fraction" a.Replicate.loss_fraction b.Replicate.loss_fraction;
   check_stats_identical "mean_sojourn" a.Replicate.mean_sojourn b.Replicate.mean_sojourn
 
+(* The domain count is used as given, so 3 domains really run on any
+   host. *)
 let test_replicate_pool_size_invariant () =
   let spec = single_bus_spec ~lambda:2.0 ~mu:3.0 ~k:4 in
-  let sequential = with_pool 1 (fun pool -> Replicate.run ~replications:8 ~pool spec) in
-  let parallel = with_pool 3 (fun pool -> Replicate.run ~replications:8 ~pool spec) in
+  let sequential = with_domains_env "1" (fun () -> Replicate.run ~replications:8 spec) in
+  let parallel = with_domains_env "3" (fun () -> Replicate.run ~replications:8 spec) in
   check_aggregate_identical sequential parallel
+
+(* Every replication of a zero-horizon spec raises on its own domain; the
+   caller gets the exception once all domains are joined, and the next
+   run starts from a clean slate. *)
+let test_replicate_exception_joins () =
+  let spec = single_bus_spec ~lambda:2.0 ~mu:3.0 ~k:4 in
+  with_domains_env "3" (fun () ->
+      Alcotest.check_raises "replication error reaches the caller"
+        (Invalid_argument "Sim_run.run: nonpositive horizon") (fun () ->
+          ignore (Replicate.run ~replications:8 { spec with Sim_run.horizon = 0. }));
+      let agg = Replicate.run ~replications:8 spec in
+      Alcotest.(check int) "valid run after the failure" 8
+        (Stats.count agg.Replicate.total_lost))
 
 (* Sizing runs on its caller's domain — the daemon's workers each run
    their own — so its answer must not depend on which domain that is.
@@ -215,72 +147,9 @@ let test_derive_seed_injective () =
   Alcotest.(check bool) "seed 1/rep 1 vs seed 1001/rep 0" true
     (Rng.derive_seed 1 1 <> Rng.derive_seed 1001 0)
 
-(* ------------------------------------------------------------ Stats.merge *)
-
-let test_merge_matches_single_pass () =
-  let prop (xs, cut) =
-    let xs = Array.of_list xs in
-    let n = Array.length xs in
-    let cut = if n = 0 then 0 else cut mod (n + 1) in
-    let left = Array.sub xs 0 cut and right = Array.sub xs cut (n - cut) in
-    let merged = Stats.merge (Stats.of_list (Array.to_list left)) (Stats.of_list (Array.to_list right)) in
-    let whole = Stats.of_list (Array.to_list xs) in
-    let close a b =
-      let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-      Float.abs (a -. b) <= 1e-9 *. scale
-    in
-    Stats.count merged = Stats.count whole
-    && (n = 0 || close (Stats.mean merged) (Stats.mean whole))
-    && (n < 2 || close (Stats.variance merged) (Stats.variance whole))
-    && Stats.min_value merged = Stats.min_value whole
-    && Stats.max_value merged = Stats.max_value whole
-  in
-  let gen =
-    QCheck.make
-      QCheck.Gen.(
-        pair (list_size (int_bound 60) (float_bound_exclusive 1000.)) (int_bound 1000))
-  in
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:500 ~name:"merge = single-pass over concatenation" gen prop)
-
-let test_merge_empty_identity () =
-  let s = Stats.of_list [ 1.; 2.; 3. ] in
-  let e = Stats.create () in
-  check_stats_identical "left identity" s (Stats.merge e s);
-  check_stats_identical "right identity" s (Stats.merge s e);
-  Alcotest.(check int) "both empty" 0 (Stats.count (Stats.merge e (Stats.create ())));
-  (* Merging empties never manufactures values: mean stays NaN, extrema
-     stay at their empty sentinels, and no NaN leaks into a later merge. *)
-  let ee = Stats.merge e (Stats.create ()) in
-  Alcotest.(check bool) "empty mean nan" true (Float.is_nan (Stats.mean ee));
-  check_stats_identical "empty merge then data" s (Stats.merge ee s)
-
-let test_merge_single_samples () =
-  (* Single-observation shards: the smallest non-empty case.  Variance of
-     one sample is NaN by convention; merging two singles must produce the
-     exact two-sample statistics, not NaN. *)
-  let a = Stats.of_list [ 4. ] and b = Stats.of_list [ 10. ] in
-  Alcotest.(check bool) "single variance nan" true (Float.is_nan (Stats.variance a));
-  let m = Stats.merge a b in
-  Alcotest.(check int) "count" 2 (Stats.count m);
-  Alcotest.(check (float 1e-12)) "mean" 7. (Stats.mean m);
-  Alcotest.(check (float 1e-12)) "variance" 18. (Stats.variance m);
-  Alcotest.(check (float 1e-12)) "min" 4. (Stats.min_value m);
-  Alcotest.(check (float 1e-12)) "max" 10. (Stats.max_value m);
-  check_stats_identical "single + empty" a (Stats.merge a (Stats.create ()));
-  check_stats_identical "empty + single" a (Stats.merge (Stats.create ()) a)
-
 let () =
   Alcotest.run "parallel"
     [
-      ( "pool",
-        [
-          Alcotest.test_case "matches sequential map" `Quick test_pool_matches_sequential;
-          Alcotest.test_case "mapi indices" `Quick test_pool_mapi_indices;
-          Alcotest.test_case "empty and singleton" `Quick test_pool_empty_and_singleton;
-          Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "nested calls fall back" `Quick test_pool_nested_calls_fall_back;
-        ] );
       ( "pool-domain-env",
         [
           Alcotest.test_case "positive override honoured" `Quick test_domains_env_accepted;
@@ -290,6 +159,8 @@ let () =
         [
           Alcotest.test_case "aggregate invariant under pool size" `Quick
             test_replicate_pool_size_invariant;
+          Alcotest.test_case "exception joins every domain" `Quick
+            test_replicate_exception_joins;
         ] );
       ( "sizing",
         [
@@ -297,10 +168,4 @@ let () =
             test_sizing_same_on_a_worker_domain;
         ] );
       ("seeds", [ Alcotest.test_case "derive_seed injective" `Quick test_derive_seed_injective ]);
-      ( "stats-merge",
-        [
-          Alcotest.test_case "merge = single pass (qcheck)" `Quick test_merge_matches_single_pass;
-          Alcotest.test_case "empty identities" `Quick test_merge_empty_identity;
-          Alcotest.test_case "single-sample shards" `Quick test_merge_single_samples;
-        ] );
     ]

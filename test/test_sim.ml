@@ -453,65 +453,6 @@ let test_replicate_aggregates () =
   Alcotest.(check bool) "src loses" true (per_proc.(0) > 0.);
   check_close 1e-12 "dst loses nothing" 0. per_proc.(1)
 
-(* Merging with the empty aggregate must be the identity, and merging two
-   single-replication shards must reproduce the two-replication run (the
-   regression here was NaN variance sneaking in through empty shards). *)
-let test_replicate_empty_merge_identity () =
-  let spec =
-    { (single_bus_spec ~lambda:2.0 ~mu:3.0 ~k:4) with Sim_run.horizon = 500.; warmup = 50. }
-  in
-  let agg = Replicate.run ~replications:3 spec in
-  let nprocs = Array.length agg.Replicate.per_proc_lost in
-  let e = Replicate.empty ~nprocs in
-  Alcotest.(check int) "empty has no replications" 0 e.Replicate.replications;
-  List.iter
-    (fun merged ->
-      Alcotest.(check int) "replications" 3 merged.Replicate.replications;
-      Alcotest.(check int) "count" (Stats.count agg.Replicate.total_lost)
-        (Stats.count merged.Replicate.total_lost);
-      check_close 1e-12 "mean" (Stats.mean agg.Replicate.total_lost)
-        (Stats.mean merged.Replicate.total_lost);
-      check_close 1e-9 "variance" (Stats.variance agg.Replicate.total_lost)
-        (Stats.variance merged.Replicate.total_lost);
-      check_close 1e-12 "loss fraction mean" (Stats.mean agg.Replicate.loss_fraction)
-        (Stats.mean merged.Replicate.loss_fraction);
-      Array.iteri
-        (fun p s ->
-          check_close 1e-12 "per-proc mean" (Stats.mean agg.Replicate.per_proc_lost.(p))
-            (Stats.mean s))
-        merged.Replicate.per_proc_lost)
-    [ Replicate.merge e agg; Replicate.merge agg e ];
-  let ee = Replicate.merge e (Replicate.empty ~nprocs) in
-  Alcotest.(check int) "empty + empty count" 0 (Stats.count ee.Replicate.total_lost);
-  Alcotest.(check bool) "empty + empty mean is nan" true
-    (Float.is_nan (Stats.mean ee.Replicate.total_lost))
-
-let test_replicate_single_sample_merge () =
-  let spec =
-    { (single_bus_spec ~lambda:2.0 ~mu:3.0 ~k:4) with Sim_run.horizon = 500.; warmup = 50. }
-  in
-  (* Two single-replication shards with different base seeds.  A
-     single-sample aggregate has a well-defined mean and (by convention)
-     NaN variance; the merge must produce the exact two-sample
-     statistics, not propagate the NaN. *)
-  let a = Replicate.run ~replications:1 spec in
-  let b = Replicate.run ~replications:1 { spec with Sim_run.seed = 4242 } in
-  Alcotest.(check bool) "single-sample variance is nan" true
-    (Float.is_nan (Stats.variance a.Replicate.total_lost));
-  Alcotest.(check bool) "single-sample mean finite" true
-    (Float.is_finite (Stats.mean a.Replicate.total_lost));
-  let la = Stats.mean a.Replicate.total_lost and lb = Stats.mean b.Replicate.total_lost in
-  let merged = Replicate.merge a b in
-  Alcotest.(check int) "replications" 2 merged.Replicate.replications;
-  Alcotest.(check int) "count" 2 (Stats.count merged.Replicate.total_lost);
-  check_close 1e-9 "mean" ((la +. lb) /. 2.) (Stats.mean merged.Replicate.total_lost);
-  let d = la -. lb in
-  check_close 1e-9 "variance" (d *. d /. 2.) (Stats.variance merged.Replicate.total_lost);
-  Alcotest.(check bool) "variance finite with two samples" true
-    (Float.is_finite (Stats.variance merged.Replicate.total_lost));
-  check_close 1e-12 "min" (Float.min la lb) (Stats.min_value merged.Replicate.total_lost);
-  check_close 1e-12 "max" (Float.max la lb) (Stats.max_value merged.Replicate.total_lost)
-
 let () =
   Alcotest.run "sim"
     [
@@ -570,7 +511,5 @@ let () =
       ( "replicate",
         [
           Alcotest.test_case "aggregation" `Quick test_replicate_aggregates;
-          Alcotest.test_case "empty merge identity" `Quick test_replicate_empty_merge_identity;
-          Alcotest.test_case "single-sample shards" `Quick test_replicate_single_sample_merge;
         ] );
     ]

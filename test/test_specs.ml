@@ -1,4 +1,17 @@
-(* Spec texts shared by more than one test executable. *)
+(* Spec texts and helpers shared by more than one test executable. *)
+
+(* Run [f] with BUFSIZE_NUM_DOMAINS set to [v].  The environment cannot be
+   unset portably, so an originally absent variable is restored to the
+   value [Replicate.domains] would have picked anyway. *)
+let with_domains_env v f =
+  let var = "BUFSIZE_NUM_DOMAINS" in
+  let restore =
+    match Sys.getenv_opt var with
+    | Some old -> old
+    | None -> string_of_int (Domain.recommended_domain_count ())
+  in
+  Unix.putenv var v;
+  Fun.protect ~finally:(fun () -> Unix.putenv var restore) f
 
 let traffic text =
   match Bufsize_soc.Spec_parser.parse text with Ok (_, t) -> t | Error e -> failwith e

@@ -1,6 +1,6 @@
 (* Tests for the incremental-solve machinery: LU storage reuse, the
    exact-key solve caches and their global switch, CTMC rate
-   patching and seeded iterations, and chunked pool determinism. *)
+   patching and seeded iterations. *)
 
 module Obs = Bufsize_obs.Obs
 module Lu = Bufsize_numeric.Lu
@@ -9,7 +9,6 @@ module Solve_cache = Bufsize_numeric.Solve_cache
 module Sizing = Bufsize_soc.Sizing
 module Spec_parser = Bufsize_soc.Spec_parser
 module Ctmc = Bufsize_prob.Ctmc
-module Pool = Bufsize_pool.Pool
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -166,23 +165,18 @@ let test_cache_concurrent_stress () =
       let capacity = 32 in
       let c : int Solve_cache.t = Solve_cache.create ~capacity "stress" in
       let finds = Atomic.make 0 and wrong = Atomic.make 0 in
-      let pool = Pool.create ~oversubscribe:true 4 in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          ignore
-            (Pool.map_array ~pool ~chunk:1
-               (fun d ->
-                 let rng = Random.State.make [| 42 + d |] in
-                 for _ = 1 to 2000 do
-                   let k = Random.State.int rng 64 in
-                   let key = Printf.sprintf "key-%d" k in
-                   (match Solve_cache.find c key with
-                   | Some v -> if v <> k then Atomic.incr wrong
-                   | None -> Solve_cache.add c key k);
-                   Atomic.incr finds
-                 done)
-               [| 0; 1; 2; 3 |]));
+      let hammer d () =
+        let rng = Random.State.make [| 42 + d |] in
+        for _ = 1 to 2000 do
+          let k = Random.State.int rng 64 in
+          let key = Printf.sprintf "key-%d" k in
+          (match Solve_cache.find c key with
+          | Some v -> if v <> k then Atomic.incr wrong
+          | None -> Solve_cache.add c key k);
+          Atomic.incr finds
+        done
+      in
+      List.init 4 (fun d -> Domain.spawn (hammer d)) |> List.iter Domain.join;
       Alcotest.(check int) "no torn values" 0 (Atomic.get wrong);
       Alcotest.(check int) "hits + misses = find calls" (Atomic.get finds)
         (Solve_cache.hits c + Solve_cache.misses c);
@@ -202,23 +196,6 @@ let test_seeded_stationary () =
   (* Malformed seeds are ignored, not fatal. *)
   let junk = Ctmc.stationary_iterative ~init:[| 1.; 2. |] nearby in
   Array.iteri (fun i p -> check_float (Printf.sprintf "junk pi(%d)" i) cold.(i) p) junk
-
-(* ------------------------------------------------------------------ pool *)
-
-let test_chunked_pool_determinism () =
-  let input = Array.init 101 (fun i -> i) in
-  let expected = Array.mapi (fun i x -> (i * 3) + x) input in
-  let pool = Pool.create ~oversubscribe:true 3 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      List.iter
-        (fun chunk ->
-          let got = Pool.mapi_array ~pool ~chunk (fun i x -> (i * 3) + x) input in
-          Alcotest.(check (array int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected got)
-        [ 1; 3; 7; 64; 1000 ])
 
 let () =
   Alcotest.run "warmstart"
@@ -243,6 +220,4 @@ let () =
         [
           Alcotest.test_case "seeded stationary" `Quick test_seeded_stationary;
         ] );
-      ( "pool-chunking",
-        [ Alcotest.test_case "chunked determinism" `Quick test_chunked_pool_determinism ] );
     ]
