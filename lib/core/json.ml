@@ -177,27 +177,37 @@ let parse_exn s = match parse s with Ok v -> v | Error e -> failwith ("bad JSON:
 
 (* ------------------------------------------------------------ printing *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* A string with nothing to escape (every key, and nearly every value
+   this system writes) is returned as it is, without a copy. *)
 let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if not (String.exists needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 (* Numbers print with %.17g so every float round-trips bitwise through
-   parse (integers within 2^53 print without an exponent or dot, matching
-   how ids and counts are written by hand elsewhere); NaN/infinities have
-   no JSON spelling and become null. *)
+   parse.  Integers within 1e15 print as plain digits, matching how ids
+   and counts are written by hand elsewhere; they take [Int.to_string]
+   (the bytes %.0f would print, without the formatter), and negative
+   zero keeps its sign as "-0".  NaN/infinities have no JSON spelling
+   and become null. *)
 let number_repr f =
-  if Float.is_integer f && Float.abs f <= 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f <= 1e15 then
+    if f = 0. && Float.sign_bit f then "-0" else Int.to_string (int_of_float f)
   else Printf.sprintf "%.17g" f
 
 let encode_buf buf v =

@@ -14,10 +14,6 @@ let fnv1a s =
   done;
   !h
 
-let float_repr x =
-  let s = Printf.sprintf "%g" x in
-  if float_of_string s = x then s else Printf.sprintf "%.17g" x
-
 type 'a entry = { key : string; value : 'a; mutable stamp : int }
 
 type 'a t = {

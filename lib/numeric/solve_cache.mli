@@ -1,13 +1,22 @@
 (** Exact-key solve caching.
 
     A [Solve_cache.t] is a small mutex-guarded LRU map from a {e canonical
-    spec string} (a lossless print of everything the cached computation
+    key} (an injective encoding of everything the cached computation
     depends on) to a previously computed result.  Keys are first reduced
-    to a 64-bit FNV-1a hash for cheap bucketing; the full canonical string
-    is kept alongside the value and compared on lookup, so hash collisions
-    can never alias two different problems.
+    to a 64-bit FNV-1a hash for cheap bucketing; the full key is kept
+    alongside the value and compared on lookup, so hash collisions can
+    never alias two different problems.
 
-    Because a hit requires the canonical strings to be byte-identical, a
+    A key is an opaque byte string, not text.  The sizing cache's key is
+    binary: every float is its IEEE bit pattern
+    ([Int64.bits_of_float], 8 bytes), every int 8 little-endian bytes,
+    every variant a one-byte tag, and every string and list preceded by
+    its length.  Such a key is injective by construction (two keys are
+    equal only when every input is bit-identical, so [-0.] and [0.], or
+    two floats one ulp apart, never share an entry) and costs no number
+    formatting to build.
+
+    Because a hit requires the keys to be byte-identical, a
     cached result is exactly what recomputing would produce (all solvers
     in this library are deterministic functions of their inputs) — caching
     is therefore bitwise-transparent to every artifact.  The cache behind
@@ -16,7 +25,7 @@
     Caching is enabled by default; {!set_enabled} flips all caches at
     once (the warm-cold verify oracle compares both modes).
 
-    Instances are safe to share across pool domains. *)
+    Instances are safe to share across domains. *)
 
 type 'a t
 
@@ -59,8 +68,3 @@ val clear_all : unit -> unit
 
 val fnv1a : string -> int64
 (** The 64-bit FNV-1a hash used for key bucketing (exposed for tests). *)
-
-val float_repr : float -> string
-(** Lossless float printing for canonical keys: ["%g"] when it round-trips,
-    ["%.17g"] otherwise — the same discipline as the verify harness's
-    repro printers. *)

@@ -99,26 +99,49 @@ type dstate = {
 
 let max_spans_per_domain = 1 lsl 17
 
+let new_dstate did =
+  {
+    did;
+    open_ = [];
+    ctx = 0;
+    sink_ = None;
+    completed = [];
+    nspans = 0;
+    hwm = 0;
+    dropped = 0;
+  }
+
+(* The registry holds the record of every live domain that has recorded,
+   plus [retired]: when a spawned domain ends, its completed spans and
+   counts move into [retired] and its record leaves the registry.  Domain
+   ids are never reused and replications fork fresh domains on every
+   call, so without this a long traced process would keep one record per
+   domain it ever ran.  [retired] is mutated only under [registry_m] and
+   keeps the per-domain cap: spans beyond it count as dropped. *)
 let registry_m = Mutex.create ()
-let registry : dstate list ref = ref []
+let retired = new_dstate (-1)
+let registry : dstate list ref = ref [ retired ]
+
+let retire ds =
+  Mutex.lock registry_m;
+  registry := List.filter (fun d -> d != ds) !registry;
+  let excess = Int.max 0 (ds.nspans - (max_spans_per_domain - retired.nspans)) in
+  (* [completed] is newest first: past the cap, the newest are dropped,
+     as a full live buffer would drop them. *)
+  let kept = List.filteri (fun i _ -> i >= excess) ds.completed in
+  retired.completed <- kept @ retired.completed;
+  retired.nspans <- retired.nspans + ds.nspans - excess;
+  retired.hwm <- Int.max retired.hwm (Int.max ds.hwm retired.nspans);
+  retired.dropped <- retired.dropped + ds.dropped + excess;
+  Mutex.unlock registry_m
 
 let dstate_key =
   Domain.DLS.new_key (fun () ->
-      let ds =
-        {
-          did = (Domain.self () :> int);
-          open_ = [];
-          ctx = 0;
-          sink_ = None;
-          completed = [];
-          nspans = 0;
-          hwm = 0;
-          dropped = 0;
-        }
-      in
+      let ds = new_dstate (Domain.self () :> int) in
       Mutex.lock registry_m;
       registry := ds :: !registry;
       Mutex.unlock registry_m;
+      if not (Domain.is_main_domain ()) then Domain.at_exit (fun () -> retire ds);
       ds)
 
 let dstate () = Domain.DLS.get dstate_key
@@ -193,24 +216,23 @@ let with_context parent f =
     Fun.protect ~finally:(fun () -> ds.ctx <- saved) f
   end
 
+(* Readers hold [registry_m], which orders them after the retirement of
+   every domain already joined. *)
+let fold_states f init =
+  Mutex.lock registry_m;
+  let r = List.fold_left f init !registry in
+  Mutex.unlock registry_m;
+  r
+
 let recorded_spans () =
   Mutex.lock registry_m;
-  let states = !registry in
+  let all = List.concat_map (fun ds -> ds.completed) !registry in
   Mutex.unlock registry_m;
-  let all = List.concat_map (fun ds -> ds.completed) states in
   List.sort (fun a b -> Int64.compare a.sstart_ns b.sstart_ns) all
 
-let dropped_spans () =
-  Mutex.lock registry_m;
-  let states = !registry in
-  Mutex.unlock registry_m;
-  List.fold_left (fun acc ds -> acc + ds.dropped) 0 states
-
-let span_high_water () =
-  Mutex.lock registry_m;
-  let states = !registry in
-  Mutex.unlock registry_m;
-  List.fold_left (fun acc ds -> Int.max acc ds.hwm) 0 states
+let dropped_spans () = fold_states (fun acc ds -> acc + ds.dropped) 0
+let span_high_water () = fold_states (fun acc ds -> Int.max acc ds.hwm) 0
+let span_states () = fold_states (fun acc _ -> acc + 1) 0
 
 (* ----------------------------------------------------------- capture *)
 
@@ -518,15 +540,23 @@ let span_args s =
    [Gc.quick_stat] folds the running domain's allocation into its word
    counts only at a minor collection, so a short run that never collects
    reads 0 words; [Gc.minor_words] and [Gc.counters] include the words
-   allocated since.  Each word count is the larger of the two readings:
-   [quick_stat] sums every domain's last sample, the live counters see
-   only the calling domain. *)
+   allocated since, but see only the calling domain.  [quick_stat] sums
+   every other domain's last sample and every ended domain's total, so
+   the minor word count adds to it the calling domain's minor-heap words
+   not yet folded in (the heap's size less its free bytes).  Each count
+   is then the larger of that and the live reading: a process whose ended
+   domains allocated more than its main one still sees its own
+   allocation. *)
 let current_gc () =
   let st = Gc.quick_stat () in
   let _, promoted, major = Gc.counters () in
+  let young =
+    (Gc.get ()).Gc.minor_heap_size - (Gc.get_minor_free () / (Sys.word_size / 8))
+  in
   {
     st with
-    Gc.minor_words = Float.max st.Gc.minor_words (Gc.minor_words ());
+    Gc.minor_words =
+      Float.max (st.Gc.minor_words +. float_of_int young) (Gc.minor_words ());
     promoted_words = Float.max st.Gc.promoted_words promoted;
     major_words = Float.max st.Gc.major_words major;
   }

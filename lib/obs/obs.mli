@@ -71,6 +71,13 @@ val span_high_water : unit -> int
 (** Largest per-domain span-buffer occupancy seen since the last
     {!reset} — how close any domain came to the drop threshold. *)
 
+val span_states : unit -> int
+(** Span-buffer records held: one per live domain that has recorded a
+    span, plus one that keeps the spans of every domain that has ended
+    (under the same per-domain cap; spans past it count in
+    {!dropped_spans}).  A process that forks and joins domains again and
+    again holds a bounded number of records. *)
+
 (** {1 Per-request capture}
 
     A capture collects the span subtree of one computation without

@@ -167,40 +167,93 @@ let communicating_class t k =
    no transition into the remaining block (chain not irreducible), naming
    the communicating class of the offending state — callers fall back to
    the LU path, which picks one closed class like the historical
-   behavior, or report the class in a diagnostic. *)
+   behavior, or report the class in a diagnostic.
+
+   Buffer chains are sparse and stay fairly sparse under elimination, so
+   each step reads row k and column k once for their nonzeros and then
+   sums, divides, updates and accumulates π over those alone.  Skipping
+   a zero term is exact: x +. 0. = x for every x these loops can hold
+   (each sum starts at +0. over nonnegative terms), and a product with a
+   zero factor is a zero when the other factor is finite.  So wherever
+   the other factor — the row sum, a multiplier [w.(i).(k)], an entry of
+   π — is not finite, that loop runs dense, as the plain elimination
+   would, and the result is the same bits either way. *)
 let stationary_gth t =
   let n = t.n in
   if n = 1 then Ok [| 1. |]
   else begin
     let w = Array.make_matrix n n 0. in
     Sparse.iter t.q (fun i j v -> if i <> j then w.(i).(j) <- v);
+    (* [cols]: the nonzero columns of row k below k; [below.(k)]: the
+       nonzero rows of column k after its division, which later steps no
+       longer touch and the π pass reads.  Both ascend. *)
+    let cols = Array.make n 0 in
+    let rows = Array.make n 0 in
+    let below = Array.make n [||] in
     let exception Reducible of int in
     try
       for k = n - 1 downto 1 do
+        let wk = w.(k) in
+        let ncols = ref 0 in
         let s = ref 0. in
         for j = 0 to k - 1 do
-          s := !s +. w.(k).(j)
+          let v = wk.(j) in
+          if v <> 0. then begin
+            s := !s +. v;
+            cols.(!ncols) <- j;
+            incr ncols
+          end
         done;
         if !s <= 0. then raise (Reducible k);
+        let s = !s in
+        let nrows = ref 0 in
         for i = 0 to k - 1 do
-          w.(i).(k) <- w.(i).(k) /. !s
+          let wi = w.(i) in
+          let v = wi.(k) in
+          if v <> 0. || not (Float.is_finite s) then begin
+            let q = v /. s in
+            wi.(k) <- q;
+            if q <> 0. then begin
+              rows.(!nrows) <- i;
+              incr nrows
+            end
+          end
         done;
-        for i = 0 to k - 1 do
-          let wik = w.(i).(k) in
-          if wik <> 0. then
+        let ncols = !ncols and nrows = !nrows in
+        below.(k) <- Array.sub rows 0 nrows;
+        for r = 0 to nrows - 1 do
+          let i = rows.(r) in
+          let wi = w.(i) in
+          let wik = wi.(k) in
+          if Float.is_finite wik then
+            for c = 0 to ncols - 1 do
+              let j = cols.(c) in
+              if j <> i then wi.(j) <- wi.(j) +. (wik *. wk.(j))
+            done
+          else
             for j = 0 to k - 1 do
-              if j <> i then w.(i).(j) <- w.(i).(j) +. (wik *. w.(k).(j))
+              if j <> i then wi.(j) <- wi.(j) +. (wik *. wk.(j))
             done
         done
       done;
       let pi = Array.make n 0. in
       pi.(0) <- 1.;
+      let finite = ref true in
       for k = 1 to n - 1 do
         let acc = ref 0. in
-        for i = 0 to k - 1 do
-          acc := !acc +. (pi.(i) *. w.(i).(k))
-        done;
-        pi.(k) <- acc.contents
+        if !finite then begin
+          let b = below.(k) in
+          for r = 0 to Array.length b - 1 do
+            let i = b.(r) in
+            acc := !acc +. (pi.(i) *. w.(i).(k))
+          done
+        end
+        else
+          for i = 0 to k - 1 do
+            acc := !acc +. (pi.(i) *. w.(i).(k))
+          done;
+        pi.(k) <- !acc;
+        if not (Float.is_finite !acc) then finite := false
       done;
       let total = Vec.sum pi in
       Ok (Array.map (fun p -> p /. total) pi)

@@ -256,13 +256,17 @@ let solve_subsystems config models ctmdps =
    [Damq], the shared routers' pool solves — is a deterministic function
    of the post-profile subsystems, the routers marked shared and the
    numeric config, so it is memoized in a process-wide exact-key cache.
-   The key prints every number that feeds the computation losslessly
+   The key is binary and injective by construction: every float that
+   feeds the computation is written as its IEEE bit pattern
+   ([Int64.bits_of_float]), every int as 8 little-endian bytes, every
+   variant as a one-byte tag, and every string and list behind its
+   length, so two keys are equal only when all their inputs are
    (including the [client_weight] closure {e evaluated} on each client —
-   closures cannot be compared, their values on the actual inputs can),
-   so a hit replays exactly what a recompute would produce.  Allocation
-   and the occupancy health check are recomputed fresh on hits: they also
-   depend on the caller's [traffic] value, which the key does not
-   capture.  The price-0 lines and the pool solves are kept so that
+   closures cannot be compared, their values on the actual inputs can).
+   A hit therefore replays exactly what a recompute would produce, and
+   building the key formats no number.  Allocation and the occupancy
+   health check are recomputed fresh on hits: they also depend on the
+   caller's [traffic] value, which the key does not capture.  The price-0 lines and the pool solves are kept so that
    [compare_sharing] needs no solve of its own. *)
 type cached = {
   c_solutions : subsystem_solution array;
@@ -284,30 +288,39 @@ let cache : cached Solve_cache.t = Solve_cache.create ~capacity:16 "sizing"
 let cache_stats () = (Solve_cache.hits cache, Solve_cache.misses cache)
 
 let cache_key config ~shared (subsystems : Splitting.subsystem array) =
-  let buf = Buffer.create 512 in
-  let fstr = Solve_cache.float_repr in
-  Buffer.add_string buf
-    (Printf.sprintf "sizing2 budget %d kappa %s q %s states %d solver %s sharing %s\n"
-       config.budget (fstr config.occupancy_fraction) (fstr config.quantile) config.max_states
-       (match config.solver with Joint -> "joint" | Separate -> "separate")
-       (match config.sharing with Static -> "static" | Damq -> "damq"));
+  let buf = Buffer.create 640 in
+  let int n = Buffer.add_int64_le buf (Int64.of_int n) in
+  let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let tag b = Buffer.add_char buf (Char.unsafe_chr b) in
+  int config.budget;
+  float config.occupancy_fraction;
+  float config.quantile;
+  int config.max_states;
+  tag (match config.solver with Joint -> 0 | Separate -> 1);
+  tag (match config.sharing with Static -> 0 | Damq -> 1);
+  int (Array.length subsystems);
   Array.iter
     (fun (s : Splitting.subsystem) ->
-      Buffer.add_string buf
-        (Printf.sprintf "sub %d bus %d%s name %s mu %s:" s.Splitting.index s.Splitting.bus
-           (if shared s.Splitting.bus then " shared" else "")
-           s.Splitting.bus_name
-           (fstr s.Splitting.service_rate));
+      int s.Splitting.index;
+      int s.Splitting.bus;
+      tag (Bool.to_int (shared s.Splitting.bus));
+      int (String.length s.Splitting.bus_name);
+      Buffer.add_string buf s.Splitting.bus_name;
+      float s.Splitting.service_rate;
+      int (List.length s.Splitting.clients);
       List.iter
         (fun (c, r) ->
           (match c with
-          | Traffic.Proc_client p -> Buffer.add_string buf (Printf.sprintf " p%d" p)
+          | Traffic.Proc_client p ->
+              tag 0;
+              int p
           | Traffic.Bridge_client { bridge; into_bus } ->
-              Buffer.add_string buf (Printf.sprintf " b%d>%d" bridge into_bus));
-          Buffer.add_string buf
-            (Printf.sprintf "=%s w%s" (fstr r) (fstr (config.client_weight c))))
-        s.Splitting.clients;
-      Buffer.add_char buf '\n')
+              tag 1;
+              int bridge;
+              int into_bus);
+          float r;
+          float (config.client_weight c))
+        s.Splitting.clients)
     subsystems;
   Buffer.contents buf
 

@@ -1,7 +1,18 @@
+(* The words of a line, split at spaces and tabs.  One backward pass
+   conses each word onto the list as its start is found, so the words
+   come out in order with no intermediate lists. *)
 let tokenize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+  let rec scan acc i stop =
+    if i < 0 then if stop > 0 then String.sub line 0 stop :: acc else acc
+    else
+      match String.unsafe_get line i with
+      | ' ' | '\t' ->
+          let acc = if stop > i + 1 then String.sub line (i + 1) (stop - i - 1) :: acc else acc in
+          scan acc (i - 1) i
+      | _ -> scan acc (i - 1) stop
+  in
+  let n = String.length line in
+  scan [] (n - 1) n
 
 let strip_comment line =
   match String.index_opt line '#' with

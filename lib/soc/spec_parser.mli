@@ -44,3 +44,7 @@ val parse_file : string -> (Topology.t * Traffic.t, string) result
 val to_string : Topology.t -> Traffic.t -> string
 (** Render an architecture back into the text format ({!parse} of the
     result reconstructs an equivalent architecture). *)
+
+val tokenize : string -> string list
+(** The words of one line: maximal runs of bytes other than space and
+    tab, in order (exposed for tests). *)

@@ -696,47 +696,203 @@ let rec warm_ctmdp_to_oracle_case (c : Gen_model.ctmdp_case) =
 
 let bits = Int64.bits_of_float
 
+let same_sizing a b =
+  a.Sizing.allocation = b.Sizing.allocation
+  && bits a.Sizing.predicted_loss_rate = bits b.Sizing.predicted_loss_rate
+  && bits a.Sizing.words_per_level = bits b.Sizing.words_per_level
+  && a.Sizing.budget_bound_active = b.Sizing.budget_bound_active
+
+(* Runs [f], then restores the global cache switch and empties every
+   cache. *)
+let with_cache_state f =
+  let module Solve_cache = Bufsize_numeric.Solve_cache in
+  let was_cached = Solve_cache.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Solve_cache.set_enabled was_cached;
+      Solve_cache.clear_all ())
+    f
+
+let fresh_cache_on () =
+  Bufsize_numeric.Solve_cache.set_enabled true;
+  Bufsize_numeric.Solve_cache.clear_all ()
+
+let warm_config (c : sizing_case) =
+  { (Sizing.default_config ~budget:c.budget) with Sizing.max_states = c.max_states }
+
 let check_warm_sizing (c : sizing_case) =
   match Spec_parser.parse c.text with
   | Error e -> failf "repro text no longer parses: %s" e
   | Ok (_, traffic) ->
-      let config =
-        { (Sizing.default_config ~budget:c.budget) with Sizing.max_states = c.max_states }
-      in
-      let was_cached = Bufsize_numeric.Solve_cache.enabled () in
-      Fun.protect
-        ~finally:(fun () ->
-          Bufsize_numeric.Solve_cache.set_enabled was_cached;
-          Bufsize_numeric.Solve_cache.clear_all ())
-        (fun () ->
+      let config = warm_config c in
+      with_cache_state (fun () ->
           (* Cold: no caching. *)
           Bufsize_numeric.Solve_cache.set_enabled false;
           let cold = Sizing.run config traffic in
           (* Caches on (empty): the first run populates, the second must
              be served verbatim. *)
-          Bufsize_numeric.Solve_cache.set_enabled true;
-          Bufsize_numeric.Solve_cache.clear_all ();
+          fresh_cache_on ();
           let w1 = Sizing.run config traffic in
           let w2 = Sizing.run config traffic in
-          let same_run a b =
-            a.Sizing.allocation = b.Sizing.allocation
-            && bits a.Sizing.predicted_loss_rate = bits b.Sizing.predicted_loss_rate
-            && bits a.Sizing.words_per_level = bits b.Sizing.words_per_level
-            && a.Sizing.budget_bound_active = b.Sizing.budget_bound_active
-          in
           all_of
             [
               (fun () ->
-                if same_run cold w1 then Pass
+                if same_sizing cold w1 then Pass
                 else
                   failf "cached sizing differs from cold (loss %.17g vs %.17g)"
                     w1.Sizing.predicted_loss_rate cold.Sizing.predicted_loss_rate);
               (fun () ->
-                if same_run w1 w2 then Pass
+                if same_sizing w1 w2 then Pass
                 else
                   failf "cache-served rerun differs from its own first run (loss %.17g vs %.17g)"
                     w2.Sizing.predicted_loss_rate w1.Sizing.predicted_loss_rate);
             ])
+
+(* A near miss: spec A′ is spec A with one input moved by one ulp — a
+   loaded client's arrival rate (through [measured_rates]), a client's
+   loss weight, a bus's service rate (a rate line of the spec text), κ
+   or the quantile.  Indices count in split order (rate lines in text
+   order) and wrap, so a shrunk spec keeps a valid nudge. *)
+type nudge =
+  | Client_rate of int
+  | Client_weight of int
+  | Service_rate of int
+  | Kappa
+  | Quantile
+
+type near_miss_case = { base : sizing_case; nudge : nudge }
+
+let nudge_to_string = function
+  | Client_rate i -> Printf.sprintf "client-rate %d" i
+  | Client_weight i -> Printf.sprintf "client-weight %d" i
+  | Service_rate i -> Printf.sprintf "service-rate %d" i
+  | Kappa -> "kappa"
+  | Quantile -> "quantile"
+
+let nudge_of_string s =
+  match String.split_on_char ' ' s with
+  | [ "client-rate"; i ] -> Option.map (fun i -> Client_rate i) (int_of_string_opt i)
+  | [ "client-weight"; i ] -> Option.map (fun i -> Client_weight i) (int_of_string_opt i)
+  | [ "service-rate"; i ] -> Option.map (fun i -> Service_rate i) (int_of_string_opt i)
+  | [ "kappa" ] -> Some Kappa
+  | [ "quantile" ] -> Some Quantile
+  | _ -> None
+
+let loaded_clients traffic =
+  Array.to_list (Splitting.split traffic).Splitting.subsystems
+  |> List.concat_map (fun (s : Splitting.subsystem) ->
+         List.filter_map
+           (fun (c, r) -> if r > 0. then Some (s.Splitting.bus, c, r) else None)
+           s.Splitting.clients)
+
+(* The spec lines that carry a service rate ([bus], [mesh], [torus]):
+   their last word is the rate. *)
+let is_rate_line line =
+  match String.split_on_char ' ' (String.trim line) with
+  | ("bus" | "mesh" | "torus") :: rest -> List.mem "rate" rest
+  | _ -> false
+
+let nudge_service_rate text i =
+  let lines = String.split_on_char '\n' text in
+  let count = List.length (List.filter is_rate_line lines) in
+  let target = i mod Int.max 1 count in
+  let seen = ref (-1) in
+  List.map
+    (fun line ->
+      if not (is_rate_line line) then line
+      else begin
+        incr seen;
+        if !seen <> target then line
+        else
+          match List.rev (String.split_on_char ' ' (String.trim line)) with
+          | rate :: rest ->
+              let rate = Printf.sprintf "%.17g" (Float.succ (float_of_string rate)) in
+              String.concat " " (List.rev (rate :: rest))
+          | [] -> line
+      end)
+    lines
+  |> String.concat "\n"
+
+(* One ulp up, or down from 1 (κ and the quantile must stay in (0, 1]). *)
+let up x = if x < 1. then Float.succ x else Float.pred x
+
+(* A′ as (spec text, config, measured rates). *)
+let near_miss_inputs (c : near_miss_case) traffic =
+  let config = warm_config c.base in
+  let pick i =
+    let clients = loaded_clients traffic in
+    List.nth clients (i mod List.length clients)
+  in
+  match c.nudge with
+  | Client_rate i ->
+      let bus, client, r = pick i in
+      let rate_of b cl =
+        if b = bus && Traffic.client_equal cl client then Some (Float.succ r) else None
+      in
+      (c.base.text, config, Some rate_of)
+  | Client_weight i ->
+      let _, client, _ = pick i in
+      let weight cl =
+        if Traffic.client_equal cl client then Float.succ (config.Sizing.client_weight cl)
+        else config.Sizing.client_weight cl
+      in
+      (c.base.text, { config with Sizing.client_weight = weight }, None)
+  | Service_rate i -> (nudge_service_rate c.base.text i, config, None)
+  | Kappa ->
+      (c.base.text, { config with occupancy_fraction = up config.Sizing.occupancy_fraction }, None)
+  | Quantile -> (c.base.text, { config with quantile = up config.Sizing.quantile }, None)
+
+(* Warm the cache with A, then size A′: the lookup must miss, and A′
+   must come out bitwise as its own cache-off run.  A key that dropped
+   or rounded the nudged input would serve A's answer. *)
+let check_near_miss (c : near_miss_case) =
+  match Spec_parser.parse c.base.text with
+  | Error e -> failf "repro text no longer parses: %s" e
+  | Ok (_, traffic) -> (
+      let text', config', measured_rates = near_miss_inputs c traffic in
+      match Spec_parser.parse text' with
+      | Error e -> failf "nudged spec does not parse: %s" e
+      | Ok (_, traffic') ->
+          let config = warm_config c.base in
+          with_cache_state (fun () ->
+              Bufsize_numeric.Solve_cache.set_enabled false;
+              let cold = Sizing.run ?measured_rates config' traffic' in
+              fresh_cache_on ();
+              ignore (Sizing.run config traffic);
+              let _, misses0 = Sizing.cache_stats () in
+              let warm = Sizing.run ?measured_rates config' traffic' in
+              let _, misses1 = Sizing.cache_stats () in
+              all_of
+                [
+                  (fun () ->
+                    if misses1 = misses0 + 1 then Pass
+                    else
+                      failf "%s one ulp off hit the entry of the spec it was nudged from"
+                        (nudge_to_string c.nudge));
+                  (fun () ->
+                    if same_sizing cold warm then Pass
+                    else
+                      failf "near miss (%s) differs from its cold run (loss %.17g vs %.17g)"
+                        (nudge_to_string c.nudge) warm.Sizing.predicted_loss_rate
+                        cold.Sizing.predicted_loss_rate);
+                ]))
+
+let near_miss_header (c : near_miss_case) =
+  Printf.sprintf
+    "# warm-cold kind: near-miss\n# warm-cold near-miss: budget %d words, max_states %d, nudge %s\n%s"
+    c.base.budget c.base.max_states (nudge_to_string c.nudge) c.base.text
+
+let rec near_miss_to_oracle_case (c : near_miss_case) =
+  {
+    label =
+      Printf.sprintf "near miss: %s, budget %d, max_states %d" (nudge_to_string c.nudge)
+        c.base.budget c.base.max_states;
+    repro = near_miss_header c;
+    check = (fun () -> check_near_miss c);
+    shrink =
+      (fun () ->
+        List.map (fun base -> near_miss_to_oracle_case { c with base }) (shrink_sizing_case c.base));
+  }
 
 let warm_sizing_header (c : sizing_case) =
   Printf.sprintf "# warm-cold kind: sizing\n# warm-cold sizing: budget %d words, max_states %d\n%s"
@@ -753,25 +909,42 @@ let rec warm_sizing_to_oracle_case (c : sizing_case) =
 let warm_cold =
   {
     name = "warm-cold";
-    doc = "seeded and cached solves vs their cold baselines";
+    doc = "seeded and cached solves vs their cold baselines, and one-ulp near misses";
     generate =
       (fun ~max_states rng ->
-        match Rng.int rng 5 with
+        let sizing_case () =
+          let topo, traffic = Gen_model.arch rng in
+          let nclients = Splitting.total_clients (Splitting.split traffic) in
+          let budget = nclients * (2 + Rng.int rng 3) in
+          ( traffic,
+            {
+              text = Spec_parser.to_string topo traffic;
+              budget;
+              max_states = Int.max 8 (Int.min max_states 48);
+            } )
+        in
+        match Rng.int rng 6 with
         | 0 | 1 | 2 ->
             let knobs =
               { Gen_model.default_ctmdp_knobs with Gen_model.max_states = Int.min 7 max_states }
             in
             warm_ctmdp_to_oracle_case (Gen_model.ctmdp_case ~knobs rng)
+        | 3 -> warm_sizing_to_oracle_case (snd (sizing_case ()))
         | _ ->
-            let topo, traffic = Gen_model.arch rng in
-            let nclients = Splitting.total_clients (Splitting.split traffic) in
-            let budget = nclients * (2 + Rng.int rng 3) in
-            warm_sizing_to_oracle_case
-              {
-                text = Spec_parser.to_string topo traffic;
-                budget;
-                max_states = Int.max 8 (Int.min max_states 48);
-              });
+            let traffic, base = sizing_case () in
+            let clients = List.length (loaded_clients traffic) in
+            let rate_lines =
+              List.length (List.filter is_rate_line (String.split_on_char '\n' base.text))
+            in
+            let nudge =
+              match Rng.int rng 5 with
+              | 0 -> Client_rate (Rng.int rng clients)
+              | 1 -> Client_weight (Rng.int rng clients)
+              | 2 -> Service_rate (Rng.int rng rate_lines)
+              | 3 -> Kappa
+              | _ -> Quantile
+            in
+            near_miss_to_oracle_case { base; nudge });
   }
 
 (* -------------------------------------------------------------- 7. kron *)
@@ -1630,5 +1803,19 @@ let case_of_repro text =
                   match Spec_parser.parse text with
                   | Error e -> Error ("warm-cold: " ^ e)
                   | Ok _ -> Ok (warm_sizing_to_oracle_case { text; budget; max_states }))))
+      | Some "near-miss" -> (
+          match header_value ~prefix:"# warm-cold near-miss:" text with
+          | None -> Error "warm-cold near-miss repro has no '# warm-cold near-miss:' header"
+          | Some hdr -> (
+              match
+                Scanf.sscanf_opt hdr "budget %d words, max_states %d, nudge %[^\n]"
+                  (fun b m n -> (b, m, nudge_of_string n))
+              with
+              | None | Some (_, _, None) -> Error ("warm-cold: bad near-miss header: " ^ hdr)
+              | Some (budget, max_states, Some nudge) -> (
+                  match Spec_parser.parse text with
+                  | Error e -> Error ("warm-cold: " ^ e)
+                  | Ok _ ->
+                      Ok (near_miss_to_oracle_case { base = { text; budget; max_states }; nudge }))))
       | Some other -> Error ("warm-cold: unknown sub-case kind " ^ other))
   | Some other -> Error (Printf.sprintf "unknown oracle %S in repro" other)

@@ -17,8 +17,11 @@
       Picard fixed point on the monolithic quadratic closure; exact
       agreement on the decoupled ([cross_fraction = 0]) boundary.
     - [warm-cold]: seeded iterative stationary solves vs their cold
-      solves, and cache-served sizing runs vs the cache-off run
-      (bitwise).
+      solves, cache-served sizing runs vs the cache-off run (bitwise),
+      and near misses: after a warm run of a spec, the same spec with
+      one client rate, client weight, service rate, κ or quantile one
+      ulp off must miss the cache and match its own cache-off run
+      bitwise.
     - [kron]: random SAN descriptors — Kronecker shuffle SpMV, transposed
       SpMV, diagonal, and adjointness vs the materialized joint generator
       to 1e-12, and the Kronecker-side stationary GMRES solve vs the

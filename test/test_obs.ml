@@ -270,6 +270,22 @@ let test_gc_counts_current () =
     true
     (after -. before >= float_of_int n)
 
+(* An ended domain's words stay in [quick_stat]'s sum; the calling
+   domain's fresh allocation must still show on top of them. *)
+let test_gc_counts_after_other_domains () =
+  let minor_words () =
+    Test_json.(to_number (member_exn "minor_words" (member_exn "gc" (Obs.metrics_tree []))))
+  in
+  Domain.join (Domain.spawn (fun () -> ignore (Sys.opaque_identity (List.init 1_000_000 Fun.id))));
+  let n = 30_000 in
+  let before = minor_words () in
+  ignore (Sys.opaque_identity (List.init (n / 3) Fun.id));
+  let after = minor_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor_words grew by >= %d (%.0f -> %.0f)" n before after)
+    true
+    (after -. before >= float_of_int n)
+
 (* A heap size that [Gc.quick_stat] never sampled (no collection yet)
    reads 0; the default tree prints it as null, never as an empty heap,
    and an unsampled snapshot prints null too. *)
@@ -606,6 +622,8 @@ let () =
             test_jsonl_and_metrics_json_well_formed;
           Alcotest.test_case "metrics text pinned" `Quick test_metrics_text_pinned;
           Alcotest.test_case "gc counts without a collection" `Quick test_gc_counts_current;
+          Alcotest.test_case "gc counts after other domains" `Quick
+            test_gc_counts_after_other_domains;
           Alcotest.test_case "gc heap_words never 0" `Quick test_gc_heap_words_never_zero;
         ] );
       ( "only-observes",

@@ -1,6 +1,7 @@
 (* Tests for the multicore layer: the replication domain count and its
-   override, parallel replication determinism and error handling, sizing
-   on another domain, and derived replication seeds. *)
+   override, parallel replication determinism and error handling, the
+   span registry across forked domains, sizing on another domain, and
+   derived replication seeds. *)
 
 module Stats = Bufsize_numeric.Stats
 module Rng = Bufsize_prob.Rng
@@ -10,6 +11,7 @@ module Buffer_alloc = Bufsize_soc.Buffer_alloc
 module Sim_run = Bufsize_sim.Sim_run
 module Replicate = Bufsize_sim.Replicate
 module Sizing = Bufsize_soc.Sizing
+module Obs = Bufsize_obs.Obs
 
 (* ----------------------------------------------------- domain count env *)
 
@@ -147,6 +149,39 @@ let test_derive_seed_injective () =
   Alcotest.(check bool) "seed 1/rep 1 vs seed 1001/rep 0" true
     (Rng.derive_seed 1 1 <> Rng.derive_seed 1001 0)
 
+(* Every [Replicate.run] forks fresh domains, and domain ids are never
+   reused: the span registry must fold each ended domain's spans into one
+   surviving record instead of keeping a record per domain. *)
+let test_span_registry_bounded () =
+  Obs.disable ();
+  Obs.reset ();
+  Obs.enable_spans ();
+  let traffic = Test_specs.traffic Test_specs.three_bus in
+  let spec =
+    {
+      (Sim_run.default_spec ~traffic ~allocation:(Buffer_alloc.uniform traffic ~budget:64)) with
+      Sim_run.horizon = 20.;
+      warmup = 2.;
+    }
+  in
+  let calls = 50 and replications = 4 in
+  with_domains_env "2" (fun () ->
+      for _ = 1 to calls do
+        Obs.span ~name:"submit" (fun () -> ignore (Replicate.run ~replications spec))
+      done);
+  let spans = Obs.recorded_spans () in
+  let reps = List.filter (fun s -> s.Obs.sname = "sim.replication") spans in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 span records (%d)" (Obs.span_states ()))
+    true
+    (Obs.span_states () <= 2);
+  Alcotest.(check int) "every replication span kept" (calls * replications) (List.length reps);
+  Alcotest.(check int) "every submit span kept" calls
+    (List.length (List.filter (fun s -> s.Obs.sname = "submit") spans));
+  Alcotest.(check int) "nothing dropped" 0 (Obs.dropped_spans ());
+  Obs.disable ();
+  Obs.reset ()
+
 let () =
   Alcotest.run "parallel"
     [
@@ -161,6 +196,8 @@ let () =
             test_replicate_pool_size_invariant;
           Alcotest.test_case "exception joins every domain" `Quick
             test_replicate_exception_joins;
+          Alcotest.test_case "span registry bounded over forks" `Quick
+            test_span_registry_bounded;
         ] );
       ( "sizing",
         [

@@ -211,6 +211,99 @@ let test_ctmc_stationary_property () =
   in
   QCheck.Test.check_exn (QCheck.Test.make ~count:200 ~name:"pi Q = 0" gen prop)
 
+(* The dense GTH elimination as it stood before the zero-skipping one:
+   every row sum, division, update and π term over the whole leading
+   block.  Kept as the reference the production loop must match bit for
+   bit. *)
+let gth_dense_reference c =
+  let n = Ctmc.dim c in
+  if n = 1 then Ok [| 1. |]
+  else begin
+    let w = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0. else Ctmc.rate c i j)) in
+    let exception Reducible of int in
+    try
+      for k = n - 1 downto 1 do
+        let s = ref 0. in
+        for j = 0 to k - 1 do
+          s := !s +. w.(k).(j)
+        done;
+        if !s <= 0. then raise (Reducible k);
+        for i = 0 to k - 1 do
+          w.(i).(k) <- w.(i).(k) /. !s
+        done;
+        for i = 0 to k - 1 do
+          let wik = w.(i).(k) in
+          if wik <> 0. then
+            for j = 0 to k - 1 do
+              if j <> i then w.(i).(j) <- w.(i).(j) +. (wik *. w.(k).(j))
+            done
+        done
+      done;
+      let pi = Array.make n 0. in
+      pi.(0) <- 1.;
+      for k = 1 to n - 1 do
+        let acc = ref 0. in
+        for i = 0 to k - 1 do
+          acc := !acc +. (pi.(i) *. w.(i).(k))
+        done;
+        pi.(k) <- acc.contents
+      done;
+      let total = Vec.sum pi in
+      Ok (Array.map (fun p -> p /. total) pi)
+    with Reducible k -> Error (`Reducible_class (Ctmc.communicating_class c k))
+  end
+
+let test_gth_sparse_matches_dense () =
+  (* Random irreducible chains (a cycle through every state plus sparse
+     random edges, so most entries are zero) with rates spread over
+     1e-300 .. 1e300: overflowing row sums and multipliers, and
+     underflowing quotients, all occur. *)
+  let gen =
+    QCheck.make
+      ~print:(fun (n, edges) ->
+        Printf.sprintf "n=%d %s" n
+          (String.concat " "
+             (List.map (fun (i, j, r) -> Printf.sprintf "%d>%d:%h" i j r) edges)))
+      QCheck.Gen.(
+        let* n = int_range 2 40 in
+        let* density = float_range 0.02 0.4 in
+        let rate =
+          map2
+            (fun m e -> m *. (10. ** float_of_int e))
+            (float_range 1. 10.) (int_range (-300) 299)
+        in
+        let* cycle = list_repeat n rate in
+        let* extra = list_repeat (n * n) (pair (float_bound_exclusive 1.) rate) in
+        let cycle = List.mapi (fun i r -> (i, (i + 1) mod n, r)) cycle in
+        let extra =
+          List.concat
+            (List.mapi
+               (fun idx (u, r) ->
+                 let i = idx / n and j = idx mod n in
+                 if i <> j && j <> (i + 1) mod n && u < density then [ (i, j, r) ] else [])
+               extra)
+        in
+        return (n, cycle @ extra))
+  in
+  let bits_equal a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  in
+  let prop (n, edges) =
+    let c = Ctmc.of_rates n edges in
+    match (Ctmc.stationary_gth c, gth_dense_reference c) with
+    | Ok a, Ok b -> bits_equal a b
+    | Error (`Reducible_class x), Error (`Reducible_class y) -> x = y
+    | _ -> false
+  in
+  (* π.(1) overflows to infinity and π.(2)'s sum has a zero term from
+     state 1: the π pass must then run dense (inf *. 0. is NaN). *)
+  Alcotest.(check bool)
+    "overflowing pi entry" true
+    (prop (3, [ (0, 1, 1e300); (1, 0, 1e-300); (0, 2, 1.); (2, 0, 1.) ]));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"gth skips zeros, bit for bit" gen prop)
+
 (* ----------------------------------------------------- Birth-death / MM1K *)
 
 let test_bd_stationary_matches_ctmc () =
@@ -286,6 +379,8 @@ let () =
             test_stationary_reads_ambient_budget;
           Alcotest.test_case "step spans, gmres alone above 512" `Quick test_stationary_steps;
           Alcotest.test_case "pi Q = 0 (property)" `Quick test_ctmc_stationary_property;
+          Alcotest.test_case "gth sparse = dense loop, bit for bit (property)" `Quick
+            test_gth_sparse_matches_dense;
         ] );
       ( "birth-death",
         [

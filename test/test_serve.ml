@@ -155,6 +155,83 @@ let test_lifecycle () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists cfg.Serve.socket_path);
   Serve.stop t
 
+(* ------------------------------------------------------------- encoder *)
+
+(* The encoder's formatter-based printers as they stood before integers
+   took [Int.to_string] and clean strings stopped being copied: every
+   daemon reply and [--json] output must keep these exact bytes. *)
+let number_repr_reference f =
+  if Float.is_integer f && Float.abs f <= 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let escape_reference s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let encoded_number f = Json.encode (Json.Num f)
+let number_reference f = if Float.is_finite f then number_repr_reference f else "null"
+
+let test_number_encoder_identity () =
+  let check f =
+    Alcotest.(check string) (Printf.sprintf "number %h" f) (number_reference f) (encoded_number f)
+  in
+  let around x = [ x; Float.succ x; Float.pred x; -.x; Float.succ (-.x); Float.pred (-.x) ] in
+  List.iter check
+    ([ 0.; -0.; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; Float.min_float;
+       Float.max_float; Float.epsilon; 5e-324; -5e-324; 1e-310; 0.5; 1.5; 2.5; -0.5 ]
+    @ around 1e15 @ around 1. @ around 999_999_999_999_999.
+    @ List.concat_map around [ 9007199254740992.; 9007199254740993.; 4503599627370496. ]
+    @ List.init 64 (fun k -> Float.ldexp 1. k));
+  let gen =
+    QCheck.make ~print:(Printf.sprintf "%h")
+      QCheck.Gen.(
+        oneof
+          [
+            (* integers of every magnitude up to 2^60, both signs *)
+            map2
+              (fun m e -> Float.round (m *. Float.ldexp 1. e))
+              (float_range (-1.) 1.) (int_range 0 60);
+            (* integers near 2^53 and near 1e15 *)
+            map (fun d -> 9007199254740992. +. float_of_int d) (int_range (-2000) 2000);
+            map (fun d -> 1e15 +. float_of_int d) (int_range (-2000) 2000);
+            map (fun d -> -1e15 +. float_of_int d) (int_range (-2000) 2000);
+            (* subnormals and arbitrary bit patterns *)
+            map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 0 (1 lsl 52 - 1));
+            map Int64.float_of_bits ui64;
+          ])
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:5000 ~name:"number bytes = %.0f / %.17g reference" gen (fun f ->
+         encoded_number f = number_reference f))
+
+let test_escape_identity () =
+  (* Every byte alone, then random strings over all 256 bytes and over
+     the bytes that need no escaping. *)
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string) (Printf.sprintf "byte 0x%02x" c) (escape_reference s) (Json.escape s)
+  done;
+  let any = QCheck.Gen.(string_size ~gen:char (int_range 0 40)) in
+  let clean = QCheck.Gen.(string_size ~gen:(char_range ' ' '\xff') (int_range 0 40)) in
+  let gen = QCheck.make ~print:(Printf.sprintf "%S") (QCheck.Gen.oneof [ any; clean ]) in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:5000 ~name:"escape bytes = Buffer reference" gen (fun s ->
+         Json.escape s = escape_reference s
+         && Json.encode (Json.Str s) = "\"" ^ escape_reference s ^ "\""
+         && Json.encode (Json.Obj [ (s, Json.Null) ])
+            = "{\"" ^ escape_reference s ^ "\":null}"))
+
 let test_size_bitwise () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
@@ -592,6 +669,13 @@ let () =
                 test_start_rejects case))
           rejected_fields
         @ [ Alcotest.test_case "cli bad flags exit 2" `Quick test_cli_rejects_bad_flags ] );
+      ( "encoder",
+        [
+          Alcotest.test_case "numbers byte-identical to the printf reference" `Quick
+            test_number_encoder_identity;
+          Alcotest.test_case "escape byte-identical to the buffer reference" `Quick
+            test_escape_identity;
+        ] );
       ( "parity",
         [
           Alcotest.test_case "size bitwise vs library" `Quick test_size_bitwise;

@@ -806,6 +806,35 @@ let test_spec_grid_errors () =
 
 (* Adversarial-input caps: each resource bound fires as a line-numbered
    error, cheaply, instead of an allocation storm. *)
+(* The list-based tokenizer the one-pass [Spec_parser.tokenize]
+   replaced, kept as its reference. *)
+let tokenize_reference line =
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun s -> s <> "")
+
+let test_tokenize_identity () =
+  List.iter
+    (fun line ->
+      Alcotest.(check (list string)) (Printf.sprintf "%S" line) (tokenize_reference line)
+        (Spec_parser.tokenize line))
+    [ ""; " "; "\t"; "a"; " a"; "a "; "\ta\t"; "a b"; "a  \t b"; "flow a -> b rate 1.5" ];
+  let piece =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ " "; "\t"; "  "; " \t "; "bus"; "flow"; "->"; "rate"; "1.5"; "#"; "x_r0c1" ];
+          string_size ~gen:(oneofl [ ' '; '\t'; 'a'; 'b'; '#'; '\r'; '\n'; '\xff' ]) (int_range 0 6);
+        ])
+  in
+  let gen =
+    QCheck.make ~print:(Printf.sprintf "%S")
+      QCheck.Gen.(map (String.concat "") (list_size (int_range 0 12) piece))
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:3000 ~name:"tokenize = split-and-filter reference" gen (fun line ->
+         Spec_parser.tokenize line = tokenize_reference line))
+
 let test_spec_parser_caps () =
   expect_error "exceeds the cap" (String.make ((1 lsl 20) + 1) 'a');
   expect_error "line 2: 5004 bytes exceeds the cap of 4096"
@@ -1549,6 +1578,7 @@ let () =
           Alcotest.test_case "grid roundtrip (property)" `Quick
             test_spec_grid_roundtrip_property;
           Alcotest.test_case "adversarial caps" `Quick test_spec_parser_caps;
+          Alcotest.test_case "tokenize = reference (property)" `Quick test_tokenize_identity;
           Alcotest.test_case "fuzz never crashes" `Quick test_spec_parser_fuzz;
         ] );
       ( "dot",
