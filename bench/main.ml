@@ -9,7 +9,8 @@
      table1              Table 1: budgets 160/320/640, pre/post losses
      ablation-quantile   sensitivity to the occupancy quantile
      ablation-levels     CTMDP discretization vs resulting loss
-     ablation-solver     joint LP vs separate LPs vs policy iteration
+     ablation-solver     one joint price vs a price per subsystem, and
+                         the LP reference vs policy iteration
      ablation-weights    weighted losses: one processor's loss weighted 10x
      ablation-profiling  profile-driven re-sizing from simulated rates
 
@@ -18,6 +19,7 @@
    anything runs.  Performance is measured by perfbench/, not here. *)
 
 module B = Bufsize
+module Lp_formulation = Bufsize_verify.Lp_formulation
 module Stats = Bufsize_numeric.Stats
 
 let section title =
@@ -243,7 +245,7 @@ let run_ablation_levels () =
     [ 16; 32; 64; 128 ]
 
 let run_ablation_solver () =
-  section "ABL-SOLVER: joint LP (paper) vs per-subsystem LPs vs policy iteration";
+  section "ABL-SOLVER: one joint price (paper) vs a price per subsystem vs policy iteration";
   let traffic = small_arch () in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -267,23 +269,24 @@ let run_ablation_solver () =
           traffic)
   in
   Format.printf "%-22s %16s %14s %10s@." "solver" "predicted gain" "simulated loss" "time (s)";
-  Format.printf "%-22s %16.4f %14.1f %10.2f@." "joint LP (one go)"
+  Format.printf "%-22s %16.4f %14.1f %10.2f@." "joint price (one go)"
     joint.B.Sizing.predicted_loss_rate
     (simulated_loss traffic joint.B.Sizing.allocation)
     t_joint;
-  Format.printf "%-22s %16.4f %14.1f %10.2f@." "separate LPs"
+  Format.printf "%-22s %16.4f %14.1f %10.2f@." "separate prices"
     separate.B.Sizing.predicted_loss_rate
     (simulated_loss traffic separate.B.Sizing.allocation)
     t_sep;
-  (* Cross-check: unconstrained LP gain = policy-iteration gain per subsystem. *)
+  (* Cross-check: unconstrained gain of the reference LP = policy-iteration
+     gain per subsystem. *)
   Format.printf "@.unconstrained gain cross-check (LP vs policy iteration) per subsystem:@.";
   let split = B.Splitting.split traffic in
   Array.iter
     (fun sub ->
       let model = B.Bus_model.build ~max_states:64 sub in
       let lp_gain =
-        match B.Mdp.Lp_formulation.solve (B.Bus_model.ctmdp model) with
-        | B.Mdp.Lp_formulation.Optimal s -> s.B.Mdp.Lp_formulation.gain
+        match Lp_formulation.solve (B.Bus_model.ctmdp model) with
+        | Lp_formulation.Optimal s -> s.Lp_formulation.gain
         | _ -> Float.nan
       in
       let pi = B.Mdp.Policy_iteration.solve (B.Bus_model.ctmdp model) in

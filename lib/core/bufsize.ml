@@ -178,7 +178,7 @@ let stochastic_arbiter (sizing : Sizing.result) =
       let model = sol.Sizing.model in
       let sub = Bus_model.subsystem model in
       Hashtbl.replace per_bus sub.Splitting.bus
-        (model, sol.Sizing.solved.Mdp.Lp_formulation.policy))
+        (model, sol.Sizing.solved.Mdp.Constrained.policy))
     sizing.Sizing.solutions;
   let g = Float.max 1e-9 sizing.Sizing.words_per_level in
   let position_of sub (cm : Bus_model.client_model) =

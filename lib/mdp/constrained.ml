@@ -1,15 +1,34 @@
-module Lp = Bufsize_numeric.Lp
 module Lu = Bufsize_numeric.Lu
+module Vec = Bufsize_numeric.Vec
 module Resilience = Bufsize_resilience.Resilience
 module Obs = Bufsize_obs.Obs
 
-(* Price-path telemetry: cutting-plane rounds of the breakpoint search,
-   and solves that had to fall back to the joint LP. *)
-let m_price_rounds = Obs.counter "constrained.price_rounds"
-let m_lp_fallbacks = Obs.counter "constrained.lp_fallbacks"
+type solved = {
+  gain : float;
+  occupation : float array array;
+  policy : Policy.t;
+  usage : float;
+  stationary : Vec.t option;
+}
 
-(* A reason to leave the price path for the LP step, and a bound that
-   even the least-usage policies exceed. *)
+type answer = {
+  total_gain : float;
+  components : solved array;
+  total_usage : float;
+  price : float;
+  rounds : int;
+}
+
+type outcome = Optimal of answer | Infeasible
+
+let stationary m s =
+  match s.stationary with Some pi -> pi | None -> Policy.stationary m s.policy
+
+(* Price-path telemetry: cutting-plane rounds of the breakpoint search. *)
+let m_price_rounds = Obs.counter "constrained.price_rounds"
+
+(* A reason the price path cannot answer, and a bound that even the
+   least-usage policies exceed. *)
 exception Give_up of string
 exception Infeasible_bound
 
@@ -18,7 +37,7 @@ exception Infeasible_bound
    after [max_rounds]; the one-state mix accepts its two end tuples when
    they price within [mix_rel_tol] of the dual value; a least usage
    within [feasibility_tol] of the bound counts as feasible, like the
-   LP's feasibility tolerance. *)
+   reference LP's feasibility tolerance. *)
 let search_rel_tol = 1e-12
 let mix_rel_tol = 1e-9
 let feasibility_tol = 1e-9
@@ -44,25 +63,19 @@ let total_usage = Array.fold_left (fun acc l -> acc +. l.Policy_iteration.g_u) 0
 let line_value ~bound lines price =
   total_gain lines +. (price *. (total_usage lines -. bound))
 
-let solved ~gain ~usage ?stationary occupation policy =
-  {
-    Lp_formulation.gain;
-    occupation;
-    policy;
-    extras = [| usage |];
-    extra_duals = [||];
-    lp_iterations = 0;
-    stationary;
-  }
-
 (* A returned deterministic policy: its occupation measure from the
    induced chain's stationary distribution, which the record keeps, and
-   the two functionals summed in the order the LP harvest uses. *)
+   the two functionals summed in occupation order. *)
 let deterministic_solved m choice =
   let policy = Policy.deterministic m choice in
   let e = Policy.evaluate m policy in
-  solved ~gain:e.Policy.gain ~usage:e.Policy.extras.(0) ~stationary:e.Policy.state_distribution
-    e.Policy.occupation policy
+  {
+    gain = e.Policy.gain;
+    occupation = e.Policy.occupation;
+    policy;
+    usage = e.Policy.extras.(0);
+    stationary = Some e.Policy.state_distribution;
+  }
 
 (* Mix two deterministic policies of one block that differ in state
    [state] only, with weight [alpha] on [a]: the occupation measures mix
@@ -71,14 +84,14 @@ let mixed_solved m ~alpha ~state a b =
   let occupation =
     Array.map2
       (Array.map2 (fun x y -> (alpha *. x) +. ((1. -. alpha) *. y)))
-      a.Lp_formulation.occupation b.Lp_formulation.occupation
+      a.occupation b.occupation
   in
   let probs =
     Array.mapi
       (fun s row ->
         let mass = Array.fold_left ( +. ) 0. row in
         if s = state && mass > 1e-12 then Array.map (fun x -> x /. mass) row
-        else Policy.action_probs b.Lp_formulation.policy s)
+        else Policy.action_probs b.policy s)
       occupation
   in
   let gain = ref 0. and usage = ref 0. in
@@ -91,10 +104,16 @@ let mixed_solved m ~alpha ~state a b =
           usage := !usage +. (x *. Ctmdp.extra m i 0))
         row)
     occupation;
-  solved ~gain:!gain ~usage:!usage occupation (Policy.randomized m probs)
+  {
+    gain = !gain;
+    occupation;
+    policy = Policy.randomized m probs;
+    usage = !usage;
+    stationary = None;
+  }
 
-(* The price step proper: (joint record, price, rounds), or raises
-   [Give_up] or [Infeasible_bound].  The price-0 lines of the slack test
+(* The price step proper: the answer, or raises [Give_up] or
+   [Infeasible_bound].  The price-0 lines of the slack test
    go to [free] as soon as they exist.  Every evaluation of block [i],
    on any round or on the mix's walk, refactorizes its one workspace. *)
 let price_search ?max_iter ~budget ~bound ~free models =
@@ -109,19 +128,13 @@ let price_search ?max_iter ~budget ~bound ~free models =
   in
   let record ~price ~rounds components =
     let sum f = Array.fold_left (fun acc c -> acc +. f c) 0. components in
-    let joint =
-      {
-        Lp_formulation.total_gain = sum (fun c -> c.Lp_formulation.gain);
-        components;
-        shared_extras = [| sum (fun c -> c.Lp_formulation.extras.(0)) |];
-        shared_duals =
-          (match bound with
-          | None -> [||]
-          | Some _ -> [| (if price = 0. then 0. else -.price) |]);
-        joint_iterations = rounds;
-      }
-    in
-    (joint, price, rounds)
+    {
+      total_gain = sum (fun c -> c.gain);
+      components;
+      total_usage = sum (fun c -> c.usage);
+      price;
+      rounds;
+    }
   in
   let deterministic ~price ~rounds lines =
     record ~price ~rounds
@@ -138,7 +151,7 @@ let price_search ?max_iter ~budget ~bound ~free models =
   | Some bound when total_usage free <= bound -> deterministic ~price:0. ~rounds:0 free
   | Some bound ->
       let least = solve_all (0., 1.) (fun _ -> None) in
-      (* A least usage within the LP's feasibility tolerance of the bound
+      (* A least usage within the feasibility tolerance of the bound
          is feasible: the bound is moved up to it, so that [least] stays
          a line of non-positive slope. *)
       let least_usage = total_usage least in
@@ -223,7 +236,7 @@ let price_search ?max_iter ~budget ~bound ~free models =
           (* Only the returned policies get occupation measures: tz's, and
              ta's in the one block where the two differ. *)
           let block, state = switches.(a) in
-          let usage = Array.fold_left (fun acc c -> acc +. c.Lp_formulation.extras.(0)) 0. in
+          let usage = Array.fold_left (fun acc c -> acc +. c.usage) 0. in
           let sz =
             Array.mapi (fun i m -> deterministic_solved m tz.(i).Policy_iteration.choice) models
           in
@@ -234,7 +247,8 @@ let price_search ?max_iter ~budget ~bound ~free models =
             sz.(block) <- mixed_solved models.(block) ~alpha ~state sa.(block) sz.(block);
           record ~price ~rounds sz
 
-(* The price step, then the LP, as one escalation chain. *)
+(* The price step as an escalation chain of one step: a give-up is a
+   [Failed] diagnostic with its reason and no answer. *)
 let price_chain ?max_iter ?bound ~free models =
   let nb = Array.length models in
   let budget = Resilience.current_budget () in
@@ -250,37 +264,14 @@ let price_chain ?max_iter ?bound ~free models =
   let price_step =
     Resilience.step "price" (fun budget ->
         match price_search ?max_iter ~budget ~bound ~free models with
-        | j, p, r ->
-            price := p;
-            rounds := r;
-            Resilience.Accept (Lp_formulation.Joint_optimal j, Resilience.meta ~iterations:r ())
-        | exception Infeasible_bound ->
-            Resilience.Accept (Lp_formulation.Joint_infeasible, Resilience.meta ())
+        | a ->
+            price := a.price;
+            rounds := a.rounds;
+            Resilience.Accept (Optimal a, Resilience.meta ~iterations:a.rounds ())
+        | exception Infeasible_bound -> Resilience.Accept (Infeasible, Resilience.meta ())
         | exception Give_up why -> Resilience.Reject why)
   in
-  let lp_step =
-    Resilience.step "lp" (fun budget ->
-        Obs.incr m_lp_fallbacks;
-        let shared_bounds =
-          Option.map (fun value -> [| { Lp_formulation.sense = Lp.Le; value } |]) bound
-        in
-        match Lp_formulation.solve_joint_diag ?shared_bounds ~budget models with
-        | Some o, d ->
-            let meta = Resilience.meta ~iterations:d.Resilience.iterations () in
-            (match o with
-            | Lp_formulation.Joint_optimal j when Array.length j.Lp_formulation.shared_duals > 0 ->
-                price := Float.max 0. (-.j.Lp_formulation.shared_duals.(0))
-            | _ -> ());
-            (match d.Resilience.status with
-            | Resilience.Ok -> Resilience.Accept (o, meta)
-            | Resilience.Degraded why | Resilience.Failed why -> Resilience.Partial (o, meta, why))
-        | None, d ->
-            Resilience.Reject
-              (Option.value ~default:"LP failed" (Resilience.status_reason d.Resilience.status)))
-  in
-  Resilience.escalate
-    ~solver:(Printf.sprintf "ctmdp.price(blocks=%d)" nb)
-    ~budget [ price_step; lp_step ]
+  Resilience.escalate ~solver:(Printf.sprintf "ctmdp.price(blocks=%d)" nb) ~budget [ price_step ]
 
 let solve_price ?max_iter ?bound models =
   if Array.length models = 0 then invalid_arg "Constrained.solve_price: no blocks";

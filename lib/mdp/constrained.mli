@@ -1,31 +1,59 @@
 (** Constrained average-cost CTMDP solving by price.
 
-    The paper's joint LP ({!Lp_formulation.solve_joint}) couples its
-    per-subsystem blocks through one shared occupancy row.  Such a
-    problem is solved here by one scalar price on that row and policy
-    iteration per block, with the LP as the fallback and the reference
-    the [price] verify oracle checks against; {!Kswitching} bounds the
-    answer's randomization to one state. *)
+    The paper solves its per-subsystem blocks, coupled through one shared
+    occupancy row, as one occupation-measure LP (Feinberg, reference [1]).
+    The same optimum is found here by one scalar price on that row and
+    policy iteration per block; the LP itself is the reference the verify
+    harness checks this against ([Bufsize_verify.Lp_formulation]).
+    {!Kswitching} bounds the answer's randomization to one state. *)
 
-val deterministic_solved : Ctmdp.t -> int array -> Lp_formulation.solved
-(** [deterministic_solved m choice] is the answer record of the
+type solved = {
+  gain : float;  (** the block's long-run average cost *)
+  occupation : float array array;  (** x(s,a), the occupation measure *)
+  policy : Policy.t;
+  usage : float;  (** the time average of extra 0 *)
+  stationary : Bufsize_numeric.Vec.t option;
+      (** the stationary distribution of [policy]: [Some] on a
+          deterministic answer, [None] on the one mixed block.
+          {!stationary} reads it. *)
+}
+(** One block of an answer. *)
+
+type answer = {
+  total_gain : float;  (** the blocks' gains summed *)
+  components : solved array;  (** one per block, in block order *)
+  total_usage : float;  (** the blocks' usages summed *)
+  price : float;
+      (** the shared bound's price, in gain per unit of usage: 0 when
+          there is no bound or it is slack *)
+  rounds : int;  (** breakpoint-search rounds *)
+}
+
+type outcome = Optimal of answer | Infeasible
+
+val stationary : Ctmdp.t -> solved -> Bufsize_numeric.Vec.t
+(** [stationary m s] is the stationary distribution of [s.policy] on
+    [m]: the one [s] carries, or else a fresh {!Policy.stationary}. *)
+
+val deterministic_solved : Ctmdp.t -> int array -> solved
+(** [deterministic_solved m choice] is the answer block of the
     deterministic policy [choice]: its occupation measure from one
     stationary solve of the induced chain ({!Policy.evaluate}), its gain
-    and its usage (extra 0), with no duals, [lp_iterations = 0] and the
-    solve's π in [stationary] — exactly the record {!solve_price} returns
-    for a block it answers with that policy. *)
+    and its usage (extra 0), and the solve's π in [stationary] — exactly
+    the block {!solve_price} returns for a block it answers with that
+    policy. *)
 
 val solve_price :
   ?max_iter:int ->
   ?bound:float ->
   Ctmdp.t array ->
-  Lp_formulation.joint_outcome option
+  outcome option
   * Bufsize_resilience.Resilience.diagnostic
   * Policy_iteration.line array option
 (** [solve_price ~bound blocks] minimizes the summed gain of independent
     CTMDP blocks subject to one shared bound on the time-average sum of
-    their extra 0 — the problem {!Lp_formulation.solve_joint} solves with
-    one [Le] shared row — without the LP:
+    their extra 0 — the paper's joint LP with one [Le] shared row —
+    without an LP:
 
     + {e slack test}: one policy iteration per block at price 0; when the
       summed usage is within [bound] (or there is no bound) that is the
@@ -60,27 +88,25 @@ val solve_price :
 
     The third component holds the slack test's price-0 lines, block by
     block, whenever the slack test completed — also when the bound then
-    binds, is infeasible, or a later step gives up and the LP answers;
-    [None] when the chain left the price step before the slack test
-    finished.  Line [i] is what {!Policy_iteration.solve} at weights
-    [(1., 0.)] from the first action returns on block [i], so
+    binds, is infeasible, or a later step gives up; [None] when the
+    solve gave up before the slack test finished.  Line [i] is what
+    {!Policy_iteration.solve} at weights [(1., 0.)] from the first action
+    returns on block [i], so
     {!deterministic_solved} of its choice is bitwise the unconstrained
     answer [solve_price [| block i |]] would give: callers that need the
     unconstrained optimum next to the constrained one reuse it instead of
     solving again.
 
-    The answer is the record the joint LP returns, with
-    [shared_duals = [| -p* |]] in the LP's sign convention ([[||]]
-    without a bound) and [joint_iterations] the number of search rounds.
-    An infeasible bound is [Joint_infeasible].  The solve runs as a
-    {!Bufsize_resilience.Resilience.escalate} chain under the ambient
-    budget ({!Bufsize_resilience.Resilience.current_budget}), which is
-    also checked between rounds.  When policy
-    iteration does not converge within [max_iter] (default 1000), meets a
-    multichain policy (a singular dense evaluation, here or on the mix's
-    walk), the search hits
-    64 rounds or the mix fails, the chain falls back to
-    {!Lp_formulation.solve_joint_diag} on the same blocks and the
-    diagnostic names the reason.  Every block must have exactly one
-    extra.  Counters: [constrained.price_rounds],
-    [constrained.lp_fallbacks]; span: [ctmdp.price]. *)
+    An infeasible bound is [Infeasible].  The solve runs as a
+    {!Bufsize_resilience.Resilience.escalate} chain of one step under the
+    ambient budget ({!Bufsize_resilience.Resilience.current_budget}),
+    which is also checked between rounds.  When policy iteration does not
+    converge within [max_iter] (default 1000), meets a multichain policy
+    (a singular dense evaluation, here or on the mix's walk), the search
+    hits 64 rounds, the mix fails or the budget runs out, the solve gives
+    up: no outcome, and a [Failed] diagnostic whose reason says why.  A
+    model on which some state is reached under every policy
+    ({!Ctmdp.reached_under_every_policy}) — every bus model — is unichain,
+    so neither policy iteration nor the mix meets a multichain policy on
+    it.  Every block must have exactly one extra.  Counter:
+    [constrained.price_rounds]; span: [ctmdp.price]. *)

@@ -148,31 +148,36 @@ let cost_bounds t =
 
 let map_costs t f = { t with cost = Array.init (total_state_actions t) f }
 
-let is_unichain_heuristic t =
-  (* Strong connectivity of the union graph: forward DFS from state 0 and a
-     DFS on the reversed graph must both reach every state. *)
+let reached_under_every_policy t s0 =
   let n = t.num_states in
-  let forward = Array.make n [] and backward = Array.make n [] in
-  for s = 0 to n - 1 do
-    let first = t.first_transition.(t.first_action.(s)) in
-    for p = first to t.first_transition.(t.first_action.(s + 1)) - 1 do
-      let j = t.dst.(p) in
-      forward.(s) <- j :: forward.(s);
-      backward.(j) <- s :: backward.(j)
-    done
-  done;
-  let reaches_all graph =
-    let seen = Array.make n false in
-    let rec dfs i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        List.iter dfs graph.(i)
-      end
+  if s0 < 0 || s0 >= n then invalid_arg "Ctmdp.reached_under_every_policy: no such state";
+  let layer = Array.make n (-1) in
+  layer.(s0) <- 0;
+  (* Action [i] has a transition into a layer before [k]. *)
+  let enters k i =
+    let rec go p =
+      p < t.first_transition.(i + 1)
+      && ((layer.(t.dst.(p)) >= 0 && layer.(t.dst.(p)) < k) || go (p + 1))
     in
-    dfs 0;
-    Array.for_all (fun b -> b) seen
+    go t.first_transition.(i)
   in
-  reaches_all forward && reaches_all backward
+  let rec grow k joined =
+    let added = ref 0 in
+    for s = 0 to n - 1 do
+      if layer.(s) < 0 then begin
+        let all = ref true in
+        for i = t.first_action.(s) to t.first_action.(s + 1) - 1 do
+          all := !all && enters k i
+        done;
+        if !all then begin
+          layer.(s) <- k;
+          incr added
+        end
+      end
+    done;
+    if !added = 0 then joined = n else grow (k + 1) (joined + !added)
+  in
+  grow 1 1
 
 let pp_summary ppf t =
   let lo, hi = cost_bounds t in

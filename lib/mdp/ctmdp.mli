@@ -7,9 +7,10 @@
     space) that constrained formulations bound in time average.
 
     This is the model class of Feinberg's constrained average-reward CTMDP
-    LP (reference [1] of the paper) and everything downstream — the LP
-    formulation, policy iteration, and the K-switching analysis — consumes
-    values of this type.
+    LP (reference [1] of the paper) and everything downstream — policy
+    iteration, the price-directed solver, the K-switching analysis and
+    the reference LP of the verify harness — consumes values of this
+    type.
 
     The model is stored flat, CSR-style.  Actions are numbered globally,
     state by state: state [s] owns actions [first_action.(s)] to
@@ -88,9 +89,16 @@ val map_costs : t -> (int -> float) -> t
 (** [map_costs t f] replaces the cost of each global action [i] with
     [f i]; everything else is shared with [t]. *)
 
-val is_unichain_heuristic : t -> bool
-(** True when the union graph over all actions is strongly connected —
-    a sufficient (not necessary) condition for the unichain property that
-    policy iteration needs. *)
+val reached_under_every_policy : t -> int -> bool
+(** [reached_under_every_policy m s0] is true when state [s0] is reached
+    from every state under every policy.  States join layers: [s0] is
+    layer 0, and a state joins the next layer when {e every} one of its
+    actions has a transition into an earlier layer; the check holds when
+    every state joins.  Then each action moves toward [s0] with positive
+    probability, every closed class of every policy contains [s0], and
+    so every policy is unichain — the hypothesis of Feinberg's LP and of
+    policy iteration.  The converse fails: a unichain model can have no
+    such state.  One pass over the transitions per layer.
+    @raise Invalid_argument if [s0] is not a state. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -13,8 +13,8 @@
     by the action minimizing [w_c c(s,a) + w_u u(s,a) + sum_j q(j|s,a) h(j)]
     with [h = w_c h_c + w_u h_u].  It is the per-block solver of the
     price-directed constrained solve ({!Constrained.solve_price}) and an
-    independent cross-check of the LP formulation (they must agree on
-    the gain). *)
+    independent cross-check of the reference LP formulation (they must
+    agree on the gain). *)
 
 type line = {
   choice : int array;  (** the deterministic action choice *)

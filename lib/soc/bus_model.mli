@@ -69,7 +69,7 @@ val occupancy_distribution : t -> Bufsize_numeric.Vec.t -> float array array
     level under the stationary distribution [pi] of a policy — the
     quantity the paper translates into buffer space requirements.  [pi]
     is the one the policy's solve computed
-    ({!Bufsize_mdp.Lp_formulation.stationary}); nothing is solved here. *)
+    ({!Bufsize_mdp.Constrained.stationary}); nothing is solved here. *)
 
 val total_levels : t -> int
 (** Sum of level counts over loaded clients (capacity represented by the

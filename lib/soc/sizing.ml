@@ -1,4 +1,3 @@
-module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
 module Policy_iteration = Bufsize_mdp.Policy_iteration
@@ -35,7 +34,7 @@ let default_config ~budget =
 
 type subsystem_solution = {
   model : Bus_model.t;
-  solved : Lp_formulation.solved;
+  solved : Constrained.solved;
   switching : Kswitching.analysis;
   occupancy : float array array;
   requirements : (Topology.bus_id * Traffic.client * float) list;
@@ -121,27 +120,21 @@ let unconstrained_note = "occupancy budget bound not honored: solved unconstrain
    giving up on the DAMQ comparison for a bus. *)
 let shared_guard config = Int.max 512 (4 * config.max_states)
 
-(* The price the shared occupancy row carries in a price-path or LP
-   answer: the negated dual in the LP's sign convention, 0 when slack. *)
-let price_of (j : Lp_formulation.joint_solved) =
-  if Array.length j.Lp_formulation.shared_duals = 0 then 0.
-  else Float.max 0. (-.j.Lp_formulation.shared_duals.(0))
-
 (* Solve independent blocks under at most one shared occupancy bound,
-   retrying without the bound when it cannot be met: (joint answer, bound
-   kept, price, diagnostic), and the price-0 lines of the first slack test
-   that completed. *)
+   retrying without the bound when it cannot be met or the solve gives
+   up: (answer, bound kept, diagnostic), and the price-0 lines of the
+   first slack test that completed. *)
 let solve_blocks ?bound blocks =
   let outcome, diag, free = Constrained.solve_price ?bound blocks in
   match outcome with
-  | Some (Lp_formulation.Joint_optimal j) -> (Some (j, true, price_of j, diag), free)
+  | Some (Constrained.Optimal a) -> (Some (a, true, diag), free)
   | _ when bound = None -> (None, free)
   | _ -> (
       let outcome, diag, retry_free = Constrained.solve_price blocks in
       let free = if free = None then retry_free else free in
       match outcome with
-      | Some (Lp_formulation.Joint_optimal j) ->
-          (Some (j, false, 0., demote unconstrained_note "unconstrained" diag), free)
+      | Some (Constrained.Optimal a) ->
+          (Some (a, false, demote unconstrained_note "unconstrained" diag), free)
       | _ -> (None, free))
 
 (* A subsystem's DAMQ shared pool, solved: the pool model, its answer,
@@ -149,7 +142,7 @@ let solve_blocks ?bound blocks =
    completed, and the solve's diagnostic. *)
 type damq_pool = {
   pool : Bus_model.Shared.t;
-  answer : Lp_formulation.solved;
+  answer : Constrained.solved;
   pool_free : Policy_iteration.line option;
   pool_diag : Resilience.diagnostic;
 }
@@ -178,11 +171,11 @@ let damq_reeval ?bound config (s : subsystem_solution) =
   | exception Invalid_argument msg -> Error msg
   | pool -> (
       match solve_blocks ?bound [| Bus_model.Shared.ctmdp pool |] with
-      | Some (j, _, _, pool_diag), free ->
+      | Some (a, _, pool_diag), free ->
           Ok
             {
               pool;
-              answer = j.Lp_formulation.components.(0);
+              answer = a.Constrained.components.(0);
               pool_free = Option.map (fun lines -> lines.(0)) free;
               pool_diag;
             }
@@ -206,11 +199,11 @@ let solve_subsystems config models ctmdps =
           ~attrs:(fun () -> [ ("subsystems", string_of_int (Array.length ctmdps)) ])
           (fun () -> solve_blocks ~bound:bound_levels ctmdps)
       with
-      | Some (j, active, price, diag), free ->
-          ( j.Lp_formulation.components,
-            j.Lp_formulation.total_gain,
+      | Some (a, active, diag), free ->
+          ( a.Constrained.components,
+            a.Constrained.total_gain,
             active,
-            price,
+            a.Constrained.price,
             words_per_level,
             [ ("joint", diag) ],
             match free with
@@ -232,8 +225,8 @@ let solve_subsystems config models ctmdps =
           ~attrs:(fun () -> [ ("bus", bus_label models.(i)) ])
         @@ fun () ->
         match solve_blocks ~bound:shares.(i) [| m |] with
-        | Some (j, active, price, diag), free ->
-            ( (j.Lp_formulation.components.(0), active, price, diag),
+        | Some (a, active, diag), free ->
+            ( (a.Constrained.components.(0), active, a.Constrained.price, diag),
               Option.map (fun lines -> lines.(0)) free )
         | None, _ -> fail ()
       in
@@ -248,7 +241,7 @@ let solve_subsystems config models ctmdps =
       let health =
         Array.to_list (Array.mapi (fun i (_, _, _, d) -> (bus_label models.(i), d)) solved)
       in
-      let gain = Array.fold_left (fun acc s -> acc +. s.Lp_formulation.gain) 0. solutions in
+      let gain = Array.fold_left (fun acc s -> acc +. s.Constrained.gain) 0. solutions in
       (solutions, gain, active, price, words_per_level, health, free)
 
 (* The expensive middle of [run] — CTMDP construction, the constrained
@@ -273,7 +266,7 @@ type cached = {
   c_words_per_level : float;
   c_bound_active : bool;
   c_bound_price : float;
-  c_lp_health : Resilience.health;
+  c_solve_health : Resilience.health;
   c_free : Policy_iteration.line option array;
       (* per subsystem: its price-0 line, the unconstrained optimum *)
   c_damq : (damq_pool, string) Stdlib.result option array;
@@ -343,14 +336,14 @@ let damq_stage config traffic solutions total_gain =
             if not (Topology.shared_buffer topo bus) then None
             else begin
               let label = bus_label s.model ^ "-damq" in
-              let used = s.solved.Lp_formulation.extras.(0) in
+              let used = s.solved.Constrained.usage in
               let r = damq_reeval ~bound:(used +. (1e-6 *. (1. +. Float.abs used))) config s in
               (match r with
               | Ok d ->
                   let g =
-                    Float.min d.answer.Lp_formulation.gain s.solved.Lp_formulation.gain
+                    Float.min d.answer.Constrained.gain s.solved.Constrained.gain
                   in
-                  delta := !delta +. (s.solved.Lp_formulation.gain -. g);
+                  delta := !delta +. (s.solved.Constrained.gain -. g);
                   health := (label, d.pool_diag) :: !health
               | Error msg ->
                   health :=
@@ -415,7 +408,7 @@ let solve ?measured_rates config traffic =
             subsystems
         in
         let ctmdps = Array.map Bus_model.ctmdp models in
-        let solved, total_gain, bound_active, bound_price, words_per_level, lp_health, free =
+        let solved, total_gain, bound_active, bound_price, words_per_level, solve_health, free =
           solve_subsystems config models ctmdps
         in
         let solutions =
@@ -425,10 +418,10 @@ let solve ?measured_rates config traffic =
                 ~attrs:(fun () -> [ ("bus", bus_label model) ])
               @@ fun () ->
               let s = solved.(i) in
-              (* The answer's own π: a fresh solve only for a mixed or an
-                 LP answer. *)
+              (* The answer's own π: a fresh solve only for the mixed
+                 block. *)
               let occupancy =
-                Bus_model.occupancy_distribution model (Lp_formulation.stationary ctmdps.(i) s)
+                Bus_model.occupancy_distribution model (Constrained.stationary ctmdps.(i) s)
               in
               let switching =
                 (* The joint problem has one shared constraint, so at most one
@@ -436,7 +429,7 @@ let solve ?measured_rates config traffic =
                    negligible occupation mass are filtered (their conditional
                    probabilities are numerical noise). *)
                 Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1
-                  ctmdps.(i) s.Lp_formulation.occupation
+                  ctmdps.(i) s.Constrained.occupation
               in
               let requirements =
                 requirements_for model ~words_per_level ~quantile:config.quantile occupancy
@@ -453,7 +446,7 @@ let solve ?measured_rates config traffic =
             c_words_per_level = words_per_level;
             c_bound_active = bound_active;
             c_bound_price = bound_price;
-            c_lp_health = lp_health;
+            c_solve_health = solve_health;
             c_free = free;
             c_damq = damq;
             c_damq_health = damq_health;
@@ -462,7 +455,7 @@ let solve ?measured_rates config traffic =
         in
         (* Degraded solves may depend on wall-clock budgets; only the
            deterministic clean path is worth replaying. *)
-        if Resilience.health_ok lp_health && Resilience.health_ok damq_health then
+        if Resilience.health_ok solve_health && Resilience.health_ok damq_health then
           Solve_cache.add cache key payload;
         payload
   in
@@ -506,7 +499,7 @@ let solve ?measured_rates config traffic =
       words_per_level = payload.c_words_per_level;
       budget_bound_active = payload.c_bound_active;
       bound_price = payload.c_bound_price;
-      health = payload.c_lp_health @ payload.c_damq_health @ occupancy_health;
+      health = payload.c_solve_health @ payload.c_damq_health @ occupancy_health;
     },
     payload )
 
@@ -536,13 +529,13 @@ type sharing_report = {
 (* Mean model-levels in system divided by accepted throughput: Little's
    law on the occupancy abstraction.  Comparable across organizations of
    the same bus; exact delay in requests when every client weight is 1
-   (then the LP gain is the unweighted loss rate). *)
+   (then the gain is the unweighted loss rate). *)
 (* A price-path answer that is the deterministic policy of [line], with
    its π: bitwise what [Constrained.deterministic_solved] of the line's
    choice would return. *)
-let reusable (answer : Lp_formulation.solved) line =
-  answer.Lp_formulation.stationary <> None
-  && Bufsize_mdp.Policy.chooses answer.Lp_formulation.policy line.Policy_iteration.choice
+let reusable (answer : Constrained.solved) line =
+  answer.Constrained.stationary <> None
+  && Bufsize_mdp.Policy.chooses answer.Constrained.policy line.Policy_iteration.choice
 
 let delay_of ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss)
 
@@ -582,13 +575,13 @@ let compare_sharing config traffic =
             | Some line when reusable s.solved line -> Some (s.solved, s.occupancy)
             | Some line ->
                 let st = Constrained.deterministic_solved ctmdp line.Policy_iteration.choice in
-                let pi = Lp_formulation.stationary ctmdp st in
+                let pi = Constrained.stationary ctmdp st in
                 Some (st, Bus_model.occupancy_distribution s.model pi)
             | None -> (
                 match solve_blocks [| ctmdp |] with
-                | Some (j, _, _, _), _ ->
-                    let st = j.Lp_formulation.components.(0) in
-                    let pi = Lp_formulation.stationary ctmdp st in
+                | Some (a, _, _), _ ->
+                    let st = a.Constrained.components.(0) in
+                    let pi = Constrained.stationary ctmdp st in
                     Some (st, Bus_model.occupancy_distribution s.model pi)
                 | None, _ -> None)
           in
@@ -602,7 +595,7 @@ let compare_sharing config traffic =
                     acc +. !e)
                   0. occupancy
               in
-              Ok (st.Lp_formulation.gain, expected)
+              Ok (st.Constrained.gain, expected)
           | None -> Error "static solve failed"
         in
         (* The pool's unconstrained optimum: [run]'s pool and its price-0
@@ -624,9 +617,9 @@ let compare_sharing config traffic =
           in
           Result.map
             (fun (pool, d) ->
-              ( d.Lp_formulation.gain,
+              ( d.Constrained.gain,
                 Bus_model.Shared.expected_total pool
-                  (Lp_formulation.stationary (Bus_model.Shared.ctmdp pool) d) ))
+                  (Constrained.stationary (Bus_model.Shared.ctmdp pool) d) ))
             unconstrained
         in
         match (static_eval (), damq_eval ()) with

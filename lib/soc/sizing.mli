@@ -4,15 +4,14 @@
     CTMDP per subsystem ({!Bus_model}), solve all subsystems jointly under
     a shared time-average buffer-occupancy budget — the paper's joint LP,
     solved by one scalar price and per-subsystem policy iteration
-    ({!Bufsize_mdp.Constrained.solve_price}, with the joint LP
-    {!Bufsize_mdp.Lp_formulation.solve_joint} as its fallback) — analyze
+    ({!Bufsize_mdp.Constrained.solve_price}) — analyze
     the K-switching structure, translate the optimal policy's stationary
     occupancy distributions into per-client buffer requirements (occupancy
     quantile), and apportion the integer word budget ({!Buffer_alloc}).
 
     Model levels are an abstraction of buffer words: with total budget [W]
     words and [L] total model levels, one level stands for [g = W/L] words
-    (the granularity).  The LP's shared constraint bounds the expected
+    (the granularity).  The shared constraint bounds the expected
     occupied space at [occupancy_fraction * W] words. *)
 
 type solver = Joint | Separate
@@ -48,13 +47,13 @@ type config = {
 
 val default_config : budget:int -> config
 (** kappa = 0.6, quantile = 0.95, max_states = 96, Joint, Static.  Larger state
-    caps buy model fidelity at steeply growing joint-LP cost; the
+    caps buy model fidelity at steeply growing solve cost; the
     ABL-LEVELS ablation shows allocations saturating well below 100 states
     per subsystem. *)
 
 type subsystem_solution = {
   model : Bus_model.t;
-  solved : Bufsize_mdp.Lp_formulation.solved;
+  solved : Bufsize_mdp.Constrained.solved;
   switching : Bufsize_mdp.Kswitching.analysis;
   occupancy : float array array;
       (** stationary occupancy marginals per loaded client *)
@@ -71,8 +70,9 @@ type result = {
       (** the joint optimum's gain: model-predicted total loss rate *)
   words_per_level : float;  (** the granularity g *)
   budget_bound_active : bool;
-      (** false when the occupancy bound was infeasible and the solve fell
-          back to the unconstrained optimum *)
+      (** false when the occupancy bound was infeasible, or the bounded
+          solve gave up, and the solve fell back to the unconstrained
+          optimum (the [unconstrained] fallback in [health]) *)
   bound_price : float;
       (** the occupancy bound's price in loss rate per model level: 0 when
           the bound is slack or was dropped, positive when it binds (under
@@ -94,8 +94,8 @@ val run :
 (** Runs on the calling domain: the per-subsystem stages are
     sub-millisecond, less than a domain dispatch costs.  Each
     subsystem's occupancy marginals come from the π its answer carries
-    ({!Bufsize_mdp.Lp_formulation.stationary}); only a mixed or an LP
-    answer is solved again for them.
+    ({!Bufsize_mdp.Constrained.stationary}); only the one mixed block is
+    solved again for them.
 
     [measured_rates] optionally overrides the analytically routed client
     arrival rates with profiled ones (e.g. per-buffer arrival counts from a

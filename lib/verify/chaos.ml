@@ -1,11 +1,11 @@
 (* Fault injection for the resilient solve pipeline.
 
    Each chaos case deterministically (from a seed) builds a numerically
-   hazardous instance of a known fault family and drives it through the
-   solver entry points that production calls: [Lp.solve_diag] and
-   [Ctmc.stationary], whose escalation chain [Ctmc.stationary_diag]
-   supplies the diagnostic.  The contract under test is the resilience
-   invariant:
+   hazardous instance of a known fault family and drives it through
+   [Ctmc.stationary], which production calls and whose escalation chain
+   [Ctmc.stationary_diag] supplies the diagnostic, or through the
+   reference LP's [Lp.solve_diag].  The contract under test is the
+   resilience invariant:
 
    - no fault may escape as an uncaught exception (the escalation chains
      convert solver exceptions into step rejections; [Ctmc.stationary]
@@ -18,11 +18,10 @@
      [Degraded] or [Failed] diagnostic, never as a silently wrong answer.
 
    The module doubles as the `chaos` oracle of the verify harness
-   ([bufsize verify --oracle chaos]) and as the engine of the
+   ([bufsize-verify --oracle chaos]) and as the engine of the
    test-suite's fault sweep. *)
 
 module Rng = Bufsize_prob.Rng
-module Lp = Bufsize_numeric.Lp
 module Ctmc = Bufsize_prob.Ctmc
 module Resilience = Bufsize_resilience.Resilience
 open Oracle

@@ -3,14 +3,14 @@
     Each case deterministically builds a numerically hazardous instance of
     one fault family — rank-deficient LP bases, near-tolerance pivots,
     rate underflow/overflow, reducible chains, expired wall-clock budgets
-    — and asserts the resilience contract on the entry points production
-    calls ([Lp.solve_diag], [Ctmc.stationary]): no uncaught exception, no
-    NaN/Inf in a surfaced result, metamorphic agreement with the clean
-    instance when the diagnostic claims [Ok], and a [Degraded]/[Failed]
-    diagnostic otherwise.  The CTMC cases also require [Ctmc.stationary]
+    — and asserts the resilience contract on [Ctmc.stationary], which
+    production calls, and on the reference LP's [Lp.solve_diag]: no
+    uncaught exception, no NaN/Inf in a surfaced result, metamorphic
+    agreement with the clean instance when the diagnostic claims [Ok],
+    and a [Degraded]/[Failed] diagnostic otherwise.  The CTMC cases also require [Ctmc.stationary]
     to return bitwise the answer of its chain, {!Bufsize_prob.Ctmc.stationary_diag}.
 
-    Exposed both as the [chaos] oracle of [bufsize verify] and as a
+    Exposed both as the [chaos] oracle of [bufsize-verify] and as a
     library for the test-suite's exhaustive fault sweep. *)
 
 type fault =

@@ -4,7 +4,6 @@ module Traffic = Bufsize_soc.Traffic
 module Spec_parser = Bufsize_soc.Spec_parser
 module Monolithic = Bufsize_soc.Monolithic
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Lp = Bufsize_numeric.Lp
 
 (* Round to 3 decimals: keeps generated instances printable/re-parseable
    without loss and avoids adversarially ill-conditioned coefficients. *)

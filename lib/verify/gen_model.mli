@@ -117,7 +117,7 @@ type lp_case = {
   maximize : bool;
   lbs : float array;  (** per-variable lower bound; [neg_infinity] = free *)
   obj : float array;
-  rows : ((int * float) list * Bufsize_numeric.Lp.sense * float) list;
+  rows : ((int * float) list * Lp.sense * float) list;
 }
 
 val lp_case : ?knobs:lp_knobs -> Rng.t -> lp_case
@@ -126,7 +126,7 @@ val lp_case : ?knobs:lp_knobs -> Rng.t -> lp_case
     feasible, but infeasible and unbounded instances do occur — engines
     must agree on the classification either way. *)
 
-val lp_of_case : lp_case -> Bufsize_numeric.Lp.t
+val lp_of_case : lp_case -> Lp.t
 
 val lp_case_to_string : lp_case -> string
 

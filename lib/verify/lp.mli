@@ -7,7 +7,7 @@
     mapped back onto the user's variables.
 
     This is the layer the CTMDP occupation-measure formulation is written
-    against ({!Bufsize_mdp.Lp_formulation}). *)
+    against ({!Lp_formulation}). *)
 
 type t
 (** A mutable LP under construction. *)

@@ -1,5 +1,5 @@
-module Lp = Bufsize_numeric.Lp
-module Obs = Bufsize_obs.Obs
+module Ctmdp = Bufsize_mdp.Ctmdp
+module Policy = Bufsize_mdp.Policy
 
 type bound = { sense : Lp.sense; value : float }
 
@@ -10,11 +10,7 @@ type solved = {
   extras : float array;
   extra_duals : float array;
   lp_iterations : int;
-  stationary : Bufsize_numeric.Vec.t option;
 }
-
-let stationary m s =
-  match s.stationary with Some pi -> pi | None -> Policy.stationary m s.policy
 
 type outcome = Optimal of solved | Infeasible | Unbounded
 
@@ -163,7 +159,6 @@ let outcome_of_lp ?extra_bounds m x n_structural_rows = function
           extras;
           extra_duals;
           lp_iterations = sol.Lp.iterations;
-              stationary = None;
         }
 
 let model ?extra_bounds m =
@@ -238,7 +233,6 @@ let joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extra
               extras;
               extra_duals = [||];
               lp_iterations = sol.Lp.iterations;
-              stationary = None;
             })
           models
       in
@@ -265,19 +259,7 @@ let solve_joint ?shared_bounds ?max_iter models =
     (Lp.solve ?max_iter lp)
 
 let solve_joint_diag ?shared_bounds ?max_iter ?budget models =
-  let lp, blocks, n_structural_rows, num_extras =
-    Obs.span ~name:"lp_formulation.assemble_joint"
-      ~attrs:(fun () -> [ ("blocks", string_of_int (Array.length models)) ])
-      (fun () -> assemble_joint ?shared_bounds models)
-  in
-  Obs.span ~name:"lp_formulation.solve_joint"
-    ~attrs:(fun () ->
-      [
-        ("blocks", string_of_int (Array.length models));
-        ("rows", string_of_int (Lp.num_constraints lp));
-        ("nnz", string_of_int (Lp.num_terms lp));
-      ])
-  @@ fun () ->
+  let lp, blocks, n_structural_rows, num_extras = assemble_joint ?shared_bounds models in
   let o, diag = Lp.solve_diag ?max_iter ?budget lp in
   ( Option.map
       (joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extras)

@@ -14,36 +14,31 @@
 
     One balance row is redundant and dropped.  An optimal basic solution
     induces an optimal stationary policy that randomizes in at most K
-    states — the K-switching policy (see {!Kswitching}).
+    states — the K-switching policy (see {!Bufsize_mdp.Kswitching}).
 
     [solve_joint] assembles the block LP of several independent CTMDPs
     (one balance+normalization block each) coupled only through shared
-    resource rows — exactly the paper's "all the equations shall be solved
-    in one go and not sequentially for each subsystem". *)
+    resource rows — the paper's "all the equations shall be solved in one
+    go and not sequentially for each subsystem".
+
+    Production solves the same problem by price
+    ({!Bufsize_mdp.Constrained.solve_price}); this LP is the reference the
+    [price], [mdp-gain] and [simplex-cross] oracles and the tests check it
+    against. *)
 
 type bound = {
-  sense : Bufsize_numeric.Lp.sense;
+  sense : Lp.sense;
   value : float;
 }
 
 type solved = {
   gain : float;  (** optimal long-run average cost *)
   occupation : float array array;  (** x(s,a) *)
-  policy : Policy.t;
+  policy : Bufsize_mdp.Policy.t;
   extras : float array;  (** achieved time-average of each extra *)
   extra_duals : float array;  (** multipliers of the resource rows *)
   lp_iterations : int;
-  stationary : Bufsize_numeric.Vec.t option;
-      (** the stationary distribution of [policy], when the solve that
-          produced the record computed it: [Some] on a deterministic
-          answer of the price path ({!Constrained.deterministic_solved}),
-          [None] on an LP answer or a mixed one.  {!stationary} reads it. *)
 }
-
-val stationary : Ctmdp.t -> solved -> Bufsize_numeric.Vec.t
-(** [stationary m s] is the stationary distribution of [s.policy] on
-    [m]: the one [s] carries, or else a fresh
-    {!Policy.stationary}. *)
 
 type outcome =
   | Optimal of solved
@@ -53,13 +48,13 @@ type outcome =
 val solve :
   ?extra_bounds:bound array ->
   ?max_iter:int ->
-  Ctmdp.t ->
+  Bufsize_mdp.Ctmdp.t ->
   outcome
 (** Build and solve the LP for one CTMDP.
-    @raise Bufsize_numeric.Simplex.Pivot_cap when the simplex reaches
+    @raise Simplex.Pivot_cap when the simplex reaches
     [max_iter] pivots. *)
 
-val model : ?extra_bounds:bound array -> Ctmdp.t -> Bufsize_numeric.Lp.t
+val model : ?extra_bounds:bound array -> Bufsize_mdp.Ctmdp.t -> Lp.t
 (** The LP {!solve} builds for one CTMDP (its objective is the gain), for
     solving with a reference engine. *)
 
@@ -67,9 +62,9 @@ val solve_diag :
   ?extra_bounds:bound array ->
   ?max_iter:int ->
   ?budget:Bufsize_resilience.Resilience.budget ->
-  Ctmdp.t ->
+  Bufsize_mdp.Ctmdp.t ->
   outcome option * Bufsize_resilience.Resilience.diagnostic
-(** {!solve} through {!Bufsize_numeric.Lp.solve_diag}: same model, same
+(** {!solve} through {!Lp.solve_diag}: same model, same
     clean path, plus the pivot-rule escalation chain and a structured
     diagnostic instead of silent fallbacks. *)
 
@@ -89,7 +84,7 @@ type joint_outcome =
 val solve_joint :
   ?shared_bounds:bound array ->
   ?max_iter:int ->
-  Ctmdp.t array ->
+  Bufsize_mdp.Ctmdp.t array ->
   joint_outcome
 (** One block LP over all components.  All components must agree on
     [num_extras]; [shared_bounds] constrain the {e sums} of each extra
@@ -99,7 +94,7 @@ val solve_joint_diag :
   ?shared_bounds:bound array ->
   ?max_iter:int ->
   ?budget:Bufsize_resilience.Resilience.budget ->
-  Ctmdp.t array ->
+  Bufsize_mdp.Ctmdp.t array ->
   joint_outcome option * Bufsize_resilience.Resilience.diagnostic
 (** {!solve_joint} with the pivot-rule escalation chain and a structured
     diagnostic. *)

@@ -1,10 +1,8 @@
 module Rng = Bufsize_prob.Rng
-module Lp = Bufsize_numeric.Lp
 module Newton = Bufsize_numeric.Newton
 module Stats = Bufsize_numeric.Stats
 module Birth_death = Bufsize_prob.Birth_death
 module Ctmc = Bufsize_prob.Ctmc
-module Lp_formulation = Bufsize_mdp.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Ctmdp = Bufsize_mdp.Ctmdp
 module Kswitching = Bufsize_mdp.Kswitching
@@ -1542,17 +1540,17 @@ let check_price_case (c : price_case) =
         models,
       Constrained.solve_price ~bound models )
   with
-  | Lp_formulation.Joint_optimal lp, (Some (Lp_formulation.Joint_optimal j), diag, _) ->
+  | Lp_formulation.Joint_optimal lp, (Some (Constrained.Optimal a), diag, _) ->
       let g = lp.Lp_formulation.total_gain in
-      let price = -.j.Lp_formulation.shared_duals.(0) in
+      let price = a.Constrained.price in
       all_of
         [
           (fun () ->
             if Resilience.is_ok diag then Pass
             else failf "price path fell back: %s" (Format.asprintf "%a" Resilience.pp diag));
           (fun () ->
-            if rel_close 1e-9 j.Lp_formulation.total_gain g then Pass
-            else failf "price-path gain %.15g vs LP gain %.15g" j.Lp_formulation.total_gain g);
+            if rel_close 1e-9 a.Constrained.total_gain g then Pass
+            else failf "price-path gain %.15g vs LP gain %.15g" a.Constrained.total_gain g);
           (fun () ->
             (* D(price) = sum_i min_pi (g_i + price u_i) - price bound must
                reach the LP optimum: the price is a valid dual even where
@@ -1570,7 +1568,7 @@ let check_price_case (c : price_case) =
             if rel_close 1e-9 dual g then Pass
             else failf "dual value %.15g at price %.12g vs LP gain %.15g" dual price g);
           (fun () ->
-            let used = j.Lp_formulation.shared_extras.(0) in
+            let used = a.Constrained.total_usage in
             if used <= bound +. (1e-9 *. (1. +. bound)) then Pass
             else failf "usage %.15g exceeds the bound %.15g" used bound);
           (fun () ->
@@ -1579,7 +1577,7 @@ let check_price_case (c : price_case) =
                 (Array.mapi
                    (fun i m ->
                      (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
-                        j.Lp_formulation.components.(i).Lp_formulation.occupation)
+                        a.Constrained.components.(i).Constrained.occupation)
                        .Kswitching.num_randomized)
                    models)
             in

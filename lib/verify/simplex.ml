@@ -1,4 +1,6 @@
 module Obs = Bufsize_obs.Obs
+module Mat = Bufsize_numeric.Mat
+module Lu = Bufsize_numeric.Lu
 
 (* Pivot-level telemetry: one guarded atomic add per pivot (a pivot is
    already O(width) work), per tableau refactorization and per retry run

@@ -13,10 +13,8 @@
    trajectories on the same problem). *)
 
 module Obs = Bufsize_obs.Obs
-module Simplex = Bufsize_numeric.Simplex
 module Lu = Bufsize_numeric.Lu
 module Mat = Bufsize_numeric.Mat
-module Lp = Bufsize_numeric.Lp
 
 (* Same pivot/refactorization/retry telemetry as the dense engine: pivots
    and refactorizations under their own metric names so the two engines

@@ -1,7 +1,7 @@
 (** Sparse revised simplex — the reference engine the production LP
-    solver ({!Bufsize_numeric.Simplex}, the dense tableau) is checked
+    solver ({!Simplex}, the dense tableau) is checked
     against.  The [simplex-cross] and [mdp-gain] oracles and the
-    engine-agreement tests solve the same {!Bufsize_numeric.Lp.to_standard}
+    engine-agreement tests solve the same {!Lp.to_standard}
     output with both engines and compare.
 
     Same problem class and result types as the dense engine (standard
@@ -21,7 +21,7 @@
     exact LU refinement against the true data at the end (with an
     unperturbed retry when the perturbation manufactures infeasibility).
     A run that reaches [max_iter] pivots raises
-    {!Bufsize_numeric.Simplex.Pivot_cap}, as the dense engine does. *)
+    {!Simplex.Pivot_cap}, as the dense engine does. *)
 
 type sparse_standard = {
   snrows : int;
@@ -33,7 +33,7 @@ type sparse_standard = {
   sc : float array;
 }
 (** Standard form held column-wise and sparse — the native input of this
-    engine.  {!solve} on a dense {!Bufsize_numeric.Simplex.standard}
+    engine.  {!solve} on a dense {!Simplex.standard}
     converts to this once up front. *)
 
 val solve_sparse :
@@ -41,27 +41,27 @@ val solve_sparse :
   ?max_iter:int ->
   ?refactor_every:int ->
   sparse_standard ->
-  Bufsize_numeric.Simplex.result
+  Simplex.result
 (** Solve from the sparse columns directly.  Identical pivot trajectory to
     {!solve} on the equivalent dense input.  Each rerun (unperturbed, or
     with a short eta file after numerical drift) counts once on the
     [simplex.retries] metric the dense engine also uses. *)
 
-val sparse_of_standard : Bufsize_numeric.Simplex.standard -> sparse_standard
+val sparse_of_standard : Simplex.standard -> sparse_standard
 (** Column extraction from a dense standard form (zeros dropped). *)
 
 val solve :
   ?eps:float ->
   ?max_iter:int ->
   ?refactor_every:int ->
-  Bufsize_numeric.Simplex.standard ->
-  Bufsize_numeric.Simplex.result
+  Simplex.standard ->
+  Simplex.result
 (** [solve std] with [eps] (default [1e-9]) the reduced-cost tolerance,
     [max_iter] (default [200_000]) the pivot bound of each run, and
     [refactor_every] (default [64]) the eta-file length triggering basis
     refactorization. *)
 
-val solve_lp : Bufsize_numeric.Lp.t -> Bufsize_numeric.Lp.outcome
+val solve_lp : Lp.t -> Lp.outcome
 (** [solve_lp lp] solves [Lp.to_standard lp] with this engine and maps
     the answer back onto the model's variables — the reference
-    counterpart of {!Bufsize_numeric.Lp.solve}. *)
+    counterpart of {!Lp.solve}. *)

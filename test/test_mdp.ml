@@ -4,13 +4,13 @@
    truth throughout. *)
 
 module Vec = Bufsize_numeric.Vec
-module Lp = Bufsize_numeric.Lp
+module Lp = Bufsize_verify.Lp
 module Simplex_revised = Bufsize_verify.Simplex_revised
 module Birth_death = Bufsize_prob.Birth_death
 module Rng = Bufsize_prob.Rng
 module Ctmdp = Bufsize_mdp.Ctmdp
 module Policy = Bufsize_mdp.Policy
-module Lp_formulation = Bufsize_mdp.Lp_formulation
+module Lp_formulation = Bufsize_verify.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Value_iteration = Bufsize_verify.Value_iteration
 module Kswitching = Bufsize_mdp.Kswitching
@@ -121,7 +121,8 @@ let test_ctmdp_accessors () =
   let lo, hi = Ctmdp.cost_bounds m in
   check_close 1e-12 "cost lo" 0. lo;
   check_close 1e-12 "cost hi" 1. hi;
-  Alcotest.(check bool) "unichain heuristic" true (Ctmdp.is_unichain_heuristic m)
+  Alcotest.(check bool) "empty state reached under every policy" true
+    (Ctmdp.reached_under_every_policy m 0)
 
 let test_ctmdp_map_costs () =
   let m = mm1k_ctmdp ~lambda:1. ~mu:2. ~k:2 in
@@ -599,13 +600,13 @@ let test_vi_value_bounded_by_cost_over_alpha () =
 let test_constrained_wrapper () =
   let m = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
   match Constrained.solve_price ~bound:1.2 [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
+  | Some (Constrained.Optimal a), diag, _ ->
       Alcotest.(check bool) "diagnostic ok" true (Resilience.is_ok diag);
-      let c = j.Lp_formulation.components.(0) in
-      check_close 1e-6 "gain check consistent" c.Lp_formulation.gain
-        (Policy.evaluate m c.Lp_formulation.policy).Policy.gain;
+      let c = a.Constrained.components.(0) in
+      check_close 1e-6 "gain check consistent" c.Constrained.gain
+        (Policy.evaluate m c.Constrained.policy).Policy.gain;
       Alcotest.(check bool) "switching within bound" true
-        (Kswitching.analyze ~constraints:1 m c.Lp_formulation.policy).Kswitching.within_bound
+        (Kswitching.analyze ~constraints:1 m c.Constrained.policy).Kswitching.within_bound
   | _ -> Alcotest.fail "expected feasible"
 
 (* The price-directed solver is a Lagrangian decomposition: one price on
@@ -629,17 +630,17 @@ let test_constrained_lagrangian () =
     | _ -> Alcotest.fail "constrained LP failed"
   in
   match Constrained.solve_price ~bound [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
+  | Some (Constrained.Optimal a), diag, _ ->
       Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
-      let price = -.j.Lp_formulation.shared_duals.(0) in
+      let price = a.Constrained.price in
       Alcotest.(check bool) "positive price" true (price > 0.);
       check_close 1e-8 "price = LP dual" (-.lp.Lp_formulation.shared_duals.(0)) price;
-      check_close 1e-9 "gain = LP gain" lp.Lp_formulation.total_gain j.Lp_formulation.total_gain;
+      check_close 1e-9 "gain = LP gain" lp.Lp_formulation.total_gain a.Constrained.total_gain;
       Alcotest.(check bool) "budget met" true
-        (j.Lp_formulation.shared_extras.(0) <= bound +. (1e-9 *. (1. +. bound)));
-      let c = j.Lp_formulation.components.(0) in
+        (a.Constrained.total_usage <= bound +. (1e-9 *. (1. +. bound)));
+      let c = a.Constrained.components.(0) in
       let k =
-        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m c.Lp_formulation.occupation
+        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m c.Constrained.occupation
       in
       Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
   | _ -> Alcotest.fail "price solve failed"
@@ -648,11 +649,11 @@ let test_constrained_lagrangian_slack () =
   (* A generous budget: price 0 and the unconstrained optimum. *)
   let m = admission_ctmdp ~lambda:1. ~mu:3. ~k:4 in
   match Constrained.solve_price ~bound:100. [| m |] with
-  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
+  | Some (Constrained.Optimal a), diag, _ ->
       Alcotest.(check bool) "price path, no fallback" true (Resilience.is_ok diag);
-      check_close 1e-12 "zero price" 0. j.Lp_formulation.shared_duals.(0);
+      check_close 1e-12 "zero price" 0. a.Constrained.price;
       let pi = Policy_iteration.solve m in
-      check_close 1e-12 "unconstrained gain" pi.Policy_iteration.gain j.Lp_formulation.total_gain
+      check_close 1e-12 "unconstrained gain" pi.Policy_iteration.gain a.Constrained.total_gain
   | _ -> Alcotest.fail "expected result"
 
 (* Two closed classes under the first-action policy ({0,1} and {2,3});
@@ -667,61 +668,52 @@ let two_class_ctmdp () =
       [| act "stay" [ (2, 1.) ] 0. 1.; act "cross" [ (0, 1.) ] 0. 1. |];
     |]
 
+(* The sound unichain check: the empty state of an M/M/1/K or of
+   admission control is reached under every policy; admission control's
+   full state is not (rejecting everywhere makes it transient), though
+   the model is unichain; and the two-class model, whose union graph is
+   strongly connected, fails from every state because its all-[stay]
+   policy has two closed classes. *)
+let test_ctmdp_reached_under_every_policy () =
+  let mm1k = mm1k_ctmdp ~lambda:1. ~mu:2. ~k:3 in
+  Alcotest.(check bool) "M/M/1/K from empty" true (Ctmdp.reached_under_every_policy mm1k 0);
+  Alcotest.(check bool) "M/M/1/K from full" true (Ctmdp.reached_under_every_policy mm1k 3);
+  let admission = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
+  Alcotest.(check bool) "admission from empty" true
+    (Ctmdp.reached_under_every_policy admission 0);
+  Alcotest.(check bool) "admission from full" false
+    (Ctmdp.reached_under_every_policy admission 5);
+  let two_class = two_class_ctmdp () in
+  for s0 = 0 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "two classes from %d" s0) false
+      (Ctmdp.reached_under_every_policy two_class s0)
+  done;
+  Alcotest.check_raises "no such state"
+    (Invalid_argument "Ctmdp.reached_under_every_policy: no such state") (fun () ->
+      ignore (Ctmdp.reached_under_every_policy mm1k 4))
+
 (* Where the price path cannot answer — a multichain block (a singular
-   dense evaluation), or policy iteration capped by [max_iter] — the LP
-   step answers, the diagnostic names the fallback and its reason, and
-   the fallback counter moves. *)
-let test_price_falls_back_to_lp () =
-  let module Obs = Bufsize_obs.Obs in
-  let fallbacks = Obs.counter "constrained.lp_fallbacks" in
+   dense evaluation), or policy iteration capped by [max_iter] — the
+   solve gives up: no answer, a [Failed] diagnostic whose reason says
+   why, and no fallback step. *)
+let test_price_gives_up_with_reason () =
   List.iter
     (fun (what, m, bound, max_iter, reason) ->
-      let lp =
-        match
-          Lp_formulation.solve_joint
-            ~shared_bounds:[| { Lp_formulation.sense = Lp.Le; value = bound } |]
-            [| m |]
-        with
-        | Lp_formulation.Joint_optimal j -> j
-        | _ -> Alcotest.fail (what ^ ": LP failed")
-      in
-      Obs.enable_metrics ();
-      let f0 = Obs.counter_value fallbacks in
-      let outcome =
-        Fun.protect ~finally:Obs.disable (fun () ->
-            Constrained.solve_price ?max_iter ~bound [| m |])
-      in
-      Alcotest.(check int) (what ^ ": one LP fallback") 1 (Obs.counter_value fallbacks - f0);
-      match outcome with
-      | Some (Lp_formulation.Joint_optimal j), diag, _ ->
-          Alcotest.(check (list string)) (what ^ ": fallback named") [ "lp" ]
-            diag.Resilience.fallbacks;
-          let why = Option.value ~default:"" (Resilience.status_reason diag.Resilience.status) in
+      match Constrained.solve_price ?max_iter ~bound [| m |] with
+      | Some _, _, _ -> Alcotest.fail (what ^ ": an answer")
+      | None, diag, _ ->
+          let why =
+            match diag.Resilience.status with
+            | Resilience.Failed why -> why
+            | _ -> Alcotest.fail (what ^ ": diagnostic not Failed")
+          in
           let mentions sub =
             let n = String.length sub in
             let rec go i = i + n <= String.length why && (String.sub why i n = sub || go (i + 1)) in
             go 0
           in
           Alcotest.(check bool) (what ^ ": reason " ^ reason) true (mentions reason);
-          Alcotest.(check (float 0.)) (what ^ ": the LP's gain") lp.Lp_formulation.total_gain
-            j.Lp_formulation.total_gain;
-          (* An LP answer carries no π: its consumers solve its chain
-             afresh, once. *)
-          let answer = j.Lp_formulation.components.(0) in
-          Alcotest.(check bool) (what ^ ": no carried π") true
-            (answer.Lp_formulation.stationary = None);
-          let residual = Obs.histogram "ctmc.residual" in
-          Obs.enable_metrics ();
-          let r0 = (Obs.histogram_value residual).Obs.h_count in
-          let pi =
-            Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.stationary m answer)
-          in
-          Alcotest.(check int) (what ^ ": one fresh solve") 1
-            ((Obs.histogram_value residual).Obs.h_count - r0);
-          Alcotest.(check (array int64)) (what ^ ": the fresh π")
-            (Array.map Int64.bits_of_float (Policy.stationary m answer.Lp_formulation.policy))
-            (Array.map Int64.bits_of_float pi)
-      | _ -> Alcotest.fail (what ^ ": no answer"))
+          Alcotest.(check (list string)) (what ^ ": no fallback") [] diag.Resilience.fallbacks)
     [
       ("multichain", two_class_ctmdp (), 0.5, None, "multichain");
       ( "capped",
@@ -739,6 +731,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_ctmdp_validation;
           Alcotest.test_case "accessors" `Quick test_ctmdp_accessors;
           Alcotest.test_case "map_costs" `Quick test_ctmdp_map_costs;
+          Alcotest.test_case "reached under every policy" `Quick
+            test_ctmdp_reached_under_every_policy;
         ] );
       ( "policy",
         [
@@ -796,6 +790,7 @@ let () =
           Alcotest.test_case "wrapper diagnostics" `Quick test_constrained_wrapper;
           Alcotest.test_case "lagrangian decomposition" `Quick test_constrained_lagrangian;
           Alcotest.test_case "lagrangian slack budget" `Quick test_constrained_lagrangian_slack;
-          Alcotest.test_case "price path falls back to the LP" `Quick test_price_falls_back_to_lp;
+          Alcotest.test_case "price path gives up with a reason" `Quick
+            test_price_gives_up_with_reason;
         ] );
     ]

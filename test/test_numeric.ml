@@ -4,8 +4,8 @@
 module Vec = Bufsize_numeric.Vec
 module Mat = Bufsize_numeric.Mat
 module Lu = Bufsize_numeric.Lu
-module Lp = Bufsize_numeric.Lp
-module Simplex = Bufsize_numeric.Simplex
+module Lp = Bufsize_verify.Lp
+module Simplex = Bufsize_verify.Simplex
 module Newton = Bufsize_numeric.Newton
 module Apportion = Bufsize_numeric.Apportion
 module Stats = Bufsize_numeric.Stats

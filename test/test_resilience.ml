@@ -4,8 +4,8 @@
    fault-agreement properties, and the exhaustive chaos fault sweep. *)
 
 module Resilience = Bufsize_resilience.Resilience
-module Lp = Bufsize_numeric.Lp
-module Simplex = Bufsize_numeric.Simplex
+module Lp = Bufsize_verify.Lp
+module Simplex = Bufsize_verify.Simplex
 module Ctmc = Bufsize_prob.Ctmc
 module Sizing = Bufsize_soc.Sizing
 module Chaos = Bufsize_verify.Chaos

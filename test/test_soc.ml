@@ -295,11 +295,11 @@ let test_bus_model_single_client_is_mm1k () =
   let split = Splitting.split traffic in
   let model = Bus_model.build ~levels:[| 4; 0 |] split.Splitting.subsystems.(0) in
   Alcotest.(check int) "states" 5 (Bus_model.num_states model);
-  match Bufsize_mdp.Lp_formulation.solve (Bus_model.ctmdp model) with
-  | Bufsize_mdp.Lp_formulation.Optimal s ->
+  match Bufsize_verify.Lp_formulation.solve (Bus_model.ctmdp model) with
+  | Bufsize_verify.Lp_formulation.Optimal s ->
       check_close 1e-7 "gain = MM1K loss"
         (Birth_death.Mm1k.loss_rate ~lambda:2.0 ~mu:3.0 ~k:4)
-        s.Bufsize_mdp.Lp_formulation.gain
+        s.Bufsize_verify.Lp_formulation.gain
   | _ -> Alcotest.fail "LP failed"
 
 let test_bus_model_encode_decode () =
@@ -382,8 +382,8 @@ let test_shared_never_worse_than_static () =
   let capacity = Bus_model.total_levels static_model in
   let shared = Bus_model.Shared.build ~static_levels:levels ~capacity sub in
   let solve ctmdp =
-    match Bufsize_mdp.Lp_formulation.solve ctmdp with
-    | Bufsize_mdp.Lp_formulation.Optimal s -> s.Bufsize_mdp.Lp_formulation.gain
+    match Bufsize_verify.Lp_formulation.solve ctmdp with
+    | Bufsize_verify.Lp_formulation.Optimal s -> s.Bufsize_verify.Lp_formulation.gain
     | _ -> Alcotest.fail "LP failed"
   in
   let static_loss = solve (Bus_model.ctmdp static_model) in
@@ -983,7 +983,7 @@ let sizing_blocks config traffic =
   in
   (models, bound)
 
-let le value = [| { Bufsize_mdp.Lp_formulation.sense = Bufsize_numeric.Lp.Le; value } |]
+let le value = [| { Bufsize_verify.Lp_formulation.sense = Bufsize_verify.Lp.Le; value } |]
 
 (* [Test_specs.three_bus] at budget 64 with 40 states per subsystem.  The
    dense tableau engine solves its joint LP, called directly: the loss
@@ -993,7 +993,7 @@ let le value = [| { Bufsize_mdp.Lp_formulation.sense = Bufsize_numeric.Lp.Le; va
    allocation and loss bits are pinned too. *)
 let test_sizing_dense_pinned () =
   let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let traffic = Test_specs.traffic Test_specs.three_bus in
   let config = { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 } in
   let dense = Obs.counter "simplex.pivots" and revised = Obs.counter "simplex_revised.pivots" in
@@ -1063,7 +1063,7 @@ let g_r2c2 () =
    in its first escalation step, with the reference engine's optimum. *)
 let test_dense_unperturbed_drift_retry () =
   let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let module Resilience = Bufsize_resilience.Resilience in
   let _, ctmdp = g_r2c2 () in
   let retries = Obs.counter "simplex.retries" in
@@ -1072,16 +1072,16 @@ let test_dense_unperturbed_drift_retry () =
   let outcome, diag =
     Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.solve_diag ctmdp)
   in
-  Alcotest.(check int) "rows" 120 (Bufsize_numeric.Lp.num_constraints (Lp_formulation.model ctmdp));
+  Alcotest.(check int) "rows" 120 (Bufsize_verify.Lp.num_constraints (Lp_formulation.model ctmdp));
   Alcotest.(check int) "unperturbed retry and its drift retry" 2 (Obs.counter_value retries - r0);
   Alcotest.(check bool) "first step answers" true (Resilience.is_ok diag);
   match (outcome, Bufsize_verify.Simplex_revised.solve_lp (Lp_formulation.model ctmdp)) with
-  | Some (Lp_formulation.Optimal d), Bufsize_numeric.Lp.Optimal r ->
+  | Some (Lp_formulation.Optimal d), Bufsize_verify.Lp.Optimal r ->
       Alcotest.(check string) "reference optimum" "0.000118253849196"
-        (Printf.sprintf "%.12g" r.Bufsize_numeric.Lp.objective);
+        (Printf.sprintf "%.12g" r.Bufsize_verify.Lp.objective);
       Alcotest.(check bool) "dense gain = reference" true
-        (Float.abs (d.Lp_formulation.gain -. r.Bufsize_numeric.Lp.objective)
-        <= 1e-9 *. r.Bufsize_numeric.Lp.objective)
+        (Float.abs (d.Lp_formulation.gain -. r.Bufsize_verify.Lp.objective)
+        <= 1e-9 *. r.Bufsize_verify.Lp.objective)
   | _ -> Alcotest.fail "shared-pool LP not optimal"
 
 (* The g_r2c2 shared pool bounded at its static occupancy, as
@@ -1089,13 +1089,13 @@ let test_dense_unperturbed_drift_retry () =
    answers it with the joint LP's gain and dual, at most one randomized
    state and no fallback. *)
 let test_damq_pool_price_vs_lp () =
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let module Constrained = Bufsize_mdp.Constrained in
   let module Kswitching = Bufsize_mdp.Kswitching in
   let static, shared = g_r2c2 () in
   let used =
     match Constrained.solve_price [| Bus_model.ctmdp static |] with
-    | Some (Lp_formulation.Joint_optimal j), _, _ -> j.Lp_formulation.shared_extras.(0)
+    | Some (Constrained.Optimal a), _, _ -> a.Constrained.total_usage
     | _ -> Alcotest.fail "static solve failed"
   in
   let bound = used +. (1e-6 *. (1. +. Float.abs used)) in
@@ -1105,16 +1105,16 @@ let test_damq_pool_price_vs_lp () =
     | _ -> Alcotest.fail "joint LP not optimal"
   in
   match Constrained.solve_price ~bound [| shared |] with
-  | Some (Lp_formulation.Joint_optimal j), diag, _ ->
+  | Some (Constrained.Optimal a), diag, _ ->
       Alcotest.(check bool) "no fallback" true (Bufsize_resilience.Resilience.is_ok diag);
-      let price = -.j.Lp_formulation.shared_duals.(0) in
+      let price = a.Constrained.price in
       Alcotest.(check bool) "the bound binds" true (price > 0.);
       let gain = lp.Lp_formulation.total_gain in
-      Alcotest.(check (float (1e-9 *. gain))) "gain = LP gain" gain j.Lp_formulation.total_gain;
+      Alcotest.(check (float (1e-9 *. gain))) "gain = LP gain" gain a.Constrained.total_gain;
       Alcotest.(check (float 1e-8)) "price = LP dual" (-.lp.Lp_formulation.shared_duals.(0)) price;
       let k =
         Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 shared
-          j.Lp_formulation.components.(0).Lp_formulation.occupation
+          a.Constrained.components.(0).Constrained.occupation
       in
       Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
   | _ -> Alcotest.fail "price solve failed"
@@ -1128,7 +1128,7 @@ let test_damq_pool_price_vs_lp () =
 let test_sizing_finish_after_dual_cleanup () =
   let _, traffic = Fig1.create () in
   let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let retries = Obs.counter "simplex.retries" and solves = Obs.counter "lp.solves" in
   let config =
     { (Sizing.default_config ~budget:40) with Sizing.max_states = 64; solver = Sizing.Separate }
@@ -1183,7 +1183,7 @@ let quantile_levels model policy =
    and every client's quantile level — what the allocation is made of —
    is the LP's. *)
 let test_netproc_price_vs_lp () =
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let module Constrained = Bufsize_mdp.Constrained in
   let module Kswitching = Bufsize_mdp.Kswitching in
   let _, traffic = Netproc.create () in
@@ -1206,15 +1206,15 @@ let test_netproc_price_vs_lp () =
       in
       let priced, diag =
         match Constrained.solve_price ~bound ctmdps with
-        | Some (Lp_formulation.Joint_optimal j), diag, _ -> (j, diag)
+        | Some (Constrained.Optimal a), diag, _ -> (a, diag)
         | _ -> Alcotest.fail (name "price solve failed")
       in
       Alcotest.(check bool) (name "no fallback") true (Bufsize_resilience.Resilience.is_ok diag);
-      let gain = priced.Lp_formulation.total_gain in
+      let gain = priced.Constrained.total_gain in
       Alcotest.(check (float 1e-10)) (name "gain") expected_gain gain;
       Alcotest.(check (float (1e-9 *. (1. +. gain)))) (name "gain = LP gain")
         lp.Lp_formulation.total_gain gain;
-      let price = -.priced.Lp_formulation.shared_duals.(0) in
+      let price = priced.Constrained.price in
       Alcotest.(check (float 1e-7)) (name "price") expected_price price;
       Alcotest.(check (float 1e-8)) (name "price = LP dual")
         (-.lp.Lp_formulation.shared_duals.(0)) price;
@@ -1223,17 +1223,17 @@ let test_netproc_price_vs_lp () =
           (Array.mapi
              (fun i m ->
                (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
-                  priced.Lp_formulation.components.(i).Lp_formulation.occupation)
+                  priced.Constrained.components.(i).Constrained.occupation)
                  .Kswitching.num_randomized)
              ctmdps)
       in
       Alcotest.(check bool) (name "at most one randomized state") true (randomized <= 1);
       Array.iteri
         (fun i model ->
-          let levels (j : Lp_formulation.joint_solved) =
-            quantile_levels model j.Lp_formulation.components.(i).Lp_formulation.policy
-          in
-          Alcotest.(check (array int)) (name "quantile levels = LP's") (levels lp) (levels priced))
+          let levels policy = quantile_levels model policy in
+          Alcotest.(check (array int)) (name "quantile levels = LP's")
+            (levels lp.Lp_formulation.components.(i).Lp_formulation.policy)
+            (levels priced.Constrained.components.(i).Constrained.policy))
         models)
     [ (0.6, 7.1069936544, 0.); (0.25, 7.70995290312, 0.8639137) ]
 
@@ -1284,7 +1284,6 @@ let test_compare_sharing_damq_le_static () =
    taken for it, and one with a mix. *)
 let test_compare_sharing_reuses_run () =
   let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
   let module Constrained = Bufsize_mdp.Constrained in
   let module Solve_cache = Bufsize_numeric.Solve_cache in
   let factorizations = Obs.counter "policy_iteration.factorizations" in
@@ -1296,7 +1295,7 @@ let test_compare_sharing_reuses_run () =
   in
   let unconstrained ctmdp =
     match Constrained.solve_price [| ctmdp |] with
-    | Some (Lp_formulation.Joint_optimal j), _, _ -> j.Lp_formulation.components.(0)
+    | Some (Constrained.Optimal a), _, _ -> a.Constrained.components.(0)
     | _ -> Alcotest.fail "unconstrained solve failed"
   in
   let delay ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss) in
@@ -1318,7 +1317,7 @@ let test_compare_sharing_reuses_run () =
           acc +. !e)
         0.
         (Bus_model.occupancy_distribution s.Sizing.model
-           (Policy.stationary (Bus_model.ctmdp s.Sizing.model) st.Lp_formulation.policy))
+           (Policy.stationary (Bus_model.ctmdp s.Sizing.model) st.Constrained.policy))
     in
     let pool =
       Bus_model.Shared.build ~weights:config.Sizing.client_weight
@@ -1330,9 +1329,9 @@ let test_compare_sharing_reuses_run () =
     let d = unconstrained (Bus_model.Shared.ctmdp pool) in
     let damq_en =
       Bus_model.Shared.expected_total pool
-        (Policy.stationary (Bus_model.Shared.ctmdp pool) d.Lp_formulation.policy)
+        (Policy.stationary (Bus_model.Shared.ctmdp pool) d.Constrained.policy)
     in
-    let static_loss = st.Lp_formulation.gain and damq_loss = d.Lp_formulation.gain in
+    let static_loss = st.Constrained.gain and damq_loss = d.Constrained.gain in
     ( sub.Splitting.bus,
       List.map bits
         [
@@ -1396,7 +1395,7 @@ let test_compare_sharing_reuses_run () =
    fresh solve of the randomized chain, counted on [ctmc.residual]. *)
 let test_carried_pi_is_fresh () =
   let module Obs = Bufsize_obs.Obs in
-  let module Lp_formulation = Bufsize_mdp.Lp_formulation in
+  let module Constrained = Bufsize_mdp.Constrained in
   let module Ctmc = Bufsize_prob.Ctmc in
   let module Solve_cache = Bufsize_numeric.Solve_cache in
   let residual = Obs.histogram "ctmc.residual" in
@@ -1410,18 +1409,18 @@ let test_carried_pi_is_fresh () =
       (fun i (s : Sizing.subsystem_solution) ->
         let what w = Printf.sprintf "%s block %d: %s" name i w in
         let m = Bus_model.ctmdp s.Sizing.model and answer = s.Sizing.solved in
-        let fresh = Ctmc.stationary (Policy.induced_ctmc m answer.Lp_formulation.policy) in
-        (match answer.Lp_formulation.stationary with
+        let fresh = Ctmc.stationary (Policy.induced_ctmc m answer.Constrained.policy) in
+        (match answer.Constrained.stationary with
         | Some pi ->
             Alcotest.(check (array int64)) (what "carried π = fresh") (bits fresh) (bits pi)
         | None ->
             incr mixed;
             Alcotest.(check bool) (what "only a mixed answer carries no π") false
-              (Policy.is_deterministic ~tol:0. answer.Lp_formulation.policy);
+              (Policy.is_deterministic ~tol:0. answer.Constrained.policy);
             Obs.enable_metrics ();
             let r0 = residuals () in
             let pi =
-              Fun.protect ~finally:Obs.disable (fun () -> Lp_formulation.stationary m answer)
+              Fun.protect ~finally:Obs.disable (fun () -> Constrained.stationary m answer)
             in
             Alcotest.(check int) (what "a mixed answer is solved afresh") 1 (residuals () - r0);
             Alcotest.(check (array int64)) (what "its π") (bits fresh) (bits pi));
@@ -1498,6 +1497,100 @@ let test_sizing_rejects_bad_config () =
     (Invalid_argument "budget 0 words is below the 10 buffers to size (each needs at least one word)")
     (fun () -> ignore (Sizing.run (Sizing.default_config ~budget:0) traffic))
 
+(* The paper's "small" two-bus example, as the CLI's [-a small] builds
+   it. *)
+let small_spec =
+  "bus west rate 3.0\nbus east rate 3.0\nproc A on west\nproc B on west\nproc C on east\n\
+   proc D on east\nbridge br west east\nflow A -> C rate 1.3\nflow B -> A rate 0.8\n\
+   flow C -> D rate 1.1\nflow D -> B rate 0.7\n"
+
+(* Both bus builders are work-conserving: every action of a non-empty
+   state serves a client.  So the empty state is reached under every
+   policy, and every policy of every built model is unichain — on the
+   built-in architectures, the 2x2 DAMQ mesh and generated specs, static
+   and shared-pool alike, at the state caps the CLI, the daemon and the
+   benchmarks use.  Returns the number of models checked. *)
+let check_bus_models_unichain what traffic =
+  let checked = ref 0 in
+  let check kind m empty =
+    incr checked;
+    if not (Bufsize_mdp.Ctmdp.reached_under_every_policy m empty) then
+      Alcotest.failf "%s: %s model not reached from empty under every policy" what kind
+  in
+  List.iter
+    (fun max_states ->
+      Array.iter
+        (fun (sub : Splitting.subsystem) ->
+          match Bus_model.build ~max_states sub with
+          | exception Invalid_argument _ -> ()
+          | model -> (
+              let loaded = Array.length (Bus_model.loaded_clients model) in
+              check "static" (Bus_model.ctmdp model) (Bus_model.encode model (Array.make loaded 0));
+              let static_levels =
+                Array.map (fun c -> c.Bus_model.levels) (Bus_model.clients model)
+              in
+              match
+                Bus_model.Shared.build ~static_levels ~max_states:(Int.max 512 (4 * max_states))
+                  ~capacity:(Bus_model.total_levels model) sub
+              with
+              | exception Invalid_argument _ -> ()
+              | pool ->
+                  let n = Bus_model.Shared.num_states pool in
+                  let empty =
+                    List.find
+                      (fun i -> Array.for_all (( = ) 0) (Bus_model.Shared.state pool i))
+                      (List.init n Fun.id)
+                  in
+                  check "shared-pool" (Bus_model.Shared.ctmdp pool) empty))
+        (Splitting.split traffic).Splitting.subsystems)
+    [ 6; 24; 40; 64; 96 ];
+  !checked
+
+let test_bus_models_unichain () =
+  List.iter
+    (fun (what, traffic) ->
+      Alcotest.(check bool) (what ^ ": models built") true (check_bus_models_unichain what traffic > 0))
+    [
+      ("fig1", snd (Fig1.create ()));
+      ("amba", snd (Bufsize_soc.Amba.create ()));
+      ("netproc", snd (Netproc.create ()));
+      ("small", Test_specs.traffic small_spec);
+      ("2x2 damq mesh", Test_specs.traffic (mesh_spec 2));
+    ];
+  let arb_check name arb =
+    QCheck.Test.check_exn
+      (QCheck.Test.make ~count:40 ~name arb (fun (seed, text) ->
+           match Spec_parser.parse text with
+           | Error e -> QCheck.Test.fail_reportf "generated spec does not parse: %s" e
+           | Ok (_, traffic) ->
+               ignore (check_bus_models_unichain (Printf.sprintf "%s seed %d" name seed) traffic);
+               true))
+  in
+  arb_check "generated specs" Bufsize_verify_qcheck.Verify_arbitrary.spec_text;
+  arb_check "generated grids" Bufsize_verify_qcheck.Verify_arbitrary.topo_spec_text
+
+(* A bound no policy can meet: the bounded solve answers nothing, and
+   [Sizing.run] answers through its unbounded retry — the unconstrained
+   optimum, bit for bit what a slack bound gives, with the bound marked
+   inactive at price 0 and the [unconstrained] fallback in the joint
+   diagnostic. *)
+let test_sizing_unbounded_retry () =
+  let module Resilience = Bufsize_resilience.Resilience in
+  let _, traffic = Fig1.create () in
+  let config kappa =
+    { (Sizing.default_config ~budget:32) with Sizing.max_states = 24; occupancy_fraction = kappa }
+  in
+  let r = Sizing.run (config 1e-6) traffic and slack = Sizing.run (config 1.) traffic in
+  Alcotest.(check bool) "bound inactive" false r.Sizing.budget_bound_active;
+  Alcotest.(check (float 0.)) "price 0" 0. r.Sizing.bound_price;
+  Alcotest.(check string) "unconstrained optimum"
+    (Printf.sprintf "%h" slack.Sizing.predicted_loss_rate)
+    (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
+  let joint = List.assoc "joint" r.Sizing.health in
+  Alcotest.(check (list string)) "fallback named" [ "unconstrained" ] joint.Resilience.fallbacks;
+  Alcotest.(check bool) "degraded" true
+    (match joint.Resilience.status with Resilience.Degraded _ -> true | _ -> false)
+
 let () =
   Alcotest.run "soc"
     [
@@ -1538,6 +1631,8 @@ let () =
           Alcotest.test_case "shared never worse than static" `Quick
             test_shared_never_worse_than_static;
           Alcotest.test_case "shared capacity guard" `Quick test_shared_capacity_guard;
+          Alcotest.test_case "empty state reached under every policy" `Quick
+            test_bus_models_unichain;
         ] );
       ( "allocation",
         [
@@ -1601,6 +1696,8 @@ let () =
           Alcotest.test_case "budget monotonicity" `Quick test_sizing_more_budget_less_loss;
           Alcotest.test_case "weighted losses" `Quick test_sizing_weighted_losses;
           Alcotest.test_case "config validation" `Quick test_sizing_rejects_bad_config;
+          Alcotest.test_case "infeasible bound: unbounded retry" `Quick
+            test_sizing_unbounded_retry;
           Alcotest.test_case "compare_sharing: damq <= static on meshes" `Quick
             test_compare_sharing_damq_le_static;
           Alcotest.test_case "compare_sharing: reuses run's solves, bitwise" `Quick

@@ -7,7 +7,7 @@
 module Mat = Bufsize_numeric.Mat
 module Sparse = Bufsize_numeric.Sparse
 module Krylov = Bufsize_numeric.Krylov
-module Lp = Bufsize_numeric.Lp
+module Lp = Bufsize_verify.Lp
 module Simplex_revised = Bufsize_verify.Simplex_revised
 module Ctmc = Bufsize_prob.Ctmc
 module Rng = Bufsize_prob.Rng
@@ -254,11 +254,11 @@ let test_sparse_lowering_matches_dense () =
         !ok
       in
       Array.for_all increasing s.Simplex_revised.scols
-      && s.Simplex_revised.snrows = d.Bufsize_numeric.Simplex.nrows
-      && s.Simplex_revised.sncols = d.Bufsize_numeric.Simplex.ncols
-      && s.Simplex_revised.sb = d.Bufsize_numeric.Simplex.b
-      && s.Simplex_revised.sc = d.Bufsize_numeric.Simplex.c
-      && dense_of_sparse_std s = d.Bufsize_numeric.Simplex.a)
+      && s.Simplex_revised.snrows = d.Bufsize_verify.Simplex.nrows
+      && s.Simplex_revised.sncols = d.Bufsize_verify.Simplex.ncols
+      && s.Simplex_revised.sb = d.Bufsize_verify.Simplex.b
+      && s.Simplex_revised.sc = d.Bufsize_verify.Simplex.c
+      && dense_of_sparse_std s = d.Bufsize_verify.Simplex.a)
 
 (* The per-row Hashtbl accumulation [Sparse.of_triplets] used before its
    counting pass and stable sort, kept as the reference: (row_ptr,

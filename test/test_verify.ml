@@ -9,7 +9,7 @@ module Traffic = Bufsize_soc.Traffic
 module Splitting = Bufsize_soc.Splitting
 module Spec_parser = Bufsize_soc.Spec_parser
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Lp = Bufsize_numeric.Lp
+module Lp = Bufsize_verify.Lp
 module Gen_model = Bufsize_verify.Gen_model
 module Oracle = Bufsize_verify.Oracle
 module Oracles = Bufsize_verify.Oracles
@@ -49,12 +49,12 @@ let test_gen_spec_text_parses () =
 let test_gen_ctmdp_valid () =
   qcheck "ctmdp validity" Arb.ctmdp_case (fun (_, case) ->
       let m = Gen_model.ctmdp_of_case case in
-      (* The mandatory cycle edge makes the union graph strongly
-         connected, so the unichain heuristic must accept every
-         generated instance. *)
+      (* The mandatory cycle edge s -> s+1 is on every action, so state 0
+         is reached under every policy: every generated instance is
+         unichain. *)
       Ctmdp.num_states m = case.Gen_model.num_states
       && Ctmdp.num_extras m = 1
-      && Ctmdp.is_unichain_heuristic m)
+      && Ctmdp.reached_under_every_policy m 0)
 
 let test_gen_lp_builds () =
   qcheck "lp builds and solves" Arb.lp_case (fun (_, case) ->
