@@ -185,14 +185,15 @@ let size_cmd =
       r.B.Sizing.solutions;
     if health then Format.printf "@.%a@." B.Resilience.pp_health r.B.Sizing.health;
     if health_json then
-      (* The health report plus this process's sizing-cache counters
-         (cache.sizing.* in the metrics registry mirrors them). *)
+      (* The health report, whether this solve was a cache hit, and this
+         process's sizing-cache counters (cache.sizing.* in the metrics
+         registry mirrors them). *)
       Format.printf "@.%s@."
         (B.Json.encode
            (B.Json.Obj
               [
                 ("health", B.Resilience.health_json r.B.Sizing.health);
-                ("solver_stats", B.Serve.solver_stats_json ());
+                ("solver_stats", B.Serve.solver_stats_json r);
               ]))
   in
   let doc = "Run the CTMDP buffer sizing and print the allocation." in

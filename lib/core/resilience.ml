@@ -200,13 +200,15 @@ let escalate ~solver ?(budget = unlimited) steps =
   in
   let run_step s budget = Obs.span ~name:(stem ^ ":" ^ s.step_name) (fun () -> s.run budget) in
   let no_meta = meta () in
-  let rec go steps ~first_reject ~best ~fallbacks =
+  (* The first step is the normal path: it does not count as a
+     fallback, so an immediate Accept yields a pristine diagnostic. *)
+  let rec go steps ~first ~first_reject ~best ~fallbacks =
     match steps with
     | [] -> (
         match best with
         | Some (v, m, note) -> finish (Degraded note) (Some v) m fallbacks
         | None ->
-            let reason = Option.value ~default:"no steps" first_reject in
+            let reason = Option.value ~default:"empty escalation chain" first_reject in
             finish (Failed reason) None no_meta fallbacks)
     | s :: rest ->
         if exhausted budget then begin
@@ -227,6 +229,7 @@ let escalate ~solver ?(budget = unlimited) steps =
             | o -> o
             | exception e -> Reject (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e))
           in
+          let fallbacks = if first then fallbacks else s.step_name :: fallbacks in
           match outcome with
           | Accept (v, m) ->
               let status =
@@ -234,40 +237,21 @@ let escalate ~solver ?(budget = unlimited) steps =
                 | None -> Ok
                 | Some why -> Degraded (Printf.sprintf "fell back to %s (%s)" s.step_name why)
               in
-              finish status (Some v) m (s.step_name :: fallbacks)
+              finish status (Some v) m fallbacks
           | Partial (v, m, note) ->
               let best =
                 match best with Some _ -> best | None -> Some (v, m, note)
               in
-              go rest
+              go rest ~first:false
                 ~first_reject:(Some (Option.value ~default:note first_reject))
-                ~best
-                ~fallbacks:(s.step_name :: fallbacks)
+                ~best ~fallbacks
           | Reject why ->
-              go rest
+              go rest ~first:false
                 ~first_reject:(Some (Option.value ~default:why first_reject))
-                ~best
-                ~fallbacks:(s.step_name :: fallbacks)
+                ~best ~fallbacks
         end
   in
-  match steps with
-  | [] -> finish (Failed "empty escalation chain") None no_meta []
-  | first :: rest -> (
-      (* The first step is the normal path: it does not count as a
-         fallback, so an immediate Accept yields a pristine diagnostic. *)
-      if exhausted budget then
-        go steps ~first_reject:None ~best:None ~fallbacks:[]
-      else
-        let outcome =
-          match run_step first budget with
-          | o -> o
-          | exception e -> Reject (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e))
-        in
-        match outcome with
-        | Accept (v, m) -> finish Ok (Some v) m []
-        | Partial (v, m, note) ->
-            go rest ~first_reject:(Some note) ~best:(Some (v, m, note)) ~fallbacks:[]
-        | Reject why -> go rest ~first_reject:(Some why) ~best:None ~fallbacks:[])
+  go steps ~first:true ~first_reject:None ~best:None ~fallbacks:[]
 
 (* ------------------------------------------------------------- health *)
 

@@ -2,10 +2,10 @@
 
     A [Solve_cache.t] is a small mutex-guarded LRU map from a {e canonical
     key} (an injective encoding of everything the cached computation
-    depends on) to a previously computed result.  Keys are first reduced
-    to a 64-bit FNV-1a hash for cheap bucketing; the full key is kept
-    alongside the value and compared on lookup, so hash collisions can
-    never alias two different problems.
+    depends on) to a previously computed result.  The table is keyed by
+    the key string itself ([Hashtbl.hash] reads all of it, and lookup
+    compares whole keys), so two different problems can never share an
+    entry.
 
     A key is an opaque byte string, not text.  The sizing cache's key is
     binary: every float is its IEEE bit pattern
@@ -36,8 +36,6 @@ val create : ?capacity:int -> string -> 'a t
     ([cache.<name>.hits] / [cache.<name>.misses] in the
     {!Bufsize_obs.Obs} metrics registry). *)
 
-val name : 'a t -> string
-
 val find : 'a t -> string -> 'a option
 (** Lookup by canonical key; refreshes the entry's recency on a hit.
     Always [None] (and counts nothing) when caching is disabled. *)
@@ -65,6 +63,3 @@ val set_enabled : bool -> unit
 val clear_all : unit -> unit
 (** {!clear} every cache created so far — tests and the warm-cold oracle
     use this to separate cold from warm solves in one process. *)
-
-val fnv1a : string -> int64
-(** The 64-bit FNV-1a hash used for key bucketing (exposed for tests). *)

@@ -1,12 +1,15 @@
 (* Telemetry core.  Three design rules govern everything here:
 
-   1. The disabled path costs one atomic load and a branch — [span] and
-      the metric mutators may sit inside simplex pivots, SpMV, and the
-      DES event loop.  The disabled path must also not allocate (the
-      test suite asserts this with a Gc.minor_words delta).
-   2. Recording never synchronizes across domains on the hot path: span
-      buffers are domain-local (Domain.DLS), metric shards are striped
-      atomics indexed by domain id.  Readers merge; writers never wait.
+   1. The disabled path costs one atomic load and a branch, and does not
+      allocate (the test suite asserts this with a Gc.minor_words
+      delta), so a disabled [span] or metric write costs nothing
+      measurable wherever it sits.
+   2. Storage is sized to its traffic.  Spans are many per request, so
+      their buffers are domain-local (Domain.DLS) and a recording domain
+      never waits.  Every production metric write is once per solve,
+      run, replication or request, so a counter is one atomic, a
+      histogram one record under its own mutex, and the flight ring one
+      array under one mutex.
    3. Telemetry only observes.  Nothing in the numeric pipeline may
       read a value produced here, so results are bitwise-identical with
       tracing on or off. *)
@@ -266,17 +269,11 @@ let with_capture ?(max_spans = 4096) f =
 
 (* ------------------------------------------------------------ metrics *)
 
-(* Shards are striped by domain id: merging sums every stripe, so any
-   interleaving or assignment of increments to stripes yields the same
-   totals (the qcheck suite checks permutation-independence through
-   [Internal]).  32 stripes keeps contention negligible even when domain
-   ids collide modulo the stripe count. *)
-let stripes = 32
-
-let stripe_of_self () = (Domain.self () :> int) land (stripes - 1)
-
-type counter = { c_name : string; c_shards : int Atomic.t array }
-type gauge = { g_name : string; g_bits : int64 Atomic.t }
+(* Every production write is once per solve, run, replication or
+   request, so a metric is one cell: a counter is one atomic, a
+   histogram one record under its own mutex.  A snapshot therefore reads
+   a count, sum and buckets that agree with each other. *)
+type counter = { c_name : string; c_value : int Atomic.t }
 
 type histogram_snapshot = {
   h_count : int;
@@ -295,22 +292,20 @@ let bucket_bounds = [| 1e-12; 1e-10; 1e-8; 1e-6; 1e-4; 1e-2; 1.; 1e2; 1e4 |]
 let latency_ms_bounds =
   [| 0.05; 0.1; 0.2; 0.5; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000. |]
 
-type hshard = {
-  hs_count : int Atomic.t;
-  hs_sum : int64 Atomic.t;  (* float bits, CAS-updated *)
-  hs_min : int64 Atomic.t;
-  hs_max : int64 Atomic.t;
-  hs_buckets : int Atomic.t array;
+type histogram = {
+  h_name : string;
+  h_bounds : float array;
+  h_lock : Mutex.t;
+  mutable h_n : int;
+  mutable h_total : float;
+  mutable h_lo : float;
+  mutable h_hi : float;
+  h_counts : int array;
 }
 
-type histogram = { h_name : string; h_bounds : float array; h_shards : hshard array }
+type metric = MCounter of counter | MHistogram of histogram
 
-type metric = MCounter of counter | MGauge of gauge | MHistogram of histogram
-
-let metric_name = function
-  | MCounter c -> c.c_name
-  | MGauge g -> g.g_name
-  | MHistogram h -> h.h_name
+let metric_name = function MCounter c -> c.c_name | MHistogram h -> h.h_name
 
 let metrics_m = Mutex.create ()
 let metrics : metric list ref = ref []  (* reverse registration order *)
@@ -337,22 +332,8 @@ let register name make same =
 
 let counter name =
   register name
-    (fun () -> MCounter { c_name = name; c_shards = Array.init stripes (fun _ -> Atomic.make 0) })
-    (function MCounter c -> Some c | _ -> None)
-
-let gauge name =
-  register name
-    (fun () -> MGauge { g_name = name; g_bits = Atomic.make (Int64.bits_of_float Float.nan) })
-    (function MGauge g -> Some g | _ -> None)
-
-let new_hshard nbuckets =
-  {
-    hs_count = Atomic.make 0;
-    hs_sum = Atomic.make (Int64.bits_of_float 0.);
-    hs_min = Atomic.make (Int64.bits_of_float Float.infinity);
-    hs_max = Atomic.make (Int64.bits_of_float Float.neg_infinity);
-    hs_buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-  }
+    (fun () -> MCounter { c_name = name; c_value = Atomic.make 0 })
+    (function MCounter c -> Some c | MHistogram _ -> None)
 
 let histogram_with_bounds name bounds =
   let n = Array.length bounds in
@@ -367,76 +348,62 @@ let histogram_with_bounds name bounds =
         {
           h_name = name;
           h_bounds = Array.copy bounds;
-          h_shards = Array.init stripes (fun _ -> new_hshard (n + 1));
+          h_lock = Mutex.create ();
+          h_n = 0;
+          h_total = 0.;
+          h_lo = Float.infinity;
+          h_hi = Float.neg_infinity;
+          h_counts = Array.make (n + 1) 0;
         })
     (function
       | MHistogram h ->
           if h.h_bounds = bounds then Some h
           else invalid_arg (Printf.sprintf "Obs: histogram %S registered with other bounds" name)
-      | _ -> None)
+      | MCounter _ -> None)
 
 let histogram name = histogram_with_bounds name bucket_bounds
 
-let add c n =
-  if Atomic.get metrics_on then
-    ignore (Atomic.fetch_and_add c.c_shards.(stripe_of_self ()) n)
+let add c n = if Atomic.get metrics_on then ignore (Atomic.fetch_and_add c.c_value n)
 
 let incr c = add c 1
-
-let set_gauge g v = if Atomic.get metrics_on then Atomic.set g.g_bits (Int64.bits_of_float v)
-
-(* Boxed int64 atomics compare by physical equality in compare_and_set,
-   so the read-modify-CAS loop below is the standard lock-free float
-   accumulate. *)
-let rec cas_float_update a f =
-  let old = Atomic.get a in
-  let nv = Int64.bits_of_float (f (Int64.float_of_bits old)) in
-  if not (Atomic.compare_and_set a old nv) then cas_float_update a f
 
 let bucket_of bounds v =
   let rec go i = if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
   go 0
 
-let observe_shard ~bounds hs v =
-  ignore (Atomic.fetch_and_add hs.hs_count 1);
-  cas_float_update hs.hs_sum (fun s -> s +. v);
-  cas_float_update hs.hs_min (fun m -> Float.min m v);
-  cas_float_update hs.hs_max (fun m -> Float.max m v);
-  ignore (Atomic.fetch_and_add hs.hs_buckets.(bucket_of bounds v) 1)
-
-let observe h v =
-  if Atomic.get metrics_on then
-    observe_shard ~bounds:h.h_bounds h.h_shards.(stripe_of_self ()) v
-
 (* The serve layer's latency histograms must fill even when the global
    metrics switch is off (the daemon's own introspection must not
    require enabling process-wide instrumentation overhead), so it
-   observes through this ungated variant. *)
-let observe_always h v = observe_shard ~bounds:h.h_bounds h.h_shards.(stripe_of_self ()) v
+   observes through this ungated variant.  Nothing between lock and
+   unlock can raise. *)
+let observe_always h v =
+  let b = bucket_of h.h_bounds v in
+  Mutex.lock h.h_lock;
+  h.h_n <- h.h_n + 1;
+  h.h_total <- h.h_total +. v;
+  h.h_lo <- Float.min h.h_lo v;
+  h.h_hi <- Float.max h.h_hi v;
+  h.h_counts.(b) <- h.h_counts.(b) + 1;
+  Mutex.unlock h.h_lock
 
-let counter_value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_shards
-let gauge_value g = Int64.float_of_bits (Atomic.get g.g_bits)
+let observe h v = if Atomic.get metrics_on then observe_always h v
+
+let counter_value c = Atomic.get c.c_value
 
 let histogram_value h =
-  let count = ref 0 and sum = ref 0. in
-  let mn = ref Float.infinity and mx = ref Float.neg_infinity in
-  let buckets = Array.make (Array.length h.h_bounds + 1) 0 in
-  Array.iter
-    (fun hs ->
-      count := !count + Atomic.get hs.hs_count;
-      sum := !sum +. Int64.float_of_bits (Atomic.get hs.hs_sum);
-      mn := Float.min !mn (Int64.float_of_bits (Atomic.get hs.hs_min));
-      mx := Float.max !mx (Int64.float_of_bits (Atomic.get hs.hs_max));
-      Array.iteri (fun i b -> buckets.(i) <- buckets.(i) + Atomic.get b) hs.hs_buckets)
-    h.h_shards;
-  {
-    h_count = !count;
-    h_sum = !sum;
-    h_min = !mn;
-    h_max = !mx;
-    h_bounds = h.h_bounds;
-    h_buckets = buckets;
-  }
+  Mutex.lock h.h_lock;
+  let s =
+    {
+      h_count = h.h_n;
+      h_sum = h.h_total;
+      h_min = h.h_lo;
+      h_max = h.h_hi;
+      h_bounds = h.h_bounds;
+      h_buckets = Array.copy h.h_counts;
+    }
+  in
+  Mutex.unlock h.h_lock;
+  s
 
 (* Quantile estimation from bucket counts.  The rank of q over n samples
    is ceil(q*n) (clamped to [1,n]), the same definition a sorted-sample
@@ -465,10 +432,7 @@ let quantile (s : histogram_snapshot) q =
     else lo +. (frac *. (hi -. lo))
   end
 
-type metric_value =
-  | Counter of string * int
-  | Gauge of string * float
-  | Histogram of string * histogram_snapshot
+type metric_value = Counter of string * int | Histogram of string * histogram_snapshot
 
 let metrics_snapshot () =
   Mutex.lock metrics_m;
@@ -477,7 +441,6 @@ let metrics_snapshot () =
   List.map
     (function
       | MCounter c -> Counter (c.c_name, counter_value c)
-      | MGauge g -> Gauge (g.g_name, gauge_value g)
       | MHistogram h -> Histogram (h.h_name, histogram_value h))
     ms
   (* Synthesized from the span buffers rather than bumped on the span
@@ -499,17 +462,15 @@ let reset () =
   Mutex.lock metrics_m;
   List.iter
     (function
-      | MCounter c -> Array.iter (fun a -> Atomic.set a 0) c.c_shards
-      | MGauge g -> Atomic.set g.g_bits (Int64.bits_of_float Float.nan)
+      | MCounter c -> Atomic.set c.c_value 0
       | MHistogram h ->
-          Array.iter
-            (fun hs ->
-              Atomic.set hs.hs_count 0;
-              Atomic.set hs.hs_sum (Int64.bits_of_float 0.);
-              Atomic.set hs.hs_min (Int64.bits_of_float Float.infinity);
-              Atomic.set hs.hs_max (Int64.bits_of_float Float.neg_infinity);
-              Array.iter (fun b -> Atomic.set b 0) hs.hs_buckets)
-            h.h_shards)
+          Mutex.lock h.h_lock;
+          h.h_n <- 0;
+          h.h_total <- 0.;
+          h.h_lo <- Float.infinity;
+          h.h_hi <- Float.neg_infinity;
+          Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+          Mutex.unlock h.h_lock)
     !metrics;
   Mutex.unlock metrics_m;
   if Atomic.get spans_on then Atomic.set epoch_ns (now_ns ())
@@ -627,7 +588,6 @@ let metric_json_line m =
     (Json.Obj
        (match m with
        | Counter (n, v) -> head "counter" n @ [ ("value", Json.Num (float_of_int v)) ]
-       | Gauge (n, v) -> head "gauge" n @ [ ("value", Json.Num v) ]
        | Histogram (n, h) -> head "histogram" n @ histogram_fields h []))
 
 let write_jsonl path =
@@ -653,7 +613,6 @@ let metrics_tree ?(gc = current_gc ()) snapshot =
     [
       ( "counters",
         section (function Counter (n, v) -> Some (n, Json.Num (float_of_int v)) | _ -> None) );
-      ("gauges", section (function Gauge (n, v) -> Some (n, Json.Num v) | _ -> None));
       ( "histograms",
         section (function
           | Histogram (n, h) ->
@@ -678,8 +637,7 @@ let metrics_json () = Json.encode (metrics_tree (metrics_snapshot ()))
 
 (* Text exposition format 0.0.4.  Metric names keep only [a-zA-Z0-9_:];
    counters gain the conventional _total suffix, histograms emit
-   cumulative le-buckets plus _sum/_count, unset gauges (NaN) are
-   skipped.  Floats print with the shortest representation that parses
+   cumulative le-buckets plus _sum/_count.  Floats print with the shortest representation that parses
    back to the same value, so [le="0.05"] rather than 17 digits while a
    scraper still sees the exact bucket edges the estimator used. *)
 let prometheus_float f =
@@ -703,11 +661,6 @@ let metrics_prometheus () =
       | Counter (n, v) ->
           let n = prometheus_name n ^ "_total" in
           out "# TYPE %s counter\n%s %d\n" n n v
-      | Gauge (n, v) ->
-          if Float.is_finite v then begin
-            let n = prometheus_name n in
-            out "# TYPE %s gauge\n%s %s\n" n n (prometheus_float v)
-          end
       | Histogram (n, h) ->
           let n = prometheus_name n in
           out "# TYPE %s histogram\n" n;
@@ -732,9 +685,6 @@ let pp_summary ppf () =
     (fun m ->
       match m with
       | Counter (n, v) -> Format.fprintf ppf "  %-32s %d@," n v
-      | Gauge (n, v) ->
-          if Float.is_finite v then Format.fprintf ppf "  %-32s %g@," n v
-          else Format.fprintf ppf "  %-32s (unset)@," n
       | Histogram (n, h) ->
           if h.h_count = 0 then Format.fprintf ppf "  %-32s (empty)@," n
           else
@@ -795,75 +745,34 @@ let init_from_env () =
 
 (* ----------------------------------------------------------- ring *)
 
-(* A lock-free bounded ring of recent records, striped by domain id like
-   the metric shards.  Each push claims a globally unique sequence
-   number and a per-stripe slot with fetch_and_add; the slot write is a
-   single immutable-pointer store, so concurrent writers (and readers)
-   can never observe a torn record — at worst a lapped slot holds the
-   newer of two records.  Every stripe retains its own last [capacity]
-   records, which is a superset of the newest [capacity] records
-   overall, so [snapshot]'s tail is exact. *)
+(* A bounded ring of recent records: one slot array and a push count
+   under one mutex.  Its writers push once per request, so the lock is
+   never contended for long, and [tail] is exactly the newest
+   [capacity] records. *)
 module Ring = struct
-  type 'a cell = { r_seq : int; r_v : 'a }
-
-  type 'a stripe_state = { r_next : int Atomic.t; r_slots : 'a cell option array }
-
-  type 'a t = { r_cap : int; r_seq : int Atomic.t; r_stripes : 'a stripe_state array }
+  type 'a t = { lock : Mutex.t; slots : 'a option array; mutable count : int }
 
   let create ~capacity =
     if capacity < 1 then invalid_arg "Obs.Ring.create: capacity must be >= 1";
-    {
-      r_cap = capacity;
-      r_seq = Atomic.make 0;
-      r_stripes =
-        Array.init stripes (fun _ ->
-            { r_next = Atomic.make 0; r_slots = Array.make capacity None });
-    }
-
-  let capacity t = t.r_cap
+    { lock = Mutex.create (); slots = Array.make capacity None; count = 0 }
 
   let push t v =
-    let st = t.r_stripes.(stripe_of_self ()) in
-    let seq = Atomic.fetch_and_add t.r_seq 1 in
-    let slot = Atomic.fetch_and_add st.r_next 1 mod t.r_cap in
-    st.r_slots.(slot) <- Some { r_seq = seq; r_v = v }
+    Mutex.lock t.lock;
+    t.slots.(t.count mod Array.length t.slots) <- Some v;
+    t.count <- t.count + 1;
+    Mutex.unlock t.lock
 
-  let pushed t = Atomic.get t.r_seq
+  let pushed t =
+    Mutex.lock t.lock;
+    let n = t.count in
+    Mutex.unlock t.lock;
+    n
 
-  (* All retained records across every stripe, oldest first. *)
-  let snapshot t =
-    let cells = ref [] in
-    Array.iter
-      (fun st ->
-        Array.iter (function None -> () | Some c -> cells := c :: !cells) st.r_slots)
-      t.r_stripes;
-    List.map
-      (fun c -> c.r_v)
-      (List.sort (fun (a : _ cell) (b : _ cell) -> compare a.r_seq b.r_seq) !cells)
-
-  (* The newest [capacity] records overall, oldest first. *)
   let tail t =
-    let all = snapshot t in
-    let n = List.length all in
-    if n <= t.r_cap then all
-    else List.filteri (fun i _ -> i >= n - t.r_cap) all
-
-  let clear t =
-    Array.iter
-      (fun st ->
-        Atomic.set st.r_next 0;
-        Array.fill st.r_slots 0 (Array.length st.r_slots) None)
-      t.r_stripes
-end
-
-(* -------------------------------------------------------- test hooks *)
-
-module Internal = struct
-  let stripes = stripes
-
-  let counter_add_on_stripe c ~stripe n =
-    ignore (Atomic.fetch_and_add c.c_shards.(stripe land (stripes - 1)) n)
-
-  let observe_on_stripe h ~stripe v =
-    observe_shard ~bounds:h.h_bounds h.h_shards.(stripe land (stripes - 1)) v
+    Mutex.lock t.lock;
+    let cap = Array.length t.slots in
+    let n = Int.min t.count cap in
+    let held = List.init n (fun i -> t.slots.((t.count - n + i) mod cap)) in
+    Mutex.unlock t.lock;
+    List.filter_map Fun.id held
 end

@@ -1,12 +1,13 @@
 (** End-to-end telemetry for the solve & simulate pipeline: hierarchical
-    spans with monotonic-clock timing, a registry of named metrics with
-    per-domain shards, and Chrome-trace / JSONL / console exporters.
+    spans with monotonic-clock timing, a registry of named counters and
+    histograms, and Chrome-trace / JSONL / console exporters.
 
     Everything is off by default.  The disabled fast path of {!span} and
-    the metric mutators is a single atomic load and branch, so
-    instrumentation can sit inside hot loops (simplex pivots, SpMV, the
-    DES event loop) without measurable cost.  No numeric result may ever
-    depend on whether telemetry is enabled: the layer only observes. *)
+    the metric mutators is a single atomic load and branch, and does not
+    allocate.  Metrics are written once per solve, run, replication or
+    request, so each is one cell: a counter one atomic, a histogram one
+    record under its own mutex.  No numeric result may ever depend on
+    whether telemetry is enabled: the layer only observes. *)
 
 (* ------------------------------------------------------------ enabling *)
 
@@ -20,7 +21,7 @@ val enable_metrics : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Clear every recorded span and zero every metric shard.  Call only
+(** Clear every recorded span and zero every metric.  Call only
     when no other domain is recording (between runs, in tests, between
     benchmark repetitions). *)
 
@@ -100,13 +101,10 @@ val with_capture : ?max_spans:int -> (unit -> 'a) -> 'a * span_record list * int
 (* ------------------------------------------------------------ metrics *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
 (** Register (or look up) a named monotonic counter.  Idempotent. *)
-
-val gauge : string -> gauge
 
 val histogram : string -> histogram
 (** A histogram over the default decade buckets ({!bucket_bounds}). *)
@@ -119,7 +117,6 @@ val histogram_with_bounds : string -> float array -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set_gauge : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 val observe_always : histogram -> float -> unit
@@ -128,9 +125,7 @@ val observe_always : histogram -> float -> unit
     work without enabling process-wide instrumentation. *)
 
 val counter_value : counter -> int
-(** Sum across all shards; reads are always allowed, even when disabled. *)
-
-val gauge_value : gauge -> float
+(** Reads are always allowed, even when disabled. *)
 
 type histogram_snapshot = {
   h_count : int;
@@ -142,6 +137,7 @@ type histogram_snapshot = {
 }
 
 val histogram_value : histogram -> histogram_snapshot
+(** One consistent reading: the buckets sum to the count. *)
 
 val quantile : histogram_snapshot -> float -> float
 (** [quantile s q] estimates the [q]-quantile (rank ceil(q*count)) from
@@ -157,14 +153,11 @@ val latency_ms_bounds : float array
 (** A 1-2-5 log series from 0.05 ms to 10 s — the fixed log-bucket
     layout for request-latency histograms. *)
 
-type metric_value =
-  | Counter of string * int
-  | Gauge of string * float
-  | Histogram of string * histogram_snapshot
+type metric_value = Counter of string * int | Histogram of string * histogram_snapshot
 
 val metrics_snapshot : unit -> metric_value list
-(** Every registered metric merged across shards, in registration order,
-    plus a synthesized [obs.spans.dropped] counter. *)
+(** Every registered metric, in registration order, plus a synthesized
+    [obs.spans.dropped] counter. *)
 
 (* ---------------------------------------------------------- exporters *)
 
@@ -177,8 +170,7 @@ val write_jsonl : string -> unit
     dropped-span count. *)
 
 val metrics_tree : ?gc:Gc.stat -> metric_value list -> Bufsize_json.Json.t
-(** The metrics object of a snapshot: counters, gauges (unset = [null]),
-    histograms (with p50/p95/p99 and bucket layout) and a GC snapshot
+(** The metrics object of a snapshot: counters, histograms (with p50/p95/p99 and bucket layout) and a GC snapshot
     ([gc]).  The default snapshot is [Gc.quick_stat] with its word counts
     brought up to date without a collection: on OCaml 5 [quick_stat] adds
     the running domain's allocation only at a minor collection, so a run
@@ -193,8 +185,7 @@ val metrics_json : unit -> string
 
 val metrics_prometheus : unit -> string
 (** Prometheus text exposition (format 0.0.4) of every registered
-    metric: counters as [name_total], gauges (unset/NaN skipped),
-    histograms as cumulative [le]-buckets plus [_sum]/[_count].  Names
+    metric: counters as [name_total], histograms as cumulative [le]-buckets plus [_sum]/[_count].  Names
     are sanitized to [[a-zA-Z0-9_:]]. *)
 
 val pp_summary : Format.formatter -> unit -> unit
@@ -215,46 +206,21 @@ val init_from_env : unit -> unit
 
 (* ------------------------------------------------------------- ring *)
 
-(** A lock-free bounded ring of recent records, striped by domain id —
-    the storage behind the serve layer's flight recorder.  Writers never
-    wait: a push is two fetch-and-adds plus one immutable-pointer store,
-    so records are never torn and readers may snapshot concurrently.
-    Each stripe retains its own newest [capacity] records; {!tail} is
-    therefore exactly the newest [capacity] records overall. *)
+(** A bounded ring of recent records — the storage behind the serve
+    layer's flight recorder: one slot array and a push count under one
+    mutex, safe to push and read from any domain. *)
 module Ring : sig
   type 'a t
 
   val create : capacity:int -> 'a t
   (** @raise Invalid_argument when [capacity < 1]. *)
 
-  val capacity : 'a t -> int
-
   val push : 'a t -> 'a -> unit
-  (** Record [v], evicting the oldest record of this domain's stripe
-      when it is full.  Lock-free, safe from any domain. *)
+  (** Record [v], overwriting the oldest record when the ring is full. *)
 
   val pushed : 'a t -> int
   (** Total records ever pushed (not the retained count). *)
 
-  val snapshot : 'a t -> 'a list
-  (** Every retained record, oldest first.  Safe during pushes; at most
-      [stripes * capacity] records. *)
-
   val tail : 'a t -> 'a list
-  (** The newest [capacity] records overall, oldest first. *)
-
-  val clear : 'a t -> unit
-  (** Not linearizable against concurrent pushes — quiescent use only. *)
-end
-
-(* -------------------------------------------------------- test hooks *)
-
-module Internal : sig
-  val stripes : int
-
-  val counter_add_on_stripe : counter -> stripe:int -> int -> unit
-  (** Bypass the domain-id stripe choice — lets tests drive increments
-      onto chosen shards to check merge-order independence. *)
-
-  val observe_on_stripe : histogram -> stripe:int -> float -> unit
+  (** Exactly the newest [min pushed capacity] records, oldest first. *)
 end

@@ -67,7 +67,7 @@ type reply =
   | Reply_degraded of string * (string * Json.t) list
   | Reply_error of { kind : error_kind; message : string; retry_after_ms : float option }
 
-type handler = deadline:Resilience.budget -> Json.t -> reply
+type handler = Json.t -> reply
 
 let ops : (string, handler) Hashtbl.t = Hashtbl.create 16
 let ops_mutex = Mutex.create ()
@@ -144,12 +144,16 @@ let sizing_core_json traffic (r : Sizing.result) =
       ("budget_bound_active", Json.Bool r.Sizing.budget_bound_active);
     ]
 
-let solver_stats_json () =
+let solver_stats_json (r : Sizing.result) =
   let sz_hits, sz_misses = Sizing.cache_stats () in
   let pair h m =
     Json.Obj [ ("hits", Json.Num (float_of_int h)); ("misses", Json.Num (float_of_int m)) ]
   in
-  Json.Obj [ ("sizing_cache", pair sz_hits sz_misses) ]
+  Json.Obj
+    [
+      ("cache", Json.Str (if r.Sizing.cache_hit then "hit" else "miss"));
+      ("sizing_cache", pair sz_hits sz_misses);
+    ]
 
 (* -------------------------------------------------------- built-in ops *)
 
@@ -173,7 +177,7 @@ let degradation_reason health =
   | Some r -> r
   | None -> "degraded"
 
-let size_handler ~deadline:_ req =
+let size_handler req =
   match arch_of_request req with
   | Error e -> bad_request e
   | Ok (_, traffic) ->
@@ -186,13 +190,13 @@ let size_handler ~deadline:_ req =
         [
           ("result", sizing_core_json traffic r);
           ("health", Resilience.health_json r.Sizing.health);
-          ("solver_stats", solver_stats_json ());
+          ("solver_stats", solver_stats_json r);
         ]
       in
       if Resilience.health_ok r.Sizing.health then Reply_ok fields
       else Reply_degraded (degradation_reason r.Sizing.health, fields)
 
-let simulate_handler ~deadline:_ req =
+let simulate_handler req =
   match arch_of_request req with
   | Error e -> bad_request e
   | Ok (_, traffic) ->
@@ -230,7 +234,7 @@ let simulate_handler ~deadline:_ req =
           ("horizon", Json.Num report.M.horizon);
         ]
 
-let kron_handler ~deadline:_ req =
+let kron_handler req =
   guard @@ fun () ->
   let num name default = Option.value ~default (Json.mem_number name req) in
   let int_field name default = Option.value ~default (Json.mem_int name req) in
@@ -268,17 +272,13 @@ let kron_handler ~deadline:_ req =
   if j.S.converged then Reply_ok fields
   else Reply_degraded ("stationary solve did not converge within the sweep cap", fields)
 
-(* The full Obs metrics registry — counters, gauges, and the per-op
-   latency histograms with their p50/p95/p99 — as JSON, or as Prometheus
-   text exposition when the request sets ["prometheus": true] (or
-   ["format": "prometheus"]).  A worker op on purpose: the export walks
-   every metric shard, which has no business on the IO domain. *)
-let metrics_handler ~deadline:_ req =
-  let prometheus =
-    (match Json.member "prometheus" req with Some (Json.Bool b) -> b | _ -> false)
-    || Json.mem_string "format" req = Some "prometheus"
-  in
-  if prometheus then
+(* The full Obs metrics registry — counters and the per-op latency
+   histograms with their p50/p95/p99 — as JSON, or as Prometheus text
+   exposition when the request sets ["prometheus": true].  A worker op on
+   purpose: the export walks every metric, which has no business on the
+   IO domain. *)
+let metrics_handler req =
+  if Json.member "prometheus" req = Some (Json.Bool true) then
     Reply_ok
       [
         ("content_type", Json.Str "text/plain; version=0.0.4");
@@ -296,8 +296,7 @@ let () =
 
 (* One completed request, as remembered by the flight recorder: enough
    for a postmortem (who, what, how long, how it ended) without
-   always-on tracing.  Immutable, so ring slots are single pointer
-   stores and records can never be torn. *)
+   always-on tracing. *)
 type flight_record = {
   fr_rid : int;  (* server-assigned request id *)
   fr_op : string;
@@ -583,8 +582,7 @@ let flight_reply t =
       ("records", Json.List (List.map flight_record_json (flight_records t)));
     ]
 
-(* Merge every domain's ring stripe and write the newest [flight_cap]
-   records as JSONL, newest snapshot replacing the previous dump.
+(* Write the ring's newest [flight_cap] records as JSONL, newest snapshot replacing the previous dump.
    Called on internal_error (from the failing worker), on SIGUSR1 (via
    the CLI), and manually; must never throw into a worker. *)
 let dump_flight t =
@@ -716,7 +714,7 @@ let run_work t w =
     else
       match
         Resilience.with_ambient_budget w.w_deadline (fun () ->
-            w.w_handler ~deadline:w.w_deadline w.w_req)
+            w.w_handler w.w_req)
       with
       | r -> r
       | exception e ->

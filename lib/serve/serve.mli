@@ -58,15 +58,14 @@
 
     {2 Flight recorder}
 
-    A lock-free per-domain ring ({!Bufsize_obs.Obs.Ring}) remembers the
-    last [flight_cap] completed request records (id, op, outcome,
+    A ring ({!Bufsize_obs.Obs.Ring}) remembers exactly the last
+    [flight_cap] completed request records (id, op, outcome,
     queue/service latencies, telemetry span id, diagnostic note).  The
-    merged ring is dumped as JSONL to [<socket>.flight.jsonl] on any
+    ring is dumped as JSONL to [<socket>.flight.jsonl] on any
     [internal_error] reply and by {!dump_flight} (the CLI calls it on
     SIGUSR1), and is served live by the [flight] op. *)
 
 module Json := Bufsize_json.Json
-module Resilience := Bufsize_resilience.Resilience
 
 (** {1 Configuration} *)
 
@@ -99,10 +98,12 @@ type reply =
       (** best-known answer plus the degradation reason *)
   | Reply_error of { kind : error_kind; message : string; retry_after_ms : float option }
 
-type handler = deadline:Resilience.budget -> Json.t -> reply
-(** Runs on a worker domain with [deadline] already installed as the
-    ambient solve budget; exceptions become [internal_error] replies
-    (or [degraded] when the deadline expired mid-flight). *)
+type handler = Json.t -> reply
+(** Runs on a worker domain with the request's deadline already
+    installed as the ambient solve budget
+    ({!Bufsize_resilience.Resilience.current_budget}); exceptions become
+    [internal_error] replies (or [degraded] when the deadline expired
+    mid-flight). *)
 
 val register_op : string -> handler -> unit
 (** Add a worker op, replacing any earlier one of that name — how tests
@@ -170,6 +171,8 @@ val sizing_core_json : Bufsize_soc.Traffic.t -> Bufsize_soc.Sizing.result -> Jso
     was active.  Health is deliberately excluded — it carries wall-clock
     times. *)
 
-val solver_stats_json : unit -> Json.t
-(** The process-wide sizing-cache counters, shaped like the
-    [solver_stats] object of the CLI's [--health-json]. *)
+val solver_stats_json : Bufsize_soc.Sizing.result -> Json.t
+(** Whether this result was a sizing-cache hit (["cache"]: ["hit"] or
+    ["miss"]) and the process-wide sizing-cache counters — the
+    [solver_stats] object of [size] replies and the CLI's
+    [--health-json]. *)

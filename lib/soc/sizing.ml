@@ -50,6 +50,7 @@ type result = {
   budget_bound_active : bool;
   bound_price : float;
   health : Resilience.health;
+  cache_hit : bool;
 }
 
 (* Demote a diagnostic after a recovery the chain itself could not see
@@ -393,8 +394,9 @@ let solve ?measured_rates config traffic =
     | Damq -> Topology.shared_buffer (Traffic.topology traffic)
   in
   let key = cache_key config ~shared subsystems in
+  let cached = Solve_cache.find cache key in
   let payload =
-    match Solve_cache.find cache key with
+    match cached with
     | Some p -> p
     | None ->
         let models =
@@ -459,6 +461,15 @@ let solve ?measured_rates config traffic =
           Solve_cache.add cache key payload;
         payload
   in
+  (* A hit ran no solver: its replayed diagnostics took no time here and
+     point at no span of this trace. *)
+  let cache_hit = Option.is_some cached in
+  let replayed_health =
+    let h = payload.c_solve_health @ payload.c_damq_health in
+    if cache_hit then
+      List.map (fun (l, d) -> (l, { d with Resilience.wall_ms = 0.; span_id = 0 })) h
+    else h
+  in
   let solutions = payload.c_solutions in
   let all_requirements =
     Array.to_list solutions |> List.concat_map (fun s -> s.requirements)
@@ -499,7 +510,8 @@ let solve ?measured_rates config traffic =
       words_per_level = payload.c_words_per_level;
       budget_bound_active = payload.c_bound_active;
       bound_price = payload.c_bound_price;
-      health = payload.c_solve_health @ payload.c_damq_health @ occupancy_health;
+      health = replayed_health @ occupancy_health;
+      cache_hit;
     },
     payload )
 

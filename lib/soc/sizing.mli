@@ -83,7 +83,10 @@ type result = {
           per-subsystem occupancy-marginal check.  All-[Ok] on the clean
           path; any fallback taken anywhere in the pipeline appears here
           as [Degraded] with its reason — this is what the CLI's
-          [--health] flag prints. *)
+          [--health] flag prints.  On a cache hit the solve diagnostics
+          are the cached solve's, with [wall_ms] 0 and no span. *)
+  cache_hit : bool;
+      (** the solve was replayed from the sizing cache ({!cache_stats}) *)
 }
 
 val run :

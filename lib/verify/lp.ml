@@ -318,13 +318,9 @@ let outcome_finite = function
    Returns [None] (with a [Failed] diagnostic) only when every step
    rejected. *)
 let m_lp_solves = Obs.counter "lp.solves"
-let g_lp_rows = Obs.gauge "lp.rows"
-let g_lp_nnz = Obs.gauge "lp.nnz"
 
 let solve_diag ?eps ?max_iter ?budget t =
   Obs.incr m_lp_solves;
-  Obs.set_gauge g_lp_rows (float_of_int t.nrows);
-  Obs.set_gauge g_lp_nnz (float_of_int t.nterms);
   let attempt ?bland_after ?lex () _budget =
     match solve ?eps ?max_iter ?bland_after ?lex t with
     | exception Simplex.Pivot_cap cap ->

@@ -102,7 +102,7 @@ let block_released = ref false
 let block_started = Atomic.make 0
 
 let () =
-  Serve.register_op "block" (fun ~deadline:_ _ ->
+  Serve.register_op "block" (fun _ ->
       Atomic.incr block_started;
       Mutex.lock block_m;
       while not !block_released do
@@ -110,7 +110,7 @@ let () =
       done;
       Mutex.unlock block_m;
       Serve.Reply_ok [ ("blocked", Json.Bool true) ]);
-  Serve.register_op "boom" (fun ~deadline:_ _ -> failwith "injected test crash")
+  Serve.register_op "boom" (fun _ -> failwith "injected test crash")
 
 let release_blocks () =
   Mutex.lock block_m;
@@ -427,6 +427,43 @@ let test_concurrent_bitwise () =
           Alcotest.(check string) (Printf.sprintf "client %d bitwise" i) expected (result_str reply))
         domains)
 
+(* A cold cache answers miss, then hit, hit, with the same result bytes.
+   A hit ran no solver, so its replayed diagnostics took no time and
+   link to no span. *)
+let test_cache_hit_reported () =
+  Bufsize_numeric.Solve_cache.clear_all ();
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let replies =
+        List.map
+          (fun id -> ok_reply "size" (Serve.request ~socket (size_request ~id)))
+          [ 1; 2; 3 ]
+      in
+      let cache r = Json.mem_string "cache" (Json.member_exn "solver_stats" r) in
+      Alcotest.(check (list (option string)))
+        "miss, hit, hit"
+        [ Some "miss"; Some "hit"; Some "hit" ]
+        (List.map cache replies);
+      let first = result_str (List.hd replies) in
+      List.iter
+        (fun r -> Alcotest.(check string) "same result bytes" first (result_str r))
+        replies;
+      let diagnostics r =
+        match Json.member_exn "diagnostics" (Json.member_exn "health" r) with
+        | Json.List ds -> List.map (Json.member_exn "diagnostic") ds
+        | _ -> Alcotest.fail "health.diagnostics not a list"
+      in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun d ->
+              Alcotest.(check (option (float 0.))) "hit: wall_ms 0" (Some 0.)
+                (Json.mem_number "wall_ms" d);
+              Alcotest.(check string) "hit: no span" "null"
+                (Json.encode (Json.member_exn "span" d)))
+            (diagnostics r))
+        (List.tl replies))
+
 (* ------------------------------------------------- introspection tests *)
 
 let kron_request ~id ?(telemetry = false) () =
@@ -680,6 +717,7 @@ let () =
         [
           Alcotest.test_case "size bitwise vs library" `Quick test_size_bitwise;
           Alcotest.test_case "concurrent clients bitwise" `Quick test_concurrent_bitwise;
+          Alcotest.test_case "cache miss, hit, hit" `Quick test_cache_hit_reported;
         ] );
       ( "robustness",
         [

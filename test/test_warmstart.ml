@@ -149,12 +149,6 @@ let test_doubled_budget_bitwise () =
             (bits cold.Sizing.bound_price) (bits r.Sizing.bound_price))
         [ ("sizing miss", served); ("sizing hit", memo) ])
 
-(* Published 64-bit FNV-1a vectors: the bucket hash is a fixed function. *)
-let test_fnv1a_vectors () =
-  List.iter
-    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a %S" s) h (Solve_cache.fnv1a s))
-    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
-
 (* Hammer one cache from several domains at once.  The invariants: a hit
    never returns a value that disagrees with the key it was stored under,
    the hit/miss counters account for every find exactly once, and
@@ -213,7 +207,6 @@ let () =
           Alcotest.test_case "disabled mode" `Quick test_cache_disabled;
           Alcotest.test_case "2x budget bitwise, no lp lookup" `Quick
             test_doubled_budget_bitwise;
-          Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_vectors;
           Alcotest.test_case "concurrent stress" `Quick test_cache_concurrent_stress;
         ] );
       ( "ctmc-incremental",
