@@ -504,13 +504,13 @@ let write_reply ?(extra = []) conn ~id ~op reply =
     | Json.Obj kvs, extra -> Json.Obj (kvs @ extra)
     | j, _ -> j
   in
-  let line = Json.encode j ^ "\n" in
+  let line = Json.encode_line j in
   Mutex.lock conn.wm;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.wm)
     (fun () ->
       if conn.alive then
-        try write_all conn.fd (Bytes.of_string line) 0 (String.length line)
+        try write_all conn.fd line 0 (Bytes.length line)
         with Unix.Unix_error _ -> conn.alive <- false)
 
 let deadline_of_request t req =
@@ -803,12 +803,17 @@ let worker_loop t =
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let unlink_noerr path = try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()
 
-(* Feed a received chunk through the connection's line framing.  The
-   partial tail lives in conn.rbuf between reads; oversized lines
+(* The first newline in [buf.[start .. stop - 1]], or [stop]. *)
+let rec newline_in buf i stop =
+  if i >= stop || Bytes.unsafe_get buf i = '\n' then i else newline_in buf (i + 1) stop
+
+(* Feed the [nread] bytes just read into [buf] through the connection's
+   line framing.  The partial tail lives in conn.rbuf between reads; a
+   line that arrives whole is copied out of [buf] once.  Oversized lines
    (longer than max_request_bytes without a newline) get one typed reply
    and are discarded up to the next newline, so the connection stays
    usable and the one-reply-per-request invariant holds. *)
-let process_chunk t conn chunk =
+let process_chunk t conn buf nread =
   let oversized () =
     write_reply conn ~id:Json.Null ~op:""
       (Reply_error
@@ -818,32 +823,39 @@ let process_chunk t conn chunk =
            retry_after_ms = None;
          })
   in
-  let data =
-    if Buffer.length conn.rbuf = 0 then chunk
-    else begin
-      let head = Buffer.contents conn.rbuf in
-      Buffer.clear conn.rbuf;
-      head ^ chunk
-    end
-  in
-  let n = String.length data in
   let rec go start =
-    if start < n then
-      match String.index_from_opt data start '\n' with
-      | Some i ->
-          let line = String.sub data start (i - start) in
-          if conn.skipping then conn.skipping <- false
-          else if String.length line > t.cfg.max_request_bytes then oversized ()
-          else if String.trim line <> "" then handle_line t conn line;
-          go (i + 1)
-      | None ->
-          let rest = n - start in
-          if conn.skipping then ()
-          else if rest > t.cfg.max_request_bytes then begin
-            conn.skipping <- true;
-            oversized ()
-          end
-          else Buffer.add_substring conn.rbuf data start rest
+    if start < nread then begin
+      let stop = newline_in buf start nread in
+      let len = stop - start in
+      let pending = Buffer.length conn.rbuf + len in
+      if stop < nread then begin
+        if conn.skipping then conn.skipping <- false
+        else if pending > t.cfg.max_request_bytes then begin
+          Buffer.clear conn.rbuf;
+          oversized ()
+        end
+        else begin
+          let line =
+            if Buffer.length conn.rbuf = 0 then Bytes.sub_string buf start len
+            else begin
+              Buffer.add_subbytes conn.rbuf buf start len;
+              let line = Buffer.contents conn.rbuf in
+              Buffer.clear conn.rbuf;
+              line
+            end
+          in
+          if String.trim line <> "" then handle_line t conn line
+        end;
+        go (stop + 1)
+      end
+      else if conn.skipping then ()
+      else if pending > t.cfg.max_request_bytes then begin
+        Buffer.clear conn.rbuf;
+        conn.skipping <- true;
+        oversized ()
+      end
+      else Buffer.add_subbytes conn.rbuf buf start len
+    end
   in
   go 0
 
@@ -871,7 +883,7 @@ let accept_conns t =
 let read_conn t conn buf =
   match Unix.read conn.fd buf 0 (Bytes.length buf) with
   | 0 -> conn.eof <- true
-  | nread -> process_chunk t conn (Bytes.sub_string buf 0 nread)
+  | nread -> process_chunk t conn buf nread
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ ->
       conn.eof <- true;
@@ -983,8 +995,8 @@ let send_and_receive ~socket req =
           | exception Unix.Unix_error (e, _, _) ->
               Error (Retryable (Printf.sprintf "connect %s: %s" socket (Unix.error_message e)))
           | () -> (
-              let line = Json.encode req ^ "\n" in
-              match write_all fd (Bytes.of_string line) 0 (String.length line) with
+              let line = Json.encode_line req in
+              match write_all fd line 0 (Bytes.length line) with
               | exception Unix.Unix_error (e, _, _) ->
                   Error (Retryable ("send: " ^ Unix.error_message e))
               | () ->

@@ -29,11 +29,12 @@ let lookup t bus client =
 let total t = t.total
 let num_buffers t = Array.length t.entries
 
-let client_keys traffic =
-  List.map (fun (bus, c, r) -> (bus, c, r)) (Traffic.all_clients traffic)
-
 let check_budget traffic ~budget =
-  let buffers = List.length (Traffic.all_clients traffic) in
+  let buffers = ref 0 in
+  for bus = 0 to Topology.num_buses (Traffic.topology traffic) - 1 do
+    buffers := !buffers + List.length (Traffic.clients_of_bus traffic bus)
+  done;
+  let buffers = !buffers in
   if budget < buffers then
     invalid_arg
       (Printf.sprintf "budget %d words is below the %d buffers to size (each needs at least one word)"
@@ -41,7 +42,7 @@ let check_budget traffic ~budget =
 
 let allocate traffic ~budget weights_of =
   check_budget traffic ~budget;
-  let keys = client_keys traffic in
+  let keys = Traffic.all_clients traffic in
   let weights = Array.of_list (List.map weights_of keys) in
   let shares = Apportion.largest_remainder ~minimum:1 ~budget weights in
   let entries =
@@ -53,20 +54,21 @@ let uniform traffic ~budget = allocate traffic ~budget (fun _ -> 1.)
 
 let traffic_proportional traffic ~budget = allocate traffic ~budget (fun (_, _, r) -> r)
 
+(* The first requirement listed for [c] on [bus], or 0. *)
+let rec requirement bus c = function
+  | [] -> 0.
+  | (b, rc, r) :: rest ->
+      if b = bus && Traffic.client_equal rc c then Float.max 0. r else requirement bus c rest
+
 let of_requirements traffic ~budget reqs =
-  let requirement (bus, c, _) =
-    match
-      List.find_opt (fun (b, rc, _) -> b = bus && Traffic.client_equal rc c) reqs
-    with
-    | Some (_, _, r) -> Float.max 0. r
-    | None -> 0.
-  in
   (* Demand-capped apportionment: when the budget covers the modeled
      demands, meet them and spread the surplus proportionally — straight
      proportional division would inflate the largest demands far beyond
      what the model asked for and starve everyone else. *)
-  let keys = client_keys traffic in
-  let demands = Array.of_list (List.map (fun k -> int_of_float (ceil (requirement k))) keys) in
+  let keys = Traffic.all_clients traffic in
+  let demands =
+    Array.of_list (List.map (fun (bus, c, _) -> int_of_float (ceil (requirement bus c reqs))) keys)
+  in
   let shares = Apportion.proportional_caps ~minimum:1 ~budget ~demands () in
   let entries =
     List.mapi (fun i (bus, c, _) -> { bus; client = c; words = shares.(i) }) keys

@@ -111,8 +111,7 @@ let requirements_for model ~words_per_level ~quantile occupancy =
          (sub.Splitting.bus, c.Bus_model.client, demand))
        loaded)
 
-let bus_label model =
-  Printf.sprintf "bus-%d" (Bus_model.subsystem model).Splitting.bus
+let bus_label model = "bus-" ^ string_of_int (Bus_model.subsystem model).Splitting.bus
 
 let unconstrained_note = "occupancy budget bound not honored: solved unconstrained"
 
@@ -258,23 +257,27 @@ let solve_subsystems config models ctmdps =
    (including the [client_weight] closure {e evaluated} on each client —
    closures cannot be compared, their values on the actual inputs can).
    A hit therefore replays exactly what a recompute would produce, and
-   building the key formats no number.  Allocation and the occupancy
-   health check are recomputed fresh on hits: they also depend on the
-   caller's [traffic] value, which the key does not capture.  The price-0 lines and the pool solves are kept so that
-   [compare_sharing] needs no solve of its own. *)
+   building the key formats no number.  The allocation is recomputed
+   fresh on hits: it also depends on the caller's [traffic] value, which
+   the key does not capture.  Everything that depends on the payload
+   alone (the requirements, the occupancy health check and both forms of
+   the health report) is built once with it.  The price-0 lines and the
+   pool solves are kept so that [compare_sharing] needs no solve of its
+   own. *)
 type cached = {
   c_solutions : subsystem_solution array;
   c_words_per_level : float;
   c_bound_active : bool;
   c_bound_price : float;
-  c_solve_health : Resilience.health;
   c_free : Policy_iteration.line option array;
       (* per subsystem: its price-0 line, the unconstrained optimum *)
   c_damq : (damq_pool, string) Stdlib.result option array;
       (* per subsystem: its bounded pool solve, under [Damq] on a router
          marked shared *)
-  c_damq_health : Resilience.health;
   c_predicted_loss_rate : float;
+  c_requirements : (Topology.bus_id * Traffic.client * float) list;
+  c_health : Resilience.health;  (* the solve's own report *)
+  c_hit_health : Resilience.health;  (* the same, as a hit replays it *)
 }
 
 let cache : cached Solve_cache.t = Solve_cache.create ~capacity:16 "sizing"
@@ -356,6 +359,32 @@ let damq_stage config traffic solutions total_gain =
           solutions
       in
       (pools, List.rev !health, total_gain -. !delta)
+
+(* Per-subsystem occupancy health: the stationary marginals feeding the
+   quantile requirements must be finite and normalized — a defect here
+   silently corrupts the allocation, so it is surfaced as Degraded. *)
+let occupancy_health solutions =
+  Array.to_list
+    (Array.map
+       (fun s ->
+         let label = bus_label s.model in
+         let solver = "sizing.occupancy(" ^ label ^ ")" in
+         let bad = ref [] in
+         Array.iteri
+           (fun i dist ->
+             let sum = Array.fold_left ( +. ) 0. dist in
+             if not (Resilience.all_finite dist && Float.abs (sum -. 1.) <= 1e-6) then
+               bad := i :: !bad)
+           s.occupancy;
+         let d =
+           if !bad = [] then Resilience.ok ~solver ()
+           else
+             Resilience.degraded ~solver
+               (Printf.sprintf "invalid occupancy marginal for client(s) %s"
+                  (String.concat "," (List.rev_map string_of_int !bad)))
+         in
+         (label ^ "-occupancy", d))
+       solutions)
 
 (* [run], and the payload that [compare_sharing] reuses. *)
 let solve ?measured_rates config traffic =
@@ -442,17 +471,24 @@ let solve ?measured_rates config traffic =
         let damq, damq_health, predicted_loss_rate =
           damq_stage config traffic solutions total_gain
         in
+        let replayed = solve_health @ damq_health in
+        let occupancy = occupancy_health solutions in
         let payload =
           {
             c_solutions = solutions;
             c_words_per_level = words_per_level;
             c_bound_active = bound_active;
             c_bound_price = bound_price;
-            c_solve_health = solve_health;
             c_free = free;
             c_damq = damq;
-            c_damq_health = damq_health;
             c_predicted_loss_rate = predicted_loss_rate;
+            c_requirements = List.concat_map (fun s -> s.requirements) (Array.to_list solutions);
+            c_health = replayed @ occupancy;
+            (* A hit ran no solver: its replayed diagnostics took no time
+               and point at no span of the hit's trace. *)
+            c_hit_health =
+              List.map (fun (l, d) -> (l, { d with Resilience.wall_ms = 0.; span_id = 0 })) replayed
+              @ occupancy;
           }
         in
         (* Degraded solves may depend on wall-clock budgets; only the
@@ -461,56 +497,20 @@ let solve ?measured_rates config traffic =
           Solve_cache.add cache key payload;
         payload
   in
-  (* A hit ran no solver: its replayed diagnostics took no time here and
-     point at no span of this trace. *)
   let cache_hit = Option.is_some cached in
-  let replayed_health =
-    let h = payload.c_solve_health @ payload.c_damq_health in
-    if cache_hit then
-      List.map (fun (l, d) -> (l, { d with Resilience.wall_ms = 0.; span_id = 0 })) h
-    else h
-  in
-  let solutions = payload.c_solutions in
-  let all_requirements =
-    Array.to_list solutions |> List.concat_map (fun s -> s.requirements)
-  in
-  let allocation = Buffer_alloc.of_requirements traffic ~budget:config.budget all_requirements in
-  (* Per-subsystem occupancy health: the stationary marginals feeding the
-     quantile requirements must be finite and normalized — a defect here
-     silently corrupts the allocation, so it is surfaced as Degraded. *)
-  let occupancy_health =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           let label = bus_label s.model in
-           let solver = Printf.sprintf "sizing.occupancy(%s)" label in
-           let bad = ref [] in
-           Array.iteri
-             (fun i dist ->
-               let sum = Array.fold_left ( +. ) 0. dist in
-               if not (Resilience.all_finite dist && Float.abs (sum -. 1.) <= 1e-6) then
-                 bad := i :: !bad)
-             s.occupancy;
-           let d =
-             if !bad = [] then Resilience.ok ~solver ()
-             else
-               Resilience.degraded ~solver
-                 (Printf.sprintf "invalid occupancy marginal for client(s) %s"
-                    (String.concat "," (List.rev_map string_of_int !bad)))
-           in
-           (label ^ "-occupancy", d))
-         solutions)
+  let allocation =
+    Buffer_alloc.of_requirements traffic ~budget:config.budget payload.c_requirements
   in
   ( {
       config;
       split;
-      solutions;
+      solutions = payload.c_solutions;
       allocation;
       predicted_loss_rate = payload.c_predicted_loss_rate;
       words_per_level = payload.c_words_per_level;
       budget_bound_active = payload.c_bound_active;
       bound_price = payload.c_bound_price;
-      health = replayed_health @ occupancy_health;
+      health = (if cache_hit then payload.c_hit_health else payload.c_health);
       cache_hit;
     },
     payload )

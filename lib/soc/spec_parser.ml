@@ -1,23 +1,26 @@
-(* The words of a line, split at spaces and tabs.  One backward pass
-   conses each word onto the list as its start is found, so the words
-   come out in order with no intermediate lists. *)
-let tokenize line =
-  let rec scan acc i stop =
-    if i < 0 then if stop > 0 then String.sub line 0 stop :: acc else acc
-    else
-      match String.unsafe_get line i with
-      | ' ' | '\t' ->
-          let acc = if stop > i + 1 then String.sub line (i + 1) (stop - i - 1) :: acc else acc in
-          scan acc (i - 1) i
-      | _ -> scan acc (i - 1) stop
-  in
-  let n = String.length line in
-  scan [] (n - 1) n
+(* The words of [line.[start .. stop - 1]], split at spaces and tabs.
+   One backward pass from [i] conses each word onto [acc] as its start is
+   found ([stop] ends the word being read), so the words come out in
+   order with no intermediate lists. *)
+let rec words_rev line start acc i stop =
+  if i < start then if stop > start then String.sub line start (stop - start) :: acc else acc
+  else
+    match String.unsafe_get line i with
+    | ' ' | '\t' ->
+        let acc = if stop > i + 1 then String.sub line (i + 1) (stop - i - 1) :: acc else acc in
+        words_rev line start acc (i - 1) i
+    | _ -> words_rev line start acc (i - 1) stop
 
-let strip_comment line =
-  match String.index_opt line '#' with
-  | Some i -> String.sub line 0 i
-  | None -> line
+let words line start stop = words_rev line start [] (stop - 1) stop
+
+let tokenize line = words line 0 (String.length line)
+
+(* The first index in [start, stop) holding [c], or [stop]. *)
+let rec index_in text c i stop =
+  if i >= stop || String.unsafe_get text i = c then i else index_in text c (i + 1) stop
+
+(* Name tables: string keys hashed and compared as strings. *)
+module Names = Hashtbl.Make (String)
 
 type statement =
   | Bus of string * float
@@ -106,108 +109,100 @@ let parse text =
       (Printf.sprintf "spec of %d bytes exceeds the cap of %d" (String.length text)
          max_input_bytes)
   else begin
-  let lines = String.split_on_char '\n' text in
-  let statements = ref [] in
-  let nstatements = ref 0 in
-  let error = ref None in
-  List.iteri
-    (fun i line ->
-      if !error = None then
-        if String.length line > max_line_bytes then
-          error :=
-            Some
-              (Printf.sprintf "line %d: %d bytes exceeds the cap of %d" (i + 1)
-                 (String.length line) max_line_bytes)
-        else
-          match parse_statement (i + 1) (tokenize (strip_comment line)) with
-          | Ok None -> ()
-          | Ok (Some s) ->
-              incr nstatements;
-              if !nstatements > max_statements then
-                error :=
-                  Some
-                    (Printf.sprintf "line %d: more than %d statements" (i + 1) max_statements)
-              else statements := (i + 1, s) :: !statements
-          | Error e -> error := Some e)
-    lines;
-  match !error with
-  | Some e -> Error e
-  | None -> (
-      let statements = List.rev !statements in
-      let b = Topology.builder () in
-      let buses = Hashtbl.create 8 in
-      let procs = Hashtbl.create 8 in
-      let grid_names = Hashtbl.create 4 in
-      let flows = ref [] in
-      let build () =
-        List.iter
-          (fun (lineno, s) ->
-            match s with
-            | Bus (name, rate) ->
-                if Hashtbl.mem buses name then
-                  failwith (Printf.sprintf "line %d: duplicate bus %S" lineno name);
-                Hashtbl.add buses name (Topology.add_bus b ~service_rate:rate name)
-            | Proc (name, bus) -> (
-                match Hashtbl.find_opt buses bus with
-                | None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus)
-                | Some bus_id ->
-                    if Hashtbl.mem procs name then
-                      failwith (Printf.sprintf "line %d: duplicate processor %S" lineno name);
-                    Hashtbl.add procs name (Topology.add_processor b ~bus:bus_id name))
-            | Bridge (name, bus1, bus2) -> (
-                match (Hashtbl.find_opt buses bus1, Hashtbl.find_opt buses bus2) with
-                | None, _ -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus1)
-                | _, None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus2)
-                | Some x, Some y -> (
-                    try ignore (Topology.add_bridge b ~between:(x, y) name)
-                    with Invalid_argument msg ->
-                      failwith (Printf.sprintf "line %d: %s" lineno msg)))
-            | Grid (kind, name, rows, cols, rate) ->
-                if Hashtbl.mem grid_names name then
-                  failwith (Printf.sprintf "line %d: duplicate grid %S" lineno name);
-                let cells =
-                  try
-                    match kind with
-                    | Topology.Mesh -> Topology.mesh b ~service_rate:rate ~rows ~cols name
-                    | Topology.Torus -> Topology.torus b ~service_rate:rate ~rows ~cols name
-                  with Invalid_argument msg ->
-                    failwith (Printf.sprintf "line %d: %s" lineno msg)
-                in
-                Hashtbl.add grid_names name ();
-                Array.iteri
-                  (fun r row ->
-                    Array.iteri
-                      (fun c id ->
-                        Hashtbl.add buses (Printf.sprintf "%s_r%dc%d" name r c) id)
-                      row)
-                  cells
-            | Shared bus -> (
-                match Hashtbl.find_opt buses bus with
-                | None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus)
-                | Some bus_id -> Topology.mark_shared b bus_id)
-            | Flow (src, dst, rate) -> (
-                match (Hashtbl.find_opt procs src, Hashtbl.find_opt procs dst) with
-                | None, _ -> failwith (Printf.sprintf "line %d: unknown processor %S" lineno src)
-                | _, None -> failwith (Printf.sprintf "line %d: unknown processor %S" lineno dst)
-                | Some s, Some d ->
-                    if s = d then
-                      failwith (Printf.sprintf "line %d: flow from %S to itself" lineno src);
-                    flows := { Traffic.src = s; dst = d; rate } :: !flows))
-          statements;
-        if !flows = [] then failwith "no flows defined: nothing to size";
-        let topo =
-          try Topology.finalize b with Invalid_argument msg -> failwith msg
-        in
-        let traffic =
-          try Traffic.create topo (List.rev !flows)
-          with Invalid_argument msg -> failwith msg
-        in
-        (topo, traffic)
-      in
-      match build () with
-      | result -> Ok result
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error msg)
+    let b = Topology.builder () in
+    let buses = Names.create 8 in
+    let procs = Names.create 8 in
+    let grid_names = Names.create 4 in
+    let flows = ref [] in
+    (* One statement into the topology under construction; raises
+       [Failure] or [Invalid_argument] with the error text. *)
+    let add lineno = function
+      | Bus (name, rate) ->
+          if Names.mem buses name then
+            failwith (Printf.sprintf "line %d: duplicate bus %S" lineno name);
+          Names.add buses name (Topology.add_bus b ~service_rate:rate name)
+      | Proc (name, bus) -> (
+          match Names.find_opt buses bus with
+          | None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus)
+          | Some bus_id ->
+              if Names.mem procs name then
+                failwith (Printf.sprintf "line %d: duplicate processor %S" lineno name);
+              Names.add procs name (Topology.add_processor b ~bus:bus_id name))
+      | Bridge (name, bus1, bus2) -> (
+          match (Names.find_opt buses bus1, Names.find_opt buses bus2) with
+          | None, _ -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus1)
+          | _, None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus2)
+          | Some x, Some y -> (
+              try ignore (Topology.add_bridge b ~between:(x, y) name)
+              with Invalid_argument msg -> failwith (Printf.sprintf "line %d: %s" lineno msg)))
+      | Grid (kind, name, rows, cols, rate) ->
+          if Names.mem grid_names name then
+            failwith (Printf.sprintf "line %d: duplicate grid %S" lineno name);
+          let cells =
+            try
+              match kind with
+              | Topology.Mesh -> Topology.mesh b ~service_rate:rate ~rows ~cols name
+              | Topology.Torus -> Topology.torus b ~service_rate:rate ~rows ~cols name
+            with Invalid_argument msg -> failwith (Printf.sprintf "line %d: %s" lineno msg)
+          in
+          Names.add grid_names name ();
+          Array.iteri
+            (fun r row ->
+              Array.iteri (fun c id -> Names.add buses (Printf.sprintf "%s_r%dc%d" name r c) id) row)
+            cells
+      | Shared bus -> (
+          match Names.find_opt buses bus with
+          | None -> failwith (Printf.sprintf "line %d: unknown bus %S" lineno bus)
+          | Some bus_id -> Topology.mark_shared b bus_id)
+      | Flow (src, dst, rate) -> (
+          match (Names.find_opt procs src, Names.find_opt procs dst) with
+          | None, _ -> failwith (Printf.sprintf "line %d: unknown processor %S" lineno src)
+          | _, None -> failwith (Printf.sprintf "line %d: unknown processor %S" lineno dst)
+          | Some s, Some d ->
+              if s = d then failwith (Printf.sprintf "line %d: flow from %S to itself" lineno src);
+              flows := { Traffic.src = s; dst = d; rate } :: !flows)
+    in
+    (* Statements are built as their lines are read.  The first statement
+       that fails to build stops the building, not the reading: a
+       malformed line anywhere in the text outranks it. *)
+    let build_error = ref None in
+    let n = String.length text in
+    (* One line per pass, from [start] to the next newline; a text ending
+       in a newline has a last, empty line, as [String.split_on_char]
+       would cut it.  The result is the first malformed line's error. *)
+    let rec scan_lines start lineno nstatements =
+      let stop = index_in text '\n' start n in
+      let len = stop - start in
+      if len > max_line_bytes then
+        Some (Printf.sprintf "line %d: %d bytes exceeds the cap of %d" lineno len max_line_bytes)
+      else
+        match parse_statement lineno (words text start (index_in text '#' start stop)) with
+        | Ok None -> next stop lineno nstatements
+        | Ok (Some st) ->
+            if nstatements + 1 > max_statements then
+              Some (Printf.sprintf "line %d: more than %d statements" lineno max_statements)
+            else begin
+              (if !build_error = None then
+                 try add lineno st with Failure msg | Invalid_argument msg -> build_error := Some msg);
+              next stop lineno (nstatements + 1)
+            end
+        | Error e -> Some e
+    and next stop lineno nstatements =
+      if stop < n then scan_lines (stop + 1) (lineno + 1) nstatements else None
+    in
+    match scan_lines 0 1 0 with
+    | Some e -> Error e
+    | None -> (
+        match !build_error with
+        | Some e -> Error e
+        | None when !flows = [] -> Error "no flows defined: nothing to size"
+        | None -> (
+            match
+              let topo = Topology.finalize b in
+              (topo, Traffic.create topo (List.rev !flows))
+            with
+            | result -> Ok result
+            | exception Invalid_argument msg -> Error msg))
   end
 
 let parse_file path =

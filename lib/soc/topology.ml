@@ -26,13 +26,18 @@ type grid = {
   v_bridges : bridge_id array array;
 }
 
+module Names = Hashtbl.Make (String)
+
 type builder = {
-  mutable b_buses : bus list;  (* reversed *)
+  mutable b_buses : bus list;  (* reversed; the ids count them *)
+  mutable b_nbuses : int;
   mutable b_procs : processor list;
+  mutable b_nprocs : int;
   mutable b_bridges : bridge list;
+  mutable b_nbridges : int;
   mutable b_grids : grid list;  (* reversed *)
   mutable b_shared : bus_id list;
-  mutable names : string list;
+  names : unit Names.t;
 }
 
 type t = {
@@ -47,29 +52,40 @@ type t = {
 }
 
 let builder () =
-  { b_buses = []; b_procs = []; b_bridges = []; b_grids = []; b_shared = []; names = [] }
+  {
+    b_buses = [];
+    b_nbuses = 0;
+    b_procs = [];
+    b_nprocs = 0;
+    b_bridges = [];
+    b_nbridges = 0;
+    b_grids = [];
+    b_shared = [];
+    names = Names.create 16;
+  }
 
 let check_name b name =
-  if List.mem name b.names then
+  if Names.mem b.names name then
     invalid_arg (Printf.sprintf "Topology: duplicate name %S" name);
-  b.names <- name :: b.names
+  Names.add b.names name ()
 
 let add_bus b ?(service_rate = 1.0) name =
   if service_rate <= 0. then invalid_arg "Topology.add_bus: nonpositive service rate";
   check_name b name;
-  let id = List.length b.b_buses in
+  let id = b.b_nbuses in
   b.b_buses <- { bus_id = id; bus_name = name; service_rate } :: b.b_buses;
+  b.b_nbuses <- id + 1;
   id
 
 let known_bus b id =
-  if id < 0 || id >= List.length b.b_buses then
-    invalid_arg (Printf.sprintf "Topology: unknown bus %d" id)
+  if id < 0 || id >= b.b_nbuses then invalid_arg (Printf.sprintf "Topology: unknown bus %d" id)
 
 let add_processor b ~bus name =
   known_bus b bus;
   check_name b name;
-  let id = List.length b.b_procs in
+  let id = b.b_nprocs in
   b.b_procs <- { proc_id = id; proc_name = name; home_bus = bus } :: b.b_procs;
+  b.b_nprocs <- id + 1;
   id
 
 let add_bridge b ~between name =
@@ -78,8 +94,9 @@ let add_bridge b ~between name =
   known_bus b y;
   if x = y then invalid_arg "Topology.add_bridge: endpoints coincide";
   check_name b name;
-  let id = List.length b.b_bridges in
+  let id = b.b_nbridges in
   b.b_bridges <- { bridge_id = id; bridge_name = name; endpoints = between } :: b.b_bridges;
+  b.b_nbridges <- id + 1;
   id
 
 let mark_shared b bus =

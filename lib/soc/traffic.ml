@@ -19,10 +19,12 @@ let client_equal a b =
 
 let client_order a b =
   match (a, b) with
-  | Proc_client p, Proc_client q -> compare p q
+  | Proc_client p, Proc_client q -> Int.compare p q
   | Proc_client _, Bridge_client _ -> -1
   | Bridge_client _, Proc_client _ -> 1
-  | Bridge_client x, Bridge_client y -> compare (x.bridge, x.into_bus) (y.bridge, y.into_bus)
+  | Bridge_client x, Bridge_client y ->
+      let c = Int.compare x.bridge y.bridge in
+      if c <> 0 then c else Int.compare x.into_bus y.into_bus
 
 let route_flow topo f =
   if f.rate <= 0. then invalid_arg "Traffic.create: nonpositive flow rate";
@@ -48,33 +50,47 @@ let route_flow topo f =
       in
       first_hop :: follow src_bus bridges_on_path
 
+(* A client's running rate sum on one bus.  One flat float cell, so an
+   addition allocates nothing. *)
+type sum = { client : client; total : float array }
+
+(* Add [rate] to [client]'s sum; false when the bus has no sum for it yet. *)
+let rec bump client rate = function
+  | [] -> false
+  | s :: rest ->
+      if client_equal s.client client then begin
+        s.total.(0) <- s.total.(0) +. rate;
+        true
+      end
+      else bump client rate rest
+
+let rec insert s = function
+  | x :: rest when client_order x.client s.client < 0 -> x :: insert s rest
+  | l -> s :: l
+
+(* Each hop of a flow of [rate] adds it to that client's sum on that bus. *)
+let rec add_hops sums rate = function
+  | [] -> ()
+  | (bus, client) :: rest ->
+      if not (bump client rate sums.(bus)) then
+        sums.(bus) <- insert { client; total = [| rate |] } sums.(bus);
+      add_hops sums rate rest
+
 let create topo flow_list =
   let flow_list = Array.of_list flow_list in
   let flow_hops = Array.map (route_flow topo) flow_list in
   let nb = Topology.num_buses topo in
-  (* Aggregate client arrival rates per bus. *)
-  let tables = Array.init nb (fun _ -> Hashtbl.create 8) in
-  Array.iteri
-    (fun i f ->
-      List.iter
-        (fun (bus, client) ->
-          let tbl = tables.(bus) in
-          let prev = Option.value ~default:0. (Hashtbl.find_opt tbl client) in
-          Hashtbl.replace tbl client (prev +. f.rate))
-        flow_hops.(i))
-    flow_list;
-  let per_bus =
+  (* Aggregate client arrival rates per bus, each client's in flow order,
+     the clients kept in [client_order].  Every homed processor appears,
+     possibly at rate 0. *)
+  let sums =
     Array.init nb (fun bus ->
-        let tbl = tables.(bus) in
-        (* Ensure every homed processor appears, possibly at rate 0. *)
-        List.iter
-          (fun p ->
-            let c = Proc_client p.Topology.proc_id in
-            if not (Hashtbl.mem tbl c) then Hashtbl.add tbl c 0.)
-          (Topology.processors_on_bus topo bus);
-        Hashtbl.fold (fun c r acc -> (c, r) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> client_order a b))
+        List.map
+          (fun p -> { client = Proc_client p.Topology.proc_id; total = [| 0. |] })
+          (Topology.processors_on_bus topo bus))
   in
+  Array.iteri (fun i f -> add_hops sums f.rate flow_hops.(i)) flow_list;
+  let per_bus = Array.map (List.map (fun s -> (s.client, s.total.(0)))) sums in
   { topo; flow_list; flow_hops; per_bus }
 
 let topology t = t.topo
@@ -104,9 +120,11 @@ let all_clients t =
 let client_label topo = function
   | Proc_client p -> (Topology.processor topo p).Topology.proc_name
   | Bridge_client { bridge; into_bus } ->
-      Printf.sprintf "%s->%s"
-        (Topology.bridge topo bridge).Topology.bridge_name
-        (Topology.bus topo into_bus).Topology.bus_name
+      String.concat "->"
+        [
+          (Topology.bridge topo bridge).Topology.bridge_name;
+          (Topology.bus topo into_bus).Topology.bus_name;
+        ]
 
 let bus_utilization t bus =
   let offered = List.fold_left (fun acc (_, r) -> acc +. r) 0. t.per_bus.(bus) in

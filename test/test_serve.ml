@@ -232,6 +232,184 @@ let test_escape_identity () =
          && Json.encode (Json.Obj [ (s, Json.Null) ])
             = "{\"" ^ escape_reference s ^ "\":null}"))
 
+(* --------------------------------------------------------- strict parse *)
+
+let rejects what text =
+  match Json.parse text with
+  | Ok v -> Alcotest.failf "%s: %S parsed as %s" what text (Json.encode v)
+  | Error _ -> ()
+
+let parses_to what text want =
+  match Json.parse text with
+  | Ok got -> Alcotest.(check string) (Printf.sprintf "%s: %S" what text) (Json.encode want) (Json.encode got)
+  | Error e -> Alcotest.failf "%s: %S rejected: %s" what text e
+
+let bits = Int64.bits_of_float
+
+let test_strict_numbers () =
+  List.iter (rejects "number")
+    [ "+1"; "01"; ".5"; "1."; "-.5"; "-"; "--1"; "00"; "-01"; "1e"; "1e+"; "1.e5"; "0x10";
+      "1_000"; "Infinity"; "-Infinity"; "NaN"; "[01]"; "[1.]"; {|{"a":+1}|}; {|{"a":.5}|} ];
+  List.iter
+    (fun (text, want) ->
+      match Json.parse text with
+      | Ok (Json.Num got) when Int64.equal (bits got) (bits want) -> ()
+      | Ok v -> Alcotest.failf "number %S parsed as %s" text (Json.encode v)
+      | Error e -> Alcotest.failf "number %S rejected: %s" text e)
+    [ ("0", 0.); ("-0", -0.); ("-0.0", -0.); ("7", 7.); ("-12.25E-2", -0.1225); ("1e5", 1e5);
+      ("1E+2", 100.); ("2.5e-3", 2.5e-3); ("999999999999999", 999999999999999.);
+      ("123456789012345678", 123456789012345678.); ("-9007199254740993", -9007199254740993.) ]
+
+let test_strict_hex4 () =
+  List.iter (rejects "\\u escape")
+    [ {|"\u00_1"|}; {|"\u0_41"|}; {|"\u12"|}; {|"\u12G4"|}; {|"\u+041"|}; {|"\u-041"|};
+      {|"\u 041"|}; {|"\u"|}; {|"\u004"|} ];
+  parses_to "\\u escape" {|"\u0041\u004a\u004A"|} (Json.Str "AJJ")
+
+let test_unicode_escapes () =
+  List.iter
+    (fun (text, utf8) ->
+      parses_to "\\u escape" text (Json.Str utf8);
+      (* The decoded bytes need no escape: they re-encode as themselves. *)
+      Alcotest.(check string) "re-encoded" ("\"" ^ utf8 ^ "\"") (Json.encode (Json.Str utf8)))
+    [ ({|"\u00e9"|}, "\xc3\xa9"); ({|"\u00E9"|}, "\xc3\xa9");
+      ({|"\u0080"|}, "\xc2\x80"); ({|"\u07ff"|}, "\xdf\xbf");
+      ({|"\u0800"|}, "\xe0\xa0\x80"); ({|"\u20AC"|}, "\xe2\x82\xac");
+      ({|"\uffff"|}, "\xef\xbf\xbf"); ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\ud800\udc00"|}, "\xf0\x90\x80\x80"); ({|"\udbff\udfff"|}, "\xf4\x8f\xbf\xbf");
+      ({|"a\u00e9b"|}, "a\xc3\xa9b") ]
+
+let test_lone_surrogates () =
+  List.iter (rejects "surrogate")
+    [ {|"\ud800"|}; {|"\udbff"|}; {|"\udc00"|}; {|"\udfff"|}; {|"\ud800A"|};
+      {|"\ud800\u0041"|}; {|"\ud800x"|};
+      {|"\ud800\n"|}; {|"\udbff\udbff"|}; {|"\ude00\ud83d"|} ]
+
+let test_raw_control_bytes () =
+  for c = 0 to 0x1f do
+    rejects "control byte" (Printf.sprintf "\"a%cb\"" (Char.chr c));
+    rejects "control byte in a key" (Printf.sprintf "{\"%c\":1}" (Char.chr c))
+  done;
+  (* DEL and bytes above 0x7f are not control bytes in JSON. *)
+  parses_to "raw bytes" "\"a\x7f\xc3\xa9\xffb\"" (Json.Str "a\x7f\xc3\xa9\xffb")
+
+(* ---------------------------------------------- parse and encode, differential *)
+
+(* Floats compared by bits, so -0 and 0 differ. *)
+let rec same a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (bits x) (bits y)
+  | Json.List l, Json.List m -> List.equal same l m
+  | Json.Obj l, Json.Obj m -> List.equal (fun (k, x) (k', y) -> String.equal k k' && same x y) l m
+  | _ -> a = b
+
+(* Random valid JSON text: whitespace between every token, strings whose
+   escapes (every short form and [\u] below 0x80, which both parsers
+   decode alike) fall at every run boundary, clean runs from 0 bytes to
+   a few hundred, raw bytes above 0x7f, and numbers in every form of the
+   grammar. *)
+let gen_json_text =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; ""; ""; " "; "\n"; "\t "; "\r\n  " ] in
+  let clean_byte =
+    frequency
+      [ (8, char_range 'a' 'z'); (2, char_range ' ' '!'); (2, char_range '#' '[');
+        (2, char_range ']' '~'); (1, char_range '\x7f' '\xff') ]
+  in
+  let run =
+    frequency
+      [ (4, string_size ~gen:clean_byte (int_range 0 9)); (2, string_size ~gen:clean_byte (int_range 7 17));
+        (1, string_size ~gen:clean_byte (int_range 60 400)) ]
+  in
+  let escape =
+    frequency
+      [ (3, oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ]);
+        (2, map (Printf.sprintf "\\u%04x") (int_range 0 0x7f));
+        (1, map (Printf.sprintf "\\u%04X") (int_range 0 0x7f)) ]
+  in
+  let str =
+    map2
+      (fun first pieces -> "\"" ^ first ^ String.concat "" pieces ^ "\"")
+      run
+      (list_size (int_range 0 6) (map2 ( ^ ) escape run))
+  in
+  let number =
+    oneof
+      [ map string_of_int (int_range (-1_000_000) 1_000_000);
+        map string_of_int int;
+        map (Printf.sprintf "%.17g") (float_range (-1e6) 1e6);
+        map
+          (fun b ->
+            let f = Int64.float_of_bits b in
+            Printf.sprintf "%.17g" (if Float.is_finite f then f else 0.5))
+          ui64;
+        oneofl
+          [ "0"; "-0"; "0.0"; "-0.0"; "1e5"; "1E+5"; "2.5e-3"; "-1.25E-07"; "1e400"; "-1e400";
+            "999999999999999"; "1000000000000000"; "123456789012345678901234567890"; "0.1e1" ] ]
+  in
+  let scalar = frequency [ (4, str); (4, number); (1, oneofl [ "true"; "false"; "null" ]) ] in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [ (3, scalar);
+          ( 1,
+            map2
+              (fun items w -> "[" ^ w ^ String.concat ("," ^ w) items ^ w ^ "]")
+              (list_size (int_range 0 5) (map2 ( ^ ) ws (value (depth - 1))))
+              ws );
+          ( 1,
+            map2
+              (fun members w -> "{" ^ w ^ String.concat "," members ^ w ^ "}")
+              (list_size (int_range 0 5)
+                 (map3 (fun k w v -> k ^ w ^ ":" ^ w ^ v) str ws (value (depth - 1))))
+              ws ) ]
+  in
+  map3 (fun a v b -> a ^ v ^ b) ws (value 3) ws
+
+let test_parse_matches_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:3000 ~name:"parse = reference parser on valid JSON"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_json_text)
+       (fun text ->
+         match (Json.parse text, Reference.Json.parse text) with
+         | Ok a, Ok b -> same a b
+         | Error e, _ -> QCheck.Test.fail_reportf "rejected: %s" e
+         | _, Error e -> QCheck.Test.fail_reportf "reference rejected: %s" e))
+
+(* Random trees: strings over all 256 bytes, numbers of every bit
+   pattern (NaN and the infinities included), nesting and empty
+   containers. *)
+let gen_json_tree =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 24) in
+  let num =
+    oneof
+      [ map Int64.float_of_bits ui64; map float_of_int (int_range (-100000) 100000);
+        oneofl [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 1e15; -1e15; 1e15 +. 2. ] ]
+  in
+  let scalar =
+    frequency
+      [ (3, map (fun s -> Json.Str s) str); (3, map (fun f -> Json.Num f) num);
+        (1, oneofl [ Json.Null; Json.Bool true; Json.Bool false ]) ]
+  in
+  let rec tree depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [ (3, scalar); (1, map (fun l -> Json.List l) (list_size (int_range 0 5) (tree (depth - 1))));
+          (1, map (fun l -> Json.Obj l) (list_size (int_range 0 5) (pair str (tree (depth - 1))))) ]
+  in
+  tree 4
+
+let test_encode_matches_reference () =
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:3000 ~name:"encode = reference printer"
+       (QCheck.make ~print:Reference.Json.encode gen_json_tree)
+       (fun v ->
+         let want = Reference.Json.encode v in
+         Json.encode v = want && Bytes.to_string (Json.encode_line v) = want ^ "\n"))
+
 let test_size_bitwise () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
@@ -239,6 +417,51 @@ let test_size_bitwise () =
       Alcotest.(check string) "status ok" "ok" (status reply);
       Alcotest.(check string) "id echoed" "1" (Json.encode (Json.member_exn "id" reply));
       Alcotest.(check string) "bitwise vs direct Sizing.run" (expected_result ()) (result_str reply))
+
+(* The minor words of one warm [size] hit on the perfbench-shaped
+   three-bus spec, in process: the request parse, the spec parse, the
+   cache hit and the encoded reply line.  The same steps took 10,041
+   words per hit before the one-pass codecs and the payload-built health
+   report; the bound is 60% of that. *)
+let warm_hit_word_bound = 6000.
+
+let test_warm_hit_allocation () =
+  let line =
+    Json.encode
+      (Json.Obj
+         [ ("id", Json.Num 1.); ("op", Json.Str "size"); ("spec", Json.Str Test_specs.three_bus);
+           ("budget", Json.Num 64.); ("max_states", Json.Num 40.) ])
+  in
+  let hit () =
+    let req = Json.parse_exn line in
+    let _, traffic =
+      match Spec_parser.parse (Option.get (Json.mem_string "spec" req)) with
+      | Ok a -> a
+      | Error e -> Alcotest.failf "spec: %s" e
+    in
+    let budget = Option.get (Json.mem_int "budget" req) in
+    let max_states = Option.get (Json.mem_int "max_states" req) in
+    let r = Sizing.run { (Sizing.default_config ~budget) with Sizing.max_states } traffic in
+    let reply =
+      Json.Obj
+        [ ("id", Json.member_exn "id" req); ("op", Json.Str "size"); ("status", Json.Str "ok");
+          ("result", Serve.sizing_core_json traffic r);
+          ("health", Bufsize_resilience.Resilience.health_json r.Sizing.health);
+          ("solver_stats", Serve.solver_stats_json r) ]
+    in
+    (r.Sizing.cache_hit, Json.encode_line reply)
+  in
+  ignore (hit ());
+  Alcotest.(check bool) "warmed: a hit" true (fst (hit ()));
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (hit ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > warm_hit_word_bound then
+    Alcotest.failf "a warm hit allocates %.0f minor words, above the bound of %.0f" words
+      warm_hit_word_bound
 
 let test_typed_errors () =
   with_server (fun t ->
@@ -262,6 +485,86 @@ let test_typed_errors () =
           Alcotest.(check string) "oversized kind" "oversized" (error_kind r3);
           Alcotest.(check string) "oversized id null" "null" (Json.encode (Json.member_exn "id" r3))
       | rs -> Alcotest.failf "expected 3 replies, got %d" (List.length rs))
+
+(* Lines that are not JSON by RFC 8259 (but that a lax parser takes)
+   each get a typed bad_request, with a null id; the connection then
+   still serves. *)
+let test_non_json_lines () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let bad =
+        [ {|{"id":1,"op":"size","arch":"fig1","budget":+1}|}; {|{"id":2,"op":"ping","x":01}|};
+          {|{"id":3,"op":"ping","x":.5}|}; {|{"id":4,"op":"ping","x":1.}|};
+          {|{"id":5,"op":"ping","x":"\u00_1"}|}; {|{"id":6,"op":"ping","x":"\ud800"}|};
+          "{\"id\":7,\"op\":\"ping\",\"x\":\"a\001b\"}" ]
+      in
+      let replies = raw_exchange ~socket (bad @ [ {|{"id":8,"op":"ping"}|} ]) (List.length bad + 1) in
+      List.iteri
+        (fun i r ->
+          if i < List.length bad then begin
+            let what = List.nth bad i in
+            Alcotest.(check string) (what ^ ": kind") "bad_request" (error_kind r);
+            Alcotest.(check string) (what ^ ": id") "null" (Json.encode (Json.member_exn "id" r))
+          end
+          else Alcotest.(check string) "ping after" "ok" (status r))
+        replies)
+
+(* Request lines that arrive in pieces: a [size] request cut in three
+   writes, two lines and the head of a third in one write, and an
+   oversized line whose head fits under the cap (one [oversized] reply,
+   the rest of it skipped).  The pauses let the daemon read each piece
+   on its own. *)
+let test_lines_across_reads () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+          let send s =
+            let b = Bytes.of_string s in
+            let rec go off =
+              if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off))
+            in
+            go 0;
+            Unix.sleepf 0.05
+          in
+          let size = Json.encode (size_request ~id:1) in
+          let third = String.length size / 3 in
+          send (String.sub size 0 third);
+          send (String.sub size third third);
+          send (String.sub size (2 * third) (String.length size - (2 * third)) ^ "\n");
+          send "{\"id\":2,\"op\":\"ping\"}\n{\"id\":3,\"op\":\"ping\"}\n{\"id\":4,";
+          send "\"op\":\"ping\"}\n";
+          send ("{\"id\":5,\"pad\":\"" ^ String.make 400 'x');
+          send (String.make 400 'x');
+          send "\"}\n{\"id\":6,\"op\":\"ping\"}\n";
+          let buf = Buffer.create 1024 in
+          let chunk = Bytes.create 4096 in
+          let lines () = List.filter (( <> ) "") (String.split_on_char '\n' (Buffer.contents buf)) in
+          while List.length (lines ()) < 6 do
+            let r = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if r = 0 then Alcotest.fail "connection closed before all replies arrived";
+            Buffer.add_subbytes buf chunk 0 r
+          done;
+          (* Pings are answered inline and the size by a worker, so the
+             replies are matched by id, not by order. *)
+          let replies = List.map Json.parse_exn (lines ()) in
+          let by_id id = List.filter (fun r -> Json.encode (Json.member_exn "id" r) = id) replies in
+          (match by_id "1" with
+          | [ r ] -> Alcotest.(check string) "size in three pieces" (expected_result ()) (result_str r)
+          | _ -> Alcotest.fail "no single reply to the size request");
+          List.iter
+            (fun id ->
+              match by_id id with
+              | [ r ] -> Alcotest.(check string) ("ping " ^ id) "ok" (status r)
+              | _ -> Alcotest.failf "no single reply to ping %s" id)
+            [ "2"; "3"; "4"; "6" ];
+          match by_id "null" with
+          | [ r ] -> Alcotest.(check string) "oversized in pieces" "oversized" (error_kind r)
+          | rs -> Alcotest.failf "expected one oversized reply, got %d" (List.length rs)))
 
 (* A budget below the buffer count is the client's error: bad_request,
    with the message the CLI prints after "error: ". *)
@@ -712,16 +1015,31 @@ let () =
             test_number_encoder_identity;
           Alcotest.test_case "escape byte-identical to the buffer reference" `Quick
             test_escape_identity;
+          Alcotest.test_case "encode = reference printer (property)" `Quick
+            test_encode_matches_reference;
+        ] );
+      ( "parser",
+        [
+          Alcotest.test_case "strict: non-JSON numbers rejected" `Quick test_strict_numbers;
+          Alcotest.test_case "strict: \\u takes four hex digits" `Quick test_strict_hex4;
+          Alcotest.test_case "\\u escapes decode to UTF-8" `Quick test_unicode_escapes;
+          Alcotest.test_case "strict: lone surrogates rejected" `Quick test_lone_surrogates;
+          Alcotest.test_case "strict: raw control bytes rejected" `Quick test_raw_control_bytes;
+          Alcotest.test_case "parse = reference parser (property)" `Quick
+            test_parse_matches_reference;
         ] );
       ( "parity",
         [
           Alcotest.test_case "size bitwise vs library" `Quick test_size_bitwise;
           Alcotest.test_case "concurrent clients bitwise" `Quick test_concurrent_bitwise;
           Alcotest.test_case "cache miss, hit, hit" `Quick test_cache_hit_reported;
+          Alcotest.test_case "warm hit allocation budget" `Quick test_warm_hit_allocation;
         ] );
       ( "robustness",
         [
           Alcotest.test_case "typed errors" `Quick test_typed_errors;
+          Alcotest.test_case "non-JSON lines get bad_request" `Quick test_non_json_lines;
+          Alcotest.test_case "lines split across reads" `Quick test_lines_across_reads;
           Alcotest.test_case "deadline zero" `Quick test_deadline_zero;
           Alcotest.test_case "budget below buffers" `Quick test_budget_below_buffers;
           Alcotest.test_case "kron cross fraction above 1" `Quick test_kron_bad_cross;

@@ -833,7 +833,8 @@ let test_tokenize_identity () =
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:3000 ~name:"tokenize = split-and-filter reference" gen (fun line ->
-         Spec_parser.tokenize line = tokenize_reference line))
+         let words = Spec_parser.tokenize line in
+         words = tokenize_reference line && words = Reference.Spec.tokenize line))
 
 let test_spec_parser_caps () =
   expect_error "exceeds the cap" (String.make ((1 lsl 20) + 1) 'a');
@@ -869,6 +870,136 @@ let test_spec_parser_fuzz () =
        Bufsize_verify_qcheck.Verify_arbitrary.spec_text (fun (seed, text) ->
          let cut = abs seed mod (String.length text + 1) in
          match Spec_parser.parse (String.sub text 0 cut) with Ok _ | Error _ -> true))
+
+(* Random spec texts for the differential tests: mostly valid
+   architectures (buses chained by bridges, at times a mesh or torus with
+   shared buffers, processors, flows), laced with comments, tabs, blank
+   lines, carriage returns and malformed or conflicting lines at random
+   places; a few hit the token, line or grid cap. *)
+let gen_spec_text : string QCheck.Gen.t =
+ fun st ->
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let sep () = pick [| " "; " "; " "; "\t"; "  "; " \t " |] in
+  let comment () = "#" ^ pick [| ""; " note"; " bus x rate 2"; "flow a -> b"; "##" |] in
+  let line words =
+    (if int 8 = 0 then sep () else "")
+    ^ String.concat "" (List.mapi (fun i w -> if i = 0 then w else sep () ^ w) words)
+    ^ (if int 6 = 0 then sep () ^ comment () else "")
+    ^ if int 20 = 0 then "\r" else ""
+  in
+  let rate () = pick [| "1.5"; "2"; "0.75"; "3e0"; "10"; "0.125"; "7.25" |] in
+  let bad_number () = pick [| "0"; "-1"; "abc"; "nan"; "-inf"; "1_0"; "0x1p1"; "1e999"; "+2"; "" |] in
+  let nbus = 1 + int 4 in
+  let bus i = "b" ^ string_of_int i in
+  let grid = match int 4 with 0 -> Some ("mesh", 2, 2) | 1 -> Some ("torus", 1 + int 2, 3) | _ -> None in
+  let cells =
+    match grid with
+    | None -> [||]
+    | Some (_, r, c) -> Array.init (r * c) (fun k -> Printf.sprintf "g_r%dc%d" (k / c) (k mod c))
+  in
+  let homes = Array.append (Array.init nbus bus) cells in
+  let nproc = 2 + int 5 in
+  let stmts =
+    List.init nbus (fun i ->
+        if int 2 = 0 then [ "bus"; bus i ] else [ "bus"; bus i; "rate"; rate () ])
+    @ (match grid with
+      | None -> []
+      | Some (kw, r, c) ->
+          [ [ kw; "g"; "rows"; string_of_int r; "cols"; string_of_int c ]
+            @ if int 2 = 0 then [ "rate"; rate () ] else [] ]
+          @ [ [ "bridge"; "rg"; bus 0; cells.(0) ] ]
+          @ List.init (int 3) (fun _ -> [ "shared_buffer"; pick cells ]))
+    @ List.init (nbus - 1) (fun i -> [ "bridge"; "r" ^ string_of_int i; bus i; bus (i + 1) ])
+    @ List.init nproc (fun i -> [ "proc"; "p" ^ string_of_int i; "on"; pick homes ])
+    @ List.init (1 + int 8) (fun _ ->
+          let a = int nproc in
+          let b = (a + 1 + int (nproc - 1)) mod nproc in
+          [ "flow"; "p" ^ string_of_int a; "->"; "p" ^ string_of_int b; "rate"; rate () ])
+  in
+  let noise () =
+    match int 14 with
+    | 0 -> [ "bus" ]
+    | 1 -> [ "proc"; "p0"; "on" ]
+    | 2 -> [ "flow"; "p0"; "p1"; "rate"; "1" ]
+    | 3 -> [ pick [| "wire"; "Bus"; "->"; "rate" |]; "x" ]
+    | 4 -> [ "bus"; bus (int (nbus + 1)) ]
+    | 5 -> [ "proc"; "p" ^ string_of_int (int (nproc + 1)); "on"; pick [| bus 0; "nowhere" |] ]
+    | 6 -> [ "flow"; "p0"; "->"; "p0"; "rate"; "1" ]
+    | 7 -> [ "flow"; "p1"; "->"; "p9"; "rate"; "1" ]
+    | 8 -> [ "bus"; "z"; "rate"; bad_number () ]
+    | 9 -> [ "flow"; "p0"; "->"; "p1"; "rate"; bad_number () ]
+    | 10 -> [ pick [| "mesh"; "torus" |]; "h"; "rows"; bad_number (); "cols"; "2" ]
+    | 11 -> [ "bridge"; "rx"; bus 0; pick [| bus 0; "nowhere"; bus (nbus - 1) |] ]
+    | 12 -> [ "shared_buffer"; pick [| "nowhere"; bus 0 |] ]
+    | _ -> [ "bus"; "b0"; "rate" ]
+  in
+  let cap () =
+    match int 3 with
+    | 0 -> [ "bus"; String.make (250 + int 20) 't' ]
+    | 1 -> [ "#" ^ String.make (4090 + int 12) 'c' ]
+    | _ -> [ "mesh"; "big"; "rows"; "64"; "cols"; string_of_int (63 + int 3) ]
+  in
+  let lines = Array.of_list (List.map line stmts) in
+  let extra =
+    List.init (if int 3 = 0 then 1 + int 2 else 0) (fun _ -> line (noise ()))
+    @ List.init (if int 40 = 0 then 1 else 0) (fun _ -> line (cap ()))
+    @ List.init (int 3) (fun _ -> pick [| ""; " "; "\t"; comment () |])
+  in
+  let all =
+    List.fold_left
+      (fun acc l ->
+        let k = int (List.length acc + 1) in
+        List.filteri (fun i _ -> i < k) acc @ (l :: List.filteri (fun i _ -> i >= k) acc))
+      (Array.to_list lines) extra
+  in
+  String.concat "\n" all ^ if int 2 = 0 then "\n" else ""
+
+(* Per-bus clients and rates, rates compared by bits. *)
+let same_clients a b =
+  List.equal
+    (fun (c, r) (c', r') ->
+      Traffic.client_equal c c' && Int64.equal (Int64.bits_of_float r) (Int64.bits_of_float r'))
+    a b
+
+let parse_matches_reference text =
+  match (Spec_parser.parse text, Reference.Spec.parse text) with
+  | Ok (topo, traffic), Ok (topo', traffic') ->
+      let printed = Spec_parser.to_string topo traffic in
+      if printed <> Spec_parser.to_string topo' traffic' then
+        QCheck.Test.fail_reportf "printed specs differ:\n%s" printed
+      else if Traffic.flows traffic <> Traffic.flows traffic' then
+        QCheck.Test.fail_reportf "flows differ"
+      else
+        (* The aggregation against [Traffic.create]'s former Hashtbl and
+           sort, over the same routed hops. *)
+        let reference = Reference.Traffic.per_bus topo traffic in
+        Array.for_all Fun.id
+          (Array.mapi (fun bus want -> same_clients want (Traffic.clients_of_bus traffic bus)) reference)
+        || QCheck.Test.fail_reportf "per-bus clients differ from the reference aggregation"
+  | Error e, Error e' -> e = e' || QCheck.Test.fail_reportf "errors differ:\n%s\n%s" e e'
+  | Ok _, Error e -> QCheck.Test.fail_reportf "accepted; the reference says %s" e
+  | Error e, Ok _ -> QCheck.Test.fail_reportf "rejected (%s); the reference accepts" e
+
+let test_spec_parse_matches_reference () =
+  (* Every cap, at and past its bound. *)
+  let base = "bus a\nproc p on a\nproc q on a\nflow p -> q rate 1.\n" in
+  List.iter
+    (fun text -> ignore (parse_matches_reference text))
+    [ ""; "\n"; base; String.make ((1 lsl 20) + 1) '#'; base ^ "#" ^ String.make 4095 'x';
+      base ^ "#" ^ String.make 4096 'x'; base ^ "bus " ^ String.make 256 'b';
+      base ^ "bus " ^ String.make 257 'b'; base ^ "mesh m rows 64 cols 64";
+      base ^ "torus t rows 64 cols 65";
+      String.concat "\n" (List.init 4096 (fun i -> Printf.sprintf "bus b%d" i)) ^ "\n" ^ base;
+      String.concat "\n" (List.init 4093 (fun i -> Printf.sprintf "bus b%d" i)) ^ "\n" ^ base ];
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"spec parse = reference parser"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_spec_text)
+       parse_matches_reference);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:200 ~name:"spec parse = reference parser on generated architectures"
+       Bufsize_verify_qcheck.Verify_arbitrary.spec_text (fun (_, text) ->
+         parse_matches_reference text))
 
 (* Round-trip property over random generated architectures: to_string
    output re-parses to an architecture with identical shape and load. *)
@@ -1675,6 +1806,8 @@ let () =
           Alcotest.test_case "adversarial caps" `Quick test_spec_parser_caps;
           Alcotest.test_case "tokenize = reference (property)" `Quick test_tokenize_identity;
           Alcotest.test_case "fuzz never crashes" `Quick test_spec_parser_fuzz;
+          Alcotest.test_case "parse = reference parser (property)" `Quick
+            test_spec_parse_matches_reference;
         ] );
       ( "dot",
         [
