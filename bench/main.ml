@@ -176,27 +176,6 @@ let run_table1 () =
 
 (* ------------------------------------------------------------ ABLATIONS *)
 
-let small_arch () =
-  let b = B.Topology.builder () in
-  let bus0 = B.Topology.add_bus b ~service_rate:3.0 "west" in
-  let bus1 = B.Topology.add_bus b ~service_rate:3.0 "east" in
-  let p0 = B.Topology.add_processor b ~bus:bus0 "A" in
-  let p1 = B.Topology.add_processor b ~bus:bus0 "B" in
-  let p2 = B.Topology.add_processor b ~bus:bus1 "C" in
-  let p3 = B.Topology.add_processor b ~bus:bus1 "D" in
-  ignore (B.Topology.add_bridge b ~between:(bus0, bus1) "br");
-  let topo = B.Topology.finalize b in
-  let traffic =
-    B.Traffic.create topo
-      [
-        { B.Traffic.src = p0; dst = p2; rate = 1.3 };
-        { B.Traffic.src = p1; dst = p0; rate = 0.8 };
-        { B.Traffic.src = p2; dst = p3; rate = 1.1 };
-        { B.Traffic.src = p3; dst = p1; rate = 0.7 };
-      ]
-  in
-  traffic
-
 let simulated_loss traffic allocation =
   let spec =
     {
@@ -210,7 +189,7 @@ let simulated_loss traffic allocation =
 
 let run_ablation_quantile () =
   section "ABL-QUANT: occupancy quantile vs resulting loss";
-  let traffic = small_arch () in
+  let _, traffic = B.Catalogue.small () in
   Format.printf "%-10s %16s %14s@." "quantile" "predicted gain" "simulated loss";
   List.iter
     (fun quantile ->
@@ -224,7 +203,7 @@ let run_ablation_quantile () =
 
 let run_ablation_levels () =
   section "ABL-LEVELS: CTMDP state-space cap vs resulting loss";
-  let traffic = small_arch () in
+  let _, traffic = B.Catalogue.small () in
   Format.printf "%-12s %10s %16s %14s %10s@." "max_states" "states" "predicted gain"
     "simulated loss" "time (s)";
   List.iter
@@ -246,7 +225,7 @@ let run_ablation_levels () =
 
 let run_ablation_solver () =
   section "ABL-SOLVER: one joint price (paper) vs a price per subsystem vs policy iteration";
-  let traffic = small_arch () in
+  let _, traffic = B.Catalogue.small () in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in

@@ -10,53 +10,26 @@
      serve       long-running sizing daemon on a Unix socket (NDJSON)
      request     one request to a running daemon, with retry/backoff
 
-   Architectures: fig1 (the paper's sample), netproc (the 17-processor
-   evaluation platform), small (a fast two-bus demo). *)
+   Architectures: the names of [Catalogue] — fig1 (the paper's sample),
+   netproc (the 17-processor evaluation platform), amba, small (a fast
+   two-bus demo). *)
 
 module B = Bufsize
 open Cmdliner
 
 (* ------------------------------------------------------- architectures *)
 
-let small_arch () =
-  let b = B.Topology.builder () in
-  let bus0 = B.Topology.add_bus b ~service_rate:3.0 "west" in
-  let bus1 = B.Topology.add_bus b ~service_rate:3.0 "east" in
-  let p0 = B.Topology.add_processor b ~bus:bus0 "A" in
-  let p1 = B.Topology.add_processor b ~bus:bus0 "B" in
-  let p2 = B.Topology.add_processor b ~bus:bus1 "C" in
-  let p3 = B.Topology.add_processor b ~bus:bus1 "D" in
-  ignore (B.Topology.add_bridge b ~between:(bus0, bus1) "br");
-  let topo = B.Topology.finalize b in
-  let traffic =
-    B.Traffic.create topo
-      [
-        { B.Traffic.src = p0; dst = p2; rate = 1.3 };
-        { B.Traffic.src = p1; dst = p0; rate = 0.8 };
-        { B.Traffic.src = p2; dst = p3; rate = 1.1 };
-        { B.Traffic.src = p3; dst = p1; rate = 0.7 };
-      ]
-  in
-  (topo, traffic)
-
 let load_arch arch file =
-  match file with
-  | Some path -> (
-      match Bufsize_soc.Spec_parser.parse_file path with
-      | Ok x -> x
-      | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          exit 1)
-  | None -> (
-      match arch with
-      | "fig1" -> B.Fig1.create ()
-      | "netproc" -> B.Netproc.create ()
-      | "amba" -> B.Amba.create ()
-      | "small" -> small_arch ()
-      | other ->
-          Format.eprintf "error: unknown architecture %S (use fig1, netproc, amba or small)@."
-            other;
-          exit 1)
+  let loaded =
+    match file with
+    | Some path -> Bufsize_soc.Spec_parser.parse_file path
+    | None -> B.Catalogue.find arch
+  in
+  match loaded with
+  | Ok x -> x
+  | Error msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 1
 
 (* Input errors the library reports as [Invalid_argument] — a budget below
    the buffer count, an unknown policy — end the command like a malformed
@@ -69,7 +42,7 @@ let or_input_error f =
       exit 1
 
 let arch_arg =
-  let doc = "Built-in architecture: fig1, netproc, amba, or small." in
+  let doc = "Built-in architecture: " ^ String.concat ", " B.Catalogue.names ^ "." in
   Arg.(value & opt string "small" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
 let file_arg =
@@ -614,28 +587,33 @@ let request_cmd =
               Format.eprintf "error: bad request JSON: %s@." e;
               exit 2)
       | None ->
+          (* Only the fields the op takes: the daemon refuses any other. *)
+          let fields = B.Serve.op_fields op in
+          let takes (k, _) = Option.fold ~none:true ~some:(List.mem k) fields in
+          let source =
+            match file with
+            | Some path -> (
+                match In_channel.with_open_text path In_channel.input_all with
+                | text -> ("spec", B.Json.Str text)
+                | exception Sys_error msg ->
+                    Format.eprintf "error: %s@." msg;
+                    exit 2)
+            | None -> ("arch", B.Json.Str arch)
+          in
           B.Json.Obj
-            ([
-               ("id", B.Json.Num (float_of_int id));
-               ("op", B.Json.Str op);
-             ]
-            @ (match file with
-              | Some path -> (
-                  match In_channel.with_open_text path In_channel.input_all with
-                  | text -> [ ("spec", B.Json.Str text) ]
-                  | exception Sys_error msg ->
-                      Format.eprintf "error: %s@." msg;
-                      exit 2)
-              | None -> if op = "size" || op = "simulate" then [ ("arch", B.Json.Str arch) ] else [])
-            @ [
-                ("budget", B.Json.Num (float_of_int budget));
-                ("max_states", B.Json.Num (float_of_int max_states));
-              ]
-            @ (match deadline with None -> [] | Some ms -> [ ("deadline_ms", B.Json.Num ms) ])
-            @ (if telemetry then [ ("telemetry", B.Json.Bool true) ] else [])
-            @ if prometheus then [ ("prometheus", B.Json.Bool true) ] else [])
+            (List.filter takes
+               ([
+                  ("id", B.Json.Num (float_of_int id));
+                  ("op", B.Json.Str op);
+                  source;
+                  ("budget", B.Json.Num (float_of_int budget));
+                  ("max_states", B.Json.Num (float_of_int max_states));
+                ]
+               @ (match deadline with None -> [] | Some ms -> [ ("deadline_ms", B.Json.Num ms) ])
+               @ (if telemetry then [ ("telemetry", B.Json.Bool true) ] else [])
+               @ if prometheus then [ ("prometheus", B.Json.Bool true) ] else []))
     in
-    match B.Serve.request_with_retry ~attempts ?seed ~socket req with
+    match B.Serve.request ~attempts ?seed ~socket req with
     | Error e ->
         Format.eprintf "error: %s@." e;
         exit 2

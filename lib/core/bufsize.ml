@@ -18,6 +18,7 @@ module Spec_parser = Bufsize_soc.Spec_parser
 module Fig1 = Bufsize_soc.Fig1
 module Netproc = Bufsize_soc.Netproc
 module Amba = Bufsize_soc.Amba
+module Catalogue = Bufsize_soc.Catalogue
 module Arbiter = Bufsize_sim.Arbiter
 module Metrics = Bufsize_sim.Metrics
 module Sim_run = Bufsize_sim.Sim_run

@@ -68,6 +68,9 @@ module Fig1 = Bufsize_soc.Fig1
 module Netproc = Bufsize_soc.Netproc
 module Amba = Bufsize_soc.Amba
 
+module Catalogue = Bufsize_soc.Catalogue
+(** The built-in architectures by name ([--arch], the daemon's ["arch"]). *)
+
 module Arbiter = Bufsize_sim.Arbiter
 module Metrics = Bufsize_sim.Metrics
 module Sim_run = Bufsize_sim.Sim_run

@@ -13,20 +13,23 @@ let largest_remainder ?(minimum = 0) ~budget weights =
       else Array.make n minimum
     end
     else begin
-      let quota = Array.map (fun w -> float_of_int spare *. w /. total) weights in
-      let floors = Array.map (fun q -> int_of_float (Float.trunc q)) quota in
-      let assigned = Array.fold_left ( + ) 0 floors in
-      let leftover = spare - assigned in
-      let by_remainder =
-        List.init n (fun i -> i)
-        |> List.sort (fun i j ->
-               let ri = quota.(i) -. Float.trunc quota.(i)
-               and rj = quota.(j) -. Float.trunc quota.(j) in
-               match compare rj ri with 0 -> compare i j | c -> c)
-      in
-      let shares = Array.map (fun f -> f) floors in
-      List.iteri (fun rank i -> if rank < leftover then shares.(i) <- shares.(i) + 1) by_remainder;
-      Array.map2 (fun s _ -> s + minimum) shares weights
+      let shares = Array.make n minimum and rem = Array.make n 0. in
+      for i = 0 to n - 1 do
+        let quota = float_of_int spare *. weights.(i) /. total in
+        shares.(i) <- minimum + int_of_float (Float.trunc quota);
+        rem.(i) <- quota -. Float.trunc quota
+      done;
+      (* The leftover units go one each to the largest remainders, ties
+         to the lower index (a total order, so any sort ranks alike). *)
+      let leftover = budget - Array.fold_left ( + ) 0 shares in
+      let order = Array.init n Fun.id in
+      Array.stable_sort
+        (fun i j -> match Float.compare rem.(j) rem.(i) with 0 -> Int.compare i j | c -> c)
+        order;
+      for rank = 0 to Int.min n leftover - 1 do
+        shares.(order.(rank)) <- shares.(order.(rank)) + 1
+      done;
+      shares
     end
   end
 

@@ -15,6 +15,7 @@ module Spec_parser = Bufsize_soc.Spec_parser
 module Topology = Bufsize_soc.Topology
 module Traffic = Bufsize_soc.Traffic
 module Buffer_alloc = Bufsize_soc.Buffer_alloc
+module Catalogue = Bufsize_soc.Catalogue
 
 let m_requests = Obs.counter "serve.requests"
 let m_overloaded = Obs.counter "serve.overloaded"
@@ -69,34 +70,6 @@ type reply =
 
 type handler = Json.t -> reply
 
-let ops : (string, handler) Hashtbl.t = Hashtbl.create 16
-let ops_mutex = Mutex.create ()
-
-(* Ops the IO loop answers inline, without a worker: [ping] (liveness
-   even when every worker is busy), [stats] and [flight] (they read
-   server state a handler cannot reach — and an operator probing a
-   saturated daemon needs them to answer exactly then). *)
-let inline_ops = [ "ping"; "stats"; "flight" ]
-
-let register_op name h =
-  if List.mem name inline_ops then
-    invalid_arg (Printf.sprintf "Serve.register_op: %s is answered by the IO loop" name);
-  Mutex.lock ops_mutex;
-  Hashtbl.replace ops name h;
-  Mutex.unlock ops_mutex
-
-let find_op name =
-  Mutex.lock ops_mutex;
-  let h = Hashtbl.find_opt ops name in
-  Mutex.unlock ops_mutex;
-  h
-
-let registered_ops () =
-  Mutex.lock ops_mutex;
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) ops [] in
-  Mutex.unlock ops_mutex;
-  List.sort String.compare (inline_ops @ names)
-
 let bad_request message = Reply_error { kind = Bad_request; message; retry_after_ms = None }
 
 (* A handler body that validates by raising Invalid_argument (the
@@ -108,19 +81,27 @@ let guard f = try f () with Invalid_argument m -> bad_request m
 
 (* ------------------------------------------------ reply serialization *)
 
-let reply_json ~id ~op reply =
-  let base = [ ("id", id); ("op", Json.Str op) ] in
-  match reply with
-  | Reply_ok fields -> Json.Obj (base @ (("status", Json.Str "ok") :: fields))
-  | Reply_degraded (reason, fields) ->
-      Json.Obj
-        (base @ (("status", Json.Str "degraded") :: ("reason", Json.Str reason) :: fields))
-  | Reply_error { kind; message; retry_after_ms } ->
-      let err =
-        [ ("kind", Json.Str (error_kind_name kind)); ("message", Json.Str message) ]
-        @ (match retry_after_ms with None -> [] | Some ms -> [ ("retry_after_ms", Json.Num ms) ])
-      in
-      Json.Obj (base @ [ ("status", Json.Str "error"); ("error", Json.Obj err) ])
+let num_int n = Json.Num (float_of_int n)
+
+let hits_misses (h, m) = Json.Obj [ ("hits", num_int h); ("misses", num_int m) ]
+
+(* [extra] fields (the per-request telemetry object) come after
+   everything else, so stripping them from a reply restores the exact
+   bytes of the plain reply — the invariant the serve oracle checks. *)
+let reply_json ?(extra = []) ~id ~op reply =
+  let body =
+    match reply with
+    | Reply_ok fields -> ("status", Json.Str "ok") :: fields
+    | Reply_degraded (reason, fields) ->
+        ("status", Json.Str "degraded") :: ("reason", Json.Str reason) :: fields
+    | Reply_error { kind; message; retry_after_ms } ->
+        let err =
+          [ ("kind", Json.Str (error_kind_name kind)); ("message", Json.Str message) ]
+          @ (match retry_after_ms with None -> [] | Some ms -> [ ("retry_after_ms", Json.Num ms) ])
+        in
+        [ ("status", Json.Str "error"); ("error", Json.Obj err) ]
+  in
+  Json.Obj (("id", id) :: ("op", Json.Str op) :: (match extra with [] -> body | _ -> body @ extra))
 
 (* ----------------------------------------------- shared serialization *)
 
@@ -145,31 +126,20 @@ let sizing_core_json traffic (r : Sizing.result) =
     ]
 
 let solver_stats_json (r : Sizing.result) =
-  let sz_hits, sz_misses = Sizing.cache_stats () in
-  let pair h m =
-    Json.Obj [ ("hits", Json.Num (float_of_int h)); ("misses", Json.Num (float_of_int m)) ]
-  in
   Json.Obj
     [
       ("cache", Json.Str (if r.Sizing.cache_hit then "hit" else "miss"));
-      ("sizing_cache", pair sz_hits sz_misses);
+      ("sizing_cache", hits_misses (Sizing.cache_stats ()));
     ]
 
 (* -------------------------------------------------------- built-in ops *)
 
 let arch_of_request req =
   match Json.mem_string "spec" req with
-  | Some text -> (
-      match Spec_parser.parse text with Ok a -> Ok a | Error e -> Error ("spec: " ^ e))
+  | Some text -> Result.map_error (fun e -> "spec: " ^ e) (Spec_parser.parse text)
   | None -> (
       match Json.mem_string "arch" req with
-      | Some "fig1" -> Ok (Bufsize_soc.Fig1.create ())
-      | Some "netproc" -> Ok (Bufsize_soc.Netproc.create ())
-      | Some "amba" -> Ok (Bufsize_soc.Amba.create ())
-      | Some other ->
-          Error
-            (Printf.sprintf "unknown architecture %S (use fig1, netproc, amba, or inline \"spec\")"
-               other)
+      | Some name -> Catalogue.find name
       | None -> Error "request needs an \"arch\" name or inline \"spec\" text")
 
 let degradation_reason health =
@@ -286,12 +256,6 @@ let metrics_handler req =
       ]
   else Reply_ok [ ("metrics", Obs.metrics_tree (Obs.metrics_snapshot ())) ]
 
-let () =
-  register_op "size" size_handler;
-  register_op "simulate" simulate_handler;
-  register_op "kron" kron_handler;
-  register_op "metrics" metrics_handler
-
 (* ------------------------------------------- flight recorder & stats *)
 
 (* One completed request, as remembered by the flight recorder: enough
@@ -319,54 +283,16 @@ let flight_record_json r =
       ("span", if r.fr_span = 0 then Json.Null else Json.Num (float_of_int r.fr_span));
     ]
 
-(* Per-op admission accounting for the [stats] op.  [in_flight] is
-   derived as accepted - completed - failed under the same mutex both
-   sides update, so the conservation identity the serve oracle checks
-   holds at every instant, not just at quiescence. *)
-type op_stat = { mutable os_accepted : int; mutable os_completed : int; mutable os_failed : int }
-
-(* Per-op latency histograms (queue wait + service, milliseconds) on the
-   fixed log buckets.  Registered in the process-global Obs registry —
-   that is what the [metrics] op exports — and observed through the
-   ungated path so the daemon's SLO data fills without enabling
-   process-wide metrics. *)
-let latency_m = Mutex.create ()
-let latency_tbl : (string, Obs.histogram) Hashtbl.t = Hashtbl.create 8
-
-let latency_hist op =
-  Mutex.lock latency_m;
-  let h =
-    match Hashtbl.find_opt latency_tbl op with
-    | Some h -> h
-    | None ->
-        let h = Obs.histogram_with_bounds ("serve.latency_ms." ^ op) Obs.latency_ms_bounds in
-        Hashtbl.replace latency_tbl op h;
-        h
-  in
-  Mutex.unlock latency_m;
-  h
-
-(* One structured stderr line per completed request (--log-requests).
-   A global mutex keeps lines whole across worker domains. *)
+(* One stderr line per completed request (--log-requests): the flight
+   record, so a dump joins the log by request id.  A global mutex keeps
+   lines whole across worker domains. *)
 let log_m = Mutex.create ()
 
-let request_log_line r =
-  Json.encode
-    (Json.Obj
-       [
-         ("request_id", Json.Num (float_of_int r.fr_rid));
-         ("op", Json.Str r.fr_op);
-         ("outcome", Json.Str r.fr_outcome);
-         ("queue_ms", Json.Num r.fr_queue_ms);
-         ("service_ms", Json.Num r.fr_service_ms);
-       ])
-
 let log_request r =
-  let line = request_log_line r in
+  let line = Json.encode_line (flight_record_json r) in
   Mutex.lock log_m;
   (try
-     output_string stderr line;
-     output_char stderr '\n';
+     output_bytes stderr line;
      flush stderr
    with Sys_error _ -> ());
   Mutex.unlock log_m
@@ -383,11 +309,28 @@ type conn = {
   pending : int Atomic.t;  (* queued + running requests of this conn *)
 }
 
-type work = {
+(* The server and its op table.  [start] builds one [op] per op name
+   and nothing writes the table afterwards, so the IO loop reads it
+   without a lock and each queued [work] carries its op's record. *)
+type op = {
+  name : string;
+  fields : string list;  (* every top-level field the op takes *)
+  run : run;
+  accepted : int Atomic.t;  (* written and read by the IO domain only *)
+  completed : int Atomic.t;
+  failed : int Atomic.t;
+  latency : Obs.histogram option Atomic.t;  (* registered at the first completion *)
+}
+
+(* Inline ops are answered by the IO loop, so they work while every
+   worker is busy. *)
+and run = Inline of (t -> reply) | Worker of handler
+
+and work = {
   w_conn : conn;
   w_id : Json.t;
   w_rid : int;  (* server-assigned, unique per dispatched request *)
-  w_op : string;
+  w_op : op;
   w_handler : handler;
   w_req : Json.t;
   w_deadline : Resilience.budget;
@@ -395,12 +338,28 @@ type work = {
   w_telemetry : bool;  (* request asked for its own span subtree *)
 }
 
-type queue = {
+and queue = {
   qm : Mutex.t;
   qcv : Condition.t;
   items : work Queue.t;
   depth : int;
   mutable closed : bool;
+}
+
+and t = {
+  cfg : config;
+  listen_fd : Unix.file_descr;
+  q : queue;
+  ops : op list;  (* sorted by name *)
+  stopping : bool Atomic.t;
+  mutable conns : conn list;  (* touched only by the IO domain *)
+  mutable worker_domains : unit Domain.t array;
+  mutable io_domain : unit Domain.t option;
+  mutable stopped : bool;
+  ewma_ms : float Atomic.t;  (* smoothed request service time *)
+  started_at : float;
+  rids : int Atomic.t;  (* next request id *)
+  flight : flight_record Obs.Ring.t;
 }
 
 let queue_create depth =
@@ -447,43 +406,6 @@ let queue_length q =
   Mutex.unlock q.qm;
   n
 
-type t = {
-  cfg : config;
-  listen_fd : Unix.file_descr;
-  q : queue;
-  stopping : bool Atomic.t;
-  mutable conns : conn list;  (* touched only by the IO domain *)
-  mutable worker_domains : unit Domain.t array;
-  mutable io_domain : unit Domain.t option;
-  mutable stopped : bool;
-  ewma_ms : float Atomic.t;  (* smoothed request service time *)
-  started_at : float;
-  rids : int Atomic.t;  (* next request id *)
-  flight : flight_record Obs.Ring.t;
-  stats_m : Mutex.t;
-  op_stats : (string, op_stat) Hashtbl.t;
-}
-
-let op_stat_locked t op =
-  match Hashtbl.find_opt t.op_stats op with
-  | Some s -> s
-  | None ->
-      let s = { os_accepted = 0; os_completed = 0; os_failed = 0 } in
-      Hashtbl.replace t.op_stats op s;
-      s
-
-let stat_accepted t op =
-  Mutex.lock t.stats_m;
-  let s = op_stat_locked t op in
-  s.os_accepted <- s.os_accepted + 1;
-  Mutex.unlock t.stats_m
-
-let stat_done t op ~failed =
-  Mutex.lock t.stats_m;
-  let s = op_stat_locked t op in
-  if failed then s.os_failed <- s.os_failed + 1 else s.os_completed <- s.os_completed + 1;
-  Mutex.unlock t.stats_m
-
 let socket_path t = t.cfg.socket_path
 
 let rec write_all fd b off len =
@@ -494,17 +416,8 @@ let rec write_all fd b off len =
         ignore (Unix.select [] [ fd ] [] 1.0);
         write_all fd b off len
 
-(* [extra] fields (the per-request telemetry object) are appended after
-   everything else, so stripping them from a reply restores the exact
-   bytes of the plain reply — the invariant the serve oracle checks. *)
-let write_reply ?(extra = []) conn ~id ~op reply =
-  let j =
-    match (reply_json ~id ~op reply, extra) with
-    | j, [] -> j
-    | Json.Obj kvs, extra -> Json.Obj (kvs @ extra)
-    | j, _ -> j
-  in
-  let line = Json.encode_line j in
+let write_reply ?extra conn ~id ~op reply =
+  let line = Json.encode_line (reply_json ?extra ~id ~op reply) in
   Mutex.lock conn.wm;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.wm)
@@ -523,63 +436,55 @@ let deadline_of_request t req =
 
 (* ------------------------------------------------------ introspection *)
 
-let num_int n = Json.Num (float_of_int n)
+let ping_reply t = Reply_ok [ ("ops", Json.List (List.map (fun o -> Json.Str o.name) t.ops)) ]
 
 (* The live server snapshot, answered inline by the IO domain: an
    operator must be able to read queue depth and in-flight counts from a
-   daemon whose every worker is wedged.  Reading [accepted] from the IO
-   domain and the completion counts under [stats_m] makes
-   accepted = completed + failed + in_flight exact. *)
+   daemon whose every worker is wedged.  The IO domain is the only writer
+   of [accepted] and answers [stats] itself, so every request a worker
+   counted as completed or failed is already in [accepted]: in_flight is
+   never negative, however the completion counters move during the read.
+   Ops that never admitted a request are left out. *)
 let stats_reply t =
-  Mutex.lock t.stats_m;
   let per_op =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold
-         (fun op s acc -> (op, (s.os_accepted, s.os_completed, s.os_failed)) :: acc)
-         t.op_stats [])
+    List.filter_map
+      (fun o ->
+        match Atomic.get o.accepted with
+        | 0 -> None
+        | a -> Some (o.name, [| a; Atomic.get o.completed; Atomic.get o.failed |]))
+      t.ops
   in
-  Mutex.unlock t.stats_m;
-  let acc, comp, fail =
-    List.fold_left
-      (fun (a, c, f) (_, (oa, oc, of_)) -> (a + oa, c + oc, f + of_))
-      (0, 0, 0) per_op
-  in
-  let op_json (op, (oa, oc, of_)) =
-    ( op,
-      Json.Obj
-        [
-          ("accepted", num_int oa);
-          ("completed", num_int oc);
-          ("failed", num_int of_);
-          ("in_flight", num_int (oa - oc - of_));
-        ] )
+  let totals = Array.init 3 (fun i -> List.fold_left (fun s (_, c) -> s + c.(i)) 0 per_op) in
+  let counters c =
+    [
+      ("accepted", num_int c.(0));
+      ("completed", num_int c.(1));
+      ("failed", num_int c.(2));
+      ("in_flight", num_int (c.(0) - c.(1) - c.(2)));
+    ]
   in
   Reply_ok
-    [
-      ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started_at));
-      ("queue_depth", num_int t.cfg.queue_depth);
-      ("waiting", num_int (queue_length t.q));
-      ("workers", num_int t.cfg.workers);
-      ("ewma_service_ms", Json.Num (Atomic.get t.ewma_ms));
-      ("accepted", num_int acc);
-      ("completed", num_int comp);
-      ("failed", num_int fail);
-      ("in_flight", num_int (acc - comp - fail));
-      ("dropped_spans", num_int (Obs.dropped_spans ()));
-      ("span_high_water", num_int (Obs.span_high_water ()));
-      ("flight_recorded", num_int (Obs.Ring.pushed t.flight));
-      ("ops", Json.Obj (List.map op_json per_op));
-    ]
-
-let flight_records t = Obs.Ring.tail t.flight
+    ([
+       ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started_at));
+       ("queue_depth", num_int t.cfg.queue_depth);
+       ("waiting", num_int (queue_length t.q));
+       ("workers", num_int t.cfg.workers);
+       ("ewma_service_ms", Json.Num (Atomic.get t.ewma_ms));
+     ]
+    @ counters totals
+    @ [
+        ("dropped_spans", num_int (Obs.dropped_spans ()));
+        ("span_high_water", num_int (Obs.span_high_water ()));
+        ("flight_recorded", num_int (Obs.Ring.pushed t.flight));
+        ("ops", Json.Obj (List.map (fun (name, c) -> (name, Json.Obj (counters c))) per_op));
+      ])
 
 let flight_reply t =
   Reply_ok
     [
       ("capacity", num_int t.cfg.flight_cap);
       ("recorded", num_int (Obs.Ring.pushed t.flight));
-      ("records", Json.List (List.map flight_record_json (flight_records t)));
+      ("records", Json.List (List.map flight_record_json (Obs.Ring.tail t.flight)));
     ]
 
 (* Write the ring's newest [flight_cap] records as JSONL, newest snapshot replacing the previous dump.
@@ -592,75 +497,134 @@ let dump_flight t =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       List.iter
-        (fun r ->
-          output_string oc (Json.encode (flight_record_json r));
-          output_char oc '\n')
-        (flight_records t));
+        (fun r -> output_bytes oc (Json.encode_line (flight_record_json r)))
+        (Obs.Ring.tail t.flight));
   path
 
 let dump_flight_noerr t = try ignore (dump_flight t) with Sys_error _ -> ()
 
+(* ------------------------------------------------------------ op table *)
+
+(* Every op takes these fields on top of its own. *)
+let common_fields = [ "id"; "op"; "deadline_ms"; "telemetry" ]
+
+(* The op set as the next [start] builds it: name, own fields, run.
+   [ping] (liveness even when every worker is busy), [stats] and
+   [flight] (server state a handler cannot reach, which an operator
+   probing a saturated daemon needs exactly then) are answered inline. *)
+let op_specs =
+  Atomic.make
+    [
+      ("flight", [], Inline flight_reply);
+      ( "kron",
+        [ "kx"; "ky"; "bridge"; "lambda_x"; "lambda_y"; "cross"; "mu_x"; "mu_y" ],
+        Worker kron_handler );
+      ("metrics", [ "prometheus" ], Worker metrics_handler);
+      ("ping", [], Inline ping_reply);
+      ( "simulate",
+        [ "arch"; "spec"; "budget"; "max_states"; "policy"; "horizon"; "seed" ],
+        Worker simulate_handler );
+      ("size", [ "arch"; "spec"; "budget"; "max_states" ], Worker size_handler);
+      ("stats", [], Inline stats_reply);
+    ]
+
+let rec register_op name h =
+  let specs = Atomic.get op_specs in
+  if List.exists (function n, _, Inline _ -> n = name | _, _, Worker _ -> false) specs then
+    invalid_arg (Printf.sprintf "Serve.register_op: %s is answered by the IO loop" name);
+  let others = List.filter (fun (n, _, _) -> n <> name) specs in
+  let next =
+    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) ((name, [], Worker h) :: others)
+  in
+  if not (Atomic.compare_and_set op_specs specs next) then register_op name h
+
+let build_ops () =
+  List.map
+    (fun (name, own, run) ->
+      {
+        name;
+        fields = common_fields @ own;
+        run;
+        accepted = Atomic.make 0;
+        completed = Atomic.make 0;
+        failed = Atomic.make 0;
+        latency = Atomic.make None;
+      })
+    (Atomic.get op_specs)
+
+let op_fields name =
+  List.find_map
+    (fun (n, own, _) -> if n = name then Some (common_fields @ own) else None)
+    (Atomic.get op_specs)
+
+(* The first top-level field that [o] does not take. *)
+let rec unknown_field o = function
+  | [] -> None
+  | (k, _) :: rest ->
+      if List.exists (String.equal k) o.fields then unknown_field o rest else Some k
+
+(* Queue a worker op's request, or bounce it at once with a typed
+   overloaded rejection: a full queue never grows a backlog. *)
+let admit t conn ~id o handler req =
+  let w =
+    {
+      w_conn = conn;
+      w_id = id;
+      w_rid = Atomic.fetch_and_add t.rids 1;
+      w_op = o;
+      w_handler = handler;
+      w_req = req;
+      w_deadline = deadline_of_request t req;
+      w_enqueued = Unix.gettimeofday ();
+      w_telemetry = Json.member "telemetry" req = Some (Json.Bool true);
+    }
+  in
+  let accepted, waiting = queue_try_push t.q w in
+  if accepted then begin
+    Atomic.incr conn.pending;
+    Atomic.incr o.accepted
+  end
+  else begin
+    Obs.incr m_overloaded;
+    let ewma = Float.max 1. (Atomic.get t.ewma_ms) in
+    let hint = Float.max 1. (ewma *. float_of_int (waiting + 1) /. float_of_int t.cfg.workers) in
+    write_reply conn ~id ~op:o.name
+      (Reply_error
+         {
+           kind = Overloaded;
+           message = Printf.sprintf "request queue full (depth %d)" t.cfg.queue_depth;
+           retry_after_ms = Some hint;
+         })
+  end
+
 (* One complete request line, dispatched from the IO domain.  Every line
-   gets exactly one reply: parse errors and unknown ops are answered
-   inline, ping/stats/flight short-circuit (probes that work while every
-   worker is busy), everything else is enqueued or bounced with a typed
-   overloaded rejection. *)
+   gets exactly one reply: parse errors, unknown ops and unknown fields
+   are answered inline, inline ops short-circuit (probes that work while
+   every worker is busy), worker ops are admitted or bounced. *)
 let handle_line t conn line =
   Obs.incr m_requests;
   match Json.parse line with
   | Error e -> write_reply conn ~id:Json.Null ~op:"" (bad_request ("invalid JSON: " ^ e))
   | Ok req -> (
       let id = Option.value ~default:Json.Null (Json.member "id" req) in
-      match Json.mem_string "op" req with
-      | None -> write_reply conn ~id ~op:"" (bad_request "missing or non-string \"op\"")
-      | Some "ping" ->
-          write_reply conn ~id ~op:"ping"
-            (Reply_ok [ ("ops", Json.List (List.map (fun n -> Json.Str n) (registered_ops ()))) ])
-      | Some "stats" -> write_reply conn ~id ~op:"stats" (stats_reply t)
-      | Some "flight" -> write_reply conn ~id ~op:"flight" (flight_reply t)
-      | Some op -> (
-          match find_op op with
+      match (req, Json.mem_string "op" req) with
+      | Json.Obj kvs, Some name -> (
+          match List.find_opt (fun o -> String.equal o.name name) t.ops with
           | None ->
-              write_reply conn ~id ~op
+              write_reply conn ~id ~op:name
                 (bad_request
-                   (Printf.sprintf "unknown op %S (available: %s)" op
-                      (String.concat ", " (registered_ops ()))))
-          | Some h ->
-              let w =
-                {
-                  w_conn = conn;
-                  w_id = id;
-                  w_rid = Atomic.fetch_and_add t.rids 1;
-                  w_op = op;
-                  w_handler = h;
-                  w_req = req;
-                  w_deadline = deadline_of_request t req;
-                  w_enqueued = Unix.gettimeofday ();
-                  w_telemetry =
-                    (match Json.member "telemetry" req with
-                    | Some (Json.Bool b) -> b
-                    | Some _ | None -> false);
-                }
-              in
-              let accepted, waiting = queue_try_push t.q w in
-              if accepted then begin
-                Atomic.incr conn.pending;
-                stat_accepted t op
-              end
-              else begin
-                Obs.incr m_overloaded;
-                let ewma = Float.max 1. (Atomic.get t.ewma_ms) in
-                let hint =
-                  Float.max 1. (ewma *. float_of_int (waiting + 1) /. float_of_int t.cfg.workers)
-                in
-                write_reply conn ~id ~op
-                  (Reply_error
-                     {
-                       kind = Overloaded;
-                       message = Printf.sprintf "request queue full (depth %d)" t.cfg.queue_depth;
-                       retry_after_ms = Some hint;
-                     })
-              end))
+                   (Printf.sprintf "unknown op %S (available: %s)" name
+                      (String.concat ", " (List.map (fun o -> o.name) t.ops))))
+          | Some o -> (
+              match (unknown_field o kvs, o.run) with
+              | Some k, _ ->
+                  write_reply conn ~id ~op:name
+                    (bad_request
+                       (Printf.sprintf "unknown field %S (%s takes %s)" k name
+                          (String.concat ", " o.fields)))
+              | None, Inline reply -> write_reply conn ~id ~op:name (reply t)
+              | None, Worker handler -> admit t conn ~id o handler req))
+      | _ -> write_reply conn ~id ~op:"" (bad_request "missing or non-string \"op\""))
 
 (* ------------------------------------------------------------- workers *)
 
@@ -685,10 +649,8 @@ let reply_fields = function
    the reply carries the deltas.  (Process-global counters, so concurrent
    requests can bleed into each other's deltas — telemetry is a
    diagnostic view, not an accounting one.) *)
-let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c1 ~reply =
-  let sz_h0, sz_m0 = c0 in
-  let sz_h1, sz_m1 = c1 in
-  let pair h m = Json.Obj [ ("hits", num_int h); ("misses", num_int m) ] in
+let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0:(h0, m0)
+    ~c1:(h1, m1) ~reply =
   let epoch = match spans with s :: _ -> s.Obs.sstart_ns | [] -> 0L in
   Json.Obj
     [
@@ -702,8 +664,20 @@ let telemetry_json ~rid ~root ~spans ~spans_dropped ~queue_ms ~service_ms ~c0 ~c
         (* The solver diagnostics (engine, status, iterations, residual,
            fallbacks, chain span id) as the handler attached them. *)
         Option.value ~default:Json.Null (List.assoc_opt "health" (reply_fields reply)) );
-      ("cache", Json.Obj [ ("sizing", pair (sz_h1 - sz_h0) (sz_m1 - sz_m0)) ]);
+      ("cache", Json.Obj [ ("sizing", hits_misses (h1 - h0, m1 - m0)) ]);
     ]
+
+(* The op's latency histogram (queue wait + service, ms), registered in
+   the process-global Obs registry at the op's first completion: racing
+   workers and a second server get the same histogram for the same name.
+   Observed ungated, so the daemon's SLO data fills with metrics off. *)
+let latency_hist o =
+  match Atomic.get o.latency with
+  | Some h -> h
+  | None ->
+      let h = Obs.histogram_with_bounds ("serve.latency_ms." ^ o.name) Obs.latency_ms_bounds in
+      Atomic.set o.latency (Some h);
+      h
 
 let run_work t w =
   let t0 = Unix.gettimeofday () in
@@ -712,17 +686,13 @@ let run_work t w =
     if Resilience.exhausted w.w_deadline then
       Reply_degraded ("deadline exceeded before the request started", [])
     else
-      match
-        Resilience.with_ambient_budget w.w_deadline (fun () ->
-            w.w_handler w.w_req)
-      with
-      | r -> r
-      | exception e ->
-          if Resilience.exhausted w.w_deadline then
-            Reply_degraded ("deadline exceeded: " ^ Printexc.to_string e, [])
-          else
-            Reply_error
-              { kind = Internal_error; message = Printexc.to_string e; retry_after_ms = None }
+      try Resilience.with_ambient_budget w.w_deadline (fun () -> w.w_handler w.w_req)
+      with e ->
+        if Resilience.exhausted w.w_deadline then
+          Reply_degraded ("deadline exceeded: " ^ Printexc.to_string e, [])
+        else
+          Reply_error
+            { kind = Internal_error; message = Printexc.to_string e; retry_after_ms = None }
   in
   (* Telemetry wraps the handler in a capture and a root span; the reply
      is the same either way (the capture only observes), so the
@@ -738,23 +708,23 @@ let run_work t w =
       (reply, Some (root, spans, spans_dropped, c0))
     end
   in
-  (match reply with
-  | Reply_degraded _ -> Obs.incr m_degraded
-  | Reply_error { kind = Internal_error; _ } -> Obs.incr m_internal
-  | Reply_ok _ | Reply_error _ -> ());
   let service_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let prev = Atomic.get t.ewma_ms in
   Atomic.set t.ewma_ms (if prev <= 0. then service_ms else (0.8 *. prev) +. (0.2 *. service_ms));
-  let outcome, note =
+  let outcome, note, tally =
     match reply with
-    | Reply_ok _ -> ("ok", "")
-    | Reply_degraded (reason, _) -> ("degraded", reason)
-    | Reply_error { kind; message; _ } -> (error_kind_name kind, message)
+    | Reply_ok _ -> ("ok", "", w.w_op.completed)
+    | Reply_degraded (reason, _) ->
+        Obs.incr m_degraded;
+        ("degraded", reason, w.w_op.completed)
+    | Reply_error { kind; message; _ } ->
+        if kind = Internal_error then Obs.incr m_internal;
+        (error_kind_name kind, message, w.w_op.failed)
   in
   let record =
     {
       fr_rid = w.w_rid;
-      fr_op = w.w_op;
+      fr_op = w.w_op.name;
       fr_outcome = outcome;
       fr_note = note;
       fr_queue_ms = queue_ms;
@@ -766,7 +736,7 @@ let run_work t w =
      client that has its reply sees it reflected in stats/flight. *)
   Obs.observe_always (latency_hist w.w_op) (queue_ms +. service_ms);
   Obs.Ring.push t.flight record;
-  stat_done t w.w_op ~failed:(match reply with Reply_error _ -> true | _ -> false);
+  Atomic.incr tally;
   if t.cfg.log_requests then log_request record;
   (match reply with
   | Reply_error { kind = Internal_error; _ } -> dump_flight_noerr t
@@ -782,7 +752,7 @@ let run_work t w =
               ~c1 ~reply );
         ]
   in
-  write_reply ~extra w.w_conn ~id:w.w_id ~op:w.w_op reply;
+  write_reply ~extra w.w_conn ~id:w.w_id ~op:w.w_op.name reply;
   Atomic.decr w.w_conn.pending
 
 let worker_loop t =
@@ -946,6 +916,7 @@ let start ?config:(cfg = default_config) () =
       cfg;
       listen_fd;
       q = queue_create cfg.queue_depth;
+      ops = build_ops ();
       stopping = Atomic.make false;
       conns = [];
       worker_domains = [||];
@@ -955,8 +926,6 @@ let start ?config:(cfg = default_config) () =
       started_at = Unix.gettimeofday ();
       rids = Atomic.make 1;
       flight = Obs.Ring.create ~capacity:cfg.flight_cap;
-      stats_m = Mutex.create ();
-      op_stats = Hashtbl.create 16;
     }
   in
   t.worker_domains <- Array.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
@@ -1020,46 +989,39 @@ let send_and_receive ~socket req =
                   in
                   read_line ()))
 
-let request ~socket req =
-  match send_and_receive ~socket req with
-  | Ok v -> Ok v
-  | Error (Retryable m) | Error (Fatal m) -> Error m
-
 let reply_overloaded_hint v =
   match Json.member "error" v with
   | Some err when Json.mem_string "kind" err = Some "overloaded" ->
       Some (Option.value ~default:0. (Json.mem_number "retry_after_ms" err))
   | Some _ | None -> None
 
-let request_with_retry ?(attempts = 6) ?(base_delay_ms = 25.) ?(max_delay_ms = 2000.) ?seed
-    ~socket req =
+let request ?(attempts = 1) ?(base_delay_ms = 25.) ?(max_delay_ms = 2000.) ?seed ~socket req =
+  (* The jitter RNG is made by the first retry that sleeps. *)
   let rng =
-    match seed with
-    | Some s -> Random.State.make [| s |]
-    | None -> Random.State.make_self_init ()
+    lazy
+      (match seed with
+      | Some s -> Random.State.make [| s |]
+      | None -> Random.State.make_self_init ())
   in
   let sleep_ms ms = if ms > 0. then Unix.sleepf (ms /. 1000.) in
+  (* Full jitter over the exponential cap, floored at the server's
+     retry-after hint. *)
   let backoff k hint =
-    (* Full jitter over the exponential cap, floored at the server's
-       retry-after hint when it gave one. *)
     let cap = Float.min max_delay_ms (base_delay_ms *. (2. ** float_of_int k)) in
-    let jittered = Random.State.float rng cap in
-    Float.max (Option.value ~default:0. hint) jittered
+    Float.max hint (Random.State.float (Lazy.force rng) cap)
   in
   let rec go k =
-    match send_and_receive ~socket req with
-    | Ok v -> (
-        match reply_overloaded_hint v with
-        | Some hint when k + 1 < attempts ->
-            sleep_ms (backoff k (Some hint));
-            go (k + 1)
-        | Some _ | None -> Ok v)
-    | Error (Fatal m) -> Error m
-    | Error (Retryable m) ->
-        if k + 1 < attempts then begin
-          sleep_ms (backoff k None);
-          go (k + 1)
-        end
-        else Error m
+    let r = send_and_receive ~socket req in
+    let retry_hint =
+      match r with
+      | Ok v -> reply_overloaded_hint v
+      | Error (Retryable _) -> Some 0.
+      | Error (Fatal _) -> None
+    in
+    match retry_hint with
+    | Some hint when k + 1 < attempts ->
+        sleep_ms (backoff k hint);
+        go (k + 1)
+    | Some _ | None -> ( match r with Ok v -> Ok v | Error (Retryable m | Fatal m) -> Error m)
   in
   go 0

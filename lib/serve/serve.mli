@@ -22,11 +22,20 @@
 
     Request: [{"id":1,"op":"size","arch":"netproc","budget":160,
     "max_states":64,"deadline_ms":5000}].  [id] is echoed verbatim (any
-    JSON value; [null] when absent); [op] selects a handler; absent
+    JSON value; [null] when absent); [op] selects an op; absent
     [deadline_ms] uses the server default, [deadline_ms <= 0] is an
     already-expired deadline.  Every dispatched request is also assigned
     a server-side monotone request id, which appears in telemetry
     replies, flight-recorder records and [--log-requests] lines.
+
+    Every op takes [id], [op], [deadline_ms] and [telemetry], and each
+    takes its own fields on top: [size] [arch] (a
+    {!Bufsize_soc.Catalogue} name) or [spec], [budget], [max_states];
+    [simulate] those and [policy], [horizon], [seed]; [kron] [kx], [ky],
+    [bridge], [lambda_x], [lambda_y], [cross], [mu_x], [mu_y]; [metrics]
+    [prometheus]; [ping], [stats] and [flight] none.  Any other field is
+    answered [bad_request] naming it and listing the op's fields, like an
+    unknown op: the request is neither queued nor counted.
 
     Reply: [{"id":1,"op":"size","status":"ok",...}] with [status] one of
     ["ok"], ["degraded"] (usable answer plus a ["reason"]), or ["error"]
@@ -45,16 +54,19 @@
     ["telemetry"] member restores the plain reply byte-for-byte —
     telemetry only observes.
 
-    Built-in ops answered inline by the IO loop (they work while every
-    worker is busy): [ping] (liveness + op list), [stats] (queue depth,
-    waiting, in-flight, workers, service-time EWMA, uptime, dropped
-    spans, per-op accepted/completed/failed counters, conserving
-    accepted = completed + failed + in_flight), and [flight] (the flight
-    recorder's newest records).  Worker ops: [size], [simulate], [kron],
-    [metrics] (the full Obs metrics registry with per-op latency
-    histograms and p50/p95/p99, as JSON or — with ["prometheus": true] —
-    Prometheus text exposition in a ["text"] member).  That op set is
-    fixed here; {!register_op} exists so tests can add fake ops.
+    {2 The op table}
+
+    Inline ops, answered by the IO loop even while every worker is busy:
+    [ping] (liveness + op list), [stats] (queue state and per-op
+    accepted/completed/failed counters, conserving accepted = completed +
+    failed + in_flight) and [flight] (the flight recorder's newest
+    records).  Worker ops: [size], [simulate], [kron] and [metrics] (the
+    Obs registry with the per-op latency histograms, as JSON or, with
+    ["prometheus": true], as Prometheus text in a ["text"] member).  That
+    set is fixed here.  {!start} builds one record per op (fields,
+    handler, [stats] counters, and the [serve.latency_ms.<op>] histogram,
+    registered at the op's first completion) and nothing changes the
+    table while the server runs, so dispatch takes no lock.
 
     {2 Flight recorder}
 
@@ -63,7 +75,8 @@
     queue/service latencies, telemetry span id, diagnostic note).  The
     ring is dumped as JSONL to [<socket>.flight.jsonl] on any
     [internal_error] reply and by {!dump_flight} (the CLI calls it on
-    SIGUSR1), and is served live by the [flight] op. *)
+    SIGUSR1), and is served live by the [flight] op.  A [--log-requests]
+    line is the same flight record, written at completion. *)
 
 module Json := Bufsize_json.Json
 
@@ -76,7 +89,7 @@ type config = {
   default_deadline_ms : float;  (** for requests without [deadline_ms]; <= 0 = unlimited *)
   max_request_bytes : int;  (** longer request lines get a typed [oversized] reply *)
   flight_cap : int;  (** flight-recorder capacity (completed requests remembered) *)
-  log_requests : bool;  (** one JSONL line per completed request on stderr *)
+  log_requests : bool;  (** each completed request's flight record as a JSONL line on stderr *)
 }
 
 val default_config : config
@@ -106,9 +119,14 @@ type handler = Json.t -> reply
     mid-flight). *)
 
 val register_op : string -> handler -> unit
-(** Add a worker op, replacing any earlier one of that name — how tests
-    add fake ops to the fixed set.  [ping], [stats] and [flight] cannot
-    be taken (the IO loop answers them before dispatch). *)
+(** Add a worker op that takes only the fields every op takes, replacing
+    any earlier op of that name — how tests add fake ops.  It takes
+    effect at the next {!start}: a running server keeps its table.
+    @raise Invalid_argument for [ping], [stats] or [flight]. *)
+
+val op_fields : string -> string list option
+(** The fields op [name] takes in the next {!start}'s table, or [None]
+    for an unknown op — how [bufsize request] sends only those. *)
 
 (** {1 Server lifecycle} *)
 
@@ -137,12 +155,7 @@ val dump_flight : t -> string
 
 (** {1 Client} *)
 
-val request : socket:string -> Json.t -> (Json.t, string) result
-(** One request over a fresh connection: connect, send, read exactly one
-    reply line, close.  [Error] on connection failure, a dropped
-    connection, or an unparsable reply. *)
-
-val request_with_retry :
+val request :
   ?attempts:int ->
   ?base_delay_ms:float ->
   ?max_delay_ms:float ->
@@ -150,12 +163,16 @@ val request_with_retry :
   socket:string ->
   Json.t ->
   (Json.t, string) result
-(** {!request} with jittered exponential backoff (full jitter: a uniform
-    fraction of the current cap) on connection failure and on typed
-    [overloaded] replies, honoring the server's [retry_after_ms] hint as
-    a floor when present.  [attempts] (default 6) counts total tries;
-    [base_delay_ms] defaults to 25, [max_delay_ms] to 2000.  [seed]
-    makes the jitter deterministic for tests. *)
+(** One request over a fresh connection per try: connect, send, read
+    exactly one reply line, close.  [attempts] (default 1) counts total
+    tries: a connection failure or a typed [overloaded] reply is retried
+    with jittered exponential backoff (full jitter: a uniform fraction of
+    the current cap), honoring the server's [retry_after_ms] hint as a
+    floor.  [base_delay_ms] defaults to 25, [max_delay_ms] to 2000;
+    [seed] makes the jitter deterministic for tests.  An [overloaded]
+    reply to the last try is returned as it is; [Error] on a connection
+    failure on the last try, a dropped connection, or an unparsable
+    reply. *)
 
 (** {1 Shared serialization}
 

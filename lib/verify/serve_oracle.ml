@@ -243,8 +243,8 @@ let telemetry_probe c socket expected =
       [
         ("id", Json.Num (float_of_int id));
         ("op", Json.Str "kron");
-        ("dims", Json.List [ Json.Num 3.; Json.Num 4. ]);
-        ("rates", Json.List [ Json.Num 1.; Json.Num 2. ]);
+        ("kx", Json.Num 3.);
+        ("ky", Json.Num 4.);
       ]
   in
   match

@@ -1,8 +1,9 @@
 (* The wire and spec codecs as they stood before their one-pass
    rewrite, kept verbatim as references for the differential tests: the
-   JSON parser and printer, the spec tokenizer and parser, and the
-   per-bus rate aggregation of [Traffic.create].  Only the module paths
-   are adapted, and the aggregation reads the library's routed hops. *)
+   JSON parser and printer, the spec tokenizer and parser, the per-bus
+   rate aggregation of [Traffic.create], and the largest-remainder
+   apportionment.  Only the module paths are adapted, and the
+   aggregation reads the library's routed hops. *)
 
 module Json = struct
   open Bufsize_json.Json
@@ -485,4 +486,39 @@ module Traffic = struct
           (Bufsize_soc.Topology.processors_on_bus topo bus);
         Hashtbl.fold (fun c r acc -> (c, r) :: acc) tbl []
         |> List.sort (fun (a, _) (b, _) -> client_order a b))
+end
+
+(* [Apportion.largest_remainder] as it stood before its remainders were
+   ranked by sorting one index array. *)
+module Apportion = struct
+  let largest_remainder ?(minimum = 0) ~budget weights =
+    let n = Array.length weights in
+    Array.iter (fun w -> if w < 0. then invalid_arg "Apportion: negative weight") weights;
+    if budget < minimum * n then invalid_arg "Apportion: budget below per-entry minimum";
+    if n = 0 then [||]
+    else begin
+      let spare = budget - (minimum * n) in
+      let total = Array.fold_left ( +. ) 0. weights in
+      if total <= 0. then begin
+        if spare > 0 && budget > 0 then
+          Array.init n (fun i -> minimum + (spare / n) + if i < spare mod n then 1 else 0)
+        else Array.make n minimum
+      end
+      else begin
+        let quota = Array.map (fun w -> float_of_int spare *. w /. total) weights in
+        let floors = Array.map (fun q -> int_of_float (Float.trunc q)) quota in
+        let assigned = Array.fold_left ( + ) 0 floors in
+        let leftover = spare - assigned in
+        let by_remainder =
+          List.init n (fun i -> i)
+          |> List.sort (fun i j ->
+                 let ri = quota.(i) -. Float.trunc quota.(i)
+                 and rj = quota.(j) -. Float.trunc quota.(j) in
+                 match compare rj ri with 0 -> compare i j | c -> c)
+        in
+        let shares = Array.map (fun f -> f) floors in
+        List.iteri (fun rank i -> if rank < leftover then shares.(i) <- shares.(i) + 1) by_remainder;
+        Array.map2 (fun s _ -> s + minimum) shares weights
+      end
+    end
 end

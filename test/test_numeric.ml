@@ -985,6 +985,34 @@ let test_apportion_property () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:500 ~name:"apportionment sums to budget" gen prop)
 
+(* The index-array ranking gives the integers of the former list sort:
+   zero weights, remainder ties (equal and integer weights), a positive
+   minimum and a budget of exactly the minima all included. *)
+let test_apportion_matches_reference () =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 12 in
+      let weight =
+        frequency
+          [ (3, float_range 0. 10.); (2, return 0.); (2, map float_of_int (int_range 1 4));
+            (1, oneofl [ 0.5; 1. /. 3.; 2. /. 3.; 1e-300 ]) ]
+      in
+      let* ws = array_size (return n) weight in
+      let* minimum = frequency [ (1, return 0); (2, int_range 1 4) ] in
+      let* extra = frequency [ (1, return 0); (4, int_range 0 60) ] in
+      return (ws, minimum, (minimum * n) + extra))
+  in
+  let print (ws, minimum, budget) =
+    Printf.sprintf "weights [%s] minimum %d budget %d"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") ws)))
+      minimum budget
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"largest remainder = reference" (QCheck.make ~print gen)
+       (fun (ws, minimum, budget) ->
+         Apportion.largest_remainder ~minimum ~budget ws
+         = Reference.Apportion.largest_remainder ~minimum ~budget ws))
+
 let test_proportional_caps () =
   let shares = Apportion.proportional_caps ~budget:20 ~demands:[| 3; 5; 2 |] () in
   Alcotest.(check int) "total" 20 (Array.fold_left ( + ) 0 shares);
@@ -1098,6 +1126,8 @@ let () =
           Alcotest.test_case "remainders" `Quick test_apportion_remainders;
           Alcotest.test_case "minimum floor" `Quick test_apportion_minimum;
           Alcotest.test_case "all-zero weights" `Quick test_apportion_zero_weights;
+          Alcotest.test_case "largest remainder = reference (property)" `Quick
+            test_apportion_matches_reference;
           Alcotest.test_case "sums to budget (property)" `Quick test_apportion_property;
           Alcotest.test_case "proportional caps" `Quick test_proportional_caps;
         ] );

@@ -50,10 +50,15 @@ let test_config () =
     log_requests = false;
   }
 
+(* Stops the server and removes the flight dump a crashing op left. *)
 let with_server ?config f =
   let cfg = match config with Some c -> c | None -> test_config () in
   let t = Serve.start ~config:cfg () in
-  Fun.protect ~finally:(fun () -> Serve.stop t) (fun () -> f t)
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop t;
+      try Sys.remove (cfg.Serve.socket_path ^ ".flight.jsonl") with Sys_error _ -> ())
+    (fun () -> f t)
 
 let status r = Option.value ~default:"<none>" (Json.mem_string "status" r)
 let error_kind r = Option.value ~default:"<none>" (Option.bind (Json.member "error" r) (Json.mem_string "kind"))
@@ -696,7 +701,7 @@ let test_overload_and_retry () =
               in
               let retried =
                 ok_reply "retried size"
-                  (Serve.request_with_retry ~attempts:50 ~base_delay_ms:10. ~seed:7 ~socket
+                  (Serve.request ~attempts:50 ~base_delay_ms:10. ~seed:7 ~socket
                      (size_request ~id:9))
               in
               Domain.join releaser;
@@ -774,8 +779,8 @@ let kron_request ~id ?(telemetry = false) () =
     ([
        ("id", Json.Num (float_of_int id));
        ("op", Json.Str "kron");
-       ("dims", Json.List [ Json.Num 3.; Json.Num 3. ]);
-       ("rates", Json.List [ Json.Num 1.; Json.Num 2. ]);
+       ("kx", Json.Num 3.);
+       ("ky", Json.Num 3.);
      ]
     @ if telemetry then [ ("telemetry", Json.Bool true) ] else [])
 
@@ -958,6 +963,107 @@ let test_internal_error_dumps_flight () =
       Alcotest.(check (option string)) "crashing op recorded" (Some "boom")
         (Json.mem_string "op" last))
 
+(* ------------------------------------------------------------ op table *)
+
+let ops_of_ping what socket =
+  let reply = ok_reply what (Serve.request ~socket (Json.Obj [ ("op", Json.Str "ping") ])) in
+  Json.member_exn "ops" reply |> Json.to_list |> List.map Json.to_string
+
+let stats_ops what socket =
+  let stats = ok_reply what (Serve.request ~socket (Json.Obj [ ("op", Json.Str "stats") ])) in
+  match Json.member_exn "ops" stats with
+  | Json.Obj per_op -> List.map (fun (op, v) -> (op, int_field op "accepted" v)) per_op
+  | v -> Alcotest.failf "%s: stats.ops not an object: %s" what (Json.encode v)
+
+(* A field the op does not take is refused like an unknown op: a
+   bad_request that names it and lists the op's fields, the request
+   neither queued nor counted. *)
+let test_unknown_fields () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let replies =
+        raw_exchange ~socket
+          [ {|{"id":1,"op":"size","arch":"fig1","budgte":40}|}; {|{"id":2,"op":"ping","x":1}|};
+            {|{"id":3,"op":"kron","dims":[3,3]}|} ]
+          3
+      in
+      let message r =
+        Option.value ~default:"" (Option.bind (Json.member "error" r) (Json.mem_string "message"))
+      in
+      List.iter2
+        (fun r want ->
+          Alcotest.(check string) "kind" "bad_request" (error_kind r);
+          Alcotest.(check string) "message" want (message r))
+        (List.sort
+           (fun a b -> compare (Json.mem_int "id" a) (Json.mem_int "id" b))
+           replies)
+        [
+          {|unknown field "budgte" (size takes id, op, deadline_ms, telemetry, arch, spec, budget, max_states)|};
+          {|unknown field "x" (ping takes id, op, deadline_ms, telemetry)|};
+          {|unknown field "dims" (kron takes id, op, deadline_ms, telemetry, kx, ky, bridge, lambda_x, lambda_y, cross, mu_x, mu_y)|};
+        ];
+      Alcotest.(check (list (pair string int))) "nothing admitted" [] (stats_ops "stats" socket))
+
+(* Each server counts its own requests. *)
+let test_two_servers_stats () =
+  with_server (fun a ->
+      with_server (fun b ->
+          let sa = Serve.socket_path a and sb = Serve.socket_path b in
+          for i = 1 to 2 do
+            ignore (ok_reply "size on a" (Serve.request ~socket:sa (size_request ~id:i)))
+          done;
+          ignore (ok_reply "kron on b" (Serve.request ~socket:sb (kron_request ~id:3 ())));
+          Alcotest.(check (list (pair string int))) "server a" [ ("size", 2) ] (stats_ops "a" sa);
+          Alcotest.(check (list (pair string int))) "server b" [ ("kron", 1) ] (stats_ops "b" sb)))
+
+(* A running server keeps the op table it started with. *)
+let test_register_after_start () =
+  with_server (fun a ->
+      let sa = Serve.socket_path a in
+      Serve.register_op "late" (fun _ -> Serve.Reply_ok []);
+      Alcotest.(check bool) "not on the running server" false
+        (List.mem "late" (ops_of_ping "ping a" sa));
+      let refused =
+        ok_reply "late on a" (Serve.request ~socket:sa (Json.Obj [ ("op", Json.Str "late") ]))
+      in
+      Alcotest.(check string) "unknown there" "bad_request" (error_kind refused);
+      with_server (fun b ->
+          let sb = Serve.socket_path b in
+          Alcotest.(check bool) "on the next server" true
+            (List.mem "late" (ops_of_ping "ping b" sb));
+          let served =
+            ok_reply "late on b" (Serve.request ~socket:sb (Json.Obj [ ("op", Json.Str "late") ]))
+          in
+          Alcotest.(check string) "served there" "ok" (status served)))
+
+let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe"
+
+(* [bufsize request] sends only the fields its op takes: its defaults (a
+   [size] of the [small] demo), [--op kron] and [--op metrics
+   --prometheus] are all answered. *)
+let test_cli_request_fields () =
+  with_server (fun t ->
+      let socket = Serve.socket_path t in
+      let out = Filename.temp_file "bufsize-request" ".out" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove out)
+        (fun () ->
+          List.iter
+            (fun (flags, starts) ->
+              let cmd =
+                Printf.sprintf "%s request --socket %s %s > %s" (Filename.quote cli)
+                  (Filename.quote socket) flags (Filename.quote out)
+              in
+              Alcotest.(check int) (flags ^ ": exit code") 0 (Sys.command cmd);
+              let text = In_channel.with_open_bin out In_channel.input_all in
+              Alcotest.(check string) (flags ^ ": output") starts
+                (String.sub text 0 (Int.min (String.length text) (String.length starts))))
+            [
+              ("", {|{"id":1,"op":"size","status":"ok"|});
+              ("--op kron", {|{"id":1,"op":"kron","status":"ok"|});
+              ("--op metrics --prometheus", "# TYPE ");
+            ]))
+
 (* Every count in the config must be at least 1: [start] refuses the
    config before binding anything. *)
 let test_start_rejects (field, value, set) =
@@ -983,7 +1089,6 @@ let rejected_fields =
 (* The CLI turns the same rejection into a usage error, exit 2, without
    starting a daemon. *)
 let test_cli_rejects_bad_flags () =
-  let cli = Filename.concat (Filename.concat ".." "bin") "bufsize_cli.exe" in
   List.iter
     (fun flags ->
       let cmd =
@@ -1053,5 +1158,14 @@ let () =
           Alcotest.test_case "flight ring and capacity" `Quick test_flight_op_and_cap;
           Alcotest.test_case "internal_error dumps flight" `Quick
             test_internal_error_dumps_flight;
+        ] );
+      ( "op table",
+        [
+          Alcotest.test_case "unknown fields get bad_request" `Quick test_unknown_fields;
+          Alcotest.test_case "two servers keep separate stats" `Quick test_two_servers_stats;
+          Alcotest.test_case "register_op takes effect at the next start" `Quick
+            test_register_after_start;
+          Alcotest.test_case "cli request sends only the op's fields" `Quick
+            test_cli_request_fields;
         ] );
     ]
