@@ -153,8 +153,9 @@ let size_cmd =
     Array.iter
       (fun (sol : B.Sizing.subsystem_solution) ->
         let sub = B.Bus_model.subsystem sol.B.Sizing.model in
-        Format.printf "subsystem %s: %a@." sub.B.Splitting.bus_name B.Mdp.Kswitching.pp
-          sol.B.Sizing.switching)
+        Format.printf "subsystem %s: %a@." sub.B.Splitting.bus_name
+          (B.Mdp.Constrained.pp_switching (B.Bus_model.ctmdp sol.B.Sizing.model))
+          sol.B.Sizing.solved)
       r.B.Sizing.solutions;
     if health then Format.printf "@.%a@." B.Resilience.pp_health r.B.Sizing.health;
     if health_json then

@@ -53,6 +53,7 @@ let () =
   Array.iter
     (fun (sol : B.Sizing.subsystem_solution) ->
       let sub = B.Bus_model.subsystem sol.B.Sizing.model in
-      Format.printf "subsystem %s: %a@." sub.B.Splitting.bus_name B.Mdp.Kswitching.pp
-        sol.B.Sizing.switching)
+      Format.printf "subsystem %s: %a@." sub.B.Splitting.bus_name
+        (B.Mdp.Constrained.pp_switching (B.Bus_model.ctmdp sol.B.Sizing.model))
+        sol.B.Sizing.solved)
     sizing.B.Sizing.solutions

@@ -31,6 +31,6 @@ let () =
     (fun (sol : B.Sizing.subsystem_solution) ->
       let sub = B.Bus_model.subsystem sol.B.Sizing.model in
       Format.printf "  %-6s: %d randomized state(s) of %d@." sub.B.Splitting.bus_name
-        sol.B.Sizing.switching.B.Mdp.Kswitching.num_randomized
+        (if Option.is_some (B.Mdp.Constrained.reported_mix sol.B.Sizing.solved) then 1 else 0)
         (B.Bus_model.num_states sol.B.Sizing.model))
     outcome.B.sizing.B.Sizing.solutions

@@ -3,13 +3,7 @@ module Vec = Bufsize_numeric.Vec
 module Resilience = Bufsize_resilience.Resilience
 module Obs = Bufsize_obs.Obs
 
-type solved = {
-  gain : float;
-  occupation : float array array;
-  policy : Policy.t;
-  usage : float;
-  stationary : Vec.t option;
-}
+type solved = { gain : float; usage : float; policy : Policy.t; stationary : Vec.t }
 
 type answer = {
   total_gain : float;
@@ -20,9 +14,6 @@ type answer = {
 }
 
 type outcome = Optimal of answer | Infeasible
-
-let stationary m s =
-  match s.stationary with Some pi -> pi | None -> Policy.stationary m s.policy
 
 (* Price-path telemetry: cutting-plane rounds of the breakpoint search. *)
 let m_price_rounds = Obs.counter "constrained.price_rounds"
@@ -63,54 +54,64 @@ let total_usage = Array.fold_left (fun acc l -> acc +. l.Policy_iteration.g_u) 0
 let line_value ~bound lines price =
   total_gain lines +. (price *. (total_usage lines -. bound))
 
-(* A returned deterministic policy: its occupation measure from the
-   induced chain's stationary distribution, which the record keeps, and
-   the two functionals summed in occupation order. *)
+(* A returned deterministic policy: the induced chain's stationary
+   distribution, and the two functionals summed over the chosen actions
+   in state order. *)
 let deterministic_solved m choice =
-  let policy = Policy.deterministic m choice in
-  let e = Policy.evaluate m policy in
-  {
-    gain = e.Policy.gain;
-    occupation = e.Policy.occupation;
-    policy;
-    usage = e.Policy.extras.(0);
-    stationary = Some e.Policy.state_distribution;
-  }
-
-(* Mix two deterministic policies of one block that differ in state
-   [state] only, with weight [alpha] on [a]: the occupation measures mix
-   linearly, so the policy randomizes in [state] alone. *)
-let mixed_solved m ~alpha ~state a b =
-  let occupation =
-    Array.map2
-      (Array.map2 (fun x y -> (alpha *. x) +. ((1. -. alpha) *. y)))
-      a.occupation b.occupation
-  in
-  let probs =
-    Array.mapi
-      (fun s row ->
-        let mass = Array.fold_left ( +. ) 0. row in
-        if s = state && mass > 1e-12 then Array.map (fun x -> x /. mass) row
-        else Policy.action_probs b.policy s)
-      occupation
-  in
+  let policy = { Policy.choice; mix = None } in
+  let pi = Policy.stationary m policy in
   let gain = ref 0. and usage = ref 0. in
   Array.iteri
-    (fun s row ->
-      Array.iteri
-        (fun k x ->
-          let i = m.Ctmdp.first_action.(s) + k in
-          gain := !gain +. (x *. m.Ctmdp.cost.(i));
-          usage := !usage +. (x *. Ctmdp.extra m i 0))
-        row)
-    occupation;
-  {
-    gain = !gain;
-    occupation;
-    policy = Policy.randomized m probs;
-    usage = !usage;
-    stationary = None;
-  }
+    (fun s a ->
+      let i = m.Ctmdp.first_action.(s) + a in
+      gain := !gain +. (pi.(s) *. m.Ctmdp.cost.(i));
+      usage := !usage +. (pi.(s) *. Ctmdp.extra m i 0))
+    choice;
+  { gain = !gain; usage = !usage; policy; stationary = pi }
+
+(* Mix two deterministic answers of one block that differ in state
+   [state] only, with weight [alpha] on [a]: their occupation measures
+   mix linearly, so the mix's π is alpha pi_a + (1 - alpha) pi_b and it
+   randomizes in [state] alone, where each action's occupation is its own
+   policy's share.  Gain and usage are summed over the played actions in
+   (state, action) order.  The weight of [a]'s action is its share of
+   the state's occupation, the two shares renormalized to sum to one as
+   the dense probability rows of former answers were, so that it is
+   bitwise theirs; in a state of occupation at most 1e-12 the policy
+   plays [b]'s action. *)
+let mixed_solved m ~alpha ~state a b =
+  let beta = 1. -. alpha in
+  let stationary =
+    Array.map2 (fun x y -> (alpha *. x) +. (beta *. y)) a.stationary b.stationary
+  in
+  let ca = a.policy.Policy.choice.(state) and cb = b.policy.Policy.choice.(state) in
+  let xa = alpha *. a.stationary.(state) and xb = beta *. b.stationary.(state) in
+  let gain = ref 0. and usage = ref 0. in
+  let add x i =
+    gain := !gain +. (x *. m.Ctmdp.cost.(i));
+    usage := !usage +. (x *. Ctmdp.extra m i 0)
+  in
+  Array.iteri
+    (fun s c ->
+      let base = m.Ctmdp.first_action.(s) in
+      if s <> state then add stationary.(s) (base + c)
+      else if ca < cb then begin
+        add xa (base + ca);
+        add xb (base + cb)
+      end
+      else begin
+        add xb (base + cb);
+        add xa (base + ca)
+      end)
+    b.policy.Policy.choice;
+  let mass = stationary.(state) in
+  let mix =
+    if mass > 1e-12 then
+      let pa = xa /. mass and pb = xb /. mass in
+      Some { Policy.state; action = ca; weight = pa /. (pa +. pb) }
+    else None
+  in
+  { gain = !gain; usage = !usage; policy = { b.policy with Policy.mix }; stationary }
 
 (* The price step proper: the answer, or raises [Give_up] or
    [Infeasible_bound].  The price-0 lines of the slack test
@@ -233,7 +234,7 @@ let price_search ?max_iter ~budget ~bound ~free models =
           let worst = Float.max (line_value ~bound ta price) (line_value ~bound tz price) in
           if worst > dual +. (mix_rel_tol *. (1. +. Float.abs dual)) then
             raise (Give_up "one-state mix: the tuples around the crossing are not optimal");
-          (* Only the returned policies get occupation measures: tz's, and
+          (* Only the returned policies are solved for their π: tz's, and
              ta's in the one block where the two differ. *)
           let block, state = switches.(a) in
           let usage = Array.fold_left (fun acc c -> acc +. c.usage) 0. in
@@ -283,3 +284,33 @@ let solve_price ?max_iter ?bound models =
   let free = ref None in
   let outcome, diag = price_chain ?max_iter ?bound ~free models in
   (outcome, diag, !free)
+
+(* The K-switching report reads a mix in a state of stationary mass at
+   most 1e-7, or with an action of probability at most 1e-6, as
+   deterministic: it moves no time average by more than that. *)
+let reported_mix s =
+  match s.policy.Policy.mix with
+  | Some ({ Policy.state; weight; _ } as mix)
+    when s.stationary.(state) > 1e-7 && weight > 1e-6 && 1. -. weight > 1e-6 ->
+      Some mix
+  | _ -> None
+
+let pp_switching m ppf s =
+  let mix = reported_mix s in
+  Format.fprintf ppf "@[<v>K-switching: %d randomized state(s), bound K = 1 (within bound)"
+    (if Option.is_some mix then 1 else 0);
+  Option.iter
+    (fun { Policy.state; action; weight } ->
+      let c = s.policy.Policy.choice.(state) in
+      let pr a p = Format.fprintf ppf " %s@%.3f" (Ctmdp.action_label m state a) p in
+      Format.fprintf ppf "@,  state %s:" (m.Ctmdp.state_label state);
+      if action < c then begin
+        pr action weight;
+        pr c (1. -. weight)
+      end
+      else begin
+        pr c (1. -. weight);
+        pr action weight
+      end)
+    mix;
+  Format.fprintf ppf "@]"

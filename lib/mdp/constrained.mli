@@ -4,18 +4,15 @@
     occupancy row, as one occupation-measure LP (Feinberg, reference [1]).
     The same optimum is found here by one scalar price on that row and
     policy iteration per block; the LP itself is the reference the verify
-    harness checks this against ([Bufsize_verify.Lp_formulation]).
-    {!Kswitching} bounds the answer's randomization to one state. *)
+    harness checks this against ([Bufsize_verify.Lp_formulation]).  The
+    answer is the LP's K-switching policy for K = 1 ({!Policy.t}): every
+    block deterministic, at most one mixing two actions in one state. *)
 
 type solved = {
   gain : float;  (** the block's long-run average cost *)
-  occupation : float array array;  (** x(s,a), the occupation measure *)
-  policy : Policy.t;
   usage : float;  (** the time average of extra 0 *)
-  stationary : Bufsize_numeric.Vec.t option;
-      (** the stationary distribution of [policy]: [Some] on a
-          deterministic answer, [None] on the one mixed block.
-          {!stationary} reads it. *)
+  policy : Policy.t;  (** the block's K-switching policy *)
+  stationary : Bufsize_numeric.Vec.t;  (** the stationary distribution of [policy] *)
 }
 (** One block of an answer. *)
 
@@ -31,17 +28,12 @@ type answer = {
 
 type outcome = Optimal of answer | Infeasible
 
-val stationary : Ctmdp.t -> solved -> Bufsize_numeric.Vec.t
-(** [stationary m s] is the stationary distribution of [s.policy] on
-    [m]: the one [s] carries, or else a fresh {!Policy.stationary}. *)
-
 val deterministic_solved : Ctmdp.t -> int array -> solved
 (** [deterministic_solved m choice] is the answer block of the
-    deterministic policy [choice]: its occupation measure from one
-    stationary solve of the induced chain ({!Policy.evaluate}), its gain
-    and its usage (extra 0), and the solve's π in [stationary] — exactly
-    the block {!solve_price} returns for a block it answers with that
-    policy. *)
+    deterministic policy [choice]: one stationary solve of the induced
+    chain ({!Policy.stationary}), and its gain and usage (extra 0) summed
+    over the chosen actions — exactly the block {!solve_price} returns
+    for a block it answers with that policy. *)
 
 val solve_price :
   ?max_iter:int ->
@@ -72,17 +64,19 @@ val solve_price :
       [g_u]; no priced copy of a block is made;
     + {e one-state mix}: on the walk from one bracketing policy tuple to
       the other, one (block, state) switch at a time in a fixed order, a
-      bisection finds a switch where usage crosses the bound; the
-      occupation measures of the two tuples around it, which must both
-      price within 1e-9 relative of the dual value, are mixed to meet
-      the bound exactly, so the answer randomizes in at most one state
-      (Feinberg's K-switching bound for K = 1).
+      bisection finds a switch where usage crosses the bound; the two
+      tuples around it, which must both price within 1e-9 relative of
+      the dual value, are mixed with the weight [alpha] that meets the
+      bound exactly, so the answer randomizes in at most one state
+      (Feinberg's K-switching bound for K = 1).  The mixed block's π is
+      [alpha pi_a + (1 - alpha) pi_b] — a one-state mix of occupation
+      measures is exact — and its policy plays the other tuple's action
+      in the switched state with that action's share of the state's
+      occupation.
 
-    Occupation measures ({!Policy.evaluate}) are computed for the
-    returned tuples only: every block of the answer, and the one block
-    of the other tuple that the mix combines.  Each deterministic block
-    of the answer carries its π ([stationary]); the mixed block, whose
-    policy randomizes, carries none.  Each block keeps one
+    Stationary distributions are solved for the returned tuples only:
+    every block of the answer, and the one block of the other tuple that
+    the mix combines.  Each block keeps one
     {!Policy_iteration.workspace} for the whole search, its slack test,
     rounds and walk.
 
@@ -110,3 +104,13 @@ val solve_price :
     so neither policy iteration nor the mix meets a multichain policy on
     it.  Every block must have exactly one extra.  Counter:
     [constrained.price_rounds]; span: [ctmdp.price]. *)
+
+val reported_mix : solved -> Policy.mix option
+(** The block's mix as the K-switching report counts it: [None] also for
+    a mix in a state of stationary mass at most 1e-7, or with an action
+    of probability at most 1e-6. *)
+
+val pp_switching : Ctmdp.t -> Format.formatter -> solved -> unit
+(** The block's K-switching report: the number of randomized states
+    ({!reported_mix}) against the bound K = 1, and the mixed state's two
+    actions with their probabilities. *)

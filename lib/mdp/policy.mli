@@ -1,42 +1,23 @@
-(** Stationary policies for CTMDPs and their evaluation.
+(** K-switching policies for CTMDPs.
 
-    A stationary (possibly randomized) policy assigns to each state a
-    probability distribution over its admissible actions.  Applying a
-    policy to a CTMDP yields a plain CTMC whose stationary distribution
-    gives the long-run average cost (the gain) and the time-average of any
-    extra resource. *)
+    Feinberg's theorem (reference [1] of the paper): a unichain CTMDP
+    with K average-cost constraints has an optimal stationary policy that
+    is deterministic except in at most K states, where it mixes two
+    actions.  Sizing has one shared constraint, so its answers are a
+    choice vector and at most one mixed state — the policy the paper
+    turns into buffer-space requirements.  Applying a policy to a CTMDP
+    yields a plain CTMC. *)
 
-type t
-(** A validated policy for a specific CTMDP shape. *)
+type mix = {
+  state : int;
+  action : int;  (** played in [state] with probability [weight] *)
+  weight : float;  (** in (0, 1); [choice.(state)] takes the rest *)
+}
 
-val deterministic : Ctmdp.t -> int array -> t
-(** [deterministic m choice] selects action [choice.(s)] in state [s].
-    @raise Invalid_argument on out-of-range actions. *)
-
-val randomized : Ctmdp.t -> float array array -> t
-(** [randomized m probs] with [probs.(s).(a)] the probability of action [a]
-    in state [s]; rows must be distributions over the state's actions.
-    @raise Invalid_argument on shape or normalization errors (tolerance
-    [1e-6]; rows are renormalized exactly). *)
-
-val uniform : Ctmdp.t -> t
-(** Equal probability on every admissible action (a convenient baseline). *)
-
-val prob : t -> int -> int -> float
-(** [prob p s a] — probability of action [a] in state [s]. *)
-
-val action_probs : t -> int -> float array
-
-val chooses : t -> int array -> bool
-(** [chooses p choice]: [p] takes action [choice.(s)] with probability
-    exactly 1 in every state [s] — [p] is the deterministic policy
-    [choice]. *)
-
-val is_deterministic : ?tol:float -> t -> bool
-
-val randomized_states : ?tol:float -> t -> int list
-(** States where more than one action has probability above [tol]
-    (default [1e-9]) — the "switching" states of a K-switching policy. *)
+type t = { choice : int array; mix : mix option }
+(** In [mix.state] the policy plays [mix.action] with probability
+    [mix.weight] and [choice.(mix.state)] otherwise; everywhere else it
+    plays [choice]. *)
 
 val induced_ctmc : Ctmdp.t -> t -> Bufsize_prob.Ctmc.t
 (** The CTMC obtained by averaging transition rates under the policy,
@@ -46,21 +27,8 @@ val induced_ctmc : Ctmdp.t -> t -> Bufsize_prob.Ctmc.t
 val stationary : Ctmdp.t -> t -> Bufsize_numeric.Vec.t
 (** Stationary distribution of {!induced_ctmc}. *)
 
-type evaluation = {
-  gain : float;  (** long-run average cost rate *)
-  extras : float array;  (** long-run average of each extra resource *)
-  occupation : float array array;  (** x(s,a) = pi(s) * prob(a|s) *)
-  state_distribution : Bufsize_numeric.Vec.t;
-}
-
-val evaluate : Ctmdp.t -> t -> evaluation
-(** Long-run averages under the policy (unichain assumed: uses the
-    stationary distribution selected by the linear solve). *)
-
-val of_occupation : Ctmdp.t -> float array array -> t
-(** Recover a policy from an occupation measure [x(s,a)]: conditional
-    probabilities where the state has positive mass, first action
-    elsewhere (transient states — any choice is average-cost neutral). *)
-
 val sample_action : Bufsize_prob.Rng.t -> t -> int -> int
-(** Draw an action in state [s] according to the policy. *)
+(** [sample_action rng p s] draws the action of state [s] from one
+    {!Bufsize_prob.Rng.float}, every state: in the mixed state the
+    lower-numbered of its two actions takes the low end of the draw, as
+    {!Bufsize_prob.Rng.discrete} maps a draw onto a probability row. *)

@@ -89,7 +89,7 @@ let evaluate_deterministic m choice =
    one transposed-free SpMV. *)
 let evaluate_iterative ?(tol = 1e-10) ?(max_iter = 200_000) m choice =
   let n = Ctmdp.num_states m in
-  let chain = Policy.induced_ctmc m (Policy.deterministic m choice) in
+  let chain = Policy.induced_ctmc m { Policy.choice; mix = None } in
   let pi = Ctmc.stationary chain in
   let q = Ctmc.sparse_generator chain in
   let lambda =

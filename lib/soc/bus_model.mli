@@ -68,8 +68,8 @@ val occupancy_distribution : t -> Bufsize_numeric.Vec.t -> float array array
     {!loaded_clients} order), the marginal distribution of its occupancy
     level under the stationary distribution [pi] of a policy — the
     quantity the paper translates into buffer space requirements.  [pi]
-    is the one the policy's solve computed
-    ({!Bufsize_mdp.Constrained.stationary}); nothing is solved here. *)
+    is the one the policy's answer carries ([stationary] of
+    {!Bufsize_mdp.Constrained.solved}); nothing is solved here. *)
 
 val total_levels : t -> int
 (** Sum of level counts over loaded clients (capacity represented by the

@@ -1,4 +1,3 @@
-module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Resilience = Bufsize_resilience.Resilience
@@ -35,7 +34,6 @@ let default_config ~budget =
 type subsystem_solution = {
   model : Bus_model.t;
   solved : Constrained.solved;
-  switching : Kswitching.analysis;
   occupancy : float array array;
   requirements : (Topology.bus_id * Traffic.client * float) list;
 }
@@ -245,7 +243,7 @@ let solve_subsystems config models ctmdps =
       (solutions, gain, active, price, words_per_level, health, free)
 
 (* The expensive middle of [run] — CTMDP construction, the constrained
-   solve(s), the occupancy / K-switching post-processing and, under
+   solve(s), the occupancy post-processing and, under
    [Damq], the shared routers' pool solves — is a deterministic function
    of the post-profile subsystems, the routers marked shared and the
    numeric config, so it is memoized in a process-wide exact-key cache.
@@ -449,23 +447,11 @@ let solve ?measured_rates config traffic =
                 ~attrs:(fun () -> [ ("bus", bus_label model) ])
               @@ fun () ->
               let s = solved.(i) in
-              (* The answer's own π: a fresh solve only for the mixed
-                 block. *)
-              let occupancy =
-                Bus_model.occupancy_distribution model (Constrained.stationary ctmdps.(i) s)
-              in
-              let switching =
-                (* The joint problem has one shared constraint, so at most one
-                   randomized state exists across ALL subsystems; states with
-                   negligible occupation mass are filtered (their conditional
-                   probabilities are numerical noise). *)
-                Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1
-                  ctmdps.(i) s.Constrained.occupation
-              in
+              let occupancy = Bus_model.occupancy_distribution model s.Constrained.stationary in
               let requirements =
                 requirements_for model ~words_per_level ~quantile:config.quantile occupancy
               in
-              { model; solved = s; switching; occupancy; requirements })
+              { model; solved = s; occupancy; requirements })
             models
         in
         let damq, damq_health, predicted_loss_rate =
@@ -538,17 +524,18 @@ type sharing_report = {
   total_separate_loss : float;
 }
 
+(* A price-path answer that is the deterministic policy of [line]:
+   bitwise what [Constrained.deterministic_solved] of the line's choice
+   would return. *)
+let reusable (answer : Constrained.solved) line =
+  let policy = answer.Constrained.policy in
+  policy.Bufsize_mdp.Policy.mix = None
+  && policy.Bufsize_mdp.Policy.choice = line.Policy_iteration.choice
+
 (* Mean model-levels in system divided by accepted throughput: Little's
    law on the occupancy abstraction.  Comparable across organizations of
    the same bus; exact delay in requests when every client weight is 1
    (then the gain is the unweighted loss rate). *)
-(* A price-path answer that is the deterministic policy of [line], with
-   its π: bitwise what [Constrained.deterministic_solved] of the line's
-   choice would return. *)
-let reusable (answer : Constrained.solved) line =
-  answer.Constrained.stationary <> None
-  && Bufsize_mdp.Policy.chooses answer.Constrained.policy line.Policy_iteration.choice
-
 let delay_of ~expected ~offered ~loss = expected /. Float.max 1e-12 (offered -. loss)
 
 let compare_sharing config traffic =
@@ -582,19 +569,19 @@ let compare_sharing config traffic =
            are. *)
         let static_eval () =
           let ctmdp = Bus_model.ctmdp s.model in
+          let with_occupancy st =
+            (st, Bus_model.occupancy_distribution s.model st.Constrained.stationary)
+          in
           let unconstrained =
             match payload.c_free.(i) with
             | Some line when reusable s.solved line -> Some (s.solved, s.occupancy)
             | Some line ->
-                let st = Constrained.deterministic_solved ctmdp line.Policy_iteration.choice in
-                let pi = Constrained.stationary ctmdp st in
-                Some (st, Bus_model.occupancy_distribution s.model pi)
+                Some
+                  (with_occupancy
+                     (Constrained.deterministic_solved ctmdp line.Policy_iteration.choice))
             | None -> (
                 match solve_blocks [| ctmdp |] with
-                | Some (a, _, _), _ ->
-                    let st = a.Constrained.components.(0) in
-                    let pi = Constrained.stationary ctmdp st in
-                    Some (st, Bus_model.occupancy_distribution s.model pi)
+                | Some (a, _, _), _ -> Some (with_occupancy a.Constrained.components.(0))
                 | None, _ -> None)
           in
           match unconstrained with
@@ -630,8 +617,7 @@ let compare_sharing config traffic =
           Result.map
             (fun (pool, d) ->
               ( d.Constrained.gain,
-                Bus_model.Shared.expected_total pool
-                  (Constrained.stationary (Bus_model.Shared.ctmdp pool) d) ))
+                Bus_model.Shared.expected_total pool d.Constrained.stationary ))
             unconstrained
         in
         match (static_eval (), damq_eval ()) with

@@ -4,8 +4,8 @@
     CTMDP per subsystem ({!Bus_model}), solve all subsystems jointly under
     a shared time-average buffer-occupancy budget — the paper's joint LP,
     solved by one scalar price and per-subsystem policy iteration
-    ({!Bufsize_mdp.Constrained.solve_price}) — analyze
-    the K-switching structure, translate the optimal policy's stationary
+    ({!Bufsize_mdp.Constrained.solve_price}), whose answer is a K-switching
+    policy with its stationary distribution — translate those stationary
     occupancy distributions into per-client buffer requirements (occupancy
     quantile), and apportion the integer word budget ({!Buffer_alloc}).
 
@@ -54,7 +54,7 @@ val default_config : budget:int -> config
 type subsystem_solution = {
   model : Bus_model.t;
   solved : Bufsize_mdp.Constrained.solved;
-  switching : Bufsize_mdp.Kswitching.analysis;
+      (** the subsystem's K-switching policy, gain, usage and π *)
   occupancy : float array array;
       (** stationary occupancy marginals per loaded client *)
   requirements : (Topology.bus_id * Traffic.client * float) list;
@@ -97,7 +97,7 @@ val run :
 (** Runs on the calling domain: the per-subsystem stages are
     sub-millisecond, less than a domain dispatch costs.  Each
     subsystem's occupancy marginals come from the π its answer carries
-    ({!Bufsize_mdp.Constrained.stationary}); only the one mixed block is
+    ([stationary] of {!Bufsize_mdp.Constrained.solved}); nothing is
     solved again for them.
 
     [measured_rates] optionally overrides the analytically routed client
@@ -165,7 +165,7 @@ val requirements_of_solution : result -> (Topology.bus_id * Traffic.client * flo
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the sizing-level solve cache.  {!run} memoizes its
     expensive middle — CTMDP construction, the constrained solve(s), the
-    occupancy / K-switching post-processing and, under [Damq], the shared
+    occupancy post-processing and, under [Damq], the shared
     routers' pool solves — in a process-wide exact-key
     {!Bufsize_numeric.Solve_cache} keyed on a lossless print of the
     post-profile subsystems, the routers marked shared (under [Damq]) and

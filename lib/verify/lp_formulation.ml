@@ -1,12 +1,11 @@
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Policy = Bufsize_mdp.Policy
 
 type bound = { sense : Lp.sense; value : float }
 
 type solved = {
   gain : float;
   occupation : float array array;
-  policy : Policy.t;
+  policy : Dense_policy.t;
   extras : float array;
   extra_duals : float array;
   lp_iterations : int;
@@ -155,7 +154,7 @@ let outcome_of_lp ?extra_bounds m x n_structural_rows = function
         {
           gain;
           occupation;
-          policy = Policy.of_occupation m occupation;
+          policy = Dense_policy.of_occupation m occupation;
           extras;
           extra_duals;
           lp_iterations = sol.Lp.iterations;
@@ -229,7 +228,7 @@ let joint_outcome_of_lp ?shared_bounds models blocks n_structural_rows num_extra
             {
               gain;
               occupation;
-              policy = Policy.of_occupation m occupation;
+              policy = Dense_policy.of_occupation m occupation;
               extras;
               extra_duals = [||];
               lp_iterations = sol.Lp.iterations;

@@ -14,7 +14,7 @@
 
     One balance row is redundant and dropped.  An optimal basic solution
     induces an optimal stationary policy that randomizes in at most K
-    states — the K-switching policy (see {!Bufsize_mdp.Kswitching}).
+    states — the K-switching policy (see {!Kswitching}).
 
     [solve_joint] assembles the block LP of several independent CTMDPs
     (one balance+normalization block each) coupled only through shared
@@ -34,7 +34,7 @@ type bound = {
 type solved = {
   gain : float;  (** optimal long-run average cost *)
   occupation : float array array;  (** x(s,a) *)
-  policy : Bufsize_mdp.Policy.t;
+  policy : Dense_policy.t;  (** conditional probabilities of [occupation] *)
   extras : float array;  (** achieved time-average of each extra *)
   extra_duals : float array;  (** multipliers of the resource rows *)
   lp_iterations : int;

@@ -5,7 +5,6 @@ module Birth_death = Bufsize_prob.Birth_death
 module Ctmc = Bufsize_prob.Ctmc
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Kswitching = Bufsize_mdp.Kswitching
 module Constrained = Bufsize_mdp.Constrained
 module Resilience = Bufsize_resilience.Resilience
 module Topology = Bufsize_soc.Topology
@@ -1572,16 +1571,20 @@ let check_price_case (c : price_case) =
             if used <= bound +. (1e-9 *. (1. +. bound)) then Pass
             else failf "usage %.15g exceeds the bound %.15g" used bound);
           (fun () ->
-            let randomized =
-              Array.fold_left ( + ) 0
-                (Array.mapi
-                   (fun i m ->
-                     (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
-                        a.Constrained.components.(i).Constrained.occupation)
-                       .Kswitching.num_randomized)
-                   models)
+            (* Each block's K-switching policy, spelled out densely and
+               evaluated afresh, must give its gain and usage and
+               randomize in at most one state of all the blocks. *)
+            let checked =
+              Array.mapi (fun i m -> Kswitching.check_answer m a.Constrained.components.(i)) models
             in
-            if randomized <= 1 then Pass else failf "%d randomized states (at most 1)" randomized);
+            match Array.find_map (function Error why -> Some why | Ok _ -> None) checked with
+            | Some why -> failf "%s" why
+            | None ->
+                let randomized =
+                  Array.fold_left (fun acc r -> acc + Result.value r ~default:0) 0 checked
+                in
+                if randomized <= 1 then Pass
+                else failf "%d randomized states (at most 1)" randomized);
         ]
   | Lp_formulation.Joint_optimal _, (_, diag, _) ->
       failf "LP optimal, price path not: %s" (Format.asprintf "%a" Resilience.pp diag)

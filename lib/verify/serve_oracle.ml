@@ -260,6 +260,13 @@ let telemetry_probe c socket expected =
             if status_of plain = "ok" && status_of tele = "ok" then Pass
             else failf "telemetry kron: statuses %s/%s" (status_of plain) (status_of tele));
           (fun () ->
+            (* The daemon reads the request's model back: (kx + 1) (ky + 1)
+               (bridge + 1) joint states, the bridge defaulting to ky. *)
+            match Json.mem_int "states" plain with
+            | Some 100 -> Pass
+            | Some n -> failf "kron kx 3 ky 4: %d states, not 4 * 5 * 5 = 100" n
+            | None -> failf "kron kx 3 ky 4: no states in %s" (Json.encode plain));
+          (fun () ->
             let stripped = Json.encode (strip_telemetry tele) in
             let want = Json.encode plain in
             if stripped = want then Pass

@@ -1,6 +1,5 @@
 module Vec = Bufsize_numeric.Vec
 module Ctmdp = Bufsize_mdp.Ctmdp
-module Policy = Bufsize_mdp.Policy
 module Obs = Bufsize_obs.Obs
 
 let m_sweeps = Obs.counter "value_iteration.sweeps"
@@ -8,7 +7,6 @@ let m_sweeps = Obs.counter "value_iteration.sweeps"
 type result = {
   values : Vec.t;
   choice : int array;
-  policy : Policy.t;
   iterations : int;
   converged : bool;
   span : float;
@@ -73,7 +71,6 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-9) ~alpha m =
       {
         values = next;
         choice;
-        policy = Policy.deterministic m choice;
         iterations = iters;
         converged = sp <= tol;
         span = sp;

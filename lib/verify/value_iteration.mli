@@ -12,7 +12,6 @@
 type result = {
   values : Bufsize_numeric.Vec.t;  (** discounted value per state *)
   choice : int array;  (** greedy action per state *)
-  policy : Bufsize_mdp.Policy.t;
   iterations : int;
   converged : bool;
   span : float;  (** final span of the value update *)

@@ -1,9 +1,10 @@
-(* The wire and spec codecs as they stood before their one-pass
-   rewrite, kept verbatim as references for the differential tests: the
-   JSON parser and printer, the spec tokenizer and parser, the per-bus
-   rate aggregation of [Traffic.create], and the largest-remainder
-   apportionment.  Only the module paths are adapted, and the
-   aggregation reads the library's routed hops. *)
+(* Former library code kept verbatim as references for the differential
+   tests: the JSON parser and printer, the spec tokenizer and parser, the
+   per-bus rate aggregation of [Traffic.create] and the largest-remainder
+   apportionment as they stood before their one-pass rewrite, and the
+   occupation-measure form of a price-path answer block.  Only the module
+   paths are adapted, and the aggregation reads the library's routed
+   hops. *)
 
 module Json = struct
   open Bufsize_json.Json
@@ -521,4 +522,65 @@ module Apportion = struct
         Array.map2 (fun s _ -> s + minimum) shares weights
       end
     end
+end
+
+(* [Constrained.deterministic_solved] and [Constrained.mixed_solved] as
+   they stood while an answer block carried its occupation measure x(s,a)
+   and a dense policy; the deterministic policy is built by
+   [Dense_policy.of_policy], which gives the rows [Policy.deterministic]
+   gave. *)
+module Constrained = struct
+  module Ctmdp = Bufsize_mdp.Ctmdp
+  module Policy = Bufsize_verify.Dense_policy
+
+  type solved = {
+    gain : float;
+    occupation : float array array;
+    policy : Policy.t;
+    usage : float;
+    stationary : Bufsize_numeric.Vec.t option;
+  }
+
+  let deterministic_solved m choice =
+    let policy = Policy.of_policy m { Bufsize_mdp.Policy.choice; mix = None } in
+    let e = Policy.evaluate m policy in
+    {
+      gain = e.Policy.gain;
+      occupation = e.Policy.occupation;
+      policy;
+      usage = e.Policy.extras.(0);
+      stationary = Some e.Policy.state_distribution;
+    }
+
+  let mixed_solved m ~alpha ~state a b =
+    let occupation =
+      Array.map2
+        (Array.map2 (fun x y -> (alpha *. x) +. ((1. -. alpha) *. y)))
+        a.occupation b.occupation
+    in
+    let probs =
+      Array.mapi
+        (fun s row ->
+          let mass = Array.fold_left ( +. ) 0. row in
+          if s = state && mass > 1e-12 then Array.map (fun x -> x /. mass) row
+          else Policy.action_probs b.policy s)
+        occupation
+    in
+    let gain = ref 0. and usage = ref 0. in
+    Array.iteri
+      (fun s row ->
+        Array.iteri
+          (fun k x ->
+            let i = m.Ctmdp.first_action.(s) + k in
+            gain := !gain +. (x *. m.Ctmdp.cost.(i));
+            usage := !usage +. (x *. Ctmdp.extra m i 0))
+          row)
+      occupation;
+    {
+      gain = !gain;
+      occupation;
+      policy = Policy.randomized m probs;
+      usage = !usage;
+      stationary = None;
+    }
 end

@@ -13,7 +13,8 @@ module Policy = Bufsize_mdp.Policy
 module Lp_formulation = Bufsize_verify.Lp_formulation
 module Policy_iteration = Bufsize_mdp.Policy_iteration
 module Value_iteration = Bufsize_verify.Value_iteration
-module Kswitching = Bufsize_mdp.Kswitching
+module Kswitching = Bufsize_verify.Kswitching
+module Dense_policy = Bufsize_verify.Dense_policy
 module Constrained = Bufsize_mdp.Constrained
 module Resilience = Bufsize_resilience.Resilience
 
@@ -132,16 +133,9 @@ let test_ctmdp_map_costs () =
 
 (* --------------------------------------------------------------- Policy *)
 
-let test_policy_deterministic () =
-  let m = admission_ctmdp ~lambda:1. ~mu:2. ~k:2 in
-  let p = Policy.deterministic m [| 0; 0; 0 |] in
-  Alcotest.(check bool) "deterministic" true (Policy.is_deterministic p);
-  check_close 1e-12 "prob" 1. (Policy.prob p 0 0);
-  Alcotest.(check (list int)) "no randomized states" [] (Policy.randomized_states p)
-
 let test_policy_randomized_validation () =
   let m = admission_ctmdp ~lambda:1. ~mu:2. ~k:2 in
-  (match Policy.randomized m [| [| 0.5; 0.2 |]; [| 1.; 0. |]; [| 1. |] |] with
+  (match Dense_policy.randomized m [| [| 0.5; 0.2 |]; [| 1.; 0. |]; [| 1. |] |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected normalization failure")
 
@@ -151,33 +145,54 @@ let test_policy_mm1k_evaluation () =
   let lambda = 2. and mu = 3. in
   let k = 4 in
   let m = mm1k_ctmdp ~lambda ~mu ~k in
-  let p = Policy.deterministic m (Array.make (k + 1) 0) in
-  let e = Policy.evaluate m p in
-  check_close 1e-9 "gain = loss rate" (Birth_death.Mm1k.loss_rate ~lambda ~mu ~k) e.Policy.gain;
+  let p = Dense_policy.of_policy m { Policy.choice = Array.make (k + 1) 0; mix = None } in
+  let e = Dense_policy.evaluate m p in
+  check_close 1e-9 "gain = loss rate" (Birth_death.Mm1k.loss_rate ~lambda ~mu ~k)
+    e.Dense_policy.gain;
   check_close 1e-9 "extra = mean customers"
     (Birth_death.Mm1k.mean_customers ~lambda ~mu ~k)
-    e.Policy.extras.(0)
+    e.Dense_policy.extras.(0)
 
 let test_policy_of_occupation_roundtrip () =
   let m = admission_ctmdp ~lambda:1.5 ~mu:2. ~k:3 in
-  let p = Policy.uniform m in
-  let e = Policy.evaluate m p in
-  let p2 = Policy.of_occupation m e.Policy.occupation in
+  let p =
+    Dense_policy.randomized m
+      (Array.init (Ctmdp.num_states m) (fun s ->
+           let k = Ctmdp.num_actions m s in
+           Array.make k (1. /. float_of_int k)))
+  in
+  let e = Dense_policy.evaluate m p in
+  let p2 = Dense_policy.of_occupation m e.Dense_policy.occupation in
   for s = 0 to Ctmdp.num_states m - 1 do
-    let a = Policy.action_probs p s and b = Policy.action_probs p2 s in
+    let a = Dense_policy.action_probs p s and b = Dense_policy.action_probs p2 s in
     Alcotest.(check bool) "recovered" true (Vec.approx_equal ~tol:1e-9 a b)
   done
 
+(* One draw per decision, mapped as [Rng.discrete] maps it onto the
+   dense row: the same actions from the same seed, in the mixed state
+   whichever of its two actions is the lower one, and in the others. *)
 let test_policy_sample_action () =
-  let m = admission_ctmdp ~lambda:1. ~mu:2. ~k:2 in
-  let p = Policy.randomized m [| [| 0.3; 0.7 |]; [| 1.; 0. |]; [| 1. |] |] in
-  let rng = Rng.create 11 in
-  let counts = [| 0; 0 |] in
-  for _ = 1 to 20_000 do
-    let a = Policy.sample_action rng p 0 in
-    counts.(a) <- counts.(a) + 1
-  done;
-  check_close 0.02 "sampling matches mix" 0.3 (float_of_int counts.(0) /. 20_000.)
+  List.iter
+    (fun (choice, action) ->
+      let p = { Policy.choice; mix = Some { Policy.state = 0; action; weight = 0.3 } } in
+      let row = [| 0.7; 0.7 |] in
+      row.(action) <- 0.3;
+      let rng = Rng.create 11 and reference = Rng.create 11 and mixed = ref 0 in
+      for i = 1 to 20_000 do
+        let s = i mod 3 in
+        let a = Policy.sample_action rng p s in
+        let expected =
+          if s = 0 then Rng.discrete reference row
+          else begin
+            ignore (Rng.float reference);
+            choice.(s)
+          end
+        in
+        Alcotest.(check int) "the draw Rng.discrete makes" expected a;
+        if s = 0 && a = action then incr mixed
+      done;
+      check_close 0.02 "sampling matches mix" 0.3 (float_of_int !mixed /. 6_666.))
+    [ ([| 1; 0; 0 |], 0); ([| 0; 1; 0 |], 1) ]
 
 (* --------------------------------------------------------- LP vs theory *)
 
@@ -474,11 +489,7 @@ let test_kswitching_unconstrained_deterministic () =
   let m = admission_ctmdp ~lambda:2. ~mu:3. ~k:4 in
   match Lp_formulation.solve m with
   | Lp_formulation.Optimal s ->
-      let a =
-        Kswitching.of_occupation ~constraints:0 m s.Lp_formulation.occupation
-      in
-      Alcotest.(check bool) "within bound" true a.Kswitching.within_bound;
-      Alcotest.(check int) "no switches" 0 a.Kswitching.num_randomized
+      Alcotest.(check int) "no switches" 0 (Kswitching.of_occupation s.Lp_formulation.occupation)
   | _ -> Alcotest.fail "LP failed"
 
 let test_kswitching_constrained_bound () =
@@ -495,8 +506,8 @@ let test_kswitching_constrained_bound () =
       m
   with
   | Lp_formulation.Optimal s ->
-      let a = Kswitching.analyze ~constraints:1 m s.Lp_formulation.policy in
-      Alcotest.(check bool) "K-switching bound" true a.Kswitching.within_bound
+      Alcotest.(check bool) "K-switching bound" true
+        (Kswitching.analyze m s.Lp_formulation.policy <= 1)
   | _ -> Alcotest.fail "constrained LP failed"
 
 let test_kswitching_property () =
@@ -522,8 +533,7 @@ let test_kswitching_property () =
             m
         with
         | Lp_formulation.Optimal s ->
-            let a = Kswitching.analyze ~constraints:1 m s.Lp_formulation.policy in
-            a.Kswitching.num_randomized <= 1
+            Kswitching.analyze m s.Lp_formulation.policy <= 1
         | Lp_formulation.Infeasible -> true (* budget below the floor occupancy *)
         | Lp_formulation.Unbounded -> false)
     | _ -> false
@@ -595,18 +605,20 @@ let test_vi_value_bounded_by_cost_over_alpha () =
 
 (* ---------------------------------------------------------- Constrained *)
 
-(* The answer's policy, re-evaluated through its own CTMC, has the
-   reported gain, and randomizes within the K-switching bound. *)
+(* The answer's policy, spelled out densely and re-evaluated through its
+   own CTMC, has the reported gain and usage, and randomizes within the
+   K-switching bound. *)
 let test_constrained_wrapper () =
   let m = admission_ctmdp ~lambda:3. ~mu:2. ~k:5 in
   match Constrained.solve_price ~bound:1.2 [| m |] with
   | Some (Constrained.Optimal a), diag, _ ->
       Alcotest.(check bool) "diagnostic ok" true (Resilience.is_ok diag);
       let c = a.Constrained.components.(0) in
-      check_close 1e-6 "gain check consistent" c.Constrained.gain
-        (Policy.evaluate m c.Constrained.policy).Policy.gain;
+      (match Kswitching.check_answer m c with
+      | Ok _ -> ()
+      | Error why -> Alcotest.fail why);
       Alcotest.(check bool) "switching within bound" true
-        (Kswitching.analyze ~constraints:1 m c.Constrained.policy).Kswitching.within_bound
+        (Kswitching.analyze m (Dense_policy.of_policy m c.Constrained.policy) <= 1)
   | _ -> Alcotest.fail "expected feasible"
 
 (* The price-directed solver is a Lagrangian decomposition: one price on
@@ -638,11 +650,9 @@ let test_constrained_lagrangian () =
       check_close 1e-9 "gain = LP gain" lp.Lp_formulation.total_gain a.Constrained.total_gain;
       Alcotest.(check bool) "budget met" true
         (a.Constrained.total_usage <= bound +. (1e-9 *. (1. +. bound)));
-      let c = a.Constrained.components.(0) in
-      let k =
-        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m c.Constrained.occupation
-      in
-      Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
+      (match Kswitching.check_answer m a.Constrained.components.(0) with
+      | Ok _ -> ()
+      | Error why -> Alcotest.fail why)
   | _ -> Alcotest.fail "price solve failed"
 
 let test_constrained_lagrangian_slack () =
@@ -736,7 +746,6 @@ let () =
         ] );
       ( "policy",
         [
-          Alcotest.test_case "deterministic" `Quick test_policy_deterministic;
           Alcotest.test_case "randomized validation" `Quick test_policy_randomized_validation;
           Alcotest.test_case "MM1K evaluation = closed form" `Quick test_policy_mm1k_evaluation;
           Alcotest.test_case "occupation roundtrip" `Quick test_policy_of_occupation_roundtrip;

@@ -828,6 +828,9 @@ let test_telemetry_strip_parity () =
   with_server (fun t ->
       let socket = Serve.socket_path t in
       let plain = ok_reply "plain kron" (Serve.request ~socket (kron_request ~id:21 ())) in
+      (* The daemon reads the request's model back: (kx + 1) (ky + 1)
+         (bridge + 1) joint states, the bridge defaulting to ky. *)
+      Alcotest.(check int) "kron states of kx = ky = 3" 64 (int_field "plain kron" "states" plain);
       let tele =
         ok_reply "telemetry kron" (Serve.request ~socket (kron_request ~id:21 ~telemetry:true ()))
       in

@@ -332,7 +332,7 @@ let test_bus_model_occupancy_distribution () =
   let traffic = Traffic.create topo [ { Traffic.src = p0; dst = p1; rate = 2.0 } ] in
   let split = Splitting.split traffic in
   let model = Bus_model.build ~levels:[| 4; 0 |] split.Splitting.subsystems.(0) in
-  let policy = Policy.deterministic (Bus_model.ctmdp model) (Array.make 5 0) in
+  let policy = { Policy.choice = Array.make 5 0; mix = None } in
   let marginals =
     Bus_model.occupancy_distribution model (Policy.stationary (Bus_model.ctmdp model) policy)
   in
@@ -1049,8 +1049,10 @@ let test_sizing_fig1_end_to_end () =
   Alcotest.(check bool) "nonnegative loss" true (r.Sizing.predicted_loss_rate >= 0.);
   Array.iter
     (fun (sol : Sizing.subsystem_solution) ->
-      Alcotest.(check bool) "switching bound" true
-        sol.Sizing.switching.Bufsize_mdp.Kswitching.within_bound)
+      let m = Bus_model.ctmdp sol.Sizing.model in
+      match Bufsize_verify.Kswitching.check_answer m sol.Sizing.solved with
+      | Ok _ -> ()
+      | Error why -> Alcotest.fail why)
     r.Sizing.solutions
 
 let test_sizing_separate_solver () =
@@ -1222,7 +1224,7 @@ let test_dense_unperturbed_drift_retry () =
 let test_damq_pool_price_vs_lp () =
   let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let module Constrained = Bufsize_mdp.Constrained in
-  let module Kswitching = Bufsize_mdp.Kswitching in
+  let module Kswitching = Bufsize_verify.Kswitching in
   let static, shared = g_r2c2 () in
   let used =
     match Constrained.solve_price [| Bus_model.ctmdp static |] with
@@ -1243,11 +1245,9 @@ let test_damq_pool_price_vs_lp () =
       let gain = lp.Lp_formulation.total_gain in
       Alcotest.(check (float (1e-9 *. gain))) "gain = LP gain" gain a.Constrained.total_gain;
       Alcotest.(check (float 1e-8)) "price = LP dual" (-.lp.Lp_formulation.shared_duals.(0)) price;
-      let k =
-        Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 shared
-          a.Constrained.components.(0).Constrained.occupation
-      in
-      Alcotest.(check bool) "at most one randomized state" true (k.Kswitching.num_randomized <= 1)
+      (match Kswitching.check_answer shared a.Constrained.components.(0) with
+      | Ok _ -> ()
+      | Error why -> Alcotest.fail why)
   | _ -> Alcotest.fail "price solve failed"
 
 (* Fig. 1 sized per subsystem, with each subsystem LP called directly:
@@ -1294,8 +1294,9 @@ let test_sizing_finish_after_dual_cleanup () =
     (Printf.sprintf "%h" r.Sizing.predicted_loss_rate);
   Alcotest.(check int) "no LP solve on the sizing path" 0 (Obs.counter_value solves - s0)
 
-(* The 95% occupancy level of every loaded client under a policy. *)
-let quantile_levels model policy =
+(* The 95% occupancy level of every loaded client under a stationary
+   distribution. *)
+let quantile_levels model pi =
   Array.map
     (fun dist ->
       let acc = ref 0. and level = ref (-1) in
@@ -1305,7 +1306,7 @@ let quantile_levels model policy =
           if !level < 0 && !acc >= 0.95 then level := l)
         dist;
       !level)
-    (Bus_model.occupancy_distribution model (Policy.stationary (Bus_model.ctmdp model) policy))
+    (Bus_model.occupancy_distribution model pi)
 
 (* Netproc (Table 1's architecture, 64 states per subsystem) priced
    against the joint LP.  At the fig3 default kappa = 0.6 the bound is
@@ -1316,7 +1317,7 @@ let quantile_levels model policy =
 let test_netproc_price_vs_lp () =
   let module Lp_formulation = Bufsize_verify.Lp_formulation in
   let module Constrained = Bufsize_mdp.Constrained in
-  let module Kswitching = Bufsize_mdp.Kswitching in
+  let module Kswitching = Bufsize_verify.Kswitching in
   let _, traffic = Netproc.create () in
   List.iter
     (fun (kappa, expected_gain, expected_price) ->
@@ -1353,18 +1354,21 @@ let test_netproc_price_vs_lp () =
         Array.fold_left ( + ) 0
           (Array.mapi
              (fun i m ->
-               (Kswitching.of_occupation ~mass_tol:1e-7 ~constraints:1 m
-                  priced.Constrained.components.(i).Constrained.occupation)
-                 .Kswitching.num_randomized)
+               match Kswitching.check_answer m priced.Constrained.components.(i) with
+               | Ok k -> k
+               | Error why -> Alcotest.fail (name why))
              ctmdps)
       in
       Alcotest.(check bool) (name "at most one randomized state") true (randomized <= 1);
       Array.iteri
         (fun i model ->
-          let levels policy = quantile_levels model policy in
+          let lp_pi =
+            Bufsize_verify.Dense_policy.evaluate ctmdps.(i)
+              lp.Lp_formulation.components.(i).Lp_formulation.policy
+          in
           Alcotest.(check (array int)) (name "quantile levels = LP's")
-            (levels lp.Lp_formulation.components.(i).Lp_formulation.policy)
-            (levels priced.Constrained.components.(i).Constrained.policy))
+            (quantile_levels model lp_pi.Bufsize_verify.Dense_policy.state_distribution)
+            (quantile_levels model priced.Constrained.components.(i).Constrained.stationary))
         models)
     [ (0.6, 7.1069936544, 0.); (0.25, 7.70995290312, 0.8639137) ]
 
@@ -1516,21 +1520,18 @@ let test_compare_sharing_reuses_run () =
           (3, Sizing.Static, 0.25, 0.6);
         ])
 
-(* Every occupancy reads the π of its answer's own solve, bitwise the π
-   a fresh [Ctmc.stationary] of the same policy gives: on the
+(* Every occupancy reads the π its answer carries: on the
    perfbench-shaped three-bus SoC, on netproc at kappa 0.6 (slack) and
    0.25 (binding), and on the 2x2 DAMQ mesh's static blocks (its
    [compare_sharing] entries are held to fresh solves by the test
-   above).  A deterministic answer carries its π; the one block a
-   binding answer mixes carries none, and its occupancy is that of a
-   fresh solve of the randomized chain, counted on [ctmc.residual]. *)
+   above).  A deterministic answer's π is bitwise the π a fresh
+   [Ctmc.stationary] of its policy gives; the one block a binding answer
+   mixes carries alpha pi_a + (1 - alpha) pi_b, within 1e-12 of a fresh
+   solve of its randomized chain. *)
 let test_carried_pi_is_fresh () =
-  let module Obs = Bufsize_obs.Obs in
   let module Constrained = Bufsize_mdp.Constrained in
   let module Ctmc = Bufsize_prob.Ctmc in
   let module Solve_cache = Bufsize_numeric.Solve_cache in
-  let residual = Obs.histogram "ctmc.residual" in
-  let residuals () = (Obs.histogram_value residual).Obs.h_count in
   let bits = Array.map Int64.bits_of_float in
   let check (name, config, traffic, expected_mixed) =
     Solve_cache.clear_all ();
@@ -1540,24 +1541,21 @@ let test_carried_pi_is_fresh () =
       (fun i (s : Sizing.subsystem_solution) ->
         let what w = Printf.sprintf "%s block %d: %s" name i w in
         let m = Bus_model.ctmdp s.Sizing.model and answer = s.Sizing.solved in
+        let pi = answer.Constrained.stationary in
         let fresh = Ctmc.stationary (Policy.induced_ctmc m answer.Constrained.policy) in
-        (match answer.Constrained.stationary with
-        | Some pi ->
-            Alcotest.(check (array int64)) (what "carried π = fresh") (bits fresh) (bits pi)
-        | None ->
+        (match answer.Constrained.policy.Policy.mix with
+        | None -> Alcotest.(check (array int64)) (what "carried π = fresh") (bits fresh) (bits pi)
+        | Some _ ->
             incr mixed;
-            Alcotest.(check bool) (what "only a mixed answer carries no π") false
-              (Policy.is_deterministic ~tol:0. answer.Constrained.policy);
-            Obs.enable_metrics ();
-            let r0 = residuals () in
-            let pi =
-              Fun.protect ~finally:Obs.disable (fun () -> Constrained.stationary m answer)
-            in
-            Alcotest.(check int) (what "a mixed answer is solved afresh") 1 (residuals () - r0);
-            Alcotest.(check (array int64)) (what "its π") (bits fresh) (bits pi));
+            Array.iteri
+              (fun j p ->
+                if Float.abs (p -. fresh.(j)) > 1e-12 then
+                  Alcotest.failf "%s: carried π %.17g vs fresh %.17g at state %d"
+                    (what "mixed") p fresh.(j) j)
+              pi);
         Alcotest.(check (list (array int64)))
-          (what "occupancy of the fresh π")
-          (Array.to_list (Array.map bits (Bus_model.occupancy_distribution s.Sizing.model fresh)))
+          (what "occupancy of the carried π")
+          (Array.to_list (Array.map bits (Bus_model.occupancy_distribution s.Sizing.model pi)))
           (Array.to_list (Array.map bits s.Sizing.occupancy)))
       r.Sizing.solutions;
     Alcotest.(check int) (name ^ ": mixed blocks") expected_mixed !mixed
@@ -1579,6 +1577,111 @@ let test_carried_pi_is_fresh () =
         Test_specs.traffic (mesh_spec 2),
         0 );
     ]
+
+(* The K-switching answer against the occupation-measure form it
+   replaced ([Reference.Constrained]), at a bound where it binds: every
+   block's gain and usage bitwise, a deterministic block's π bitwise,
+   and the mixed block's mix probability bitwise.  The mixed block's
+   reference is built at the reference's alpha, the bound's share of the
+   usage step between the reference tuples around the switch (summed in
+   block order, as the price path sums them); its carried π is within
+   1e-12 of a fresh solve of its chain.  The number of mixed blocks. *)
+let mixes_vs_reference ~what ~bound models =
+  let module C = Bufsize_mdp.Constrained in
+  let module R = Reference.Constrained in
+  let same name x y =
+    Alcotest.(check int64) (what ^ name) (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  let blocks =
+    match C.solve_price ~bound models with
+    | Some (C.Optimal a), _, _ -> a.C.components
+    | _ -> Alcotest.failf "%s: price solve failed" what
+  in
+  let refs = Array.mapi (fun i c -> R.deterministic_solved models.(i) c.C.policy.Policy.choice) blocks in
+  let usage = Array.fold_left (fun acc r -> acc +. r.R.usage) 0. in
+  Array.iteri
+    (fun i (c : C.solved) ->
+      let r, pi, tol =
+        match c.C.policy.Policy.mix with
+        | None -> (refs.(i), Option.get refs.(i).R.stationary, 0.)
+        | Some { Policy.state; action; weight } ->
+            let sa = Array.copy refs in
+            sa.(i) <-
+              R.deterministic_solved models.(i)
+                (Array.mapi (fun s a -> if s = state then action else a) c.C.policy.Policy.choice);
+            let alpha = (bound -. usage refs) /. (usage sa -. usage refs) in
+            let r = R.mixed_solved models.(i) ~alpha ~state sa.(i) refs.(i) in
+            same ": mix probability"
+              (Bufsize_verify.Dense_policy.action_probs r.R.policy state).(action)
+              weight;
+            (r, Policy.stationary models.(i) c.C.policy, 1e-12)
+      in
+      same ": gain" r.R.gain c.C.gain;
+      same ": usage" r.R.usage c.C.usage;
+      Array.iteri
+        (fun j p ->
+          if Float.abs (p -. pi.(j)) > tol then
+            Alcotest.failf "%s block %d: π %.17g vs %.17g at state %d" what i p pi.(j) j)
+        c.C.stationary)
+    blocks;
+  Array.fold_left (fun n c -> if c.C.policy.Policy.mix = None then n else n + 1) 0 blocks
+
+(* A bound [at] of the way from the blocks' least usage to their
+   unconstrained optimum's, where it binds. *)
+let binding_bound models at =
+  let module PI = Bufsize_mdp.Policy_iteration in
+  let usage weights =
+    Array.fold_left (fun acc m -> acc +. (PI.solve ~weights m).PI.line.PI.g_u) 0. models
+  in
+  let least = usage (0., 1.) in
+  least +. (at *. (usage (1., 0.) -. least))
+
+(* On random unichain blocks (one to three, half of the time copies of
+   one block, whose bracketing tuples differ in several states), on
+   netproc's and the three-bus SoC's subsystems and on the g_r2c2 DAMQ
+   pool, the last also at the bound [Sizing] gives it. *)
+let test_answer_vs_occupation_reference () =
+  let module Gen_model = Bufsize_verify.Gen_model in
+  let module Rng = Bufsize_prob.Rng in
+  let rng = Rng.create 35 in
+  let knobs = { Gen_model.default_ctmdp_knobs with Gen_model.max_states = 8 } in
+  let random = ref 0 in
+  for case = 1 to 150 do
+    let nb = 1 + Rng.int rng 3 in
+    let models =
+      if Rng.bool rng then Array.init nb (fun _ -> Gen_model.ctmdp ~knobs rng)
+      else Array.make nb (Gen_model.ctmdp ~knobs rng)
+    in
+    let bound = binding_bound models (0.05 +. (0.9 *. Rng.float rng)) in
+    random := !random + mixes_vs_reference ~what:(Printf.sprintf "random %d" case) ~bound models
+  done;
+  Alcotest.(check bool) "random blocks mix" true (!random > 100);
+  let blocks config traffic = Array.map Bus_model.ctmdp (fst (sizing_blocks config traffic)) in
+  let netproc =
+    blocks
+      { (Sizing.default_config ~budget:160) with Sizing.max_states = 64 }
+      (snd (Netproc.create ()))
+  and three_bus =
+    blocks
+      { (Sizing.default_config ~budget:64) with Sizing.max_states = 40 }
+      (Test_specs.traffic Test_specs.three_bus)
+  and static, pool = g_r2c2 () in
+  let used = (Bufsize_mdp.Policy_iteration.solve (Bus_model.ctmdp static)).line.g_u in
+  let bus_mixes =
+    mixes_vs_reference ~what:"g_r2c2 pool at its static usage"
+      ~bound:(used +. (1e-6 *. (1. +. Float.abs used)))
+      [| pool |]
+    :: List.concat_map
+         (fun at ->
+           List.map
+             (fun (name, models) ->
+               mixes_vs_reference ~what:(Printf.sprintf "%s at %g" name at)
+                 ~bound:(binding_bound models at) models)
+             [ ("netproc", netproc); ("three-bus", three_bus); ("g_r2c2 pool", [| pool |]) ])
+         [ 0.1; 0.35; 0.6; 0.85 ]
+  in
+  Alcotest.(check (list int)) "every bus and pool case mixes once" (List.init 13 (fun _ -> 1))
+    bus_mixes
 
 (* Under [Damq] the sizing cache holds the pool solves too: a hit replays
    the cold report bit for bit with no factorization at all, and a mesh
@@ -1841,5 +1944,7 @@ let () =
             test_damq_cache_replays;
           Alcotest.test_case "damq pool price = LP (g_r2c2, binding)" `Quick
             test_damq_pool_price_vs_lp;
+          Alcotest.test_case "K-switching answer = occupation-measure reference (property)"
+            `Quick test_answer_vs_occupation_reference;
         ] );
     ]
